@@ -30,12 +30,15 @@ Summary format (``schema`` 1)::
         "baseline": "BENCH_2026-08-01.json",
         "speedups": {"test_e21_raw_access_unhooked": 3.4, ...},
         "geomean_speedup": 2.1,
-        "regressions": ["test_e15_checked_placement"]
+        "regressions": ["test_e15_checked_placement"],
+        "skipped": 12
       }
     }
 
-``speedups`` are ``baseline_mean / new_mean`` (>1 is faster now);
-``regressions`` lists benchmarks more than 20% slower than baseline.
+``speedups`` are ``baseline_mean / new_mean`` (>1 is faster now) for
+every benchmark sampled at least three times on both sides;
+``regressions`` lists those more than 10% slower than baseline, and
+``skipped`` counts the shared benchmarks too under-sampled to compare.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ EX_USAGE = 2
 #: File name pattern for trajectory files: BENCH_<date>[.<seq>].json
 _BENCH_NAME = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})(?:\.(\d+))?\.json$")
 
-#: A benchmark counts as regressed when it got >20% slower.
-REGRESSION_THRESHOLD = 0.8
+#: A benchmark counts as regressed when it got more than this many
+#: percent slower (``repro-bench diff --max-regression`` overrides it).
+MAX_REGRESSION_PCT = 10.0
 
 #: Regression flagging needs at least this many rounds on both sides —
 #: single-shot shape tests (``pedantic(rounds=1)``) are too noisy to
@@ -124,21 +128,36 @@ def summarize(raw: dict) -> dict:
     return rows
 
 
-def compare(current: dict, baseline: dict) -> dict:
-    """Per-benchmark speedups of ``current`` over ``baseline`` rows."""
+def compare(
+    current: dict,
+    baseline: dict,
+    max_regression: float = MAX_REGRESSION_PCT,
+    min_rounds: int = MIN_ROUNDS_FOR_REGRESSION,
+) -> dict:
+    """Per-benchmark speedups of ``current`` over ``baseline`` rows.
+
+    Only benchmarks sampled at least ``min_rounds`` times on both sides
+    are compared; the shared ones below that are counted in ``skipped``.
+    A compared benchmark more than ``max_regression`` percent slower is
+    listed in ``regressions``.
+    """
+    floor = 1.0 - max_regression / 100.0
     speedups: dict = {}
     regressions: list = []
+    skipped = 0
     for name, row in sorted(current.items()):
         base_row = baseline.get(name)
         if not base_row or not base_row.get("mean_s") or not row.get("mean_s"):
             continue
+        if (
+            (row.get("rounds") or 0) < min_rounds
+            or (base_row.get("rounds") or 0) < min_rounds
+        ):
+            skipped += 1
+            continue
         speedup = base_row["mean_s"] / row["mean_s"]
         speedups[name] = round(speedup, 3)
-        well_sampled = (
-            (row.get("rounds") or 0) >= MIN_ROUNDS_FOR_REGRESSION
-            and (base_row.get("rounds") or 0) >= MIN_ROUNDS_FOR_REGRESSION
-        )
-        if speedup < REGRESSION_THRESHOLD and well_sampled:
+        if speedup < floor:
             regressions.append(name)
     geomean = None
     if speedups:
@@ -150,6 +169,7 @@ def compare(current: dict, baseline: dict) -> dict:
         "speedups": speedups,
         "geomean_speedup": geomean,
         "regressions": regressions,
+        "skipped": skipped,
     }
 
 
@@ -184,9 +204,10 @@ def diff_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--max-regression",
         type=float,
-        default=10.0,
+        default=MAX_REGRESSION_PCT,
         metavar="PCT",
-        help="fail when a benchmark is more than PCT%% slower (default 10)",
+        help="fail when a benchmark is more than PCT%% slower "
+        f"(default {MAX_REGRESSION_PCT:g})",
     )
     parser.add_argument(
         "--min-rounds",
@@ -203,25 +224,14 @@ def diff_main(argv: Optional[Sequence[str]] = None) -> int:
         baseline = load_summary(Path(args.baseline))
     except ValueError as error:
         return _fail(str(error))
-    floor = 1.0 - args.max_regression / 100.0
-
-    speedups: dict = {}
-    regressions: list = []
-    skipped = 0
-    for name, row in sorted(current["benchmarks"].items()):
-        base_row = baseline["benchmarks"].get(name)
-        if not base_row or not base_row.get("mean_s") or not row.get("mean_s"):
-            continue
-        speedup = base_row["mean_s"] / row["mean_s"]
-        if (
-            (row.get("rounds") or 0) < args.min_rounds
-            or (base_row.get("rounds") or 0) < args.min_rounds
-        ):
-            skipped += 1
-            continue
-        speedups[name] = speedup
-        if speedup < floor:
-            regressions.append(name)
+    comparison = compare(
+        current["benchmarks"],
+        baseline["benchmarks"],
+        max_regression=args.max_regression,
+        min_rounds=args.min_rounds,
+    )
+    speedups = comparison["speedups"]
+    regressions = comparison["regressions"]
     if not speedups:
         return _fail(
             f"no well-sampled benchmarks shared between {args.current} "
@@ -232,12 +242,12 @@ def diff_main(argv: Optional[Sequence[str]] = None) -> int:
     for name, speedup in sorted(speedups.items(), key=lambda kv: -kv[1]):
         marker = "  REGRESSED" if name in regressions else ""
         print(f"  {speedup:7.2f}x  {name}{marker}")
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
+    print(
+        f"geomean speedup: {comparison['geomean_speedup']:.3f}x "
+        f"over {len(speedups)} benchmarks"
     )
-    print(f"geomean speedup: {geomean:.3f}x over {len(speedups)} benchmarks")
-    if skipped:
-        print(f"({skipped} under-sampled benchmarks not gated)")
+    if comparison["skipped"]:
+        print(f"({comparison['skipped']} under-sampled benchmarks not gated)")
     # Domain throughput riders (execs_per_s, compile_ms, ...) are
     # advisory context, not gated: they track workload metrics, not
     # wall-clock means.
@@ -390,7 +400,7 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
         ):
             print(f"  {speedup:7.2f}x  {name}")
         if comparison["regressions"]:
-            print("regressions (>20% slower):")
+            print(f"regressions (>{MAX_REGRESSION_PCT:g}% slower):")
             for name in comparison["regressions"]:
                 print(f"  {name}")
     return 0

@@ -76,6 +76,41 @@ def _fail(message: str) -> int:
     return EX_USAGE
 
 
+def _add_pool_options(parser, default_jobs: int, noun: str) -> None:
+    """``--jobs``/``--backend``: fan ``noun`` out over the service pool."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=default_jobs,
+        metavar="N",
+        help=f"fan {noun} out over N service workers; 0 = in-process "
+        f"sequential (default: {default_jobs})",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=("thread", "process"),
+        default="thread",
+        help="service worker backend (default: thread)",
+    )
+
+
+def _run_command(args, prog: str) -> int:
+    """Run a parsed subcommand: ``--jobs`` below 0 is bad input, and a
+    hard Ctrl-C exits 130.
+
+    Every pool user runs its ``ServiceEngine`` in a ``with`` block, which
+    has drained the pool by the time the interrupt reaches here, so
+    exiting cannot orphan workers.
+    """
+    if getattr(args, "jobs", 0) < 0:
+        return _fail("--jobs must be >= 0")
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        print(f"{prog}: interrupted", file=sys.stderr)
+        return 130
+
+
 def _environment_by_label(label: str):
     for env in ALL_ENVIRONMENTS:
         if env.label == label:
@@ -386,14 +421,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
             "thread backend only)"
         ),
     )
-    parser.add_argument(
-        "--shard-id",
-        default="",
-        help=(
-            "label this process as one shard of a repro-cluster "
-            "deployment; stamped onto /healthz and every metrics sample"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.workers < 1:
         return _fail("--workers must be >= 1")
@@ -414,7 +441,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         use_cache=not args.no_cache,
         fault_plan=fault_plan,
-        shard_id=args.shard_id,
     )
     try:
         server = create_server(engine, host=args.host, port=args.port)
@@ -422,9 +448,8 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         engine.close()
         return _fail(f"cannot bind {args.host}:{args.port}: {error}")
     host, port = server.server_address[:2]
-    shard_note = f" [shard {args.shard_id}]" if args.shard_id else ""
     print(
-        f"repro-serve listening on http://{host}:{port}{shard_note} "
+        f"repro-serve listening on http://{host}:{port} "
         f"({args.workers} {args.backend} workers, cache "
         f"{'off' if args.no_cache else args.cache_dir})",
         flush=True,
@@ -440,172 +465,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         server.server_close()
         engine.close()
     return 0
-
-
-def cluster_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for ``repro-cluster``."""
-    import asyncio
-
-    parser = argparse.ArgumentParser(
-        prog="repro-cluster",
-        description=(
-            "Serve the job engine from N consistent-hash shards behind "
-            "an asyncio front-end with tiered caching and tenant quotas"
-        ),
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=8072, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--shards", type=int, default=3, help="shard count (default: 3)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="workers per shard (default: 2)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="per-shard worker pool backend",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=("inprocess", "subprocess"),
-        default="inprocess",
-        help=(
-            "inprocess: shard engines share this process; subprocess: "
-            "each shard is a child repro-serve process"
-        ),
-    )
-    parser.add_argument(
-        "--vnodes",
-        type=int,
-        default=64,
-        help="virtual nodes per shard on the hash ring (default: 64)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help=(
-            "shared on-disk result cache directory; all shards read and "
-            "write it, forming the cluster's second cache tier"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable result caching on every shard",
-    )
-    parser.add_argument(
-        "--quota-capacity",
-        type=float,
-        default=256.0,
-        help="default tenant bucket capacity in jobs (default: 256)",
-    )
-    parser.add_argument(
-        "--quota-refill",
-        type=float,
-        default=64.0,
-        help="default tenant refill rate in jobs/second (default: 64)",
-    )
-    parser.add_argument(
-        "--quota",
-        action="append",
-        default=[],
-        metavar="TENANT=CAP:RATE",
-        help="per-tenant quota override (repeatable)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "arm the cluster dispatch seam: e.g. 'shard-crash:analyze:1' "
-            "or 'partition:*:3' (inprocess shard mode only)"
-        ),
-    )
-    args = parser.parse_args(argv)
-    if args.shards < 1:
-        return _fail("--shards must be >= 1")
-    if args.workers < 1:
-        return _fail("--workers must be >= 1")
-    if args.vnodes < 1:
-        return _fail("--vnodes must be >= 1")
-    if args.quota_capacity <= 0 or args.quota_refill <= 0:
-        return _fail("--quota-capacity and --quota-refill must be > 0")
-    from .cluster import QuotaManager, parse_override
-
-    overrides = {}
-    for spec in args.quota:
-        try:
-            tenant, budget = parse_override(spec)
-        except ValueError as error:
-            return _fail(f"bad --quota: {error}")
-        overrides[tenant] = budget
-    fault_plan = None
-    if args.fault_plan:
-        from .service import FaultPlan
-
-        if args.shard_mode != "inprocess":
-            return _fail("--fault-plan requires --shard-mode inprocess")
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as error:
-            return _fail(f"bad --fault-plan: {error}")
-
-    async def _serve() -> int:
-        from .cluster import (
-            ClusterRouter,
-            build_shards,
-            create_cluster_server,
-        )
-
-        shards = await build_shards(
-            args.shards,
-            mode=args.shard_mode,
-            workers=args.workers,
-            backend=args.backend,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
-            fault_plan=fault_plan,
-        )
-        router = ClusterRouter(
-            shards, vnodes=args.vnodes, fault_plan=fault_plan
-        )
-        quotas = QuotaManager(
-            capacity=args.quota_capacity,
-            refill_rate=args.quota_refill,
-            overrides=overrides,
-        )
-        try:
-            server = await create_cluster_server(
-                router, quotas=quotas, host=args.host, port=args.port
-            )
-        except OSError as error:
-            await router.close()
-            return _fail(f"cannot bind {args.host}:{args.port}: {error}")
-        print(
-            f"repro-cluster listening on http://{args.host}:{server.port} "
-            f"({args.shards} {args.shard_mode} shards x {args.workers} "
-            f"{args.backend} workers, {args.vnodes} vnodes, cache "
-            f"{'off' if args.no_cache else args.cache_dir})",
-            flush=True,
-        )
-        if fault_plan is not None:
-            print(f"fault plan armed: {fault_plan.describe()}", flush=True)
-        try:
-            await server.serve_forever()
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            print("draining...")
-        finally:
-            await server.close()
-        return 0
-
-    try:
-        return asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        return 0
 
 
 def _load_report(path: str):
@@ -853,6 +712,8 @@ def _fuzz_minimize(args) -> int:
 
 def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-fuzz``."""
+    from .fuzz.oracles import DEFAULT_STEP_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="repro-fuzz",
         description="Coverage-guided differential fuzzing: static detector "
@@ -868,20 +729,7 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         default=200,
         help="mutation iterations beyond the seed set (default: 200)",
     )
-    run_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="fan batches out over N service workers; 0 = in-process "
-        "sequential (default: 4)",
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="service worker backend (default: thread)",
-    )
+    _add_pool_options(run_parser, 4, "batches")
     run_parser.add_argument(
         "--batch-size",
         type=int,
@@ -897,8 +745,8 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser.add_argument(
         "--step-budget",
         type=int,
-        default=50_000,
-        help="interpreter step budget per execution (default: 50000)",
+        default=DEFAULT_STEP_BUDGET,
+        help=f"interpreter step budget per execution (default: {DEFAULT_STEP_BUDGET})",
     )
     run_parser.add_argument(
         "--max-corpus",
@@ -1001,17 +849,8 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     minimize_parser.set_defaults(func=_fuzz_minimize)
 
-    args = parser.parse_args(argv)
-    if getattr(args, "jobs", 0) < 0:
-        return _fail("--jobs must be >= 0")
-    try:
-        return args.func(args)
-    except KeyboardInterrupt:
-        # A hard abort (second Ctrl-C, or an interrupt outside the
-        # graceful-stop window).  The engine's ``with`` block has
-        # already drained its pool on the way out.
-        print("fuzz: interrupted", file=sys.stderr)
-        return 130
+    # a hard abort: a second Ctrl-C, or one outside the graceful-stop window
+    return _run_command(parser.parse_args(argv), "fuzz")
 
 
 def _open_store(directory: str, create: bool = False):
@@ -1216,6 +1055,8 @@ def _regress_gc(args) -> int:
 
 def regress_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-regress``."""
+    from .fuzz.oracles import DEFAULT_STEP_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="repro-regress",
         description="Replayable regression corpus for oracle divergences "
@@ -1252,7 +1093,10 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
         help="manual triage note stored with a --source bundle",
     )
     record_parser.add_argument(
-        "--step-budget", type=int, default=50_000, help="oracle step budget"
+        "--step-budget",
+        type=int,
+        default=DEFAULT_STEP_BUDGET,
+        help="oracle step budget",
     )
     record_parser.add_argument(
         "--no-canary", action="store_true", help="record without the canary"
@@ -1268,20 +1112,7 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
         "replay", help="re-judge the whole store against the live oracles"
     )
     add_store(replay_parser)
-    replay_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan bundle chunks out over N service workers; 0 = "
-        "in-process sequential (default: 0)",
-    )
-    replay_parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="service worker backend (default: thread)",
-    )
+    _add_pool_options(replay_parser, 0, "bundle chunks")
     replay_parser.add_argument(
         "--chunk-size",
         type=int,
@@ -1358,18 +1189,9 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
     gc_parser.set_defaults(func=_regress_gc)
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 0) < 0:
-        return _fail("--jobs must be >= 0")
     if getattr(args, "chunk_size", 1) < 1:
         return _fail("--chunk-size must be >= 1")
-    try:
-        return args.func(args)
-    except KeyboardInterrupt:
-        # Replay fans out over a worker pool; the engine's ``with``
-        # block drains it on the way out, so exiting here cannot
-        # orphan workers.
-        print("regress: interrupted", file=sys.stderr)
-        return 130
+    return _run_command(args, "regress")
 
 
 def _score_graph_from(args):
@@ -1574,6 +1396,8 @@ def _matrix_diff(args) -> int:
 
 def matrix_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-matrix``."""
+    from .fuzz.oracles import DEFAULT_STEP_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="repro-matrix",
         description="Modern-mitigation sweep: gallery attacks, generator "
@@ -1583,20 +1407,7 @@ def matrix_main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="evaluate the sweep")
-    run_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="fan cells out over N service workers; 0 = in-process "
-        "sequential (default: 4)",
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="service worker backend (default: thread)",
-    )
+    _add_pool_options(run_parser, 4, "cells")
     run_parser.add_argument(
         "--engine",
         choices=("ast", "bytecode"),
@@ -1625,8 +1436,8 @@ def matrix_main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser.add_argument(
         "--step-budget",
         type=int,
-        default=50_000,
-        help="interpreter step budget per program cell (default: 50000)",
+        default=DEFAULT_STEP_BUDGET,
+        help=f"interpreter step budget per program cell (default: {DEFAULT_STEP_BUDGET})",
     )
     run_parser.add_argument("--out", help="write the canonical JSON report here")
     run_parser.add_argument(
@@ -1648,14 +1459,7 @@ def matrix_main(argv: Optional[Sequence[str]] = None) -> int:
     diff_parser.add_argument("current", help="current sweep report (JSON)")
     diff_parser.set_defaults(func=_matrix_diff)
 
-    args = parser.parse_args(argv)
-    if getattr(args, "jobs", 0) < 0:
-        return _fail("--jobs must be >= 0")
-    try:
-        return args.func(args)
-    except KeyboardInterrupt:
-        print("matrix: interrupted", file=sys.stderr)
-        return 130
+    return _run_command(parser.parse_args(argv), "matrix")
 
 
 def score_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1685,20 +1489,7 @@ def score_main(argv: Optional[Sequence[str]] = None) -> int:
             default=0.5,
             help="depth attenuation for propagated score (default: 0.5)",
         )
-        sub_parser.add_argument(
-            "--jobs",
-            type=int,
-            default=0,
-            metavar="N",
-            help="fan package scoring over N service workers; "
-            "0 = in-process sequential (default: 0)",
-        )
-        sub_parser.add_argument(
-            "--backend",
-            choices=("thread", "process"),
-            default="thread",
-            help="service worker backend (default: thread)",
-        )
+        _add_pool_options(sub_parser, 0, "packages")
         sub_parser.add_argument(
             "--json",
             action="store_true",
@@ -1728,10 +1519,7 @@ def score_main(argv: Optional[Sequence[str]] = None) -> int:
     diff_parser.add_argument("after", help="new score report (JSON)")
     diff_parser.set_defaults(func=_score_diff)
 
-    args = parser.parse_args(argv)
-    if getattr(args, "jobs", 0) < 0:
-        return _fail("--jobs must be >= 0")
-    return args.func(args)
+    return _run_command(parser.parse_args(argv), "score")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry

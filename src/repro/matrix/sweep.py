@@ -27,15 +27,13 @@ from ..attacks import all_attacks, attack_by_name
 from ..attacks.base import classify_failure
 from ..defenses import ALL_DEFENSES, defense_by_name
 from ..errors import SimulatedProcessError
+from ..fuzz.oracles import DEFAULT_STEP_BUDGET
 
 #: Schema stamp for saved sweep reports.
 SCHEMA = 1
 
 #: Campaign seed the seed-family rows are generated under.
 DEFAULT_SEED = 1
-
-#: Step budget for program rows (matches the fuzz oracle default).
-DEFAULT_STEP_BUDGET = 50_000
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from .client import ServiceClient, ServiceError, ServiceUnavailable, backoff_del
 from .engine import ServiceEngine
 from .faults import (
     CACHE_FAULTS,
-    CLUSTER_FAULTS,
     DISPATCH_FAULTS,
     WORKER_FAULTS,
     FaultInjected,
@@ -59,7 +58,6 @@ __all__ = [
     "AnalyzeJob",
     "AttackJob",
     "CACHE_FAULTS",
-    "CLUSTER_FAULTS",
     "Counter",
     "DISPATCH_FAULTS",
     "ExecJob",

@@ -65,21 +65,11 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         """The cached result for ``key`` under the current version."""
-        return self.probe(key)[0]
-
-    def probe(self, key: str) -> "tuple[Optional[dict], Optional[str]]":
-        """``(value, tier)`` — which tier served the lookup.
-
-        ``tier`` is ``"mem"`` for an in-memory hit, ``"disk"`` when the
-        entry was promoted from the on-disk store, and ``None`` on a
-        miss.  The cluster router's tiered cache uses the tier to
-        account hits per layer; :meth:`get` is this minus the tier.
-        """
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return self._entries[key], "mem"
+                return self._entries[key]
             path = self._path(key)
             if path is not None and path.is_file():
                 try:
@@ -90,9 +80,9 @@ class ResultCache:
                     self._insert(key, value)
                     self.hits += 1
                     self.disk_hits += 1
-                    return value, "disk"
+                    return value
             self.misses += 1
-            return None, None
+            return None
 
     def put(self, key: str, value: dict) -> bool:
         """Store a result in memory and (when configured) on disk.

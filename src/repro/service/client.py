@@ -1,10 +1,10 @@
 """A small stdlib client for the ``repro-serve`` JSON API.
 
 The transport is :mod:`http.client` rather than urllib so the connect
-and read phases get *separate* timeouts: a shard that accepts the TCP
+and read phases get *separate* timeouts: a server that accepts the TCP
 handshake but then stalls mid-response trips the read timeout instead
 of hanging a CLI user forever.  Transient socket failures (connection
-refused during shard startup, resets, timeouts) are retried a bounded
+refused during server startup, resets, timeouts) are retried a bounded
 number of times with the scheduler's deterministic decorrelated-jitter
 backoff; a server that *responds* with a non-2xx status is never
 retried — that is a :class:`ServiceError` for the caller to interpret.
@@ -23,12 +23,10 @@ from urllib.parse import urlsplit
 class ServiceError(RuntimeError):
     """A non-2xx response from the service."""
 
-    def __init__(self, status: int, message: str, retry_after: Optional[float] = None):
+    def __init__(self, status: int, message: str):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
         self.message = message
-        #: Seconds the server asked us to wait (429 responses), else None.
-        self.retry_after = retry_after
 
 
 class ServiceUnavailable(ServiceError):
@@ -42,7 +40,6 @@ class ServiceUnavailable(ServiceError):
         )
         self.status = 0
         self.message = str(cause)
-        self.retry_after = None
         self.attempts = attempts
 
 
@@ -158,19 +155,10 @@ class ServiceClient:
         if 200 <= response.status < 300:
             return payload
         try:
-            document = json.loads(payload)
-            message = document.get("error", response.reason)
-            retry_after = document.get("retry_after")
+            message = json.loads(payload).get("error", response.reason)
         except (ValueError, AttributeError):
-            message, retry_after = str(response.reason), None
-        if retry_after is None:
-            header = response.getheader("Retry-After")
-            if header is not None:
-                try:
-                    retry_after = float(header)
-                except ValueError:
-                    retry_after = None
-        raise ServiceError(response.status, str(message), retry_after=retry_after)
+            message = response.reason
+        raise ServiceError(response.status, str(message))
 
     # -- endpoints ---------------------------------------------------------
 
@@ -191,25 +179,6 @@ class ServiceClient:
     def traces(self) -> dict:
         """``{"keys": [...]}`` — every job key with a retained trace."""
         return self._request("GET", "/trace")
-
-    def cache_get(self, key: str) -> Optional[dict]:
-        """Probe the server's result cache: the cached result or ``None``.
-
-        The cluster front-end's peer-fetch tier; a 404 (cache miss on
-        the peer) is a normal outcome, not an error.
-        """
-        try:
-            return self._request("GET", f"/cache/{key}")
-        except ServiceError as error:
-            if error.status == 404:
-                return None
-            raise
-
-    def cache_put(self, key: str, result: dict) -> bool:
-        """Warm the server's result cache with an externally computed result."""
-        return bool(
-            self._request("POST", f"/cache/{key}", {"result": result}).get("stored")
-        )
 
     def analyze(
         self,

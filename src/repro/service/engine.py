@@ -15,6 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..attacks import all_attacks, attack_by_name
 from ..defenses import ALL_DEFENSES, defense_by_name
+from ..fuzz.oracles import DEFAULT_STEP_BUDGET
 from ..workloads.corpus import corpus_sources
 from .cache import ResultCache
 from .faults import FaultPlan, fault_plan_from
@@ -48,9 +49,7 @@ class ServiceEngine:
         max_retries: int = 2,
         fault_plan: "FaultPlan | str | None" = None,
         trace_capacity: int = 512,
-        shard_id: str = "",
     ):
-        self.shard_id = shard_id
         self.metrics = MetricsRegistry()
         self.fault_plan = fault_plan_from(fault_plan)
         self.traces = TraceBuffer(capacity=trace_capacity)
@@ -217,7 +216,7 @@ class ServiceEngine:
         engine: str = "ast",
         seed: int = 1,
         regress_dir: Optional[str] = None,
-        step_budget: int = 50_000,
+        step_budget: int = DEFAULT_STEP_BUDGET,
         timeout: float = 120.0,
     ) -> dict:
         """The full modern-mitigation sweep, fanned out cell-per-job.
@@ -295,7 +294,7 @@ class ServiceEngine:
         self,
         seed: int = 1,
         iterations: int = 200,
-        step_budget: int = 50_000,
+        step_budget: int = DEFAULT_STEP_BUDGET,
         canary: bool = True,
         minimize: bool = True,
         max_corpus: int = 256,
@@ -481,41 +480,11 @@ class ServiceEngine:
         from ..execution.vm import cache_stats
 
         snapshot["bytecode"] = cache_stats()
-        if self.shard_id:
-            snapshot["shard"] = {"shard_id": self.shard_id}
         return snapshot
 
-    def metrics_prometheus(self, emit_types: bool = True) -> str:
-        """The snapshot in Prometheus text exposition format.
-
-        A shard-scoped engine labels every sample with its
-        ``shard_id``, so the cluster front-end can concatenate the
-        renders of all shards into one scrape (pass
-        ``emit_types=False`` for every shard after the first so
-        ``# TYPE`` lines appear once).
-        """
-        labels = {"shard_id": self.shard_id} if self.shard_id else None
-        return render_prometheus(
-            self.metrics_snapshot(), labels=labels, emit_types=emit_types
-        )
-
-    # -- cluster cache seam ------------------------------------------------
-
-    def cache_lookup(self, key: str) -> "tuple[Optional[dict], Optional[str]]":
-        """``(value, tier)`` from this shard's result cache, or ``(None, None)``.
-
-        The cluster router's tiered cache uses this to peek a peer
-        shard's cache (tier ``"mem"`` or ``"disk"``) before recomputing.
-        """
-        if self.cache is None:
-            return None, None
-        return self.cache.probe(key)
-
-    def cache_store(self, key: str, value: dict) -> bool:
-        """Warm this shard's cache with a result computed elsewhere."""
-        if self.cache is None:
-            return False
-        return self.cache.put(key, value)
+    def metrics_prometheus(self) -> str:
+        """The snapshot in Prometheus text exposition format."""
+        return render_prometheus(self.metrics_snapshot())
 
     def trace(self, key: str) -> Optional[dict]:
         """The span record of the latest submission of ``key``, if traced."""
@@ -526,13 +495,10 @@ class ServiceEngine:
         """Liveness payload for ``/healthz``."""
         from .. import __version__
 
-        payload = {
+        return {
             "status": "ok",
             "version": __version__,
             "workers": self.pool.size,
             "backend": self.pool.backend,
             "cache": self.cache is not None,
         }
-        if self.shard_id:
-            payload["shard_id"] = self.shard_id
-        return payload

@@ -2,7 +2,7 @@
 
 The paper's DoS experiments (Section 4.4) weaponize overflows into
 denial of service; this module lets us turn the same hostility on our
-own scheduler/cache/worker stack and prove every induced fault still
+own scheduler, cache and worker stack and prove every induced fault still
 resolves to a terminal :class:`~repro.service.scheduler.JobStatus`.
 
 A :class:`FaultPlan` is a small, thread-safe list of :class:`FaultRule`
@@ -25,11 +25,9 @@ Seam ownership:
   raised before dispatch, exercising the retry/backoff machinery.
 - ``cache.py`` honors :data:`CACHE_FAULTS` (``unwritable-disk``,
   ``slow-disk``, ``corrupt-cache``) at the disk-write seam.
-- ``repro.cluster.router`` honors :data:`CLUSTER_FAULTS`
-  (``shard-crash``, ``partition``) at its dispatch seam — a shard
-  crash kills the job's owner shard before dispatch (exercising ring
-  failover and re-dispatch), a partition makes the owner unreachable
-  for that one request so it routes to the ring successor instead.
+
+Every :class:`FaultKind` belongs to exactly one of these seams, so a
+plan that parses is a plan whose every rule can fire.
 
 Plans are deterministic: rules fire in order, each at most ``times``
 times (``None`` = unlimited), so a test or a ``repro-serve
@@ -57,8 +55,6 @@ class FaultKind(str, enum.Enum):
     UNWRITABLE_DISK = "unwritable-disk"  # cache write raises OSError
     SLOW_DISK = "slow-disk"  # cache write sleeps rule.delay seconds
     CORRUPT_CACHE = "corrupt-cache"  # cache writes an unparseable entry
-    SHARD_CRASH = "shard-crash"  # cluster router kills the owner shard
-    PARTITION = "partition"  # owner unreachable for one request
 
 
 #: Kinds honored by the :class:`~repro.service.workers.WorkerPool` seam.
@@ -70,11 +66,6 @@ CACHE_FAULTS: Tuple[FaultKind, ...] = (
     FaultKind.UNWRITABLE_DISK,
     FaultKind.SLOW_DISK,
     FaultKind.CORRUPT_CACHE,
-)
-#: Kinds honored by the cluster router's dispatch seam.
-CLUSTER_FAULTS: Tuple[FaultKind, ...] = (
-    FaultKind.SHARD_CRASH,
-    FaultKind.PARTITION,
 )
 
 

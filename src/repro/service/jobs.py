@@ -16,6 +16,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from ..fuzz.oracles import DEFAULT_STEP_BUDGET
+
 #: Default scheduler priority (lower numbers run first).
 NORMAL_PRIORITY = 10
 #: Priority for latency-sensitive work (interactive API requests).
@@ -117,7 +119,7 @@ class MatrixCellJob(Job):
     stdin: tuple = ()
     defense: str = "none"
     engine: str = ""  # "" for attack rows; "ast" | "bytecode" otherwise
-    step_budget: int = 50_000
+    step_budget: int = DEFAULT_STEP_BUDGET
 
     KIND = "matrix-cell"
 
@@ -140,7 +142,7 @@ class FuzzCampaignJob(Job):
     corpus: tuple = ()  # (source, stdin, family, label) tuples
     coverage: tuple = ()  # coverage keys already reached
     protected: int = 0  # leading corpus entries exempt from eviction
-    step_budget: int = 50_000
+    step_budget: int = DEFAULT_STEP_BUDGET
     canary: bool = True
     max_corpus: int = 256
     engine: str = "ast"  # "ast" | "bytecode" | "both"

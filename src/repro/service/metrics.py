@@ -139,19 +139,7 @@ def _prom_number(value) -> str:
     return repr(value)
 
 
-def _label_suffix(labels: Optional[dict]) -> str:
-    if not labels:
-        return ""
-    rendered = ",".join(f'{key}="{labels[key]}"' for key in sorted(labels))
-    return f"{{{rendered}}}"
-
-
-def render_prometheus(
-    snapshot: dict,
-    prefix: str = "repro",
-    labels: Optional[dict] = None,
-    emit_types: bool = True,
-) -> str:
+def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
     """A metrics snapshot in the Prometheus text exposition format.
 
     Counters gain the conventional ``_total`` suffix, histograms become
@@ -160,21 +148,12 @@ def render_prometheus(
     are flattened into gauges, with string values collected into one
     ``<prefix>_<section>_info{...} 1`` metric per section.  Output is
     sorted, so identical state renders byte-identically.
-
-    ``labels`` attaches a fixed label set to every sample — the cluster
-    front-end renders each shard's snapshot with
-    ``labels={"shard_id": ...}`` so one scrape distinguishes shards.
-    ``emit_types=False`` drops the ``# TYPE`` comment lines, so several
-    labelled renders of the same metric names can be concatenated
-    without repeating type declarations.
     """
     lines: list = []
-    suffix = _label_suffix(labels)
 
     def emit(name: str, kind: str, value) -> None:
-        if emit_types:
-            lines.append(f"# TYPE {name} {kind}")
-        lines.append(f"{name}{suffix} {_prom_number(value)}")
+        lines.append(f"# TYPE {name} {kind}")
+        lines.append(f"{name} {_prom_number(value)}")
 
     for name in sorted(snapshot.get("counters", ())):
         emit(
@@ -187,10 +166,9 @@ def render_prometheus(
     for name in sorted(snapshot.get("histograms", ())):
         summary = snapshot["histograms"][name]
         base = _prom_name(prefix, name)
-        if emit_types:
-            lines.append(f"# TYPE {base} summary")
-        lines.append(f"{base}_count{suffix} {_prom_number(summary['count'])}")
-        lines.append(f"{base}_sum{suffix} {_prom_number(summary['total'])}")
+        lines.append(f"# TYPE {base} summary")
+        lines.append(f"{base}_count {_prom_number(summary['count'])}")
+        lines.append(f"{base}_sum {_prom_number(summary['total'])}")
         for stat in ("min", "max"):
             if summary.get(stat) is not None:
                 emit(f"{base}_{stat}", "gauge", summary[stat])
@@ -216,14 +194,8 @@ def render_prometheus(
         for path, value in flat:
             emit(_prom_name(prefix, section, *path), "gauge", value)
         if info:
-            pairs = list(labels.items()) if labels else []
-            fixed = {key for key, _ in pairs}
-            # a fixed label wins over a same-named section string (e.g.
-            # the engine's shard section repeating shard_id)
-            pairs += [(key, val) for key, val in info if key not in fixed]
-            rendered = ",".join(f'{key}="{val}"' for key, val in pairs)
+            rendered = ",".join(f'{key}="{val}"' for key, val in info)
             name = _prom_name(prefix, section, "info")
-            if emit_types:
-                lines.append(f"# TYPE {name} gauge")
+            lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name}{{{rendered}}} 1")
     return "\n".join(lines) + "\n"

@@ -13,12 +13,6 @@ Endpoints (all responses are ``application/json``):
 ``GET /trace/<key>``
     The span record (trace id + per-stage spans) of the most recent
     submission of job ``<key>``; ``GET /trace`` lists traced keys.
-``GET /cache/<key>`` / ``POST /cache/<key>``
-    The shard-local result-cache peer protocol used by the cluster
-    front-end (:mod:`repro.cluster`): GET probes this process's cache
-    without computing (200 with ``{"key", "tier", "result"}`` or 404),
-    POST ``{"result": {...}}`` warms it with a result computed on
-    another shard.
 ``POST /analyze``
     ``{"source": "..."}`` or ``{"corpus": true}`` — detector findings.
     Optional ``label`` and ``legacy`` fields.
@@ -106,12 +100,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.engine.health())
         elif path == "/metrics":
             if self._wants_prometheus(parts.query):
-                # types=0: omit "# TYPE" lines so the cluster front-end
-                # can concatenate per-shard renders into one scrape
-                emit_types = parse_qs(parts.query).get("types", ["1"])[0] != "0"
                 self._send_text(
                     200,
-                    self.engine.metrics_prometheus(emit_types=emit_types),
+                    self.engine.metrics_prometheus(),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             else:
@@ -125,13 +116,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(404, {"error": f"no trace recorded for job '{key}'"})
             else:
                 self._send_json(200, trace)
-        elif path.startswith("/cache/"):
-            key = path[len("/cache/"):]
-            value, tier = self.engine.cache_lookup(key)
-            if value is None:
-                self._send_json(404, {"error": f"no cached result for '{key}'"})
-            else:
-                self._send_json(200, {"key": key, "tier": tier, "result": value})
         else:
             self.engine.metrics.counter("http.not_found").inc()
             self._send_json(404, {"error": f"unknown path {self.path}"})
@@ -183,13 +167,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         engine=engine_name,
                     ),
                 )
-            elif self.path.startswith("/cache/"):
-                key = self.path[len("/cache/"):]
-                result = body.get("result")
-                if not isinstance(result, dict):
-                    raise ValueError("'result' must be a JSON object")
-                stored = self.engine.cache_store(key, result)
-                self._send_json(200, {"key": key, "stored": stored})
             else:
                 self.engine.metrics.counter("http.not_found").inc()
                 self._send_json(404, {"error": f"unknown path {self.path}"})

@@ -15,7 +15,7 @@ class TestSharedExitConvention:
             ("repro.cli:analyze_main", ["/no/such/file.cpp"]),
             ("repro.cli:exec_main", ["/no/such/file.cpp"]),
             ("repro.cli:serve_main", ["--workers", "0"]),
-            ("repro.cli:cluster_main", ["--shards", "0"]),
+            ("repro.cli:serve_main", ["--fault-plan", "shard-crash"]),
             ("repro.cli:fuzz_main", ["run", "--jobs", "-1"]),
             ("repro.cli:matrix_main", ["run", "--jobs", "-1"]),
             ("repro.cli:regress_main", ["list", "--store", "/no/such/store"]),

@@ -138,12 +138,3 @@ class TestStatusErrorsAreNotRetried:
         assert client.connect_timeout == 0.5
         assert client.read_timeout == 30.0
         assert client.healthz()["status"] == "ok"
-
-    def test_cache_routes_round_trip(self, service):
-        client = ServiceClient(service)
-        assert client.cache_get("analyze-00000000000000000000") is None
-        key = "analyze-feedfacefeedfacefeed"
-        assert client.cache_put(key, {"label": "seeded"}) is True
-        fetched = client.cache_get(key)
-        assert fetched["result"] == {"label": "seeded"}
-        assert fetched["tier"] == "mem"

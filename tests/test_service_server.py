@@ -130,37 +130,6 @@ class TestEndpoints:
         assert excinfo.value.status == 404
 
 
-class TestCachePeerProtocol:
-    """The /cache routes the cluster uses for peer fetch and warming."""
-
-    def test_get_miss_is_404(self, service):
-        client, _, _ = service
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", "/cache/analyze-00000000000000000000")
-        assert excinfo.value.status == 404
-
-    def test_put_then_get_round_trips_through_mem_tier(self, service):
-        client, engine, _ = service
-        key = "analyze-cafecafecafecafecafe"
-        assert client.cache_put(key, {"label": "peered"}) is True
-        fetched = client.cache_get(key)
-        assert fetched["result"] == {"label": "peered"}
-        assert fetched["tier"] == "mem"
-        assert engine.cache.get(key) == {"label": "peered"}
-
-    def test_put_rejects_non_object_results(self, service):
-        client, _, _ = service
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/cache/analyze-1234", {"result": "nope"})
-        assert excinfo.value.status == 400
-
-    def test_computed_results_are_peer_fetchable(self, service):
-        client, _, _ = service
-        client.analyze(source=VULN_SOURCE, label="fetchable")
-        key = AnalyzeJob(source=VULN_SOURCE, label="fetchable").key()
-        assert client.cache_get(key)["result"]["label"] == "fetchable"
-
-
 class TestErrorHandling:
     def test_unknown_path_404(self, service):
         client, _, _ = service
