@@ -41,7 +41,7 @@
     attack-gallery scenario, generator seed family, and regression
     bundle under every defense — including the shadow call stack, VRT
     bounds table, and memory tagging.  ``run`` evaluates (byte-identical
-    at any ``--jobs`` and on either engine), ``report`` renders a saved
+    at any ``--jobs``), ``report`` renders a saved
     report, and ``diff`` exits 1 on any cell-outcome drift (the CI
     ``matrix-smoke`` gate).
 
@@ -298,14 +298,6 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="enable the StackGuard-style random canary",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode"),
-        default="ast",
-        help="execution engine: the AST interpreter (default) or the "
-        "compiled bytecode VM (falls back to the interpreter for "
-        "programs the compiler cannot lower)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -334,26 +326,13 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as error:
         return _fail(f"bad integer argument: {error}")
     try:
-        if args.engine == "bytecode":
-            from .execution.vm import run_source_bytecode
-
-            interpreter, outcome, engine_used = run_source_bytecode(
-                source,
-                entry=args.entry,
-                args=entry_args,
-                machine=machine,
-                stdin=stdin_tokens,
-            )
-            if engine_used != "bytecode":
-                print("note: program not compilable, ran on the AST interpreter")
-        else:
-            interpreter, outcome = run_source(
-                source,
-                entry=args.entry,
-                args=entry_args,
-                machine=machine,
-                stdin=stdin_tokens,
-            )
+        interpreter, outcome = run_source(
+            source,
+            entry=args.entry,
+            args=entry_args,
+            machine=machine,
+            stdin=stdin_tokens,
+        )
     except Exception as error:  # simulated faults included
         print(f"simulated process died: {error}")
         return 1
@@ -503,7 +482,6 @@ def _fuzz_run(args) -> int:
         canary=not args.no_canary,
         minimize=not args.no_minimize,
         max_corpus=args.max_corpus,
-        engine=args.engine,
     )
     store = None
     if getattr(args, "record", None):
@@ -575,23 +553,6 @@ def _fuzz_run(args) -> int:
         print(
             f"warning: {report.record_errors} divergence(s) could not be "
             "recorded to the regression store (fuzz.record_errors)",
-            file=sys.stderr,
-        )
-    if getattr(report, "compile_errors", 0):
-        first = getattr(report, "first_compile_error", "")
-        print(
-            f"warning: the bytecode compiler crashed on "
-            f"{report.compile_errors} source(s); those ran on the AST "
-            "interpreter instead (bytecode.compile_errors"
-            + (f"; first: {first}" if first else "")
-            + ")",
-            file=sys.stderr,
-        )
-    if getattr(report, "engine_drift", 0):
-        print(
-            f"warning: {report.engine_drift} execution(s) disagreed "
-            "between the AST and bytecode engines (fuzz.engine_drift) — "
-            "this is a simulator bug; please report it",
             file=sys.stderr,
         )
     if store is not None:
@@ -755,15 +716,6 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         help="live corpus size cap (default: 256)",
     )
     run_parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode", "both"),
-        default="ast",
-        help="dynamic-oracle execution engine: the AST interpreter "
-        "(default), the compiled bytecode VM, or 'both' — run each "
-        "program on both engines and report any verdict disagreement "
-        "as engine drift (a differential oracle over the VM itself)",
-    )
-    run_parser.add_argument(
         "--no-canary",
         action="store_true",
         help="run the dynamic oracle without the stack canary",
@@ -849,8 +801,13 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     minimize_parser.set_defaults(func=_fuzz_minimize)
 
+    args = parser.parse_args(argv)
+    if getattr(args, "batch_size", 1) < 1:
+        return _fail("--batch-size must be >= 1")
+    if getattr(args, "max_corpus", 1) < 1:
+        return _fail("--max-corpus must be >= 1")
     # a hard abort: a second Ctrl-C, or one outside the graceful-stop window
-    return _run_command(parser.parse_args(argv), "fuzz")
+    return _run_command(args, "fuzz")
 
 
 def _open_store(directory: str, create: bool = False):
@@ -940,16 +897,11 @@ def _regress_replay(args) -> int:
                 store,
                 chunk_size=args.chunk_size,
                 check_versions=not args.skip_version_check,
-                engine=args.engine,
             )
     else:
         from .regress import replay_store
 
-        drift = replay_store(
-            store,
-            check_versions=not args.skip_version_check,
-            engine="" if args.engine == "ast" else args.engine,
-        )
+        drift = replay_store(store, check_versions=not args.skip_version_check)
     if args.out:
         try:
             with open(args.out, "w") as handle:
@@ -1118,14 +1070,6 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=8,
         help="bundles per replay job (default: 8)",
-    )
-    replay_parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode", "both"),
-        default="ast",
-        help="execution engine override for the replay: AST interpreter "
-        "(default, the recorded regime), bytecode VM, or 'both' — "
-        "flag any engine disagreement as engine-drift",
     )
     replay_parser.add_argument(
         "--fail-on-drift",
@@ -1333,7 +1277,6 @@ def _matrix_run(args) -> int:
         if args.jobs == 0:
             report = run_sweep(
                 defenses=defenses,
-                engine=args.engine,
                 seed=args.seed,
                 regress_dir=regress_dir,
                 step_budget=args.step_budget,
@@ -1346,7 +1289,6 @@ def _matrix_run(args) -> int:
             ) as engine:
                 report = engine.matrix_sweep(
                     defenses=defenses,
-                    engine=args.engine,
                     seed=args.seed,
                     regress_dir=regress_dir,
                     step_budget=args.step_budget,
@@ -1408,13 +1350,6 @@ def matrix_main(argv: Optional[Sequence[str]] = None) -> int:
 
     run_parser = sub.add_parser("run", help="evaluate the sweep")
     _add_pool_options(run_parser, 4, "cells")
-    run_parser.add_argument(
-        "--engine",
-        choices=("ast", "bytecode"),
-        default="ast",
-        help="execution engine for program rows (default: ast); the "
-        "report is byte-identical on either",
-    )
     run_parser.add_argument(
         "--seed", type=int, default=1, help="generator seed-row seed (default: 1)"
     )

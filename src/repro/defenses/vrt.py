@@ -24,7 +24,7 @@ The table is fed from three channels:
 
 Because the feed is the allocator/tracker substrate rather than
 ``Environment.place``, the VRT also covers interpreted programs (the
-``repro.execution`` engines do their placement internally), which the
+``repro.execution`` interpreter does its placement internally), which the
 §5.1 checked-placement *source fix* cannot reach.
 """
 

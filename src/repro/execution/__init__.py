@@ -2,21 +2,10 @@
 
 The dynamic complement to :mod:`repro.analysis`: the same sources the
 static detector flags are *run* here, so every report can be validated
-against observed memory corruption.
-
-Two engines share one semantics: the AST :class:`Interpreter` (the
-precise-fault reference) and the :class:`BytecodeVM` (a compiled IR
-with a threaded dispatch loop — see :mod:`repro.execution.bytecode`),
-which the fuzzing stack can differential-test against the interpreter.
+against observed memory corruption.  The AST :class:`Interpreter` is
+the one engine every command, job and API request runs on.
 """
 
-from .bytecode import (
-    BYTECODE_VERSION,
-    CompiledProgram,
-    UnsupportedConstruct,
-    compile_program,
-    disassemble,
-)
 from .interpreter import (
     DEFAULT_STEP_BUDGET,
     ExecutionError,
@@ -25,34 +14,15 @@ from .interpreter import (
     run_source,
 )
 from .values import LValue, Scope, Variable, truthy
-from .vm import (
-    BytecodeVM,
-    cache_stats,
-    compile_source,
-    compiled_for,
-    reset_cache,
-    run_source_bytecode,
-)
 
 __all__ = [
-    "BYTECODE_VERSION",
-    "BytecodeVM",
-    "CompiledProgram",
     "DEFAULT_STEP_BUDGET",
     "ExecutionError",
     "FunctionOutcome",
     "Interpreter",
     "LValue",
     "Scope",
-    "UnsupportedConstruct",
     "Variable",
-    "cache_stats",
-    "compile_program",
-    "compile_source",
-    "compiled_for",
-    "disassemble",
-    "reset_cache",
     "run_source",
-    "run_source_bytecode",
     "truthy",
 ]

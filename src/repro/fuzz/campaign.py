@@ -48,14 +48,9 @@ class FuzzConfig:
     canary: bool = True
     minimize: bool = True
     max_corpus: int = 256
-    #: Execution engine: "ast", "bytecode", or "both" (see
-    #: :class:`~repro.fuzz.oracles.OracleConfig.engine`).
-    engine: str = "ast"
 
     def oracle_config(self) -> OracleConfig:
-        return OracleConfig(
-            step_budget=self.step_budget, canary=self.canary, engine=self.engine
-        )
+        return OracleConfig(step_budget=self.step_budget, canary=self.canary)
 
 
 class CampaignInterrupted(RuntimeError):
@@ -105,9 +100,6 @@ class DifferentialFuzzer:
         self.iterations_lost = 0
         self.saturations = 0
         self.record_errors = 0  # divergences that failed to persist
-        self.compile_errors = 0  # sources the bytecode compiler crashed on
-        self.first_compile_error = ""  # "compile-error:<hash>" of the first
-        self.engine_drift = 0  # both-mode verdicts where the engines split
         self._seen: set = set()  # every key ever evaluated or enrolled
         self._corpus_keys: set = set()  # keys currently in the corpus
         self._protected = 0  # leading corpus entries exempt from eviction
@@ -154,17 +146,6 @@ class DifferentialFuzzer:
         self.execs += 1
         if self.metrics is not None:
             self.metrics.counter("fuzz.execs_total").inc()
-        note = observation.dynamic.engine_note
-        if note.startswith("compile-error:"):
-            self.compile_errors += 1
-            if not self.first_compile_error:
-                self.first_compile_error = note
-            if self.metrics is not None:
-                self.metrics.counter("bytecode.compile_errors").inc()
-        if observation.dynamic.engine_drift:
-            self.engine_drift += 1
-            if self.metrics is not None:
-                self.metrics.counter("fuzz.engine_drift").inc()
         if fuzz_input.label == "vulnerable":
             reach = self.families.setdefault(
                 fuzz_input.family, {"static": False, "dynamic": False}
@@ -286,14 +267,6 @@ class DifferentialFuzzer:
         # Advisory only, never serialized: record failures depend on the
         # machine's disk, and the report bytes must not.
         report.record_errors = self.record_errors
-        # Advisory too: which engine ran, whether the bytecode compiler
-        # crashed on any source (and the first failing source hash), and
-        # whether the both-mode shadow runs ever disagreed.  Kept out of
-        # to_dict() so report bytes stay engine-independent.
-        report.engine = self.config.engine
-        report.compile_errors = self.compile_errors
-        report.first_compile_error = self.first_compile_error
-        report.engine_drift = self.engine_drift
         return report
 
 
@@ -319,7 +292,6 @@ def run_batch(payload: dict) -> dict:
         step_budget=payload.get("step_budget", DEFAULT_STEP_BUDGET),
         canary=payload.get("canary", True),
         max_corpus=payload.get("max_corpus", 256),
-        engine=payload.get("engine", "ast"),
     )
     fuzzer = DifferentialFuzzer(config)
     baseline = frozenset(payload.get("coverage", ()))
@@ -343,9 +315,6 @@ def run_batch(payload: dict) -> dict:
         "invalid": fuzzer.invalid,
         "discarded": fuzzer.discarded,
         "saturations": fuzzer.saturations,
-        "compile_errors": fuzzer.compile_errors,
-        "first_compile_error": fuzzer.first_compile_error,
-        "engine_drift": fuzzer.engine_drift,
         "new_coverage": sorted(
             key for key in fuzzer.coverage.sorted_keys() if key not in baseline
         ),
@@ -373,23 +342,11 @@ def _merge_batch(fuzzer: DifferentialFuzzer, result: dict) -> None:
     fuzzer.invalid += result["invalid"]
     fuzzer.discarded += result["discarded"]
     fuzzer.saturations += result.get("saturations", 0)
-    fuzzer.compile_errors += result.get("compile_errors", 0)
-    if not fuzzer.first_compile_error:
-        fuzzer.first_compile_error = result.get("first_compile_error", "")
-    fuzzer.engine_drift += result.get("engine_drift", 0)
     if fuzzer.metrics is not None:
         fuzzer.metrics.counter("fuzz.execs_total").inc(result["execs"])
         if result.get("saturations"):
             fuzzer.metrics.counter("fuzz.corpus_saturated").inc(
                 result["saturations"]
-            )
-        if result.get("compile_errors"):
-            fuzzer.metrics.counter("bytecode.compile_errors").inc(
-                result["compile_errors"]
-            )
-        if result.get("engine_drift"):
-            fuzzer.metrics.counter("fuzz.engine_drift").inc(
-                result["engine_drift"]
             )
     fuzzer.coverage.observe(result["new_coverage"])
     for source, stdin, family, label in result["new_inputs"]:
@@ -463,6 +420,8 @@ def run_campaign(
     completed rounds in this invocation — drains the in-flight round,
     writes a final checkpoint, and raises :class:`CampaignInterrupted`.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, not {batch_size}")
     metrics = engine.metrics if engine is not None else None
     checkpoints = (
         CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
@@ -536,7 +495,6 @@ def run_campaign(
                     "step_budget": config.step_budget,
                     "canary": config.canary,
                     "max_corpus": config.max_corpus,
-                    "engine": config.engine,
                 }
             )
         if engine is None:

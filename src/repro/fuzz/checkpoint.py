@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-#: Checkpoint document schema revision.
-CHECKPOINT_SCHEMA = 1
+#: Checkpoint document schema revision.  2: the config and counters
+#: carry no execution-engine keys.
+CHECKPOINT_SCHEMA = 2
 
 #: Completed-round checkpoints kept on disk (newest first).  Two, not
 #: one: the newest may be torn by a hard kill mid-replace on exotic
@@ -183,7 +184,6 @@ def checkpoint_from_fuzzer(
             "canary": fuzzer.config.canary,
             "minimize": fuzzer.config.minimize,
             "max_corpus": fuzzer.config.max_corpus,
-            "engine": fuzzer.config.engine,
         },
         batch_size=batch_size,
         round_index=round_index,
@@ -209,9 +209,6 @@ def checkpoint_from_fuzzer(
             "saturations": fuzzer.saturations,
             "batches_failed": fuzzer.batches_failed,
             "iterations_lost": fuzzer.iterations_lost,
-            "compile_errors": fuzzer.compile_errors,
-            "first_compile_error": fuzzer.first_compile_error,
-            "engine_drift": fuzzer.engine_drift,
         },
         versions=current_versions(),
     )
@@ -249,9 +246,6 @@ def restore_fuzzer(checkpoint: CampaignCheckpoint, metrics=None, store=None):
     fuzzer.saturations = counters.get("saturations", 0)
     fuzzer.batches_failed = counters.get("batches_failed", 0)
     fuzzer.iterations_lost = counters.get("iterations_lost", 0)
-    fuzzer.compile_errors = counters.get("compile_errors", 0)
-    fuzzer.first_compile_error = counters.get("first_compile_error", "")
-    fuzzer.engine_drift = counters.get("engine_drift", 0)
     return fuzzer
 
 

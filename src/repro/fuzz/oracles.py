@@ -16,7 +16,7 @@ stdin exhaustion) are *invalid*, never divergent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis import analyze_source, parse
@@ -76,13 +76,6 @@ class DynamicVerdict:
     valid: bool = True
     reason: str = ""  # why the run could not be judged, when invalid
     fault: str = ""  # exception class name when the process died
-    #: ``both``-engine mode: how the bytecode VM's run disagreed with
-    #: the interpreter's ("" = agreed).  Advisory — never part of the
-    #: events tuple, so fingerprints and coverage keys are engine-free.
-    engine_drift: str = ""
-    #: Why the bytecode engine did not run this source, when it didn't
-    #: ("fallback:unsupported", "compile-error:<hash>").
-    engine_note: str = ""
 
     @property
     def vulnerable(self) -> bool:
@@ -121,12 +114,6 @@ class OracleConfig:
     step_budget: int = DEFAULT_STEP_BUDGET
     canary: bool = True  # deterministic (seeded) StackGuard canaries
     stdin: tuple = DEFAULT_STDIN
-    #: Execution engine: "ast" (the interpreter), "bytecode" (the
-    #: compiled VM, falling back per-program when a source cannot be
-    #: compiled), or "both" (interpreter verdict is authoritative; the
-    #: VM runs as a shadow and any disagreement is reported as
-    #: ``engine_drift`` — a free differential oracle over the VM).
-    engine: str = "ast"
 
 
 def static_verdict(source: str) -> Optional[StaticVerdict]:
@@ -200,18 +187,23 @@ def _secret_leaked(stored) -> bool:
     return False
 
 
-def _observe_once(
-    source: str, entry: str, args: tuple, stdin: tuple, config: OracleConfig,
-    compiled=None,
-) -> DynamicVerdict:
-    """One execution on one engine, distilled into a verdict.
+def dynamic_verdict(
+    source: str, stdin: tuple = (), config: OracleConfig = OracleConfig()
+) -> tuple:
+    """Execute ``source`` and distill the run into a verdict.
 
-    ``compiled`` non-None runs the bytecode VM; None runs the AST
-    interpreter.  Everything else — machine setup, event taps, the
-    verdict distillation — is identical, which is what makes the
-    ``both``-mode comparison meaningful.
+    Returns ``(entry_name, DynamicVerdict)``; the verdict is invalid
+    (never divergent) when the harness cannot judge the run.
     """
     from ..execution import run_source
+
+    try:
+        plan = _entry_plan(source)
+    except ParseError as error:
+        return "", DynamicVerdict(valid=False, reason=f"parse: {error}")
+    if plan is None:
+        return "", DynamicVerdict(valid=False, reason="no runnable entry")
+    entry, args = plan
 
     machine = Machine(
         MachineConfig(
@@ -225,27 +217,16 @@ def _observe_once(
 
     events: set = set()
     fault = ""
-    executor = None
+    interpreter = None
     try:
-        if compiled is not None:
-            from ..execution.vm import BytecodeVM
-
-            executor = BytecodeVM(
-                compiled, machine=machine, step_budget=config.step_budget
-            )
-            feed = tuple(stdin) or config.stdin
-            if feed:
-                machine.stdin.feed(*feed)
-            outcome = executor.run(entry, *args)
-        else:
-            executor, outcome = run_source(
-                source,
-                entry=entry,
-                args=args,
-                machine=machine,
-                stdin=tuple(stdin) or config.stdin,
-                step_budget=config.step_budget,
-            )
+        interpreter, outcome = run_source(
+            source,
+            entry=entry,
+            args=args,
+            machine=machine,
+            stdin=tuple(stdin) or config.stdin,
+            step_budget=config.step_budget,
+        )
         if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
             events.add("hijack")
     except SimulatedProcessError as error:
@@ -258,7 +239,7 @@ def _observe_once(
         elif isinstance(error, SimulatedTimeout):
             events.add("dos-timeout")
     except Exception as error:  # ApiMisuse, missing stdin, bad entry...
-        return DynamicVerdict(
+        return entry, DynamicVerdict(
             valid=False, reason=f"{type(error).__name__}: {error}"
         )
 
@@ -266,77 +247,10 @@ def _observe_once(
         events.add(
             "placement-overflow" if record.overflows_arena else "placement-fit"
         )
-    if executor is not None and _secret_leaked(executor.stored):
+    if interpreter is not None and _secret_leaked(interpreter.stored):
         events.add("leak-detected")
     events.update(tap.kinds)
-    return DynamicVerdict(events=tuple(sorted(events)), fault=fault)
-
-
-def _engine_drift(primary: DynamicVerdict, shadow: DynamicVerdict) -> str:
-    """How the VM's run disagreed with the interpreter's ("" = agreed).
-
-    Two invalid runs always agree: the reason strings may word the same
-    failure differently, and an unjudgeable run carries no verdict to
-    drift from.
-    """
-    if not primary.valid and not shadow.valid:
-        return ""
-    if primary.valid != shadow.valid:
-        return f"valid:ast={primary.valid}|bytecode={shadow.valid}"
-    details = []
-    if primary.events != shadow.events:
-        details.append(
-            f"events:ast={','.join(primary.events) or '-'}"
-            f"|bytecode={','.join(shadow.events) or '-'}"
-        )
-    if primary.fault != shadow.fault:
-        details.append(
-            f"fault:ast={primary.fault or '-'}|bytecode={shadow.fault or '-'}"
-        )
-    return "; ".join(details)
-
-
-def dynamic_verdict(
-    source: str, stdin: tuple = (), config: OracleConfig = OracleConfig()
-) -> tuple:
-    """Execute ``source`` and distill the run into a verdict.
-
-    Returns ``(entry_name, DynamicVerdict)``; the verdict is invalid
-    (never divergent) when the harness cannot judge the run.  The
-    engine is picked by ``config.engine`` — under ``both`` the
-    interpreter's verdict is authoritative and the VM's shadow run only
-    surfaces as ``engine_drift``.
-    """
-    try:
-        plan = _entry_plan(source)
-    except ParseError as error:
-        return "", DynamicVerdict(valid=False, reason=f"parse: {error}")
-    if plan is None:
-        return "", DynamicVerdict(valid=False, reason="no runnable entry")
-    entry, args = plan
-
-    compiled = None
-    note = ""
-    if config.engine in ("bytecode", "both"):
-        from ..execution.vm import compiled_for
-
-        compiled, note = compiled_for(source)
-
-    if config.engine == "bytecode":
-        verdict = _observe_once(source, entry, args, stdin, config, compiled)
-        if note:
-            verdict = replace(verdict, engine_note=note)
-        return entry, verdict
-
-    verdict = _observe_once(source, entry, args, stdin, config, None)
-    if config.engine == "both":
-        drift = ""
-        if compiled is not None:
-            shadow = _observe_once(source, entry, args, stdin, config, compiled)
-            drift = _engine_drift(verdict, shadow)
-        if drift or note:
-            verdict = replace(verdict, engine_drift=drift, engine_note=note)
-    return entry, verdict
+    return entry, DynamicVerdict(events=tuple(sorted(events)), fault=fault)
 
 
 def run_oracles(

@@ -12,9 +12,9 @@ while the machine-level mitigations can.
 
 Determinism is load-bearing: cell evaluation is pure (fresh machine,
 seeded canaries, fixed stdin), rows and defenses are ordered, and the
-report is canonical JSON with no engine or timing fields — so the same
-sweep is byte-identical at any worker count and on either execution
-engine, which is what lets CI diff a committed baseline.
+report is canonical JSON with no timing fields — so the same sweep is
+byte-identical at any worker count, which is what lets CI diff a
+committed baseline.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ def run_program_cell(
     source: str,
     stdin: Sequence,
     defense_name: str,
-    engine: str = "ast",
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> dict:
     """One MiniC++ program on the defense environment's machine.
@@ -148,6 +147,7 @@ def run_program_cell(
     interpreter places objects itself, exactly the legacy-code gap §5
     worries about.
     """
+    from ..execution import run_source
     from ..fuzz.oracles import (
         DEFAULT_STDIN,
         VULNERABLE_EVENTS,
@@ -173,36 +173,16 @@ def run_program_cell(
     machine.event_tap = tap
     machine.space.add_access_hook(tap)
 
-    compiled = None
-    if engine == "bytecode":
-        from ..execution.vm import compiled_for
-
-        compiled, _ = compiled_for(source)
-
     events: set = set()
-    executor = None
-    feed = tuple(stdin) or DEFAULT_STDIN
     try:
-        if compiled is not None:
-            from ..execution.vm import BytecodeVM
-
-            executor = BytecodeVM(
-                compiled, machine=machine, step_budget=step_budget
-            )
-            if feed:
-                machine.stdin.feed(*feed)
-            outcome = executor.run(entry, *args)
-        else:
-            from ..execution import run_source
-
-            executor, outcome = run_source(
-                source,
-                entry=entry,
-                args=args,
-                machine=machine,
-                stdin=feed,
-                step_budget=step_budget,
-            )
+        interpreter, outcome = run_source(
+            source,
+            entry=entry,
+            args=args,
+            machine=machine,
+            stdin=tuple(stdin) or DEFAULT_STDIN,
+            step_budget=step_budget,
+        )
         if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
             events.add("hijack")
     except SimulatedProcessError as error:
@@ -216,7 +196,7 @@ def run_program_cell(
     for record in machine.placement_log.records:
         if record.overflows_arena:
             events.add("placement-overflow")
-    if executor is not None and _secret_leaked(executor.stored):
+    if _secret_leaked(interpreter.stored):
         events.add("leak-detected")
     events.update(tap.kinds)
     if events & VULNERABLE_EVENTS:
@@ -235,7 +215,6 @@ def evaluate_cell(payload: dict) -> dict:
             payload.get("source", ""),
             tuple(payload.get("stdin") or ()),
             defense,
-            engine=payload.get("engine") or "ast",
             step_budget=payload.get("step_budget") or DEFAULT_STEP_BUDGET,
         )
     cell["row_kind"] = row_kind
@@ -255,8 +234,8 @@ def build_report(
     """Assemble the canonical sweep report from evaluated cells.
 
     ``cells`` must arrive in row-major submission order (every defense
-    for row 0, then row 1, ...).  The report carries no engine, worker
-    count, or timing — byte-identity across those knobs is the point.
+    for row 0, then row 1, ...).  The report carries no worker count or
+    timing — byte-identity across those knobs is the point.
     """
     from ..score.threats import risks_from_matrix
 
@@ -374,7 +353,6 @@ def diff_reports(baseline: dict, current: dict) -> list:
 def run_sweep(
     rows: Optional[Sequence] = None,
     defenses: Sequence[str] = (),
-    engine: str = "ast",
     seed: int = DEFAULT_SEED,
     regress_dir: Optional[str] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
@@ -394,7 +372,6 @@ def run_sweep(
                 "source": row.source,
                 "stdin": tuple(row.stdin),
                 "defense": name,
-                "engine": "" if row.kind == "attack" else engine,
                 "step_budget": step_budget,
             }
         )

@@ -23,10 +23,6 @@ of:
 ``invalid-run``
     The harness can no longer judge the input at all (parse error,
     no runnable entry) although the bundle expected a judged outcome.
-``engine-drift``
-    Only under an ``engine`` override of ``both``: the recorded verdict
-    reproduced, but the bytecode VM's shadow run disagreed with the AST
-    interpreter — a simulator-implementation bug, not a corpus change.
 
 Results are ordered by bundle id everywhere, so a replay report is
 byte-identical no matter how the work was scheduled — sequentially or
@@ -36,7 +32,7 @@ fanned out over any number of service workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..fuzz.divergence import (
@@ -105,16 +101,9 @@ def _expected_view(bundle: RegressionBundle) -> dict:
 
 
 def replay_bundle(
-    bundle: RegressionBundle, check_versions: bool = True, engine: str = ""
+    bundle: RegressionBundle, check_versions: bool = True
 ) -> ReplayResult:
-    """Re-run one bundle and judge it against its expectations.
-
-    ``engine`` overrides the execution engine for this replay ("" keeps
-    the bundle's recorded config, i.e. the AST interpreter).  The
-    override is never part of bundle identity — the same bundle judges
-    the same way under any engine unless the engines genuinely disagree,
-    which ``both`` reports as ``engine-drift``.
-    """
+    """Re-run one bundle and judge it against its expectations."""
     expected = _expected_view(bundle)
     if check_versions:
         live = current_versions()
@@ -139,10 +128,9 @@ def replay_bundle(
                 family=bundle.family,
             )
 
-    oracle_config = bundle.oracle_config()
-    if engine:
-        oracle_config = dc_replace(oracle_config, engine=engine)
-    observation = run_oracles(bundle.source, bundle.stdin, oracle_config)
+    observation = run_oracles(
+        bundle.source, bundle.stdin, bundle.oracle_config()
+    )
     if not observation.valid:
         observed = {"kind": "invalid", "reason": observation.dynamic.reason}
         if bundle.expected_kind == "invalid":
@@ -222,15 +210,6 @@ def replay_bundle(
             f"{observed['triage'] or 'open'!r}",
             family=bundle.family,
         )
-    if observation.dynamic.engine_drift:
-        return ReplayResult(
-            bundle_id=bundle.bundle_id,
-            status="engine-drift",
-            expected=expected,
-            observed=observed,
-            detail=f"engines disagreed: {observation.dynamic.engine_drift}",
-            family=bundle.family,
-        )
     return ReplayResult(
         bundle_id=bundle.bundle_id,
         status="ok",
@@ -240,9 +219,7 @@ def replay_bundle(
     )
 
 
-def replay_bundle_json(
-    document: str, check_versions: bool = True, engine: str = ""
-) -> dict:
+def replay_bundle_json(document: str, check_versions: bool = True) -> dict:
     """Worker-friendly wrapper: canonical bundle JSON in, result dict out."""
     try:
         bundle = RegressionBundle.from_json(document)
@@ -257,9 +234,7 @@ def replay_bundle_json(
             status="invalid-run",
             detail=f"unreadable bundle: {error}",
         ).to_dict()
-    return replay_bundle(
-        bundle, check_versions=check_versions, engine=engine
-    ).to_dict()
+    return replay_bundle(bundle, check_versions=check_versions).to_dict()
 
 
 @dataclass
@@ -328,17 +303,12 @@ def replay_store(
     store: RegressionStore,
     check_versions: bool = True,
     bundle_ids: Optional[list] = None,
-    engine: str = "",
 ) -> DriftReport:
     """Sequentially replay a store (or a subset of its bundle ids)."""
     report = DriftReport()
     for bundle_id in bundle_ids if bundle_ids is not None else store.ids():
         report.results.append(
-            replay_bundle(
-                store.load(bundle_id),
-                check_versions=check_versions,
-                engine=engine,
-            )
+            replay_bundle(store.load(bundle_id), check_versions=check_versions)
         )
     return report
 

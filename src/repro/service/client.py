@@ -217,7 +217,6 @@ class ServiceClient:
         args: Sequence = (),
         stdin: Sequence = (),
         canary: bool = False,
-        engine: str = "ast",
     ) -> dict:
         return self._request(
             "POST",
@@ -228,6 +227,5 @@ class ServiceClient:
                 "args": list(args),
                 "stdin": list(stdin),
                 "canary": canary,
-                "engine": engine,
             },
         )

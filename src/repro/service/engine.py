@@ -213,7 +213,6 @@ class ServiceEngine:
         self,
         rows=None,
         defenses: Sequence[str] = (),
-        engine: str = "ast",
         seed: int = 1,
         regress_dir: Optional[str] = None,
         step_budget: int = DEFAULT_STEP_BUDGET,
@@ -243,7 +242,6 @@ class ServiceEngine:
                     source=row.source,
                     stdin=tuple(row.stdin),
                     defense=name,
-                    engine="" if row.kind == "attack" else engine,
                     step_budget=step_budget,
                 ),
                 priority=NORMAL_PRIORITY,
@@ -273,7 +271,6 @@ class ServiceEngine:
         args: Sequence = (),
         stdin: Sequence = (),
         canary: bool = False,
-        engine: str = "ast",
     ) -> dict:
         """Run MiniC++ source on a fresh simulated machine."""
         return self.scheduler.run(
@@ -283,7 +280,6 @@ class ServiceEngine:
                 args=tuple(args),
                 stdin=tuple(stdin),
                 canary=canary,
-                engine=engine,
             ),
             priority=HIGH_PRIORITY,
         )
@@ -298,7 +294,6 @@ class ServiceEngine:
         canary: bool = True,
         minimize: bool = True,
         max_corpus: int = 256,
-        engine: str = "ast",
         batch_size: int = 50,
         batch_timeout: float = 120.0,
         store=None,
@@ -327,7 +322,6 @@ class ServiceEngine:
             canary=canary,
             minimize=minimize,
             max_corpus=max_corpus,
-            engine=engine,
         )
         return run_campaign(
             config,
@@ -350,7 +344,6 @@ class ServiceEngine:
         chunk_size: int = 8,
         check_versions: bool = True,
         timeout: float = 300.0,
-        engine: str = "ast",
     ):
         """Replay a regression store over the worker pool.
 
@@ -381,9 +374,7 @@ class ServiceEngine:
         handles = [
             self.scheduler.submit(
                 RegressReplayJob(
-                    bundles=tuple(chunk),
-                    check_versions=check_versions,
-                    engine=engine,
+                    bundles=tuple(chunk), check_versions=check_versions
                 ),
                 priority=NORMAL_PRIORITY,
                 timeout=timeout,
@@ -477,9 +468,6 @@ class ServiceEngine:
         snapshot["faults"] = (
             self.fault_plan.stats() if self.fault_plan else {"enabled": False}
         )
-        from ..execution.vm import cache_stats
-
-        snapshot["bytecode"] = cache_stats()
         return snapshot
 
     def metrics_prometheus(self) -> str:

@@ -108,9 +108,7 @@ class MatrixCellJob(Job):
 
     Cacheable: the evaluation is pure — fresh machine, seeded canaries,
     fixed stdin — so a cell's outcome is a function of its payload and
-    the code version the cache already keys on.  Attack rows normalize
-    ``engine`` to ``""`` (the gallery doesn't execute MiniC++), so both
-    engines share one cache entry.
+    the code version the cache already keys on.
     """
 
     row_kind: str = "attack"  # "attack" | "seed" | "regress"
@@ -118,7 +116,6 @@ class MatrixCellJob(Job):
     source: str = ""
     stdin: tuple = ()
     defense: str = "none"
-    engine: str = ""  # "" for attack rows; "ast" | "bytecode" otherwise
     step_budget: int = DEFAULT_STEP_BUDGET
 
     KIND = "matrix-cell"
@@ -145,7 +142,6 @@ class FuzzCampaignJob(Job):
     step_budget: int = DEFAULT_STEP_BUDGET
     canary: bool = True
     max_corpus: int = 256
-    engine: str = "ast"  # "ast" | "bytecode" | "both"
 
     KIND = "fuzz-campaign"
     CACHEABLE = False
@@ -164,7 +160,6 @@ class RegressReplayJob(Job):
 
     bundles: tuple = ()  # canonical-JSON bundle documents
     check_versions: bool = True
-    engine: str = "ast"  # "ast" | "bytecode" | "both"
 
     KIND = "regress-replay"
     CACHEABLE = False
@@ -183,7 +178,6 @@ class ExecJob(Job):
     args: tuple = ()
     stdin: tuple = ()
     canary: bool = False
-    engine: str = "ast"  # "ast" | "bytecode"
 
     KIND = "exec"
     CACHEABLE = False

@@ -24,9 +24,7 @@ Endpoints (all responses are ``application/json``):
     matrix, decomposed into parallel per-cell jobs.
 ``POST /exec``
     ``{"source": "...", "entry": "main", "args": [], "stdin": [],
-    "canary": false, "engine": "ast"}`` — run on the simulated machine
-    (``"engine": "bytecode"`` runs the compiled VM, falling back to
-    the interpreter for uncompilable sources).
+    "canary": false}`` — run on the simulated machine.
 
 Requests are executed through the engine's scheduler, so repeated
 identical requests are served from the result cache, and the server
@@ -151,11 +149,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             elif self.path == "/exec":
                 if not isinstance(body.get("source"), str):
                     raise ValueError("'source' must be a string")
-                engine_name = body.get("engine", "ast")
-                if engine_name not in ("ast", "bytecode"):
-                    raise ValueError(
-                        "'engine' must be one of: ast, bytecode"
-                    )
                 self._send_json(
                     200,
                     self.engine.execute(
@@ -164,7 +157,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         args=tuple(body.get("args") or ()),
                         stdin=tuple(body.get("stdin") or ()),
                         canary=bool(body.get("canary")),
-                        engine=engine_name,
                     ),
                 )
             else:

@@ -195,26 +195,14 @@ def run_exec(payload: dict) -> dict:
             )
         )
     )
-    engine = payload.get("engine", "ast")
     try:
-        if engine == "bytecode":
-            from ..execution.vm import run_source_bytecode
-
-            interpreter, outcome, engine = run_source_bytecode(
-                payload["source"],
-                entry=payload.get("entry", "main"),
-                args=tuple(payload.get("args") or ()),
-                machine=machine,
-                stdin=tuple(payload.get("stdin") or ()),
-            )
-        else:
-            interpreter, outcome = run_source(
-                payload["source"],
-                entry=payload.get("entry", "main"),
-                args=tuple(payload.get("args") or ()),
-                machine=machine,
-                stdin=tuple(payload.get("stdin") or ()),
-            )
+        interpreter, outcome = run_source(
+            payload["source"],
+            entry=payload.get("entry", "main"),
+            args=tuple(payload.get("args") or ()),
+            machine=machine,
+            stdin=tuple(payload.get("stdin") or ()),
+        )
     except SimulatedProcessError as error:
         return {
             "died": True,
@@ -226,7 +214,6 @@ def run_exec(payload: dict) -> dict:
         "died": False,
         "return_value": _jsonify(outcome.return_value),
         "steps": outcome.steps,
-        "engine": engine,
         "hijacked": bool(
             outcome.frame_exit is not None and outcome.frame_exit.hijacked
         ),
@@ -267,14 +254,9 @@ def run_regress_replay(payload: dict) -> dict:
     from ..regress.replay import replay_bundle_json
 
     check_versions = payload.get("check_versions", True)
-    engine = payload.get("engine", "ast")
     return {
         "results": [
-            replay_bundle_json(
-                document,
-                check_versions=check_versions,
-                engine="" if engine == "ast" else engine,
-            )
+            replay_bundle_json(document, check_versions=check_versions)
             for document in payload.get("bundles", ())
         ]
     }

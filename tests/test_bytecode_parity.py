@@ -1,7 +1,6 @@
 """The engine parity gate: the bytecode VM must agree with the AST
-interpreter on every committed corpus — verdicts, triage, events, step
-counts — with zero drift.  This is the tier-1 contract that lets the
-fuzzing stack trust the fast engine.
+interpreter on every committed corpus — return values, outputs, stored
+payloads, events, step counts — with zero drift.
 """
 
 from pathlib import Path
@@ -10,9 +9,9 @@ import pytest
 
 from repro.execution import run_source
 from repro.execution.vm import BytecodeVM, compiled_for, reset_cache
-from repro.fuzz import OracleConfig, run_oracles
+from repro.fuzz.oracles import DEFAULT_STDIN, _entry_plan
 from repro.fuzz.seeds import seed_inputs
-from repro.regress import RegressionStore, replay_store
+from repro.regress import RegressionStore
 from repro.runtime import Machine
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,7 +28,22 @@ def _regress_bundles():
     return [store.load(bundle_id) for bundle_id in store.ids()]
 
 
-def _run_engines(source, stdin=()):
+def _bundle_runs():
+    """Each committed bundle as the fuzz oracle runs it: its planned
+    entry and arguments, and the default stdin when it carries none."""
+    runs = []
+    for bundle in _regress_bundles():
+        entry, args = _entry_plan(bundle.source)
+        stdin = tuple(bundle.stdin) or DEFAULT_STDIN
+        runs.append(
+            pytest.param(
+                bundle.source, stdin, entry, args, id=bundle.bundle_id[:12]
+            )
+        )
+    return runs
+
+
+def _run_engines(source, stdin=(), entry="main", args=(0, 0)):
     """One (outcome, events) observation per engine, exceptions included."""
 
     def run_one(use_vm):
@@ -41,10 +55,10 @@ def _run_engines(source, stdin=()):
                 executor = BytecodeVM(compiled, machine=machine)
                 if stdin:
                     machine.stdin.feed(*stdin)
-                outcome = executor.run("main", 0, 0)
+                outcome = executor.run(entry, *args)
             else:
                 executor, outcome = run_source(
-                    source, machine=machine, stdin=stdin
+                    source, entry=entry, args=args, machine=machine, stdin=stdin
                 )
             return (
                 "ok",
@@ -74,28 +88,13 @@ class TestPackageCorpusParity:
 
 
 class TestRegressCorpusParity:
-    """The whole committed regression store replays with zero drift
-    under the both-engine oracle — verdict, fingerprint, and triage."""
+    """Every committed regression bundle runs identically on both
+    engines."""
 
-    def test_both_engine_sweep_is_clean(self):
-        reset_cache()
-        store = RegressionStore(REGRESS_DIR, create=False)
-        drift = replay_store(store, engine="both")
-        assert drift.clean, drift.render()
-        assert drift.counts() == {"ok": len(store.ids())}
-
-    def test_bundles_agree_per_oracle_verdict(self):
-        config_ast = OracleConfig(engine="ast")
-        config_vm = OracleConfig(engine="bytecode")
-        for bundle in _regress_bundles():
-            on_ast = run_oracles(bundle.source, bundle.stdin, config_ast)
-            on_vm = run_oracles(bundle.source, bundle.stdin, config_vm)
-            assert on_ast.valid == on_vm.valid
-            assert on_ast.dynamic.events == on_vm.dynamic.events
-            assert on_ast.dynamic.fault == on_vm.dynamic.fault
-            assert on_ast.divergence_kind == on_vm.divergence_kind
-            # Nothing silently fell back to the interpreter.
-            assert on_vm.dynamic.engine_note == ""
+    @pytest.mark.parametrize("source,stdin,entry,args", _bundle_runs())
+    def test_bundle_zero_drift(self, source, stdin, entry, args):
+        ast_run, vm_run = _run_engines(source, stdin, entry, args)
+        assert ast_run == vm_run
 
 
 class TestSeedFamilyParity:

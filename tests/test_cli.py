@@ -21,6 +21,8 @@ class TestSharedExitConvention:
             ("repro.cli:regress_main", ["list", "--store", "/no/such/store"]),
             ("repro.cli:score_main", ["rank", "/no/such/packages"]),
             ("repro.bench:bench_main", ["--benchmarks-dir", "/no/such/dir"]),
+            ("repro.cli:fuzz_main", ["run", "--batch-size", "0"]),
+            ("repro.cli:fuzz_main", ["run", "--max-corpus", "0"]),
         ],
     )
     def test_bad_input_exits_2(self, entry_point, argv, capsys):

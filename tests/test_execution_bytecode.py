@@ -12,21 +12,20 @@ byte-for-byte like the AST engine.
 import pytest
 
 from repro.errors import SimulatedTimeout
-from repro.execution import (
+from repro.execution import run_source
+from repro.execution import vm as vm_module
+from repro.execution.bytecode import disassemble
+from repro.execution.vm import (
     BYTECODE_VERSION,
     BytecodeVM,
     UnsupportedConstruct,
     cache_stats,
     compile_source,
     compiled_for,
-    disassemble,
     reset_cache,
-    run_source,
     run_source_bytecode,
+    source_digest,
 )
-from repro.execution import vm as vm_module
-from repro.execution.vm import source_digest
-from repro.fuzz import OracleConfig, run_oracles
 from repro.fuzz.seeds import generator_seeds
 from repro.memory.segments import SegmentKind
 from repro.runtime import Machine
@@ -199,20 +198,6 @@ class TestTaintSourceParity:
         for seed in seeds:
             compiled, note = compiled_for(seed.source)
             assert compiled is not None and note == "", (seed.label, note)
-
-    @pytest.mark.parametrize(
-        "seed", _taint_seeds(), ids=lambda s: f"taint-{s.label}"
-    )
-    def test_taint_family_oracle_parity(self, seed):
-        on_ast = run_oracles(seed.source, seed.stdin, OracleConfig(engine="ast"))
-        on_vm = run_oracles(
-            seed.source, seed.stdin, OracleConfig(engine="bytecode")
-        )
-        assert on_vm.dynamic.engine_note == ""
-        assert on_ast.valid == on_vm.valid
-        assert on_ast.dynamic.events == on_vm.dynamic.events
-        assert on_ast.dynamic.fault == on_vm.dynamic.fault
-        assert on_ast.divergence_kind == on_vm.divergence_kind
 
     def test_getenv_atoi_consume_scripted_stdin_identically(self):
         ast_run = _observe(ENV_SIZED, (9, 5), False)

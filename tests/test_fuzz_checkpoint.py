@@ -1,6 +1,7 @@
 """Tests for campaign checkpointing: kill-and-resume byte-identity,
 torn-file recovery, version refusal, and the interrupt-handling CLI."""
 
+import json
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from repro.fuzz import (
     restore_fuzzer,
     run_campaign,
 )
+from repro.fuzz.checkpoint import _digest_of
 from repro.service import ServiceEngine
 
 #: 180 iterations at batch 30 = two rounds (120 + 60): big enough to
@@ -308,6 +310,32 @@ class TestCliCheckpointing:
         )
         assert code == 2
         assert "no usable checkpoint" in capsys.readouterr().err
+
+    def test_schema_1_checkpoint_is_refused(self, tmp_path, capsys):
+        # Schema-1 checkpoints carry the execution-engine config key and
+        # counters this build no longer has; a digest-valid one must be
+        # refused cleanly, never crash FuzzConfig(**config).
+        checkpoint = checkpoint_from_fuzzer(
+            _seeded_fuzzer(), batch_size=BATCH, round_index=0, remaining=40
+        )
+        checkpoint.config["engine"] = "ast"
+        checkpoint.counters.update(compile_errors=0, engine_drift=0)
+        body = checkpoint.to_dict()
+        body["schema"] = 1
+        del body["digest"]
+        body["digest"] = _digest_of(body)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint schema 1"
+        ):
+            CampaignCheckpoint.from_dict(body)
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "checkpoint-r000000.json").write_text(json.dumps(body))
+        code = fuzz_main(
+            ["run", "--jobs", "0", "--resume", "--checkpoint-dir", str(ckpt)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_fuzz_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         def interrupted(args):

@@ -76,14 +76,6 @@ class TestByteIdentity:
                 f"jobs={workers} diverged from sequential"
             )
 
-    def test_bytecode_engine_matches_ast(self, subset_report):
-        bytecode = run_sweep(
-            rows=_subset_rows(), defenses=SUBSET_DEFENSES, engine="bytecode"
-        )
-        assert canonical_report_json(bytecode) == canonical_report_json(
-            subset_report
-        )
-
     def test_repeated_sweeps_are_stable(self, subset_report):
         again = run_sweep(rows=_subset_rows(), defenses=SUBSET_DEFENSES)
         assert canonical_report_json(again) == canonical_report_json(subset_report)

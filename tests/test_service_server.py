@@ -73,15 +73,6 @@ class TestEndpoints:
         response = client.execute("int main(int a, char b) { return 9; }")
         assert response["return_value"] == 9
         assert response["died"] is False
-        assert response["engine"] == "ast"
-
-    def test_exec_bytecode_engine(self, service):
-        client, _, _ = service
-        response = client.execute(
-            "int main(int a, char b) { return 9; }", engine="bytecode"
-        )
-        assert response["return_value"] == 9
-        assert response["engine"] == "bytecode"
 
     def test_metrics_include_http_and_cache(self, service):
         client, _, _ = service
@@ -178,11 +169,14 @@ class TestErrorHandling:
             client.matrix(attacks=["bogus"])
         assert excinfo.value.status == 400
 
-    def test_unknown_exec_engine_400(self, service):
+    def test_exec_ignores_engine_key(self, service):
+        # Older clients still send "engine"; like any unused body key it
+        # is ignored, and the response names no engine.
         client, _, _ = service
-        with pytest.raises(ServiceError) as excinfo:
-            client._request(
-                "POST", "/exec", {"source": "int main() {}", "engine": "qemu"}
-            )
-        assert excinfo.value.status == 400
-        assert "engine" in str(excinfo.value)
+        response = client._request(
+            "POST",
+            "/exec",
+            {"source": "int main(int a, char b) { return 9; }", "engine": "qemu"},
+        )
+        assert response["return_value"] == 9
+        assert "engine" not in response
