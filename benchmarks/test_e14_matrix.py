@@ -9,58 +9,61 @@ catch the stray writes.
 
 import pytest
 
-from repro.attacks import all_attacks
-from repro.defenses import ALL_DEFENSES, LibSafePlacementGuard, evaluate_matrix
+from repro.defenses import LibSafePlacementGuard
+from repro.matrix import attack_rows, render_attack_table, run_sweep
 
 
 def run_experiment():
-    matrix = evaluate_matrix(all_attacks(), ALL_DEFENSES)
+    report = run_sweep(rows=attack_rows())
     print()
-    print(matrix.render(column_width=24))
-    return matrix
+    print(render_attack_table(report))
+    return report
 
 
 def test_e14_shape(benchmark):
-    matrix = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    total = len(matrix.attack_names())
+    report = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    total = len(report["rows"])
+    wins = report["attacks_succeeding"]
+    cells = {row["id"]: row["cells"] for row in report["rows"]}
+
+    def attack_wins(attack, defense):
+        return cells[attack][defense] == "ATTACK-WINS"
 
     # Baseline: the paper demonstrated every attack.
-    assert matrix.wins_for_defense("none") == total
+    assert wins["none"] == total
 
     # StackGuard: blind to the placement-new attacks; it only stops the
     # naive strncpy smash inside the two-step stack attack.
-    stackguard_wins = matrix.wins_for_defense("stackguard")
-    assert stackguard_wins >= total - 2
+    assert wins["stackguard"] >= total - 2
 
     # Correct coding (§5.1): every overflow-driven attack is blocked;
     # only the leak measurements (different countermeasure) remain.
-    checked_wins = matrix.wins_for_defense("checked-placement")
-    assert checked_wins <= 5
-    leak_cell = matrix.cell("memory-leak", "checked-placement")
-    assert leak_cell.result.succeeded  # bounds checks don't fix leaks
+    assert wins["checked-placement"] <= 5
+    # bounds checks don't fix leaks
+    assert attack_wins("memory-leak", "checked-placement")
 
     # Sanitize-on-reuse stops exactly the info leaks.
-    assert not matrix.cell("info-leak-array", "sanitize-on-reuse").result.succeeded
-    assert not matrix.cell("info-leak-object", "sanitize-on-reuse").result.succeeded
+    assert not attack_wins("info-leak-array", "sanitize-on-reuse")
+    assert not attack_wins("info-leak-object", "sanitize-on-reuse")
 
     # NX: code injection only.
-    assert not matrix.cell("code-injection", "nx-stack").result.succeeded
-    assert matrix.cell("arc-injection", "nx-stack").result.succeeded
+    assert not attack_wins("code-injection", "nx-stack")
+    assert attack_wins("arc-injection", "nx-stack")
 
     # Shadow memory catches the overflow writes.
-    assert not matrix.cell("data-bss-overflow", "shadow-memory").result.succeeded
+    assert not attack_wins("data-bss-overflow", "shadow-memory")
 
     # The §5.2 return-address stack stops what StackGuard cannot: the
     # selective overwrite inside stack-return-address and both injections.
-    assert not matrix.cell("stack-return-address", "shadow-ret-stack").result.succeeded
-    assert not matrix.cell("arc-injection", "shadow-ret-stack").result.succeeded
+    assert not attack_wins("stack-return-address", "shadow-ret-stack")
+    assert not attack_wins("arc-injection", "shadow-ret-stack")
     # ... but it says nothing about data-only attacks.
-    assert matrix.cell("data-bss-overflow", "shadow-ret-stack").result.succeeded
+    assert attack_wins("data-bss-overflow", "shadow-ret-stack")
 
     # Forward-edge CFI stops exactly the vtable subterfuge.
-    assert not matrix.cell("vtable-subterfuge-bss", "vtable-integrity").result.succeeded
-    assert not matrix.cell("vtable-subterfuge-stack", "vtable-integrity").result.succeeded
-    assert matrix.cell("stack-return-address", "vtable-integrity").result.succeeded
+    assert not attack_wins("vtable-subterfuge-bss", "vtable-integrity")
+    assert not attack_wins("vtable-subterfuge-stack", "vtable-integrity")
+    assert attack_wins("stack-return-address", "vtable-integrity")
 
 
 def test_e14b_libsafe_coverage_gap(benchmark):

@@ -93,22 +93,23 @@ def test_e20_parallel_sweep_speedup_and_hit_rate():
 
 
 def test_e20_parallel_matrix_throughput():
-    from repro.service.workers import run_matrix
+    from repro.matrix import attack_rows, run_sweep
 
     started = time.perf_counter()
-    sequential = run_matrix({})
+    sequential = run_sweep(rows=attack_rows())
     sequential_s = time.perf_counter() - started
 
     with ServiceEngine(workers=WORKERS, backend=_BACKEND) as engine:
         started = time.perf_counter()
-        parallel = engine.matrix(parallel=True)
+        parallel = engine.matrix()
         parallel_s = time.perf_counter() - started
 
+    cell_count = len(sequential["rows"]) * len(sequential["defenses"])
     print_table(
-        f"E20 attack × defense matrix ({len(sequential['cells'])} cells)",
+        f"E20 attack × defense matrix ({cell_count} cells)",
         ["path", "seconds", "speedup"],
         [
-            ["sequential evaluate_matrix", f"{sequential_s:.4f}", "1.00x"],
+            ["sequential run_sweep", f"{sequential_s:.4f}", "1.00x"],
             [
                 f"{WORKERS} {_BACKEND} workers",
                 f"{parallel_s:.4f}",

@@ -1,22 +1,25 @@
 #!/usr/bin/env python
 """Every attack against every defense — the paper's Section 5 in one table.
 
-Runs the full attack gallery (26 scenarios from Sections 3–4) against the
-six hardening configurations and prints the matrix, followed by the
-Section 5.2 StackGuard experiment in detail.
+Runs the full attack gallery (26 scenarios from Sections 3–4) against
+every defense in the roster through the matrix sweep's attack rows and
+prints the table, followed by the Section 5.2 StackGuard experiment in
+detail.
 
 Run:  python examples/defense_shootout.py
 """
 
-from repro.attacks import STACKGUARD, CanarySkipExperiment, all_attacks
-from repro.defenses import ALL_DEFENSES, evaluate_matrix
+from repro.attacks import STACKGUARD, CanarySkipExperiment
+from repro.defenses import ALL_DEFENSES
+from repro.matrix import attack_rows, render_attack_table, run_sweep
 
 
 def main() -> None:
-    print("running", len(all_attacks()), "attacks x", len(ALL_DEFENSES), "defenses...")
-    matrix = evaluate_matrix(all_attacks(), ALL_DEFENSES)
+    rows = attack_rows()
+    print("running", len(rows), "attacks x", len(ALL_DEFENSES), "defenses...")
+    report = run_sweep(rows=rows)
     print()
-    print(matrix.render(column_width=24))
+    print(render_attack_table(report))
     print()
 
     print("— the §5.2 StackGuard experiment, in detail —")

@@ -64,7 +64,6 @@ from typing import Optional, Sequence
 
 from .analysis import analyze_source, run_tool_suite
 from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name
-from .defenses import ALL_DEFENSES, evaluate_matrix
 from .workloads.corpus import FULL_CORPUS
 
 #: Exit status for bad input, shared by every front end.
@@ -157,8 +156,9 @@ def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.matrix:
-        matrix = evaluate_matrix(all_attacks(), ALL_DEFENSES)
-        print(matrix.render(column_width=24))
+        from .matrix import attack_rows, render_attack_table, run_sweep
+
+        print(render_attack_table(run_sweep(rows=attack_rows())))
         return 0
 
     try:
@@ -1297,8 +1297,11 @@ def _matrix_run(args) -> int:
         return _fail(error.args[0] if error.args else str(error))
     encoded = canonical_report_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(encoded + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(encoded + "\n")
+        except OSError as error:
+            return _fail(f"cannot write {args.out}: {error.strerror or error}")
     if args.json:
         print(encoded)
     else:
@@ -1454,7 +1457,10 @@ def score_main(argv: Optional[Sequence[str]] = None) -> int:
     diff_parser.add_argument("after", help="new score report (JSON)")
     diff_parser.set_defaults(func=_score_diff)
 
-    return _run_command(parser.parse_args(argv), "score")
+    args = parser.parse_args(argv)
+    if getattr(args, "top", 0) < 0:
+        return _fail("--top must be >= 0")
+    return _run_command(args, "score")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry

@@ -13,10 +13,7 @@ from .base import (
     VRT_DEFENSE,
     VTABLE_INTEGRITY_DEFENSE,
     Defense,
-    EvaluationMatrix,
-    MatrixCell,
     defense_by_name,
-    evaluate_matrix,
 )
 from .aslr import StaleAddressAttack, aslr_machine, run_aslr_comparison
 from .leak_discipline import LeakOutcome, run_leak_comparison
@@ -31,11 +28,9 @@ __all__ = [
     "BASELINE",
     "CORRECT_CODING",
     "Defense",
-    "EvaluationMatrix",
     "InterceptionRecord",
     "LeakOutcome",
     "LibSafePlacementGuard",
-    "MatrixCell",
     "MemoryTagging",
     "NX_DEFENSE",
     "SANITIZE_DEFENSE",
@@ -57,6 +52,5 @@ __all__ = [
     "VtableIntegrityGuard",
     "VtableIntegrityViolation",
     "defense_by_name",
-    "evaluate_matrix",
     "run_leak_comparison",
 ]

@@ -1,16 +1,15 @@
-"""Defense descriptors and the attack × defense evaluation harness.
+"""Defense descriptors: the columns of the attack × defense matrix.
 
 Section 5 of the paper surveys protections for modifiable and legacy
 software.  Each :class:`Defense` names an :class:`Environment` (the
-mechanical hardening) plus the paper's claims about it; the harness runs
-the full attack gallery against every defense and renders the E14
-matrix.
+mechanical hardening) plus the paper's claims about it;
+:mod:`repro.matrix` runs the attack gallery against every defense and
+renders the E14 matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
 
 from ..attacks.base import (
     CHECKED_PLACEMENT,
@@ -23,8 +22,6 @@ from ..attacks.base import (
     UNPROTECTED,
     VRT_BOUNDS,
     VTABLE_INTEGRITY,
-    AttackResult,
-    AttackScenario,
     Environment,
 )
 
@@ -148,119 +145,3 @@ def defense_by_name(name: str) -> Defense:
             return defense
     choices = ", ".join(defense.name for defense in ALL_DEFENSES)
     raise KeyError(f"no defense named '{name}' (choose from: {choices})")
-
-
-@dataclass
-class MatrixCell:
-    """One (attack, defense) outcome."""
-
-    attack: str
-    defense: str
-    result: AttackResult
-
-    @property
-    def summary(self) -> str:
-        """Compact cell text for the rendered table."""
-        if self.result.succeeded:
-            return "ATTACK-WINS"
-        if self.result.detected_by:
-            return f"detected({self.result.detected_by})"
-        if self.result.crashed:
-            return "crashed"
-        return "prevented"
-
-
-@dataclass
-class EvaluationMatrix:
-    """The E14 attack × defense matrix.
-
-    Cells are indexed by ``(attack, defense)`` as they are added, so
-    :meth:`cell` is O(1) and :meth:`render` is O(cells) — the previous
-    linear-scan lookup made rendering quadratic in the cell count, which
-    the full gallery × defense sweep turned into real seconds.
-    """
-
-    defenses: Sequence[Defense]
-    cells: list[MatrixCell] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._index: dict[tuple[str, str], MatrixCell] = {
-            (cell.attack, cell.defense): cell for cell in self.cells
-        }
-
-    def add(self, cell: MatrixCell) -> None:
-        """Append a cell and index it."""
-        self.cells.append(cell)
-        self._index[(cell.attack, cell.defense)] = cell
-
-    def _reindex(self) -> None:
-        # Tolerate callers that appended to ``cells`` directly (the old
-        # public surface) by rebuilding lazily when the index is stale.
-        self._index = {(cell.attack, cell.defense): cell for cell in self.cells}
-
-    def cell(self, attack_name: str, defense_name: str) -> Optional[MatrixCell]:
-        """Look one outcome up (O(1))."""
-        if len(self._index) != len(self.cells):
-            self._reindex()
-        return self._index.get((attack_name, defense_name))
-
-    def attack_names(self) -> list[str]:
-        """Row labels, in insertion order."""
-        seen: dict[str, None] = {}
-        for cell in self.cells:
-            seen.setdefault(cell.attack)
-        return list(seen)
-
-    def wins_for_defense(self, defense_name: str) -> int:
-        """How many attacks still succeed under a defense."""
-        return sum(
-            1
-            for cell in self.cells
-            if cell.defense == defense_name and cell.result.succeeded
-        )
-
-    def render(self, column_width: int = 22) -> str:
-        """A fixed-width table suitable for harness output."""
-        if len(self._index) != len(self.cells):
-            self._reindex()
-        header = f"{'attack':40s}" + "".join(
-            f"{d.name:>{column_width}s}" for d in self.defenses
-        )
-        lines = [header, "-" * len(header)]
-        wins = {d.name: 0 for d in self.defenses}
-        for cell in self.cells:
-            if cell.result.succeeded and cell.defense in wins:
-                wins[cell.defense] += 1
-        for attack_name in self.attack_names():
-            row = f"{attack_name:40s}"
-            for defense in self.defenses:
-                cell = self._index.get((attack_name, defense.name))
-                row += f"{cell.summary if cell else '?':>{column_width}s}"
-            lines.append(row)
-        totals = f"{'attacks succeeding':40s}" + "".join(
-            f"{wins[d.name]:>{column_width}d}" for d in self.defenses
-        )
-        lines.append("-" * len(header))
-        lines.append(totals)
-        return "\n".join(lines)
-
-
-def evaluate_matrix(
-    scenarios: Iterable[AttackScenario],
-    defenses: Sequence[Defense] = ALL_DEFENSES,
-) -> EvaluationMatrix:
-    """Run every scenario under every defense.
-
-    Each cell gets a *fresh* environment (``Defense.fresh_environment``)
-    rather than the defense's shared instance: reusing one environment
-    object across scenarios let machine-config state bleed between
-    cells, making outcomes depend on scenario order.
-    """
-    matrix = EvaluationMatrix(defenses=tuple(defenses))
-    for scenario in scenarios:
-        for defense in defenses:
-            result = scenario.run(defense.fresh_environment())
-            matrix.add(
-                MatrixCell(attack=scenario.name, defense=defense.name, result=result)
-            )
-    return matrix

@@ -1,14 +1,15 @@
 """The modern-mitigation sweep: every workload × every defense.
 
-The E14 matrix evaluates the hand-written attack gallery.  This module
-widens both axes: rows are the gallery scenarios *plus* the vulnerable
-twin of every generator seed family *plus* every committed regression
-bundle, and columns are the full defense roster including the modern
-mitigations (shadow call stack, VRT, memory tagging).  Program rows run
-on the simulated machine built by the defense's environment — which is
-how the sweep demonstrates, mechanically, that the §5.1 *source fix*
-(checked placement) cannot protect programs it was never compiled into,
-while the machine-level mitigations can.
+This is the one place the attack × defense matrix is evaluated.  Rows
+are the gallery scenarios (the E14 table, :func:`attack_rows`) *plus*
+the vulnerable twin of every generator seed family *plus* every
+committed regression bundle, and columns are the full defense roster
+including the modern mitigations (shadow call stack, VRT, memory
+tagging).  Program rows run on the simulated machine built by the
+defense's environment — which is how the sweep demonstrates,
+mechanically, that the §5.1 *source fix* (checked placement) cannot
+protect programs it was never compiled into, while the machine-level
+mitigations can.
 
 Determinism is load-bearing: cell evaluation is pure (fresh machine,
 seeded canaries, fixed stdin), rows and defenses are ordered, and the
@@ -106,13 +107,29 @@ def collect_rows(
 # -- cell evaluation --------------------------------------------------------
 
 
-def _cell(summary: str, succeeded: bool, detected_by, crashed: bool) -> dict:
+def cell_summary(succeeded: bool, detected_by: Optional[str], crashed: bool) -> str:
+    """The cell text for one outcome — the only place it is derived."""
+    if succeeded:
+        return "ATTACK-WINS"
+    if detected_by:
+        return f"detected({detected_by})"
+    if crashed:
+        return "crashed"
+    return "prevented"
+
+
+def _cell(succeeded: bool, detected_by=None, crashed: bool = False) -> dict:
     return {
-        "summary": summary,
+        "summary": cell_summary(succeeded, detected_by, crashed),
         "succeeded": succeeded,
         "detected_by": detected_by,
         "crashed": crashed,
     }
+
+
+def _invalid_cell() -> dict:
+    """A program the sweep cannot run: neither a win nor a stop."""
+    return {**_cell(False), "summary": "invalid"}
 
 
 def run_attack_cell(attack_name: str, defense_name: str) -> dict:
@@ -120,15 +137,7 @@ def run_attack_cell(attack_name: str, defense_name: str) -> dict:
     scenario = attack_by_name(attack_name)
     defense = defense_by_name(defense_name)
     result = scenario.run(defense.fresh_environment())
-    if result.succeeded:
-        summary = "ATTACK-WINS"
-    elif result.detected_by:
-        summary = f"detected({result.detected_by})"
-    elif result.crashed:
-        summary = "crashed"
-    else:
-        summary = "prevented"
-    return _cell(summary, result.succeeded, result.detected_by, result.crashed)
+    return _cell(result.succeeded, result.detected_by, result.crashed)
 
 
 def run_program_cell(
@@ -162,9 +171,9 @@ def run_program_cell(
     try:
         plan = _entry_plan(source)
     except Exception:
-        return _cell("invalid", False, None, False)
+        return _invalid_cell()
     if plan is None:
-        return _cell("invalid", False, None, False)
+        return _invalid_cell()
     entry, args = plan
 
     machine = env.make_machine()
@@ -188,10 +197,10 @@ def run_program_cell(
     except SimulatedProcessError as error:
         detected_by, crashed = classify_failure(error)
         if detected_by:
-            return _cell(f"detected({detected_by})", False, detected_by, False)
-        return _cell("crashed", False, None, True)
+            return _cell(False, detected_by)
+        return _cell(False, crashed=True)
     except Exception:
-        return _cell("invalid", False, None, False)
+        return _invalid_cell()
 
     for record in machine.placement_log.records:
         if record.overflows_arena:
@@ -199,9 +208,7 @@ def run_program_cell(
     if _secret_leaked(interpreter.stored):
         events.add("leak-detected")
     events.update(tap.kinds)
-    if events & VULNERABLE_EVENTS:
-        return _cell("ATTACK-WINS", True, None, False)
-    return _cell("prevented", False, None, False)
+    return _cell(bool(events & VULNERABLE_EVENTS))
 
 
 def evaluate_cell(payload: dict) -> dict:
@@ -280,29 +287,51 @@ def canonical_report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def render_report(report: dict, column_width: int = 24) -> str:
-    """A fixed-width table of the sweep (rows grouped by kind)."""
+def _table(report, corner, width, label, total_label, column_width):
+    """Fixed-width table lines: one line per row, then the win totals."""
     defenses = report["defenses"]
-    header = f"{'row':44s}" + "".join(
+    header = f"{corner:{width}s}" + "".join(
         f"{name:>{column_width}s}" for name in defenses
     )
     lines = [header, "-" * len(header)]
     for row in report["rows"]:
-        label = f"{row['kind']}:{row['id']}"
-        line = f"{label:44s}" + "".join(
-            f"{row['cells'].get(name, '?'):>{column_width}s}"
-            for name in defenses
+        lines.append(
+            f"{label(row):{width}s}"
+            + "".join(
+                f"{row['cells'].get(name, '?'):>{column_width}s}"
+                for name in defenses
+            )
         )
-        lines.append(line)
     lines.append("-" * len(header))
     totals = report["attacks_succeeding"]
     lines.append(
-        f"{'rows where the attack wins':44s}"
+        f"{total_label:{width}s}"
         + "".join(f"{totals.get(name, 0):>{column_width}d}" for name in defenses)
+    )
+    return lines
+
+
+def render_report(report: dict, column_width: int = 24) -> str:
+    """A fixed-width table of the sweep (rows grouped by kind)."""
+    lines = _table(
+        report,
+        "row",
+        44,
+        lambda row: f"{row['kind']}:{row['id']}",
+        "rows where the attack wins",
+        column_width,
     )
     if report.get("risks"):
         lines.append(f"risks (matrix-cell evidence): {len(report['risks'])}")
     return "\n".join(lines)
+
+
+def render_attack_table(report: dict) -> str:
+    """The E14 table of a sweep over :func:`attack_rows`: one line per
+    gallery attack, labelled by name."""
+    return "\n".join(
+        _table(report, "attack", 40, lambda row: row["id"], "attacks succeeding", 24)
+    )
 
 
 def diff_reports(baseline: dict, current: dict) -> list:

@@ -679,29 +679,23 @@ def risks_from_divergence(divergence, threatlib: Optional[Threatlib] = None):
     )
 
 
-def risks_from_matrix(matrix, threatlib: Optional[Threatlib] = None) -> list:
+def risks_from_matrix(matrix: dict, threatlib: Optional[Threatlib] = None) -> list:
     """Map an attack × defense matrix onto risks, one per winning cell.
 
-    Accepts either a :class:`repro.defenses.EvaluationMatrix` or the
-    dict form produced by ``ServiceEngine.matrix``.
+    ``matrix`` is the dict form — ``{"cells": [{"attack", "defense",
+    "summary"}, ...]}`` — that ``ServiceEngine.matrix`` returns and
+    :func:`repro.matrix.build_report` assembles from the attack rows.
     """
     lib = threatlib or DEFAULT_THREATLIB
-    cells = []
-    if isinstance(matrix, dict):
-        for cell in matrix.get("cells", ()):
-            cells.append((cell["attack"], cell["defense"], cell["summary"]))
-    else:
-        for cell in matrix.cells:
-            cells.append((cell.attack, cell.defense, cell.summary))
     risks = []
-    for attack, defense, summary in cells:
+    for cell in matrix.get("cells", ()):
         risk = lib.apply(
             ScoreTarget(
                 kind="matrix-cell",
-                trigger=attack,
-                package=attack,
-                detail=f"defense={defense}",
-                outcome=summary,
+                trigger=cell["attack"],
+                package=cell["attack"],
+                detail=f"defense={cell['defense']}",
+                outcome=cell["summary"],
             )
         )
         if risk is not None:

@@ -30,7 +30,6 @@ from .jobs import (
     AttackJob,
     ExecJob,
     Job,
-    MatrixJob,
     RegressReplayJob,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, render_prometheus
@@ -75,7 +74,6 @@ __all__ = [
     "JobStatus",
     "JobTrace",
     "LOW_PRIORITY",
-    "MatrixJob",
     "MetricsRegistry",
     "NORMAL_PRIORITY",
     "QueueFull",

@@ -16,6 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..attacks import all_attacks, attack_by_name
 from ..defenses import ALL_DEFENSES, defense_by_name
 from ..fuzz.oracles import DEFAULT_STEP_BUDGET
+from ..matrix.sweep import MatrixRow, attack_rows, build_report, collect_rows
 from ..workloads.corpus import corpus_sources
 from .cache import ResultCache
 from .faults import FaultPlan, fault_plan_from
@@ -26,12 +27,12 @@ from .jobs import (
     AnalyzeJob,
     AttackJob,
     ExecJob,
-    MatrixJob,
+    MatrixCellJob,
 )
 from .metrics import MetricsRegistry, render_prometheus
 from .scheduler import Scheduler
 from .tracing import TraceBuffer
-from .workers import WorkerPool, cell_summary
+from .workers import WorkerPool
 
 
 class ServiceEngine:
@@ -145,67 +146,46 @@ class ServiceEngine:
         return [handle.result() for handle in handles]
 
     def matrix(
-        self,
-        attacks: Sequence[str] = (),
-        defenses: Sequence[str] = (),
-        parallel: bool = True,
+        self, attacks: Sequence[str] = (), defenses: Sequence[str] = ()
     ) -> dict:
         """The E14 attack × defense matrix as a dict.
 
-        ``parallel=True`` decomposes the matrix into one
-        :class:`AttackJob` per cell so independent cells run (and cache)
-        concurrently; ``parallel=False`` runs the classic sequential
-        :func:`repro.defenses.evaluate_matrix` inside a single worker.
+        The sweep's attack rows (one :class:`MatrixCellJob` per cell,
+        fresh environment each), projected onto the ``/matrix`` shape:
+        attacks in request order (default: the gallery), defenses in
+        roster order (default: all of them).
         """
         for name in attacks:  # reject unknown names up front, not per-cell
             attack_by_name(name)
         for name in defenses:
             defense_by_name(name)
-        if not parallel:
-            return self.scheduler.run(
-                MatrixJob(attacks=tuple(attacks), defenses=tuple(defenses))
-            )
-        attack_names = list(attacks) or [s.name for s in all_attacks()]
-        chosen = (
-            [d for d in ALL_DEFENSES if d.name in set(defenses)]
-            if defenses
-            else list(ALL_DEFENSES)
+        rows = (
+            [MatrixRow(kind="attack", row_id=name) for name in attacks]
+            if attacks
+            else attack_rows()
         )
-        handles = [
-            (
-                attack_name,
-                defense.name,
-                self.scheduler.submit(
-                    AttackJob(attack=attack_name, env=defense.environment.label),
-                    priority=NORMAL_PRIORITY,
-                ),
-            )
-            for attack_name in attack_names
-            for defense in chosen
+        chosen = [
+            defense.name
+            for defense in ALL_DEFENSES
+            if not defenses or defense.name in defenses
         ]
-        cells = []
-        wins: dict = {defense.name: 0 for defense in chosen}
-        for attack_name, defense_name, handle in handles:
-            result = handle.result()
-            cells.append(
-                {
-                    "attack": attack_name,
-                    "defense": defense_name,
-                    "summary": cell_summary(
-                        result["succeeded"],
-                        result["detected_by"],
-                        result["crashed"],
-                    ),
-                    "succeeded": result["succeeded"],
-                    "detected_by": result["detected_by"],
-                    "crashed": result["crashed"],
-                }
-            )
-            if result["succeeded"]:
-                wins[defense_name] += 1
+        cells = self._sweep_cells(rows, chosen)
+        wins = dict.fromkeys(chosen, 0)
+        for cell in cells:
+            wins[cell["defense"]] += cell["succeeded"]
         return {
-            "defenses": [defense.name for defense in chosen],
-            "cells": cells,
+            "defenses": chosen,
+            "cells": [
+                {
+                    "attack": cell["row_id"],
+                    "defense": cell["defense"],
+                    "summary": cell["summary"],
+                    "succeeded": cell["succeeded"],
+                    "detected_by": cell["detected_by"],
+                    "crashed": cell["crashed"],
+                }
+                for cell in cells
+            ],
             "attacks_succeeding": wins,
         }
 
@@ -226,14 +206,32 @@ class ServiceEngine:
         returned report is byte-identical to the sequential
         :func:`repro.matrix.run_sweep` at any worker count.
         """
-        from ..matrix.sweep import build_report, collect_rows
-        from .jobs import MatrixCellJob
-
         if rows is None:
             rows = collect_rows(seed=seed, regress_dir=regress_dir)
         defense_names = list(defenses) or [d.name for d in ALL_DEFENSES]
         for name in defense_names:
             defense_by_name(name)  # reject unknown names up front
+        cells = self._sweep_cells(rows, defense_names, step_budget, timeout)
+        report = build_report(rows, defense_names, cells)
+        self.metrics.counter("matrix.sweeps_total").inc()
+        self.metrics.counter("matrix.cells_total").inc(len(cells))
+        self.metrics.gauge("matrix.rows").set(len(rows))
+        self.metrics.gauge("matrix.defenses").set(len(defense_names))
+        self.metrics.gauge("matrix.attack_wins").set(
+            sum(report["attacks_succeeding"].values())
+        )
+        self.metrics.gauge("matrix.risks").set(len(report["risks"]))
+        return report
+
+    def _sweep_cells(
+        self,
+        rows,
+        defense_names: Sequence[str],
+        step_budget: int = DEFAULT_STEP_BUDGET,
+        timeout: float = 120.0,
+    ) -> List[dict]:
+        """One :class:`MatrixCellJob` per (row, defense), submitted
+        row-major; the cells come back in submission order."""
         handles = [
             self.scheduler.submit(
                 MatrixCellJob(
@@ -250,17 +248,7 @@ class ServiceEngine:
             for row in rows
             for name in defense_names
         ]
-        cells = [handle.result() for handle in handles]
-        report = build_report(rows, defense_names, cells)
-        self.metrics.counter("matrix.sweeps_total").inc()
-        self.metrics.counter("matrix.cells_total").inc(len(cells))
-        self.metrics.gauge("matrix.rows").set(len(rows))
-        self.metrics.gauge("matrix.defenses").set(len(defense_names))
-        self.metrics.gauge("matrix.attack_wins").set(
-            sum(report["attacks_succeeding"].values())
-        )
-        self.metrics.gauge("matrix.risks").set(len(report["risks"]))
-        return report
+        return [handle.result() for handle in handles]
 
     # -- execution ---------------------------------------------------------
 

@@ -92,16 +92,6 @@ class AttackJob(Job):
 
 
 @dataclass(frozen=True)
-class MatrixJob(Job):
-    """Evaluate the E14 attack × defense matrix (or a sub-matrix)."""
-
-    attacks: tuple = ()  # attack names; empty = the whole gallery
-    defenses: tuple = ()  # defense names; empty = ALL_DEFENSES
-
-    KIND = "matrix"
-
-
-@dataclass(frozen=True)
 class MatrixCellJob(Job):
     """Evaluate one sweep cell: a row (gallery attack or runnable
     program) under one defense.

@@ -24,10 +24,10 @@ from typing import Callable, Optional
 from .faults import WORKER_FAULTS, FaultInjected, FaultKind, FaultPlan
 
 from ..analysis import AnalysisReport, Finding, Severity, analyze_source, run_tool_suite
-from ..attacks import all_attacks, attack_by_name, environment_by_label
+from ..attacks import attack_by_name, environment_by_label
 from ..attacks.base import AttackResult
-from ..defenses import ALL_DEFENSES, defense_by_name, evaluate_matrix
 from ..errors import SimulatedProcessError
+from ..matrix.sweep import cell_summary, evaluate_cell
 
 
 class TransientWorkerError(RuntimeError):
@@ -104,17 +104,6 @@ def attack_payload(result: AttackResult) -> dict:
     }
 
 
-def cell_summary(succeeded: bool, detected_by: Optional[str], crashed: bool) -> str:
-    """The compact matrix-cell text (mirrors ``MatrixCell.summary``)."""
-    if succeeded:
-        return "ATTACK-WINS"
-    if detected_by:
-        return f"detected({detected_by})"
-    if crashed:
-        return "crashed"
-    return "prevented"
-
-
 # -- worker functions ------------------------------------------------------
 
 
@@ -137,49 +126,8 @@ def run_attack(payload: dict) -> dict:
     return attack_payload(scenario.run(env))
 
 
-def run_matrix(payload: dict) -> dict:
-    """Worker for :class:`MatrixJob` (the sequential whole-matrix path)."""
-    attack_names = payload.get("attacks") or ()
-    defense_names = payload.get("defenses") or ()
-    scenarios = (
-        [attack_by_name(name) for name in attack_names]
-        if attack_names
-        else all_attacks()
-    )
-    defenses = (
-        tuple(defense_by_name(name) for name in defense_names)
-        if defense_names
-        else ALL_DEFENSES
-    )
-    matrix = evaluate_matrix(scenarios, defenses)
-    return {
-        "defenses": [defense.name for defense in defenses],
-        "cells": [
-            {
-                "attack": cell.attack,
-                "defense": cell.defense,
-                "summary": cell.summary,
-                "succeeded": cell.result.succeeded,
-                "detected_by": cell.result.detected_by,
-                "crashed": cell.result.crashed,
-            }
-            for cell in matrix.cells
-        ],
-        "attacks_succeeding": {
-            defense.name: matrix.wins_for_defense(defense.name)
-            for defense in defenses
-        },
-    }
-
-
 def run_matrix_cell(payload: dict) -> dict:
-    """Worker for :class:`MatrixCellJob` (one sweep cell).
-
-    Lazily imported so the service layer does not pull the sweep stack
-    (fuzz oracles, regress store) in at import time.
-    """
-    from ..matrix.sweep import evaluate_cell
-
+    """Worker for :class:`MatrixCellJob` (one sweep cell)."""
     return evaluate_cell(payload)
 
 
@@ -284,7 +232,6 @@ def run_score(payload: dict) -> dict:
 WORKER_REGISTRY: dict = {
     "analyze": run_analyze,
     "attack": run_attack,
-    "matrix": run_matrix,
     "matrix-cell": run_matrix_cell,
     "exec": run_exec,
     "fuzz-campaign": run_fuzz_campaign,

@@ -23,6 +23,14 @@ class TestSharedExitConvention:
             ("repro.bench:bench_main", ["--benchmarks-dir", "/no/such/dir"]),
             ("repro.cli:fuzz_main", ["run", "--batch-size", "0"]),
             ("repro.cli:fuzz_main", ["run", "--max-corpus", "0"]),
+            (
+                "repro.cli:matrix_main",
+                [
+                    "run", "--jobs", "0", "--no-regress", "--defenses", "none",
+                    "--out", "/no/such/dir/r.json",
+                ],
+            ),
+            ("repro.cli:score_main", ["rank", "--demo", "--top", "-1"]),
         ],
     )
     def test_bad_input_exits_2(self, entry_point, argv, capsys):
@@ -153,6 +161,23 @@ class TestAttacksCli:
     def test_unknown_attack_rejected(self, capsys):
         assert attacks_main(["--attack", "nope"]) == 2
         assert "no attack named" in capsys.readouterr().err
+
+    def test_matrix_table(self, capsys):
+        from repro.attacks import all_attacks
+        from repro.matrix import attack_rows, run_sweep
+
+        assert attacks_main(["--matrix"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [scenario.name for scenario in all_attacks()]
+        # header, rule, one row per gallery attack, rule, totals
+        assert len(lines) == len(names) + 4
+        assert [line.split()[0] for line in lines[2:-2]] == names
+        totals = lines[-1].split()
+        assert totals[:2] == ["attacks", "succeeding"]
+        report = run_sweep(rows=attack_rows())
+        assert [int(count) for count in totals[2:]] == list(
+            report["attacks_succeeding"].values()
+        )
 
 
 class TestAnalyzeCli:

@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.attacks import (
-    ConstructionOverflowAttack,
-    DataBssOverflowAttack,
-    all_attacks,
-)
+from repro.attacks import all_attacks
 from repro.core import new_object
 from repro.defenses import (
-    ALL_DEFENSES,
     BASELINE,
     CORRECT_CODING,
     LibSafePlacementGuard,
-    evaluate_matrix,
 )
 from repro.errors import BoundsCheckViolation
 from repro.memory import SegmentKind
@@ -68,28 +62,41 @@ class TestLibSafeGuard:
 
 
 class TestEvaluationMatrix:
+    """The E14 cells, evaluated through the sweep's attack rows."""
+
     @pytest.fixture(scope="class")
     def matrix(self):
-        scenarios = [ConstructionOverflowAttack(), DataBssOverflowAttack()]
-        return evaluate_matrix(scenarios, ALL_DEFENSES)
+        from repro.matrix import MatrixRow, run_sweep
+
+        return run_sweep(
+            rows=[
+                MatrixRow(kind="attack", row_id="overflow-via-construction"),
+                MatrixRow(kind="attack", row_id="data-bss-overflow"),
+            ]
+        )
 
     def test_baseline_loses_everywhere(self, matrix):
-        assert matrix.wins_for_defense("none") == 2
+        assert matrix["attacks_succeeding"]["none"] == 2
 
     def test_correct_coding_blocks_overflows(self, matrix):
-        assert matrix.wins_for_defense("checked-placement") == 0
+        assert matrix["attacks_succeeding"]["checked-placement"] == 0
 
     def test_stackguard_blind_to_object_overflow(self, matrix):
         # The paper's §1 claim: StackGuard doesn't see these.
-        assert matrix.wins_for_defense("stackguard") == 2
+        assert matrix["attacks_succeeding"]["stackguard"] == 2
 
     def test_cell_lookup(self, matrix):
-        cell = matrix.cell("overflow-via-construction", "checked-placement")
-        assert cell is not None
-        assert cell.summary == "detected(bounds-check)"
+        cells = {row["id"]: row["cells"] for row in matrix["rows"]}
+        assert (
+            cells["overflow-via-construction"]["checked-placement"]
+            == "detected(bounds-check)"
+        )
+        assert cells["data-bss-overflow"]["none"] == "ATTACK-WINS"
 
     def test_render_contains_rows_and_totals(self, matrix):
-        text = matrix.render()
+        from repro.matrix import render_attack_table
+
+        text = render_attack_table(matrix)
         assert "overflow-via-construction" in text
         assert "attacks succeeding" in text
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import analyze_source
 from repro.service import ServiceEngine
-from repro.service.workers import report_from_payload, report_payload, run_matrix
+from repro.service.workers import report_from_payload, report_payload
 from repro.workloads import corpus_sources
 
 VULN_SOURCE = """
@@ -77,14 +77,20 @@ class TestAttackPaths:
         assert [r["name"] for r in results] == [s.name for s in all_attacks()]
 
     def test_parallel_matrix_equals_sequential_worker(self, engine):
-        parallel = engine.matrix(parallel=True)
-        sequential = run_matrix({})
+        from repro.matrix import attack_rows, run_sweep
+
+        parallel = engine.matrix()
+        sequential = run_sweep(rows=attack_rows())
         assert parallel["defenses"] == sequential["defenses"]
         assert parallel["attacks_succeeding"] == sequential["attacks_succeeding"]
-        key = lambda cell: (cell["attack"], cell["defense"])  # noqa: E731
-        assert sorted(parallel["cells"], key=key) == sorted(
-            sequential["cells"], key=key
-        )
+        assert [
+            (cell["attack"], cell["defense"], cell["summary"])
+            for cell in parallel["cells"]
+        ] == [
+            (row["id"], defense, row["cells"][defense])
+            for row in sequential["rows"]
+            for defense in sequential["defenses"]
+        ]
 
     def test_sub_matrix_selection(self, engine):
         result = engine.matrix(
@@ -92,6 +98,33 @@ class TestAttackPaths:
         )
         assert result["defenses"] == ["none", "shadow-memory"]
         assert len(result["cells"]) == 2
+
+    def test_sub_matrix_orders_defenses_by_roster(self, engine):
+        result = engine.matrix(
+            attacks=("overflow-via-construction", "data-bss-overflow"),
+            defenses=("vrt", "none", "vrt"),
+        )
+        assert result["defenses"] == ["none", "vrt"]
+        assert [(c["attack"], c["defense"]) for c in result["cells"]] == [
+            ("overflow-via-construction", "none"),
+            ("overflow-via-construction", "vrt"),
+            ("data-bss-overflow", "none"),
+            ("data-bss-overflow", "vrt"),
+        ]
+        assert result["attacks_succeeding"] == {"none": 2, "vrt": 0}
+
+    def test_unknown_matrix_names_rejected_before_submitting(self, engine):
+        submitted = engine.metrics_snapshot()["counters"].get(
+            "scheduler.jobs_submitted", 0
+        )
+        with pytest.raises(KeyError, match="no attack named 'bogus'"):
+            engine.matrix(attacks=("data-bss-overflow", "bogus"))
+        with pytest.raises(KeyError, match="no defense named 'bogus'"):
+            engine.matrix(defenses=("none", "bogus"))
+        assert (
+            engine.metrics_snapshot()["counters"].get("scheduler.jobs_submitted", 0)
+            == submitted
+        )
 
 
 class TestExecAndIntrospection:

@@ -2,14 +2,15 @@
 
 import json
 
+from repro.fuzz.oracles import DEFAULT_STEP_BUDGET
 from repro.service import (
     AnalyzeJob,
     AttackJob,
     ExecJob,
-    MatrixJob,
     ResultCache,
     default_cache_version,
 )
+from repro.service.jobs import MatrixCellJob
 
 
 class TestJobKeys:
@@ -26,7 +27,7 @@ class TestJobKeys:
     def test_key_distinguishes_kinds(self):
         assert (
             AttackJob(attack="x").key().split("-")[0]
-            != MatrixJob().key().split("-")[0]
+            != MatrixCellJob(row_id="x").key().split("-")[0]
         )
         assert AttackJob(attack="x").key().startswith("attack-")
 
@@ -40,10 +41,16 @@ class TestJobKeys:
         assert AnalyzeJob(source="").CACHEABLE is True
 
     def test_payload_is_jsonable(self):
-        payload = MatrixJob(attacks=("a", "b")).payload()
+        payload = MatrixCellJob(
+            row_kind="seed", row_id="a", stdin=("x", 1), defense="vrt"
+        ).payload()
         assert json.loads(json.dumps(payload)) == {
-            "attacks": ["a", "b"],
-            "defenses": [],
+            "row_kind": "seed",
+            "row_id": "a",
+            "source": "",
+            "stdin": ["x", 1],
+            "defense": "vrt",
+            "step_budget": DEFAULT_STEP_BUDGET,
         }
 
 
