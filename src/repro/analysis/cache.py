@@ -7,7 +7,11 @@ two expensive products behind a sha256 content hash:
 
 * **AST cache** — ``parse_cached`` maps ``sha256(source)`` to the parsed
   :class:`~.ast_nodes.Program`.  AST nodes are frozen dataclasses, so a
-  cached tree can be shared between analyzers without copying.
+  cached tree can be shared without copying.  Every parse in the package
+  goes through it: the analyzers, the executor (``run_source``), the fuzz
+  oracles' entry planning, the mutator's parent and validity parses, and
+  the minimizer's candidates.  A fuzz input or matrix program row is thus
+  parsed once per process, however many consumers see it.
 * **Report cache** — ``cached_report`` maps
   ``(tool_key, version, sha256(source))`` to the finished findings.  The
   ``version`` is supplied by the caller (the detector passes
@@ -36,7 +40,11 @@ from .ast_nodes import Program
 from .parser import parse
 from .reports import AnalysisReport
 
-#: Entries per tier; analysis corpora are dozens of programs, not thousands.
+#: Entries per tier.  Sized for a fuzz campaign's working set: a mutant
+#: is reused by both oracles right after the mutator parses it, and
+#: corpus parents are picked again and again.  A longer stream of
+#: distinct sources (scoring thousands of packages) cycles through it;
+#: only speed depends on a hit.
 MAX_CACHE_ENTRIES = 256
 
 

@@ -94,8 +94,8 @@ def _add_pool_options(parser, default_jobs: int, noun: str) -> None:
 
 
 def _run_command(args, prog: str) -> int:
-    """Run a parsed subcommand: ``--jobs`` below 0 is bad input, and a
-    hard Ctrl-C exits 130.
+    """Run a parsed subcommand: ``--jobs`` below 0 or ``--step-budget``
+    below 1 is bad input, and a hard Ctrl-C exits 130.
 
     Every pool user runs its ``ServiceEngine`` in a ``with`` block, which
     has drained the pool by the time the interrupt reaches here, so
@@ -103,6 +103,8 @@ def _run_command(args, prog: str) -> int:
     """
     if getattr(args, "jobs", 0) < 0:
         return _fail("--jobs must be >= 0")
+    if getattr(args, "step_budget", 1) < 1:
+        return _fail("--step-budget must be >= 1")
     try:
         return args.func(args)
     except KeyboardInterrupt:
@@ -802,6 +804,8 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     minimize_parser.set_defaults(func=_fuzz_minimize)
 
     args = parser.parse_args(argv)
+    if getattr(args, "iterations", 0) < 0:
+        return _fail("--iterations must be >= 0")
     if getattr(args, "batch_size", 1) < 1:
         return _fail("--batch-size must be >= 1")
     if getattr(args, "max_corpus", 1) < 1:

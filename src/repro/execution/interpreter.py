@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..analysis import ast_nodes as ast
-from ..analysis.parser import parse
+from ..analysis.cache import parse_cached
 from ..analysis.symbols import SymbolTable
 from ..cxx.classdef import ClassDef
 from ..cxx.object_model import Instance
@@ -966,8 +966,9 @@ def run_source(
     stdin: tuple = (),
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> tuple[Interpreter, FunctionOutcome]:
-    """Parse, load, and run MiniC++ source on a (fresh) machine."""
-    interpreter = Interpreter(parse(source), machine=machine, step_budget=step_budget)
+    """Parse (memoized on content), load, and run MiniC++ source on a
+    (fresh) machine."""
+    interpreter = Interpreter(parse_cached(source), machine=machine, step_budget=step_budget)
     if stdin:
         interpreter.machine.stdin.feed(*stdin)
     outcome = interpreter.run(entry, *args)

@@ -14,7 +14,7 @@ import dataclasses
 from typing import Callable
 
 from ..analysis import ast_nodes as ast
-from ..analysis import parse
+from ..analysis import parse_cached
 from ..analysis.unparse import unparse_program
 from ..errors import ParseError
 from .mutator import transform
@@ -98,7 +98,7 @@ def minimize_input(
 def _shrink_once(current: FuzzInput, predicate) -> FuzzInput | None:
     """The first single deletion that preserves the divergence."""
     try:
-        program = parse(current.source)
+        program = parse_cached(current.source)
     except ParseError:
         return None
     for candidate_ast in _candidates(program):
@@ -106,7 +106,7 @@ def _shrink_once(current: FuzzInput, predicate) -> FuzzInput | None:
             continue
         try:
             source = unparse_program(candidate_ast)
-            parse(source)
+            parse_cached(source)
         except (ParseError, ValueError):
             continue
         if source == current.source:

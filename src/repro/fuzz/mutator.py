@@ -16,7 +16,7 @@ import random
 from typing import Callable, Optional
 
 from ..analysis import ast_nodes as ast
-from ..analysis import parse
+from ..analysis import parse_cached
 from ..analysis.unparse import unparse_program
 from ..errors import ParseError
 from .seeds import FuzzInput
@@ -231,7 +231,7 @@ def mutate(rng: random.Random, parent: FuzzInput) -> Optional[FuzzInput]:
             return None
         return dataclasses.replace(parent, stdin=stdin, label="")
     try:
-        program = parse(parent.source)
+        program = parse_cached(parent.source)
     except ParseError:
         return None
     name, operator = _PROGRAM_OPERATORS[rng.randrange(len(_PROGRAM_OPERATORS))]
@@ -240,7 +240,7 @@ def mutate(rng: random.Random, parent: FuzzInput) -> Optional[FuzzInput]:
         return None
     try:
         source = unparse_program(mutant)
-        parse(source)  # a mutant must still be a program
+        parse_cached(source)  # a mutant must still be a program
     except (ParseError, ValueError):
         return None
     if source == parent.source:

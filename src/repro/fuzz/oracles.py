@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis import analyze_source, parse
+from ..analysis import analyze_source, parse_cached
 from ..analysis.reports import Severity
 from ..errors import (
     ParseError,
@@ -142,7 +142,7 @@ def _entry_plan(source: str):
     deterministic attacker-ish arguments.  Returns ``None`` when no
     function is runnable without fabricating object graphs.
     """
-    program = parse(source)
+    program = parse_cached(source)
     functions = list(program.functions)
     if not functions:
         return None

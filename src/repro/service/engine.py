@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..analysis import analysis_cache_stats
 from ..attacks import all_attacks, attack_by_name
 from ..defenses import ALL_DEFENSES, defense_by_name
 from ..fuzz.oracles import DEFAULT_STEP_BUDGET
@@ -445,9 +446,14 @@ class ServiceEngine:
     # -- introspection -----------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """Scheduler + cache + pool state for the ``/metrics`` endpoint."""
+        """Scheduler + cache + pool state for the ``/metrics`` endpoint.
+
+        ``analysis_cache`` is this process's AST and report LRUs; workers
+        of the process backend keep their own, which it does not count.
+        """
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.stats() if self.cache else {"enabled": False}
+        snapshot["analysis_cache"] = analysis_cache_stats()
         snapshot["pool"] = {
             "backend": self.pool.backend,
             "workers": self.pool.size,

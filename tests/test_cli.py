@@ -31,6 +31,20 @@ class TestSharedExitConvention:
                 ],
             ),
             ("repro.cli:score_main", ["rank", "--demo", "--top", "-1"]),
+            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--step-budget", "0"]),
+            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--step-budget", "-5"]),
+            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--iterations", "-3"]),
+            (
+                "repro.cli:matrix_main",
+                [
+                    "run", "--jobs", "0", "--no-regress", "--defenses", "none",
+                    "--step-budget", "0",
+                ],
+            ),
+            (
+                "repro.cli:regress_main",
+                ["record", "--store", "/no/such/store", "--step-budget", "0"],
+            ),
         ],
     )
     def test_bad_input_exits_2(self, entry_point, argv, capsys):
@@ -40,6 +54,14 @@ class TestSharedExitConvention:
         main = getattr(importlib.import_module(module_name), function_name)
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_iterations_is_a_seed_pass(self, tmp_path):
+        from repro.cli import fuzz_main
+
+        out = tmp_path / "report.json"
+        argv = ["run", "--jobs", "0", "--iterations", "0", "--out", str(out)]
+        assert fuzz_main(argv) == 0
+        assert '"iterations": 0' in out.read_text()
 
     def test_every_project_script_is_covered(self):
         # The parametrized list above must track pyproject [project.scripts].

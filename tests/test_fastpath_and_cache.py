@@ -373,3 +373,149 @@ class TestAnalysisCaches:
             Finding(rule="R", severity=Severity.ERROR, message="m", line=4, function="f")
         )
         assert len(report.findings) == 2
+
+
+class TestParseOnce:
+    """Every consumer of a source shares one memoized parse.
+
+    The counter patches ``Parser.parse_program`` on the class, so a parse
+    is seen whichever module-level ``parse`` binding triggered it.
+    """
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.analysis.parser import Parser
+
+        programs = []
+        original = Parser.parse_program
+
+        def counting(self):
+            program = original(self)
+            programs.append(program)
+            return program
+
+        monkeypatch.setattr(Parser, "parse_program", counting)
+        return programs
+
+    @staticmethod
+    def _seed():
+        from repro.fuzz.seeds import generator_seeds
+
+        return next(
+            entry
+            for entry in generator_seeds(7)
+            if entry.family == "direct" and entry.label == "vulnerable"
+        )
+
+    def test_run_oracles_parses_a_fresh_source_once(self, parses):
+        from repro.fuzz.oracles import run_oracles
+
+        seed = self._seed()
+        first = run_oracles(seed.source, seed.stdin)
+        assert len(parses) == 1
+        assert run_oracles(seed.source, seed.stdin) == first
+        assert len(parses) == 1
+
+    def test_mutant_is_parsed_once_from_mutate_to_oracles(self, parses):
+        import random
+
+        from repro.fuzz.mutator import mutate
+        from repro.fuzz.oracles import run_oracles
+
+        parent = self._seed()
+        # Find an rng seed whose mutation rewrites the program.
+        rng_seed = next(
+            n
+            for n in range(200)
+            if (m := mutate(random.Random(n), parent)) is not None
+            and m.source != parent.source
+        )
+        clear_analysis_caches()
+        parse_cached(parent.source)
+        del parses[:]
+        mutant = mutate(random.Random(rng_seed), parent)
+        run_oracles(mutant.source, mutant.stdin)
+        assert len(parses) == 1
+
+    def test_program_row_is_parsed_once_across_the_roster(self, parses):
+        from repro.defenses import ALL_DEFENSES
+        from repro.matrix.sweep import run_program_cell
+
+        seed = self._seed()
+        cells = [
+            run_program_cell(seed.source, seed.stdin, defense.name)
+            for defense in ALL_DEFENSES
+        ]
+        assert len(cells) == len(ALL_DEFENSES) > 1
+        assert len(parses) == 1
+
+    def test_minimizer_parses_each_candidate_at_most_once(self, parses):
+        from collections import Counter
+
+        from repro.fuzz.minimize import minimize_input
+        from repro.fuzz.oracles import run_oracles
+        from repro.fuzz.seeds import seed_inputs
+
+        diverging, kind = next(
+            (entry, kind)
+            for entry in seed_inputs(7)
+            if (kind := run_oracles(entry.source, entry.stdin).divergence_kind)
+        )
+        del parses[:]
+        smallest = minimize_input(
+            diverging,
+            lambda c: run_oracles(c.source, c.stdin).divergence_kind == kind,
+        )
+        assert smallest.source != diverging.source  # the minimizer did work
+        assert parses  # ... and had candidates to parse
+        assert max(Counter(parses).values()) == 1
+
+
+class TestSharedAstConcurrency:
+    """One cached ``Program`` observed from many threads at once."""
+
+    @staticmethod
+    def _observe_from_threads(source, stdin, count=4):
+        import sys
+        import threading
+
+        from repro.fuzz.oracles import run_oracles
+
+        barrier = threading.Barrier(count)
+        results = [None] * count
+
+        def worker(index):
+            barrier.wait(timeout=30)
+            results[index] = run_oracles(source, stdin)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_threads_observe_what_a_sequential_run_observes(self, warm):
+        from repro.fuzz.oracles import run_oracles
+        from repro.fuzz.seeds import seed_inputs
+
+        for entry in seed_inputs(7)[:6]:
+            clear_analysis_caches()
+            expected = run_oracles(entry.source, entry.stdin)
+            clear_analysis_caches()
+            if warm:
+                # A freshly cached tree: its lazy name index is built by
+                # whichever thread looks a function up first.
+                program = parse_cached(entry.source)
+                assert "_function_index" not in vars(program)
+            observed = self._observe_from_threads(entry.source, entry.stdin)
+            assert observed == [expected] * 4, entry.family

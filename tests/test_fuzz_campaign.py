@@ -306,6 +306,23 @@ class TestFuzzCli:
         rendered = capsys.readouterr().out
         assert "family reach" in rendered
 
+    def test_report_bytes_do_not_depend_on_jobs_or_backend(self, tmp_path):
+        # Minimization stays on: the minimizer's candidates go through the
+        # same per-process AST cache as the campaign's own parses.
+        reports = []
+        for pool in (
+            ["--jobs", "0"],
+            ["--jobs", "2"],
+            ["--jobs", "2", "--backend", "process"],
+        ):
+            out = tmp_path / f"report-{len(reports)}.json"
+            argv = ["run", "--seed", "7", "--iterations", "40", "--out", str(out)]
+            assert fuzz_main(argv + pool) == 0
+            reports.append(out.read_bytes())
+        assert json.loads(reports[0])["divergences"]
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
     def test_report_rerenders_saved_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         fuzz_main(

@@ -156,6 +156,36 @@ class TestExecAndIntrospection:
         assert snapshot["faults"] == {"enabled": False}
         assert "scheduler.jobs_submitted" in snapshot["counters"]
 
+    def test_metrics_snapshot_reports_the_analysis_cache(self):
+        from repro.analysis import analysis_cache_stats
+
+        source = "int main() { int x; x = 41; return x + 1; }"
+        with ServiceEngine(workers=1, use_cache=False) as engine:
+            before = engine.metrics_snapshot()["analysis_cache"]
+            engine.execute(source)
+            engine.execute(source)  # same source: the AST comes from the LRU
+            after = engine.metrics_snapshot()["analysis_cache"]
+            assert after == analysis_cache_stats()
+            text = engine.metrics_prometheus()
+        assert set(after) == {"ast", "reports"}
+        assert set(after["ast"]) == {"entries", "hits", "misses"}
+        assert after["ast"]["hits"] > before["ast"]["hits"]
+        assert f"repro_analysis_cache_ast_hits {after['ast']['hits']}" in text
+        assert "# TYPE repro_analysis_cache_reports_misses gauge" in text
+
+    def test_analysis_cache_state_never_reaches_a_report(self):
+        from repro.analysis import clear_analysis_caches
+
+        clear_analysis_caches()
+        reports = []
+        for _ in range(2):  # a cold cache, then the warm one it left
+            with ServiceEngine(workers=2, use_cache=False) as engine:
+                reports.append(
+                    engine.fuzz_campaign(seed=7, iterations=20).to_json()
+                )
+        assert reports[0] == reports[1]
+        assert "analysis_cache" not in reports[0]
+
     def test_health(self, engine):
         health = engine.health()
         assert health["status"] == "ok"

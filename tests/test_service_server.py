@@ -79,6 +79,8 @@ class TestEndpoints:
         metrics = client.metrics()
         assert metrics["counters"]["http.requests"] >= 1
         assert "hit_rate" in metrics["cache"]
+        assert set(metrics["analysis_cache"]) == {"ast", "reports"}
+        assert set(metrics["analysis_cache"]["ast"]) == {"entries", "hits", "misses"}
 
     def test_repeat_request_hits_cache(self, service):
         client, engine, _ = service
@@ -94,6 +96,8 @@ class TestEndpoints:
         assert "# TYPE repro_http_requests_total counter" in text
         assert "repro_scheduler_queue_depth" in text
         assert "repro_cache_write_errors" in text
+        assert "repro_analysis_cache_ast_hits" in text
+        assert "repro_analysis_cache_reports_entries" in text
         # scraper-style Accept negotiation reaches the same renderer
         request = urllib.request.Request(
             base_url + "/metrics",
