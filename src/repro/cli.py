@@ -64,6 +64,7 @@ from typing import Optional, Sequence
 
 from .analysis import analyze_source, run_tool_suite
 from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name
+from .fuzz.oracles import DEFAULT_STEP_BUDGET
 from .workloads.corpus import FULL_CORPUS
 
 #: Exit status for bad input, shared by every front end.
@@ -390,38 +391,17 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="disable the result cache entirely",
     )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "inject faults for hardening demos: comma-separated "
-            "kind[:selector[:times[:delay]]] clauses, e.g. "
-            "'crash:analyze:2,hang:*:1:0.5' (kinds: crash, hang, "
-            "transient, unwritable-disk, slow-disk, corrupt-cache; "
-            "thread backend only)"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.workers < 1:
         return _fail("--workers must be >= 1")
-    fault_plan = None
-    if args.fault_plan:
-        from .service import FaultPlan
-
-        if args.backend != "thread":
-            return _fail("--fault-plan requires the thread backend")
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as error:
-            return _fail(f"bad --fault-plan: {error}")
+    if not 0 <= args.port <= 65535:
+        return _fail(f"--port must be 0-65535, got {args.port}")
 
     engine = ServiceEngine(
         workers=args.workers,
         backend=args.backend,
         cache_dir=None if args.no_cache else args.cache_dir,
         use_cache=not args.no_cache,
-        fault_plan=fault_plan,
     )
     try:
         server = create_server(engine, host=args.host, port=args.port)
@@ -435,8 +415,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         f"{'off' if args.no_cache else args.cache_dir})",
         flush=True,
     )
-    if fault_plan is not None:
-        print(f"fault plan armed: {fault_plan.describe()}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
@@ -675,8 +653,6 @@ def _fuzz_minimize(args) -> int:
 
 def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-fuzz``."""
-    from .fuzz.oracles import DEFAULT_STEP_BUDGET
-
     parser = argparse.ArgumentParser(
         prog="repro-fuzz",
         description="Coverage-guided differential fuzzing: static detector "
@@ -1011,8 +987,6 @@ def _regress_gc(args) -> int:
 
 def regress_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-regress``."""
-    from .fuzz.oracles import DEFAULT_STEP_BUDGET
-
     parser = argparse.ArgumentParser(
         prog="repro-regress",
         description="Replayable regression corpus for oracle divergences "
@@ -1345,8 +1319,6 @@ def _matrix_diff(args) -> int:
 
 def matrix_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-matrix``."""
-    from .fuzz.oracles import DEFAULT_STEP_BUDGET
-
     parser = argparse.ArgumentParser(
         prog="repro-matrix",
         description="Modern-mitigation sweep: gallery attacks, generator "

@@ -12,16 +12,6 @@ the lifecycle together.  See ``docs/SERVICE.md``.
 from .cache import ResultCache, default_cache_version
 from .client import ServiceClient, ServiceError, ServiceUnavailable, backoff_delay
 from .engine import ServiceEngine
-from .faults import (
-    CACHE_FAULTS,
-    DISPATCH_FAULTS,
-    WORKER_FAULTS,
-    FaultInjected,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    fault_plan_from,
-)
 from .jobs import (
     HIGH_PRIORITY,
     LOW_PRIORITY,
@@ -44,10 +34,8 @@ from .scheduler import (
 from .server import ServiceHTTPServer, create_server
 from .tracing import JobTrace, TraceBuffer, TraceSpan
 from .workers import (
-    TransientWorkerError,
     WorkerPool,
     execute_job,
-    execute_job_with_faults,
     register_worker,
     report_from_payload,
     report_payload,
@@ -56,14 +44,8 @@ from .workers import (
 __all__ = [
     "AnalyzeJob",
     "AttackJob",
-    "CACHE_FAULTS",
     "Counter",
-    "DISPATCH_FAULTS",
     "ExecJob",
-    "FaultInjected",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
     "Gauge",
     "HIGH_PRIORITY",
     "Histogram",
@@ -87,15 +69,11 @@ __all__ = [
     "ServiceUnavailable",
     "TraceBuffer",
     "TraceSpan",
-    "TransientWorkerError",
-    "WORKER_FAULTS",
     "WorkerPool",
     "backoff_delay",
     "create_server",
     "default_cache_version",
     "execute_job",
-    "execute_job_with_faults",
-    "fault_plan_from",
     "register_worker",
     "render_prometheus",
     "report_from_payload",

@@ -6,18 +6,20 @@ defaults to the package release plus the detector revision
 every cached analysis without touching files on disk — stale versions
 simply stop being read.  Hit/miss/eviction accounting is kept on the
 cache itself and folded into the service metrics snapshot.
+
+The disk tier is best effort.  A write that fails (unwritable
+directory, full disk, a result that is not JSON) is counted in
+``write_errors`` and never raised, and an unreadable or corrupt entry
+reads as a miss.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
-
-from .faults import CACHE_FAULTS, FaultKind, FaultPlan
 
 
 def default_cache_version() -> str:
@@ -36,14 +38,12 @@ class ResultCache:
         directory: Optional[str] = None,
         max_entries: int = 1024,
         version: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.version = version or default_cache_version()
         self.max_entries = max_entries
         self.directory = Path(directory) if directory else None
-        self.fault_plan = fault_plan
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -102,7 +102,7 @@ class ResultCache:
         return self._write_disk(key, value)
 
     def _write_disk(self, key: str, value: dict) -> bool:
-        """Best-effort persistence; the fault plan's disk seam lives here."""
+        """Best-effort persistence: any write failure returns ``False``."""
         path = self._path(key)
         if path is None:
             return True
@@ -112,15 +112,6 @@ class ResultCache:
             # write error like any other — never an exception out of a
             # job that already SUCCEEDED.
             data = json.dumps(value, sort_keys=True)
-            if self.fault_plan is not None:
-                rule = self.fault_plan.activate(CACHE_FAULTS, key=key)
-                if rule is not None:
-                    if rule.kind is FaultKind.UNWRITABLE_DISK:
-                        raise OSError(30, "injected read-only cache directory")
-                    if rule.kind is FaultKind.SLOW_DISK:
-                        time.sleep(rule.delay)
-                    elif rule.kind is FaultKind.CORRUPT_CACHE:
-                        data = '{"corrupt'  # readers treat this as a miss
             path.parent.mkdir(parents=True, exist_ok=True)
             # unique tmp name: concurrent writers of one key must not
             # interleave inside each other's half-written file

@@ -20,7 +20,6 @@ from ..fuzz.oracles import DEFAULT_STEP_BUDGET
 from ..matrix.sweep import MatrixRow, attack_rows, build_report, collect_rows
 from ..workloads.corpus import corpus_sources
 from .cache import ResultCache
-from .faults import FaultPlan, fault_plan_from
 from .jobs import (
     HIGH_PRIORITY,
     LOW_PRIORITY,
@@ -45,36 +44,16 @@ class ServiceEngine:
         backend: str = "thread",
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
-        cache_version: Optional[str] = None,
-        max_queue: int = 1024,
-        default_timeout: float = 60.0,
-        max_retries: int = 2,
-        fault_plan: "FaultPlan | str | None" = None,
-        trace_capacity: int = 512,
     ):
         self.metrics = MetricsRegistry()
-        self.fault_plan = fault_plan_from(fault_plan)
-        self.traces = TraceBuffer(capacity=trace_capacity)
-        self.cache = (
-            ResultCache(
-                directory=cache_dir,
-                version=cache_version,
-                fault_plan=self.fault_plan,
-            )
-            if use_cache
-            else None
-        )
-        self.pool = WorkerPool(
-            max_workers=workers, backend=backend, fault_plan=self.fault_plan
-        )
+        self.traces = TraceBuffer()
+        self.cache = ResultCache(directory=cache_dir) if use_cache else None
+        self.pool = WorkerPool(max_workers=workers, backend=backend)
         self.scheduler = Scheduler(
             pool=self.pool,
             cache=self.cache,
             metrics=self.metrics,
-            max_queue=max_queue,
-            default_timeout=default_timeout,
-            max_retries=max_retries,
-            fault_plan=self.fault_plan,
+            max_queue=1024,
             traces=self.traces,
         )
 
@@ -459,9 +438,6 @@ class ServiceEngine:
             "workers": self.pool.size,
             "extra_workers": self.pool.extra_workers,
         }
-        snapshot["faults"] = (
-            self.fault_plan.stats() if self.fault_plan else {"enabled": False}
-        )
         return snapshot
 
     def metrics_prometheus(self) -> str:

@@ -144,8 +144,8 @@ def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
 
     Counters gain the conventional ``_total`` suffix, histograms become
     summaries (``_count``/``_sum`` plus ``_min``/``_max`` gauges), and
-    any extra sections in the snapshot (``cache``, ``pool``, ``faults``)
-    are flattened into gauges, with string values collected into one
+    any extra sections in the snapshot (``cache``, ``analysis_cache``,
+    ``pool``) are flattened into gauges, with string values collected into one
     ``<prefix>_<section>_info{...} 1`` metric per section.  Output is
     sorted, so identical state renders byte-identically.
     """

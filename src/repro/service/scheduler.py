@@ -12,11 +12,8 @@ full, ``submit`` raises :class:`QueueFull` instead of blocking — the
 caller (e.g. the HTTP front end) decides whether to shed load or wait.
 
 One dispatcher thread per pool worker pops jobs in priority order and
-executes them on the pool with a per-job timeout.  Failures raising
-:class:`~repro.service.workers.TransientWorkerError` are retried with
-exponential backoff plus deterministic, key-seeded jitter (so jobs that
-fail together do not retry in lockstep, and the same job still backs
-off identically on every run); anything else fails the job immediately.
+executes each once on the pool with a per-job timeout.  A worker that
+raises fails the job (``FAILED``); there are no retries.
 
 Timeouts are terminal for the *job* (``TIMED_OUT``) but not for the
 pool: a worker that is still running when its deadline passes cannot be
@@ -30,8 +27,6 @@ jobs but marks their outcomes degraded instead of growing forever.
 Every submission opens a :class:`~repro.service.tracing.JobTrace`;
 its per-stage spans ride on :attr:`JobOutcome.trace` and remain
 queryable through :attr:`Scheduler.traces` (→ ``GET /trace/<key>``).
-A :class:`~repro.service.faults.FaultPlan` can be attached to inject
-retryable dispatch faults through a seam in ``_execute``.
 
 ``shutdown(wait=True)`` drains the queue then stops the dispatchers;
 ``wait=False`` cancels everything still queued.
@@ -40,7 +35,6 @@ retryable dispatch faults through a seam in ``_execute``.
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
 import queue
 import threading
@@ -48,14 +42,13 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .cache import ResultCache
-from .faults import DISPATCH_FAULTS, FaultPlan
 from .jobs import NORMAL_PRIORITY, Job
 from .metrics import MetricsRegistry
 from .tracing import JobTrace, TraceBuffer
-from .workers import TransientWorkerError, WorkerPool
+from .workers import WorkerPool
 
 
 class QueueFull(RuntimeError):
@@ -84,7 +77,6 @@ class JobOutcome:
     status: JobStatus
     result: Optional[dict] = None
     error: Optional[str] = None
-    attempts: int = 0
     duration: float = 0.0
     from_cache: bool = False
     detail: dict = field(default_factory=dict)
@@ -133,7 +125,7 @@ _STOP = object()
 
 
 class Scheduler:
-    """Priority scheduling, caching, retries, and metrics for job runs."""
+    """Priority scheduling, caching, timeouts, and metrics for job runs."""
 
     def __init__(
         self,
@@ -142,12 +134,6 @@ class Scheduler:
         metrics: Optional[MetricsRegistry] = None,
         max_queue: int = 256,
         default_timeout: float = 60.0,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        backoff_jitter: bool = True,
-        sleep: Callable[[float], None] = time.sleep,
-        fault_plan: Optional[FaultPlan] = None,
         traces: Optional[TraceBuffer] = None,
         max_abandoned: Optional[int] = None,
     ):
@@ -156,12 +142,6 @@ class Scheduler:
         self.cache = cache
         self.metrics = metrics or MetricsRegistry()
         self.default_timeout = default_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
-        self._sleep = sleep
-        self.fault_plan = fault_plan
         self.traces = traces if traces is not None else TraceBuffer()
         self.max_abandoned = (
             max_abandoned if max_abandoned is not None else 2 * self.pool.size
@@ -190,7 +170,6 @@ class Scheduler:
         job: Job,
         priority: int = NORMAL_PRIORITY,
         timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
         use_cache: bool = True,
     ) -> JobHandle:
         """Queue one job; returns immediately with a handle."""
@@ -224,7 +203,6 @@ class Scheduler:
             job,
             handle,
             timeout if timeout is not None else self.default_timeout,
-            max_retries if max_retries is not None else self.max_retries,
             use_cache,
             time.monotonic(),
             trace,
@@ -262,7 +240,7 @@ class Scheduler:
             if item[2] is _STOP:
                 self._queue.task_done()
                 return
-            _, _, job, handle, timeout, retries, use_cache, enqueued, trace = item
+            _, _, job, handle, timeout, use_cache, enqueued, trace = item
             self.metrics.gauge("scheduler.queue_depth").set(self._queue.qsize())
             waited = time.monotonic() - enqueued
             self.metrics.histogram("scheduler.queue_wait_seconds").observe(waited)
@@ -271,7 +249,7 @@ class Scheduler:
                 self._queue.task_done()
                 continue
             try:
-                self._execute(job, handle, timeout, retries, use_cache, trace)
+                self._execute(job, handle, timeout, use_cache, trace)
             finally:
                 self._queue.task_done()
 
@@ -280,7 +258,6 @@ class Scheduler:
         trace.record(
             "resolved",
             status=outcome.status.value,
-            attempts=outcome.attempts or None,
             from_cache=outcome.from_cache or None,
         )
         outcome.trace = trace.to_dict()
@@ -301,22 +278,6 @@ class Scheduler:
             ),
         )
         return True
-
-    def _backoff_delay(self, key: str, attempt: int) -> float:
-        """Exponential backoff with deterministic, key-seeded jitter.
-
-        Pure exponential backoff retries co-failing jobs in lockstep;
-        classic decorrelated jitter fixes that but makes tests flaky.
-        Hashing ``key:attempt`` gives every job its own stable fraction
-        in ``[0, 1)``, spreading the herd while staying byte-for-byte
-        reproducible across runs and processes.
-        """
-        base = min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)
-        if not self.backoff_jitter:
-            return base
-        digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2 ** 64
-        return min(self.backoff_cap, base * (0.5 + fraction))
 
     def _abandon(self, future: Future) -> bool:
         """Account for a worker that blew its deadline; returns degraded.
@@ -364,7 +325,6 @@ class Scheduler:
         job: Job,
         handle: JobHandle,
         timeout: float,
-        retries: int,
         use_cache: bool,
         trace: JobTrace,
     ) -> None:
@@ -373,71 +333,48 @@ class Scheduler:
         started = time.monotonic()
         busy = self.metrics.gauge("scheduler.workers_busy")
         busy.add(1)
-        attempts = 0
+        trace.record("attempt")
+        future: Optional[Future] = None
         try:
-            while True:
-                attempts += 1
-                trace.record("attempt", n=attempts)
-                future: Optional[Future] = None
-                try:
-                    if self.fault_plan is not None:
-                        rule = self.fault_plan.activate(
-                            DISPATCH_FAULTS, job_kind=job.KIND, key=key
-                        )
-                        if rule is not None:
-                            raise TransientWorkerError(
-                                "injected transient dispatch fault"
-                            )
-                    future = self.pool.submit(job.KIND, payload)
-                    result = future.result(timeout=timeout)
-                except FutureTimeout:
-                    degraded = self._abandon(future)
-                    self.metrics.counter("scheduler.jobs_timed_out").inc()
-                    trace.record("timed-out", after=timeout, degraded=degraded or None)
-                    self._finish(
-                        handle,
-                        trace,
-                        JobOutcome(
-                            key=key,
-                            kind=job.KIND,
-                            status=JobStatus.TIMED_OUT,
-                            error=f"no result within {timeout}s",
-                            attempts=attempts,
-                            duration=time.monotonic() - started,
-                            detail={"degraded": degraded} if degraded else {},
-                        ),
-                    )
-                    return
-                except TransientWorkerError as error:
-                    if attempts <= retries:
-                        delay = self._backoff_delay(key, attempts)
-                        self.metrics.counter("scheduler.jobs_retried").inc()
-                        trace.record("retry", delay=round(delay, 6), error=str(error))
-                        self._sleep(delay)
-                        continue
-                    self._fail(handle, key, job, error, attempts, started, trace)
-                    return
-                except Exception as error:  # worker bug or bad payload
-                    self._fail(handle, key, job, error, attempts, started, trace)
-                    return
-                duration = time.monotonic() - started
-                self.metrics.counter("scheduler.jobs_succeeded").inc()
-                self.metrics.histogram("scheduler.job_seconds").observe(duration)
-                if self.cache is not None and use_cache and job.CACHEABLE:
-                    self._store(key, result, trace)
+            try:
+                future = self.pool.submit(job.KIND, payload)
+                result = future.result(timeout=timeout)
+            except FutureTimeout:
+                degraded = self._abandon(future)
+                self.metrics.counter("scheduler.jobs_timed_out").inc()
+                trace.record("timed-out", after=timeout, degraded=degraded or None)
                 self._finish(
                     handle,
                     trace,
                     JobOutcome(
                         key=key,
                         kind=job.KIND,
-                        status=JobStatus.SUCCEEDED,
-                        result=result,
-                        attempts=attempts,
-                        duration=duration,
+                        status=JobStatus.TIMED_OUT,
+                        error=f"no result within {timeout}s",
+                        duration=time.monotonic() - started,
+                        detail={"degraded": degraded} if degraded else {},
                     ),
                 )
                 return
+            except Exception as error:  # worker bug or bad payload
+                self._fail(handle, key, job, error, started, trace)
+                return
+            duration = time.monotonic() - started
+            self.metrics.counter("scheduler.jobs_succeeded").inc()
+            self.metrics.histogram("scheduler.job_seconds").observe(duration)
+            if self.cache is not None and use_cache and job.CACHEABLE:
+                self._store(key, result, trace)
+            self._finish(
+                handle,
+                trace,
+                JobOutcome(
+                    key=key,
+                    kind=job.KIND,
+                    status=JobStatus.SUCCEEDED,
+                    result=result,
+                    duration=duration,
+                ),
+            )
         finally:
             busy.add(-1)
 
@@ -461,7 +398,6 @@ class Scheduler:
         key: str,
         job: Job,
         error: Exception,
-        attempts: int,
         started: float,
         trace: JobTrace,
     ) -> None:
@@ -475,7 +411,6 @@ class Scheduler:
                 kind=job.KIND,
                 status=JobStatus.FAILED,
                 error=f"{type(error).__name__}: {error}",
-                attempts=attempts,
                 duration=time.monotonic() - started,
             ),
         )
@@ -502,11 +437,11 @@ class Scheduler:
                 except queue.Empty:
                     break
                 if item[2] is not _STOP:
-                    self._cancelled_on_shutdown(item[2], item[3], item[8])
+                    self._cancelled_on_shutdown(item[2], item[3], item[7])
                 self._queue.task_done()
         for _ in self._dispatchers:
             self._queue.put(
-                (10 ** 9, next(self._seq), _STOP, None, 0, 0, False, 0.0, None)
+                (10 ** 9, next(self._seq), _STOP, None, 0, False, 0.0, None)
             )
         for thread in self._dispatchers:
             thread.join(timeout=5.0)

@@ -6,7 +6,7 @@ Endpoints (all responses are ``application/json``):
     Liveness: engine version, worker count, cache state.
 ``GET /metrics``
     The full metrics snapshot (scheduler counters/histograms, cache
-    accounting, pool shape, fault-injection counts).  JSON by default;
+    accounting, analysis-cache accounting, pool shape).  JSON by default;
     ``?format=prom`` — or an ``Accept`` header asking for ``text/plain``
     / OpenMetrics, as Prometheus scrapers send — switches to the
     Prometheus text exposition format.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .engine import ServiceEngine
@@ -75,14 +75,23 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> dict:
+        """The request's JSON object; ``ValueError`` says what is wrong."""
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ValueError(f"bad Content-Length header: {header!r}")
         raw = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(raw or b"{}")
         except ValueError:
-            return None
-        return body if isinstance(body, dict) else None
+            body = None
+        if not isinstance(body, dict):
+            raise ValueError("request body must be a JSON object")
+        return body
 
     @property
     def engine(self) -> ServiceEngine:
@@ -128,10 +137,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         self.engine.metrics.counter("http.requests").inc()
-        body = self._read_body()
-        if body is None:
+        try:
+            body = self._read_body()
+        except ValueError as error:
             self.engine.metrics.counter("http.bad_request").inc()
-            self._send_json(400, {"error": "request body must be a JSON object"})
+            self._send_json(400, {"error": str(error)})
             return
         try:
             if self.path == "/analyze":

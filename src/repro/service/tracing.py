@@ -3,8 +3,8 @@
 Every job submitted to the scheduler gets a trace id and a
 :class:`JobTrace` that records one :class:`TraceSpan` per lifecycle
 stage — ``submitted``, ``queued`` (or ``cache-hit``), ``dispatched``,
-``attempt``/``retry``, and a terminal ``resolved`` — each stamped with
-the elapsed seconds since submission.  The finished span list rides on
+``attempt``, and a terminal ``resolved`` — each stamped with the
+elapsed seconds since submission.  The finished span list rides on
 :attr:`~repro.service.scheduler.JobOutcome.trace` and stays queryable
 after the fact through the scheduler's :class:`TraceBuffer`, which the
 HTTP server exposes as ``GET /trace/<key>``.

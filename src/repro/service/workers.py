@@ -12,26 +12,23 @@ the process backend buys real CPU parallelism for big sweeps on
 multi-core hosts.  Custom job kinds registered at runtime via
 :func:`register_worker` are visible to the thread backend only — child
 processes import this module fresh and see just the built-in registry.
+
+A worker runs once per job: whatever it raises fails the job, and a
+worker still running at the job's deadline is abandoned by the
+scheduler.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Optional
-
-from .faults import WORKER_FAULTS, FaultInjected, FaultKind, FaultPlan
+from typing import Callable
 
 from ..analysis import AnalysisReport, Finding, Severity, analyze_source, run_tool_suite
 from ..attacks import attack_by_name, environment_by_label
 from ..attacks.base import AttackResult
 from ..errors import SimulatedProcessError
 from ..matrix.sweep import cell_summary, evaluate_cell
-
-
-class TransientWorkerError(RuntimeError):
-    """A failure worth retrying (worker lost, resource contention)."""
 
 
 def _jsonify(value):
@@ -254,34 +251,16 @@ def execute_job(kind: str, payload: dict) -> dict:
     return worker(payload)
 
 
-def execute_job_with_faults(plan: FaultPlan, kind: str, payload: dict) -> dict:
-    """The worker-side fault seam: crash or hang before the real work."""
-    rule = plan.activate(WORKER_FAULTS, job_kind=kind)
-    if rule is not None:
-        if rule.kind is FaultKind.CRASH:
-            raise FaultInjected(f"injected worker crash for kind '{kind}'")
-        time.sleep(rule.delay)  # hang past the deadline, then finish
-    return execute_job(kind, payload)
-
-
 class WorkerPool:
     """A sized pool of job executors over threads or processes."""
 
-    def __init__(
-        self,
-        max_workers: int = 4,
-        backend: str = "thread",
-        fault_plan: Optional[FaultPlan] = None,
-    ):
+    def __init__(self, max_workers: int = 4, backend: str = "thread"):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if backend not in ("thread", "process"):
             raise ValueError("backend must be 'thread' or 'process'")
-        if fault_plan is not None and backend != "thread":
-            raise ValueError("fault injection requires the thread backend")
         self.size = max_workers
         self.backend = backend
-        self.fault_plan = fault_plan
         self._resize_lock = threading.Lock()
         self._extra_workers = 0
         if backend == "process":
@@ -293,10 +272,6 @@ class WorkerPool:
 
     def submit(self, kind: str, payload: dict) -> Future:
         """Queue one job on the underlying executor."""
-        if self.fault_plan is not None:
-            return self._executor.submit(
-                execute_job_with_faults, self.fault_plan, kind, payload
-            )
         return self._executor.submit(execute_job, kind, payload)
 
     # -- capacity repair ---------------------------------------------------

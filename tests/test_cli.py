@@ -15,7 +15,7 @@ class TestSharedExitConvention:
             ("repro.cli:analyze_main", ["/no/such/file.cpp"]),
             ("repro.cli:exec_main", ["/no/such/file.cpp"]),
             ("repro.cli:serve_main", ["--workers", "0"]),
-            ("repro.cli:serve_main", ["--fault-plan", "shard-crash"]),
+            ("repro.cli:serve_main", ["--port", "70000"]),
             ("repro.cli:fuzz_main", ["run", "--jobs", "-1"]),
             ("repro.cli:matrix_main", ["run", "--jobs", "-1"]),
             ("repro.cli:regress_main", ["list", "--store", "/no/such/store"]),
@@ -45,6 +45,7 @@ class TestSharedExitConvention:
                 "repro.cli:regress_main",
                 ["record", "--store", "/no/such/store", "--step-budget", "0"],
             ),
+            ("repro.cli:serve_main", ["--port", "-1"]),
         ],
     )
     def test_bad_input_exits_2(self, entry_point, argv, capsys):
@@ -297,16 +298,15 @@ class TestServeCli:
         assert serve_main(["--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_bad_fault_plan_exits_2(self, capsys):
+    def test_port_out_of_range_exits_2_before_building_the_engine(
+        self, capsys, monkeypatch
+    ):
+        import repro.service
         from repro.cli import serve_main
 
-        assert serve_main(["--fault-plan", "explode:everything"]) == 2
-        assert "unknown fault kind" in capsys.readouterr().err
+        def no_engine(**kwargs):
+            raise AssertionError("engine built for a port that cannot bind")
 
-    def test_fault_plan_requires_thread_backend(self, capsys):
-        from repro.cli import serve_main
-
-        assert (
-            serve_main(["--fault-plan", "crash", "--backend", "process"]) == 2
-        )
-        assert "thread backend" in capsys.readouterr().err
+        monkeypatch.setattr(repro.service, "ServiceEngine", no_engine)
+        assert serve_main(["--port", "70000"]) == 2
+        assert "--port" in capsys.readouterr().err

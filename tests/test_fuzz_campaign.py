@@ -19,6 +19,10 @@ from repro.service.jobs import FuzzCampaignJob
 from repro.service.workers import WORKER_REGISTRY
 
 
+def _crash(payload):
+    raise RuntimeError("batch worker crashed")
+
+
 class TestSequentialCampaign:
     def test_small_campaign_deterministic(self):
         config = FuzzConfig(seed=11, iterations=30, minimize=False)
@@ -147,21 +151,19 @@ class TestServiceCampaign:
         assert snapshot["gauges"]["fuzz.coverage_size"] > 0
         assert snapshot["gauges"]["fuzz.corpus_size"] > 0
 
-    def test_batch_failure_is_counted_not_fatal(self):
-        with ServiceEngine(
-            workers=2, use_cache=False, fault_plan="crash:fuzz-campaign:99"
-        ) as engine:
+    def test_batch_failure_is_counted_not_fatal(self, monkeypatch):
+        monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
+        with ServiceEngine(workers=2, use_cache=False) as engine:
             report = engine.fuzz_campaign(seed=4, iterations=40, minimize=False)
         assert report.batches_failed > 0
         # Seeds still ran locally; the report stays coherent.
         assert report.execs >= report.seeds
 
-    def test_failed_batches_account_lost_iterations(self):
+    def test_failed_batches_account_lost_iterations(self, monkeypatch):
         """Every iteration a crashed batch would have run is reported as
         lost — an "N iterations" claim must stay honest."""
-        with ServiceEngine(
-            workers=2, use_cache=False, fault_plan="crash:fuzz-campaign:99"
-        ) as engine:
+        monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
+        with ServiceEngine(workers=2, use_cache=False) as engine:
             report = engine.fuzz_campaign(seed=4, iterations=40, minimize=False)
             snapshot = engine.metrics.snapshot()
         assert report.batches_failed > 0

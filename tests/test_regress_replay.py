@@ -166,11 +166,13 @@ class TestServiceFanOut:
         assert snapshot["gauges"]["regress.bundles"] == 2
         assert snapshot["counters"]["regress.replays_total"] == 2
 
-    def test_failed_chunk_marks_bundles_not_drops_them(self, tmp_path):
+    def test_failed_chunk_marks_bundles_not_drops_them(self, tmp_path, monkeypatch):
+        def crash(payload):
+            raise RuntimeError("replay worker crashed")
+
         store = seeded_store(tmp_path, count=3)
-        with ServiceEngine(
-            workers=2, use_cache=False, fault_plan="crash:regress-replay:99"
-        ) as engine:
+        monkeypatch.setitem(WORKER_REGISTRY, "regress-replay", crash)
+        with ServiceEngine(workers=2, use_cache=False) as engine:
             report = engine.regress_replay(store, chunk_size=2)
         assert len(report.results) == len(store)
         assert report.counts() == {"invalid-run": 3}

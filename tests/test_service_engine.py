@@ -153,7 +153,9 @@ class TestExecAndIntrospection:
             "extra_workers": 0,
         }
         assert snapshot["cache"]["version"]
-        assert snapshot["faults"] == {"enabled": False}
+        assert set(snapshot) == {
+            "counters", "gauges", "histograms", "cache", "analysis_cache", "pool"
+        }
         assert "scheduler.jobs_submitted" in snapshot["counters"]
 
     def test_metrics_snapshot_reports_the_analysis_cache(self):

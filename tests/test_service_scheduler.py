@@ -1,4 +1,4 @@
-"""Scheduler semantics: priorities, timeouts, retries, drain, caching.
+"""Scheduler semantics: priorities, timeouts, failures, drain, caching.
 
 Custom test-only job kinds are registered in the worker registry so the
 scheduler's control flow can be exercised without real analysis work
@@ -22,7 +22,6 @@ from repro.service import (
     QueueFull,
     ResultCache,
     Scheduler,
-    TransientWorkerError,
     WorkerPool,
     register_worker,
 )
@@ -45,17 +44,10 @@ class SleepJob(Job):
     KIND = "test-sleep"
 
 
-@dataclass(frozen=True)
-class FlakyJob(Job):
-    token: str = ""
-
-    KIND = "test-flaky"
-
-
 @pytest.fixture(autouse=True)
 def _workers(request):
     """(Re)register the test worker kinds with fresh per-test state."""
-    state = {"ran": [], "flaky_failures": 2, "lock": threading.Lock()}
+    state = {"ran": [], "lock": threading.Lock()}
 
     def probe(payload):
         with state["lock"]:
@@ -66,16 +58,8 @@ def _workers(request):
         time.sleep(payload["duration"])
         return probe(payload)
 
-    def flaky(payload):
-        with state["lock"]:
-            if state["flaky_failures"] > 0:
-                state["flaky_failures"] -= 1
-                raise TransientWorkerError("worker lost (simulated)")
-        return probe(payload)
-
     register_worker("test-probe", probe)
     register_worker("test-sleep", sleepy)
-    register_worker("test-flaky", flaky)
     if request.cls is not None:
         request.cls.state = state
     yield state
@@ -90,7 +74,6 @@ class TestSchedulerBasics:
             assert handle.result(timeout=5) == {"token": "a"}
             outcome = handle.outcome()
             assert outcome.status is JobStatus.SUCCEEDED
-            assert outcome.attempts == 1
             assert not outcome.from_cache
 
     def test_map_preserves_order(self):
@@ -166,84 +149,11 @@ class TestTimeoutsAndRetries:
             with pytest.raises(JobFailed):
                 handle.result()
 
-    def test_transient_failures_retry_with_backoff(self):
-        naps = []
-        with Scheduler(
-            pool=WorkerPool(max_workers=1),
-            backoff_base=0.05,
-            backoff_cap=10.0,
-            max_retries=3,
-            backoff_jitter=False,
-            sleep=naps.append,
-        ) as scheduler:
-            outcome = scheduler.submit(FlakyJob(token="f")).outcome(timeout=5)
-        assert outcome.status is JobStatus.SUCCEEDED
-        assert outcome.attempts == 3  # two transient failures, then success
-        assert naps == [0.05, 0.1]  # exponential backoff (jitter disabled)
-
-    def test_backoff_respects_cap(self):
-        self.state["flaky_failures"] = 3
-        naps = []
-        with Scheduler(
-            pool=WorkerPool(max_workers=1),
-            backoff_base=0.05,
-            backoff_cap=0.07,
-            max_retries=5,
-            backoff_jitter=False,
-            sleep=naps.append,
-        ) as scheduler:
-            scheduler.submit(FlakyJob(token="f")).result(timeout=5)
-        assert naps == [0.05, 0.07, 0.07]
-
-    def test_jitter_is_deterministic_per_key_and_spread_across_keys(self):
-        def delays(token):
-            self.state["flaky_failures"] = 2
-            naps = []
-            with Scheduler(
-                pool=WorkerPool(max_workers=1),
-                backoff_base=0.05,
-                backoff_cap=10.0,
-                max_retries=3,
-                sleep=naps.append,
-            ) as scheduler:
-                scheduler.submit(FlakyJob(token=token)).result(timeout=5)
-            return naps
-
-        first = delays("alpha")
-        assert first == delays("alpha")  # key-seeded: reproducible runs
-        assert first != delays("beta")  # different keys break lockstep
-        for attempt, delay in enumerate(first, start=1):
-            base = 0.05 * 2 ** (attempt - 1)
-            assert base * 0.5 <= delay <= base * 1.5
-
-    def test_jitter_never_exceeds_cap(self):
-        self.state["flaky_failures"] = 4
-        naps = []
-        with Scheduler(
-            pool=WorkerPool(max_workers=1),
-            backoff_base=0.05,
-            backoff_cap=0.08,
-            max_retries=5,
-            sleep=naps.append,
-        ) as scheduler:
-            scheduler.submit(FlakyJob(token="capped")).result(timeout=5)
-        assert len(naps) == 4
-        assert all(delay <= 0.08 for delay in naps)
-
-    def test_retries_exhausted_fails(self):
-        self.state["flaky_failures"] = 99
-        with Scheduler(
-            pool=WorkerPool(max_workers=1),
-            max_retries=1,
-            sleep=lambda _: None,
-        ) as scheduler:
-            outcome = scheduler.submit(FlakyJob()).outcome(timeout=5)
-        assert outcome.status is JobStatus.FAILED
-        assert "TransientWorkerError" in outcome.error
-        assert outcome.attempts == 2
-
     def test_worker_exception_fails_without_retry(self):
+        calls = []
+
         def broken(payload):
+            calls.append(payload)
             raise ValueError("bad payload")
 
         register_worker("test-broken", broken)
@@ -255,8 +165,8 @@ class TestTimeoutsAndRetries:
         with Scheduler(pool=WorkerPool(max_workers=1)) as scheduler:
             outcome = scheduler.submit(BrokenJob()).outcome(timeout=5)
         assert outcome.status is JobStatus.FAILED
-        assert outcome.attempts == 1
         assert "ValueError" in outcome.error
+        assert len(calls) == 1  # the worker ran once
 
 
 class TestLifecycleAndCache:
@@ -449,15 +359,26 @@ class TestTracing:
         assert buffered is not None
         assert buffered.to_dict() == warm.trace
 
-    def test_retry_and_failure_spans(self):
-        self.state["flaky_failures"] = 99
-        with Scheduler(
-            pool=WorkerPool(max_workers=1),
-            max_retries=1,
-            sleep=lambda _: None,
-        ) as scheduler:
-            outcome = scheduler.submit(FlakyJob(token="sp")).outcome(timeout=5)
+    def test_failure_spans(self):
+        def broken(payload):
+            raise RuntimeError("worker lost")
+
+        register_worker("test-broken", broken)
+
+        @dataclass(frozen=True)
+        class BrokenJob(Job):
+            token: str = ""
+
+            KIND = "test-broken"
+
+        with Scheduler(pool=WorkerPool(max_workers=1)) as scheduler:
+            outcome = scheduler.submit(BrokenJob(token="sp")).outcome(timeout=5)
         stages = [span["stage"] for span in outcome.trace["spans"]]
-        assert stages.count("attempt") == 2
-        assert "retry" in stages
-        assert stages[-2:] == ["failed", "resolved"]
+        assert stages == [
+            "submitted",
+            "queued",
+            "dispatched",
+            "attempt",
+            "failed",
+            "resolved",
+        ]

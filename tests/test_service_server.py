@@ -1,6 +1,7 @@
 """End-to-end repro-serve round trips on an ephemeral port."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -152,6 +153,27 @@ class TestErrorHandling:
         except urllib.error.HTTPError as error:
             assert error.code == 400
             assert "JSON" in json.loads(error.read())["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_400(self, service, length):
+        # The socket stays open for writing: a server that tried to read
+        # a body of the bad length would wait here until the timeout.
+        _, engine, base_url = service
+        before = engine.metrics.snapshot()["counters"].get("http.bad_request", 0)
+        port = int(base_url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+            conn.sendall(
+                b"POST /analyze HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+            )
+            response = b""
+            while chunk := conn.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
+        after = engine.metrics.snapshot()["counters"]["http.bad_request"]
+        assert after == before + 1
 
     def test_unknown_attack_400(self, service):
         client, _, _ = service
