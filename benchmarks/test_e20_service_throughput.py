@@ -101,7 +101,7 @@ def test_e20_parallel_matrix_throughput():
 
     with ServiceEngine(workers=WORKERS, backend=_BACKEND) as engine:
         started = time.perf_counter()
-        parallel = engine.matrix()
+        parallel = run_sweep(rows=attack_rows(), engine=engine)
         parallel_s = time.perf_counter() - started
 
     cell_count = len(sequential["rows"]) * len(sequential["defenses"])
@@ -117,7 +117,7 @@ def test_e20_parallel_matrix_throughput():
             ],
         ],
     )
-    assert parallel["attacks_succeeding"] == sequential["attacks_succeeding"]
+    assert parallel == sequential
     if _CORES >= WORKERS:
         assert parallel_s < sequential_s
 

@@ -55,7 +55,7 @@ def test_e24_service_scoring_matches_sequential(benchmark):
 
     def scored_over_pool():
         with ServiceEngine(workers=WORKERS, use_cache=False) as engine:
-            return engine.score_corpus(graph)
+            return score_graph(graph, engine=engine)
 
     score = benchmark.pedantic(scored_over_pool, rounds=1)
 

@@ -68,7 +68,7 @@ def test_e27_fanned_sweep_byte_identical_and_counted():
 
     started = time.perf_counter()
     with ServiceEngine(workers=4, use_cache=False) as engine:
-        fanned = engine.matrix_sweep(rows=rows, defenses=DEFENSES)
+        fanned = run_sweep(rows=rows, defenses=DEFENSES, engine=engine)
     fanned_s = time.perf_counter() - started
 
     assert canonical_report_json(fanned) == canonical_report_json(sequential)

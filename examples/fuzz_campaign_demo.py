@@ -40,26 +40,21 @@ void run() {
 
 def main() -> None:
     # -- one campaign over the worker pool ---------------------------------
+    config = FuzzConfig(seed=SEED, iterations=ITERATIONS)
     with ServiceEngine(workers=4, use_cache=False) as engine:
-        report = engine.fuzz_campaign(
-            seed=SEED, iterations=ITERATIONS, batch_size=50
-        )
+        report = run_campaign(config, engine=engine, batch_size=50)
         execs = engine.metrics.counter("fuzz.execs_total").value
     print(report.render())
     print(f"\nservice counter fuzz.execs_total = {execs}")
 
     # -- the determinism contract ------------------------------------------
     with ServiceEngine(workers=2, use_cache=False) as engine:
-        rerun = engine.fuzz_campaign(
-            seed=SEED, iterations=ITERATIONS, batch_size=50
-        )
+        rerun = run_campaign(config, engine=engine, batch_size=50)
     identical = report.to_json() == rerun.to_json()
     print(f"re-run with a different worker count: byte-identical = {identical}")
 
     # -- sequential works too, same bytes ----------------------------------
-    sequential = run_campaign(
-        FuzzConfig(seed=SEED, iterations=ITERATIONS)
-    )
+    sequential = run_campaign(config)
     print(
         "sequential run produced "
         f"{sequential.execs} execs, "

@@ -55,7 +55,7 @@ def main() -> None:
 
     print("— determinism: the fanned sweep is byte-identical —")
     with ServiceEngine(workers=4, use_cache=False) as engine:
-        fanned = engine.matrix_sweep(rows=rows, defenses=DEFENSES)
+        fanned = run_sweep(rows=rows, defenses=DEFENSES, engine=engine)
     identical = canonical_report_json(fanned) == canonical_report_json(report)
     print(f" sequential == 4 workers: {identical}\n")
 

@@ -58,7 +58,7 @@ def main() -> None:
     # -- replay: sequential and fanned-out are byte-identical --------------
     sequential = replay_store(store)
     with ServiceEngine(workers=4, use_cache=False) as engine:
-        fanned = engine.regress_replay(store, chunk_size=4)
+        fanned = replay_store(store, chunk_size=4, engine=engine)
     print(f"\n{sequential.render()}")
     identical = sequential.to_json() == fanned.to_json()
     print(f"4-worker fan-out byte-identical to sequential: {identical}")

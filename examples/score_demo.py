@@ -55,9 +55,9 @@ def main() -> None:
         f"{tool.blast_radius:.1f}."
     )
 
-    # -- the service twin: same bytes at any worker count ------------------
+    # -- the same function over the pool: same bytes at any worker count ---
     with ServiceEngine(workers=4) as engine:
-        parallel = engine.score_corpus(graph)
+        parallel = score_graph(graph, engine=engine)
         families = [
             name
             for name in engine.metrics_snapshot()["counters"]

@@ -59,6 +59,7 @@ service workers can tell usage errors from real findings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence
 
@@ -94,13 +95,35 @@ def _add_pool_options(parser, default_jobs: int, noun: str) -> None:
     )
 
 
+@contextlib.contextmanager
+def _batch_engine(args):
+    """The engine a batch command fans out over: ``None`` for ``--jobs
+    0`` (run inline), else a cacheless ``ServiceEngine`` of ``--jobs``
+    workers on ``--backend``, closed when the block exits."""
+    if args.jobs == 0:
+        yield None
+        return
+    from .service import ServiceEngine
+
+    with ServiceEngine(
+        workers=args.jobs, backend=args.backend, use_cache=False
+    ) as engine:
+        yield engine
+
+
+def _job_failed(kind: str, error) -> int:
+    """A pooled job failed: no report is written, exit 1."""
+    print(f"error: {kind} job failed: {error}", file=sys.stderr)
+    return 1
+
+
 def _run_command(args, prog: str) -> int:
     """Run a parsed subcommand: ``--jobs`` below 0 or ``--step-budget``
     below 1 is bad input, and a hard Ctrl-C exits 130.
 
-    Every pool user runs its ``ServiceEngine`` in a ``with`` block, which
-    has drained the pool by the time the interrupt reaches here, so
-    exiting cannot orphan workers.
+    Every pool user runs its engine inside :func:`_batch_engine` (or its
+    own ``with`` block), which has drained the pool by the time the
+    interrupt reaches here, so exiting cannot orphan workers.
     """
     if getattr(args, "jobs", 0) < 0:
         return _fail("--jobs must be >= 0")
@@ -489,31 +512,19 @@ def _fuzz_run(args) -> int:
         previous_handler = signal.signal(signal.SIGINT, _request_stop)
     except ValueError:  # pragma: no cover - non-main thread
         pass
-    campaign_kwargs = dict(
-        store=store,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        skip_version_check=args.skip_version_check,
-        stop_event=stop_event,
-        stop_after_rounds=args.stop_after or None,
-    )
     try:
-        if args.jobs > 0:
-            from .service import ServiceEngine
-
-            with ServiceEngine(
-                workers=args.jobs, backend=args.backend, use_cache=False
-            ) as engine:
-                report = run_campaign(
-                    config,
-                    engine=engine,
-                    batch_size=args.batch_size,
-                    batch_timeout=args.batch_timeout,
-                    **campaign_kwargs,
-                )
-        else:
+        with _batch_engine(args) as engine:
             report = run_campaign(
-                config, batch_size=args.batch_size, **campaign_kwargs
+                config,
+                engine=engine,
+                batch_size=args.batch_size,
+                batch_timeout=args.batch_timeout,
+                store=store,
+                checkpoint_dir=args.checkpoint_dir,
+                resume=args.resume,
+                skip_version_check=args.skip_version_check,
+                stop_event=stop_event,
+                stop_after_rounds=args.stop_after or None,
             )
     except CampaignInterrupted as interrupted:
         print(f"fuzz: {interrupted}", file=sys.stderr)
@@ -786,6 +797,10 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail("--batch-size must be >= 1")
     if getattr(args, "max_corpus", 1) < 1:
         return _fail("--max-corpus must be >= 1")
+    if getattr(args, "batch_timeout", 1.0) <= 0:
+        return _fail("--batch-timeout must be > 0")
+    if getattr(args, "stop_after", 0) < 0:
+        return _fail("--stop-after must be >= 0")
     # a hard abort: a second Ctrl-C, or one outside the graceful-stop window
     return _run_command(args, "fuzz")
 
@@ -867,21 +882,15 @@ def _regress_replay(args) -> int:
     store, error = _open_store(args.store)
     if store is None:
         return error
-    if args.jobs > 0:
-        from .service import ServiceEngine
+    from .regress import replay_store
 
-        with ServiceEngine(
-            workers=args.jobs, backend=args.backend, use_cache=False
-        ) as engine:
-            drift = engine.regress_replay(
-                store,
-                chunk_size=args.chunk_size,
-                check_versions=not args.skip_version_check,
-            )
-    else:
-        from .regress import replay_store
-
-        drift = replay_store(store, check_versions=not args.skip_version_check)
+    with _batch_engine(args) as engine:
+        drift = replay_store(
+            store,
+            check_versions=not args.skip_version_check,
+            chunk_size=args.chunk_size,
+            engine=engine,
+        )
     if args.out:
         try:
             with open(args.out, "w") as handle:
@@ -1132,20 +1141,21 @@ def _score_graph_from(args):
 
 
 def _score_corpus(args):
-    """Score the graph sequentially or over the service pool."""
+    """Score the graph inline or over the service pool; None + exit
+    code on bad input or a failed pooled job."""
     from .score import score_graph
+    from .service import JobFailed
 
     graph, error = _score_graph_from(args)
     if graph is None:
         return None, error
     if not 0.0 <= args.attenuation <= 1.0:
         return None, _fail("--attenuation must be in [0, 1]")
-    if args.jobs == 0:
-        return score_graph(graph, attenuation=args.attenuation), None
-    from .service import ServiceEngine
-
-    with ServiceEngine(workers=args.jobs, backend=args.backend) as engine:
-        return engine.score_corpus(graph, attenuation=args.attenuation), None
+    try:
+        with _batch_engine(args) as engine:
+            return score_graph(graph, args.attenuation, engine=engine), None
+    except JobFailed as failure:
+        return None, _job_failed("score", failure)
 
 
 def _score_score(args) -> int:
@@ -1244,6 +1254,7 @@ def _matrix_regress_dir(args) -> Optional[str]:
 
 def _matrix_run(args) -> int:
     from .matrix import canonical_report_json, render_report, run_sweep
+    from .service import JobFailed
 
     defenses = (
         tuple(name.strip() for name in args.defenses.split(",") if name.strip())
@@ -1252,27 +1263,18 @@ def _matrix_run(args) -> int:
     )
     try:
         regress_dir = _matrix_regress_dir(args)
-        if args.jobs == 0:
+        with _batch_engine(args) as engine:
             report = run_sweep(
                 defenses=defenses,
                 seed=args.seed,
                 regress_dir=regress_dir,
                 step_budget=args.step_budget,
+                engine=engine,
             )
-        else:
-            from .service import ServiceEngine
-
-            with ServiceEngine(
-                workers=args.jobs, backend=args.backend, use_cache=False
-            ) as engine:
-                report = engine.matrix_sweep(
-                    defenses=defenses,
-                    seed=args.seed,
-                    regress_dir=regress_dir,
-                    step_budget=args.step_budget,
-                )
     except (KeyError, LookupError) as error:
         return _fail(error.args[0] if error.args else str(error))
+    except JobFailed as failure:
+        return _job_failed("matrix-cell", failure)
     encoded = canonical_report_json(report)
     if args.out:
         try:

@@ -401,10 +401,11 @@ def run_campaign(
     """Run a whole campaign as deterministic rounds of batches.
 
     Sequential (``engine=None``) and fanned-out campaigns execute the
-    *same* round/batch partition — the only difference is whether
-    :func:`run_batch` runs inline or as :class:`FuzzCampaignJob` over
-    the service worker pool — so the report is byte-identical at any
-    worker count, including zero.  With ``store`` (a
+    *same* :class:`FuzzCampaignJob` batches — the only difference is
+    whether :func:`run_batch` runs inline or over the service worker
+    pool — so the report is byte-identical at any worker count,
+    including zero.  On the pool, a batch that fails or outlives
+    ``batch_timeout`` is counted in ``iterations_lost``.  With ``store`` (a
     :class:`repro.regress.RegressionStore`) every minimized divergence
     is recorded as a replayable regression bundle.
 
@@ -459,9 +460,8 @@ def run_campaign(
         # without re-running the seed pass.
         _save_checkpoint(checkpoints, fuzzer, batch_size, round_index, remaining)
 
-    if engine is not None:
-        from ..service.jobs import NORMAL_PRIORITY, FuzzCampaignJob
-        from ..service.scheduler import JobFailed
+    from ..service.jobs import FuzzCampaignJob
+    from ..service.scheduler import JobFailed, run_jobs
 
     rounds_done = 0
     while remaining > 0:
@@ -477,54 +477,39 @@ def run_campaign(
             for inp in fuzzer.corpus
         )
         coverage_snapshot = fuzzer.coverage.sorted_keys()
-        payloads = []
+        jobs = []
         for batch_index in range(BATCHES_PER_ROUND):
             if remaining <= 0:
                 break
             size = min(batch_size, remaining)
             remaining -= size
-            payloads.append(
-                {
-                    "seed": config.seed,
-                    "round": round_index,
-                    "batch": batch_index,
-                    "iterations": size,
-                    "corpus": corpus_snapshot,
-                    "coverage": coverage_snapshot,
-                    "protected": fuzzer._protected,
-                    "step_budget": config.step_budget,
-                    "canary": config.canary,
-                    "max_corpus": config.max_corpus,
-                }
-            )
-        if engine is None:
-            for payload in payloads:
-                _merge_batch(fuzzer, run_batch(payload))
-        else:
-            handles = [
-                (
-                    payload["iterations"],
-                    engine.scheduler.submit(
-                        FuzzCampaignJob(**payload),
-                        priority=NORMAL_PRIORITY,
-                        timeout=batch_timeout,
-                    ),
+            jobs.append(
+                FuzzCampaignJob(
+                    seed=config.seed,
+                    round=round_index,
+                    batch=batch_index,
+                    iterations=size,
+                    corpus=corpus_snapshot,
+                    coverage=coverage_snapshot,
+                    protected=fuzzer._protected,
+                    step_budget=config.step_budget,
+                    canary=config.canary,
+                    max_corpus=config.max_corpus,
                 )
-                for payload in payloads
-            ]
-            for size, handle in handles:
-                try:
-                    _merge_batch(fuzzer, handle.result())
-                except JobFailed:
-                    # The batch's iterations are gone, not silently
-                    # absorbed: the report carries the shortfall so
-                    # "N iterations" claims stay honest.
-                    fuzzer.batches_failed += 1
-                    fuzzer.iterations_lost += size
-                    if fuzzer.metrics is not None:
-                        fuzzer.metrics.counter("fuzz.iterations_lost").inc(
-                            size
-                        )
+            )
+        for job, handle in zip(jobs, run_jobs(jobs, engine, batch_timeout)):
+            try:
+                _merge_batch(fuzzer, handle.result())
+            except JobFailed:
+                # The batch's iterations are gone, not silently
+                # absorbed: the report carries the shortfall so
+                # "N iterations" claims stay honest.
+                fuzzer.batches_failed += 1
+                fuzzer.iterations_lost += job.iterations
+                if fuzzer.metrics is not None:
+                    fuzzer.metrics.counter("fuzz.iterations_lost").inc(
+                        job.iterations
+                    )
         round_index += 1
         rounds_done += 1
         _save_checkpoint(checkpoints, fuzzer, batch_size, round_index, remaining)

@@ -376,7 +376,36 @@ def diff_reports(baseline: dict, current: dict) -> list:
     return drift
 
 
-# -- sequential driver ------------------------------------------------------
+# -- driver -----------------------------------------------------------------
+
+#: Per-cell deadline when the sweep fans out over a service engine.
+CELL_TIMEOUT = 120.0
+
+
+def sweep_cells(
+    rows: Sequence,
+    defense_names: Sequence[str],
+    step_budget: int = DEFAULT_STEP_BUDGET,
+    engine=None,
+) -> list:
+    """Evaluate one :class:`MatrixCellJob` per (row, defense), row-major;
+    the cells come back in that order, inline or over ``engine``."""
+    from ..service.jobs import MatrixCellJob
+    from ..service.scheduler import run_jobs
+
+    jobs = [
+        MatrixCellJob(
+            row_kind=row.kind,
+            row_id=row.row_id,
+            source=row.source,
+            stdin=tuple(row.stdin),
+            defense=name,
+            step_budget=step_budget,
+        )
+        for row in rows
+        for name in defense_names
+    ]
+    return [handle.result() for handle in run_jobs(jobs, engine, CELL_TIMEOUT)]
 
 
 def run_sweep(
@@ -385,26 +414,27 @@ def run_sweep(
     seed: int = DEFAULT_SEED,
     regress_dir: Optional[str] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
+    engine=None,
 ) -> dict:
-    """Evaluate the sweep in-process, sequentially (the ``--jobs 0``
-    path and the reference the fanned-out path must byte-match)."""
+    """Evaluate the sweep in-process (``engine=None``, the ``--jobs 0``
+    path) or fanned out over ``engine``; the report is byte-identical
+    either way.  With an engine the ``matrix.*`` metrics are recorded
+    into ``engine.metrics``."""
     if rows is None:
         rows = collect_rows(seed=seed, regress_dir=regress_dir)
     defense_names = list(defenses) or [d.name for d in ALL_DEFENSES]
     for name in defense_names:
         defense_by_name(name)  # reject unknown names up front
-    cells = [
-        evaluate_cell(
-            {
-                "row_kind": row.kind,
-                "row_id": row.row_id,
-                "source": row.source,
-                "stdin": tuple(row.stdin),
-                "defense": name,
-                "step_budget": step_budget,
-            }
+    cells = sweep_cells(rows, defense_names, step_budget, engine)
+    report = build_report(rows, defense_names, cells)
+    if engine is not None:
+        metrics = engine.metrics
+        metrics.counter("matrix.sweeps_total").inc()
+        metrics.counter("matrix.cells_total").inc(len(cells))
+        metrics.gauge("matrix.rows").set(len(rows))
+        metrics.gauge("matrix.defenses").set(len(defense_names))
+        metrics.gauge("matrix.attack_wins").set(
+            sum(report["attacks_succeeding"].values())
         )
-        for row in rows
-        for name in defense_names
-    ]
-    return build_report(rows, defense_names, cells)
+        metrics.gauge("matrix.risks").set(len(report["risks"]))
+    return report

@@ -299,17 +299,65 @@ class DriftReport:
         return "\n".join(lines)
 
 
+#: Per-job deadline when a replay fans out over a service engine.
+REPLAY_TIMEOUT = 300.0
+
+
 def replay_store(
-    store: RegressionStore,
+    store,
     check_versions: bool = True,
     bundle_ids: Optional[list] = None,
+    chunk_size: int = 8,
+    engine=None,
 ) -> DriftReport:
-    """Sequentially replay a store (or a subset of its bundle ids)."""
+    """Replay a store (or a subset of its bundle ids) in bundle-id order.
+
+    ``store`` is a :class:`RegressionStore` or a directory path.
+    Bundles travel in chunks of ``chunk_size`` as ``regress-replay``
+    jobs, run inline (``engine=None``) or over ``engine``; results merge
+    in chunk order, so the report is byte-identical for any worker
+    count.  A chunk that fails or times out on the engine marks each of
+    its bundles ``invalid-run`` rather than dropping them — a replay
+    gate must never lose bundles.  With an engine the ``regress.*``
+    metrics are recorded into ``engine.metrics``.
+    """
+    from ..service.jobs import RegressReplayJob
+    from ..service.scheduler import JobFailed, run_jobs
+
+    if not isinstance(store, RegressionStore):
+        store = RegressionStore(store, create=False)
+    documents = [
+        store.load(bundle_id).to_json()
+        for bundle_id in (bundle_ids if bundle_ids is not None else store.ids())
+    ]
+    chunk_size = max(1, chunk_size)
+    chunks = [
+        tuple(documents[start : start + chunk_size])
+        for start in range(0, len(documents), chunk_size)
+    ]
+    jobs = [
+        RegressReplayJob(bundles=chunk, check_versions=check_versions)
+        for chunk in chunks
+    ]
     report = DriftReport()
-    for bundle_id in bundle_ids if bundle_ids is not None else store.ids():
-        report.results.append(
-            replay_bundle(store.load(bundle_id), check_versions=check_versions)
-        )
+    for chunk, handle in zip(chunks, run_jobs(jobs, engine, REPLAY_TIMEOUT)):
+        try:
+            results = handle.result()["results"]
+        except JobFailed as error:
+            results = [
+                {
+                    "bundle_id": json.loads(document).get("id", "?"),
+                    "status": "invalid-run",
+                    "detail": f"replay chunk failed: {error}",
+                }
+                for document in chunk
+            ]
+        report.results.extend(ReplayResult.from_dict(entry) for entry in results)
+    if engine is not None:
+        engine.metrics.gauge("regress.bundles").set(len(report.results))
+        engine.metrics.counter("regress.replays_total").inc(len(report.results))
+        if report.drifted:
+            engine.metrics.counter("regress.drift_total").inc(len(report.drifted))
     return report
 
 

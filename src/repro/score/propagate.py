@@ -21,27 +21,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .packages import PackageGraph
-from .threats import Threatlib, risks_from_report, scoring_versions
+from .packages import PackageGraph, load_package_dir
+from .threats import registry_version, risks_from_report, scoring_versions
 
 #: Depth weight for propagated score; 0.5 is exact in binary floats.
 DEFAULT_ATTENUATION = 0.5
 
 
-def analyze_package_source(
-    source: str, label: str = "", threatlib: Optional[Threatlib] = None
-) -> List[dict]:
+def analyze_package_source(source: str, label: str = "") -> List[dict]:
     """Score one module's source: detector + legacy scanner findings
     mapped through the threat registry, as deterministic risk dicts."""
     from ..analysis.detector import analyze_source
     from ..analysis.legacy_tools import LegacyRuleScanner
 
-    risks = risks_from_report(label, analyze_source(source), threatlib)
-    risks += risks_from_report(
-        label, LegacyRuleScanner().scan_source(source), threatlib
-    )
+    risks = risks_from_report(label, analyze_source(source))
+    risks += risks_from_report(label, LegacyRuleScanner().scan_source(source))
     dicts = [risk.to_dict() for risk in risks]
     dicts.sort(key=lambda r: (r["line"], r["trigger"], r["threat"], r["detail"]))
     return dicts
@@ -198,20 +194,40 @@ def score_packages(
 
 
 def score_graph(
-    graph: PackageGraph,
-    attenuation: float = DEFAULT_ATTENUATION,
-    threatlib: Optional[Threatlib] = None,
+    graph, attenuation: float = DEFAULT_ATTENUATION, engine=None
 ) -> CorpusScore:
-    """Sequential scoring: analyze every package in-process, then
-    propagate.  ``ServiceEngine.score_corpus`` is the parallel twin and
-    must produce byte-identical reports."""
+    """Score a package graph (or a package directory path).
+
+    The per-package half runs as one ``score`` job per package, in
+    sorted-name order, inline (``engine=None``) or over ``engine``;
+    propagation runs here once every package's risks are back, so the
+    report is byte-identical at any worker count.  With an engine the
+    ``score.*`` metrics are recorded into ``engine.metrics``.
+    """
+    from ..service.jobs import ScoreJob
+    from ..service.scheduler import run_jobs
+
+    if not isinstance(graph, PackageGraph):
+        graph = load_package_dir(graph)
+    registry = registry_version()
+    names = graph.names()
+    jobs = [
+        ScoreJob(source=graph.package(name).source, label=name, registry=registry)
+        for name in names
+    ]
     risks_by_package = {
-        name: analyze_package_source(
-            graph.package(name).source, name, threatlib
-        )
-        for name in graph.names()
+        name: handle.result()["risks"]
+        for name, handle in zip(names, run_jobs(jobs, engine))
     }
-    return score_packages(graph, risks_by_package, attenuation)
+    score = score_packages(graph, risks_by_package, attenuation)
+    if engine is not None:
+        totals = score.totals
+        metrics = engine.metrics
+        metrics.counter("score.packages_scored").inc(totals["packages"])
+        metrics.counter("score.risks_found").inc(totals["risks"])
+        metrics.gauge("score.flawed_packages").set(totals["flawed_packages"])
+        metrics.gauge("score.max_blast_radius").set(totals["max_blast_radius"])
+    return score
 
 
 def diff_score_reports(before: dict, after: dict) -> List[str]:

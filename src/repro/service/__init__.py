@@ -9,73 +9,68 @@ stdlib JSON API, and :class:`~repro.service.engine.ServiceEngine` ties
 the lifecycle together.  See ``docs/SERVICE.md``.
 """
 
-from .cache import ResultCache, default_cache_version
-from .client import ServiceClient, ServiceError, ServiceUnavailable, backoff_delay
-from .engine import ServiceEngine
-from .jobs import (
-    HIGH_PRIORITY,
-    LOW_PRIORITY,
-    NORMAL_PRIORITY,
-    AnalyzeJob,
-    AttackJob,
-    ExecJob,
-    Job,
-    RegressReplayJob,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, render_prometheus
-from .scheduler import (
-    JobFailed,
-    JobHandle,
-    JobOutcome,
-    JobStatus,
-    QueueFull,
-    Scheduler,
-)
-from .server import ServiceHTTPServer, create_server
-from .tracing import JobTrace, TraceBuffer, TraceSpan
-from .workers import (
-    WorkerPool,
-    execute_job,
-    register_worker,
-    report_from_payload,
-    report_payload,
-)
+import importlib
 
-__all__ = [
-    "AnalyzeJob",
-    "AttackJob",
-    "Counter",
-    "ExecJob",
-    "Gauge",
-    "HIGH_PRIORITY",
-    "Histogram",
-    "Job",
-    "JobFailed",
-    "JobHandle",
-    "JobOutcome",
-    "JobStatus",
-    "JobTrace",
-    "LOW_PRIORITY",
-    "MetricsRegistry",
-    "NORMAL_PRIORITY",
-    "QueueFull",
-    "RegressReplayJob",
-    "ResultCache",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceEngine",
-    "ServiceError",
-    "ServiceHTTPServer",
-    "ServiceUnavailable",
-    "TraceBuffer",
-    "TraceSpan",
-    "WorkerPool",
-    "backoff_delay",
-    "create_server",
-    "default_cache_version",
-    "execute_job",
-    "register_worker",
-    "render_prometheus",
-    "report_from_payload",
-    "report_payload",
-]
+#: Public name -> the submodule that defines it.  Loaded on first
+#: access (PEP 562), so a batch command that runs its jobs inline never
+#: imports the HTTP server, the client or the engine.
+_EXPORTS = {
+    **dict.fromkeys(("ResultCache", "default_cache_version"), "cache"),
+    **dict.fromkeys(
+        ("ServiceClient", "ServiceError", "ServiceUnavailable", "backoff_delay"),
+        "client",
+    ),
+    "ServiceEngine": "engine",
+    **dict.fromkeys(
+        (
+            "HIGH_PRIORITY",
+            "LOW_PRIORITY",
+            "NORMAL_PRIORITY",
+            "AnalyzeJob",
+            "AttackJob",
+            "ExecJob",
+            "Job",
+            "RegressReplayJob",
+        ),
+        "jobs",
+    ),
+    **dict.fromkeys(
+        ("Counter", "Gauge", "Histogram", "MetricsRegistry", "render_prometheus"),
+        "metrics",
+    ),
+    **dict.fromkeys(
+        (
+            "JobFailed",
+            "JobHandle",
+            "JobOutcome",
+            "JobStatus",
+            "QueueFull",
+            "Scheduler",
+            "run_jobs",
+        ),
+        "scheduler",
+    ),
+    **dict.fromkeys(("ServiceHTTPServer", "create_server"), "server"),
+    **dict.fromkeys(("JobTrace", "TraceBuffer", "TraceSpan"), "tracing"),
+    **dict.fromkeys(
+        (
+            "WorkerPool",
+            "execute_job",
+            "register_worker",
+            "report_from_payload",
+            "report_payload",
+        ),
+        "workers",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -42,13 +42,13 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from .cache import ResultCache
 from .jobs import NORMAL_PRIORITY, Job
 from .metrics import MetricsRegistry
 from .tracing import JobTrace, TraceBuffer
-from .workers import WorkerPool
+from .workers import WorkerPool, execute_job
 
 
 class QueueFull(RuntimeError):
@@ -119,6 +119,32 @@ class JobHandle:
             )
         assert outcome.result is not None
         return outcome.result
+
+
+class _InlineHandle:
+    """A handle whose job runs in the calling thread when its result is
+    read; a worker's exception propagates as is."""
+
+    def __init__(self, job: Job):
+        self.job = job
+
+    def result(self) -> dict:
+        return execute_job(self.job.KIND, self.job.payload())
+
+
+def run_jobs(jobs: Sequence[Job], engine=None, timeout: Optional[float] = None):
+    """One handle per job, in job order, for every batch workload.
+
+    With no engine each handle runs its job's worker inline when read —
+    the same function the pool runs — so ``--jobs 0`` and ``--jobs N``
+    share one code path.  With an engine the jobs are submitted through
+    its scheduler (``timeout`` per job, the scheduler default when None)
+    and a failed or timed-out job's ``result()`` raises
+    :class:`JobFailed`.
+    """
+    if engine is None:
+        return [_InlineHandle(job) for job in jobs]
+    return engine.scheduler.map(jobs, timeout=timeout)
 
 
 _STOP = object()

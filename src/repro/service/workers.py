@@ -16,19 +16,22 @@ processes import this module fresh and see just the built-in registry.
 A worker runs once per job: whatever it raises fails the job, and a
 worker still running at the job's deadline is abandoned by the
 scheduler.
+
+Every inline batch run (``--jobs 0``) loads this module, so workers
+import their subsystem — the matrix, the fuzzer, the score registry —
+on first call, and the process executor is imported only when built.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 from ..analysis import AnalysisReport, Finding, Severity, analyze_source, run_tool_suite
 from ..attacks import attack_by_name, environment_by_label
 from ..attacks.base import AttackResult
 from ..errors import SimulatedProcessError
-from ..matrix.sweep import cell_summary, evaluate_cell
 
 
 def _jsonify(value):
@@ -86,6 +89,8 @@ def report_from_payload(payload: dict) -> AnalysisReport:
 
 def attack_payload(result: AttackResult) -> dict:
     """An :class:`AttackResult` as a JSON-able dict."""
+    from ..matrix.sweep import cell_summary
+
     return {
         "name": result.name,
         "paper_ref": result.paper_ref,
@@ -125,6 +130,8 @@ def run_attack(payload: dict) -> dict:
 
 def run_matrix_cell(payload: dict) -> dict:
     """Worker for :class:`MatrixCellJob` (one sweep cell)."""
+    from ..matrix.sweep import evaluate_cell
+
     return evaluate_cell(payload)
 
 
@@ -210,9 +217,10 @@ def run_regress_replay(payload: dict) -> dict:
 def run_score(payload: dict) -> dict:
     """Worker for :class:`ScoreJob`: one package's risk dicts.
 
-    Propagation needs the whole graph and stays in the engine; the
-    worker does only the per-package half (parse + detect + registry
-    mapping), which is the expensive part.  Lazily imported so process
+    Propagation needs the whole graph and stays in
+    :func:`repro.score.score_graph`; the worker does only the
+    per-package half (parse + detect + registry mapping), which is the
+    expensive part.  Lazily imported so process
     workers don't pay for the registry until they score.
     """
     from ..score.propagate import analyze_package_source
@@ -264,6 +272,8 @@ class WorkerPool:
         self._resize_lock = threading.Lock()
         self._extra_workers = 0
         if backend == "process":
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=max_workers)
         else:
             self._executor = ThreadPoolExecutor(

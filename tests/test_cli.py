@@ -46,6 +46,9 @@ class TestSharedExitConvention:
                 ["record", "--store", "/no/such/store", "--step-budget", "0"],
             ),
             ("repro.cli:serve_main", ["--port", "-1"]),
+            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--stop-after", "-1"]),
+            ("repro.cli:fuzz_main", ["run", "--jobs", "2", "--batch-timeout", "0"]),
+            ("repro.cli:fuzz_main", ["run", "--jobs", "2", "--batch-timeout", "-1"]),
         ],
     )
     def test_bad_input_exits_2(self, entry_point, argv, capsys):
@@ -55,6 +58,15 @@ class TestSharedExitConvention:
         main = getattr(importlib.import_module(module_name), function_name)
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_stop_after_is_refused_before_any_work(self, tmp_path, capsys):
+        from repro.cli import fuzz_main
+
+        checkpoints = tmp_path / "checkpoints"
+        argv = ["run", "--stop-after", "-1", "--checkpoint-dir", str(checkpoints)]
+        assert fuzz_main(argv) == 2
+        assert capsys.readouterr().err == "error: --stop-after must be >= 0\n"
+        assert not checkpoints.exists()
 
     def test_zero_iterations_is_a_seed_pass(self, tmp_path):
         from repro.cli import fuzz_main
@@ -85,6 +97,45 @@ class TestSharedExitConvention:
             for param in mark.args[1]
         }
         assert entry_points == covered
+
+
+class TestPooledJobFailure:
+    """A job that fails on the pool exits 1 with one error line, writes
+    no report, and prints no traceback."""
+
+    @pytest.mark.parametrize(
+        ("kind", "entry_point", "argv"),
+        [
+            (
+                "matrix-cell",
+                "matrix_main",
+                ["run", "--no-regress", "--defenses", "none", "--out"],
+            ),
+            ("score", "score_main", ["rank", "--demo", "--out"]),
+            ("score", "score_main", ["score", "--demo"]),
+        ],
+    )
+    def test_failed_job_exits_1_without_a_report(
+        self, kind, entry_point, argv, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+        from repro.service.workers import WORKER_REGISTRY
+
+        def crash(payload):
+            raise RuntimeError("worker crashed")
+
+        monkeypatch.setitem(WORKER_REGISTRY, kind, crash)
+        out = tmp_path / "report.json"
+        if argv[-1] == "--out":
+            argv = argv + [str(out)]
+        main = getattr(repro.cli, entry_point)
+        assert main(argv + ["--jobs", "2", "--backend", "thread"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {kind} job failed: ")
+        assert "worker crashed" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
 
 class TestBenchDiff:

@@ -140,13 +140,15 @@ class TestServiceCampaign:
         assert sequential.clean, sequential.render()
         for workers in (1, 2, 4):
             with ServiceEngine(workers=workers, use_cache=False) as engine:
-                fanned = engine.regress_replay(store)
+                fanned = replay_store(store, engine=engine)
             assert fanned.to_json() == sequential.to_json(), workers
 
     def test_metrics_updated(self):
         with ServiceEngine(workers=2, use_cache=False) as engine:
-            engine.fuzz_campaign(seed=4, iterations=30, minimize=False)
-            snapshot = engine.metrics.snapshot()
+            run_campaign(
+                FuzzConfig(seed=4, iterations=30, minimize=False), engine=engine
+            )
+            snapshot = engine.metrics_snapshot()
         assert snapshot["counters"]["fuzz.execs_total"] > 0
         assert snapshot["gauges"]["fuzz.coverage_size"] > 0
         assert snapshot["gauges"]["fuzz.corpus_size"] > 0
@@ -154,7 +156,9 @@ class TestServiceCampaign:
     def test_batch_failure_is_counted_not_fatal(self, monkeypatch):
         monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
         with ServiceEngine(workers=2, use_cache=False) as engine:
-            report = engine.fuzz_campaign(seed=4, iterations=40, minimize=False)
+            report = run_campaign(
+                FuzzConfig(seed=4, iterations=40, minimize=False), engine=engine
+            )
         assert report.batches_failed > 0
         # Seeds still ran locally; the report stays coherent.
         assert report.execs >= report.seeds
@@ -164,8 +168,10 @@ class TestServiceCampaign:
         lost — an "N iterations" claim must stay honest."""
         monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
         with ServiceEngine(workers=2, use_cache=False) as engine:
-            report = engine.fuzz_campaign(seed=4, iterations=40, minimize=False)
-            snapshot = engine.metrics.snapshot()
+            report = run_campaign(
+                FuzzConfig(seed=4, iterations=40, minimize=False), engine=engine
+            )
+            snapshot = engine.metrics_snapshot()
         assert report.batches_failed > 0
         assert report.iterations_lost == 40  # every batch crashed
         assert snapshot["counters"]["fuzz.iterations_lost"] == 40
@@ -176,7 +182,9 @@ class TestServiceCampaign:
 
     def test_healthy_campaign_loses_nothing(self):
         with ServiceEngine(workers=2, use_cache=False) as engine:
-            report = engine.fuzz_campaign(seed=4, iterations=40, minimize=False)
+            report = run_campaign(
+                FuzzConfig(seed=4, iterations=40, minimize=False), engine=engine
+            )
         assert report.iterations_lost == 0
         assert "never executed" not in report.render()
 
@@ -234,11 +242,11 @@ class TestCorpusSaturation:
 
         def one_run(workers):
             with ServiceEngine(workers=workers, use_cache=False) as engine:
-                return engine.fuzz_campaign(
-                    seed=7,
-                    iterations=300,
-                    minimize=False,
-                    max_corpus=28,
+                return run_campaign(
+                    FuzzConfig(
+                        seed=7, iterations=300, minimize=False, max_corpus=28
+                    ),
+                    engine=engine,
                     batch_size=60,
                 )
 

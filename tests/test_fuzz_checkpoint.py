@@ -360,23 +360,21 @@ class TestCheckpointMetrics:
     def test_checkpoint_metrics_on_both_surfaces(self, tmp_path):
         with ServiceEngine(workers=2, use_cache=False) as engine:
             with pytest.raises(CampaignInterrupted):
-                engine.fuzz_campaign(
-                    seed=3,
-                    iterations=180,
-                    minimize=False,
+                run_campaign(
+                    FuzzConfig(seed=3, iterations=180, minimize=False),
+                    engine=engine,
                     batch_size=30,
                     checkpoint_dir=tmp_path,
                     stop_after_rounds=1,
                 )
-            engine.fuzz_campaign(
-                seed=3,
-                iterations=180,
-                minimize=False,
+            run_campaign(
+                FuzzConfig(seed=3, iterations=180, minimize=False),
+                engine=engine,
                 batch_size=30,
                 checkpoint_dir=tmp_path,
                 resume=True,
             )
-            snapshot = engine.metrics.snapshot()
+            snapshot = engine.metrics_snapshot()
             rendered = engine.metrics_prometheus()
         counters = snapshot["counters"]
         assert counters["fuzz.checkpoints_written"] >= 3

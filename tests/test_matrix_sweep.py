@@ -68,8 +68,8 @@ class TestByteIdentity:
         sequential = canonical_report_json(subset_report)
         for workers in (1, 4):
             with ServiceEngine(workers=workers, use_cache=False) as engine:
-                fanned = engine.matrix_sweep(
-                    rows=_subset_rows(), defenses=SUBSET_DEFENSES
+                fanned = run_sweep(
+                    rows=_subset_rows(), defenses=SUBSET_DEFENSES, engine=engine
                 )
             assert canonical_report_json(fanned) == sequential, (
                 f"jobs={workers} diverged from sequential"

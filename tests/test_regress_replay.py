@@ -154,14 +154,14 @@ class TestServiceFanOut:
         sequential = replay_store(store).to_json()
         for workers in (1, 2, 4):
             with ServiceEngine(workers=workers, use_cache=False) as engine:
-                fanned = engine.regress_replay(store, chunk_size=2)
+                fanned = replay_store(store, chunk_size=2, engine=engine)
             assert fanned.to_json() == sequential, workers
 
     def test_engine_replay_accepts_store_path(self, tmp_path):
         store = seeded_store(tmp_path, count=2)
         with ServiceEngine(workers=2, use_cache=False) as engine:
-            report = engine.regress_replay(str(store.directory))
-            snapshot = engine.metrics.snapshot()
+            report = replay_store(str(store.directory), engine=engine)
+            snapshot = engine.metrics_snapshot()
         assert report.clean
         assert snapshot["gauges"]["regress.bundles"] == 2
         assert snapshot["counters"]["regress.replays_total"] == 2
@@ -173,7 +173,7 @@ class TestServiceFanOut:
         store = seeded_store(tmp_path, count=3)
         monkeypatch.setitem(WORKER_REGISTRY, "regress-replay", crash)
         with ServiceEngine(workers=2, use_cache=False) as engine:
-            report = engine.regress_replay(store, chunk_size=2)
+            report = replay_store(store, chunk_size=2, engine=engine)
         assert len(report.results) == len(store)
         assert report.counts() == {"invalid-run": 3}
         assert all("chunk failed" in r.detail for r in report.results)

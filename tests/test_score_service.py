@@ -1,4 +1,4 @@
-"""Tests for ServiceEngine.score_corpus and the score.* metrics."""
+"""Tests for score_graph over a ServiceEngine and the score.* metrics."""
 
 from repro.score import demo_graph, score_graph
 from repro.service import ServiceEngine
@@ -10,14 +10,14 @@ class TestScoreCorpus:
     def test_parallel_report_matches_sequential(self):
         sequential = score_graph(demo_graph()).to_json()
         with ServiceEngine(workers=4) as engine:
-            parallel = engine.score_corpus(demo_graph()).to_json()
+            parallel = score_graph(demo_graph(), engine=engine).to_json()
         assert parallel == sequential
 
     def test_worker_count_does_not_change_bytes(self):
         with ServiceEngine(workers=1) as engine:
-            one = engine.score_corpus(demo_graph()).to_json()
+            one = score_graph(demo_graph(), engine=engine).to_json()
         with ServiceEngine(workers=4) as engine:
-            four = engine.score_corpus(demo_graph()).to_json()
+            four = score_graph(demo_graph(), engine=engine).to_json()
         assert one == four
 
     def test_accepts_directory_path(self, tmp_path):
@@ -28,12 +28,12 @@ class TestScoreCorpus:
                 render_package_source(package)
             )
         with ServiceEngine(workers=2) as engine:
-            score = engine.score_corpus(str(tmp_path))
+            score = score_graph(str(tmp_path), engine=engine)
         assert score.to_json() == score_graph(demo_graph()).to_json()
 
     def test_custom_attenuation_is_applied(self):
         with ServiceEngine(workers=2) as engine:
-            score = engine.score_corpus(demo_graph(), attenuation=0.0)
+            score = score_graph(demo_graph(), attenuation=0.0, engine=engine)
         assert score.entry("core-pool").blast_radius == 5.0
 
 
@@ -53,7 +53,7 @@ class TestScoreJob:
 class TestScoreMetrics:
     def test_score_families_reach_prometheus(self):
         with ServiceEngine(workers=2) as engine:
-            engine.score_corpus(demo_graph())
+            score_graph(demo_graph(), engine=engine)
             text = render_prometheus(engine.metrics_snapshot())
         assert "# TYPE repro_score_packages_scored_total counter" in text
         assert "repro_score_packages_scored_total 7" in text
@@ -63,7 +63,7 @@ class TestScoreMetrics:
 
     def test_score_families_reach_json_snapshot(self):
         with ServiceEngine(workers=2) as engine:
-            engine.score_corpus(demo_graph())
+            score_graph(demo_graph(), engine=engine)
             snapshot = engine.metrics_snapshot()
         assert snapshot["counters"]["score.packages_scored"] == 7
         assert snapshot["gauges"]["score.flawed_packages"] == 2

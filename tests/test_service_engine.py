@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import analyze_source
+from repro.fuzz import FuzzConfig, run_campaign
 from repro.service import ServiceEngine
 from repro.service.workers import report_from_payload, report_payload
 from repro.workloads import corpus_sources
@@ -183,7 +184,8 @@ class TestExecAndIntrospection:
         for _ in range(2):  # a cold cache, then the warm one it left
             with ServiceEngine(workers=2, use_cache=False) as engine:
                 reports.append(
-                    engine.fuzz_campaign(seed=7, iterations=20).to_json()
+                    run_campaign(FuzzConfig(seed=7, iterations=20), engine=engine)
+                    .to_json()
                 )
         assert reports[0] == reports[1]
         assert "analysis_cache" not in reports[0]
