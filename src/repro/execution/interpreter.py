@@ -37,6 +37,7 @@ from ..cxx.types import (
     VOID_PTR,
     ArrayType,
     CType,
+    PointerType,
     array_of,
 )
 from ..errors import ApiMisuseError, SimulatedProcessError, SimulatedTimeout
@@ -284,60 +285,73 @@ class Interpreter:
             self._exec(stmt, scope, frame)
 
     def _exec(self, stmt: ast.Stmt, scope: Scope, frame) -> None:
-        self._tick()
-        if isinstance(stmt, ast.Block):
-            self._exec_block(stmt, scope.child(), frame)
-        elif isinstance(stmt, ast.VarDecl):
-            self._exec_vardecl(stmt, scope, frame)
-        elif isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value, scope)
-            lvalue = self.resolve_lvalue(stmt.target, scope)
-            self._store(lvalue, value)
-        elif isinstance(stmt, ast.CinRead):
-            for target in stmt.targets:
-                lvalue = self.resolve_lvalue(target, scope)
-                ctype = lvalue.require_scalar()
-                if isinstance(ctype, (type(DOUBLE), type(FLOAT))) and ctype in (
-                    DOUBLE,
-                    FLOAT,
-                ):
-                    token: Any = self.machine.stdin.read_double()
-                else:
-                    token = self.machine.stdin.read_int()
-                self._store(lvalue, token)
-        elif isinstance(stmt, ast.CoutWrite):
-            for value_expr in stmt.values:
-                self.outputs.append(self.eval(value_expr, scope))
-        elif isinstance(stmt, ast.ExprStmt):
-            self.eval(stmt.expr, scope)
-        elif isinstance(stmt, ast.DeleteStmt):
-            address = self._expect_int(self.eval(stmt.target, scope))
-            if address:
-                self.machine.tracker.mark_freed(address)
-                self.machine.heap.free(address)
-        elif isinstance(stmt, ast.ReturnStmt):
-            value = self.eval(stmt.value, scope) if stmt.value is not None else None
-            raise _ReturnSignal(value)
-        elif isinstance(stmt, ast.If):
-            if truthy(self.eval(stmt.cond, scope)):
-                self._exec_block(stmt.then_body, scope.child(), frame)
-            elif stmt.else_body is not None:
-                self._exec_block(stmt.else_body, scope.child(), frame)
-        elif isinstance(stmt, ast.While):
-            while truthy(self.eval(stmt.cond, scope)):
-                self._tick()
-                self._exec_block(stmt.body, scope.child(), frame)
-        elif isinstance(stmt, ast.For):
-            loop_scope = scope.child()
-            if stmt.init is not None:
-                self._exec(stmt.init, loop_scope, frame)
-            while stmt.cond is None or truthy(self.eval(stmt.cond, loop_scope)):
-                self._tick()
-                self._exec_block(stmt.body, loop_scope.child(), frame)
-                if stmt.step is not None:
-                    self._exec(stmt.step, loop_scope, frame)
-        else:  # pragma: no cover - parser produces no other nodes
+        # The step tick, inlined: same increment and budget check as _tick.
+        self.steps += 1
+        if self.steps > self.step_budget:
+            raise SimulatedTimeout(self.step_budget)
+        handler = _EXEC_HANDLERS.get(type(stmt))
+        if handler is None:  # pragma: no cover - parser produces no other nodes
             raise ApiMisuseError(f"unsupported statement {type(stmt).__name__}")
+        handler(self, stmt, scope, frame)
+
+    def _exec_nested_block(self, stmt: ast.Block, scope: Scope, frame) -> None:
+        self._exec_block(stmt, scope.child(), frame)
+
+    def _exec_assign(self, stmt: ast.Assign, scope: Scope, frame) -> None:
+        value = self.eval(stmt.value, scope)
+        lvalue = self.resolve_lvalue(stmt.target, scope)
+        self._store(lvalue, value)
+
+    def _exec_cin(self, stmt: ast.CinRead, scope: Scope, frame) -> None:
+        for target in stmt.targets:
+            lvalue = self.resolve_lvalue(target, scope)
+            ctype = lvalue.require_scalar()
+            if isinstance(ctype, (type(DOUBLE), type(FLOAT))) and ctype in (
+                DOUBLE,
+                FLOAT,
+            ):
+                token: Any = self.machine.stdin.read_double()
+            else:
+                token = self.machine.stdin.read_int()
+            self._store(lvalue, token)
+
+    def _exec_cout(self, stmt: ast.CoutWrite, scope: Scope, frame) -> None:
+        for value_expr in stmt.values:
+            self.outputs.append(self.eval(value_expr, scope))
+
+    def _exec_expr(self, stmt: ast.ExprStmt, scope: Scope, frame) -> None:
+        self.eval(stmt.expr, scope)
+
+    def _exec_delete(self, stmt: ast.DeleteStmt, scope: Scope, frame) -> None:
+        address = self._expect_int(self.eval(stmt.target, scope))
+        if address:
+            self.machine.tracker.mark_freed(address)
+            self.machine.heap.free(address)
+
+    def _exec_return(self, stmt: ast.ReturnStmt, scope: Scope, frame) -> None:
+        value = self.eval(stmt.value, scope) if stmt.value is not None else None
+        raise _ReturnSignal(value)
+
+    def _exec_if(self, stmt: ast.If, scope: Scope, frame) -> None:
+        if truthy(self.eval(stmt.cond, scope)):
+            self._exec_block(stmt.then_body, scope.child(), frame)
+        elif stmt.else_body is not None:
+            self._exec_block(stmt.else_body, scope.child(), frame)
+
+    def _exec_while(self, stmt: ast.While, scope: Scope, frame) -> None:
+        while truthy(self.eval(stmt.cond, scope)):
+            self._tick()
+            self._exec_block(stmt.body, scope.child(), frame)
+
+    def _exec_for(self, stmt: ast.For, scope: Scope, frame) -> None:
+        loop_scope = scope.child()
+        if stmt.init is not None:
+            self._exec(stmt.init, loop_scope, frame)
+        while stmt.cond is None or truthy(self.eval(stmt.cond, loop_scope)):
+            self._tick()
+            self._exec_block(stmt.body, loop_scope.child(), frame)
+            if stmt.step is not None:
+                self._exec(stmt.step, loop_scope, frame)
 
     def _exec_vardecl(self, decl: ast.VarDecl, scope: Scope, frame) -> None:
         type_ref = decl.type
@@ -475,8 +489,6 @@ class Interpreter:
         """C-level coercions the encoder cannot guess: a Python string
         stored into a pointer becomes a heap-materialized char* (string
         literals and returned names live somewhere in memory in C)."""
-        from ..cxx.types import PointerType
-
         if isinstance(value, str) and isinstance(ctype, PointerType):
             address = self.machine.heap.allocate(len(value) + 1)
             self.machine.space.write_c_string(address, value)
@@ -495,38 +507,33 @@ class Interpreter:
         """Evaluate an rvalue."""
         if expr is None:
             return None
-        self._tick()
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.FloatLit):
-            return expr.value
-        if isinstance(expr, ast.StrLit):
-            return expr.value
-        if isinstance(expr, ast.BoolLit):
-            return int(expr.value)
-        if isinstance(expr, ast.NullLit):
-            return 0
-        if isinstance(expr, ast.Name):
-            return self._eval_name(expr, scope)
-        if isinstance(expr, ast.Unary):
-            return self._eval_unary(expr, scope)
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, scope)
-        if isinstance(expr, (ast.Member, ast.Index)):
-            lvalue = self.resolve_lvalue(expr, scope)
-            if lvalue.ctype is None:
-                return lvalue.address  # object member: its address
-            if isinstance(lvalue.ctype, ArrayType):
-                return lvalue.address  # arrays decay
-            data = self.machine.space.read(lvalue.address, lvalue.ctype.size)
-            return lvalue.ctype.decode(data)
-        if isinstance(expr, ast.SizeOf):
-            return self._eval_sizeof(expr, scope)
-        if isinstance(expr, ast.Call):
-            return self._eval_call(expr, scope)
-        if isinstance(expr, ast.NewExpr):
-            return self._eval_new(expr, scope)
-        raise ApiMisuseError(f"unsupported expression {type(expr).__name__}")
+        # The step tick, inlined: same increment and budget check as _tick.
+        self.steps += 1
+        if self.steps > self.step_budget:
+            raise SimulatedTimeout(self.step_budget)
+        handler = _EVAL_HANDLERS.get(type(expr))
+        if handler is None:
+            raise ApiMisuseError(f"unsupported expression {type(expr).__name__}")
+        return handler(self, expr, scope)
+
+    def _eval_literal(self, expr: ast.Expr, scope: Scope) -> Any:
+        return expr.value
+
+    def _eval_bool(self, expr: ast.BoolLit, scope: Scope) -> int:
+        return int(expr.value)
+
+    def _eval_null(self, expr: ast.NullLit, scope: Scope) -> int:
+        return 0
+
+    def _eval_lvalue_read(self, expr: ast.Expr, scope: Scope) -> Any:
+        """A Member or Index rvalue: read the location it resolves to."""
+        lvalue = self.resolve_lvalue(expr, scope)
+        if lvalue.ctype is None:
+            return lvalue.address  # object member: its address
+        if isinstance(lvalue.ctype, ArrayType):
+            return lvalue.address  # arrays decay
+        data = self.machine.space.read(lvalue.address, lvalue.ctype.size)
+        return lvalue.ctype.decode(data)
 
     def _eval_name(self, expr: ast.Name, scope: Scope) -> Any:
         variable = scope.lookup(expr.ident)
@@ -956,6 +963,39 @@ class Interpreter:
         if not isinstance(value, int):
             raise ApiMisuseError(f"expected an integer value, got {value!r}")
         return value
+
+
+#: Exact node type -> handler.  Built once; a node type missing here is
+#: rejected with the same error the interpreter has always raised.
+_EVAL_HANDLERS = {
+    ast.IntLit: Interpreter._eval_literal,
+    ast.FloatLit: Interpreter._eval_literal,
+    ast.StrLit: Interpreter._eval_literal,
+    ast.BoolLit: Interpreter._eval_bool,
+    ast.NullLit: Interpreter._eval_null,
+    ast.Name: Interpreter._eval_name,
+    ast.Unary: Interpreter._eval_unary,
+    ast.Binary: Interpreter._eval_binary,
+    ast.Member: Interpreter._eval_lvalue_read,
+    ast.Index: Interpreter._eval_lvalue_read,
+    ast.SizeOf: Interpreter._eval_sizeof,
+    ast.Call: Interpreter._eval_call,
+    ast.NewExpr: Interpreter._eval_new,
+}
+
+_EXEC_HANDLERS = {
+    ast.Block: Interpreter._exec_nested_block,
+    ast.VarDecl: Interpreter._exec_vardecl,
+    ast.Assign: Interpreter._exec_assign,
+    ast.CinRead: Interpreter._exec_cin,
+    ast.CoutWrite: Interpreter._exec_cout,
+    ast.ExprStmt: Interpreter._exec_expr,
+    ast.DeleteStmt: Interpreter._exec_delete,
+    ast.ReturnStmt: Interpreter._exec_return,
+    ast.If: Interpreter._exec_if,
+    ast.While: Interpreter._exec_while,
+    ast.For: Interpreter._exec_for,
+}
 
 
 def run_source(

@@ -248,18 +248,20 @@ class AddressSpace:
     def locate(
         self, address: int, length: int, writable: bool = False
     ) -> Optional[tuple]:
-        """Resolve a hook-free in-bounds range to ``(memoryview, offset)``.
+        """Resolve an unobserved in-bounds range to ``(memoryview, offset)``.
 
-        The bytecode VM's vectorized access path: when no observer is
-        registered and the whole range sits inside one segment with the
-        required permission, the caller may (un)pack values straight
-        from the backing store.  Any other case — hooks attached,
-        unmapped address, a range straddling the segment end, missing
-        permission — returns None, and the caller must go through
-        :meth:`read`/:meth:`write` so the precise fault or notification
-        happens exactly as it always has.
+        The raw access path of the heap's header walk (and the bytecode
+        VM): when no observer is registered, alignment is not enforced
+        and the whole range sits inside one segment with the required
+        permission, the caller may (un)pack values straight from the
+        backing store.  Any other case — hooks attached,
+        ``strict_alignment`` on, unmapped address, a range straddling
+        the segment end, missing permission — returns None, and the
+        caller must go through :meth:`read`/:meth:`write` (or the typed
+        accessors) so the precise fault or notification happens exactly
+        as it always has.
         """
-        if self._hooks:
+        if self._hooks or self.strict_alignment:
             return None
         i = self._last_index
         if not self._bases[i] <= address < self._ends[i]:

@@ -29,9 +29,6 @@ BOOL_SIZE = 1
 # paper's layout narrative; see DESIGN.md section 4).
 DOUBLE_ALIGN = 8
 
-_STRUCT_BY_WIDTH_SIGNED = {1: "<b", 2: "<h", 4: "<i", 8: "<q"}
-_STRUCT_BY_WIDTH_UNSIGNED = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
-
 
 def _check_width(width: int) -> None:
     if width not in (1, 2, 4, 8):
@@ -43,28 +40,19 @@ def encode_int(value: int, width: int = INT_SIZE, signed: bool = True) -> bytes:
 
     Values are wrapped modulo ``2**(8*width)`` first, mirroring C's
     implementation-defined narrowing rather than raising — attacks rely on
-    being able to store e.g. an address into an ``int`` member.
+    being able to store e.g. an address into an ``int`` member.  The
+    wrapped bit pattern is the same whether the target is read back as
+    signed (two's complement) or unsigned, so ``signed`` does not change
+    the bytes.
     """
     _check_width(width)
-    mask = (1 << (8 * width)) - 1
-    wrapped = value & mask
-    if signed:
-        # Reinterpret the wrapped bit pattern as two's-complement.
-        sign_bit = 1 << (8 * width - 1)
-        if wrapped & sign_bit:
-            as_signed = wrapped - (1 << (8 * width))
-        else:
-            as_signed = wrapped
-        return struct.pack(_STRUCT_BY_WIDTH_SIGNED[width], as_signed)
-    return struct.pack(_STRUCT_BY_WIDTH_UNSIGNED[width], wrapped)
+    return (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
 
 
 def decode_int(data: bytes, signed: bool = True) -> int:
     """Decode little-endian bytes as an integer of ``len(data)`` width."""
-    width = len(data)
-    _check_width(width)
-    fmt = _STRUCT_BY_WIDTH_SIGNED[width] if signed else _STRUCT_BY_WIDTH_UNSIGNED[width]
-    return struct.unpack(fmt, bytes(data))[0]
+    _check_width(len(data))
+    return int.from_bytes(data, "little", signed=signed)
 
 
 def encode_double(value: float) -> bytes:

@@ -10,6 +10,7 @@ neighbours on free.  Keeping the metadata in-band matters: heap overflows
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -26,6 +27,11 @@ PAYLOAD_ALIGNMENT = 8
 
 _MAGIC_ALLOCATED = 0xA110C8ED
 _MAGIC_FREE = 0xF4EEF4EE
+
+#: One in-band header (payload size, status magic) as the fast walk reads it.
+_HEADER = struct.Struct("<II")
+#: The header's size field is 32 bits: stored sizes wrap like any write_int.
+_SIZE_MASK = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -109,17 +115,49 @@ class HeapAllocator:
         if size <= 0:
             raise ApiMisuseError(f"allocation size must be positive, got {size}")
         needed = align_up(max(size, MIN_PAYLOAD), PAYLOAD_ALIGNMENT)
-        for block in self.blocks():
-            if block.corrupted:
-                break
-            if block.allocated or block.payload_size < needed:
-                continue
-            self._carve(block, needed)
-            self._allocated_payloads.add(block.payload_address)
-            self._bytes_in_use += needed
-            self._allocation_count += 1
-            return block.payload_address
-        raise OutOfMemory(f"heap cannot satisfy allocation of {size} bytes")
+        block = self._first_fit(needed)
+        if block is None:
+            raise OutOfMemory(f"heap cannot satisfy allocation of {size} bytes")
+        self._carve(block, needed)
+        self._allocated_payloads.add(block.payload_address)
+        self._bytes_in_use += needed
+        self._allocation_count += 1
+        return block.payload_address
+
+    def _first_fit(self, needed: int) -> Optional[BlockInfo]:
+        """The first free block with at least ``needed`` payload bytes,
+        walking from the base and stopping at a corrupted header.
+
+        Headers are unpacked straight from the backing store when
+        ``locate`` hands out the segment (no observer, no alignment
+        check); otherwise each goes through ``read_int``.
+        """
+        located = self._space.locate(self._base, self._end - self._base)
+        if located is None:
+            for block in self.blocks():
+                if block.corrupted:
+                    return None
+                if not block.allocated and block.payload_size >= needed:
+                    return block
+            return None
+        view, offset = located
+        unpack = _HEADER.unpack_from
+        base, end = self._base, self._end
+        cursor = base
+        while cursor + HEADER_SIZE <= end:
+            payload_size, magic = unpack(view, offset + cursor - base)
+            if magic == _MAGIC_FREE:
+                if payload_size >= needed:
+                    return BlockInfo(
+                        header_address=cursor,
+                        payload_address=cursor + HEADER_SIZE,
+                        payload_size=payload_size,
+                        allocated=False,
+                    )
+            elif magic != _MAGIC_ALLOCATED:
+                return None
+            cursor += HEADER_SIZE + payload_size
+        return None
 
     def _carve(self, block: BlockInfo, needed: int) -> None:
         remainder = block.payload_size - needed
@@ -159,7 +197,38 @@ class HeapAllocator:
         self._coalesce()
 
     def _coalesce(self) -> None:
-        """Merge adjacent free blocks (one full pass)."""
+        """Merge adjacent free blocks.
+
+        The observed walk restarts from the base after every merge; the
+        raw walk merges each run in one pass.  Both write the same
+        headers in the same order: a merged block's header is what the
+        restarted walk would re-read, so the pass continues from it.
+        """
+        located = self._space.locate(self._base, self._end - self._base)
+        if located is None:
+            self._coalesce_observed()
+            return
+        view, offset = located
+        unpack = _HEADER.unpack_from
+        base, end = self._base, self._end
+        cursor = base
+        run: Optional[int] = None  # header of the free block absorbing the run
+        run_size = 0
+        while cursor + HEADER_SIZE <= end:
+            payload_size, magic = unpack(view, offset + cursor - base)
+            if magic == _MAGIC_FREE and run is not None:
+                run_size = (run_size + HEADER_SIZE + payload_size) & _SIZE_MASK
+                self._write_header(run, run_size, allocated=False)
+                cursor, payload_size = run, run_size
+            elif magic == _MAGIC_FREE:
+                run, run_size = cursor, payload_size
+            elif magic == _MAGIC_ALLOCATED:
+                run = None
+            else:
+                return
+            cursor += HEADER_SIZE + payload_size
+
+    def _coalesce_observed(self) -> None:
         merged = True
         while merged:
             merged = False

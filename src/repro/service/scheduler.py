@@ -10,6 +10,8 @@ detector/config version → resolved immediately, no queueing).  Cache
 misses enter a bounded :class:`queue.PriorityQueue`; when the queue is
 full, ``submit`` raises :class:`QueueFull` instead of blocking — the
 caller (e.g. the HTTP front end) decides whether to shed load or wait.
+Batch commands wait: :func:`run_jobs` goes through ``submit_waiting``,
+which blocks until a dispatcher makes room.
 
 One dispatcher thread per pool worker pops jobs in priority order and
 executes each once on the pool with a per-job timeout.  A worker that
@@ -138,13 +140,15 @@ def run_jobs(jobs: Sequence[Job], engine=None, timeout: Optional[float] = None):
     With no engine each handle runs its job's worker inline when read —
     the same function the pool runs — so ``--jobs 0`` and ``--jobs N``
     share one code path.  With an engine the jobs are submitted through
-    its scheduler (``timeout`` per job, the scheduler default when None)
-    and a failed or timed-out job's ``result()`` raises
-    :class:`JobFailed`.
+    its scheduler (``timeout`` per job, the scheduler default when None),
+    waiting for queue room rather than raising :class:`QueueFull`, so a
+    batch may hold more jobs than the queue; a failed or timed-out job's
+    ``result()`` raises :class:`JobFailed`.
     """
     if engine is None:
         return [_InlineHandle(job) for job in jobs]
-    return engine.scheduler.map(jobs, timeout=timeout)
+    scheduler = engine.scheduler
+    return [scheduler.submit_waiting(job, timeout=timeout) for job in jobs]
 
 
 _STOP = object()
@@ -198,7 +202,45 @@ class Scheduler:
         timeout: Optional[float] = None,
         use_cache: bool = True,
     ) -> JobHandle:
-        """Queue one job; returns immediately with a handle."""
+        """Queue one job; returns immediately with a handle.
+
+        Raises :class:`QueueFull` when the queue is at capacity.
+        """
+        handle, item = self._admit(job, priority, timeout, use_cache)
+        if item is not None:
+            try:
+                self._queue.put_nowait(item)
+            except queue.Full:
+                item[7].record("rejected", reason="queue-full")
+                raise QueueFull(
+                    f"work queue at capacity ({self._queue.maxsize} jobs)"
+                ) from None
+            self._queued(item)
+        return handle
+
+    def submit_waiting(
+        self, job: Job, timeout: Optional[float] = None
+    ) -> JobHandle:
+        """Like :meth:`submit` at normal priority, but a full queue
+        blocks the caller until a dispatcher takes a job off it."""
+        handle, item = self._admit(job, NORMAL_PRIORITY, timeout, True)
+        if item is not None:
+            self._queue.put(item)
+            self._queued(item)
+        return handle
+
+    def _admit(
+        self,
+        job: Job,
+        priority: int,
+        timeout: Optional[float],
+        use_cache: bool,
+    ) -> tuple:
+        """Open the job's trace and resolve it from the cache when warm.
+
+        Returns ``(handle, queue item)``; the item is None for a cache
+        hit, whose handle is already resolved.
+        """
         if self._stopping:
             raise RuntimeError("scheduler is shut down")
         handle = JobHandle(job)
@@ -222,7 +264,7 @@ class Scheduler:
                         from_cache=True,
                     ),
                 )
-                return handle
+                return handle, None
         item = (
             priority,
             next(self._seq),
@@ -233,17 +275,12 @@ class Scheduler:
             time.monotonic(),
             trace,
         )
-        try:
-            self._queue.put_nowait(item)
-        except queue.Full:
-            trace.record("rejected", reason="queue-full")
-            raise QueueFull(
-                f"work queue at capacity ({self._queue.maxsize} jobs)"
-            ) from None
+        return handle, item
+
+    def _queued(self, item: tuple) -> None:
         depth = self._queue.qsize()
-        trace.record("queued", depth=depth)
+        item[7].record("queued", depth=depth)
         self.metrics.gauge("scheduler.queue_depth").set(depth)
-        return handle
 
     def map(
         self,

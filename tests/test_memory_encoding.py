@@ -1,6 +1,7 @@
 """Tests for the little-endian scalar codec (the ILP32 target model)."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given
@@ -62,6 +63,61 @@ class TestIntCodec:
         decoded = decode_int(encode_int(value, width, signed=False), signed=False)
         assert decoded == value % (2**(8 * width))
 
+
+#: The ``struct`` formats of the reference int codec.
+_STRUCT_FORMATS = {
+    (1, True): "<b", (2, True): "<h", (4, True): "<i", (8, True): "<q",
+    (1, False): "<B", (2, False): "<H", (4, False): "<I", (8, False): "<Q",
+}
+
+
+def _reference_encode(value, width, signed):
+    """Wrap modulo 2**(8*width), reinterpret as two's complement when
+    signed, then ``struct.pack``."""
+    if width not in (1, 2, 4, 8):
+        raise ApiMisuseError(f"unsupported scalar width {width}")
+    wrapped = value & ((1 << (8 * width)) - 1)
+    if signed and wrapped >> (8 * width - 1):
+        wrapped -= 1 << (8 * width)
+    return struct.pack(_STRUCT_FORMATS[width, signed], wrapped)
+
+
+def _reference_decode(data, signed):
+    if len(data) not in (1, 2, 4, 8):
+        raise ApiMisuseError(f"unsupported scalar width {len(data)}")
+    return struct.unpack(_STRUCT_FORMATS[len(data), signed], bytes(data))[0]
+
+
+class TestIntCodecMatchesStruct:
+    """``encode_int``/``decode_int`` against a ``struct`` reference."""
+
+    @given(
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.sampled_from([1, 2, 4, 8]),
+        st.booleans(),
+    )
+    def test_encode_matches_reference(self, value, width, signed):
+        assert encode_int(value, width, signed=signed) == _reference_encode(
+            value, width, signed
+        )
+
+    @given(st.sampled_from([1, 2, 4, 8]), st.booleans(), st.data())
+    def test_decode_matches_reference(self, width, signed, data):
+        raw = data.draw(st.binary(min_size=width, max_size=width))
+        assert decode_int(raw, signed=signed) == _reference_decode(raw, signed)
+        assert decode_int(bytearray(raw), signed=signed) == _reference_decode(
+            raw, signed
+        )
+
+    @pytest.mark.parametrize("width", [0, 3, 16])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_bad_widths_raise_on_both_sides(self, width, signed):
+        for codec in (encode_int, _reference_encode):
+            with pytest.raises(ApiMisuseError, match=f"width {width}"):
+                codec(1, width, signed)
+        for codec in (decode_int, _reference_decode):
+            with pytest.raises(ApiMisuseError, match=f"width {width}"):
+                codec(b"\x00" * width, signed)
 
 class TestFloatCodec:
     def test_double_roundtrip(self):

@@ -1,7 +1,9 @@
 """Tests for the boundary-tag heap allocator."""
 
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ApiMisuseError, DoubleFree, InvalidFree, OutOfMemory
@@ -167,3 +169,188 @@ def test_property_interleaved_blocks_never_overlap(sizes, rng):
         ranges = sorted((addr, addr + sz) for addr, sz in live.items())
         for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
             assert e1 <= s2
+
+
+# -- raw header walk vs observed walk -------------------------------------
+
+_MAGICS = (0xA110C8ED, 0xF4EEF4EE, 0x0, 0x41414141)
+
+#: One step of a heap session.  Frees and tramples pick an issued payload
+#: by index (so a freed one is a double free); ``wild`` frees an arbitrary
+#: heap address; ``trample`` writes raw bytes around a header; ``magic``
+#: overwrites only a header's status word; ``header`` forges a whole
+#: header (size, magic), e.g. a free block whose size runs past the
+#: segment end.  Allocations and frees are drawn more often than the
+#: tramples, and a few common sizes make exact first fits likely.
+_SMALL_ALLOC = st.tuples(st.just("alloc"), st.sampled_from([1, 8, 16, 24, 40, 100]))
+_FREE = st.tuples(st.just("free"), st.integers(min_value=0, max_value=63))
+_HEAP_OPS = st.lists(
+    st.one_of(
+        _SMALL_ALLOC,
+        _SMALL_ALLOC,
+        _FREE,
+        _FREE,
+        st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=600)),
+        st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=0x48000)),
+        st.tuples(st.just("wild"), st.integers(min_value=0, max_value=0x3FFF8)),
+        st.tuples(
+            st.just("trample"),
+            st.integers(min_value=0, max_value=63),
+            st.integers(min_value=-8, max_value=8),
+            st.binary(min_size=1, max_size=12),
+        ),
+        st.tuples(
+            st.just("magic"),
+            st.integers(min_value=0, max_value=63),
+            st.sampled_from(_MAGICS),
+        ),
+        st.tuples(
+            st.just("header"),
+            st.integers(min_value=0, max_value=63),
+            st.one_of(
+                st.integers(min_value=0, max_value=2048),
+                st.sampled_from([0x3FFF8, 0x40000, 0xFFFFFFF0, 0xFFFFFFF8]),
+            ),
+            st.sampled_from(_MAGICS),
+        ),
+    ),
+    max_size=40,
+)
+
+
+def _run_heap_session(ops, hooked: bool, strict: bool = False) -> tuple:
+    """Replay ``ops`` on a fresh heap; returns everything observable."""
+    space = AddressSpace(strict_alignment=strict)
+    reads = []
+    if hooked:
+        space.add_access_hook(
+            lambda address, data, is_write: is_write or reads.append(address)
+        )
+    heap = HeapAllocator(space)
+    segment = space.segment(SegmentKind.HEAP)
+    issued: list[int] = []
+    transcript = []
+    for op in ops:
+        try:
+            if op[0] == "alloc":
+                address = heap.allocate(op[1])
+                issued.append(address)
+                result = address
+            elif op[0] == "free":
+                if not issued:
+                    continue
+                heap.free(issued[op[1] % len(issued)])
+                result = None
+            elif op[0] == "wild":
+                heap.free(segment.base + op[1])
+                result = None
+            elif op[0] == "trample":
+                if not issued:
+                    continue
+                _, index, delta, data = op
+                header = issued[index % len(issued)] - HEADER_SIZE
+                target = max(segment.base, header + delta)
+                space.write(min(target, segment.end - len(data)), data)
+                result = None
+            elif op[0] == "magic":
+                if not issued:
+                    continue
+                _, index, magic = op
+                status = issued[index % len(issued)] - 4
+                space.write(status, struct.pack("<I", magic))
+                result = None
+            else:
+                if not issued:
+                    continue
+                _, index, size, magic = op
+                header = issued[index % len(issued)] - HEADER_SIZE
+                space.write(header, struct.pack("<II", size, magic))
+                result = None
+            transcript.append(("ok", result))
+        except Exception as error:  # compared by type and message
+            transcript.append((type(error).__name__, str(error)))
+    try:
+        live = heap.live_blocks()
+    except Exception as error:
+        live = (type(error).__name__, str(error))
+    state = (
+        heap.bytes_in_use,
+        heap.allocation_count,
+        heap.free_count,
+        live,
+        bytes(segment.read(segment.base, segment.size)),
+    )
+    return transcript, state, bool(reads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HEAP_OPS)
+@example([("alloc", 16), ("alloc", 16), ("free", 0), ("alloc", 16)])  # exact fit
+@example([("alloc", 16), ("alloc", 16), ("magic", 0, 0x41414141), ("free", 1)])
+def test_raw_walk_matches_observed_walk(ops):
+    """The hook-free heap reads its headers straight from the backing
+    store; with a read hook attached every header goes through
+    ``read_int``.  Any allocate/free/trample sequence must give the same
+    payload addresses, the same exceptions and the same heap bytes."""
+    raw_transcript, raw_state, _ = _run_heap_session(ops, hooked=False)
+    observed_transcript, observed_state, observed = _run_heap_session(
+        ops, hooked=True
+    )
+    assert raw_transcript == observed_transcript
+    assert raw_state == observed_state
+    if any(op[0] == "alloc" for op in ops):
+        assert observed  # the hooked session really took the per-read path
+
+
+def test_only_an_unobserved_lenient_heap_is_walked_raw():
+    segment = AddressSpace().segment(SegmentKind.HEAP)
+    plain = AddressSpace()
+    assert plain.locate(segment.base, segment.size) is not None
+    hooked = AddressSpace()
+    hooked.add_access_hook(lambda address, data, is_write: None)
+    assert hooked.locate(segment.base, segment.size) is None
+    strict = AddressSpace(strict_alignment=True)
+    assert strict.locate(segment.base, segment.size) is None
+
+
+@pytest.mark.parametrize("hooked", [False, True])
+def test_strict_alignment_walk_faults_on_a_trampled_size(hooked):
+    """A trampled size that leaves the next header misaligned: on a
+    strict-alignment target the walk's next header read is a bus error,
+    with or without an observer."""
+    ops = [
+        ("alloc", 16),
+        ("alloc", 16),
+        ("header", 0, 17, 0xA110C8ED),
+        ("alloc", 16),
+        ("free", 1),
+    ]
+    transcript, _, _ = _run_heap_session(ops, hooked=hooked, strict=True)
+    base = AddressSpace().segment(SegmentKind.HEAP).base
+    misaligned = base + HEADER_SIZE + 17
+    assert transcript[:3] == [("ok", base + 8), ("ok", base + 32), ("ok", None)]
+    assert transcript[3][0] == "BusError"
+    assert f"{misaligned:#010x}" in transcript[3][1]
+    assert transcript[4][0] == "BusError"
+    lenient, _, _ = _run_heap_session(ops, hooked=hooked, strict=False)
+    assert lenient[3][0] != "BusError"
+
+
+@pytest.mark.parametrize("hooked", [False, True])
+def test_merge_that_wraps_the_size_field_continues_from_the_stored_size(hooked):
+    """Free block A absorbs a forged free neighbour whose size wraps the
+    32-bit field to 8.  The restarting walk re-reads A's stored size, so
+    it next finds the header forged at A+16 inside A's old payload and
+    merges that too; the one-pass walk must do the same."""
+    space = AddressSpace()
+    if hooked:
+        space.add_access_hook(lambda address, data, is_write: None)
+    heap = HeapAllocator(space)
+    a = heap.allocate(32)
+    b = heap.allocate(16)
+    base = a - HEADER_SIZE
+    space.write(b - HEADER_SIZE, struct.pack("<II", 0x1_0000_0000 - 32, 0xF4EEF4EE))
+    space.write(a + 8, struct.pack("<II", 8, 0xF4EEF4EE))
+    heap.free(a)
+    # 32 + 8 + (2**32 - 32) wraps to 8; then 8 + 8 + 8 = 24.
+    assert struct.unpack("<II", space.read(base, HEADER_SIZE)) == (24, 0xF4EEF4EE)

@@ -8,6 +8,7 @@ scheduler's control flow can be exercised without real analysis work
 import threading
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,8 +23,10 @@ from repro.service import (
     QueueFull,
     ResultCache,
     Scheduler,
+    ServiceEngine,
     WorkerPool,
     register_worker,
+    run_jobs,
 )
 
 
@@ -42,6 +45,33 @@ class SleepJob(Job):
     token: str = ""
 
     KIND = "test-sleep"
+
+
+@dataclass(frozen=True)
+class GatedJob(Job):
+    """Test-only job whose worker blocks until the test opens the gate."""
+
+    token: str = ""
+
+    KIND = "test-gated"
+
+
+def _gated_results(jobs, engine) -> list:
+    """Results of ``run_jobs(jobs, engine)`` with every worker held for
+    0.2 s, so the queue fills before the first job finishes."""
+    release = threading.Event()
+
+    def gated(payload):
+        release.wait(timeout=5)
+        return {"token": payload["token"]}
+
+    register_worker("test-gated", gated)
+    timer = threading.Timer(0.2, release.set)
+    timer.start()
+    try:
+        return [handle.result(timeout=30) for handle in run_jobs(jobs, engine)]
+    finally:
+        timer.join(timeout=5)
 
 
 @pytest.fixture(autouse=True)
@@ -136,6 +166,21 @@ class TestSchedulerBasics:
             release.set()
             scheduler.shutdown()
 
+    def test_batch_larger_than_the_queue_waits_for_room(self):
+        """``run_jobs`` with more jobs than the queue holds: submission
+        waits for a dispatcher instead of raising QueueFull, and every
+        result comes back in job order."""
+        jobs = [GatedJob(token=f"job-{index}") for index in range(40)]
+        with Scheduler(pool=WorkerPool(max_workers=2), max_queue=3) as scheduler:
+            results = _gated_results(jobs, SimpleNamespace(scheduler=scheduler))
+        assert results == [{"token": job.token} for job in jobs]
+
+    def test_engine_batch_over_queue_capacity(self):
+        """The same through a real engine, whose queue holds 1024 jobs."""
+        jobs = [GatedJob(token=str(index)) for index in range(1100)]
+        with ServiceEngine(workers=2, use_cache=False) as engine:
+            results = _gated_results(jobs, engine)
+        assert results == [{"token": job.token} for job in jobs]
 
 class TestTimeoutsAndRetries:
     state: dict
