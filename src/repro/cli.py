@@ -51,9 +51,11 @@
     risks, ``rank`` prints the corpus ranking (``--json`` is
     byte-stable), and ``diff`` compares two saved reports.
 
-All front ends exit with status 2 on bad input (missing files,
-unknown attack/environment names, malformed arguments), so scripts and
-service workers can tell usage errors from real findings.
+Every front end exits 0 on success; 1 on findings, drift or a failed
+job; 2 on bad input (missing or unreadable files, reports of the wrong
+kind, unknown attack/environment/defense names, malformed arguments);
+and 130 when interrupted — so scripts and service workers can tell
+usage errors from real findings.
 """
 
 from __future__ import annotations
@@ -72,9 +74,68 @@ from .workloads.corpus import FULL_CORPUS
 EX_USAGE = 2
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EX_USAGE
+class _CommandError(Exception):
+    """Refuse a command: :func:`_run_command` prints ``error: <message>``
+    and exits ``status`` — :data:`EX_USAGE` for bad input, 1 for a
+    failed pooled job."""
+
+    def __init__(self, message: str, status: int = EX_USAGE):
+        super().__init__(message)
+        self.status = status
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a source file or saved report."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise _CommandError(f"cannot read {path}: {reason}")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write a report or ranking to ``--out`` (or back to its file)."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise _CommandError(f"cannot write {path}: {error.strerror or error}")
+
+
+def _load_report(path: str, noun: str, *required: str) -> dict:
+    """A saved JSON report: a ``noun`` is an object holding every
+    ``required`` top-level key."""
+    import json
+    import os
+
+    if not os.path.exists(path):
+        raise _CommandError(f"no such report: {path}")
+    try:
+        document = json.loads(_read_text(path))
+    except ValueError as error:
+        raise _CommandError(f"{path} is not a {noun}: {error}")
+    if not isinstance(document, dict) or any(
+        key not in document for key in required
+    ):
+        raise _CommandError(f"{path} is not a {noun}")
+    return document
+
+
+def _lookup(find, name: str):
+    """``find(name)``, whose unknown-name ``KeyError`` is bad input."""
+    try:
+        return find(name)
+    except KeyError as error:  # KeyError's str() adds quotes; unwrap
+        raise _CommandError(error.args[0])
+
+
+def _stdin_tokens(text: str) -> tuple:
+    """Comma-separated ``--stdin`` integer tokens for cin."""
+    try:
+        return tuple(int(token, 0) for token in text.split(",")) if text else ()
+    except ValueError as error:
+        raise _CommandError(f"bad --stdin token: {error}")
 
 
 def _add_pool_options(parser, default_jobs: int, noun: str) -> None:
@@ -111,26 +172,28 @@ def _batch_engine(args):
         yield engine
 
 
-def _job_failed(kind: str, error) -> int:
-    """A pooled job failed: no report is written, exit 1."""
-    print(f"error: {kind} job failed: {error}", file=sys.stderr)
-    return 1
-
-
-def _run_command(args, prog: str) -> int:
-    """Run a parsed subcommand: ``--jobs`` below 0 or ``--step-budget``
-    below 1 is bad input, and a hard Ctrl-C exits 130.
+def _run_command(args, prog: str, *checks) -> int:
+    """Run a parsed command: the first ``(bad, message)`` of ``checks``
+    that holds is bad input, as is ``--jobs`` below 0 or
+    ``--step-budget`` below 1.  A :class:`_CommandError` prints
+    ``error: <message>`` and exits its status; a hard Ctrl-C exits 130.
 
     Every pool user runs its engine inside :func:`_batch_engine` (or its
     own ``with`` block), which has drained the pool by the time the
     interrupt reaches here, so exiting cannot orphan workers.
     """
-    if getattr(args, "jobs", 0) < 0:
-        return _fail("--jobs must be >= 0")
-    if getattr(args, "step_budget", 1) < 1:
-        return _fail("--step-budget must be >= 1")
+    checks += (
+        (getattr(args, "jobs", 0) < 0, "--jobs must be >= 0"),
+        (getattr(args, "step_budget", 1) < 1, "--step-budget must be >= 1"),
+    )
     try:
+        for bad, message in checks:
+            if bad:
+                raise _CommandError(message)
         return args.func(args)
+    except _CommandError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return error.status
     except KeyboardInterrupt:
         print(f"{prog}: interrupted", file=sys.stderr)
         return 130
@@ -141,7 +204,7 @@ def _environment_by_label(label: str):
         if env.label == label:
             return env
     choices = ", ".join(env.label for env in ALL_ENVIRONMENTS)
-    raise LookupError(f"unknown environment '{label}' (choose from: {choices})")
+    raise _CommandError(f"unknown environment '{label}' (choose from: {choices})")
 
 
 def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -170,8 +233,11 @@ def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--verbose", action="store_true", help="include per-attack details"
     )
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_attacks_run)
+    return _run_command(parser.parse_args(argv), "attacks")
 
+
+def _attacks_run(args) -> int:
     if args.list:
         print("attacks:")
         for scenario in all_attacks():
@@ -187,13 +253,8 @@ def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_attack_table(run_sweep(rows=attack_rows())))
         return 0
 
-    try:
-        environment = _environment_by_label(args.env)
-        scenarios = (
-            [attack_by_name(args.attack)] if args.attack else all_attacks()
-        )
-    except LookupError as error:  # KeyError's str() adds quotes; unwrap
-        return _fail(error.args[0] if error.args else str(error))
+    environment = _environment_by_label(args.env)
+    scenarios = [_lookup(attack_by_name, args.attack)] if args.attack else all_attacks()
     exit_code = 0
     for scenario in scenarios:
         result = scenario.run(environment)
@@ -238,18 +299,14 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
         help="persist scheduler results on disk so repeat sweeps are warm "
         "(only meaningful with --jobs)",
     )
+    parser.set_defaults(func=_analyze_run)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        return _fail("--jobs must be >= 1")
+    return _run_command(args, "analyze", (args.jobs < 1, "--jobs must be >= 1"))
 
-    sources: list[tuple[str, str]] = []
+
+def _analyze_run(args) -> int:
     if args.files:
-        for path in args.files:
-            try:
-                with open(path) as handle:
-                    sources.append((path, handle.read()))
-            except OSError as error:
-                return _fail(f"cannot read {path}: {error.strerror or error}")
+        sources = [(path, _read_text(path)) for path in args.files]
     else:
         sources = [(prog.key, prog.source) for prog in FULL_CORPUS]
 
@@ -302,9 +359,6 @@ def _parallel_reports(sources, args):
 
 def exec_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-exec``."""
-    from .execution import run_source
-    from .runtime import CanaryPolicy, Machine, MachineConfig
-
     parser = argparse.ArgumentParser(
         prog="repro-exec",
         description="Execute MiniC++ source on the simulated 32-bit machine",
@@ -324,13 +378,15 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="enable the StackGuard-style random canary",
     )
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_exec_run)
+    return _run_command(parser.parse_args(argv), "exec")
 
-    try:
-        with open(args.file) as handle:
-            source = handle.read()
-    except OSError as error:
-        return _fail(f"cannot read {args.file}: {error.strerror or error}")
+
+def _exec_run(args) -> int:
+    from .execution import run_source
+    from .runtime import CanaryPolicy, Machine, MachineConfig
+
+    source = _read_text(args.file)
     machine = Machine(
         MachineConfig(
             canary_policy=CanaryPolicy.RANDOM if args.canary else CanaryPolicy.NONE
@@ -350,7 +406,7 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
                 for token in args.stdin.split(",")
             )
     except ValueError as error:
-        return _fail(f"bad integer argument: {error}")
+        raise _CommandError(f"bad integer argument: {error}")
     try:
         interpreter, outcome = run_source(
             source,
@@ -385,8 +441,6 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
 
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-serve``."""
-    from .service import ServiceEngine, create_server
-
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Serve the analysis/attack job engine over a JSON API",
@@ -414,11 +468,18 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="disable the result cache entirely",
     )
+    parser.set_defaults(func=_serve_run)
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        return _fail("--workers must be >= 1")
-    if not 0 <= args.port <= 65535:
-        return _fail(f"--port must be 0-65535, got {args.port}")
+    return _run_command(
+        args,
+        "serve",
+        (args.workers < 1, "--workers must be >= 1"),
+        (not 0 <= args.port <= 65535, f"--port must be 0-65535, got {args.port}"),
+    )
+
+
+def _serve_run(args) -> int:
+    from .service import ServiceEngine, create_server
 
     engine = ServiceEngine(
         workers=args.workers,
@@ -430,7 +491,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         server = create_server(engine, host=args.host, port=args.port)
     except OSError as error:
         engine.close()
-        return _fail(f"cannot bind {args.host}:{args.port}: {error}")
+        raise _CommandError(f"cannot bind {args.host}:{args.port}: {error}")
     host, port = server.server_address[:2]
     print(
         f"repro-serve listening on http://{host}:{port} "
@@ -449,20 +510,13 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _load_report(path: str):
-    """A saved campaign report, or an exit code on bad input."""
-    import json
-
+def _load_campaign(path: str):
+    """A saved ``repro-fuzz run`` report."""
     from .fuzz import CampaignReport
 
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as error:
-        return None, _fail(f"cannot read {path}: {error.strerror or error}")
-    except ValueError as error:
-        return None, _fail(f"{path} is not a report: {error}")
-    return CampaignReport.from_dict(data), None
+    return CampaignReport.from_dict(
+        _load_report(path, "campaign report", "schema", "seed", "iterations")
+    )
 
 
 def _fuzz_run(args) -> int:
@@ -477,7 +531,7 @@ def _fuzz_run(args) -> int:
     )
 
     if args.resume and not args.checkpoint_dir:
-        return _fail("--resume requires --checkpoint-dir")
+        raise _CommandError("--resume requires --checkpoint-dir")
     config = FuzzConfig(
         seed=args.seed,
         iterations=args.iterations,
@@ -536,7 +590,7 @@ def _fuzz_run(args) -> int:
             )
         return 130
     except CheckpointError as error:
-        return _fail(str(error))
+        raise _CommandError(str(error))
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
@@ -552,11 +606,7 @@ def _fuzz_run(args) -> int:
             f"{store.directory} ({len(store)} bundle(s) total)"
         )
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(report.to_json())
-        except OSError as error:
-            return _fail(f"cannot write {args.out}: {error.strerror or error}")
+        _write_text(args.out, report.to_json())
     if args.json:
         print(report.to_json(), end="")
     else:
@@ -572,9 +622,7 @@ def _fuzz_run(args) -> int:
 
 
 def _fuzz_report(args) -> int:
-    report, error = _load_report(args.report)
-    if report is None:
-        return error
+    report = _load_campaign(args.report)
     if args.json:
         print(report.to_json(), end="")
     else:
@@ -585,16 +633,14 @@ def _fuzz_report(args) -> int:
 def _fuzz_triage(args) -> int:
     import dataclasses
 
-    report, error = _load_report(args.report)
-    if report is None:
-        return error
+    report = _load_campaign(args.report)
     if not args.fingerprint:  # list mode
         for div in report.sorted_divergences():
             status = "known-benign" if div.triage else "OPEN"
             print(f"{div.fingerprint}  [{status}]  {div.kind}")
         return 0
     if not args.note:
-        return _fail("--note is required when marking a fingerprint")
+        raise _CommandError("--note is required when marking a fingerprint")
     matched = False
     for index, div in enumerate(report.divergences):
         if div.fingerprint == args.fingerprint:
@@ -603,12 +649,8 @@ def _fuzz_triage(args) -> int:
             )
             matched = True
     if not matched:
-        return _fail(f"no divergence with fingerprint '{args.fingerprint}'")
-    try:
-        with open(args.report, "w") as handle:
-            handle.write(report.to_json())
-    except OSError as error:
-        return _fail(f"cannot write {args.report}: {error.strerror or error}")
+        raise _CommandError(f"no divergence with fingerprint '{args.fingerprint}'")
+    _write_text(args.report, report.to_json())
     print(f"marked {args.fingerprint} known-benign (manual: {args.note})")
     return 0
 
@@ -623,17 +665,8 @@ def _fuzz_minimize(args) -> int:
         run_oracles,
     )
 
-    try:
-        with open(args.file) as handle:
-            source = handle.read()
-    except OSError as error:
-        return _fail(f"cannot read {args.file}: {error.strerror or error}")
-    stdin: tuple = ()
-    if args.stdin:
-        try:
-            stdin = tuple(int(token, 0) for token in args.stdin.split(","))
-        except ValueError as error:
-            return _fail(f"bad --stdin token: {error}")
+    source = _read_text(args.file)
+    stdin = _stdin_tokens(args.stdin)
     fuzz_input = FuzzInput(source=source, stdin=stdin)
     observation = run_oracles(source, stdin)
     div = divergence_from(observation, fuzz_input)
@@ -791,44 +824,38 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
     minimize_parser.set_defaults(func=_fuzz_minimize)
 
     args = parser.parse_args(argv)
-    if getattr(args, "iterations", 0) < 0:
-        return _fail("--iterations must be >= 0")
-    if getattr(args, "batch_size", 1) < 1:
-        return _fail("--batch-size must be >= 1")
-    if getattr(args, "max_corpus", 1) < 1:
-        return _fail("--max-corpus must be >= 1")
-    if getattr(args, "batch_timeout", 1.0) <= 0:
-        return _fail("--batch-timeout must be > 0")
-    if getattr(args, "stop_after", 0) < 0:
-        return _fail("--stop-after must be >= 0")
     # a hard abort: a second Ctrl-C, or one outside the graceful-stop window
-    return _run_command(args, "fuzz")
+    return _run_command(
+        args,
+        "fuzz",
+        (getattr(args, "iterations", 0) < 0, "--iterations must be >= 0"),
+        (getattr(args, "batch_size", 1) < 1, "--batch-size must be >= 1"),
+        (getattr(args, "max_corpus", 1) < 1, "--max-corpus must be >= 1"),
+        (getattr(args, "batch_timeout", 1.0) <= 0, "--batch-timeout must be > 0"),
+        (getattr(args, "stop_after", 0) < 0, "--stop-after must be >= 0"),
+    )
 
 
 def _open_store(directory: str, create: bool = False):
-    """A store handle, or an exit code when the directory is missing."""
+    """A store handle; a missing directory is bad input unless ``create``."""
     import os
 
     from .regress import RegressionStore
 
     if not create and not os.path.isdir(directory):
-        return None, _fail(f"no regression store at {directory}")
-    return RegressionStore(directory, create=create), None
+        raise _CommandError(f"no regression store at {directory}")
+    return RegressionStore(directory, create=create)
 
 
 def _regress_record(args) -> int:
     from .fuzz import OracleConfig
 
-    store, error = _open_store(args.store, create=True)
-    if store is None:
-        return error
+    store = _open_store(args.store, create=True)
     config = OracleConfig(
         step_budget=args.step_budget, canary=not args.no_canary
     )
     if args.from_report:
-        report, error = _load_report(args.from_report)
-        if report is None:
-            return error
+        report = _load_campaign(args.from_report)
         tally = store.record_report(
             report,
             config,
@@ -841,18 +868,9 @@ def _regress_record(args) -> int:
         print(f"recorded from {args.from_report}: {summary}")
         return 0
     if not args.source:
-        return _fail("provide --from-report or --source")
-    try:
-        with open(args.source) as handle:
-            source = handle.read()
-    except OSError as error:
-        return _fail(f"cannot read {args.source}: {error.strerror or error}")
-    stdin: tuple = ()
-    if args.stdin:
-        try:
-            stdin = tuple(int(token, 0) for token in args.stdin.split(","))
-        except ValueError as error:
-            return _fail(f"bad --stdin token: {error}")
+        raise _CommandError("provide --from-report or --source")
+    source = _read_text(args.source)
+    stdin = _stdin_tokens(args.stdin)
     from .fuzz import run_oracles
     from .regress import bundle_from_observation
 
@@ -879,9 +897,7 @@ def _regress_record(args) -> int:
 
 
 def _regress_replay(args) -> int:
-    store, error = _open_store(args.store)
-    if store is None:
-        return error
+    store = _open_store(args.store)
     from .regress import replay_store
 
     with _batch_engine(args) as engine:
@@ -892,11 +908,7 @@ def _regress_replay(args) -> int:
             engine=engine,
         )
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(drift.to_json())
-        except OSError as error:
-            return _fail(f"cannot write {args.out}: {error.strerror or error}")
+        _write_text(args.out, drift.to_json())
     if args.json:
         print(drift.to_json(), end="")
     else:
@@ -915,9 +927,7 @@ def _regress_replay(args) -> int:
 def _regress_list(args) -> int:
     from .regress import current_versions
 
-    store, error = _open_store(args.store)
-    if store is None:
-        return error
+    store = _open_store(args.store)
     live = current_versions()
     count = 0
     for bundle in store.bundles():
@@ -939,9 +949,7 @@ def _regress_diff(args) -> int:
 
     from .regress import replay_store
 
-    store, error = _open_store(args.store)
-    if store is None:
-        return error
+    store = _open_store(args.store)
     drift = replay_store(
         store,
         check_versions=not args.skip_version_check,
@@ -963,9 +971,7 @@ def _regress_diff(args) -> int:
 def _regress_rebaseline(args) -> int:
     from .regress import rebaseline_store
 
-    store, error = _open_store(args.store)
-    if store is None:
-        return error
+    store = _open_store(args.store)
     outcome = rebaseline_store(store, bundle_ids=args.ids or None)
     for bundle_id in outcome["updated"]:
         print(f"rebaselined {bundle_id}")
@@ -980,9 +986,7 @@ def _regress_rebaseline(args) -> int:
 
 
 def _regress_gc(args) -> int:
-    store, error = _open_store(args.store)
-    if store is None:
-        return error
+    store = _open_store(args.store)
     outcome = store.gc(dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     for name, reason in sorted(outcome["removed"].items()):
@@ -1120,48 +1124,37 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
     gc_parser.set_defaults(func=_regress_gc)
 
     args = parser.parse_args(argv)
-    if getattr(args, "chunk_size", 1) < 1:
-        return _fail("--chunk-size must be >= 1")
-    return _run_command(args, "regress")
-
-
-def _score_graph_from(args):
-    """Build the package graph named by ``args.packages``; None + exit
-    code on bad input."""
-    from .score import demo_graph, load_package_dir
-
-    if getattr(args, "demo", False):
-        return demo_graph(), None
-    try:
-        return load_package_dir(args.packages), None
-    except FileNotFoundError as error:
-        return None, _fail(str(error))
-    except ValueError as error:
-        return None, _fail(str(error))
+    return _run_command(
+        args,
+        "regress",
+        (getattr(args, "chunk_size", 1) < 1, "--chunk-size must be >= 1"),
+    )
 
 
 def _score_corpus(args):
-    """Score the graph inline or over the service pool; None + exit
-    code on bad input or a failed pooled job."""
-    from .score import score_graph
+    """Score the package graph named by ``args.packages`` (or the demo
+    graph) inline or over the service pool."""
+    from .score import demo_graph, load_package_dir, score_graph
     from .service import JobFailed
 
-    graph, error = _score_graph_from(args)
-    if graph is None:
-        return None, error
+    if args.demo:
+        graph = demo_graph()
+    else:
+        try:
+            graph = load_package_dir(args.packages)
+        except (FileNotFoundError, ValueError) as error:
+            raise _CommandError(str(error))
     if not 0.0 <= args.attenuation <= 1.0:
-        return None, _fail("--attenuation must be in [0, 1]")
+        raise _CommandError("--attenuation must be in [0, 1]")
     try:
         with _batch_engine(args) as engine:
-            return score_graph(graph, args.attenuation, engine=engine), None
+            return score_graph(graph, args.attenuation, engine=engine)
     except JobFailed as failure:
-        return None, _job_failed("score", failure)
+        raise _CommandError(f"score job failed: {failure}", status=1)
 
 
 def _score_score(args) -> int:
-    score, error = _score_corpus(args)
-    if score is None:
-        return error
+    score = _score_corpus(args)
     if args.json:
         print(score.to_json())
         return 0
@@ -1184,59 +1177,30 @@ def _score_score(args) -> int:
 
 
 def _score_rank(args) -> int:
-    score, error = _score_corpus(args)
-    if score is None:
-        return error
+    score = _score_corpus(args)
     output = score.to_json() if args.json else score.render(top=args.top)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(output + "\n")
-        except OSError as error:
-            return _fail(f"cannot write {args.out}: {error.strerror or error}")
+        _write_text(args.out, output + "\n")
         print(f"wrote {args.out}")
-        return 0
-    print(output)
+    else:
+        print(output)
     return 0
 
 
 def _score_diff(args) -> int:
-    import json
-
     from .score import diff_score_reports
 
-    documents = []
-    for path in (args.before, args.after):
-        try:
-            with open(path) as handle:
-                documents.append(json.load(handle))
-        except OSError as error:
-            return _fail(f"cannot read {path}: {error.strerror or error}")
-        except ValueError as error:
-            return _fail(f"{path} is not a score report: {error}")
-    lines = diff_score_reports(documents[0], documents[1])
+    lines = diff_score_reports(
+        *(
+            _load_report(path, "score report", "packages", "ranking")
+            for path in (args.before, args.after)
+        )
+    )
     for line in lines:
         print(line)
     if not lines:
         print("reports are equivalent")
     return 1 if lines else 0
-
-
-def _load_matrix_report(path: str):
-    """A saved sweep report, or an exit code when unreadable."""
-    import json
-    import os
-
-    if not os.path.exists(path):
-        return _fail(f"no such report: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError) as error:
-        return _fail(f"cannot read report {path}: {error}")
-    if not isinstance(report, dict) or "rows" not in report:
-        return _fail(f"{path} is not a matrix sweep report")
-    return report
 
 
 def _matrix_regress_dir(args) -> Optional[str]:
@@ -1246,13 +1210,14 @@ def _matrix_regress_dir(args) -> Optional[str]:
         return None
     if args.regress_dir:
         if not os.path.isdir(args.regress_dir):
-            raise LookupError(f"no such regression store: {args.regress_dir}")
+            raise _CommandError(f"no such regression store: {args.regress_dir}")
         return args.regress_dir
     default = "corpus/regress"
     return default if os.path.isdir(default) else None
 
 
 def _matrix_run(args) -> int:
+    from .defenses import defense_by_name
     from .matrix import canonical_report_json, render_report, run_sweep
     from .service import JobFailed
 
@@ -1261,8 +1226,10 @@ def _matrix_run(args) -> int:
         if args.defenses
         else ()
     )
+    regress_dir = _matrix_regress_dir(args)
+    for name in defenses:
+        _lookup(defense_by_name, name)
     try:
-        regress_dir = _matrix_regress_dir(args)
         with _batch_engine(args) as engine:
             report = run_sweep(
                 defenses=defenses,
@@ -1271,17 +1238,11 @@ def _matrix_run(args) -> int:
                 step_budget=args.step_budget,
                 engine=engine,
             )
-    except (KeyError, LookupError) as error:
-        return _fail(error.args[0] if error.args else str(error))
     except JobFailed as failure:
-        return _job_failed("matrix-cell", failure)
+        raise _CommandError(f"matrix-cell job failed: {failure}", status=1)
     encoded = canonical_report_json(report)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(encoded + "\n")
-        except OSError as error:
-            return _fail(f"cannot write {args.out}: {error.strerror or error}")
+        _write_text(args.out, encoded + "\n")
     if args.json:
         print(encoded)
     else:
@@ -1292,9 +1253,7 @@ def _matrix_run(args) -> int:
 def _matrix_report(args) -> int:
     from .matrix import canonical_report_json, render_report
 
-    report = _load_matrix_report(args.report)
-    if isinstance(report, int):
-        return report
+    report = _load_report(args.report, "matrix sweep report", "rows")
     if args.json:
         print(canonical_report_json(report))
     else:
@@ -1305,13 +1264,12 @@ def _matrix_report(args) -> int:
 def _matrix_diff(args) -> int:
     from .matrix import diff_reports
 
-    baseline = _load_matrix_report(args.baseline)
-    if isinstance(baseline, int):
-        return baseline
-    current = _load_matrix_report(args.current)
-    if isinstance(current, int):
-        return current
-    drift = diff_reports(baseline, current)
+    drift = diff_reports(
+        *(
+            _load_report(path, "matrix sweep report", "rows")
+            for path in (args.baseline, args.current)
+        )
+    )
     for line in drift:
         print(line)
     if not drift:
@@ -1436,9 +1394,9 @@ def score_main(argv: Optional[Sequence[str]] = None) -> int:
     diff_parser.set_defaults(func=_score_diff)
 
     args = parser.parse_args(argv)
-    if getattr(args, "top", 0) < 0:
-        return _fail("--top must be >= 0")
-    return _run_command(args, "score")
+    return _run_command(
+        args, "score", (getattr(args, "top", 0) < 0, "--top must be >= 0")
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual entry

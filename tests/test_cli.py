@@ -1,63 +1,218 @@
 """Tests for the command-line front ends."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import analyze_main, attacks_main
 
 
+#: The committed sweep baseline: a JSON report of the wrong kind for
+#: every command that loads a campaign or score report.
+MATRIX_BASELINE = str(
+    Path(__file__).resolve().parent.parent / "corpus" / "matrix" / "baseline.json"
+)
+
+#: Bytes no UTF-8 decoder accepts.
+UNDECODABLE = b"\xff\xfe\x00bad"
+UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+#: ``(entry point, argv, exact stderr)`` for one bad input each;
+#: ``{undecodable}``, ``{store}`` and ``{baseline}`` name per-test paths.
+BAD_INPUTS = [
+    (
+        "repro.cli:attacks_main",
+        ["--env", "no-such-env"],
+        "error: unknown environment 'no-such-env' (choose from: "
+        "unprotected, stackguard, checked-placement, shadow-memory, nx, "
+        "sanitize-on-reuse, shadow-return-stack, vtable-integrity, vrt, "
+        "memory-tagging)\n",
+    ),
+    (
+        "repro.cli:analyze_main",
+        ["/no/such/file.cpp"],
+        "error: cannot read /no/such/file.cpp: No such file or directory\n",
+    ),
+    (
+        "repro.cli:exec_main",
+        ["/no/such/file.cpp"],
+        "error: cannot read /no/such/file.cpp: No such file or directory\n",
+    ),
+    (
+        "repro.cli:serve_main",
+        ["--workers", "0"],
+        "error: --workers must be >= 1\n",
+    ),
+    (
+        "repro.cli:serve_main",
+        ["--port", "70000"],
+        "error: --port must be 0-65535, got 70000\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--jobs", "-1"],
+        "error: --jobs must be >= 0\n",
+    ),
+    (
+        "repro.cli:matrix_main",
+        ["run", "--jobs", "-1"],
+        "error: --jobs must be >= 0\n",
+    ),
+    (
+        "repro.cli:regress_main",
+        ["list", "--store", "/no/such/store"],
+        "error: no regression store at /no/such/store\n",
+    ),
+    (
+        "repro.cli:score_main",
+        ["rank", "/no/such/packages"],
+        "error: no package directory at /no/such/packages\n",
+    ),
+    (
+        "repro.bench:bench_main",
+        ["--benchmarks-dir", "/no/such/dir"],
+        "error: benchmarks directory not found: /no/such/dir\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--batch-size", "0"],
+        "error: --batch-size must be >= 1\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--max-corpus", "0"],
+        "error: --max-corpus must be >= 1\n",
+    ),
+    (
+        "repro.cli:matrix_main",
+        [
+            "run", "--jobs", "0", "--no-regress", "--defenses", "none",
+            "--out", "/no/such/dir/r.json",
+        ],
+        "error: cannot write /no/such/dir/r.json: No such file or directory\n",
+    ),
+    (
+        "repro.cli:score_main",
+        ["rank", "--demo", "--top", "-1"],
+        "error: --top must be >= 0\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--jobs", "0", "--step-budget", "0"],
+        "error: --step-budget must be >= 1\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--jobs", "0", "--step-budget", "-5"],
+        "error: --step-budget must be >= 1\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--jobs", "0", "--iterations", "-3"],
+        "error: --iterations must be >= 0\n",
+    ),
+    (
+        "repro.cli:matrix_main",
+        [
+            "run", "--jobs", "0", "--no-regress", "--defenses", "none",
+            "--step-budget", "0",
+        ],
+        "error: --step-budget must be >= 1\n",
+    ),
+    (
+        "repro.cli:regress_main",
+        ["record", "--store", "/no/such/store", "--step-budget", "0"],
+        "error: --step-budget must be >= 1\n",
+    ),
+    (
+        "repro.cli:serve_main",
+        ["--port", "-1"],
+        "error: --port must be 0-65535, got -1\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--jobs", "0", "--stop-after", "-1"],
+        "error: --stop-after must be >= 0\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--jobs", "2", "--batch-timeout", "0"],
+        "error: --batch-timeout must be > 0\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["run", "--jobs", "2", "--batch-timeout", "-1"],
+        "error: --batch-timeout must be > 0\n",
+    ),
+    # A source file no UTF-8 decoder accepts.
+    (
+        "repro.cli:analyze_main",
+        ["{undecodable}"],
+        f"error: cannot read {{undecodable}}: {UTF8_ERROR}\n",
+    ),
+    (
+        "repro.cli:exec_main",
+        ["{undecodable}"],
+        f"error: cannot read {{undecodable}}: {UTF8_ERROR}\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["minimize", "{undecodable}"],
+        f"error: cannot read {{undecodable}}: {UTF8_ERROR}\n",
+    ),
+    (
+        "repro.cli:regress_main",
+        ["record", "--store", "{store}", "--source", "{undecodable}"],
+        f"error: cannot read {{undecodable}}: {UTF8_ERROR}\n",
+    ),
+    # A JSON report of the wrong kind.
+    (
+        "repro.cli:fuzz_main",
+        ["report", "{baseline}"],
+        "error: {baseline} is not a campaign report\n",
+    ),
+    (
+        "repro.cli:fuzz_main",
+        ["triage", "{baseline}"],
+        "error: {baseline} is not a campaign report\n",
+    ),
+    (
+        "repro.cli:regress_main",
+        ["record", "--store", "{store}", "--from-report", "{baseline}"],
+        "error: {baseline} is not a campaign report\n",
+    ),
+    (
+        "repro.cli:score_main",
+        ["diff", "{baseline}", "{baseline}"],
+        "error: {baseline} is not a score report\n",
+    ),
+]
+
+
 class TestSharedExitConvention:
-    """Every front end exits 2 (EX_USAGE) on bad input."""
+    """Every front end exits 2 (EX_USAGE) on bad input, with one
+    ``error: <message>`` line on stderr."""
 
     @pytest.mark.parametrize(
-        ("entry_point", "argv"),
-        [
-            ("repro.cli:attacks_main", ["--env", "no-such-env"]),
-            ("repro.cli:analyze_main", ["/no/such/file.cpp"]),
-            ("repro.cli:exec_main", ["/no/such/file.cpp"]),
-            ("repro.cli:serve_main", ["--workers", "0"]),
-            ("repro.cli:serve_main", ["--port", "70000"]),
-            ("repro.cli:fuzz_main", ["run", "--jobs", "-1"]),
-            ("repro.cli:matrix_main", ["run", "--jobs", "-1"]),
-            ("repro.cli:regress_main", ["list", "--store", "/no/such/store"]),
-            ("repro.cli:score_main", ["rank", "/no/such/packages"]),
-            ("repro.bench:bench_main", ["--benchmarks-dir", "/no/such/dir"]),
-            ("repro.cli:fuzz_main", ["run", "--batch-size", "0"]),
-            ("repro.cli:fuzz_main", ["run", "--max-corpus", "0"]),
-            (
-                "repro.cli:matrix_main",
-                [
-                    "run", "--jobs", "0", "--no-regress", "--defenses", "none",
-                    "--out", "/no/such/dir/r.json",
-                ],
-            ),
-            ("repro.cli:score_main", ["rank", "--demo", "--top", "-1"]),
-            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--step-budget", "0"]),
-            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--step-budget", "-5"]),
-            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--iterations", "-3"]),
-            (
-                "repro.cli:matrix_main",
-                [
-                    "run", "--jobs", "0", "--no-regress", "--defenses", "none",
-                    "--step-budget", "0",
-                ],
-            ),
-            (
-                "repro.cli:regress_main",
-                ["record", "--store", "/no/such/store", "--step-budget", "0"],
-            ),
-            ("repro.cli:serve_main", ["--port", "-1"]),
-            ("repro.cli:fuzz_main", ["run", "--jobs", "0", "--stop-after", "-1"]),
-            ("repro.cli:fuzz_main", ["run", "--jobs", "2", "--batch-timeout", "0"]),
-            ("repro.cli:fuzz_main", ["run", "--jobs", "2", "--batch-timeout", "-1"]),
-        ],
+        ("entry_point", "argv", "stderr"),
+        BAD_INPUTS,
+        ids=[f"{row[0]}-argv{index}" for index, row in enumerate(BAD_INPUTS)],
     )
-    def test_bad_input_exits_2(self, entry_point, argv, capsys):
+    def test_bad_input_exits_2(self, entry_point, argv, stderr, tmp_path, capsys):
         import importlib
 
+        undecodable = tmp_path / "undecodable.cpp"
+        undecodable.write_bytes(UNDECODABLE)
+        paths = {
+            "undecodable": str(undecodable),
+            "store": str(tmp_path / "store"),
+            "baseline": MATRIX_BASELINE,
+        }
         module_name, function_name = entry_point.split(":")
         main = getattr(importlib.import_module(module_name), function_name)
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err == stderr.format(**paths)
 
     def test_negative_stop_after_is_refused_before_any_work(self, tmp_path, capsys):
         from repro.cli import fuzz_main
@@ -78,8 +233,6 @@ class TestSharedExitConvention:
 
     def test_every_project_script_is_covered(self):
         # The parametrized list above must track pyproject [project.scripts].
-        from pathlib import Path
-
         pyproject = (
             Path(__file__).resolve().parent.parent / "pyproject.toml"
         ).read_text()
@@ -97,6 +250,131 @@ class TestSharedExitConvention:
             for param in mark.args[1]
         }
         assert entry_points == covered
+
+
+class TestUndecodableSource:
+    """A source file that is not UTF-8 is bad input, not a crash."""
+
+    @pytest.mark.parametrize(
+        ("entry_point", "argv"),
+        [
+            ("analyze_main", ["{source}"]),
+            ("exec_main", ["{source}"]),
+            ("fuzz_main", ["minimize", "{source}"]),
+            ("regress_main", ["record", "--store", "{store}", "--source", "{source}"]),
+        ],
+    )
+    def test_exits_2_without_a_traceback(
+        self, entry_point, argv, tmp_path, capsys
+    ):
+        import repro.cli
+
+        source = tmp_path / "undecodable.cpp"
+        source.write_bytes(UNDECODABLE)
+        paths = {"source": str(source), "store": str(tmp_path / "store")}
+        main = getattr(repro.cli, entry_point)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {source}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestWrongKindReport:
+    """A JSON document without a report's required keys is refused with
+    ``<path> is not a <noun>`` and exit 2."""
+
+    @staticmethod
+    def _campaign_report(tmp_path):
+        from repro.fuzz import CampaignReport
+
+        path = tmp_path / "campaign.json"
+        path.write_text(CampaignReport(seed=7, iterations=0).to_json())
+        return str(path)
+
+    @pytest.mark.parametrize(
+        ("entry_point", "argv"),
+        [
+            ("fuzz_main", ["report"]),
+            ("fuzz_main", ["triage"]),
+            ("regress_main", ["record", "--store", "{store}", "--from-report"]),
+        ],
+    )
+    def test_a_sweep_report_is_not_a_campaign_report(
+        self, entry_point, argv, tmp_path, capsys
+    ):
+        import repro.cli
+
+        main = getattr(repro.cli, entry_point)
+        argv = [arg.format(store=tmp_path / "store") for arg in argv]
+        assert main(argv + [MATRIX_BASELINE]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {MATRIX_BASELINE} is not a campaign report\n"
+        )
+
+    def test_triage_leaves_the_refused_file_untouched(self, tmp_path, capsys):
+        from repro.cli import fuzz_main
+
+        sweep = tmp_path / "sweep.json"
+        sweep.write_bytes(Path(MATRIX_BASELINE).read_bytes())
+        argv = ["triage", str(sweep), "--fingerprint", "ffff", "--note", "x"]
+        assert fuzz_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {sweep} is not a campaign report\n"
+        assert sweep.read_bytes() == Path(MATRIX_BASELINE).read_bytes()
+
+    def test_campaign_report_still_loads(self, tmp_path, capsys):
+        from repro.cli import fuzz_main
+
+        assert fuzz_main(["report", self._campaign_report(tmp_path)]) == 0
+        assert "campaign seed=7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("refused", ["before", "after"])
+    def test_score_diff_refuses_non_score_reports(self, refused, tmp_path, capsys):
+        from repro.cli import score_main
+
+        paths = {"before": self._campaign_report(tmp_path), "after": MATRIX_BASELINE}
+        if refused == "after":
+            score_main(["rank", "--demo", "--json", "--out", str(tmp_path / "s.json")])
+            capsys.readouterr()
+            paths["before"] = str(tmp_path / "s.json")
+        assert score_main(["diff", paths["before"], paths["after"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {paths[refused]} is not a score report\n"
+
+    def test_a_list_is_not_a_sweep_report(self, tmp_path, capsys):
+        from repro.cli import matrix_main
+
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert matrix_main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} is not a matrix sweep report\n"
+
+
+class TestInterruptedEntryPoints:
+    """A hard Ctrl-C exits 130 with ``<prog>: interrupted`` everywhere."""
+
+    @pytest.mark.parametrize(
+        ("entry_point", "handler", "argv", "prog"),
+        [
+            ("attacks_main", "_attacks_run", [], "attacks"),
+            ("analyze_main", "_analyze_run", [], "analyze"),
+            ("exec_main", "_exec_run", ["prog.cpp"], "exec"),
+            ("serve_main", "_serve_run", [], "serve"),
+        ],
+    )
+    def test_keyboard_interrupt_exits_130(
+        self, entry_point, handler, argv, prog, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(f"repro.cli.{handler}", interrupted)
+        assert getattr(repro.cli, entry_point)(argv) == 130
+        captured = capsys.readouterr()
+        assert captured.err == f"{prog}: interrupted\n"
 
 
 class TestPooledJobFailure:
