@@ -8,6 +8,7 @@ and talks to it with the stdlib client.
     PYTHONPATH=src python examples/service_demo.py
 """
 
+import tempfile
 import threading
 import time
 
@@ -24,7 +25,10 @@ void addStudent(double gpa) {
 
 
 def main() -> None:
-    with ServiceEngine(workers=4, cache_dir=".repro-cache") as engine:
+    # A fresh cache directory per run, so the first sweep is always cold.
+    with tempfile.TemporaryDirectory() as cache_dir, ServiceEngine(
+        workers=4, cache_dir=cache_dir
+    ) as engine:
         # -- parallel corpus sweep, cold vs warm --------------------------
         started = time.perf_counter()
         reports = engine.corpus_sweep()

@@ -15,7 +15,6 @@ from .cache import (
     parse_cached,
     source_hash,
 )
-from .cfg import BasicBlock, ControlFlowGraph, build_cfg, placement_sites
 from .detector import DETECTOR_VERSION, PlacementNewDetector, analyze_source
 from .legacy_tools import (
     CLASSIC_RULES,
@@ -27,16 +26,14 @@ from .legacy_tools import (
 )
 from .lexer import Token, TokenKind, tokenize
 from .parser import Parser, parse
-from .reports import AnalysisReport, Finding, Severity, merge_reports
+from .reports import AnalysisReport, Finding, Severity
 from .symbols import SymbolTable, constant_int
 from .unparse import unparse_expr, unparse_program
 
 __all__ = [
     "AnalysisReport",
-    "BasicBlock",
     "CLASSIC_RULES",
     "DETECTOR_VERSION",
-    "ControlFlowGraph",
     "Finding",
     "LEGACY_RULE_VERSION",
     "LegacyRule",
@@ -50,14 +47,11 @@ __all__ = [
     "TokenKind",
     "analysis_cache_stats",
     "analyze_source",
-    "build_cfg",
     "cached_report",
     "clear_analysis_caches",
     "constant_int",
-    "merge_reports",
     "parse",
     "parse_cached",
-    "placement_sites",
     "run_tool_suite",
     "simulated_tool_suite",
     "source_hash",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
 
 class Severity(enum.IntEnum):
@@ -104,12 +103,3 @@ class AnalysisReport:
             indent=2,
             sort_keys=True,
         )
-
-
-def merge_reports(tool: str, reports: Iterable[AnalysisReport]) -> AnalysisReport:
-    """Combine per-function reports into one."""
-    merged = AnalysisReport(tool=tool)
-    for report in reports:
-        for finding in report.findings:
-            merged.add(finding)
-    return merged

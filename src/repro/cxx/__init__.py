@@ -9,7 +9,7 @@ views through which simulated programs — and attacks — touch memory.
 
 from .classdef import ClassDef, Constructor, Field, VirtualMethod, make_class
 from .layout import ClassType, FieldSlot, LayoutEngine, RecordLayout, class_type
-from .object_model import CArrayView, Instance, ObjectContext, pointer_field_target
+from .object_model import CArrayView, Instance, ObjectContext
 from .text import (
     FUNCTION_STUB_SIZE,
     NATIVE_STUB_MAGIC,
@@ -38,7 +38,6 @@ from .types import (
     IntType,
     PointerType,
     array_of,
-    scalar_by_name,
 )
 from .vtable import VTableBuilder
 
@@ -82,6 +81,4 @@ __all__ = [
     "VirtualMethod",
     "array_of",
     "make_class",
-    "pointer_field_target",
-    "scalar_by_name",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ..errors import ApiMisuseError, LayoutError
+from ..errors import ApiMisuseError
 from .types import CType
 
 
@@ -67,43 +67,6 @@ class ClassDef:
         if self.virtual_methods:
             return True
         return any(base.is_polymorphic() for base in self.bases)
-
-    def all_bases(self) -> tuple["ClassDef", ...]:
-        """Transitive bases, depth-first, each once."""
-        result: list[ClassDef] = []
-        seen: set[str] = set()
-
-        def visit(cls: "ClassDef") -> None:
-            for base in cls.bases:
-                if base.name not in seen:
-                    seen.add(base.name)
-                    result.append(base)
-                    visit(base)
-
-        visit(self)
-        return tuple(result)
-
-    def is_subclass_of(self, other: "ClassDef") -> bool:
-        """True for reflexive-or-transitive derivation."""
-        if other.name == self.name:
-            return True
-        return any(base.name == other.name for base in self.all_bases())
-
-    def find_field(self, name: str) -> tuple["ClassDef", Field]:
-        """Resolve a field by name, searching this class then bases.
-
-        Returns the declaring class together with the field, because the
-        layout engine needs to know which subobject the field lives in.
-        """
-        for member in self.fields:
-            if member.name == name:
-                return self, member
-        for base in self.bases:
-            try:
-                return base.find_field(name)
-            except LayoutError:
-                continue
-        raise LayoutError(f"class {self.name} has no field '{name}'")
 
     def own_virtual_names(self) -> tuple[str, ...]:
         """Virtual method names declared directly on this class."""

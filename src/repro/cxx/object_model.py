@@ -191,16 +191,6 @@ class Instance:
             self._address + layout.primary_vptr_offset
         )
 
-    def write_vptr(self, value: int) -> None:
-        """Overwrite the vtable pointer (what constructors — and
-        attackers — do)."""
-        layout = self.layout
-        if not layout.has_vptr:
-            raise LayoutError(f"{self._class_def.name} has no vptr")
-        self._ctx.space.write_pointer(
-            self._address + layout.primary_vptr_offset, value
-        )
-
     # -- whole-object helpers ------------------------------------------------
 
     def raw_bytes(self) -> bytes:
@@ -277,11 +267,3 @@ class CArrayView:
     def read_all(self) -> list:
         """Decode the declared extent."""
         return [self.get(i) for i in range(self._count)]
-
-
-def pointer_field_target(instance: Instance, name: str) -> int:
-    """Convenience: read a pointer-typed field's target address."""
-    value = instance.get(name)
-    if not isinstance(value, int):
-        raise ApiMisuseError(f"field '{name}' is not pointer-typed")
-    return value

@@ -1,4 +1,4 @@
-"""The text segment image: function entry points, vtables, rodata.
+"""The text segment image: function entry points and vtables.
 
 A real compiler emits machine code for each function and constant vtables
 into the text/rodata sections; attacks like arc injection (Section 3.6.2)
@@ -51,18 +51,8 @@ class EmittedVTable:
         """Address of the ``index``-th slot (the word holding the fn ptr)."""
         return self.address + index * POINTER_SIZE
 
-    def entry_for(self, method_name: str) -> int:
-        """The function address stored for ``method_name``."""
-        for name, entry in self.slots:
-            if name == method_name:
-                return entry
-        raise ApiMisuseError(
-            f"vtable for {self.class_name} has no slot '{method_name}'"
-        )
-
-
 class TextImage:
-    """Allocates text-segment space for functions, vtables, and rodata."""
+    """Allocates text-segment space for functions and vtables."""
 
     def __init__(self, space: AddressSpace) -> None:
         self._space = space
@@ -158,12 +148,3 @@ class TextImage:
     def vtable_at(self, address: int) -> Optional[EmittedVTable]:
         """Reverse lookup by vtable base address."""
         return self._vtables_by_address.get(address)
-
-    # -- rodata -------------------------------------------------------------
-
-    def emit_rodata(self, data: bytes, alignment: int = 4) -> int:
-        """Place constant bytes (e.g. string literals) into text."""
-        address = self._reserve(len(data), alignment)
-        segment = self._space.segment(SegmentKind.TEXT)
-        segment._data[address - segment.base : address - segment.base + len(data)] = data
-        return address

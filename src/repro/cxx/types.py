@@ -167,16 +167,3 @@ DOUBLE = DoubleType("double", encoding.DOUBLE_SIZE, encoding.DOUBLE_ALIGN)
 VOID_PTR = PointerType("void*", encoding.POINTER_SIZE, 4, pointee_name="void")
 CHAR_PTR = PointerType("char*", encoding.POINTER_SIZE, 4, pointee_name="char")
 FUNC_PTR = PointerType("(*fn)()", encoding.POINTER_SIZE, 4, pointee_name="function")
-
-_BY_NAME = {
-    t.name: t
-    for t in (CHAR, BOOL, SHORT, INT, UINT, LONG_LONG, FLOAT, DOUBLE, VOID_PTR, CHAR_PTR)
-}
-
-
-def scalar_by_name(name: str) -> CType:
-    """Look up a canonical scalar type by its C spelling."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ApiMisuseError(f"unknown scalar type '{name}'") from None

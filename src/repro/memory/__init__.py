@@ -32,10 +32,10 @@ from .encoding import (
 )
 from .events import MemoryEventTap
 from .heap import HEADER_SIZE, BlockInfo, HeapAllocator
-from .pool import CheckedMemoryPool, MemoryPool, PoolStats, pool_in_segment
+from .pool import CheckedMemoryPool, MemoryPool, PoolStats
 from .segments import DEFAULT_PERMISSIONS, Permissions, Segment, SegmentKind
 from .shadow import RedZonePair, ShadowMemory, ShadowState
-from .stack import LocalAreaPlanner, StackAllocation, StackRegion
+from .stack import StackAllocation, StackRegion
 from .tracker import AllocationTracker, ArenaOrigin, ArenaRecord
 from .watchpoints import WatchHit, WatchpointManager
 
@@ -57,7 +57,6 @@ __all__ = [
     "HeapAllocator",
     "INT_SIZE",
     "LONG_LONG_SIZE",
-    "LocalAreaPlanner",
     "MemoryEventTap",
     "MemoryPool",
     "Permissions",
@@ -88,5 +87,4 @@ __all__ = [
     "is_aligned",
     "is_power_of_two",
     "padding_for",
-    "pool_in_segment",
 ]

@@ -134,15 +134,8 @@ class AddressSpace:
         except KeyError:
             raise ApiMisuseError(f"no segment of kind {kind}") from None
 
-    def segment_at(self, address: int) -> Segment:
-        """Return the segment mapping ``address`` or fault."""
-        seg = self.find_segment(address)
-        if seg is None:
-            raise SegmentationFault(address, "read", "address is unmapped")
-        return seg
-
     def find_segment(self, address: int) -> Optional[Segment]:
-        """Like :meth:`segment_at` but returns None instead of faulting."""
+        """Return the segment mapping ``address``, or None if it is unmapped."""
         i = bisect_right(self._bases, address) - 1
         if i >= 0 and address < self._ends[i]:
             return self._ordered[i]
@@ -288,31 +281,6 @@ class AddressSpace:
         seg.fill(address, length, byte)
         if self._hooks:
             self._notify(address, bytes((byte,)) * max(length, 0), True)
-
-    def memmove(self, dest: int, src: int, length: int) -> None:
-        """Copy ``length`` bytes from ``src`` to ``dest`` (overlap-safe)."""
-        if self._hooks:
-            # Observed path: one bulk read + one bulk write, both notified.
-            self.write(dest, self.read(src, length))
-            return
-        if length < 0:
-            raise ApiMisuseError(f"negative read length {length}")
-        src_seg = self.find_segment(src)
-        if src_seg is None:
-            raise SegmentationFault(src, "read", "address is unmapped")
-        if not src_seg.permissions.read:
-            raise SegmentationFault(src, "read", "segment is not readable")
-        src_off = src_seg._offset(src, length, "read")
-        dest_seg = self.find_segment(dest)
-        if dest_seg is None:
-            raise SegmentationFault(dest, "write", "address is unmapped")
-        if not dest_seg.permissions.write:
-            raise SegmentationFault(dest, "write", "segment is not writable")
-        dest_off = dest_seg._offset(dest, length, "write")
-        # The RHS slice is itself a copy, so overlapping ranges are safe.
-        dest_seg._data[dest_off : dest_off + length] = src_seg._data[
-            src_off : src_off + length
-        ]
 
     # -- typed access -------------------------------------------------------
 

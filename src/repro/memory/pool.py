@@ -135,16 +135,3 @@ class CheckedMemoryPool(MemoryPool):
                 detail=f"pool '{self.name}' rejected oversize placement",
             )
         return super().reserve(size, alignment)
-
-
-def pool_in_segment(
-    space: AddressSpace,
-    segment_base: int,
-    capacity: int,
-    name: str = "pool",
-    checked: bool = False,
-    offset: int = 0,
-) -> MemoryPool:
-    """Convenience constructor placing a pool at ``segment_base+offset``."""
-    cls = CheckedMemoryPool if checked else MemoryPool
-    return cls(space, segment_base + offset, capacity, name=name)

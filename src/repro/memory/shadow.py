@@ -88,16 +88,6 @@ class ShadowMemory:
         self._pairs.append(pair)
         return pair
 
-    def unprotect_arena(self, pair: RedZonePair) -> None:
-        """Remove an arena's tracking (e.g. on free)."""
-        for addr in range(pair.arena_base, pair.arena_base + pair.arena_size):
-            self._states.pop(addr, None)
-        for zone in (pair.left, pair.right):
-            for addr in zone:
-                if self._states.get(addr) == ShadowState.RED_ZONE:
-                    self._states.pop(addr)
-        self._pairs.remove(pair)
-
     def state_at(self, address: int) -> ShadowState:
         """Shadow classification of one byte."""
         return self._states.get(address, ShadowState.UNTRACKED)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..errors import ApiMisuseError, StackOverflowError_
 from .address_space import AddressSpace
-from .alignment import align_down, align_up
+from .alignment import align_down
 from .segments import SegmentKind
 
 
@@ -109,72 +109,3 @@ class StackRegion:
                 f"pop target {saved_sp:#010x} is below current sp {self._sp:#010x}"
             )
         self._sp = saved_sp
-
-    def push_pointer(self, value: int) -> int:
-        """Push one 32-bit word (e.g. a return address); returns its slot."""
-        slot = self.push_region(4, alignment=4)
-        self._space.write_pointer(slot, value)
-        return slot
-
-
-class LocalAreaPlanner:
-    """Lays out a function's locals inside one frame, gcc-style.
-
-    Locals are assigned top-down (first declared → highest address), each
-    aligned to its natural alignment; the resulting padding holes are
-    exactly where the paper's Listing 15 says overflowing bytes land
-    before they reach the next variable.
-    """
-
-    def __init__(self, top_address: int) -> None:
-        self._top = top_address
-        self._cursor = top_address
-        self._allocations: list[StackAllocation] = []
-
-    def place(self, name: str, size: int, alignment: int = 4) -> StackAllocation:
-        """Reserve the next local below all previously placed ones."""
-        if size <= 0:
-            raise ApiMisuseError(f"local '{name}' must have positive size")
-        address = align_down(self._cursor - size, alignment)
-        allocation = StackAllocation(
-            name=name, address=address, size=size, alignment=alignment
-        )
-        self._allocations.append(allocation)
-        self._cursor = address
-        return allocation
-
-    @property
-    def allocations(self) -> tuple[StackAllocation, ...]:
-        """All placed locals, in declaration order."""
-        return tuple(self._allocations)
-
-    @property
-    def lowest_address(self) -> int:
-        """Bottom of the local area."""
-        return self._cursor
-
-    @property
-    def total_size(self) -> int:
-        """Bytes from the bottom-most local to the top of the area."""
-        return self._top - self._cursor
-
-    def padded_total(self, alignment: int = 16) -> int:
-        """Frame size rounded to the ABI stack alignment."""
-        return align_up(self.total_size, alignment)
-
-    def gap_above(self, name: str) -> int:
-        """Padding bytes between local ``name`` and the item above it.
-
-        This quantifies the paper's alignment discussion: for
-        ``int n; Student stud;`` the gap above ``stud`` is where
-        ``ssn[0]`` lands harmlessly before ``ssn[1]`` clobbers ``n``.
-        """
-        for index, allocation in enumerate(self._allocations):
-            if allocation.name == name:
-                upper = (
-                    self._top
-                    if index == 0
-                    else self._allocations[index - 1].address
-                )
-                return upper - allocation.end
-        raise ApiMisuseError(f"no local named '{name}'")

@@ -139,13 +139,6 @@ class CallFrame:
         """Declared locals in declaration order."""
         return tuple(self._locals)
 
-    def local_address(self, name: str) -> int:
-        """Address of a declared local."""
-        for allocation in self._locals:
-            if allocation.name == name:
-                return allocation.address
-        raise ApiMisuseError(f"no local '{name}' in frame {self.name}")
-
     def gap_above(self, name: str) -> int:
         """Padding bytes between local ``name`` and whatever sits above it
         (the previous local, or the lowest fixed slot).
@@ -159,13 +152,6 @@ class CallFrame:
                 else:
                     upper = self._locals[index - 1].address
                 return upper - allocation.end
-        raise ApiMisuseError(f"no local '{name}' in frame {self.name}")
-
-    def distance_to_return_slot(self, name: str) -> int:
-        """Bytes from the *end* of local ``name`` up to the return slot."""
-        for allocation in self._locals:
-            if allocation.name == name:
-                return self.slots.return_slot - allocation.end
         raise ApiMisuseError(f"no local '{name}' in frame {self.name}")
 
     # -- raw slot access (used by tests and forensics) ---------------------

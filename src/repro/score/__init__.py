@@ -43,7 +43,6 @@ from .threats import (
     detector_rule_ids,
     legacy_rule_ids,
     registry_version,
-    risks_from_divergence,
     risks_from_matrix,
     risks_from_report,
     scoring_versions,
@@ -76,7 +75,6 @@ __all__ = [
     "parse_package_source",
     "registry_version",
     "render_package_source",
-    "risks_from_divergence",
     "risks_from_matrix",
     "risks_from_report",
     "score_graph",

@@ -659,26 +659,6 @@ def risks_from_report(label: str, report, threatlib: Optional[Threatlib] = None)
     return risks
 
 
-def risks_from_divergence(divergence, threatlib: Optional[Threatlib] = None):
-    """Map one triaged fuzz divergence onto its risk, if the triage
-    class is registry-known (open and manually-triaged divergences
-    carry no auto class and map to nothing)."""
-    from ..regress.store import triage_label
-
-    lib = threatlib or DEFAULT_THREATLIB
-    label = triage_label(divergence.triage)
-    if not label or label == "manual":
-        return None
-    return lib.apply(
-        ScoreTarget(
-            kind="triage",
-            trigger=label,
-            package=divergence.family or divergence.fingerprint,
-            detail=divergence.kind,
-        )
-    )
-
-
 def risks_from_matrix(matrix: dict, threatlib: Optional[Threatlib] = None) -> list:
     """Map an attack × defense matrix onto risks, one per winning cell.
 

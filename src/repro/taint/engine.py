@@ -45,20 +45,6 @@ class TaintedValue:
         return bool(self.labels)
 
 
-def value_of(maybe_tainted: Any) -> Any:
-    """Unwrap a TaintedValue (plain values pass through)."""
-    if isinstance(maybe_tainted, TaintedValue):
-        return maybe_tainted.value
-    return maybe_tainted
-
-
-def labels_of(maybe_tainted: Any) -> FrozenSet[TaintLabel]:
-    """Labels of a value (empty for untainted plain values)."""
-    if isinstance(maybe_tainted, TaintedValue):
-        return maybe_tainted.labels
-    return frozenset()
-
-
 class TaintEngine:
     """Per-byte taint map over one simulated address space."""
 
@@ -88,22 +74,6 @@ class TaintEngine:
     def is_tainted(self, address: int, length: int = 1) -> bool:
         """True if any byte in the range carries a label."""
         return bool(self.labels_at(address, length))
-
-    def propagate_copy(self, dest: int, src: int, length: int) -> None:
-        """Copy taint alongside a memcpy-style data copy."""
-        for offset in range(length):
-            labels = self._map.get(src + offset)
-            if labels:
-                self._map[dest + offset] = labels | {TaintLabel.DERIVED}
-            else:
-                self._map.pop(dest + offset, None)
-
-    def write_tainted(
-        self, address: int, data: bytes, *labels: TaintLabel
-    ) -> None:
-        """Write bytes and label them in one step."""
-        self._space.write(address, data)
-        self.mark(address, len(data), *labels)
 
     @property
     def tainted_byte_count(self) -> int:

@@ -1,4 +1,4 @@
-"""Tests for the placement-new detector, legacy tools, and the CFG."""
+"""Tests for the placement-new detector and legacy tools."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.analysis import (
     Severity,
     SymbolTable,
     analyze_source,
-    build_cfg,
     parse,
-    placement_sites,
     simulated_tool_suite,
 )
 from repro.workloads.corpus import (
@@ -232,45 +230,3 @@ class TestLegacyTools:
             "class A { public: int x; void f(char *p) { char b[4]; strcpy(b, p); } };"
         )
         assert report.flagged
-
-
-class TestCfg:
-    def test_linear_function(self):
-        cfg = build_cfg(parse("void f() { int a = 1; a = 2; }").function("f"))
-        assert len(cfg.entry.statements) == 2
-        assert cfg.exit_id in cfg.reachable_blocks()
-
-    def test_if_creates_diamond(self):
-        cfg = build_cfg(
-            parse("void f(int a) { if (a) { a = 1; } else { a = 2; } }").function("f")
-        )
-        assert len(cfg.entry.successors) == 2
-
-    def test_loop_back_edge(self):
-        cfg = build_cfg(
-            parse("void f(int a) { while (a) { a = a - 1; } }").function("f")
-        )
-        headers = [b for b in cfg.blocks.values() if b.label == "loop-header"]
-        assert headers
-        body = [b for b in cfg.blocks.values() if b.label == "loop-body"]
-        assert headers[0].block_id in body[0].successors
-
-    def test_code_after_return_unreachable(self):
-        cfg = build_cfg(
-            parse("void f(int a) { return; a = 1; }").function("f")
-        )
-        reachable = cfg.statements_reachable()
-        from repro.analysis import ast_nodes as ast
-
-        assert not any(isinstance(s, ast.Assign) for s in reachable)
-
-    def test_placement_sites_found(self):
-        from repro.workloads.corpus import LISTING_19
-
-        cfg = build_cfg(parse(LISTING_19.source).function("sortAndAddUname"))
-        assert len(placement_sites(cfg)) == 2
-
-    def test_dot_export(self):
-        cfg = build_cfg(parse("void f() { int a = 1; }").function("f"))
-        dot = cfg.to_dot()
-        assert dot.startswith("digraph") and "B0" in dot

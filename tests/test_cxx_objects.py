@@ -123,7 +123,9 @@ class TestVTableDispatch:
         student, _ = virtual_student_classes
         inst = machine.static_object(student, "s")
         construct(machine, student, inst.address)
-        inst.write_vptr(0x41414141)
+        machine.space.write_pointer(
+            inst.address + inst.layout.primary_vptr_offset, 0x41414141
+        )
         with pytest.raises(SegmentationFault):
             machine.virtual_call(inst, "getInfo")
 

@@ -180,18 +180,6 @@ class TestHookTrafficOnFastPath:
         assert space.read_c_string(base) == "alice"
         assert events == [(base, b"alice\x00", False)]
 
-    def test_memmove_unhooked_matches_hooked(self):
-        plain, hooked = AddressSpace(), AddressSpace()
-        hooked.add_access_hook(lambda a, d, w: None)
-        for space in (plain, hooked):
-            base = space.segment(SegmentKind.HEAP).base
-            space.write(base, bytes(range(16)))
-            space.memmove(base + 4, base, 12)  # forward overlap
-            space.memmove(base, base + 2, 12)  # backward overlap
-        base_p = plain.segment(SegmentKind.HEAP).base
-        base_h = hooked.segment(SegmentKind.HEAP).base
-        assert plain.read(base_p, 16) == hooked.read(base_h, 16)
-
 
 class TestReadCStringEdges:
     def test_unterminated_to_segment_end_faults_at_end(self, space):

@@ -119,12 +119,6 @@ class TestAddressSpace:
         assert space.read(base, 8) == b"ab\x00\x00\x00\x00\x00\x00"
         assert space.read(base + 8, 8) == b"\xff" * 8
 
-    def test_memmove(self, space):
-        base = space.segment(SegmentKind.HEAP).base
-        space.write(base, b"abcdef")
-        space.memmove(base + 8, base, 6)
-        assert space.read(base + 8, 6) == b"abcdef"
-
     def test_access_hooks_observe_writes(self, space):
         seen = []
         space.add_access_hook(lambda addr, data, w: seen.append((addr, data, w)))

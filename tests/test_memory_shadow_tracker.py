@@ -70,14 +70,6 @@ class TestShadowMemory:
         shadow.protect_arena(base + 16, 16)  # red zone overlaps arena 2
         assert shadow.state_at(base + 16) is ShadowState.ADDRESSABLE
 
-    def test_unprotect_clears(self, space):
-        shadow = ShadowMemory(space, zone_size=8)
-        base = space.segment(SegmentKind.BSS).base + 64
-        pair = shadow.protect_arena(base, 16)
-        shadow.unprotect_arena(pair)
-        assert shadow.state_at(base) is ShadowState.UNTRACKED
-        assert shadow.state_at(base + 16) is ShadowState.UNTRACKED
-
 
 class TestAllocationTracker:
     def test_record_and_lookup(self):

@@ -1,4 +1,4 @@
-"""Tests for the stack region, local-area planner, and memory pools."""
+"""Tests for the stack region and memory pools."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.errors import ApiMisuseError, BoundsCheckViolation, StackOverflowErro
 from repro.memory import (
     AddressSpace,
     CheckedMemoryPool,
-    LocalAreaPlanner,
     MemoryPool,
     SegmentKind,
     StackRegion,
@@ -32,10 +31,6 @@ class TestStackRegion:
     def test_push_respects_alignment(self, stack):
         address = stack.push_region(10, alignment=8)
         assert address % 8 == 0
-
-    def test_push_pointer_writes_value(self, space, stack):
-        slot = stack.push_pointer(0xDEADBEEF)
-        assert space.read_pointer(slot) == 0xDEADBEEF
 
     def test_exhaustion(self, stack):
         with pytest.raises(StackOverflowError_):
@@ -68,35 +63,6 @@ class TestStackRegion:
         stack.push_region(32, alignment=4)
         assert stack.bytes_used >= 32
         assert stack.bytes_free <= free_before - 32
-
-
-class TestLocalAreaPlanner:
-    def test_first_declared_highest(self):
-        planner = LocalAreaPlanner(0x1000)
-        a = planner.place("a", 4, 4)
-        b = planner.place("b", 4, 4)
-        assert a.address > b.address
-
-    def test_gap_above_accounts_padding(self):
-        # int n; Student stud;  — stud is 8-aligned, creating the
-        # Listing 15 padding hole above it.
-        planner = LocalAreaPlanner(0x1000)
-        planner.place("n", 4, 4)
-        planner.place("stud", 16, 8)
-        assert planner.gap_above("stud") == 4
-        assert planner.gap_above("n") == 0
-
-    def test_unknown_local_rejected(self):
-        planner = LocalAreaPlanner(0x1000)
-        with pytest.raises(ApiMisuseError):
-            planner.gap_above("ghost")
-
-    def test_total_size_and_padded(self):
-        planner = LocalAreaPlanner(0x1000)
-        planner.place("n", 4, 4)
-        planner.place("stud", 16, 8)
-        assert planner.total_size == 24
-        assert planner.padded_total(16) == 32
 
 
 class TestMemoryPool:

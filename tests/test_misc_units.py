@@ -100,14 +100,7 @@ class TestTextImage:
         f = text.register_function("C::m", lambda m: None)
         table = text.emit_vtable("C", [("m", f.address)])
         assert space.read_pointer(table.slot_address(0)) == f.address
-        assert table.entry_for("m") == f.address
         assert text.vtable_at(table.address) is table
-
-    def test_rodata(self):
-        space = AddressSpace()
-        text = TextImage(space)
-        address = text.emit_rodata(b"/bin/sh\x00")
-        assert space.read(address, 8) == b"/bin/sh\x00"
 
 
 class TestCliExtensions:

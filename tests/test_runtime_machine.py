@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import placement_new
-from repro.cxx import INT
+from repro.cxx import DOUBLE, INT
 from repro.errors import (
     IllegalInstruction,
     NonExecutableMemory,
@@ -122,6 +122,42 @@ class TestFrames:
             assert (
                 gs.element_address("ssn", ret_index) == frame.slots.return_slot
             ), (save_fp, policy)
+
+
+@pytest.fixture(
+    params=[CanaryPolicy.NONE, CanaryPolicy.RANDOM], ids=["no-canary", "canary"]
+)
+def open_frame(request):
+    machine = Machine(MachineConfig(canary_policy=request.param))
+    frame = machine.push_frame("f")
+    yield frame
+    machine.pop_frame(frame)
+
+
+class TestListing15Padding:
+    """``CallFrame.gap_above``: the padding an upward overflow of a local
+    crosses before it reaches the variable declared above it."""
+
+    def test_first_declared_highest(self, open_frame):
+        a = open_frame.local_scalar(INT, "a")
+        b = open_frame.local_scalar(INT, "b")
+        assert a > b
+
+    def test_gap_above_accounts_padding(self, open_frame):
+        # int n; Student stud;  — n, declared first, sits highest and
+        # flush under the frame's fixed slots; stud is 8-aligned,
+        # creating the Listing 15 padding hole above it.
+        n = open_frame.local_scalar(INT, "n")
+        stud = open_frame.local_array(DOUBLE, 2, "stud")
+        assert n > stud.address
+        assert open_frame.gap_above("stud") == 4
+        assert open_frame.gap_above("n") == 0
+
+    def test_unknown_local_rejected(self, open_frame):
+        from repro.errors import ApiMisuseError
+
+        with pytest.raises(ApiMisuseError):
+            open_frame.gap_above("ghost")
 
 
 class TestCanary:

@@ -136,28 +136,6 @@ class TestTaintEngine:
         assert not taint.is_tainted(0x1000, 4)
         assert taint.tainted_byte_count == 0
 
-    def test_propagate_copy_adds_derived(self, machine):
-        taint = TaintEngine(machine.space)
-        taint.mark(0x1000, 4, TaintLabel.STDIN)
-        taint.propagate_copy(0x2000, 0x1000, 4)
-        assert TaintLabel.DERIVED in taint.labels_at(0x2000)
-        assert TaintLabel.STDIN in taint.labels_at(0x2000)
-
-    def test_propagate_copy_clears_clean_ranges(self, machine):
-        taint = TaintEngine(machine.space)
-        taint.mark(0x2000, 4, TaintLabel.STDIN)
-        taint.propagate_copy(0x2000, 0x1000, 4)  # source untainted
-        assert not taint.is_tainted(0x2000, 4)
-
-    def test_write_tainted(self, machine):
-        from repro.memory import SegmentKind
-
-        taint = TaintEngine(machine.space)
-        base = machine.space.segment(SegmentKind.BSS).base
-        taint.write_tainted(base, b"\x2a\x00\x00\x00", TaintLabel.NETWORK)
-        assert machine.space.read_int(base) == 42
-        assert taint.is_tainted(base, 4)
-
     def test_tainted_value_wrapper(self):
         value = TaintedValue.from_source(42, TaintLabel.STDIN)
         derived = value.derive(43)

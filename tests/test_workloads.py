@@ -24,8 +24,8 @@ class TestStudentClasses:
 
     def test_grad_subclasses_student(self):
         student, grad = make_student_classes()
-        assert grad.is_subclass_of(student)
-        assert not student.is_subclass_of(grad)
+        assert grad.bases == (student,)
+        assert student.bases == ()
 
     def test_virtual_variant_polymorphic(self):
         student, grad = make_student_classes(virtual=True)
