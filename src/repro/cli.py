@@ -65,7 +65,6 @@ import contextlib
 import sys
 from typing import Optional, Sequence
 
-from .analysis import analyze_source, run_tool_suite
 from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name
 from .fuzz.oracles import DEFAULT_STEP_BUDGET
 from .workloads.corpus import FULL_CORPUS
@@ -92,6 +91,19 @@ def _read_text(path: str) -> str:
     except (OSError, UnicodeDecodeError) as error:
         reason = getattr(error, "strerror", None) or error
         raise _CommandError(f"cannot read {path}: {reason}")
+
+
+def _read_source(path: str) -> tuple:
+    """A MiniC++ source file's text and parsed program; a file that
+    does not parse is bad input."""
+    from .analysis import parse_cached
+    from .errors import ParseError
+
+    source = _read_text(path)
+    try:
+        return source, parse_cached(source)
+    except ParseError as error:
+        raise _CommandError(f"{path}: {error}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -305,56 +317,45 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _analyze_run(args) -> int:
+    from .service import JobFailed, ServiceEngine
+    from .service.jobs import AnalyzeJob
+    from .service.scheduler import run_jobs
+    from .service.workers import report_from_payload
+
     if args.files:
-        sources = [(path, _read_text(path)) for path in args.files]
+        sources = [(path, _read_source(path)[0]) for path in args.files]
     else:
         sources = [(prog.key, prog.source) for prog in FULL_CORPUS]
-
+    jobs = [AnalyzeJob(source, name, args.legacy) for name, source in sources]
+    pool = contextlib.nullcontext()
     if args.jobs > 1:
-        reports = _parallel_reports(sources, args)
-    else:
-        reports = [
-            (name, analyze_source(source), source) for name, source in sources
-        ]
+        pool = ServiceEngine(workers=args.jobs, cache_dir=args.cache_dir)
+    try:
+        with pool as engine:
+            payloads = [handle.result() for handle in run_jobs(jobs, engine)]
+    except JobFailed as failure:
+        raise _CommandError(f"analyze job failed: {failure}", status=1)
 
     if args.json:
         import json
 
         from .score.threats import scoring_versions
 
-        print(
-            json.dumps(
-                {"fingerprint": scoring_versions(), "tool": "repro-analyze"},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        header = {"fingerprint": scoring_versions(), "tool": "repro-analyze"}
+        print(json.dumps(header, indent=2, sort_keys=True))
     any_flagged = False
-    for name, report, source in reports:
+    for payload in payloads:
+        report = report_from_payload(payload)
         any_flagged = any_flagged or report.flagged
         if args.json:
             print(report.to_json())
             continue
-        print(f"── {name} ──")
+        print(f"── {payload['label']} ──")
         print(report.render())
-        if args.legacy:
-            for _, legacy_report in run_tool_suite(source):
-                print(legacy_report.render())
+        for legacy_payload in payload.get("legacy", ()):
+            print(report_from_payload(legacy_payload).render())
         print()
     return 1 if any_flagged and args.files else 0
-
-
-def _parallel_reports(sources, args):
-    """The batch path: sweep through the service scheduler with caching."""
-    from .service import ServiceEngine
-    from .service.workers import report_from_payload
-
-    with ServiceEngine(workers=args.jobs, cache_dir=args.cache_dir) as engine:
-        payloads = engine.sweep(sources)
-    return [
-        (name, report_from_payload(payload), source)
-        for (name, source), payload in zip(sources, payloads)
-    ]
 
 
 def exec_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -383,15 +384,11 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _exec_run(args) -> int:
-    from .execution import run_source
-    from .runtime import CanaryPolicy, Machine, MachineConfig
+    from .service.workers import run_exec
 
-    source = _read_text(args.file)
-    machine = Machine(
-        MachineConfig(
-            canary_policy=CanaryPolicy.RANDOM if args.canary else CanaryPolicy.NONE
-        )
-    )
+    source, program = _read_source(args.file)
+    if all(function.name != args.entry for function in program.functions):
+        raise _CommandError(f"{args.file}: no function '{args.entry}'")
     entry_args: tuple = ()
     try:
         if args.args:
@@ -408,33 +405,32 @@ def _exec_run(args) -> int:
     except ValueError as error:
         raise _CommandError(f"bad integer argument: {error}")
     try:
-        interpreter, outcome = run_source(
-            source,
-            entry=args.entry,
-            args=entry_args,
-            machine=machine,
-            stdin=stdin_tokens,
+        result = run_exec(
+            dict(source=source, entry=args.entry, args=entry_args,
+                 stdin=stdin_tokens, canary=args.canary)
         )
-    except Exception as error:  # simulated faults included
-        print(f"simulated process died: {error}")
+    except Exception as error:  # the interpreter's refusals, e.g. empty stdin
+        result = {"died": True, "error": str(error)}
+    if result["died"]:
+        print(f"simulated process died: {result['error']}")
         return 1
-    print(f"{args.entry}() returned {outcome.return_value} after {outcome.steps} steps")
-    if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
-        print(
-            f"!! control-flow hijack: returned to "
-            f"{outcome.frame_exit.returned_to:#010x}"
-        )
-    for output in interpreter.outputs:
+    print(
+        f"{args.entry}() returned {result['return_value']} "
+        f"after {result['steps']} steps"
+    )
+    if result["hijacked"]:
+        print(f"!! control-flow hijack: returned to {result['hijack_target']:#010x}")
+    for output in result["outputs"]:
         print("stdout:", output)
-    for record in machine.placement_log.records:
-        marker = " OVERFLOW" if record.overflows_arena else ""
+    for record in result["placements"]:
+        marker = " OVERFLOW" if record["overflow"] else ""
         print(
-            f"placement: {record.type_name} ({record.size}B) at "
-            f"{record.address:#010x}"
-            + (f" arena {record.arena_size}B" if record.arena_size else "")
+            f"placement: {record['type']} ({record['size']}B) at "
+            f"{record['address']:#010x}"
+            + (f" arena {record['arena_size']}B" if record["arena_size"] else "")
             + marker
         )
-    for event in machine.events:
+    for event in result["events"]:
         print("event:", event)
     return 0
 

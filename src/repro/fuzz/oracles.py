@@ -187,6 +187,69 @@ def _secret_leaked(stored) -> bool:
     return False
 
 
+@dataclass(frozen=True)
+class ProgramRun:
+    """What :func:`run_program` observed on one machine."""
+
+    entry: str
+    events: frozenset = frozenset()  # hijack, placement, leak and tap kinds
+    fault: Optional[SimulatedProcessError] = None  # what stopped the process
+    error: str = ""  # why the run cannot be judged (not a simulated fault)
+
+
+def run_program(
+    source: str, make_machine, stdin: tuple, step_budget: int = DEFAULT_STEP_BUDGET
+) -> Optional[ProgramRun]:
+    """Run ``source``'s planned entry on ``make_machine()`` (password
+    file registered, memory-event tap attached) and observe it.
+
+    ``None`` when no function is runnable, before any machine is built;
+    an entry-planning error (a source that does not parse) propagates.
+    """
+    from ..execution import run_source
+
+    plan = _entry_plan(source)
+    if plan is None:
+        return None
+    entry, args = plan
+    machine = make_machine()
+    machine.files.add(password_file())
+    tap = MemoryEventTap(machine.space)
+    machine.event_tap = tap
+    machine.space.add_access_hook(tap)
+
+    events: set = set()
+    fault = None
+    stored = ()
+    try:
+        interpreter, outcome = run_source(
+            source,
+            entry=entry,
+            args=args,
+            machine=machine,
+            stdin=stdin,
+            step_budget=step_budget,
+        )
+        stored = interpreter.stored
+        if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
+            events.add("hijack")
+    except SimulatedProcessError as error:
+        # Without its traceback the fault holds no frame, so no cycle
+        # keeps this machine alive until the next full collection.
+        fault = error.with_traceback(None)
+    except Exception as error:  # ApiMisuse, missing stdin, bad entry...
+        return ProgramRun(entry, error=f"{type(error).__name__}: {error}")
+
+    for record in machine.placement_log.records:
+        events.add(
+            "placement-overflow" if record.overflows_arena else "placement-fit"
+        )
+    if _secret_leaked(stored):
+        events.add("leak-detected")
+    events.update(tap.kinds)
+    return ProgramRun(entry, frozenset(events), fault)
+
+
 def dynamic_verdict(
     source: str, stdin: tuple = (), config: OracleConfig = OracleConfig()
 ) -> tuple:
@@ -195,62 +258,32 @@ def dynamic_verdict(
     Returns ``(entry_name, DynamicVerdict)``; the verdict is invalid
     (never divergent) when the harness cannot judge the run.
     """
-    from ..execution import run_source
-
+    canary = CanaryPolicy.RANDOM if config.canary else CanaryPolicy.NONE
     try:
-        plan = _entry_plan(source)
+        run = run_program(
+            source,
+            lambda: Machine(MachineConfig(canary_policy=canary)),
+            tuple(stdin) or config.stdin,
+            config.step_budget,
+        )
     except ParseError as error:
         return "", DynamicVerdict(valid=False, reason=f"parse: {error}")
-    if plan is None:
+    if run is None:
         return "", DynamicVerdict(valid=False, reason="no runnable entry")
-    entry, args = plan
-
-    machine = Machine(
-        MachineConfig(
-            canary_policy=CanaryPolicy.RANDOM if config.canary else CanaryPolicy.NONE
-        )
-    )
-    machine.files.add(password_file())
-    tap = MemoryEventTap(machine.space)
-    machine.event_tap = tap
-    machine.space.add_access_hook(tap)
-
-    events: set = set()
+    if run.error:
+        return run.entry, DynamicVerdict(valid=False, reason=run.error)
+    events = set(run.events)
     fault = ""
-    interpreter = None
-    try:
-        interpreter, outcome = run_source(
-            source,
-            entry=entry,
-            args=args,
-            machine=machine,
-            stdin=tuple(stdin) or config.stdin,
-            step_budget=config.step_budget,
-        )
-        if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
-            events.add("hijack")
-    except SimulatedProcessError as error:
-        fault = type(error).__name__
+    if run.fault is not None:
+        fault = type(run.fault).__name__
         events.add(f"fault:{fault}")
-        if isinstance(error, SegmentationFault):
+        if isinstance(run.fault, SegmentationFault):
             events.add("segment-faulted")
-        elif isinstance(error, StackSmashingDetected):
+        elif isinstance(run.fault, StackSmashingDetected):
             events.add("canary-clobbered")
-        elif isinstance(error, SimulatedTimeout):
+        elif isinstance(run.fault, SimulatedTimeout):
             events.add("dos-timeout")
-    except Exception as error:  # ApiMisuse, missing stdin, bad entry...
-        return entry, DynamicVerdict(
-            valid=False, reason=f"{type(error).__name__}: {error}"
-        )
-
-    for record in machine.placement_log.records:
-        events.add(
-            "placement-overflow" if record.overflows_arena else "placement-fit"
-        )
-    if interpreter is not None and _secret_leaked(interpreter.stored):
-        events.add("leak-detected")
-    events.update(tap.kinds)
-    return entry, DynamicVerdict(events=tuple(sorted(events)), fault=fault)
+    return run.entry, DynamicVerdict(events=tuple(sorted(events)), fault=fault)
 
 
 def run_oracles(

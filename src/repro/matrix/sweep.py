@@ -27,8 +27,12 @@ from typing import Iterable, Optional, Sequence
 from ..attacks import all_attacks, attack_by_name
 from ..attacks.base import classify_failure
 from ..defenses import ALL_DEFENSES, defense_by_name
-from ..errors import SimulatedProcessError
-from ..fuzz.oracles import DEFAULT_STEP_BUDGET
+from ..fuzz.oracles import (
+    DEFAULT_STDIN,
+    DEFAULT_STEP_BUDGET,
+    VULNERABLE_EVENTS,
+    run_program,
+)
 
 #: Schema stamp for saved sweep reports.
 SCHEMA = 1
@@ -148,67 +152,27 @@ def run_program_cell(
 ) -> dict:
     """One MiniC++ program on the defense environment's machine.
 
-    The run mirrors the fuzz dynamic oracle (entry planning, password
-    file, memory-event tap, secret-leak probe) except that the machine
-    comes from ``defense.fresh_environment().make_machine()``, so
+    The run is the fuzz dynamic oracle's harness
+    (:func:`~repro.fuzz.oracles.run_program`) except that the machine
+    comes from ``defense.fresh_environment().make_machine``, so
     machine-level mitigations are armed while source-level disciplines
     (checked placement, sanitize-on-reuse) have nothing to hook — the
     interpreter places objects itself, exactly the legacy-code gap §5
-    worries about.
+    worries about.  A simulated fault decides the cell on its own.
     """
-    from ..execution import run_source
-    from ..fuzz.oracles import (
-        DEFAULT_STDIN,
-        VULNERABLE_EVENTS,
-        _entry_plan,
-        _secret_leaked,
-    )
-    from ..memory import MemoryEventTap
-    from ..runtime import password_file
-
-    defense = defense_by_name(defense_name)
-    env = defense.fresh_environment()
+    env = defense_by_name(defense_name).fresh_environment()
     try:
-        plan = _entry_plan(source)
-    except Exception:
-        return _invalid_cell()
-    if plan is None:
-        return _invalid_cell()
-    entry, args = plan
-
-    machine = env.make_machine()
-    machine.files.add(password_file())
-    tap = MemoryEventTap(machine.space)
-    machine.event_tap = tap
-    machine.space.add_access_hook(tap)
-
-    events: set = set()
-    try:
-        interpreter, outcome = run_source(
-            source,
-            entry=entry,
-            args=args,
-            machine=machine,
-            stdin=tuple(stdin) or DEFAULT_STDIN,
-            step_budget=step_budget,
+        run = run_program(
+            source, env.make_machine, tuple(stdin) or DEFAULT_STDIN, step_budget
         )
-        if outcome.frame_exit is not None and outcome.frame_exit.hijacked:
-            events.add("hijack")
-    except SimulatedProcessError as error:
-        detected_by, crashed = classify_failure(error)
-        if detected_by:
-            return _cell(False, detected_by)
-        return _cell(False, crashed=True)
     except Exception:
         return _invalid_cell()
-
-    for record in machine.placement_log.records:
-        if record.overflows_arena:
-            events.add("placement-overflow")
-    if _secret_leaked(interpreter.stored):
-        events.add("leak-detected")
-    events.update(tap.kinds)
-    return _cell(bool(events & VULNERABLE_EVENTS))
+    if run is None or run.error:
+        return _invalid_cell()
+    if run.fault is not None:
+        detected_by, crashed = classify_failure(run.fault)
+        return _cell(False, detected_by, crashed)
+    return _cell(bool(run.events & VULNERABLE_EVENTS))
 
 
 def evaluate_cell(payload: dict) -> dict:

@@ -140,13 +140,8 @@ def run_exec(payload: dict) -> dict:
     from ..execution import run_source
     from ..runtime import CanaryPolicy, Machine, MachineConfig
 
-    machine = Machine(
-        MachineConfig(
-            canary_policy=(
-                CanaryPolicy.RANDOM if payload.get("canary") else CanaryPolicy.NONE
-            )
-        )
-    )
+    canary = CanaryPolicy.RANDOM if payload.get("canary") else CanaryPolicy.NONE
+    machine = Machine(MachineConfig(canary_policy=canary))
     try:
         interpreter, outcome = run_source(
             payload["source"],
@@ -162,13 +157,14 @@ def run_exec(payload: dict) -> dict:
             "error_type": type(error).__name__,
             "events": [str(event) for event in machine.events],
         }
+    frame_exit = outcome.frame_exit
+    hijacked = frame_exit is not None and frame_exit.hijacked
     return {
         "died": False,
         "return_value": _jsonify(outcome.return_value),
         "steps": outcome.steps,
-        "hijacked": bool(
-            outcome.frame_exit is not None and outcome.frame_exit.hijacked
-        ),
+        "hijacked": hijacked,
+        "hijack_target": frame_exit.returned_to if hijacked else None,
         "outputs": [str(output) for output in interpreter.outputs],
         "events": [str(event) for event in machine.events],
         "placements": [

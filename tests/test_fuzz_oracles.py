@@ -7,11 +7,15 @@ from repro.fuzz import (
     run_oracles,
     static_verdict,
 )
-from repro.fuzz.oracles import dynamic_verdict
+from repro.errors import ParseError, StackSmashingDetected
+from repro.fuzz.oracles import dynamic_verdict, run_program
+from repro.matrix.sweep import run_program_cell
 from repro.memory import MemoryEventTap
-from repro.runtime import Machine
+from repro.runtime import CanaryPolicy, Machine, MachineConfig
 from repro.workloads.generators import generate_program
 import random
+
+import pytest
 
 
 LEAK_VULNERABLE = """\
@@ -135,6 +139,62 @@ class TestDynamicOracle:
         source = "int doubled(int x) { return x + x; }"
         entry, verdict = dynamic_verdict(source)
         assert entry == "doubled" and verdict.valid
+
+
+class TestRunProgram:
+    """The one run harness behind the dynamic oracle and matrix cells."""
+
+    def test_events_are_kept_after_a_fault(self):
+        config = MachineConfig(canary_policy=CanaryPolicy.RANDOM)
+        run = run_program(TYPE_CONFUSION, lambda: Machine(config), (7, 7, 7))
+        assert run.entry == "run"
+        assert isinstance(run.fault, StackSmashingDetected)
+        assert {"placement-fit", "write:stack"} <= run.events
+        assert run.error == ""
+
+    def test_a_fault_keeps_no_machine_alive(self):
+        # Reference counting alone must free the machine: a fault that
+        # kept its traceback would hold it in a cycle until a full
+        # collection, and a fuzz campaign's peak memory would grow.
+        import gc
+        import weakref
+
+        machines = []
+
+        def make_machine():
+            machine = Machine(MachineConfig(canary_policy=CanaryPolicy.RANDOM))
+            machines.append(weakref.ref(machine))
+            return machine
+
+        gc.disable()
+        try:
+            run = run_program(TYPE_CONFUSION, make_machine, (7, 7, 7))
+            assert run.fault is not None
+            del run
+            assert machines[0]() is None
+        finally:
+            gc.enable()
+
+    def test_interpreter_refusal_is_an_error_not_a_fault(self):
+        run = run_program("void run() { int x = 0; cin >> x; }", Machine, ())
+        assert run.fault is None
+        assert run.error == "ApiMisuseError: simulated stdin exhausted"
+
+    def test_no_runnable_entry_is_none_and_builds_no_machine(self):
+        def no_machine():
+            raise AssertionError("machine built for an unrunnable program")
+
+        assert run_program("class Only { public: int x; };", no_machine, ()) is None
+
+    def test_unparsable_source_raises(self):
+        with pytest.raises(ParseError):
+            run_program("class {{{", Machine, ())
+
+    def test_matrix_cell_and_oracle_agree_on_the_leak(self):
+        for source, vulnerable in ((LEAK_VULNERABLE, True), (LEAK_SAFE, False)):
+            cell = run_program_cell(source, (), "none")
+            assert cell["succeeded"] is vulnerable
+            assert dynamic_verdict(source)[1].vulnerable is vulnerable
 
 
 class TestObservationAndCoverage:
