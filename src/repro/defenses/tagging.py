@@ -74,8 +74,12 @@ class _TaggedRange:
 class MemoryTagging:
     """Allocation-granular tag map plus its enforcement hooks."""
 
+    #: A repeated access passes or faults exactly as it did the first
+    #: time: the verdict depends on the address and length only, and the
+    #: colours change only through the tracker feed.
+    repeat_safe = True
+
     machine: Machine
-    checks: int = 0
     faults: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -167,13 +171,11 @@ class MemoryTagging:
         # loads are covered by the provenance check below.
         if not is_write:
             return
-        self.checks += 1
         self._check_span(address, len(data), "write")
 
     def _on_typed_access(
         self, base: int, address: int, length: int, is_write: bool
     ) -> None:
-        self.checks += 1
         expected = self.tag_at(base)
         found = self.tag_at(address)
         if expected != found:

@@ -71,8 +71,12 @@ class _VrtEntry:
 class VariableRecordTable:
     """The runtime bounds table plus its enforcement hooks."""
 
+    #: A repeated access passes or faults exactly as it did the first
+    #: time: the verdict depends on the address and length only, and the
+    #: table changes only through the tracker and placement feeds.
+    repeat_safe = True
+
     machine: Machine
-    checks: int = 0
     violations: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -103,7 +107,6 @@ class VariableRecordTable:
                 self._put(record.address, record.true_size, record.believed_size)
                 entry = self._entries[record.address]
             entry.believed_size = record.believed_size
-            self.checks += 1
             if record.believed_size > entry.true_size:
                 self._fail(
                     record.address,
@@ -122,7 +125,6 @@ class VariableRecordTable:
                 return  # bare pointer, no recorded variable: unresolvable
             self._put(record.address, record.arena_size, record.size)
             entry = self._entries[record.address]
-        self.checks += 1
         if record.size > entry.true_size:
             self._fail(
                 record.address, record.size, entry.base, entry.true_size, "placement"
@@ -170,7 +172,6 @@ class VariableRecordTable:
         entry = self._entry_containing(address)
         if entry is None:
             return
-        self.checks += 1
         if address + len(data) > entry.base + entry.believed_size:
             self._fail(
                 address,
@@ -186,7 +187,6 @@ class VariableRecordTable:
         entry = self._entries.get(base)
         if entry is None:
             return
-        self.checks += 1
         if address < entry.base or address + length > entry.base + entry.believed_size:
             self._fail(
                 address,

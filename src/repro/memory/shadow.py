@@ -121,6 +121,13 @@ class ShadowMemory:
                 return
 
     @property
+    def repeat_safe(self) -> bool:
+        """Repeating a write already seen changes nothing while every
+        violation halts the process; without halting, each repeat of a
+        red-zone write records the violation again."""
+        return self._halt_on_violation
+
+    @property
     def violations(self) -> tuple[RedZoneViolation, ...]:
         """All red-zone hits observed so far."""
         return tuple(self._violations)

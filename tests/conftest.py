@@ -4,9 +4,14 @@ evaluates, plus the running-example classes."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.runtime import CanaryPolicy, Machine, MachineConfig
 from repro.workloads import make_student_classes
+
+#: ``--hypothesis-profile=deep``: the CI gate's long run of the property
+#: tests that leave the example count to the profile.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture
