@@ -27,6 +27,7 @@ from repro.execution.vm import (
     source_digest,
 )
 from repro.fuzz.seeds import generator_seeds
+from repro.memory import AddressSpace
 from repro.memory.segments import SegmentKind
 from repro.runtime import Machine
 
@@ -246,3 +247,15 @@ class TestLocateFastPath:
         assert machine.space.locate(segment.base, 4) is None
         machine.space.remove_access_hook(hook)
         assert machine.space.locate(segment.base, 4) is not None
+
+    def test_locate_resolves_a_whole_segment_only_unobserved_and_lenient(self):
+        """Hooks or ``strict_alignment`` refuse even a range that spans
+        exactly one whole segment."""
+        segment = AddressSpace().segment(SegmentKind.HEAP)
+        plain = AddressSpace()
+        assert plain.locate(segment.base, segment.size) is not None
+        hooked = AddressSpace()
+        hooked.add_access_hook(lambda address, data, is_write: None)
+        assert hooked.locate(segment.base, segment.size) is None
+        strict = AddressSpace(strict_alignment=True)
+        assert strict.locate(segment.base, segment.size) is None
