@@ -12,7 +12,7 @@ process.
 from __future__ import annotations
 
 from ..cxx.types import INT
-from ..errors import OutOfMemory, SimulatedTimeout
+from ..errors import OutOfMemory
 from ..workloads.classes import make_student_classes
 from .base import AttackResult, AttackScenario, Environment
 
@@ -41,30 +41,25 @@ class DosLoopAttack(AttackScenario):
         gs.set_element("ssn", 1, self.injected_n)
 
         n = machine.space.read_int(n_address)
-        steps = 0
-        try:
-            for _ in range(max(n, 0)):
-                steps += 1
-                if steps > self.budget:
-                    raise SimulatedTimeout(self.budget)
-        except SimulatedTimeout:
-            machine.pop_frame(frame)
+        machine.pop_frame(frame)
+        # The loop body only counts: it times out on step budget + 1, or
+        # serves after max(n, 0) steps.
+        if n > self.budget:
             return self.result(
                 env,
                 succeeded=True,
                 machine=machine,
                 outcome="request timed out",
                 loop_bound=n,
-                steps_executed=steps,
+                steps_executed=self.budget + 1,
             )
-        machine.pop_frame(frame)
         return self.result(
             env,
             succeeded=False,
             machine=machine,
             outcome="request served",
             loop_bound=n,
-            steps_executed=steps,
+            steps_executed=max(n, 0),
         )
 
 
