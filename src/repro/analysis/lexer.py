@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -33,8 +33,7 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -47,124 +46,106 @@ class Token:
         return self.kind is TokenKind.KEYWORD and self.text in words
 
 
-def tokenize(source: str) -> list[Token]:
-    """Turn source text into a token list ending with an EOF token."""
-    return list(_tokens(source))
+#: One alternative per token class, tried in order.  Blanks before a
+#: token are matched with it, and a newline opens a ``newline`` run of
+#: whitespace.  ``other`` takes any other single character, which
+#: :func:`tokenize` sorts out with the ``str`` predicates the language is
+#: defined by; ``\Z`` ends a source that ends in blanks.
+_PATTERN = re.compile(
+    r"[ \t\r]*(?:(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<newline>\n[ \t\r\n]*)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<op>" + "|".join(map(re.escape, MULTI_OPS)) + "|[" + re.escape(SINGLE_OPS) + "])"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<decimal>[0-9]+(?:\.[0-9]*)?)"
+    r'|(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")'
+    r"|(?P<charlit>'[^'\\]*(?:\\.[^'\\]*)*')"
+    r"|(?P<hash>#[^\n]*)"
+    r"|(?P<other>.)|\Z)",
+    re.DOTALL,
+)
+#: An identifier's continuation: ``\w`` is ``isalnum() or '_'`` on every
+#: code point.
+_WORD = re.compile(r"\w*")
 
 
-def _tokens(source: str) -> Iterator[Token]:
-    line = 1
-    column = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated block comment", line, column)
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
-            i = end + 2
-            continue
-        # preprocessor lines are skipped wholesale
-        if ch == "#" and column == 1:
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_column = column
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            yield Token(kind, text, line, start_column)
-            column += j - i
-            i = j
-            continue
-        # numbers
-        if ch.isdigit():
-            j = i
-            is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-            else:
-                while j < n and (source[j].isdigit() or source[j] == "."):
-                    if source[j] == ".":
-                        if is_float:
-                            break
-                        is_float = True
-                    j += 1
-            text = source[i:j]
-            yield Token(
-                TokenKind.FLOAT if is_float else TokenKind.NUMBER,
-                text,
-                line,
-                start_column,
-            )
-            column += j - i
-            i = j
-            continue
-        # string literals
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line, column)
-            yield Token(TokenKind.STRING, source[i + 1 : j], line, start_column)
-            column += j + 1 - i
-            i = j + 1
-            continue
-        # char literals
-        if ch == "'":
-            j = i + 1
-            while j < n and source[j] != "'":
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated char literal", line, column)
-            yield Token(TokenKind.CHARLIT, source[i + 1 : j], line, start_column)
-            column += j + 1 - i
-            i = j + 1
-            continue
-        # operators
-        matched = None
-        for op in MULTI_OPS:
-            if source.startswith(op, i):
-                matched = op
+def _digits_end(source: str, i: int) -> int:
+    """End of the number at ``i`` by ``str.isdigit``, which accepts 128
+    non-ASCII code points that ``\\d`` does not, and at most one ``.``."""
+    j = i
+    is_float = False
+    while j < len(source) and (source[j].isdigit() or source[j] == "."):
+        if source[j] == ".":
+            if is_float:
                 break
-        if matched is None and ch in SINGLE_OPS:
-            matched = ch
-        if matched is None:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-        yield Token(TokenKind.OP, matched, line, start_column)
-        column += len(matched)
-        i += len(matched)
-    yield Token(TokenKind.EOF, "", line, column)
+            is_float = True
+        j += 1
+    return j
+
+
+def tokenize(source: str) -> list[Token]:
+    """Turn source text into a token list ending with an EOF token.
+
+    A token's column is its offset from ``line_start``, the character
+    after the last newline in whitespace or a block comment.  So a
+    newline inside a string or char literal does not advance ``line``,
+    and a ``//`` comment, which moves ``line_start`` along by its own
+    length, does not advance the column.  ``#`` starts a skipped line
+    only at column 1.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _PATTERN.match
+    line = 1
+    line_start = pos = 0
+    n = len(source)
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastgroup
+        start = m.start(group) if group else n
+        pos = m.end()
+        if group == "ident":
+            text = source[start:pos]
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, text, line, start - line_start + 1))
+        elif group == "op":
+            append(Token(TokenKind.OP, source[start:pos], line, start - line_start + 1))
+        elif group == "newline" or group == "block_comment":
+            newlines = source.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, pos) + 1
+        elif group == "decimal" or group == "hex":
+            if group == "decimal" and pos < n and source[pos] >= "\x80":
+                pos = _digits_end(source, start)
+            text = source[start:pos]
+            kind = TokenKind.FLOAT if "." in text else TokenKind.NUMBER
+            append(Token(kind, text, line, start - line_start + 1))
+        elif group == "string" or group == "charlit":
+            kind = TokenKind.STRING if group == "string" else TokenKind.CHARLIT
+            append(Token(kind, source[start + 1 : pos - 1], line, start - line_start + 1))
+        elif group == "line_comment" or (group == "hash" and start == line_start):
+            line_start += pos - start
+        elif group == "open_comment":
+            raise ParseError("unterminated block comment", line, start - line_start + 1)
+        elif group is not None:
+            ch = source[start]
+            column = start - line_start + 1
+            if ch.isalpha():
+                pos = _WORD.match(source, start + 1).end()
+                text = source[start:pos]
+                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            elif ch.isdigit():
+                pos = _digits_end(source, start)
+                text = source[start:pos]
+                kind = TokenKind.FLOAT if "." in text else TokenKind.NUMBER
+            elif ch == '"' or ch == "'":
+                literal = "string" if ch == '"' else "char"
+                raise ParseError(f"unterminated {literal} literal", line, column)
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line, column)
+            append(Token(kind, text, line, column))
+    append(Token(TokenKind.EOF, "", line, n - line_start + 1))
+    return tokens
