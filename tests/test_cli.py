@@ -735,6 +735,12 @@ class TestAnalyzeCli:
         assert analyze_main(["--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_octal_literal_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "octal.cpp"
+        source.write_text("int main() { int x = 010; return x; }\n")
+        assert analyze_main([str(source)]) == 2
+        assert "1:22: invalid integer literal '010'" in capsys.readouterr().err
+
 
 class TestExecCli:
     def test_missing_file_exits_2(self, capsys):
@@ -750,6 +756,14 @@ class TestExecCli:
         source.write_text("int main(int a, char b) { return 0; }\n")
         assert exec_main([str(source), "--args", "1,zap"]) == 2
         assert "bad integer" in capsys.readouterr().err
+
+    def test_octal_literal_exits_2(self, tmp_path, capsys):
+        from repro.cli import exec_main
+
+        source = tmp_path / "octal.cpp"
+        source.write_text("int main() { int x = 010; return x; }\n")
+        assert exec_main([str(source)]) == 2
+        assert "1:22: invalid integer literal '010'" in capsys.readouterr().err
 
     def test_runs_simple_program(self, tmp_path, capsys):
         from repro.cli import exec_main
