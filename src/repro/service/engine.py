@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis import analysis_cache_stats
+from ..analysis import analysis_cache_stats, parse_cached
 from ..attacks import all_attacks, attack_by_name
 from ..defenses import ALL_DEFENSES, defense_by_name
+from ..errors import ParseError
 from ..matrix.sweep import MatrixRow, attack_rows, sweep_cells
 from ..workloads.corpus import corpus_sources
 from .cache import ResultCache
@@ -32,6 +33,15 @@ from .metrics import MetricsRegistry, render_prometheus
 from .scheduler import Scheduler
 from .tracing import TraceBuffer
 from .workers import WorkerPool
+
+
+def _parsed(source: str):
+    """The program ``source`` parses to; a source that does not parse
+    is bad input (``ValueError``), refused before any job is queued."""
+    try:
+        return parse_cached(source)
+    except ParseError as error:
+        raise ValueError(f"'source' does not parse: {error}") from None
 
 
 class ServiceEngine:
@@ -78,6 +88,7 @@ class ServiceEngine:
         priority: int = HIGH_PRIORITY,
     ) -> dict:
         """Analyze one source, served from cache when warm."""
+        _parsed(source)
         return self.scheduler.run(
             AnalyzeJob(source=source, label=label, legacy=legacy),
             priority=priority,
@@ -179,6 +190,9 @@ class ServiceEngine:
         canary: bool = False,
     ) -> dict:
         """Run MiniC++ source on a fresh simulated machine."""
+        program = _parsed(source)
+        if all(function.name != entry for function in program.functions):
+            raise ValueError(f"no function '{entry}'")
         return self.scheduler.run(
             ExecJob(
                 source=source,

@@ -247,6 +247,37 @@ class TestErrorHandling:
         after = engine.metrics.snapshot()["counters"]["http.bad_request"]
         assert after == before + 1
 
+    @pytest.mark.parametrize("path", ["/analyze", "/exec"])
+    @pytest.mark.parametrize(
+        ("source", "reason"),
+        [
+            ("int main( {", "1:11: expected identifier, got '{'"),
+            ("int main() { return 010; }", "1:21: invalid integer literal '010'"),
+        ],
+        ids=["unparsable", "octal-literal"],
+    )
+    def test_unparsable_source_400(self, service, path, source, reason):
+        client, engine, _ = service
+        before = engine.metrics.snapshot()["counters"].get("http.bad_request", 0)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, {"source": source})
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == f"'source' does not parse: {reason}"
+        after = engine.metrics.snapshot()["counters"]["http.bad_request"]
+        assert after == before + 1
+
+    def test_unknown_exec_entry_400(self, service):
+        client, engine, _ = service
+        before = engine.metrics.snapshot()["counters"].get("http.bad_request", 0)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST", "/exec", {"source": "int f(){return 0;}", "entry": "nope"}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == "no function 'nope'"
+        after = engine.metrics.snapshot()["counters"]["http.bad_request"]
+        assert after == before + 1
+
     def test_unknown_attack_400(self, service):
         client, _, _ = service
         with pytest.raises(ServiceError) as excinfo:
