@@ -56,7 +56,7 @@ def handle_registration(machine, student_cls, arena, remote, taint):
 
 def main() -> None:
     machine, student_cls, arena = build_server()
-    taint = TaintEngine(machine.space)
+    taint = TaintEngine()
     credits_var = machine.global_var("enrolledCredits")
 
     print("— request 1: honest client —")

@@ -63,7 +63,7 @@ class RemoteObjectOverflowAttack(AttackScenario):
 
     def execute(self, env: Environment) -> AttackResult:
         machine = env.make_machine()
-        taint = TaintEngine(machine.space)
+        taint = TaintEngine()
         service = malicious_service()
         remote = service.get_student(course_count=self.course_count)
 

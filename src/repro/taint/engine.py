@@ -6,8 +6,6 @@ import enum
 from dataclasses import dataclass
 from typing import Any, FrozenSet
 
-from ..memory.address_space import AddressSpace
-
 
 class TaintLabel(enum.Enum):
     """Where attacker influence entered the process."""
@@ -48,8 +46,7 @@ class TaintedValue:
 class TaintEngine:
     """Per-byte taint map over one simulated address space."""
 
-    def __init__(self, space: AddressSpace) -> None:
-        self._space = space
+    def __init__(self) -> None:
         self._map: dict[int, FrozenSet[TaintLabel]] = {}
 
     def mark(self, address: int, length: int, *labels: TaintLabel) -> None:

@@ -99,7 +99,7 @@ class TestJsonCodecOverGeneratedClasses:
         remote = RemoteObject.from_json(wire.to_json())
 
         target = Machine()
-        taint = TaintEngine(target.space)
+        taint = TaintEngine()
         arena = target.static_object(class_def, "arena")
         construct_from_remote(
             target, class_def, arena.address, remote, taint=taint

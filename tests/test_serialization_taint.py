@@ -79,7 +79,7 @@ class TestDeserialization:
 
     def test_construct_from_remote_marks_taint(self, machine, student_classes):
         student, _ = student_classes
-        taint = TaintEngine(machine.space)
+        taint = TaintEngine()
         remote = RemoteObject("Student", {"gpa": 1.0, "year": 1, "semester": 1})
         arena = machine.static_object(student, "arena")
         construct_from_remote(machine, student, arena.address, remote, taint=taint)
@@ -114,7 +114,7 @@ class TestDeserialization:
 
 class TestTaintEngine:
     def test_mark_and_query(self, machine):
-        taint = TaintEngine(machine.space)
+        taint = TaintEngine()
         taint.mark(0x1000, 4, TaintLabel.STDIN)
         assert taint.is_tainted(0x1000)
         assert taint.is_tainted(0x1003)
@@ -122,7 +122,7 @@ class TestTaintEngine:
         assert taint.labels_at(0x1000) == frozenset({TaintLabel.STDIN})
 
     def test_labels_union(self, machine):
-        taint = TaintEngine(machine.space)
+        taint = TaintEngine()
         taint.mark(0x1000, 2, TaintLabel.STDIN)
         taint.mark(0x1001, 2, TaintLabel.NETWORK)
         assert taint.labels_at(0x1000, 3) == frozenset(
@@ -130,7 +130,7 @@ class TestTaintEngine:
         )
 
     def test_clear(self, machine):
-        taint = TaintEngine(machine.space)
+        taint = TaintEngine()
         taint.mark(0x1000, 4, TaintLabel.FILE)
         taint.clear(0x1000, 4)
         assert not taint.is_tainted(0x1000, 4)
