@@ -6,7 +6,8 @@ health metric for the whole stack (parser, detector, interpreter,
 memory simulator).  This experiment records executions per second for
 the sequential core and the service-batched campaign driver, plus the
 campaign-level divergence rate, as ``extra_info`` on the benchmark
-record so the BENCH trajectory can track fuzzing economics over time.
+record.  The end-to-end campaign cost is perfbench's ``fuzz`` workload
+(``python3 perfbench/run.py --workload fuzz``).
 """
 
 import os

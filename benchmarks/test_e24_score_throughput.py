@@ -5,9 +5,10 @@ maps every finding through the threat registry, then propagation walks
 the dependency closure of each package, so corpus scoring throughput
 tracks the analysis front end and the graph layer together.  This
 experiment records ``packages_scored_per_s`` as ``extra_info`` on the
-benchmark record so the BENCH trajectory can follow scoring economics
-over time, and checks the service fan-out agrees with the sequential
-path byte-for-byte.
+benchmark record and checks the service fan-out agrees with the
+sequential path byte-for-byte.  The end-to-end scoring cost is
+perfbench's ``score`` workload (``python3 perfbench/run.py --workload
+score``).
 """
 
 from conftest import print_table

@@ -4,8 +4,8 @@ Checkpointed campaigns serialize the corpus, coverage, divergences,
 and counters to an atomically-replaced JSON file after every round.
 This experiment runs the same campaign bare and checkpointed and
 records the wall-clock overhead (total and per checkpoint) plus the
-on-disk checkpoint size, so the BENCH trajectory catches a checkpoint
-format that grows pathological before a long campaign does.  It also
+on-disk checkpoint size, so a checkpoint format that grows
+pathological shows here before a long campaign hits it.  It also
 times a resume's restore step — the fixed cost of continuing a killed
 run — and asserts the resumed report stays byte-identical.
 """

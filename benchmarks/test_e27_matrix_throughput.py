@@ -6,8 +6,10 @@ rate is the composite cost of one fully-armed defended execution:
 fresh machine, armed mitigation hooks (shadow stack, VRT, tag map),
 interpretation, oracle probes.  This experiment records ``cells_per_s``
 for the sequential reference and the service-fanned path as
-``extra_info`` so the BENCH trajectory catches a hook that quietly
-turns every memory access into a table scan.
+``extra_info``, so a hook that quietly turns every memory access into
+a table scan shows in the printed table.  The end-to-end sweep cost is
+perfbench's ``matrix`` workload (``python3 perfbench/run.py --workload
+matrix``).
 """
 
 import os
