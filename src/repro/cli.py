@@ -309,11 +309,16 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--cache-dir",
         help="persist scheduler results on disk so repeat sweeps are warm "
-        "(only meaningful with --jobs)",
+        "(needs --jobs > 1)",
     )
     parser.set_defaults(func=_analyze_run)
     args = parser.parse_args(argv)
-    return _run_command(args, "analyze", (args.jobs < 1, "--jobs must be >= 1"))
+    return _run_command(
+        args,
+        "analyze",
+        (args.jobs < 1, "--jobs must be >= 1"),
+        (args.cache_dir and args.jobs == 1, "--cache-dir needs --jobs > 1"),
+    )
 
 
 def _analyze_run(args) -> int:
