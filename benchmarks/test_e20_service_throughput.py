@@ -17,7 +17,7 @@ import time
 from conftest import print_table
 
 from repro.analysis import analyze_source
-from repro.service import ServiceEngine
+from repro.service import ServiceEngine, WorkerPool
 from repro.service.workers import report_payload
 from repro.workloads import corpus_sources
 
@@ -99,9 +99,9 @@ def test_e20_parallel_matrix_throughput():
     sequential = run_sweep(rows=attack_rows())
     sequential_s = time.perf_counter() - started
 
-    with ServiceEngine(workers=WORKERS, backend=_BACKEND) as engine:
+    with WorkerPool(WORKERS, _BACKEND) as pool:
         started = time.perf_counter()
-        parallel = run_sweep(rows=attack_rows(), engine=engine)
+        parallel = run_sweep(rows=attack_rows(), pool=pool)
         parallel_s = time.perf_counter() - started
 
     cell_count = len(sequential["rows"]) * len(sequential["defenses"])

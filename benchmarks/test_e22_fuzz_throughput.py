@@ -16,7 +16,7 @@ import time
 from conftest import print_table
 
 from repro.fuzz import FuzzConfig, run_campaign
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 ITERATIONS = 150
 WORKERS = 4
@@ -59,9 +59,9 @@ def test_e22_service_campaign_scales():
     sequential = run_campaign(config)
     sequential_s = time.perf_counter() - started
 
-    with ServiceEngine(workers=WORKERS, use_cache=False) as engine:
+    with WorkerPool(WORKERS) as pool:
         started = time.perf_counter()
-        batched = run_campaign(config, engine=engine, batch_size=40)
+        batched = run_campaign(config, pool=pool, batch_size=40)
         batched_s = time.perf_counter() - started
 
     print_table(

@@ -14,7 +14,7 @@ score``).
 from conftest import print_table
 
 from repro.score import generated_package_graph, score_graph
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 SEED = 2026
 PACKAGES = 48
@@ -55,8 +55,8 @@ def test_e24_service_scoring_matches_sequential(benchmark):
     sequential = score_graph(graph).to_json()
 
     def scored_over_pool():
-        with ServiceEngine(workers=WORKERS, use_cache=False) as engine:
-            return score_graph(graph, engine=engine)
+        with WorkerPool(WORKERS) as pool:
+            return score_graph(graph, pool=pool)
 
     score = benchmark.pedantic(scored_over_pool, rounds=1)
 

@@ -18,7 +18,7 @@ import time
 from conftest import print_table
 
 from repro.matrix import attack_rows, canonical_report_json, run_sweep, seed_rows
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 #: Enough rows to amortize setup, small enough for CI: eight gallery
 #: attacks plus every seed program, under the modern-mitigation columns.
@@ -69,8 +69,8 @@ def test_e27_fanned_sweep_byte_identical_and_counted():
     sequential_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    with ServiceEngine(workers=4, use_cache=False) as engine:
-        fanned = run_sweep(rows=rows, defenses=DEFENSES, engine=engine)
+    with WorkerPool(4) as pool:
+        fanned = run_sweep(rows=rows, defenses=DEFENSES, pool=pool)
     fanned_s = time.perf_counter() - started
 
     assert canonical_report_json(fanned) == canonical_report_json(sequential)

@@ -17,7 +17,7 @@ from repro.fuzz import (
     run_campaign,
     run_oracles,
 )
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 SEED = 7
 ITERATIONS = 200
@@ -41,15 +41,14 @@ void run() {
 def main() -> None:
     # -- one campaign over the worker pool ---------------------------------
     config = FuzzConfig(seed=SEED, iterations=ITERATIONS)
-    with ServiceEngine(workers=4, use_cache=False) as engine:
-        report = run_campaign(config, engine=engine, batch_size=50)
-        execs = engine.metrics.counter("fuzz.execs_total").value
+    with WorkerPool(4) as pool:
+        report = run_campaign(config, pool=pool, batch_size=50)
     print(report.render())
-    print(f"\nservice counter fuzz.execs_total = {execs}")
+    print(f"\nexecutions across the pool = {report.execs}")
 
     # -- the determinism contract ------------------------------------------
-    with ServiceEngine(workers=2, use_cache=False) as engine:
-        rerun = run_campaign(config, engine=engine, batch_size=50)
+    with WorkerPool(2) as pool:
+        rerun = run_campaign(config, pool=pool, batch_size=50)
     identical = report.to_json() == rerun.to_json()
     print(f"re-run with a different worker count: byte-identical = {identical}")
 

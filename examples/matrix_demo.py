@@ -20,7 +20,7 @@ from repro.matrix import (
     run_sweep,
     seed_rows,
 )
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 DEFENSES = (
     "none",
@@ -54,8 +54,8 @@ def main() -> None:
     )
 
     print("— determinism: the fanned sweep is byte-identical —")
-    with ServiceEngine(workers=4, use_cache=False) as engine:
-        fanned = run_sweep(rows=rows, defenses=DEFENSES, engine=engine)
+    with WorkerPool(4) as pool:
+        fanned = run_sweep(rows=rows, defenses=DEFENSES, pool=pool)
     identical = canonical_report_json(fanned) == canonical_report_json(report)
     print(f" sequential == 4 workers: {identical}\n")
 

@@ -20,7 +20,7 @@ from repro.regress import (
     rebaseline_store,
     replay_store,
 )
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 SEED = 7
 ITERATIONS = 200
@@ -57,8 +57,8 @@ def main() -> None:
 
     # -- replay: sequential and fanned-out are byte-identical --------------
     sequential = replay_store(store)
-    with ServiceEngine(workers=4, use_cache=False) as engine:
-        fanned = replay_store(store, chunk_size=4, engine=engine)
+    with WorkerPool(4) as pool:
+        fanned = replay_store(store, chunk_size=4, pool=pool)
     print(f"\n{sequential.render()}")
     identical = sequential.to_json() == fanned.to_json()
     print(f"4-worker fan-out byte-identical to sequential: {identical}")

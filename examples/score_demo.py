@@ -16,7 +16,7 @@ from repro.score import (
     score_graph,
     scoring_versions,
 )
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 
 def main() -> None:
@@ -56,15 +56,10 @@ def main() -> None:
     )
 
     # -- the same function over the pool: same bytes at any worker count ---
-    with ServiceEngine(workers=4) as engine:
-        parallel = score_graph(graph, engine=engine)
-        families = [
-            name
-            for name in engine.metrics_snapshot()["counters"]
-            if name.startswith("score.")
-        ]
+    with WorkerPool(4) as pool:
+        parallel = score_graph(graph, pool=pool)
     assert parallel.to_json() == score.to_json()
-    print(f"\n4-worker report is byte-identical; metrics: {families}")
+    print("\n4-worker report is byte-identical")
 
     # -- attributability ---------------------------------------------------
     fingerprint = scoring_versions()

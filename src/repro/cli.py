@@ -168,20 +168,15 @@ def _add_pool_options(parser, default_jobs: int, noun: str) -> None:
     )
 
 
-@contextlib.contextmanager
-def _batch_engine(args):
-    """The engine a batch command fans out over: ``None`` for ``--jobs
-    0`` (run inline), else a cacheless ``ServiceEngine`` of ``--jobs``
-    workers on ``--backend``, closed when the block exits."""
+def _batch_pool(args):
+    """The pool a batch command fans out over, as a context manager:
+    ``None`` for ``--jobs 0`` (run inline), else a ``WorkerPool`` of
+    ``--jobs`` workers on ``--backend``, shut down when the block exits."""
     if args.jobs == 0:
-        yield None
-        return
-    from .service import ServiceEngine
+        return contextlib.nullcontext()
+    from .service.workers import WorkerPool
 
-    with ServiceEngine(
-        workers=args.jobs, backend=args.backend, use_cache=False
-    ) as engine:
-        yield engine
+    return WorkerPool(args.jobs, args.backend)
 
 
 def _run_command(args, prog: str, *checks) -> int:
@@ -190,7 +185,7 @@ def _run_command(args, prog: str, *checks) -> int:
     ``--step-budget`` below 1.  A :class:`_CommandError` prints
     ``error: <message>`` and exits its status; a hard Ctrl-C exits 130.
 
-    Every pool user runs its engine inside :func:`_batch_engine` (or its
+    Every pool user runs its pool inside :func:`_batch_pool` (or its
     own ``with`` block), which has drained the pool by the time the
     interrupt reaches here, so exiting cannot orphan workers.
     """
@@ -322,22 +317,23 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _analyze_run(args) -> int:
-    from .service import JobFailed, ServiceEngine
     from .service.jobs import AnalyzeJob
-    from .service.scheduler import run_jobs
-    from .service.workers import report_from_payload
+    from .service.workers import JobFailed, report_from_payload, run_jobs
 
     if args.files:
         sources = [(path, _read_source(path)[0]) for path in args.files]
     else:
         sources = [(prog.key, prog.source) for prog in FULL_CORPUS]
     jobs = [AnalyzeJob(source, name, args.legacy) for name, source in sources]
-    pool = contextlib.nullcontext()
-    if args.jobs > 1:
-        pool = ServiceEngine(workers=args.jobs, cache_dir=args.cache_dir)
     try:
-        with pool as engine:
-            payloads = [handle.result() for handle in run_jobs(jobs, engine)]
+        if args.jobs == 1:
+            payloads = [handle.result() for handle in run_jobs(jobs)]
+        else:
+            from .service import ServiceEngine
+
+            with ServiceEngine(workers=args.jobs, cache_dir=args.cache_dir) as engine:
+                handles = [engine.scheduler.submit_waiting(job) for job in jobs]
+                payloads = [handle.result() for handle in handles]
     except JobFailed as failure:
         raise _CommandError(f"analyze job failed: {failure}", status=1)
 
@@ -409,13 +405,12 @@ def _exec_run(args) -> int:
             )
     except ValueError as error:
         raise _CommandError(f"bad integer argument: {error}")
-    try:
-        result = run_exec(
-            dict(source=source, entry=args.entry, args=entry_args,
-                 stdin=stdin_tokens, canary=args.canary)
-        )
-    except Exception as error:  # the interpreter's refusals, e.g. empty stdin
-        result = {"died": True, "error": str(error)}
+    result = run_exec(
+        dict(source=source, entry=args.entry, args=entry_args,
+             stdin=stdin_tokens, canary=args.canary)
+    )
+    if "refused" in result:
+        raise _CommandError(f"{args.file}: {result['refused']}")
     if result["died"]:
         print(f"simulated process died: {result['error']}")
         return 1
@@ -568,10 +563,10 @@ def _fuzz_run(args) -> int:
     except ValueError:  # pragma: no cover - non-main thread
         pass
     try:
-        with _batch_engine(args) as engine:
+        with _batch_pool(args) as pool:
             report = run_campaign(
                 config,
-                engine=engine,
+                pool=pool,
                 batch_size=args.batch_size,
                 batch_timeout=args.batch_timeout,
                 store=store,
@@ -901,12 +896,12 @@ def _regress_replay(args) -> int:
     store = _open_store(args.store)
     from .regress import replay_store
 
-    with _batch_engine(args) as engine:
+    with _batch_pool(args) as pool:
         drift = replay_store(
             store,
             check_versions=not args.skip_version_check,
             chunk_size=args.chunk_size,
-            engine=engine,
+            pool=pool,
         )
     if args.out:
         _write_text(args.out, drift.to_json())
@@ -1136,7 +1131,7 @@ def _score_corpus(args):
     """Score the package graph named by ``args.packages`` (or the demo
     graph) inline or over the service pool."""
     from .score import demo_graph, load_package_dir, score_graph
-    from .service import JobFailed
+    from .service.workers import JobFailed
 
     if args.demo:
         graph = demo_graph()
@@ -1148,8 +1143,8 @@ def _score_corpus(args):
     if not 0.0 <= args.attenuation <= 1.0:
         raise _CommandError("--attenuation must be in [0, 1]")
     try:
-        with _batch_engine(args) as engine:
-            return score_graph(graph, args.attenuation, engine=engine)
+        with _batch_pool(args) as pool:
+            return score_graph(graph, args.attenuation, pool=pool)
     except JobFailed as failure:
         raise _CommandError(f"score job failed: {failure}", status=1)
 
@@ -1220,7 +1215,7 @@ def _matrix_regress_dir(args) -> Optional[str]:
 def _matrix_run(args) -> int:
     from .defenses import defense_by_name
     from .matrix import canonical_report_json, render_report, run_sweep
-    from .service import JobFailed
+    from .service.workers import JobFailed
 
     defenses = (
         tuple(name.strip() for name in args.defenses.split(",") if name.strip())
@@ -1231,13 +1226,13 @@ def _matrix_run(args) -> int:
     for name in defenses:
         _lookup(defense_by_name, name)
     try:
-        with _batch_engine(args) as engine:
+        with _batch_pool(args) as pool:
             report = run_sweep(
                 defenses=defenses,
                 seed=args.seed,
                 regress_dir=regress_dir,
                 step_budget=args.step_budget,
-                engine=engine,
+                pool=pool,
             )
     except JobFailed as failure:
         raise _CommandError(f"matrix-cell job failed: {failure}", status=1)

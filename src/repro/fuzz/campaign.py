@@ -80,9 +80,8 @@ class DifferentialFuzzer:
     """The sequential fuzzing core; every data structure is
     deterministic for a fixed seed and iteration count."""
 
-    def __init__(self, config: FuzzConfig, metrics=None, store=None) -> None:
+    def __init__(self, config: FuzzConfig, store=None) -> None:
         self.config = config
-        self.metrics = metrics
         #: Optional :class:`repro.regress.RegressionStore`; when set,
         #: :meth:`finalize` records every (minimized) divergence so the
         #: disagreement survives the campaign as a replayable bundle.
@@ -124,8 +123,6 @@ class DifferentialFuzzer:
         self._seen.add(key)
         if len(self.corpus) >= self.config.max_corpus:
             self.saturations += 1
-            if self.metrics is not None:
-                self.metrics.counter("fuzz.corpus_saturated").inc()
             if self._protected >= len(self.corpus):
                 return False  # nothing evictable: the cap is all seeds
             evicted = self.corpus.pop(self._protected)
@@ -144,8 +141,6 @@ class DifferentialFuzzer:
             fuzz_input.source, fuzz_input.stdin, self._oracle_config
         )
         self.execs += 1
-        if self.metrics is not None:
-            self.metrics.counter("fuzz.execs_total").inc()
         if fuzz_input.label == "vulnerable":
             reach = self.families.setdefault(
                 fuzz_input.family, {"static": False, "dynamic": False}
@@ -165,8 +160,6 @@ class DifferentialFuzzer:
             known = self.divergences.get(div.fingerprint)
             if known is None:
                 self.divergences[div.fingerprint] = div
-                if self.metrics is not None:
-                    self.metrics.counter("fuzz.divergences_total").inc()
             else:
                 known.occurrences += 1
         return observation
@@ -244,11 +237,6 @@ class DifferentialFuzzer:
                     # divergence still reaches the report; only its
                     # regression bundle is lost, and the loss is counted.
                     self.record_errors += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("fuzz.record_errors").inc()
-        if self.metrics is not None:
-            self.metrics.gauge("fuzz.coverage_size").set(len(self.coverage))
-            self.metrics.gauge("fuzz.corpus_size").set(len(self.corpus))
         report = CampaignReport(
             seed=self.config.seed,
             iterations=self.config.iterations,
@@ -342,12 +330,6 @@ def _merge_batch(fuzzer: DifferentialFuzzer, result: dict) -> None:
     fuzzer.invalid += result["invalid"]
     fuzzer.discarded += result["discarded"]
     fuzzer.saturations += result.get("saturations", 0)
-    if fuzzer.metrics is not None:
-        fuzzer.metrics.counter("fuzz.execs_total").inc(result["execs"])
-        if result.get("saturations"):
-            fuzzer.metrics.counter("fuzz.corpus_saturated").inc(
-                result["saturations"]
-            )
     fuzzer.coverage.observe(result["new_coverage"])
     for source, stdin, family, label in result["new_inputs"]:
         fuzzer.add_corpus(
@@ -360,8 +342,6 @@ def _merge_batch(fuzzer: DifferentialFuzzer, result: dict) -> None:
         known = fuzzer.divergences.get(div.fingerprint)
         if known is None:
             fuzzer.divergences[div.fingerprint] = div
-            if fuzzer.metrics is not None:
-                fuzzer.metrics.counter("fuzz.divergences_total").inc()
         else:
             known.occurrences += div.occurrences
 
@@ -372,7 +352,7 @@ def _save_checkpoint(
     """Publish one round-boundary checkpoint (no-op without a store)."""
     if checkpoints is None:
         return None
-    path = checkpoints.save(
+    return checkpoints.save(
         checkpoint_from_fuzzer(
             fuzzer,
             batch_size=batch_size,
@@ -380,15 +360,11 @@ def _save_checkpoint(
             remaining=remaining,
         )
     )
-    if fuzzer.metrics is not None:
-        fuzzer.metrics.counter("fuzz.checkpoints_written").inc()
-        fuzzer.metrics.gauge("fuzz.checkpoint_round").set(round_index)
-    return path
 
 
 def run_campaign(
     config: FuzzConfig,
-    engine=None,
+    pool=None,
     batch_size: int = 50,
     batch_timeout: float = 120.0,
     store=None,
@@ -400,10 +376,10 @@ def run_campaign(
 ) -> CampaignReport:
     """Run a whole campaign as deterministic rounds of batches.
 
-    Sequential (``engine=None``) and fanned-out campaigns execute the
+    Sequential (``pool=None``) and fanned-out campaigns execute the
     *same* :class:`FuzzCampaignJob` batches — the only difference is
     whether :func:`run_batch` runs inline or over the service worker
-    pool — so the report is byte-identical at any worker count,
+    ``pool`` — so the report is byte-identical at any worker count,
     including zero.  On the pool, a batch that fails or outlives
     ``batch_timeout`` is counted in ``iterations_lost``.  With ``store`` (a
     :class:`repro.regress.RegressionStore`) every minimized divergence
@@ -423,7 +399,6 @@ def run_campaign(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, not {batch_size}")
-    metrics = engine.metrics if engine is not None else None
     checkpoints = (
         CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
     )
@@ -445,15 +420,13 @@ def run_campaign(
                 f"checkpoint was recorded under different oracle versions "
                 f"({detail}); restart the campaign or skip the version check"
             )
-        fuzzer = restore_fuzzer(checkpoint, metrics=metrics, store=store)
+        fuzzer = restore_fuzzer(checkpoint, store=store)
         config = fuzzer.config
         batch_size = checkpoint.batch_size
         round_index = checkpoint.round_index
         remaining = checkpoint.remaining
-        if metrics is not None:
-            metrics.counter("fuzz.checkpoint_resumes").inc()
     else:
-        fuzzer = DifferentialFuzzer(config, metrics=metrics, store=store)
+        fuzzer = DifferentialFuzzer(config, store=store)
         fuzzer.run_seeds()
         round_index, remaining = 0, config.iterations
         # The post-seed baseline: even a kill during round 0 resumes
@@ -461,7 +434,7 @@ def run_campaign(
         _save_checkpoint(checkpoints, fuzzer, batch_size, round_index, remaining)
 
     from ..service.jobs import FuzzCampaignJob
-    from ..service.scheduler import JobFailed, run_jobs
+    from ..service.workers import JobFailed, run_jobs
 
     rounds_done = 0
     while remaining > 0:
@@ -497,7 +470,7 @@ def run_campaign(
                     max_corpus=config.max_corpus,
                 )
             )
-        for job, handle in zip(jobs, run_jobs(jobs, engine, batch_timeout)):
+        for job, handle in zip(jobs, run_jobs(jobs, pool, batch_timeout)):
             try:
                 _merge_batch(fuzzer, handle.result())
             except JobFailed:
@@ -506,10 +479,6 @@ def run_campaign(
                 # "N iterations" claims stay honest.
                 fuzzer.batches_failed += 1
                 fuzzer.iterations_lost += job.iterations
-                if fuzzer.metrics is not None:
-                    fuzzer.metrics.counter("fuzz.iterations_lost").inc(
-                        job.iterations
-                    )
         round_index += 1
         rounds_done += 1
         _save_checkpoint(checkpoints, fuzzer, batch_size, round_index, remaining)

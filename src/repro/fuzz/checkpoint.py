@@ -214,16 +214,14 @@ def checkpoint_from_fuzzer(
     )
 
 
-def restore_fuzzer(checkpoint: CampaignCheckpoint, metrics=None, store=None):
+def restore_fuzzer(checkpoint: CampaignCheckpoint, store=None):
     """Rebuild the driver-side fuzzer exactly as the checkpoint left it."""
     from .campaign import DifferentialFuzzer
     from .coverage import CoverageMap
     from .divergence import Divergence
     from .seeds import FuzzInput
 
-    fuzzer = DifferentialFuzzer(
-        checkpoint.fuzz_config(), metrics=metrics, store=store
-    )
+    fuzzer = DifferentialFuzzer(checkpoint.fuzz_config(), store=store)
     fuzzer.coverage = CoverageMap(frozenset(checkpoint.coverage))
     for index, (source, stdin, family, label) in enumerate(checkpoint.corpus):
         fuzzer.add_corpus(

@@ -3,7 +3,7 @@
 Turns one-off fuzz findings into durable correctness claims: every
 minimized oracle disagreement (and any deliberately pinned agreement)
 is stored as a content-addressed, version-aware JSON bundle that the
-``repro-regress`` CLI — and the service engine's ``regress-replay``
+``repro-regress`` CLI — and the worker pool's ``regress-replay``
 job — can re-judge against the live detector and simulator on every
 PR.  Verdict drift, triage drift, and version bumps without an explicit
 rebaseline all fail the replay.  See docs/REGRESSION.md.

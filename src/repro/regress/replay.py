@@ -299,7 +299,7 @@ class DriftReport:
         return "\n".join(lines)
 
 
-#: Per-job deadline when a replay fans out over a service engine.
+#: Per-job deadline when a replay fans out over a worker pool.
 REPLAY_TIMEOUT = 300.0
 
 
@@ -308,21 +308,20 @@ def replay_store(
     check_versions: bool = True,
     bundle_ids: Optional[list] = None,
     chunk_size: int = 8,
-    engine=None,
+    pool=None,
 ) -> DriftReport:
     """Replay a store (or a subset of its bundle ids) in bundle-id order.
 
     ``store`` is a :class:`RegressionStore` or a directory path.
     Bundles travel in chunks of ``chunk_size`` as ``regress-replay``
-    jobs, run inline (``engine=None``) or over ``engine``; results merge
+    jobs, run inline (``pool=None``) or over ``pool``; results merge
     in chunk order, so the report is byte-identical for any worker
-    count.  A chunk that fails or times out on the engine marks each of
+    count.  A chunk that fails or times out on the pool marks each of
     its bundles ``invalid-run`` rather than dropping them — a replay
-    gate must never lose bundles.  With an engine the ``regress.*``
-    metrics are recorded into ``engine.metrics``.
+    gate must never lose bundles.
     """
     from ..service.jobs import RegressReplayJob
-    from ..service.scheduler import JobFailed, run_jobs
+    from ..service.workers import JobFailed, run_jobs
 
     if not isinstance(store, RegressionStore):
         store = RegressionStore(store, create=False)
@@ -340,7 +339,7 @@ def replay_store(
         for chunk in chunks
     ]
     report = DriftReport()
-    for chunk, handle in zip(chunks, run_jobs(jobs, engine, REPLAY_TIMEOUT)):
+    for chunk, handle in zip(chunks, run_jobs(jobs, pool, REPLAY_TIMEOUT)):
         try:
             results = handle.result()["results"]
         except JobFailed as error:
@@ -353,11 +352,6 @@ def replay_store(
                 for document in chunk
             ]
         report.results.extend(ReplayResult.from_dict(entry) for entry in results)
-    if engine is not None:
-        engine.metrics.gauge("regress.bundles").set(len(report.results))
-        engine.metrics.counter("regress.replays_total").inc(len(report.results))
-        if report.drifted:
-            engine.metrics.counter("regress.drift_total").inc(len(report.drifted))
     return report
 
 

@@ -194,18 +194,17 @@ def score_packages(
 
 
 def score_graph(
-    graph, attenuation: float = DEFAULT_ATTENUATION, engine=None
+    graph, attenuation: float = DEFAULT_ATTENUATION, pool=None
 ) -> CorpusScore:
     """Score a package graph (or a package directory path).
 
     The per-package half runs as one ``score`` job per package, in
-    sorted-name order, inline (``engine=None``) or over ``engine``;
+    sorted-name order, inline (``pool=None``) or over ``pool``;
     propagation runs here once every package's risks are back, so the
-    report is byte-identical at any worker count.  With an engine the
-    ``score.*`` metrics are recorded into ``engine.metrics``.
+    report is byte-identical at any worker count.
     """
     from ..service.jobs import ScoreJob
-    from ..service.scheduler import run_jobs
+    from ..service.workers import run_jobs
 
     if not isinstance(graph, PackageGraph):
         graph = load_package_dir(graph)
@@ -217,17 +216,9 @@ def score_graph(
     ]
     risks_by_package = {
         name: handle.result()["risks"]
-        for name, handle in zip(names, run_jobs(jobs, engine))
+        for name, handle in zip(names, run_jobs(jobs, pool))
     }
-    score = score_packages(graph, risks_by_package, attenuation)
-    if engine is not None:
-        totals = score.totals
-        metrics = engine.metrics
-        metrics.counter("score.packages_scored").inc(totals["packages"])
-        metrics.counter("score.risks_found").inc(totals["risks"])
-        metrics.gauge("score.flawed_packages").set(totals["flawed_packages"])
-        metrics.gauge("score.max_blast_radius").set(totals["max_blast_radius"])
-    return score
+    return score_packages(graph, risks_by_package, attenuation)
 
 
 def diff_score_reports(before: dict, after: dict) -> List[str]:

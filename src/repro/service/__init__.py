@@ -6,7 +6,9 @@ The repo's first concurrency, caching, and networking subsystem.  Jobs
 result cache (:mod:`cache`) with full metrics accounting
 (:mod:`metrics`); :mod:`server`/:mod:`client` expose everything over a
 stdlib JSON API, and :class:`~repro.service.engine.ServiceEngine` ties
-the lifecycle together.  See ``docs/SERVICE.md``.
+the lifecycle together.  Batch workloads skip the scheduler and hand
+their jobs straight to a pool (:func:`~repro.service.workers.run_jobs`).
+See ``docs/SERVICE.md``.
 """
 
 import importlib
@@ -39,26 +41,20 @@ _EXPORTS = {
         "metrics",
     ),
     **dict.fromkeys(
-        (
-            "JobFailed",
-            "JobHandle",
-            "JobOutcome",
-            "JobStatus",
-            "QueueFull",
-            "Scheduler",
-            "run_jobs",
-        ),
+        ("JobHandle", "JobOutcome", "JobStatus", "QueueFull", "Scheduler"),
         "scheduler",
     ),
     **dict.fromkeys(("ServiceHTTPServer", "create_server"), "server"),
     **dict.fromkeys(("JobTrace", "TraceBuffer", "TraceSpan"), "tracing"),
     **dict.fromkeys(
         (
+            "JobFailed",
             "WorkerPool",
             "execute_job",
             "register_worker",
             "report_from_payload",
             "report_payload",
+            "run_jobs",
         ),
         "workers",
     ),

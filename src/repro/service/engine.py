@@ -1,14 +1,15 @@
 """The service engine: one object wiring cache, pool, scheduler, metrics.
 
 ``ServiceEngine`` is the programmatic front door used by the HTTP
-server, the CLI batch paths, and the benchmarks.  It owns the component
+server and ``repro-analyze --jobs N``.  It owns the component
 lifecycles (use it as a context manager) and exposes the interactive
 operations — single analyses, parallel corpus sweeps, attack runs, the
 E14 matrix — as blocking calls that internally fan out through the
-scheduler.  The batch workloads are plain functions that take the
-engine as an argument: :func:`repro.matrix.run_sweep`,
+scheduler.  The batch workloads need none of it: they are plain
+functions that take a :class:`~repro.service.workers.WorkerPool` as
+``pool=`` (:func:`repro.matrix.run_sweep`,
 :func:`repro.fuzz.run_campaign`, :func:`repro.regress.replay_store` and
-:func:`repro.score.score_graph`.
+:func:`repro.score.score_graph`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..analysis import analysis_cache_stats, parse_cached
 from ..attacks import all_attacks, attack_by_name
 from ..defenses import ALL_DEFENSES, defense_by_name
 from ..errors import ParseError
-from ..matrix.sweep import MatrixRow, attack_rows, sweep_cells
+from ..matrix.sweep import CELL_TIMEOUT, MatrixRow, attack_rows, cell_jobs
 from ..workloads.corpus import corpus_sources
 from .cache import ResultCache
 from .jobs import (
@@ -31,7 +32,6 @@ from .jobs import (
 )
 from .metrics import MetricsRegistry, render_prometheus
 from .scheduler import Scheduler
-from .tracing import TraceBuffer
 from .workers import WorkerPool
 
 
@@ -55,16 +55,12 @@ class ServiceEngine:
         use_cache: bool = True,
     ):
         self.metrics = MetricsRegistry()
-        self.traces = TraceBuffer()
         self.cache = ResultCache(directory=cache_dir) if use_cache else None
         self.pool = WorkerPool(max_workers=workers, backend=backend)
         self.scheduler = Scheduler(
-            pool=self.pool,
-            cache=self.cache,
-            metrics=self.metrics,
-            max_queue=1024,
-            traces=self.traces,
+            pool=self.pool, cache=self.cache, metrics=self.metrics, max_queue=1024
         )
+        self.traces = self.scheduler.traces
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -159,7 +155,11 @@ class ServiceEngine:
             for defense in ALL_DEFENSES
             if not defenses or defense.name in defenses
         ]
-        cells = sweep_cells(rows, chosen, engine=self)
+        handles = [
+            self.scheduler.submit_waiting(job, timeout=CELL_TIMEOUT)
+            for job in cell_jobs(rows, chosen)
+        ]
+        cells = [handle.result() for handle in handles]
         wins = dict.fromkeys(chosen, 0)
         for cell in cells:
             wins[cell["defense"]] += cell["succeeded"]
@@ -189,11 +189,12 @@ class ServiceEngine:
         stdin: Sequence = (),
         canary: bool = False,
     ) -> dict:
-        """Run MiniC++ source on a fresh simulated machine."""
+        """Run MiniC++ source on a fresh simulated machine; a program the
+        interpreter refuses to run is bad input (``ValueError``)."""
         program = _parsed(source)
         if all(function.name != entry for function in program.functions):
             raise ValueError(f"no function '{entry}'")
-        return self.scheduler.run(
+        result = self.scheduler.run(
             ExecJob(
                 source=source,
                 entry=entry,
@@ -203,6 +204,9 @@ class ServiceEngine:
             ),
             priority=HIGH_PRIORITY,
         )
+        if "refused" in result:
+            raise ValueError(result["refused"])
+        return result
 
     # -- introspection -----------------------------------------------------
 

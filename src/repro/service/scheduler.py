@@ -10,8 +10,9 @@ detector/config version → resolved immediately, no queueing).  Cache
 misses enter a bounded :class:`queue.PriorityQueue`; when the queue is
 full, ``submit`` raises :class:`QueueFull` instead of blocking — the
 caller (e.g. the HTTP front end) decides whether to shed load or wait.
-Batch commands wait: :func:`run_jobs` goes through ``submit_waiting``,
-which blocks until a dispatcher makes room.
+``submit_waiting`` instead blocks until a dispatcher makes room; the
+``/matrix`` route and ``repro-analyze --jobs N`` use it, while batch
+workloads bypass the scheduler (:func:`~repro.service.workers.run_jobs`).
 
 One dispatcher thread per pool worker pops jobs in priority order and
 executes each once on the pool with a per-job timeout.  A worker that
@@ -44,21 +45,17 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from .cache import ResultCache
 from .jobs import NORMAL_PRIORITY, Job
 from .metrics import MetricsRegistry
 from .tracing import JobTrace, TraceBuffer
-from .workers import WorkerPool, execute_job
+from .workers import DEFAULT_TIMEOUT, JobFailed, WorkerPool
 
 
 class QueueFull(RuntimeError):
     """The bounded work queue rejected a submission."""
-
-
-class JobFailed(RuntimeError):
-    """Raised by :meth:`JobHandle.result` when the job did not succeed."""
 
 
 class JobStatus(enum.Enum):
@@ -123,34 +120,6 @@ class JobHandle:
         return outcome.result
 
 
-class _InlineHandle:
-    """A handle whose job runs in the calling thread when its result is
-    read; a worker's exception propagates as is."""
-
-    def __init__(self, job: Job):
-        self.job = job
-
-    def result(self) -> dict:
-        return execute_job(self.job.KIND, self.job.payload())
-
-
-def run_jobs(jobs: Sequence[Job], engine=None, timeout: Optional[float] = None):
-    """One handle per job, in job order, for every batch workload.
-
-    With no engine each handle runs its job's worker inline when read —
-    the same function the pool runs — so ``--jobs 0`` and ``--jobs N``
-    share one code path.  With an engine the jobs are submitted through
-    its scheduler (``timeout`` per job, the scheduler default when None),
-    waiting for queue room rather than raising :class:`QueueFull`, so a
-    batch may hold more jobs than the queue; a failed or timed-out job's
-    ``result()`` raises :class:`JobFailed`.
-    """
-    if engine is None:
-        return [_InlineHandle(job) for job in jobs]
-    scheduler = engine.scheduler
-    return [scheduler.submit_waiting(job, timeout=timeout) for job in jobs]
-
-
 _STOP = object()
 
 
@@ -159,20 +128,16 @@ class Scheduler:
 
     def __init__(
         self,
-        pool: Optional[WorkerPool] = None,
+        pool: WorkerPool,
         cache: Optional[ResultCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         max_queue: int = 256,
-        default_timeout: float = 60.0,
-        traces: Optional[TraceBuffer] = None,
         max_abandoned: Optional[int] = None,
     ):
-        self.pool = pool or WorkerPool()
-        self._owns_pool = pool is None
+        self.pool = pool
         self.cache = cache
         self.metrics = metrics or MetricsRegistry()
-        self.default_timeout = default_timeout
-        self.traces = traces if traces is not None else TraceBuffer()
+        self.traces = TraceBuffer()
         self.max_abandoned = (
             max_abandoned if max_abandoned is not None else 2 * self.pool.size
         )
@@ -200,18 +165,17 @@ class Scheduler:
         job: Job,
         priority: int = NORMAL_PRIORITY,
         timeout: Optional[float] = None,
-        use_cache: bool = True,
     ) -> JobHandle:
         """Queue one job; returns immediately with a handle.
 
         Raises :class:`QueueFull` when the queue is at capacity.
         """
-        handle, item = self._admit(job, priority, timeout, use_cache)
+        handle, item = self._admit(job, priority, timeout)
         if item is not None:
             try:
                 self._queue.put_nowait(item)
             except queue.Full:
-                item[7].record("rejected", reason="queue-full")
+                item[6].record("rejected", reason="queue-full")
                 raise QueueFull(
                     f"work queue at capacity ({self._queue.maxsize} jobs)"
                 ) from None
@@ -223,18 +187,14 @@ class Scheduler:
     ) -> JobHandle:
         """Like :meth:`submit` at normal priority, but a full queue
         blocks the caller until a dispatcher takes a job off it."""
-        handle, item = self._admit(job, NORMAL_PRIORITY, timeout, True)
+        handle, item = self._admit(job, NORMAL_PRIORITY, timeout)
         if item is not None:
             self._queue.put(item)
             self._queued(item)
         return handle
 
     def _admit(
-        self,
-        job: Job,
-        priority: int,
-        timeout: Optional[float],
-        use_cache: bool,
+        self, job: Job, priority: int, timeout: Optional[float]
     ) -> tuple:
         """Open the job's trace and resolve it from the cache when warm.
 
@@ -248,7 +208,7 @@ class Scheduler:
         trace = self.traces.start(key, job.KIND)
         trace.record("submitted", priority=priority)
         self.metrics.counter("scheduler.jobs_submitted").inc()
-        if self.cache is not None and use_cache and job.CACHEABLE:
+        if self.cache is not None and job.CACHEABLE:
             cached = self.cache.get(key)
             if cached is not None:
                 self.metrics.counter("scheduler.cache_hits").inc()
@@ -270,8 +230,7 @@ class Scheduler:
             next(self._seq),
             job,
             handle,
-            timeout if timeout is not None else self.default_timeout,
-            use_cache,
+            timeout if timeout is not None else DEFAULT_TIMEOUT,
             time.monotonic(),
             trace,
         )
@@ -279,7 +238,7 @@ class Scheduler:
 
     def _queued(self, item: tuple) -> None:
         depth = self._queue.qsize()
-        item[7].record("queued", depth=depth)
+        item[6].record("queued", depth=depth)
         self.metrics.gauge("scheduler.queue_depth").set(depth)
 
     def map(
@@ -303,7 +262,7 @@ class Scheduler:
             if item[2] is _STOP:
                 self._queue.task_done()
                 return
-            _, _, job, handle, timeout, use_cache, enqueued, trace = item
+            _, _, job, handle, timeout, enqueued, trace = item
             self.metrics.gauge("scheduler.queue_depth").set(self._queue.qsize())
             waited = time.monotonic() - enqueued
             self.metrics.histogram("scheduler.queue_wait_seconds").observe(waited)
@@ -312,7 +271,7 @@ class Scheduler:
                 self._queue.task_done()
                 continue
             try:
-                self._execute(job, handle, timeout, use_cache, trace)
+                self._execute(job, handle, timeout, trace)
             finally:
                 self._queue.task_done()
 
@@ -388,7 +347,6 @@ class Scheduler:
         job: Job,
         handle: JobHandle,
         timeout: float,
-        use_cache: bool,
         trace: JobTrace,
     ) -> None:
         key = job.key()
@@ -425,7 +383,7 @@ class Scheduler:
             duration = time.monotonic() - started
             self.metrics.counter("scheduler.jobs_succeeded").inc()
             self.metrics.histogram("scheduler.job_seconds").observe(duration)
-            if self.cache is not None and use_cache and job.CACHEABLE:
+            if self.cache is not None and job.CACHEABLE:
                 self._store(key, result, trace)
             self._finish(
                 handle,
@@ -500,16 +458,14 @@ class Scheduler:
                 except queue.Empty:
                     break
                 if item[2] is not _STOP:
-                    self._cancelled_on_shutdown(item[2], item[3], item[7])
+                    self._cancelled_on_shutdown(item[2], item[3], item[6])
                 self._queue.task_done()
         for _ in self._dispatchers:
             self._queue.put(
-                (10 ** 9, next(self._seq), _STOP, None, 0, False, 0.0, None)
+                (10 ** 9, next(self._seq), _STOP, None, 0, 0.0, None)
             )
         for thread in self._dispatchers:
             thread.join(timeout=5.0)
-        if self._owns_pool:
-            self.pool.shutdown()
 
     def __enter__(self) -> "Scheduler":
         return self

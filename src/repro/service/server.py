@@ -43,6 +43,19 @@ from .engine import ServiceEngine
 from .scheduler import JobFailed, QueueFull
 
 
+def _list_field(body: dict, name: str, types: tuple, noun: str) -> tuple:
+    """``body[name]`` as a tuple (absent or null: empty); anything but a
+    list of ``types`` is bad input naming the field."""
+    value = body.get(name)
+    if value is None:
+        return ()
+    if not isinstance(value, list) or not all(
+        isinstance(item, types) and not isinstance(item, bool) for item in value
+    ):
+        raise ValueError(f"'{name}' must be a list of {noun}")
+    return tuple(value)
+
+
 class ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that carries the engine for its handlers."""
 
@@ -152,8 +165,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(
                     200,
                     self.engine.matrix(
-                        attacks=tuple(body.get("attacks") or ()),
-                        defenses=tuple(body.get("defenses") or ()),
+                        attacks=_list_field(body, "attacks", (str,), "strings"),
+                        defenses=_list_field(body, "defenses", (str,), "strings"),
                     ),
                 )
             elif self.path == "/exec":
@@ -164,8 +177,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     self.engine.execute(
                         source=body["source"],
                         entry=body.get("entry", "main"),
-                        args=tuple(body.get("args") or ()),
-                        stdin=tuple(body.get("stdin") or ()),
+                        args=_list_field(body, "args", (int,), "integers"),
+                        stdin=_list_field(
+                            body, "stdin", (int, str), "integers or strings"
+                        ),
                         canary=bool(body.get("canary")),
                     ),
                 )

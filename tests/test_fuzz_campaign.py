@@ -14,7 +14,7 @@ from repro.fuzz import (
     run_batch,
     run_campaign,
 )
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 from repro.service.jobs import FuzzCampaignJob
 from repro.service.workers import WORKER_REGISTRY
 
@@ -114,10 +114,10 @@ class TestServiceCampaign:
         from repro.regress import RegressionStore, replay_store
 
         def one_run(workers, store=None):
-            with ServiceEngine(workers=workers, use_cache=False) as engine:
+            with WorkerPool(workers) as pool:
                 return run_campaign(
                     FuzzConfig(seed=7, iterations=650, minimize=False),
-                    engine=engine,
+                    pool=pool,
                     batch_size=60,
                     store=store,
                 )
@@ -139,25 +139,15 @@ class TestServiceCampaign:
         sequential = replay_store(store)
         assert sequential.clean, sequential.render()
         for workers in (1, 2, 4):
-            with ServiceEngine(workers=workers, use_cache=False) as engine:
-                fanned = replay_store(store, engine=engine)
+            with WorkerPool(workers) as pool:
+                fanned = replay_store(store, pool=pool)
             assert fanned.to_json() == sequential.to_json(), workers
-
-    def test_metrics_updated(self):
-        with ServiceEngine(workers=2, use_cache=False) as engine:
-            run_campaign(
-                FuzzConfig(seed=4, iterations=30, minimize=False), engine=engine
-            )
-            snapshot = engine.metrics_snapshot()
-        assert snapshot["counters"]["fuzz.execs_total"] > 0
-        assert snapshot["gauges"]["fuzz.coverage_size"] > 0
-        assert snapshot["gauges"]["fuzz.corpus_size"] > 0
 
     def test_batch_failure_is_counted_not_fatal(self, monkeypatch):
         monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
-        with ServiceEngine(workers=2, use_cache=False) as engine:
+        with WorkerPool(2) as pool:
             report = run_campaign(
-                FuzzConfig(seed=4, iterations=40, minimize=False), engine=engine
+                FuzzConfig(seed=4, iterations=40, minimize=False), pool=pool
             )
         assert report.batches_failed > 0
         # Seeds still ran locally; the report stays coherent.
@@ -167,23 +157,21 @@ class TestServiceCampaign:
         """Every iteration a crashed batch would have run is reported as
         lost — an "N iterations" claim must stay honest."""
         monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
-        with ServiceEngine(workers=2, use_cache=False) as engine:
+        with WorkerPool(2) as pool:
             report = run_campaign(
-                FuzzConfig(seed=4, iterations=40, minimize=False), engine=engine
+                FuzzConfig(seed=4, iterations=40, minimize=False), pool=pool
             )
-            snapshot = engine.metrics_snapshot()
         assert report.batches_failed > 0
         assert report.iterations_lost == 40  # every batch crashed
-        assert snapshot["counters"]["fuzz.iterations_lost"] == 40
         assert "never executed" in report.render()
         restored = CampaignReport.from_dict(json.loads(report.to_json()))
         assert restored.iterations_lost == 40
         assert restored.batches_failed == report.batches_failed
 
     def test_healthy_campaign_loses_nothing(self):
-        with ServiceEngine(workers=2, use_cache=False) as engine:
+        with WorkerPool(2) as pool:
             report = run_campaign(
-                FuzzConfig(seed=4, iterations=40, minimize=False), engine=engine
+                FuzzConfig(seed=4, iterations=40, minimize=False), pool=pool
             )
         assert report.iterations_lost == 0
         assert "never executed" not in report.render()
@@ -224,29 +212,18 @@ class TestCorpusSaturation:
         assert fuzzer.saturations == 1
         assert len(fuzzer.corpus) == 2
 
-    def test_saturation_is_metered(self):
-        from repro.service import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        fuzzer = DifferentialFuzzer(
-            FuzzConfig(seed=1, max_corpus=1), metrics=metrics
-        )
-        fuzzer.add_corpus(FuzzInput("void run() { int s = 0; }", ()))
-        fuzzer.add_corpus(FuzzInput("void run() { int a = 0; }", ()))
-        assert metrics.snapshot()["counters"]["fuzz.corpus_saturated"] == 1
-
     def test_saturated_campaign_still_promotes_and_stays_deterministic(self):
         """The bugfix's acceptance: with a tight corpus cap the campaign
         keeps promoting (evicting deterministically) and the report is
         still byte-identical across worker counts."""
 
         def one_run(workers):
-            with ServiceEngine(workers=workers, use_cache=False) as engine:
+            with WorkerPool(workers) as pool:
                 return run_campaign(
                     FuzzConfig(
                         seed=7, iterations=300, minimize=False, max_corpus=28
                     ),
-                    engine=engine,
+                    pool=pool,
                     batch_size=60,
                 )
 

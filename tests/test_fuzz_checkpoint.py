@@ -19,7 +19,7 @@ from repro.fuzz import (
     run_campaign,
 )
 from repro.fuzz.checkpoint import _digest_of
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 #: 180 iterations at batch 30 = two rounds (120 + 60): big enough to
 #: interrupt mid-campaign, small enough for the test budget.
@@ -139,14 +139,12 @@ class TestKillAndResume:
 
     @pytest.mark.parametrize("jobs", [0, 1, 4])
     def test_resumed_report_is_byte_identical(self, tmp_path, control, jobs):
-        engine = (
-            ServiceEngine(workers=jobs, use_cache=False) if jobs else None
-        )
+        pool = WorkerPool(jobs) if jobs else None
         try:
             with pytest.raises(CampaignInterrupted) as info:
                 run_campaign(
                     CONFIG,
-                    engine=engine,
+                    pool=pool,
                     batch_size=BATCH,
                     checkpoint_dir=tmp_path,
                     stop_after_rounds=1,
@@ -155,14 +153,14 @@ class TestKillAndResume:
             assert info.value.checkpoint_path is not None
             report = run_campaign(
                 CONFIG,
-                engine=engine,
+                pool=pool,
                 batch_size=BATCH,
                 checkpoint_dir=tmp_path,
                 resume=True,
             )
         finally:
-            if engine is not None:
-                engine.close()
+            if pool is not None:
+                pool.shutdown()
         assert report.to_json() == control
 
     def test_stop_event_interrupts_before_first_round(self, tmp_path):
@@ -354,31 +352,3 @@ class TestCliCheckpointing:
         monkeypatch.setattr("repro.cli._regress_replay", interrupted)
         assert regress_main(["replay", "--store", str(tmp_path)]) == 130
         assert "interrupted" in capsys.readouterr().err
-
-
-class TestCheckpointMetrics:
-    def test_checkpoint_metrics_on_both_surfaces(self, tmp_path):
-        with ServiceEngine(workers=2, use_cache=False) as engine:
-            with pytest.raises(CampaignInterrupted):
-                run_campaign(
-                    FuzzConfig(seed=3, iterations=180, minimize=False),
-                    engine=engine,
-                    batch_size=30,
-                    checkpoint_dir=tmp_path,
-                    stop_after_rounds=1,
-                )
-            run_campaign(
-                FuzzConfig(seed=3, iterations=180, minimize=False),
-                engine=engine,
-                batch_size=30,
-                checkpoint_dir=tmp_path,
-                resume=True,
-            )
-            snapshot = engine.metrics_snapshot()
-            rendered = engine.metrics_prometheus()
-        counters = snapshot["counters"]
-        assert counters["fuzz.checkpoints_written"] >= 3
-        assert counters["fuzz.checkpoint_resumes"] == 1
-        assert snapshot["gauges"]["fuzz.checkpoint_round"] == 2
-        assert "fuzz_checkpoints_written" in rendered
-        assert "fuzz_checkpoint_resumes" in rendered

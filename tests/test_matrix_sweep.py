@@ -1,7 +1,7 @@
 """The repro-matrix sweep: determinism, drift gating, CLI, coverage.
 
 The acceptance property is byte-identity: the same sweep must encode to
-the same bytes sequentially and fanned over the service engine at any
+the same bytes sequentially and fanned over the worker pool at any
 worker count.  These tests pin that on a small row subset (the full
 sweep is CI's job), plus cell order-independence and the E14 table
 every matrix caller renders from the sweep.
@@ -23,7 +23,7 @@ from repro.matrix import (
     run_sweep,
     seed_rows,
 )
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 
 #: Small-but-representative slice: three gallery attacks, two program
 #: rows, and the defenses whose cells exercise every outcome kind.
@@ -67,9 +67,9 @@ class TestByteIdentity:
     def test_fanned_sweep_matches_sequential(self, subset_report):
         sequential = canonical_report_json(subset_report)
         for workers in (1, 4):
-            with ServiceEngine(workers=workers, use_cache=False) as engine:
+            with WorkerPool(workers) as pool:
                 fanned = run_sweep(
-                    rows=_subset_rows(), defenses=SUBSET_DEFENSES, engine=engine
+                    rows=_subset_rows(), defenses=SUBSET_DEFENSES, pool=pool
                 )
             assert canonical_report_json(fanned) == sequential, (
                 f"jobs={workers} diverged from sequential"

@@ -13,7 +13,7 @@ from repro.regress import (
     replay_bundle_json,
     replay_store,
 )
-from repro.service import ServiceEngine
+from repro.service import WorkerPool
 from repro.service.jobs import RegressReplayJob
 from repro.service.workers import WORKER_REGISTRY
 
@@ -153,18 +153,15 @@ class TestServiceFanOut:
         store = seeded_store(tmp_path, count=5)
         sequential = replay_store(store).to_json()
         for workers in (1, 2, 4):
-            with ServiceEngine(workers=workers, use_cache=False) as engine:
-                fanned = replay_store(store, chunk_size=2, engine=engine)
+            with WorkerPool(workers) as pool:
+                fanned = replay_store(store, chunk_size=2, pool=pool)
             assert fanned.to_json() == sequential, workers
 
     def test_engine_replay_accepts_store_path(self, tmp_path):
         store = seeded_store(tmp_path, count=2)
-        with ServiceEngine(workers=2, use_cache=False) as engine:
-            report = replay_store(str(store.directory), engine=engine)
-            snapshot = engine.metrics_snapshot()
+        with WorkerPool(2) as pool:
+            report = replay_store(str(store.directory), pool=pool)
         assert report.clean
-        assert snapshot["gauges"]["regress.bundles"] == 2
-        assert snapshot["counters"]["regress.replays_total"] == 2
 
     def test_failed_chunk_marks_bundles_not_drops_them(self, tmp_path, monkeypatch):
         def crash(payload):
@@ -172,8 +169,8 @@ class TestServiceFanOut:
 
         store = seeded_store(tmp_path, count=3)
         monkeypatch.setitem(WORKER_REGISTRY, "regress-replay", crash)
-        with ServiceEngine(workers=2, use_cache=False) as engine:
-            report = replay_store(store, chunk_size=2, engine=engine)
+        with WorkerPool(2) as pool:
+            report = replay_store(store, chunk_size=2, pool=pool)
         assert len(report.results) == len(store)
         assert report.counts() == {"invalid-run": 3}
         assert all("chunk failed" in r.detail for r in report.results)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import analyze_source
 from repro.fuzz import FuzzConfig, run_campaign
-from repro.service import ServiceEngine
+from repro.service import ServiceEngine, WorkerPool
 from repro.service.workers import report_from_payload, report_payload
 from repro.workloads import corpus_sources
 
@@ -182,9 +182,9 @@ class TestExecAndIntrospection:
         clear_analysis_caches()
         reports = []
         for _ in range(2):  # a cold cache, then the warm one it left
-            with ServiceEngine(workers=2, use_cache=False) as engine:
+            with WorkerPool(2) as pool:
                 reports.append(
-                    run_campaign(FuzzConfig(seed=7, iterations=20), engine=engine)
+                    run_campaign(FuzzConfig(seed=7, iterations=20), pool=pool)
                     .to_json()
                 )
         assert reports[0] == reports[1]
