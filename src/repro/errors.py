@@ -138,6 +138,14 @@ class BusError(SimulatedProcessError):
         )
 
 
+class ArithmeticFault(SimulatedProcessError):
+    """Division or modulo by zero (SIGFPE), of float operands too."""
+
+    def __init__(self, operation: str) -> None:
+        self.operation = operation
+        super().__init__(f"arithmetic fault (SIGFPE): {operation} by zero")
+
+
 class IllegalInstruction(SimulatedProcessError):
     """Control flow reached bytes that do not decode to an instruction."""
 
@@ -176,7 +184,3 @@ class ParseError(ReproError):
         if line:
             message = f"{line}:{column}: {message}"
         super().__init__(message)
-
-
-class AnalysisError(ReproError):
-    """The static analyzer hit an internal inconsistency."""

@@ -42,7 +42,8 @@ from ..cxx.types import (
     PointerType,
     array_of,
 )
-from ..errors import ApiMisuseError, SimulatedProcessError, SimulatedTimeout
+from ..errors import ApiMisuseError, ArithmeticFault, SimulatedProcessError
+from ..errors import SimulatedTimeout
 from ..memory.tracker import ArenaOrigin
 from ..runtime.control_flow import FrameExit
 from ..runtime.machine import Machine
@@ -212,6 +213,11 @@ def _invariant(expr: ast.Expr, var: str) -> bool:
     )
 
 
+def _divisor_kind(left: Any, right: Any) -> str:
+    """``"integer"`` or ``"float"``: how C would name a zero divisor."""
+    return "integer" if isinstance(left, int) and isinstance(right, int) else "float"
+
+
 def _atoi(text: str) -> int:
     """C ``atoi``: skip leading whitespace, accept an optional sign and
     leading digits, and return 0 when no digits are found."""
@@ -369,10 +375,6 @@ class Interpreter:
             else:
                 prepared.append(value)
         return self._call_function(function, prepared)
-
-    def run_source_main(self) -> FunctionOutcome:
-        """Convenience: interpret ``main(0, 0)``."""
-        return self.run("main", 0, 0)
 
     # -- function machinery ------------------------------------------------
 
@@ -857,12 +859,14 @@ class Interpreter:
         if op == "*":
             return left * right
         if op == "/":
+            if right == 0:
+                raise ArithmeticFault(_divisor_kind(left, right) + " division")
             if isinstance(left, int) and isinstance(right, int):
-                if right == 0:
-                    raise ApiMisuseError("integer division by zero")
                 return int(left / right) if (left < 0) != (right < 0) else left // right
             return left / right
         if op == "%":
+            if right == 0:
+                raise ArithmeticFault(_divisor_kind(left, right) + " modulo")
             return left % right
         if op == "<":
             return int(left < right)

@@ -46,7 +46,7 @@ from ..cxx.types import (
     ArrayType,
     array_of,
 )
-from ..errors import ApiMisuseError, SimulatedTimeout
+from ..errors import ApiMisuseError, ArithmeticFault, SimulatedTimeout
 from ..memory.tracker import ArenaOrigin
 from ..runtime.machine import Machine
 from . import bytecode as bc
@@ -56,6 +56,7 @@ from .interpreter import (
     FunctionOutcome,
     Interpreter,
     _atoi,
+    _divisor_kind,
     _SCALAR_CTYPES,
     run_source,
 )
@@ -427,9 +428,9 @@ class BytecodeVM(Interpreter):
         operands = self._operands
         right = operands.pop()
         left = operands[-1]
+        if right == 0:
+            raise ArithmeticFault(_divisor_kind(left, right) + " division")
         if isinstance(left, int) and isinstance(right, int):
-            if right == 0:
-                raise ApiMisuseError("integer division by zero")
             operands[-1] = int(left / right) if (left < 0) != (right < 0) else left // right
         else:
             operands[-1] = left / right
@@ -437,6 +438,8 @@ class BytecodeVM(Interpreter):
     def _op_mod(self, arg):
         operands = self._operands
         right = operands.pop()
+        if right == 0:
+            raise ArithmeticFault(_divisor_kind(operands[-1], right) + " modulo")
         operands[-1] = operands[-1] % right
 
     def _op_lt(self, arg):

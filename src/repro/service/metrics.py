@@ -119,9 +119,6 @@ class MetricsRegistry:
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True, indent=2)
 
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        return render_prometheus(self.snapshot(), prefix=prefix)
-
 
 # -- Prometheus text exposition --------------------------------------------
 

@@ -180,6 +180,23 @@ class TestVMSemantics:
             assert ast_run[0] == "exc" and ast_run[1] == "SimulatedTimeout"
             assert caught.value.args and str(budget) in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "expr, operation",
+        [
+            ("argc / argv", "integer division"),
+            ("argc % argv", "integer modulo"),
+            ("1.5 / 0.0", "float division"),
+            ("1.5 % 0.0", "float modulo"),
+        ],
+    )
+    def test_zero_divisor_is_an_arithmetic_fault_on_both_engines(self, expr, operation):
+        source = f"int main(int argc, int argv) {{\n  double q = {expr};\n  return 1;\n}}\n"
+        ast_run = _observe(source, (), False)
+        assert ast_run[:3] == (
+            "exc", "ArithmeticFault", f"arithmetic fault (SIGFPE): {operation} by zero"
+        )
+        assert _observe(source, (), True) == ast_run
+
     def test_unknown_entry_raises_keyerror(self):
         compiled, _ = compiled_for(RETURN_41)
         vm = BytecodeVM(compiled)
