@@ -384,6 +384,17 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
     return _run_command(parser.parse_args(argv), "exec")
 
 
+def _stdin_token(token: str):
+    """One ``--stdin`` token: an integer (``0x``/``0o``/``0b`` too), else
+    a float, else a word."""
+    for parse in (lambda text: int(text, 0), float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    return token
+
+
 def _exec_run(args) -> int:
     from .service.workers import run_exec
 
@@ -396,15 +407,11 @@ def _exec_run(args) -> int:
             entry_args = tuple(int(token, 0) for token in args.args.split(","))
         elif args.entry == "main":
             entry_args = (0, 0)
-        stdin_tokens: tuple = ()
-        if args.stdin:
-            stdin_tokens = tuple(
-                int(token, 0) if not token.lstrip("-").replace(".", "").isalpha()
-                else token
-                for token in args.stdin.split(",")
-            )
     except ValueError as error:
         raise _CommandError(f"bad integer argument: {error}")
+    stdin_tokens = (
+        tuple(map(_stdin_token, args.stdin.split(","))) if args.stdin else ()
+    )
     result = run_exec(
         dict(source=source, entry=args.entry, args=entry_args,
              stdin=stdin_tokens, canary=args.canary)

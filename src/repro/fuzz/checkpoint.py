@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+from ..fileio import atomic_write_text
 
 #: Checkpoint document schema revision.  2: the config and counters
 #: carry no execution-engine keys.
@@ -272,17 +272,9 @@ class CheckpointStore:
     def save(self, checkpoint: CampaignCheckpoint) -> Path:
         """Atomically publish ``checkpoint`` and prune old rounds."""
         path = self.path_for(checkpoint.round_index)
-        tmp = path.parent / (
-            f"{path.name}.{os.getpid():x}.{threading.get_ident():x}.tmp"
-        )
         try:
-            tmp.write_text(checkpoint.to_json())
-            tmp.replace(path)
+            atomic_write_text(path, checkpoint.to_json())
         except OSError as error:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             raise CheckpointError(
                 f"cannot write checkpoint {path}: {error}"
             ) from None

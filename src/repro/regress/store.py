@@ -21,15 +21,13 @@ rebaseline`` (see docs/REGRESSION.md).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
+from ..fileio import atomic_write_text
 from ..fuzz.divergence import Divergence, normalized_events
 from ..fuzz.oracles import DEFAULT_STEP_BUDGET, Observation, OracleConfig
 
@@ -298,29 +296,10 @@ class RegressionStore:
                 return bundle_id, "unchanged"
             if not overwrite:
                 return bundle_id, "kept"
-            self._publish(path, document)
+            atomic_write_text(path, document)
             return bundle_id, "updated"
-        self._publish(path, document)
+        atomic_write_text(path, document)
         return bundle_id, "created"
-
-    def _publish(self, path: Path, document: str) -> None:
-        """Write ``document`` atomically: a crash mid-write must never
-        leave a truncated ``rb-*.json`` for ``gc`` to reap.  The tmp
-        name carries pid+tid so concurrent recorders never collide, and
-        its ``.tmp`` suffix keeps it invisible to the ``rb-*.json``
-        listing globs."""
-        tmp = path.parent / (
-            f"{path.name}.{os.getpid():x}.{threading.get_ident():x}.tmp"
-        )
-        try:
-            tmp.write_text(document)
-            tmp.replace(path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
 
     def record_divergence(
         self,

@@ -39,7 +39,7 @@ class SimulatedStdin:
         token = self._next()
         try:
             return int(token)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ApiMisuseError(f"stdin token {token!r} is not an int") from None
 
     def read_double(self) -> float:

@@ -21,6 +21,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
+from ..fileio import atomic_write_text
+
 
 def default_cache_version() -> str:
     """Package release + detector revision, e.g. ``1.0.0+d1``."""
@@ -113,11 +115,7 @@ class ResultCache:
             # job that already SUCCEEDED.
             data = json.dumps(value, sort_keys=True)
             path.parent.mkdir(parents=True, exist_ok=True)
-            # unique tmp name: concurrent writers of one key must not
-            # interleave inside each other's half-written file
-            tmp = path.parent / f"{path.name}.{threading.get_ident():x}.tmp"
-            tmp.write_text(data)
-            tmp.replace(path)
+            atomic_write_text(path, data)
         except (OSError, TypeError, ValueError):
             with self._lock:
                 self.write_errors += 1

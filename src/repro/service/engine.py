@@ -5,9 +5,12 @@ server and ``repro-analyze --jobs N``.  It owns the component
 lifecycles (use it as a context manager) and exposes the interactive
 operations — single analyses, parallel corpus sweeps, attack runs, the
 E14 matrix — as blocking calls that internally fan out through the
-scheduler.  The batch workloads need none of it: they are plain
-functions that take a :class:`~repro.service.workers.WorkerPool` as
-``pool=`` (:func:`repro.matrix.run_sweep`,
+scheduler.  Its metrics snapshot adds the cache's accounting and the
+pool's shape, stragglers included (jobs past their deadline whose
+workers are still running).  The batch workloads need none of it: they
+are plain functions that take a
+:class:`~repro.service.workers.WorkerPool` as ``pool=``
+(:func:`repro.matrix.run_sweep`,
 :func:`repro.fuzz.run_campaign`, :func:`repro.regress.replay_store` and
 :func:`repro.score.score_graph`).
 """
@@ -57,9 +60,7 @@ class ServiceEngine:
         self.metrics = MetricsRegistry()
         self.cache = ResultCache(directory=cache_dir) if use_cache else None
         self.pool = WorkerPool(max_workers=workers, backend=backend)
-        self.scheduler = Scheduler(
-            pool=self.pool, cache=self.cache, metrics=self.metrics, max_queue=1024
-        )
+        self.scheduler = Scheduler(pool=self.pool, cache=self.cache, metrics=self.metrics)
         self.traces = self.scheduler.traces
 
     # -- lifecycle ---------------------------------------------------------
@@ -222,7 +223,7 @@ class ServiceEngine:
         snapshot["pool"] = {
             "backend": self.pool.backend,
             "workers": self.pool.size,
-            "extra_workers": self.pool.extra_workers,
+            "stragglers": self.pool.stragglers,
         }
         return snapshot
 

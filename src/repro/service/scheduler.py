@@ -7,9 +7,10 @@ Submission path::
 
 ``submit`` first consults the result cache (same job key + same
 detector/config version → resolved immediately, no queueing).  Cache
-misses enter a bounded :class:`queue.PriorityQueue`; when the queue is
-full, ``submit`` raises :class:`QueueFull` instead of blocking — the
-caller (e.g. the HTTP front end) decides whether to shed load or wait.
+misses enter a :class:`queue.PriorityQueue` of :data:`MAX_QUEUE` slots;
+when the queue is full, ``submit`` raises :class:`QueueFull` instead of
+blocking — the caller (e.g. the HTTP front end) decides whether to shed
+load or wait.
 ``submit_waiting`` instead blocks until a dispatcher makes room; the
 ``/matrix`` route and ``repro-analyze --jobs N`` use it, while batch
 workloads bypass the scheduler (:func:`~repro.service.workers.run_jobs`).
@@ -19,13 +20,14 @@ executes each once on the pool with a per-job timeout.  A worker that
 raises fails the job (``FAILED``); there are no retries.
 
 Timeouts are terminal for the *job* (``TIMED_OUT``) but not for the
-pool: a worker that is still running when its deadline passes cannot be
-cancelled in-process, so the scheduler *abandons* it — the straggler is
-tracked in the ``scheduler.workers_abandoned`` gauge, the pool is
-expanded by one replacement worker (thread backend), and the loan is
-repaid when the straggler eventually finishes.  Concurrent abandons are
-capped (``max_abandoned``); past the cap the scheduler keeps resolving
-jobs but marks their outcomes degraded instead of growing forever.
+pool: a job still running at its deadline cannot be stopped, so it
+keeps its worker until it returns, and the pool counts it as a
+straggler (:meth:`~repro.service.workers.WorkerPool.wait`).  A job's
+deadline starts once fewer than ``pool.size`` stragglers are running,
+so a healthy job queued behind one is not charged for its time — the
+rule the batch path (:func:`~repro.service.workers.run_jobs`) follows
+too.  Every job kind terminates, so every straggler gives its worker
+back.
 
 Every submission opens a :class:`~repro.service.tracing.JobTrace`;
 its per-stage spans ride on :attr:`JobOutcome.trace` and remain
@@ -42,9 +44,7 @@ import itertools
 import queue
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from .cache import ResultCache
@@ -52,6 +52,9 @@ from .jobs import NORMAL_PRIORITY, Job
 from .metrics import MetricsRegistry
 from .tracing import JobTrace, TraceBuffer
 from .workers import DEFAULT_TIMEOUT, JobFailed, WorkerPool
+
+#: Jobs the work queue holds before :meth:`Scheduler.submit` sheds load.
+MAX_QUEUE = 1024
 
 
 class QueueFull(RuntimeError):
@@ -78,7 +81,6 @@ class JobOutcome:
     error: Optional[str] = None
     duration: float = 0.0
     from_cache: bool = False
-    detail: dict = field(default_factory=dict)
     #: The job's span record (``JobTrace.to_dict()``): trace id plus one
     #: ``{stage, at, detail}`` entry per lifecycle stage.
     trace: Optional[dict] = None
@@ -131,19 +133,12 @@ class Scheduler:
         pool: WorkerPool,
         cache: Optional[ResultCache] = None,
         metrics: Optional[MetricsRegistry] = None,
-        max_queue: int = 256,
-        max_abandoned: Optional[int] = None,
     ):
         self.pool = pool
         self.cache = cache
         self.metrics = metrics or MetricsRegistry()
         self.traces = TraceBuffer()
-        self.max_abandoned = (
-            max_abandoned if max_abandoned is not None else 2 * self.pool.size
-        )
-        self._abandoned_now = 0
-        self._abandon_lock = threading.Lock()
-        self._queue: "queue.PriorityQueue" = queue.PriorityQueue(maxsize=max_queue)
+        self._queue: "queue.PriorityQueue" = queue.PriorityQueue(maxsize=MAX_QUEUE)
         self._seq = itertools.count()
         self._stopping = False
         self._lock = threading.Lock()
@@ -301,47 +296,6 @@ class Scheduler:
         )
         return True
 
-    def _abandon(self, future: Future) -> bool:
-        """Account for a worker that blew its deadline; returns degraded.
-
-        A future that never started is simply cancelled (its slot was
-        never held).  A running straggler is counted in the
-        ``workers_abandoned`` gauge and covered by a replacement worker
-        (``pool.expand``); when it eventually finishes, the done
-        callback repays the loan.  Past ``max_abandoned`` concurrent
-        stragglers the pool stops growing and outcomes are flagged
-        degraded instead.
-        """
-        if future.cancel():
-            return False
-        with self._abandon_lock:
-            self._abandoned_now += 1
-            degraded = self._abandoned_now > self.max_abandoned
-            expanded = False if degraded else self.pool.expand(1)
-            self.metrics.counter("scheduler.workers_abandoned_total").inc()
-            self.metrics.gauge("scheduler.workers_abandoned").set(self._abandoned_now)
-            if degraded:
-                self.metrics.counter("scheduler.degraded").inc()
-
-        def _reclaim(finished: Future, expanded: bool = expanded) -> None:
-            finished.exception()  # consume, so stray errors are not logged
-            with self._abandon_lock:
-                self._abandoned_now -= 1
-                self.metrics.gauge("scheduler.workers_abandoned").set(
-                    self._abandoned_now
-                )
-            if expanded:
-                self.pool.shrink(1)
-
-        future.add_done_callback(_reclaim)
-        return degraded
-
-    @property
-    def abandoned_workers(self) -> int:
-        """Stragglers currently running past their deadline."""
-        with self._abandon_lock:
-            return self._abandoned_now
-
     def _execute(
         self,
         job: Job,
@@ -355,15 +309,18 @@ class Scheduler:
         busy = self.metrics.gauge("scheduler.workers_busy")
         busy.add(1)
         trace.record("attempt")
-        future: Optional[Future] = None
         try:
             try:
                 future = self.pool.submit(job.KIND, payload)
-                result = future.result(timeout=timeout)
-            except FutureTimeout:
-                degraded = self._abandon(future)
+                finished = self.pool.wait(future, timeout)
+                result = future.result() if finished else None
+            except Exception as error:  # worker bug or bad payload
+                self._fail(handle, key, job, error, started, trace)
+                return
+            duration = time.monotonic() - started
+            if not finished:
                 self.metrics.counter("scheduler.jobs_timed_out").inc()
-                trace.record("timed-out", after=timeout, degraded=degraded or None)
+                trace.record("timed-out", after=timeout)
                 self._finish(
                     handle,
                     trace,
@@ -372,15 +329,10 @@ class Scheduler:
                         kind=job.KIND,
                         status=JobStatus.TIMED_OUT,
                         error=f"no result within {timeout}s",
-                        duration=time.monotonic() - started,
-                        detail={"degraded": degraded} if degraded else {},
+                        duration=duration,
                     ),
                 )
                 return
-            except Exception as error:  # worker bug or bad payload
-                self._fail(handle, key, job, error, started, trace)
-                return
-            duration = time.monotonic() - started
             self.metrics.counter("scheduler.jobs_succeeded").inc()
             self.metrics.histogram("scheduler.job_seconds").observe(duration)
             if self.cache is not None and job.CACHEABLE:

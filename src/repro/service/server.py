@@ -56,6 +56,17 @@ def _list_field(body: dict, name: str, types: tuple, noun: str) -> tuple:
     return tuple(value)
 
 
+def _bool_field(body: dict, name: str) -> bool:
+    """``body[name]`` as a JSON boolean (absent or null: false); any
+    other value is bad input naming the field."""
+    value = body.get(name)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ValueError(f"'{name}' must be true or false")
+    return value
+
+
 class ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that carries the engine for its handlers."""
 
@@ -179,9 +190,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         entry=body.get("entry", "main"),
                         args=_list_field(body, "args", (int,), "integers"),
                         stdin=_list_field(
-                            body, "stdin", (int, str), "integers or strings"
+                            body, "stdin", (int, float, str), "numbers or strings"
                         ),
-                        canary=bool(body.get("canary")),
+                        canary=_bool_field(body, "canary"),
                     ),
                 )
             else:
@@ -204,8 +215,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": str(error)})
 
     def _analyze(self, body: dict) -> dict:
-        legacy = bool(body.get("legacy"))
-        if body.get("corpus"):
+        legacy = _bool_field(body, "legacy")
+        if _bool_field(body, "corpus"):
             return {"reports": self.engine.corpus_sweep(legacy=legacy)}
         source = body.get("source")
         if not isinstance(source, str):

@@ -13,11 +13,13 @@ multi-core hosts.  Custom job kinds registered at runtime via
 :func:`register_worker` are visible to the thread backend only — child
 processes import this module fresh and see just the built-in registry.
 
-A worker runs once per job: whatever it raises fails the job, and a
-worker still running at the job's deadline is abandoned by the
-scheduler.  Batch workloads skip the scheduler: :func:`run_jobs` runs
-their jobs inline or submits them straight to a pool, where a job past
-its deadline keeps its worker until it returns.
+A worker runs once per job: whatever it raises fails the job.  A job
+still running at its deadline cannot be stopped, so it keeps its worker
+until it returns; the pool counts it as a *straggler*, and
+:meth:`WorkerPool.wait` starts a job's deadline only once fewer than
+``pool.size`` stragglers are running.  The scheduler and the batch
+path (:func:`run_jobs`, which runs jobs inline or submits them straight
+to a pool) both read results through it.
 
 Every inline batch run (``--jobs 0``) loads this module, so workers
 import their subsystem — the matrix, the fuzzer, the score registry —
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
+from concurrent.futures import wait as wait_any
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Callable, Iterable, Optional
 
@@ -283,8 +286,8 @@ class WorkerPool:
             raise ValueError("backend must be 'thread' or 'process'")
         self.size = max_workers
         self.backend = backend
-        self._resize_lock = threading.Lock()
-        self._extra_workers = 0
+        self._lock = threading.Lock()
+        self._stragglers: list = []
         if backend == "process":
             from concurrent.futures import ProcessPoolExecutor
 
@@ -298,45 +301,37 @@ class WorkerPool:
         """Queue one job on the underlying executor."""
         return self._executor.submit(execute_job, kind, payload)
 
-    # -- capacity repair ---------------------------------------------------
+    def _running_stragglers(self) -> list:
+        with self._lock:
+            self._stragglers = [job for job in self._stragglers if not job.done()]
+            return list(self._stragglers)
 
     @property
-    def extra_workers(self) -> int:
-        """Replacement workers currently covering abandoned slots."""
-        with self._resize_lock:
-            return self._extra_workers
+    def stragglers(self) -> int:
+        """Jobs past their deadline whose workers are still running."""
+        return len(self._running_stragglers())
 
-    def expand(self, count: int = 1) -> bool:
-        """Grow capacity by ``count`` to cover an abandoned (hung) worker.
+    def wait(self, future: Future, timeout: float) -> bool:
+        """Wait for a submitted job; ``False`` when it blew its deadline.
 
-        Thread backend only: the executor's worker budget is raised so
-        the next ``submit`` spawns a replacement thread instead of
-        queueing behind the hung one.  Returns ``False`` when the
-        backend cannot be resized (process pools re-fork on their own).
+        The ``timeout`` clock starts once a worker is free for the job:
+        while ``size`` stragglers still hold every worker, the wait is
+        for them.  A job past its deadline that never started is
+        cancelled; one that is running becomes a straggler.
         """
-        executor = self._executor
-        if self.backend != "thread" or not hasattr(executor, "_max_workers"):
+        while not future.done():
+            running = self._running_stragglers()
+            if len(running) < self.size:
+                break
+            wait_any([future, *running], return_when=FIRST_COMPLETED)
+        try:
+            future.exception(timeout=timeout)
+        except FutureTimeout:
+            if not future.cancel():
+                with self._lock:
+                    self._stragglers.append(future)
             return False
-        with self._resize_lock:
-            executor._max_workers += count
-            self._extra_workers += count
         return True
-
-    def shrink(self, count: int = 1) -> None:
-        """Give back replacement capacity once an abandoned worker ends.
-
-        The budget drops immediately; a surplus idle thread (the
-        recovered straggler) dies with the pool rather than being
-        reaped, which is the usual ThreadPoolExecutor behavior.
-        """
-        executor = self._executor
-        if self.backend != "thread" or not hasattr(executor, "_max_workers"):
-            return
-        with self._resize_lock:
-            count = min(count, self._extra_workers)
-            if count > 0:
-                executor._max_workers -= count
-                self._extra_workers -= count
 
     def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
@@ -350,41 +345,25 @@ class WorkerPool:
 
 class _Handle:
     """One batch job.  With no future its worker runs in the reading
-    thread and any exception propagates as is; with one, a failure
-    raises :class:`JobFailed`.
-
-    The deadline runs from when a worker is free for the job.  A job
-    that outlives its deadline is reported failed but keeps its worker
-    until it returns (a running worker cannot be stopped), so the jobs
-    queued behind it start their clocks only once fewer than
-    ``pool.size`` such stragglers are still running.
+    thread and any exception propagates as is; with one, a failure or
+    a blown deadline (:meth:`WorkerPool.wait`) raises :class:`JobFailed`.
     """
 
-    def __init__(self, job, future=None, timeout=0.0, pool=None, stragglers=None):
+    def __init__(self, job, future=None, timeout=0.0, pool=None):
         self.job = job
         self._future = future
         self._timeout = timeout
         self._pool = pool
-        self._stragglers = stragglers
 
     def result(self) -> dict:
         future = self._future
         if future is None:
             return execute_job(self.job.KIND, self.job.payload())
-        stragglers = self._stragglers
-        while not future.done():
-            stragglers[:] = [running for running in stragglers if not running.done()]
-            if len(stragglers) < self._pool.size:
-                break
-            wait(stragglers, return_when=FIRST_COMPLETED)
-        try:
-            error = future.exception(timeout=self._timeout)
-        except FutureTimeout:
-            if not future.cancel():  # a job that never started does not run late
-                stragglers.append(future)
+        if not self._pool.wait(future, self._timeout):
             raise JobFailed(
                 f"job {self.job.key()} timed-out: no result within {self._timeout}s"
-            ) from None
+            )
+        error = future.exception()
         if error is not None:
             raise JobFailed(
                 f"job {self.job.key()} failed: {type(error).__name__}: {error}"
@@ -407,10 +386,9 @@ def run_jobs(
         yield from map(_Handle, jobs)
         return
     pending: deque = deque()
-    stragglers: list = []
     for job in jobs:
         if len(pending) == 2 * pool.size:
             yield pending.popleft()
         future = pool.submit(job.KIND, job.payload())
-        pending.append(_Handle(job, future, timeout, pool, stragglers))
+        pending.append(_Handle(job, future, timeout, pool))
     yield from pending

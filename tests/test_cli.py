@@ -740,6 +740,19 @@ class TestExecCli:
         )
         assert captured.err == ""
 
+    def test_float_stdin_token_reads_into_a_double(self, tmp_path, capsys):
+        from repro.cli import exec_main
+
+        source = tmp_path / "gpa.cpp"
+        source.write_text(
+            "int main(int a, int b) "
+            "{ double gpa; int n; cin >> gpa >> n; cout << gpa * n; return n; }\n"
+        )
+        assert exec_main([str(source), "--stdin", "2.5,0x3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "main() returned 3 after 9 steps\nstdout: 7.5\n"
+        assert captured.err == ""
+
     def test_runs_simple_program(self, tmp_path, capsys):
         from repro.cli import exec_main
 

@@ -18,6 +18,7 @@ from repro.fuzz import (
     restore_fuzzer,
     run_campaign,
 )
+from repro.fuzz.campaign import BATCHES_PER_ROUND
 from repro.fuzz.checkpoint import _digest_of
 from repro.service import WorkerPool
 
@@ -25,6 +26,11 @@ from repro.service import WorkerPool
 #: interrupt mid-campaign, small enough for the test budget.
 CONFIG = FuzzConfig(seed=3, iterations=180, minimize=False)
 BATCH = 30
+
+#: The same campaign at batch 10: five rounds (four of 40 iterations,
+#: then 20), so a stop can land after any of rounds 1-4.
+SMALL_BATCH = 10
+ROUNDS = 5
 
 
 def _seeded_fuzzer(iterations=40):
@@ -213,6 +219,48 @@ class TestKillAndResume:
             run_campaign(CONFIG, resume=True)
         with pytest.raises(CheckpointError, match="no usable checkpoint"):
             run_campaign(CONFIG, checkpoint_dir=tmp_path, resume=True)
+
+
+class TestResumeAtEveryRound:
+    """Interrupt after every round but the last, and twice in one run:
+    each resumed report is byte-identical to the uninterrupted one."""
+
+    @pytest.fixture(scope="class")
+    def control(self):
+        return run_campaign(CONFIG, batch_size=SMALL_BATCH).to_json()
+
+    @staticmethod
+    def _stop(directory, rounds, resume=False):
+        with pytest.raises(CampaignInterrupted) as info:
+            run_campaign(
+                CONFIG,
+                batch_size=SMALL_BATCH,
+                checkpoint_dir=directory,
+                resume=resume,
+                stop_after_rounds=rounds,
+            )
+        return info.value
+
+    @staticmethod
+    def _finish(directory):
+        return run_campaign(
+            CONFIG, batch_size=SMALL_BATCH, checkpoint_dir=directory, resume=True
+        ).to_json()
+
+    @pytest.mark.parametrize("stop_after", range(1, ROUNDS))
+    def test_resume_after_round_k_is_byte_identical(
+        self, tmp_path, control, stop_after
+    ):
+        stopped = self._stop(tmp_path, stop_after)
+        assert stopped.round_index == stop_after
+        per_round = BATCHES_PER_ROUND * SMALL_BATCH
+        assert stopped.remaining == CONFIG.iterations - per_round * stop_after
+        assert self._finish(tmp_path) == control
+
+    def test_double_interrupt_is_byte_identical(self, tmp_path, control):
+        assert self._stop(tmp_path, 1).round_index == 1
+        assert self._stop(tmp_path, 2, resume=True).round_index == 3
+        assert self._finish(tmp_path) == control
 
 
 class TestVersionRefusal:

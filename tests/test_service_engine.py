@@ -151,7 +151,7 @@ class TestExecAndIntrospection:
         assert snapshot["pool"] == {
             "backend": "thread",
             "workers": 4,
-            "extra_workers": 0,
+            "stragglers": 0,
         }
         assert snapshot["cache"]["version"]
         assert set(snapshot) == {

@@ -222,6 +222,32 @@ class TestCacheWriteFailures:
             assert outcome.result["ok"] is True
             assert cache.write_errors == 1
 
+    def test_failed_rename_leaves_no_tmp_file(self, tmp_path):
+        cache = ResultCache(directory=str(tmp_path), version="v1")
+        # a directory at the entry's path makes the final rename fail
+        (tmp_path / "v1" / "k1.json").mkdir(parents=True)
+        assert cache.put("k1", {"answer": 42}) is False
+        assert cache.write_errors == 1
+        assert [path.name for path in (tmp_path / "v1").iterdir()] == ["k1.json"]
+
+    def test_tmp_name_carries_the_writer_pid(self, tmp_path, monkeypatch):
+        import os
+        from pathlib import Path
+
+        renamed = []
+        real_replace = Path.replace
+
+        def recording_replace(self, target):
+            renamed.append(self.name)
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", recording_replace)
+        cache = ResultCache(directory=str(tmp_path), version="v1")
+        assert cache.put("k1", {"answer": 42}) is True
+        (tmp_name,) = renamed
+        assert tmp_name.startswith(f"k1.json.{os.getpid():x}.")
+        assert tmp_name.endswith(".tmp")
+
     def test_concurrent_writers_same_key_keep_entry_parseable(self, tmp_path):
         import json as json_module
         import threading

@@ -10,10 +10,12 @@ process backend use built-in job kinds, which child processes know.
 import threading
 import time
 import uuid
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import pytest
 
+from repro.service import scheduler as scheduler_module
 from repro.service import (
     AnalyzeJob,
     HIGH_PRIORITY,
@@ -151,7 +153,7 @@ class TestSchedulerBasics:
             blocking.result(timeout=5)
         assert self.state["ran"] == ["high", "low"]
 
-    def test_bounded_queue_rejects_overflow(self):
+    def test_bounded_queue_rejects_overflow(self, monkeypatch):
         release = threading.Event()
 
         def blocker(payload):
@@ -166,7 +168,8 @@ class TestSchedulerBasics:
 
             KIND = "test-block"
 
-        scheduler = Scheduler(pool=WorkerPool(max_workers=1), max_queue=2)
+        monkeypatch.setattr(scheduler_module, "MAX_QUEUE", 2)
+        scheduler = Scheduler(pool=WorkerPool(max_workers=1))
         try:
             # one job occupies the worker; two fill the queue
             scheduler.submit(BlockJob(token="busy"))
@@ -179,17 +182,18 @@ class TestSchedulerBasics:
             release.set()
             scheduler.shutdown()
 
-    def test_batch_larger_than_the_queue_waits_for_room(self):
+    def test_batch_larger_than_the_queue_waits_for_room(self, monkeypatch):
         """``submit_waiting`` with more jobs than the queue holds waits
         for a dispatcher instead of raising QueueFull, and every result
         comes back in job order."""
+        monkeypatch.setattr(scheduler_module, "MAX_QUEUE", 3)
         jobs = [GatedJob(token=f"job-{index}") for index in range(40)]
         release = _gate()
         timer = threading.Timer(0.2, release.set)
         timer.start()
         try:
             with WorkerPool(max_workers=2) as pool:
-                with Scheduler(pool=pool, max_queue=3) as scheduler:
+                with Scheduler(pool=pool) as scheduler:
                     handles = [scheduler.submit_waiting(job) for job in jobs]
                     results = [handle.result(timeout=30) for handle in handles]
         finally:
@@ -317,63 +321,67 @@ class TestLifecycleAndCache:
 
 
 class TestAbandonedWorkers:
-    """Regression: consecutive timeouts must not starve the pool."""
+    """Regression: jobs past their deadline must not starve the pool.
+
+    A straggler keeps its worker until it returns; the pool counts it,
+    and a job's deadline starts only once a worker is free for it.
+    """
 
     state: dict
 
     def test_consecutive_timeouts_still_let_fresh_jobs_complete(self):
         metrics = MetricsRegistry()
-        pool = WorkerPool(max_workers=2)
-        with Scheduler(pool=pool, metrics=metrics) as scheduler:
-            # four back-to-back timeouts: every original pool slot is
-            # held hostage by a sleeping worker at least once
-            hung = scheduler.map(
-                [SleepJob(duration=1.5, token=f"hang-{i}") for i in range(4)],
-                timeout=0.05,
-            )
-            outcomes = [handle.outcome(timeout=5) for handle in hung]
-            assert all(o.status is JobStatus.TIMED_OUT for o in outcomes)
-            assert metrics.snapshot()["counters"][
-                "scheduler.workers_abandoned_total"
-            ] >= 2
-            # fresh jobs must still complete promptly on replacements
-            fresh = scheduler.map(
-                [ProbeJob(token=f"fresh-{i}") for i in range(6)]
-            )
-            for handle in fresh:
-                assert handle.outcome(timeout=5).status is JobStatus.SUCCEEDED
-            scheduler.drain()  # must return, not wedge
-            # once the stragglers finish, the loaned capacity is repaid
-            deadline = time.monotonic() + 5
-            while scheduler.abandoned_workers and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert scheduler.abandoned_workers == 0
-            assert pool.extra_workers == 0
+        with WorkerPool(max_workers=2) as pool:
+            with Scheduler(pool=pool, metrics=metrics) as scheduler:
+                # four back-to-back timeouts: every pool worker is held
+                # by a sleeping straggler at least once
+                hung = scheduler.map(
+                    [SleepJob(duration=0.4, token=f"hang-{i}") for i in range(4)],
+                    timeout=0.05,
+                )
+                outcomes = [handle.outcome(timeout=5) for handle in hung]
+                assert all(o.status is JobStatus.TIMED_OUT for o in outcomes)
+                assert metrics.snapshot()["counters"][
+                    "scheduler.jobs_timed_out"
+                ] == 4
+                # fresh jobs complete once the stragglers give their
+                # workers back
+                fresh = scheduler.map(
+                    [ProbeJob(token=f"fresh-{i}") for i in range(6)]
+                )
+                for handle in fresh:
+                    assert handle.outcome(timeout=5).status is JobStatus.SUCCEEDED
+                scheduler.drain()  # must return, not wedge
+                deadline = time.monotonic() + 5
+                while pool.stragglers and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert pool.stragglers == 0
 
-    def test_abandon_cap_marks_outcomes_degraded(self):
-        with Scheduler(
-            pool=WorkerPool(max_workers=1), max_abandoned=1
-        ) as scheduler:
-            outcomes = [
-                scheduler.submit(
-                    SleepJob(duration=1.0, token=f"d{i}"), timeout=0.05
-                ).outcome(timeout=5)
-                for i in range(3)
-            ]
-        assert all(o.status is JobStatus.TIMED_OUT for o in outcomes)
-        assert any(o.detail.get("degraded") for o in outcomes)
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_job_queued_behind_stragglers_succeeds(self, backend):
+        """At one worker, three stragglers in a row and then a quick
+        job: the quick job's deadline starts when the last straggler
+        returns, so it succeeds on either backend."""
+        stragglers = [_slow_job(8000) for _ in range(3)]
+        healthy = AnalyzeJob(source="void f() {}", label="healthy")
+        with WorkerPool(1, backend) as pool:
+            with Scheduler(pool=pool) as scheduler:
+                late = [scheduler.submit(job, timeout=0.05) for job in stragglers]
+                quick = scheduler.submit(healthy, timeout=0.5)
+                for handle in late:
+                    assert handle.outcome(timeout=30).status is JobStatus.TIMED_OUT
+                outcome = quick.outcome(timeout=30)
+            assert outcome.status is JobStatus.SUCCEEDED, outcome.error
+            assert outcome.result["label"] == "healthy"
 
-    def test_abandon_cancels_pending_future(self):
-        # a future that never started is cancelled outright: its slot
-        # was never held, so no replacement capacity is loaned
-        from concurrent.futures import Future
-
-        with Scheduler(pool=WorkerPool(max_workers=1)) as scheduler:
-            pending = Future()
-            assert scheduler._abandon(pending) is False
+    def test_pool_cancels_a_never_started_future(self):
+        # a job past its deadline that never started is cancelled, not
+        # counted: it holds no worker
+        pending = Future()
+        with WorkerPool(max_workers=1) as pool:
+            assert pool.wait(pending, 0.01) is False
             assert pending.cancelled()
-            assert scheduler.abandoned_workers == 0
-            assert scheduler.pool.extra_workers == 0
+            assert pool.stragglers == 0
 
 
 class TestTracing:
@@ -482,6 +490,23 @@ class TestPooledRunJobs:
             with pytest.raises(JobFailed, match="timed-out"):
                 first.result()
             assert second.result()["label"] == "healthy"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_straggler_from_an_earlier_call_still_holds_its_worker(
+        self, backend
+    ):
+        """Stragglers are the pool's, not one ``run_jobs`` call's: a
+        healthy job in the next call (the next fuzz round) waits for
+        the straggler a previous call left running."""
+        straggler = _slow_job(8000)
+        healthy = AnalyzeJob(source="void f() {}", label="healthy")
+        with WorkerPool(1, backend) as pool:
+            (first,) = run_jobs([straggler], pool, timeout=0.15)
+            with pytest.raises(JobFailed, match="timed-out"):
+                first.result()
+            (second,) = run_jobs([healthy], pool, timeout=0.15)
+            assert second.result()["label"] == "healthy"
+            assert pool.stragglers == 0
 
     def test_at_most_twice_the_pool_size_is_submitted_ahead(self, pool):
         """Count ``pool.submit`` calls: reading one handle lets one more

@@ -130,6 +130,14 @@ class TestEndpoints:
         )
         assert {key: response[key] for key in expected} == expected
 
+    def test_exec_reads_float_stdin(self, service):
+        client, _, _ = service
+        response = client.execute(
+            "int main(int a, int b) { double gpa; cin >> gpa; cout << gpa * 2; return 0; }",
+            stdin=[2.5],
+        )
+        assert response["outputs"] == ["5.0"]
+
     def test_exec_reports_the_hijack_target(self, service):
         from repro.workloads.corpus import FULL_CORPUS
 
@@ -329,8 +337,8 @@ class TestErrorHandling:
             ("/exec", {"args": {"a": 1}}, "'args' must be a list of integers"),
             ("/exec", {"args": [None]}, "'args' must be a list of integers"),
             ("/exec", {"args": [True]}, "'args' must be a list of integers"),
-            ("/exec", {"stdin": "12"}, "'stdin' must be a list of integers or strings"),
-            ("/exec", {"stdin": [1.5]}, "'stdin' must be a list of integers or strings"),
+            ("/exec", {"stdin": "12"}, "'stdin' must be a list of numbers or strings"),
+            ("/exec", {"stdin": [True]}, "'stdin' must be a list of numbers or strings"),
         ],
         ids=[
             "attacks-string",
@@ -339,7 +347,7 @@ class TestErrorHandling:
             "args-null-item",
             "args-bool-item",
             "stdin-string",
-            "stdin-float-item",
+            "stdin-bool-item",
         ],
     )
     def test_mistyped_list_field_400(self, service, path, body, reason):
@@ -353,6 +361,50 @@ class TestErrorHandling:
         assert excinfo.value.message == reason
         after = engine.metrics.snapshot()["counters"]["http.bad_request"]
         assert after == before + 1
+
+    @pytest.mark.parametrize(
+        ("path", "body"),
+        [
+            ("/exec", {"canary": "false"}),
+            ("/exec", {"canary": 0}),
+            ("/analyze", {"legacy": "yes"}),
+            ("/analyze", {"corpus": "false"}),
+            ("/analyze", {"corpus": 1}),
+        ],
+        ids=[
+            "canary-string",
+            "canary-int",
+            "legacy-string",
+            "corpus-string",
+            "corpus-int",
+        ],
+    )
+    def test_non_boolean_flag_400(self, service, path, body):
+        client, engine, _ = service
+        (name,) = body
+        before = engine.metrics.snapshot()["counters"].get("http.bad_request", 0)
+        body = {"source": "int main(int a, int b) { return 0; }", **body}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == f"'{name}' must be true or false"
+        after = engine.metrics.snapshot()["counters"]["http.bad_request"]
+        assert after == before + 1
+
+    def test_null_flag_is_false(self, service):
+        from repro.workloads.corpus import FULL_CORPUS
+
+        client, _, _ = service
+        source = next(
+            program.source
+            for program in FULL_CORPUS
+            if program.key == "listing13-stack-return"
+        )
+        body = {"source": source, "entry": "addStudent", "args": [1],
+                "stdin": [1, 0x08048010, 3]}
+        unguarded = client._request("POST", "/exec", {**body, "canary": False})
+        assert unguarded["hijacked"] is True
+        assert client._request("POST", "/exec", {**body, "canary": None}) == unguarded
 
     def test_unknown_attack_400(self, service):
         client, _, _ = service
