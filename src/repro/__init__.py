@@ -16,49 +16,42 @@ the paper.  Start with::
 See README.md for the full tour and DESIGN.md for the architecture.
 """
 
-from .core import (
-    checked_placement_new,
-    checked_placement_new_array,
-    delete_array,
-    delete_object,
-    new_array,
-    new_object,
-    placement_delete,
-    placement_new,
-    placement_new_array,
-    placement_new_in_pool,
-)
-from .errors import (
-    BoundsCheckViolation,
-    OutOfMemory,
-    ReproError,
-    SegmentationFault,
-    SimulatedProcessError,
-    StackSmashingDetected,
-)
-from .runtime import CanaryPolicy, Machine, MachineConfig
+from ._exports import exports_getattr
+
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "checked_placement_new",
+            "checked_placement_new_array",
+            "delete_array",
+            "delete_object",
+            "new_array",
+            "new_object",
+            "placement_delete",
+            "placement_new",
+            "placement_new_array",
+            "placement_new_in_pool",
+        ),
+        "core",
+    ),
+    **dict.fromkeys(
+        (
+            "BoundsCheckViolation",
+            "OutOfMemory",
+            "ReproError",
+            "SegmentationFault",
+            "SimulatedProcessError",
+            "StackSmashingDetected",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(("CanaryPolicy", "Machine", "MachineConfig"), "runtime"),
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BoundsCheckViolation",
-    "CanaryPolicy",
-    "Machine",
-    "MachineConfig",
-    "OutOfMemory",
-    "ReproError",
-    "SegmentationFault",
-    "SimulatedProcessError",
-    "StackSmashingDetected",
-    "__version__",
-    "checked_placement_new",
-    "checked_placement_new_array",
-    "delete_array",
-    "delete_object",
-    "new_array",
-    "new_object",
-    "placement_delete",
-    "placement_new",
-    "placement_new_array",
-    "placement_new_in_pool",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+__getattr__ = exports_getattr(__name__, _EXPORTS)

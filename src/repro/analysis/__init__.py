@@ -7,55 +7,41 @@ scanners (:mod:`legacy_tools`) whose placement-new blind spot the paper
 documents.
 """
 
-from .ast_nodes import Program
-from .cache import (
-    analysis_cache_stats,
-    cached_report,
-    clear_analysis_caches,
-    parse_cached,
-    source_hash,
-)
-from .detector import DETECTOR_VERSION, PlacementNewDetector, analyze_source
-from .legacy_tools import (
-    CLASSIC_RULES,
-    LEGACY_RULE_VERSION,
-    LegacyRule,
-    LegacyRuleScanner,
-    run_tool_suite,
-    simulated_tool_suite,
-)
-from .lexer import Token, TokenKind, tokenize
-from .parser import Parser, parse
-from .reports import AnalysisReport, Finding, Severity
-from .symbols import SymbolTable, constant_int
-from .unparse import unparse_expr, unparse_program
+from .._exports import exports_getattr
 
-__all__ = [
-    "AnalysisReport",
-    "CLASSIC_RULES",
-    "DETECTOR_VERSION",
-    "Finding",
-    "LEGACY_RULE_VERSION",
-    "LegacyRule",
-    "LegacyRuleScanner",
-    "Parser",
-    "PlacementNewDetector",
-    "Program",
-    "Severity",
-    "SymbolTable",
-    "Token",
-    "TokenKind",
-    "analysis_cache_stats",
-    "analyze_source",
-    "cached_report",
-    "clear_analysis_caches",
-    "constant_int",
-    "parse",
-    "parse_cached",
-    "run_tool_suite",
-    "simulated_tool_suite",
-    "source_hash",
-    "tokenize",
-    "unparse_expr",
-    "unparse_program",
-]
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    "Program": "ast_nodes",
+    **dict.fromkeys(
+        (
+            "analysis_cache_stats",
+            "cached_report",
+            "clear_analysis_caches",
+            "parse_cached",
+            "source_hash",
+        ),
+        "cache",
+    ),
+    **dict.fromkeys(("DETECTOR_VERSION", "PlacementNewDetector", "analyze_source"), "detector"),
+    **dict.fromkeys(
+        (
+            "CLASSIC_RULES",
+            "LEGACY_RULE_VERSION",
+            "LegacyRule",
+            "LegacyRuleScanner",
+            "run_tool_suite",
+            "simulated_tool_suite",
+        ),
+        "legacy_tools",
+    ),
+    **dict.fromkeys(("Token", "TokenKind", "tokenize"), "lexer"),
+    **dict.fromkeys(("Parser", "parse"), "parser"),
+    **dict.fromkeys(("AnalysisReport", "Finding", "Severity"), "reports"),
+    **dict.fromkeys(("SymbolTable", "constant_int"), "symbols"),
+    **dict.fromkeys(("unparse_expr", "unparse_program"), "unparse"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = exports_getattr(__name__, _EXPORTS)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from . import ast_nodes as ast
@@ -110,6 +111,14 @@ CLASSIC_RULES: tuple[LegacyRule, ...] = (
 )
 
 
+@lru_cache(maxsize=64)
+def _rules_signature(rules: tuple[LegacyRule, ...]) -> str:
+    """Digest of a rule tuple's fingerprints, computed once per tuple."""
+    return hashlib.sha256(
+        "\n".join(_rule_fingerprint(rule) for rule in rules).encode("utf-8")
+    ).hexdigest()[:16]
+
+
 class LegacyRuleScanner:
     """A pattern scanner in the style of ITS4/RATS/Flawfinder."""
 
@@ -130,11 +139,8 @@ class LegacyRuleScanner:
         differently-tuned profiles — even ones reusing a rule_id with a
         different matcher — never share entries.
         """
-        rule_sig = hashlib.sha256(
-            "\n".join(_rule_fingerprint(rule) for rule in self.rules).encode("utf-8")
-        ).hexdigest()[:16]
         return cached_report(
-            f"legacy:{self.name}:{rule_sig}",
+            f"legacy:{self.name}:{_rules_signature(self.rules)}",
             LEGACY_RULE_VERSION,
             source,
             self.scan,

@@ -1,148 +1,66 @@
 """Every attack from the paper's Sections 3–4, as runnable scenarios.
 
-``ALL_ATTACKS`` is the canonical gallery used by the E14 attack × defense
-matrix and the CLI; ``attack_by_name`` looks scenarios up for ad-hoc
-runs.  Each scenario is independent: it builds its own victim machine,
+``ATTACK_FACTORIES`` (:mod:`gallery`) is the canonical gallery used by
+the E14 attack × defense matrix and the CLI; ``attack_by_name`` looks
+scenarios up for ad-hoc runs.  Each scenario is independent: it builds its own victim machine,
 scripts the attacker, and reports an :class:`AttackResult`.
 """
 
-from typing import Callable
+from .._exports import exports_getattr
 
-from .array_overflow import BssArrayOverflowAttack, StackArrayOverflowAttack
-from .base import (
-    ALL_ENVIRONMENTS,
-    CHECKED_PLACEMENT,
-    NX_STACK,
-    SANITIZE,
-    SHADOW_MEMORY,
-    SHADOW_RETURN_STACK,
-    STACKGUARD,
-    UNPROTECTED,
-    VTABLE_INTEGRITY,
-    AttackResult,
-    AttackScenario,
-    Environment,
-    classify_failure,
-    environment_by_label,
-    environment_with,
-)
-from .data_bss import DataBssOverflowAttack
-from .dos import AuthBypassAttack, DosLoopAttack, ResourceExhaustionAttack
-from .heap import HeapOverflowAttack
-from .info_leak import ArrayInfoLeakAttack, ObjectInfoLeakAttack
-from .injection import ArcInjectionAttack, CodeInjectionAttack
-from .member_vars import InternalOverflowAttack, MemberVariableAttack
-from .memory_leak import MemoryLeakAttack, TrackedLeakMeasurement
-from .object_overflow import (
-    ConstructionOverflowAttack,
-    CopyConstructorOverflowAttack,
-    IndirectConstructionOverflowAttack,
-    RemoteObjectOverflowAttack,
-)
-from .pointers import FunctionPointerAttack, VariablePointerAttack
-from .stack_smash import (
-    CanarySkipExperiment,
-    ReturnAddressAttack,
-    naive_smash,
-    selective_overwrite,
-)
-from .variables import DataVariableAttack, StackLocalVariableAttack
-from .vtable_subterfuge import (
-    VtableSubterfugeDataAttack,
-    VtableSubterfugeStackAttack,
-)
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(("BssArrayOverflowAttack", "StackArrayOverflowAttack"), "array_overflow"),
+    **dict.fromkeys(
+        (
+            "ALL_ENVIRONMENTS",
+            "AttackResult",
+            "AttackScenario",
+            "CHECKED_PLACEMENT",
+            "Environment",
+            "NX_STACK",
+            "SANITIZE",
+            "SHADOW_MEMORY",
+            "SHADOW_RETURN_STACK",
+            "STACKGUARD",
+            "UNPROTECTED",
+            "VTABLE_INTEGRITY",
+            "classify_failure",
+            "environment_by_label",
+            "environment_with",
+        ),
+        "base",
+    ),
+    "DataBssOverflowAttack": "data_bss",
+    **dict.fromkeys(("AuthBypassAttack", "DosLoopAttack", "ResourceExhaustionAttack"), "dos"),
+    **dict.fromkeys(("ATTACK_FACTORIES", "all_attacks", "attack_by_name"), "gallery"),
+    "HeapOverflowAttack": "heap",
+    **dict.fromkeys(("ArrayInfoLeakAttack", "ObjectInfoLeakAttack"), "info_leak"),
+    **dict.fromkeys(("ArcInjectionAttack", "CodeInjectionAttack"), "injection"),
+    **dict.fromkeys(("InternalOverflowAttack", "MemberVariableAttack"), "member_vars"),
+    **dict.fromkeys(("MemoryLeakAttack", "TrackedLeakMeasurement"), "memory_leak"),
+    **dict.fromkeys(
+        (
+            "ConstructionOverflowAttack",
+            "CopyConstructorOverflowAttack",
+            "IndirectConstructionOverflowAttack",
+            "RemoteObjectOverflowAttack",
+        ),
+        "object_overflow",
+    ),
+    **dict.fromkeys(("FunctionPointerAttack", "VariablePointerAttack"), "pointers"),
+    **dict.fromkeys(
+        ("CanarySkipExperiment", "ReturnAddressAttack", "naive_smash", "selective_overwrite"),
+        "stack_smash",
+    ),
+    **dict.fromkeys(("DataVariableAttack", "StackLocalVariableAttack"), "variables"),
+    **dict.fromkeys(
+        ("VtableSubterfugeDataAttack", "VtableSubterfugeStackAttack"),
+        "vtable_subterfuge",
+    ),
+}
 
-#: Factories for the full gallery (fresh scenario per call so parameters
-#: and any accumulated state never leak between runs).
-ATTACK_FACTORIES: tuple[Callable[[], AttackScenario], ...] = (
-    ConstructionOverflowAttack,
-    RemoteObjectOverflowAttack,
-    CopyConstructorOverflowAttack,
-    IndirectConstructionOverflowAttack,
-    InternalOverflowAttack,
-    DataBssOverflowAttack,
-    HeapOverflowAttack,
-    ReturnAddressAttack,
-    ArcInjectionAttack,
-    CodeInjectionAttack,
-    DataVariableAttack,
-    StackLocalVariableAttack,
-    MemberVariableAttack,
-    VtableSubterfugeDataAttack,
-    VtableSubterfugeStackAttack,
-    FunctionPointerAttack,
-    VariablePointerAttack,
-    StackArrayOverflowAttack,
-    BssArrayOverflowAttack,
-    ArrayInfoLeakAttack,
-    ObjectInfoLeakAttack,
-    DosLoopAttack,
-    AuthBypassAttack,
-    ResourceExhaustionAttack,
-    MemoryLeakAttack,
-    TrackedLeakMeasurement,
-)
+__all__ = sorted(_EXPORTS)
 
-
-def all_attacks() -> list[AttackScenario]:
-    """Fresh instances of the full gallery."""
-    return [factory() for factory in ATTACK_FACTORIES]
-
-
-def attack_by_name(name: str) -> AttackScenario:
-    """Look a scenario up by its ``name`` attribute."""
-    for scenario in all_attacks():
-        if scenario.name == name:
-            return scenario
-    raise KeyError(f"no attack named '{name}'")
-
-
-__all__ = [
-    "ALL_ENVIRONMENTS",
-    "ATTACK_FACTORIES",
-    "ArcInjectionAttack",
-    "ArrayInfoLeakAttack",
-    "AttackResult",
-    "AttackScenario",
-    "AuthBypassAttack",
-    "BssArrayOverflowAttack",
-    "CHECKED_PLACEMENT",
-    "CanarySkipExperiment",
-    "CodeInjectionAttack",
-    "ConstructionOverflowAttack",
-    "CopyConstructorOverflowAttack",
-    "DataBssOverflowAttack",
-    "DataVariableAttack",
-    "DosLoopAttack",
-    "Environment",
-    "FunctionPointerAttack",
-    "HeapOverflowAttack",
-    "IndirectConstructionOverflowAttack",
-    "InternalOverflowAttack",
-    "MemberVariableAttack",
-    "MemoryLeakAttack",
-    "NX_STACK",
-    "ObjectInfoLeakAttack",
-    "RemoteObjectOverflowAttack",
-    "ResourceExhaustionAttack",
-    "ReturnAddressAttack",
-    "SANITIZE",
-    "SHADOW_MEMORY",
-    "SHADOW_RETURN_STACK",
-    "STACKGUARD",
-    "VTABLE_INTEGRITY",
-    "StackArrayOverflowAttack",
-    "StackLocalVariableAttack",
-    "TrackedLeakMeasurement",
-    "UNPROTECTED",
-    "VariablePointerAttack",
-    "VtableSubterfugeDataAttack",
-    "VtableSubterfugeStackAttack",
-    "all_attacks",
-    "attack_by_name",
-    "classify_failure",
-    "environment_by_label",
-    "environment_with",
-    "naive_smash",
-    "selective_overwrite",
-]
+__getattr__ = exports_getattr(__name__, _EXPORTS)

@@ -19,6 +19,14 @@ from ..core.sanitize import sanitize
 from ..cxx.classdef import ClassDef
 from ..cxx.object_model import CArrayView, Instance
 from ..cxx.types import CType
+from ..defenses.shadow_stack import ReturnAddressTampering
+from ..defenses.shadow_stack import protect_machine as protect_returns
+from ..defenses.tagging import TagMismatchFault
+from ..defenses.tagging import protect_machine as protect_tags
+from ..defenses.vrt import VrtBoundsViolation
+from ..defenses.vrt import protect_machine as protect_bounds
+from ..defenses.vtable_integrity import VtableIntegrityViolation
+from ..defenses.vtable_integrity import protect_machine as protect_vtables
 from ..errors import (
     BoundsCheckViolation,
     NonExecutableMemory,
@@ -60,20 +68,12 @@ class Environment:
             machine.shadow = shadow  # type: ignore[attr-defined]
             shadow.arm()
         if self.shadow_return_stack:
-            from ..defenses.shadow_stack import protect_machine as protect_returns
-
             machine.return_shadow = protect_returns(machine)  # type: ignore[attr-defined]
         if self.vtable_integrity:
-            from ..defenses.vtable_integrity import protect_machine as protect_vtables
-
             machine.vtable_guard = protect_vtables(machine)  # type: ignore[attr-defined]
         if self.vrt:
-            from ..defenses.vrt import protect_machine as protect_bounds
-
             protect_bounds(machine)
         if self.memory_tagging:
-            from ..defenses.tagging import protect_machine as protect_tags
-
             protect_tags(machine)
         return machine
 
@@ -266,11 +266,6 @@ _DETECTION_NAMES = (
 
 def classify_failure(exc: SimulatedProcessError) -> tuple[Optional[str], bool]:
     """(detected_by, crashed) for an exception that stopped an attack."""
-    from ..defenses.shadow_stack import ReturnAddressTampering
-    from ..defenses.tagging import TagMismatchFault
-    from ..defenses.vrt import VrtBoundsViolation
-    from ..defenses.vtable_integrity import VtableIntegrityViolation
-
     if isinstance(exc, ReturnAddressTampering):
         return "shadow-return-stack", False
     if isinstance(exc, VtableIntegrityViolation):

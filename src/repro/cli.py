@@ -65,9 +65,7 @@ import contextlib
 import sys
 from typing import Optional, Sequence
 
-from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name
-from .fuzz.oracles import DEFAULT_STEP_BUDGET
-from .workloads.corpus import FULL_CORPUS
+from .fuzz.vocabulary import DEFAULT_STEP_BUDGET
 
 #: Exit status for bad input, shared by every front end.
 EX_USAGE = 2
@@ -207,6 +205,8 @@ def _run_command(args, prog: str, *checks) -> int:
 
 
 def _environment_by_label(label: str):
+    from .attacks import ALL_ENVIRONMENTS
+
     for env in ALL_ENVIRONMENTS:
         if env.label == label:
             return env
@@ -245,6 +245,8 @@ def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _attacks_run(args) -> int:
+    from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name
+
     if args.list:
         print("attacks:")
         for scenario in all_attacks():
@@ -323,6 +325,8 @@ def _analyze_run(args) -> int:
     if args.files:
         sources = [(path, _read_source(path)[0]) for path in args.files]
     else:
+        from .workloads.corpus import FULL_CORPUS
+
         sources = [(prog.key, prog.source) for prog in FULL_CORPUS]
     jobs = [AnalyzeJob(source, name, args.legacy) for name, source in sources]
     try:

@@ -7,78 +7,52 @@ record layouts (:mod:`layout`), vtables are emitted into the text image
 views through which simulated programs — and attacks — touch memory.
 """
 
-from .classdef import ClassDef, Constructor, Field, VirtualMethod, make_class
-from .layout import ClassType, FieldSlot, LayoutEngine, RecordLayout, class_type
-from .object_model import CArrayView, Instance, ObjectContext
-from .text import (
-    FUNCTION_STUB_SIZE,
-    NATIVE_STUB_MAGIC,
-    EmittedVTable,
-    FunctionEntry,
-    TextImage,
-)
-from .types import (
-    BOOL,
-    CHAR,
-    CHAR_PTR,
-    DOUBLE,
-    FLOAT,
-    FUNC_PTR,
-    INT,
-    LONG_LONG,
-    SHORT,
-    UINT,
-    VOID_PTR,
-    ArrayType,
-    BoolType,
-    CharType,
-    CType,
-    DoubleType,
-    FloatType,
-    IntType,
-    PointerType,
-    array_of,
-)
-from .vtable import VTableBuilder
+from .._exports import exports_getattr
 
-__all__ = [
-    "ArrayType",
-    "BOOL",
-    "BoolType",
-    "CArrayView",
-    "CHAR",
-    "CHAR_PTR",
-    "CType",
-    "CharType",
-    "ClassDef",
-    "ClassType",
-    "class_type",
-    "Constructor",
-    "DOUBLE",
-    "DoubleType",
-    "EmittedVTable",
-    "FLOAT",
-    "FUNC_PTR",
-    "FUNCTION_STUB_SIZE",
-    "Field",
-    "FieldSlot",
-    "FloatType",
-    "FunctionEntry",
-    "INT",
-    "Instance",
-    "IntType",
-    "LONG_LONG",
-    "LayoutEngine",
-    "NATIVE_STUB_MAGIC",
-    "ObjectContext",
-    "PointerType",
-    "RecordLayout",
-    "SHORT",
-    "TextImage",
-    "UINT",
-    "VOID_PTR",
-    "VTableBuilder",
-    "VirtualMethod",
-    "array_of",
-    "make_class",
-]
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(
+        ("ClassDef", "Constructor", "Field", "VirtualMethod", "make_class"),
+        "classdef",
+    ),
+    **dict.fromkeys(
+        ("ClassType", "FieldSlot", "LayoutEngine", "RecordLayout", "class_type"),
+        "layout",
+    ),
+    **dict.fromkeys(("CArrayView", "Instance", "ObjectContext"), "object_model"),
+    **dict.fromkeys(
+        ("EmittedVTable", "FUNCTION_STUB_SIZE", "FunctionEntry", "NATIVE_STUB_MAGIC", "TextImage"),
+        "text",
+    ),
+    **dict.fromkeys(
+        (
+            "ArrayType",
+            "BOOL",
+            "BoolType",
+            "CHAR",
+            "CHAR_PTR",
+            "CType",
+            "CharType",
+            "DOUBLE",
+            "DoubleType",
+            "FLOAT",
+            "FUNC_PTR",
+            "FloatType",
+            "INT",
+            "IntType",
+            "LONG_LONG",
+            "PointerType",
+            "SHORT",
+            "UINT",
+            "VOID_PTR",
+            "array_of",
+        ),
+        "types",
+    ),
+    "VTableBuilder": "vtable",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = exports_getattr(__name__, _EXPORTS)

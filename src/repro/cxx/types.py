@@ -32,10 +32,6 @@ class CType:
         """Turn bytes back into a Python value."""
         raise NotImplementedError
 
-    def zero(self) -> bytes:
-        """The all-zero (default-initialized) representation."""
-        return b"\x00" * self.size
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 

@@ -1064,7 +1064,8 @@ class Interpreter:
             if isinstance(path, int):
                 path = self.machine.space.read_c_string(path)
             data = self.machine.files.open(path).read(count)
-            self.machine.space.write(dest, data.ljust(count, b"\x00")[:count])
+            size = self.machine.space.bounded_length(dest, count)
+            self.machine.space.write(dest, data.ljust(size, b"\x00")[:size])
             return len(data)
         if name == "store":
             address = self._expect_int(self.eval(expr.args[0], scope))

@@ -685,7 +685,8 @@ class BytecodeVM(Interpreter):
         if isinstance(path, int):
             path = self.machine.space.read_c_string(path)
         data = self.machine.files.open(path).read(count)
-        self.machine.space.write(dest, data.ljust(count, b"\x00")[:count])
+        size = self.machine.space.bounded_length(dest, count)
+        self.machine.space.write(dest, data.ljust(size, b"\x00")[:size])
         operands.append(len(data))
 
     def _op_store_bytes(self, arg):

@@ -9,78 +9,63 @@ fingerprinted, auto-triaged, and written to a deterministic campaign
 report.  See docs/FUZZING.md for the campaign lifecycle.
 """
 
-from .campaign import (
-    CampaignInterrupted,
-    DifferentialFuzzer,
-    FuzzConfig,
-    batch_rng,
-    run_batch,
-    run_campaign,
-)
-from .checkpoint import (
-    CampaignCheckpoint,
-    CheckpointError,
-    CheckpointStore,
-    checkpoint_from_fuzzer,
-    restore_fuzzer,
-)
-from .coverage import CoverageMap, coverage_keys
-from .divergence import (
-    TRIAGE_RULES,
-    Divergence,
-    auto_triage,
-    divergence_from,
-    fingerprint_of,
-    normalized_events,
-)
-from .minimize import minimize_input
-from .mutator import mutate
-from .oracles import (
-    VULNERABLE_EVENTS,
-    DynamicVerdict,
-    Observation,
-    OracleConfig,
-    StaticVerdict,
-    dynamic_verdict,
-    run_oracles,
-    static_verdict,
-)
-from .report import CampaignReport
-from .seeds import FuzzInput, corpus_seeds, generator_seeds, seed_inputs
+from .._exports import exports_getattr
 
-__all__ = [
-    "CampaignCheckpoint",
-    "CampaignInterrupted",
-    "CampaignReport",
-    "CheckpointError",
-    "CheckpointStore",
-    "CoverageMap",
-    "DifferentialFuzzer",
-    "Divergence",
-    "DynamicVerdict",
-    "FuzzConfig",
-    "FuzzInput",
-    "Observation",
-    "OracleConfig",
-    "StaticVerdict",
-    "TRIAGE_RULES",
-    "VULNERABLE_EVENTS",
-    "auto_triage",
-    "batch_rng",
-    "checkpoint_from_fuzzer",
-    "corpus_seeds",
-    "coverage_keys",
-    "divergence_from",
-    "dynamic_verdict",
-    "fingerprint_of",
-    "generator_seeds",
-    "minimize_input",
-    "mutate",
-    "normalized_events",
-    "restore_fuzzer",
-    "run_batch",
-    "run_campaign",
-    "run_oracles",
-    "seed_inputs",
-    "static_verdict",
-]
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "CampaignInterrupted",
+            "DifferentialFuzzer",
+            "FuzzConfig",
+            "batch_rng",
+            "run_batch",
+            "run_campaign",
+        ),
+        "campaign",
+    ),
+    **dict.fromkeys(
+        (
+            "CampaignCheckpoint",
+            "CheckpointError",
+            "CheckpointStore",
+            "checkpoint_from_fuzzer",
+            "restore_fuzzer",
+        ),
+        "checkpoint",
+    ),
+    **dict.fromkeys(("CoverageMap", "coverage_keys"), "coverage"),
+    **dict.fromkeys(
+        (
+            "Divergence",
+            "TRIAGE_RULES",
+            "auto_triage",
+            "divergence_from",
+            "fingerprint_of",
+            "normalized_events",
+        ),
+        "divergence",
+    ),
+    "minimize_input": "minimize",
+    "mutate": "mutator",
+    **dict.fromkeys(
+        (
+            "DynamicVerdict",
+            "Observation",
+            "OracleConfig",
+            "StaticVerdict",
+            "dynamic_verdict",
+            "run_oracles",
+            "static_verdict",
+        ),
+        "oracles",
+    ),
+    "CampaignReport": "report",
+    **dict.fromkeys(("TRIAGE_LABELS", "VULNERABLE_EVENTS"), "vocabulary"),
+    **dict.fromkeys(("FuzzInput", "corpus_seeds", "generator_seeds", "seed_inputs"), "seeds"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = exports_getattr(__name__, _EXPORTS)

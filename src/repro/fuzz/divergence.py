@@ -17,8 +17,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
-from .oracles import VULNERABLE_EVENTS, Observation
+from .oracles import Observation
 from .seeds import FuzzInput
+from .vocabulary import VULNERABLE_EVENTS
 
 #: Rules whose ERROR-grade claim quantifies over attacker inputs.
 _TAINT_RULES = frozenset(

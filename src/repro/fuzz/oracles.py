@@ -30,29 +30,12 @@ from ..errors import (
 )
 from ..memory import MemoryEventTap
 from ..runtime import CanaryPolicy, Machine, MachineConfig, password_file
-
-#: Step budget for one fuzzed execution — small enough that the §4.4
-#: DoS family times out quickly, large enough for every honest seed.
-DEFAULT_STEP_BUDGET = 50_000
+from .vocabulary import DEFAULT_STEP_BUDGET, VULNERABLE_EVENTS
 
 #: Scripted attacker stdin used when an input carries none of its own:
 #: a mix of huge counts (overflow/DoS triggers), plausible sizes, and
 #: printable bytes, repeated so multi-read programs don't starve.
 DEFAULT_STDIN = (9_000_001, 4096, 257, 65, 7, 3) * 2
-
-#: Event kinds that make the dynamic verdict "vulnerable".  Bookkeeping
-#: kinds (``write:<segment>``, ``placement-fit``) are coverage-only.
-VULNERABLE_EVENTS = frozenset(
-    {
-        "placement-overflow",
-        "segment-faulted",
-        "canary-clobbered",
-        "vtable-slot-overwritten",
-        "leak-detected",
-        "dos-timeout",
-        "hijack",
-    }
-)
 
 
 @dataclass(frozen=True)

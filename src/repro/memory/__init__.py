@@ -7,84 +7,50 @@ above it (the C++ object model, placement new, the attacks) manipulates
 bytes exclusively through these primitives.
 """
 
-from .address_space import DEFAULT_LAYOUT, AddressSpace
-from .alignment import align_down, align_up, is_aligned, is_power_of_two, padding_for
-from .encoding import (
-    BOOL_SIZE,
-    CHAR_SIZE,
-    DOUBLE_ALIGN,
-    DOUBLE_SIZE,
-    FLOAT_SIZE,
-    INT_SIZE,
-    LONG_LONG_SIZE,
-    POINTER_SIZE,
-    SHORT_SIZE,
-    decode_c_string,
-    decode_double,
-    decode_float,
-    decode_int,
-    decode_pointer,
-    encode_c_string,
-    encode_double,
-    encode_float,
-    encode_int,
-    encode_pointer,
-)
-from .events import MemoryEventTap
-from .heap import HEADER_SIZE, BlockInfo, HeapAllocator
-from .pool import CheckedMemoryPool, MemoryPool, PoolStats
-from .segments import DEFAULT_PERMISSIONS, Permissions, Segment, SegmentKind
-from .shadow import RedZonePair, ShadowMemory, ShadowState
-from .stack import StackAllocation, StackRegion
-from .tracker import AllocationTracker, ArenaOrigin, ArenaRecord
-from .watchpoints import WatchHit, WatchpointManager
+from .._exports import exports_getattr
 
-__all__ = [
-    "AddressSpace",
-    "DEFAULT_LAYOUT",
-    "DEFAULT_PERMISSIONS",
-    "AllocationTracker",
-    "ArenaOrigin",
-    "ArenaRecord",
-    "BlockInfo",
-    "BOOL_SIZE",
-    "CHAR_SIZE",
-    "CheckedMemoryPool",
-    "DOUBLE_ALIGN",
-    "DOUBLE_SIZE",
-    "FLOAT_SIZE",
-    "HEADER_SIZE",
-    "HeapAllocator",
-    "INT_SIZE",
-    "LONG_LONG_SIZE",
-    "MemoryEventTap",
-    "MemoryPool",
-    "Permissions",
-    "POINTER_SIZE",
-    "PoolStats",
-    "RedZonePair",
-    "Segment",
-    "SegmentKind",
-    "ShadowMemory",
-    "ShadowState",
-    "SHORT_SIZE",
-    "StackAllocation",
-    "StackRegion",
-    "WatchHit",
-    "WatchpointManager",
-    "align_down",
-    "align_up",
-    "decode_c_string",
-    "decode_double",
-    "decode_float",
-    "decode_int",
-    "decode_pointer",
-    "encode_c_string",
-    "encode_double",
-    "encode_float",
-    "encode_int",
-    "encode_pointer",
-    "is_aligned",
-    "is_power_of_two",
-    "padding_for",
-]
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(("AddressSpace", "DEFAULT_LAYOUT"), "address_space"),
+    **dict.fromkeys(
+        ("align_down", "align_up", "is_aligned", "is_power_of_two", "padding_for"),
+        "alignment",
+    ),
+    **dict.fromkeys(
+        (
+            "BOOL_SIZE",
+            "CHAR_SIZE",
+            "DOUBLE_ALIGN",
+            "DOUBLE_SIZE",
+            "FLOAT_SIZE",
+            "INT_SIZE",
+            "LONG_LONG_SIZE",
+            "POINTER_SIZE",
+            "SHORT_SIZE",
+            "decode_c_string",
+            "decode_double",
+            "decode_float",
+            "decode_int",
+            "decode_pointer",
+            "encode_c_string",
+            "encode_double",
+            "encode_float",
+            "encode_int",
+            "encode_pointer",
+        ),
+        "encoding",
+    ),
+    "MemoryEventTap": "events",
+    **dict.fromkeys(("BlockInfo", "HEADER_SIZE", "HeapAllocator"), "heap"),
+    **dict.fromkeys(("CheckedMemoryPool", "MemoryPool", "PoolStats"), "pool"),
+    **dict.fromkeys(("DEFAULT_PERMISSIONS", "Permissions", "Segment", "SegmentKind"), "segments"),
+    **dict.fromkeys(("RedZonePair", "ShadowMemory", "ShadowState"), "shadow"),
+    **dict.fromkeys(("StackAllocation", "StackRegion"), "stack"),
+    **dict.fromkeys(("AllocationTracker", "ArenaOrigin", "ArenaRecord"), "tracker"),
+    **dict.fromkeys(("WatchHit", "WatchpointManager"), "watchpoints"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = exports_getattr(__name__, _EXPORTS)

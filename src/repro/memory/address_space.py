@@ -435,7 +435,22 @@ class AddressSpace:
         — and an overflow vehicle the moment the size variable has been
         corrupted.
         """
-        self.write(dest, encoding.encode_c_string(src_text, buffer_size=count))
+        size = self.bounded_length(dest, count)
+        self.write(dest, encoding.encode_c_string(src_text, buffer_size=size))
+
+    def bounded_length(self, address: int, length: int) -> int:
+        """``length``, cut to one byte past the end of ``address``'s segment.
+
+        A write that long already runs off the segment, and a write
+        faults at ``address`` however far it runs, so a caller building
+        a ``length``-byte zero-padded buffer needs no more than this
+        many bytes of it to raise the same fault: a corrupted count of
+        9,000,001 costs a few bytes, not megabytes.  An unmapped
+        ``address`` gives 0, since any write there faults at once.
+        """
+        seg = self.find_segment(address)
+        limit = 0 if seg is None else seg.end - address + 1
+        return length if length <= limit else limit
 
     def describe(self) -> str:
         """Render the memory map like ``/proc/<pid>/maps``."""

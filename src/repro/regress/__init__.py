@@ -9,40 +9,38 @@ PR.  Verdict drift, triage drift, and version bumps without an explicit
 rebaseline all fail the replay.  See docs/REGRESSION.md.
 """
 
-from .replay import (
-    REPLAY_SCHEMA,
-    DriftReport,
-    ReplayResult,
-    rebaseline_store,
-    replay_bundle,
-    replay_bundle_json,
-    replay_store,
-)
-from .store import (
-    BUNDLE_KINDS,
-    BUNDLE_SCHEMA,
-    RegressionBundle,
-    RegressionStore,
-    bundle_from_divergence,
-    bundle_from_observation,
-    current_versions,
-    triage_label,
-)
+from .._exports import exports_getattr
 
-__all__ = [
-    "BUNDLE_KINDS",
-    "BUNDLE_SCHEMA",
-    "DriftReport",
-    "REPLAY_SCHEMA",
-    "RegressionBundle",
-    "RegressionStore",
-    "ReplayResult",
-    "bundle_from_divergence",
-    "bundle_from_observation",
-    "current_versions",
-    "rebaseline_store",
-    "replay_bundle",
-    "replay_bundle_json",
-    "replay_store",
-    "triage_label",
-]
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "DriftReport",
+            "REPLAY_SCHEMA",
+            "ReplayResult",
+            "rebaseline_store",
+            "replay_bundle",
+            "replay_bundle_json",
+            "replay_store",
+        ),
+        "replay",
+    ),
+    **dict.fromkeys(
+        (
+            "BUNDLE_KINDS",
+            "BUNDLE_SCHEMA",
+            "RegressionBundle",
+            "RegressionStore",
+            "bundle_from_divergence",
+            "bundle_from_observation",
+            "current_versions",
+            "triage_label",
+        ),
+        "store",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = exports_getattr(__name__, _EXPORTS)

@@ -25,11 +25,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..fileio import atomic_write_text
-from ..fuzz.divergence import Divergence, normalized_events
-from ..fuzz.oracles import DEFAULT_STEP_BUDGET, Observation, OracleConfig
+from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET, TRIAGE_LABELS, VULNERABLE_EVENTS
+
+if TYPE_CHECKING:
+    from ..fuzz.divergence import Divergence
+    from ..fuzz.oracles import Observation, OracleConfig
 
 #: Bundle document schema revision.
 BUNDLE_SCHEMA = 1
@@ -55,14 +58,12 @@ def current_versions() -> dict:
       new or renamed triage class cannot silently re-label a corpus.
     """
     from ..analysis import DETECTOR_VERSION, LEGACY_RULE_VERSION
-    from ..fuzz.divergence import TRIAGE_RULES
-    from ..fuzz.oracles import VULNERABLE_EVENTS
 
     vocabulary = hashlib.sha256(
         ",".join(sorted(VULNERABLE_EVENTS)).encode()
     ).hexdigest()[:12]
     triage = hashlib.sha256(
-        "|".join(label for label, _, _ in TRIAGE_RULES).encode()
+        "|".join(TRIAGE_LABELS).encode()
     ).hexdigest()[:12]
     return {
         "detector": DETECTOR_VERSION,
@@ -113,7 +114,9 @@ class RegressionBundle:
         return f"rb-{digest[:20]}"
 
     def oracle_config(self) -> OracleConfig:
-        return OracleConfig(step_budget=self.step_budget, canary=self.canary)
+        from ..fuzz import oracles
+
+        return oracles.OracleConfig(step_budget=self.step_budget, canary=self.canary)
 
     @property
     def status(self) -> str:
@@ -216,22 +219,22 @@ def bundle_from_observation(
 ) -> RegressionBundle:
     """A bundle pinning whatever the oracles currently say about one
     input — a divergence, an agreement, or (rarely) an invalid run."""
+    from ..fuzz import divergence
+
     if not observation.valid:
         kind = "invalid"
         events: tuple = ()
     else:
         kind = observation.divergence_kind or "agree"
-        events = normalized_events(observation.dynamic.events)
+        events = divergence.normalized_events(observation.dynamic.events)
     fingerprint = ""
     if kind in ("static-only", "dynamic-only"):
-        from ..fuzz.divergence import auto_triage, fingerprint_of
-
-        fingerprint = fingerprint_of(kind, observation.static.rules, events)
+        fingerprint = divergence.fingerprint_of(kind, observation.static.rules, events)
         if not triage:
             # Pin the auto-triage class too: replay recomputes it, and a
             # bundle recorded "open" would drift on its very first replay.
-            triage = auto_triage(
-                Divergence(
+            triage = divergence.auto_triage(
+                divergence.Divergence(
                     fingerprint=fingerprint,
                     kind=kind,
                     static_rules=tuple(observation.static.rules),

@@ -7,51 +7,33 @@ stack discipline whose layout the paper's stack attacks index into;
 classifies where hijacked control ended up.
 """
 
-from .canary import TERMINATOR_CANARY, CanaryCheck, CanaryPolicy, CanarySource
-from .control_flow import ExecutionKind, ExecutionResult, FrameExit
-from .frames import INITIAL_FRAME_POINTER, CallFrame, FrameSlots
-from .functions import CALLER_SYMBOL, install_standard_library
-from .io import FileSystem, SimulatedFile, SimulatedStdin, password_file
-from .machine import GlobalVar, Machine, MachineConfig
-from .shellcode import (
-    MAX_STEPS,
-    OP_NOP,
-    OP_PUSH,
-    OP_RET,
-    OP_SYSCALL,
-    ShellcodeResult,
-    assemble,
-    interpret,
-    spawn_shell_payload,
-)
+from .._exports import exports_getattr
 
-__all__ = [
-    "CALLER_SYMBOL",
-    "CallFrame",
-    "CanaryCheck",
-    "CanaryPolicy",
-    "CanarySource",
-    "ExecutionKind",
-    "ExecutionResult",
-    "FileSystem",
-    "FrameExit",
-    "FrameSlots",
-    "GlobalVar",
-    "INITIAL_FRAME_POINTER",
-    "Machine",
-    "MachineConfig",
-    "MAX_STEPS",
-    "OP_NOP",
-    "OP_PUSH",
-    "OP_RET",
-    "OP_SYSCALL",
-    "ShellcodeResult",
-    "SimulatedFile",
-    "SimulatedStdin",
-    "TERMINATOR_CANARY",
-    "assemble",
-    "install_standard_library",
-    "interpret",
-    "password_file",
-    "spawn_shell_payload",
-]
+#: Public name -> the submodule that defines it, imported on first
+#: access (see :mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(("CanaryCheck", "CanaryPolicy", "CanarySource", "TERMINATOR_CANARY"), "canary"),
+    **dict.fromkeys(("ExecutionKind", "ExecutionResult", "FrameExit"), "control_flow"),
+    **dict.fromkeys(("CallFrame", "FrameSlots", "INITIAL_FRAME_POINTER"), "frames"),
+    **dict.fromkeys(("CALLER_SYMBOL", "install_standard_library"), "functions"),
+    **dict.fromkeys(("FileSystem", "SimulatedFile", "SimulatedStdin", "password_file"), "io"),
+    **dict.fromkeys(("GlobalVar", "Machine", "MachineConfig"), "machine"),
+    **dict.fromkeys(
+        (
+            "MAX_STEPS",
+            "OP_NOP",
+            "OP_PUSH",
+            "OP_RET",
+            "OP_SYSCALL",
+            "ShellcodeResult",
+            "assemble",
+            "interpret",
+            "spawn_shell_payload",
+        ),
+        "shellcode",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = exports_getattr(__name__, _EXPORTS)

@@ -47,26 +47,23 @@ def parse_package_source(text: str, default_name: str = "") -> Package:
     """
     name = default_name
     imports: Tuple[str, ...] = ()
-    body_lines: List[str] = []
-    in_header = True
-    for line in text.splitlines():
+    lines = text.splitlines()
+    body_start = len(lines)
+    for index, line in enumerate(lines):
         stripped = line.strip()
-        if in_header and stripped.startswith(_PACKAGE_KEY):
+        if stripped.startswith(_PACKAGE_KEY):
             name = stripped[len(_PACKAGE_KEY):].strip()
-            continue
-        if in_header and stripped.startswith(_IMPORTS_KEY):
+        elif stripped.startswith(_IMPORTS_KEY):
             declared = stripped[len(_IMPORTS_KEY):].strip()
             imports = tuple(
                 token.strip() for token in declared.split(",") if token.strip()
             )
-            continue
-        if in_header and not stripped:
-            continue
-        in_header = False
-        body_lines.append(line)
+        elif stripped:
+            body_start = index
+            break
     if not name:
         raise ValueError("package source declares no '// package:' name")
-    return Package(name=name, source="\n".join(body_lines) + "\n", imports=imports)
+    return Package(name=name, source="\n".join(lines[body_start:]) + "\n", imports=imports)
 
 
 def render_package_source(package: Package) -> str:
@@ -191,9 +188,12 @@ def load_package_dir(directory) -> PackageGraph:
     path = Path(directory)
     if not path.is_dir():
         raise FileNotFoundError(f"no package directory at {path}")
-    packages = []
-    for file in sorted(path.glob("*.cpp")):
-        packages.append(parse_package_source(file.read_text(), file.stem))
+    # Sorted by path string: the order ``Path`` comparison gives within
+    # one directory, without its per-comparison cost.
+    packages = [
+        parse_package_source(file.read_text(), file.stem)
+        for file in sorted(path.glob("*.cpp"), key=str)
+    ]
     if not packages:
         raise ValueError(f"no *.cpp packages in {path}")
     return PackageGraph(packages)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .packages import PackageGraph, load_package_dir
@@ -74,10 +75,11 @@ class CorpusScore:
     fingerprint: dict = field(default_factory=scoring_versions)
 
     def entry(self, name: str) -> PackageScore:
-        for package in self.packages:
-            if package.name == name:
-                return package
-        raise KeyError(name)
+        return self._by_name[name]
+
+    @cached_property
+    def _by_name(self) -> Dict[str, PackageScore]:
+        return {package.name: package for package in self.packages}
 
     @property
     def ranking(self) -> List[str]:

@@ -11,11 +11,11 @@ their jobs straight to a pool (:func:`~repro.service.workers.run_jobs`).
 See ``docs/SERVICE.md``.
 """
 
-import importlib
+from .._exports import exports_getattr
 
 #: Public name -> the submodule that defines it.  Loaded on first
-#: access (PEP 562), so a batch command that runs its jobs inline never
-#: imports the HTTP server, the client or the engine.
+#: access (see :mod:`repro._exports`), so a batch command that runs its
+#: jobs inline never imports the HTTP server, the client or the engine.
 _EXPORTS = {
     **dict.fromkeys(("ResultCache", "default_cache_version"), "cache"),
     **dict.fromkeys(
@@ -62,11 +62,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = exports_getattr(__name__, _EXPORTS)

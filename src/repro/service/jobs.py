@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from ..fuzz.oracles import DEFAULT_STEP_BUDGET
+from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET
 
 #: Default scheduler priority (lower numbers run first).
 NORMAL_PRIORITY = 10

@@ -22,8 +22,9 @@ path (:func:`run_jobs`, which runs jobs inline or submits them straight
 to a pool) both read results through it.
 
 Every inline batch run (``--jobs 0``) loads this module, so workers
-import their subsystem — the matrix, the fuzzer, the score registry —
-on first call, and the process executor is imported only when built.
+import their subsystem — the attack gallery, the matrix, the fuzzer,
+the score registry — on first call, and the process executor is
+imported only when built.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
-from concurrent.futures import wait as wait_any
+from concurrent.futures import wait as wait_futures
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..analysis import AnalysisReport, Finding, Severity, analyze_source, run_tool_suite
-from ..attacks import attack_by_name, environment_by_label
-from ..attacks.base import AttackResult
 from ..errors import ApiMisuseError, LayoutError, SimulatedProcessError
+
+if TYPE_CHECKING:
+    from ..attacks.base import AttackResult
 
 #: Seconds a job's result is waited for when its caller names no deadline.
 DEFAULT_TIMEOUT = 60.0
@@ -137,6 +139,8 @@ def run_analyze(payload: dict) -> dict:
 
 def run_attack(payload: dict) -> dict:
     """Worker for :class:`AttackJob`."""
+    from ..attacks import attack_by_name, environment_by_label
+
     scenario = attack_by_name(payload["attack"])
     env = environment_by_label(payload.get("env", "unprotected"))
     return attack_payload(scenario.run(env))
@@ -288,18 +292,67 @@ class WorkerPool:
         self.backend = backend
         self._lock = threading.Lock()
         self._stragglers: list = []
+        #: Process backend only: jobs not yet handed to the executor,
+        #: and how many it holds (see :meth:`submit`).
+        self._waiting: Optional[deque] = None
+        self._handed = 0
         if backend == "process":
             from concurrent.futures import ProcessPoolExecutor
 
             self._executor = ProcessPoolExecutor(max_workers=max_workers)
+            self._waiting = deque()
         else:
             self._executor = ThreadPoolExecutor(
                 max_workers=max_workers, thread_name_prefix="repro-worker"
             )
 
     def submit(self, kind: str, payload: dict) -> Future:
-        """Queue one job on the underlying executor."""
-        return self._executor.submit(execute_job, kind, payload)
+        """Queue one job; its future stays cancellable until it starts.
+
+        The thread executor marks a job running only when a worker takes
+        it.  The process executor marks one running as soon as it moves
+        it into its call queue, before a worker is free, so the process
+        backend hands it at most ``size`` jobs at a time and holds the
+        rest here, where a job whose deadline passes can be cancelled.
+        """
+        if self._waiting is None:
+            return self._executor.submit(execute_job, kind, payload)
+        future: Future = Future()
+        with self._lock:
+            self._waiting.append((future, kind, payload))
+        self._hand_over()
+        return future
+
+    def _hand_over(self) -> None:
+        """Give waiting jobs to the process executor while it has room."""
+        while True:
+            with self._lock:
+                if self._handed >= self.size or not self._waiting:
+                    return
+                future, kind, payload = self._waiting.popleft()
+                if not future.set_running_or_notify_cancel():
+                    continue
+                self._handed += 1
+            try:
+                handed = self._executor.submit(execute_job, kind, payload)
+            except Exception as error:  # a shut-down or broken executor
+                self._settle(future, error=error)
+            else:
+                handed.add_done_callback(
+                    lambda done, future=future: self._settle(future, done=done)
+                )
+
+    def _settle(self, future: Future, done: Optional[Future] = None, error=None) -> None:
+        """Pass a handed job's outcome (or ``error``) on to its future."""
+        with self._lock:
+            self._handed -= 1
+        if done is not None:
+            error = done.exception()
+        if error is None:
+            future.set_result(done.result())
+        else:
+            future.set_exception(error)
+        self._hand_over()
 
     def _running_stragglers(self) -> list:
         with self._lock:
@@ -323,7 +376,7 @@ class WorkerPool:
             running = self._running_stragglers()
             if len(running) < self.size:
                 break
-            wait_any([future, *running], return_when=FIRST_COMPLETED)
+            wait_futures([future, *running], return_when=FIRST_COMPLETED)
         try:
             future.exception(timeout=timeout)
         except FutureTimeout:
@@ -334,6 +387,11 @@ class WorkerPool:
         return True
 
     def shutdown(self, wait: bool = True) -> None:
+        if wait and self._waiting is not None:
+            # Jobs still held here run first, as an executor's queue does.
+            with self._lock:
+                held = [future for future, _, _ in self._waiting]
+            wait_futures(held)
         self._executor.shutdown(wait=wait)
 
     def __enter__(self) -> "WorkerPool":

@@ -350,6 +350,25 @@ class TestAnalysisCaches:
         )
         assert analysis_cache_stats()["reports"]["hits"] == before + 1
 
+    def test_rule_signature_is_computed_once_per_rule_tuple(self, monkeypatch):
+        """Scanning many sources re-hashes no rule: the signature of a
+        rule tuple is computed on its first scan only."""
+        from repro.analysis import legacy_tools
+
+        rules = tuple(legacy_tools.CLASSIC_RULES)
+        calls = []
+        fingerprint = legacy_tools._rule_fingerprint
+        monkeypatch.setattr(
+            legacy_tools,
+            "_rule_fingerprint",
+            lambda rule: calls.append(rule) or fingerprint(rule),
+        )
+        for index in range(5):
+            legacy_tools.LegacyRuleScanner(name="once", rules=rules).scan_source(
+                LEGACY_SOURCE + f"\nvoid extra{index}() {{}}\n"
+            )
+        assert len(calls) <= len(rules)
+
     def test_report_dedup_with_preloaded_findings(self):
         finding = Finding(
             rule="R", severity=Severity.ERROR, message="m", line=3, function="f"

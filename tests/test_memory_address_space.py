@@ -204,3 +204,110 @@ class TestAddressSpace:
         text = space.describe()
         for kind in SegmentKind:
             assert kind.value in text
+
+
+class TestFaultingBulkWrites:
+    """A zero-padded bulk write that runs off its segment faults at its
+    destination without building the whole padded buffer: a corrupted
+    72 MB count peaks well under 1 MB and raises the fault the full
+    write raises."""
+
+    HUGE = 9_000_001 * 8
+
+    @staticmethod
+    def _peak(action):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(SegmentationFault) as caught:
+                action()
+            return caught.value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _full_write_fault(space, address):
+        with pytest.raises(SegmentationFault) as caught:
+            space.write(address, bytes(0x10000))
+        return caught.value
+
+    def test_huge_strncpy_peaks_small_and_faults_as_before(self, space):
+        stack = space.segment(SegmentKind.STACK)
+        dest = stack.end - 32
+        fault, peak = self._peak(lambda: space.strncpy(dest, "root", self.HUGE))
+        assert peak < 1 << 20
+        expected = self._full_write_fault(space, dest)
+        assert (fault.address, fault.access, str(fault)) == (
+            expected.address,
+            expected.access,
+            str(expected),
+        )
+        assert str(fault) == (
+            f"segmentation fault: invalid write at {dest:#010x} (outside stack segment)"
+        )
+
+    def test_huge_strncpy_to_unwritable_or_unmapped_memory(self, space):
+        for dest in (space.segment(SegmentKind.TEXT).base, 0x10):
+            fault, peak = self._peak(lambda: space.strncpy(dest, "x", self.HUGE))
+            assert peak < 1 << 20
+            expected = self._full_write_fault(space, dest)
+            assert str(fault) == str(expected) and fault.address == dest
+
+    def test_strncpy_that_fits_still_pads_and_negative_counts_refused(self, space):
+        dest = space.segment(SegmentKind.STACK).end - 8
+        space.write(dest, b"\xff" * 8)
+        space.strncpy(dest, "ab", 8)
+        assert space.read(dest, 8) == b"ab" + bytes(6)
+        with pytest.raises(ApiMisuseError, match="negative buffer size -1"):
+            space.strncpy(dest, "ab", -1)
+
+    @given(
+        segment=st.sampled_from(list(SegmentKind)),
+        back=st.integers(-4, 64),
+        count=st.integers(-2, 0x12000),
+        text=st.text(max_size=40),
+    )
+    def test_strncpy_matches_the_full_padded_write(self, segment, back, count, text):
+        """Against the reference (build all ``count`` bytes, then
+        write): the same fault or the same bytes, near every segment
+        end, including just past it and below the next base."""
+        from repro.memory.encoding import encode_c_string
+
+        def outcome(copy):
+            space = AddressSpace()
+            dest = space.segment(segment).end - back
+            try:
+                copy(space, dest)
+            except (SegmentationFault, ApiMisuseError) as error:
+                return type(error), str(error), getattr(error, "address", None)
+            return [bytes(seg._data) for seg in space.segments]
+
+        assert outcome(lambda space, dest: space.strncpy(dest, text, count)) == outcome(
+            lambda space, dest: space.write(dest, encode_c_string(text, buffer_size=count))
+        )
+
+    def test_huge_read_file_peaks_small_and_faults_as_before(self):
+        from repro.execution import run_source
+        from repro.runtime import CanaryPolicy, Machine, MachineConfig, password_file
+
+        def run(count):
+            machine = Machine(MachineConfig(canary_policy=CanaryPolicy.NONE))
+            machine.files.add(password_file())
+            source = (
+                "int main() {\n"
+                "  char buf[16];\n"
+                f'  readFile("/etc/passwd", buf, {count});\n'
+                "  return 0;\n"
+                "}\n"
+            )
+            run_source(source, machine=machine)
+            return machine
+
+        assert run(16) is not None  # parses once, outside the traced window
+        fault, peak = self._peak(lambda: run(self.HUGE))
+        assert peak < 1 << 20
+        space = Machine(MachineConfig(canary_policy=CanaryPolicy.NONE)).space
+        expected = self._full_write_fault(space, fault.address)
+        assert (fault.access, str(fault)) == (expected.access, str(expected))
+        assert space.find_segment(fault.address).kind is SegmentKind.STACK

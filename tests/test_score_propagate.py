@@ -31,6 +31,16 @@ def _risk(score):
 
 
 class TestPropagationMath:
+    def test_entry_looks_a_package_up_by_name(self):
+        score = score_packages(_chain_graph(), {"base": [_risk(8)], "mid": [], "top": []})
+        assert [score.entry(name).name for name in ("top", "base", "mid")] == [
+            "top",
+            "base",
+            "mid",
+        ]
+        with pytest.raises(KeyError):
+            score.entry("absent")
+
     def test_blast_radius_attenuates_by_depth(self):
         risks = {"base": [_risk(8)], "mid": [], "top": []}
         score = score_packages(_chain_graph(), risks)

@@ -14,11 +14,13 @@ outcome.
 import json
 import threading
 import time
+import uuid
 from dataclasses import dataclass
 
 import pytest
 
 from repro.service import (
+    AnalyzeJob,
     Job,
     JobStatus,
     MetricsRegistry,
@@ -135,6 +137,25 @@ def test_every_fault_kind_resolves_terminally_and_drain_returns(
         # the fresh result overwrote each corrupt entry
         for job in jobs:
             assert json.loads(cache._path(job.key()).read_text())["token"]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_job_still_waiting_for_a_worker_is_cancelled_at_its_deadline(backend):
+    """A job that has not started when its deadline passes is cancelled
+    and never runs, on either backend: it is no straggler.  The process
+    executor marks a job running once it enters its call queue, so the
+    pool hands it only as many jobs as it has workers."""
+    token = uuid.uuid4().hex
+    long_job = AnalyzeJob(
+        source="".join(f"void f{token}{i}() {{ int x = {i}; }}\n" for i in range(8000))
+    )
+    with WorkerPool(1, backend) as pool:
+        first = pool.submit(long_job.KIND, long_job.payload())
+        second = pool.submit("analyze", AnalyzeJob(source="void f() {}").payload())
+        assert pool.wait(second, 0.05) is False
+        assert second.cancelled()
+        assert pool.stragglers == 0
+        assert first.result(timeout=60)["findings"] == []
 
 
 class TestCacheFaultSemantics:
