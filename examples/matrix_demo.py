@@ -36,7 +36,7 @@ def main() -> None:
     rows = attack_rows()[:10] + seed_rows()
     print(f"sweeping {len(rows)} rows x {len(DEFENSES)} defenses...\n")
     report = run_sweep(rows=rows, defenses=DEFENSES)
-    print(render_report(report, column_width=20))
+    print(render_report(report))
     print()
 
     print("— §5's legacy-code gap, mechanically —")

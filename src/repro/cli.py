@@ -140,12 +140,25 @@ def _lookup(find, name: str):
         raise _CommandError(error.args[0])
 
 
-def _stdin_tokens(text: str) -> tuple:
-    """Comma-separated ``--stdin`` integer tokens for cin."""
-    try:
-        return tuple(int(token, 0) for token in text.split(",")) if text else ()
-    except ValueError as error:
-        raise _CommandError(f"bad --stdin token: {error}")
+def _stdin_token(token: str):
+    """One ``--stdin`` token: an integer (``0x``/``0o``/``0b`` too), else
+    a float, else a word."""
+    for parse in (lambda text: int(text, 0), float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    return token
+
+
+def _add_stdin_option(parser) -> None:
+    """``--stdin``: the comma-separated tokens cin reads, as a tuple."""
+    parser.add_argument(
+        "--stdin",
+        default="",
+        type=lambda text: tuple(map(_stdin_token, text.split(","))) if text else (),
+        help="comma-separated tokens for cin: integers, floats or words",
+    )
 
 
 def _add_pool_options(parser, default_jobs: int, noun: str) -> None:
@@ -319,8 +332,7 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _analyze_run(args) -> int:
-    from .service.jobs import AnalyzeJob
-    from .service.workers import JobFailed, report_from_payload, run_jobs
+    from .service.workers import JobFailed, report_from_payload, run_analyze
 
     if args.files:
         sources = [(path, _read_source(path)[0]) for path in args.files]
@@ -328,18 +340,22 @@ def _analyze_run(args) -> int:
         from .workloads.corpus import FULL_CORPUS
 
         sources = [(prog.key, prog.source) for prog in FULL_CORPUS]
-    jobs = [AnalyzeJob(source, name, args.legacy) for name, source in sources]
-    try:
-        if args.jobs == 1:
-            payloads = [handle.result() for handle in run_jobs(jobs)]
-        else:
-            from .service import ServiceEngine
+    if args.jobs == 1:
+        payloads = [
+            run_analyze({"source": source, "label": name, "legacy": args.legacy})
+            for name, source in sources
+        ]
+    else:
+        from .service import ServiceEngine
+        from .service.jobs import AnalyzeJob
 
+        jobs = [AnalyzeJob(source, name, args.legacy) for name, source in sources]
+        try:
             with ServiceEngine(workers=args.jobs, cache_dir=args.cache_dir) as engine:
                 handles = [engine.scheduler.submit_waiting(job) for job in jobs]
                 payloads = [handle.result() for handle in handles]
-    except JobFailed as failure:
-        raise _CommandError(f"analyze job failed: {failure}", status=1)
+        except JobFailed as failure:
+            raise _CommandError(f"analyze job failed: {failure}", status=1)
 
     if args.json:
         import json
@@ -376,9 +392,7 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
         default="",
         help="comma-separated entry arguments (ints; default: 0,0 for main)",
     )
-    parser.add_argument(
-        "--stdin", default="", help="comma-separated tokens for cin"
-    )
+    _add_stdin_option(parser)
     parser.add_argument(
         "--canary",
         action="store_true",
@@ -386,17 +400,6 @@ def exec_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.set_defaults(func=_exec_run)
     return _run_command(parser.parse_args(argv), "exec")
-
-
-def _stdin_token(token: str):
-    """One ``--stdin`` token: an integer (``0x``/``0o``/``0b`` too), else
-    a float, else a word."""
-    for parse in (lambda text: int(text, 0), float):
-        try:
-            return parse(token)
-        except ValueError:
-            pass
-    return token
 
 
 def _exec_run(args) -> int:
@@ -413,12 +416,9 @@ def _exec_run(args) -> int:
             entry_args = (0, 0)
     except ValueError as error:
         raise _CommandError(f"bad integer argument: {error}")
-    stdin_tokens = (
-        tuple(map(_stdin_token, args.stdin.split(","))) if args.stdin else ()
-    )
     result = run_exec(
         dict(source=source, entry=args.entry, args=entry_args,
-             stdin=stdin_tokens, canary=args.canary)
+             stdin=args.stdin, canary=args.canary)
     )
     if "refused" in result:
         raise _CommandError(f"{args.file}: {result['refused']}")
@@ -673,9 +673,8 @@ def _fuzz_minimize(args) -> int:
     )
 
     source = _read_text(args.file)
-    stdin = _stdin_tokens(args.stdin)
-    fuzz_input = FuzzInput(source=source, stdin=stdin)
-    observation = run_oracles(source, stdin)
+    fuzz_input = FuzzInput(source=source, stdin=args.stdin)
+    observation = run_oracles(source, args.stdin)
     div = divergence_from(observation, fuzz_input)
     if div is None:
         verdict = "invalid run" if not observation.valid else "oracles agree"
@@ -825,9 +824,7 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         "minimize", help="shrink one diverging source file"
     )
     minimize_parser.add_argument("file", help="MiniC++ source file")
-    minimize_parser.add_argument(
-        "--stdin", default="", help="comma-separated integer tokens for cin"
-    )
+    _add_stdin_option(minimize_parser)
     minimize_parser.set_defaults(func=_fuzz_minimize)
 
     args = parser.parse_args(argv)
@@ -877,14 +874,13 @@ def _regress_record(args) -> int:
     if not args.source:
         raise _CommandError("provide --from-report or --source")
     source = _read_text(args.source)
-    stdin = _stdin_tokens(args.stdin)
     from .fuzz import run_oracles
     from .regress import bundle_from_observation
 
-    observation = run_oracles(source, stdin, config)
+    observation = run_oracles(source, args.stdin, config)
     bundle = bundle_from_observation(
         source,
-        stdin,
+        args.stdin,
         config,
         observation,
         triage=f"manual: {args.note}" if args.note else "",
@@ -1034,9 +1030,7 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
     record_parser.add_argument(
         "--source", metavar="FILE", help="record one MiniC++ source file"
     )
-    record_parser.add_argument(
-        "--stdin", default="", help="comma-separated integer tokens for cin"
-    )
+    _add_stdin_option(record_parser)
     record_parser.add_argument(
         "--note",
         default="",

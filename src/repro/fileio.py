@@ -1,12 +1,21 @@
 """Atomic file publication for the on-disk stores (checkpoints,
-regression bundles, the result cache)."""
+regression bundles, the result cache) and the canonical JSON encoding
+their ids, digests and keys hash."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import threading
 from pathlib import Path
+
+
+def canonical_json(payload) -> str:
+    """Deterministic encoding: sorted keys, no whitespace.  Bundle ids,
+    checkpoint digests, job keys and matrix reports all hash or store
+    this form, so it must stay byte-stable."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def atomic_write_text(path: Path, text: str) -> None:

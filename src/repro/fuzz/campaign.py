@@ -2,12 +2,12 @@
 
 :class:`DifferentialFuzzer` is the single-threaded core — seed, pick,
 mutate, run both oracles, promote on new coverage, dedup divergences.
-:func:`run_batch` is the same loop packaged as a service-worker payload
-(one *batch* of iterations against a corpus/coverage snapshot), and
-:func:`run_campaign` drives whole campaigns either sequentially or as
-rounds of :class:`~repro.service.jobs.FuzzCampaignJob` batches fanned
-out over a :class:`~repro.service.ServiceEngine` worker pool, with
-per-batch timeouts and deterministic in-order merging — the report is
+:func:`run_batch` is the same loop packaged as a function of one
+payload dict (one *batch* of iterations against a corpus/coverage
+snapshot), and :func:`run_campaign` drives whole campaigns as rounds of
+:func:`run_batch` calls, inline or fanned out over a
+:class:`~repro.service.WorkerPool`, with per-batch timeouts and
+deterministic in-order merging — the report is
 byte-identical across runs for a fixed seed, at any worker count, and
 across kill/resume cycles through :mod:`repro.fuzz.checkpoint`.
 """
@@ -376,10 +376,10 @@ def run_campaign(
 ) -> CampaignReport:
     """Run a whole campaign as deterministic rounds of batches.
 
-    Sequential (``pool=None``) and fanned-out campaigns execute the
-    *same* :class:`FuzzCampaignJob` batches — the only difference is
-    whether :func:`run_batch` runs inline or over the service worker
-    ``pool`` — so the report is byte-identical at any worker count,
+    Sequential (``pool=None``) and fanned-out campaigns make the *same*
+    :func:`run_batch` calls — the only difference is whether they run
+    inline or over the worker ``pool`` — so the report is
+    byte-identical at any worker count,
     including zero.  On the pool, a batch that fails or outlives
     ``batch_timeout`` is counted in ``iterations_lost``.  With ``store`` (a
     :class:`repro.regress.RegressionStore`) every minimized divergence
@@ -433,7 +433,6 @@ def run_campaign(
         # without re-running the seed pass.
         _save_checkpoint(checkpoints, fuzzer, batch_size, round_index, remaining)
 
-    from ..service.jobs import FuzzCampaignJob
     from ..service.workers import JobFailed, run_jobs
 
     rounds_done = 0
@@ -450,27 +449,29 @@ def run_campaign(
             for inp in fuzzer.corpus
         )
         coverage_snapshot = fuzzer.coverage.sorted_keys()
-        jobs = []
+        batches = []
         for batch_index in range(BATCHES_PER_ROUND):
             if remaining <= 0:
                 break
             size = min(batch_size, remaining)
             remaining -= size
-            jobs.append(
-                FuzzCampaignJob(
-                    seed=config.seed,
-                    round=round_index,
-                    batch=batch_index,
-                    iterations=size,
-                    corpus=corpus_snapshot,
-                    coverage=coverage_snapshot,
-                    protected=fuzzer._protected,
-                    step_budget=config.step_budget,
-                    canary=config.canary,
-                    max_corpus=config.max_corpus,
-                )
+            batches.append(
+                {
+                    "seed": config.seed,
+                    "round": round_index,
+                    "batch": batch_index,
+                    "iterations": size,
+                    "corpus": corpus_snapshot,
+                    "coverage": coverage_snapshot,
+                    "protected": fuzzer._protected,
+                    "step_budget": config.step_budget,
+                    "canary": config.canary,
+                    "max_corpus": config.max_corpus,
+                }
             )
-        for job, handle in zip(jobs, run_jobs(jobs, pool, batch_timeout)):
+        arguments = [(batch,) for batch in batches]
+        handles = run_jobs(run_batch, arguments, pool, batch_timeout)
+        for batch, handle in zip(batches, handles):
             try:
                 _merge_batch(fuzzer, handle.result())
             except JobFailed:
@@ -478,7 +479,7 @@ def run_campaign(
                 # absorbed: the report carries the shortfall so
                 # "N iterations" claims stay honest.
                 fuzzer.batches_failed += 1
-                fuzzer.iterations_lost += job.iterations
+                fuzzer.iterations_lost += batch["iterations"]
         round_index += 1
         rounds_done += 1
         _save_checkpoint(checkpoints, fuzzer, batch_size, round_index, remaining)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..fileio import atomic_write_text
+from ..fileio import atomic_write_text, canonical_json
 
 #: Checkpoint document schema revision.  2: the config and counters
 #: carry no execution-engine keys.
@@ -50,12 +50,8 @@ class CheckpointError(Exception):
     """A checkpoint cannot be written, read, or safely resumed."""
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _digest_of(body: dict) -> str:
-    return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(body).encode()).hexdigest()[:16]
 
 
 @dataclass

@@ -20,13 +20,13 @@ committed baseline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..attacks import all_attacks, attack_by_name
 from ..attacks.base import classify_failure
 from ..defenses import ALL_DEFENSES, defense_by_name
+from ..fileio import canonical_json
 from ..fuzz.oracles import (
     DEFAULT_STDIN,
     DEFAULT_STEP_BUDGET,
@@ -248,42 +248,42 @@ def build_report(
 
 def canonical_report_json(report: dict) -> str:
     """The byte-stable encoding used for baselines and ``--json``."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return canonical_json(report)
 
 
-def _table(report, corner, width, label, total_label, column_width):
-    """Fixed-width table lines: one line per row, then the win totals."""
+def _table(report, corner, label, total_label):
+    """Table lines: the header, one line per row, then the win totals.
+
+    Each column is as wide as its widest entry and one space from the
+    next, so no two cells ever touch.
+    """
     defenses = report["defenses"]
-    header = f"{corner:{width}s}" + "".join(
-        f"{name:>{column_width}s}" for name in defenses
-    )
-    lines = [header, "-" * len(header)]
-    for row in report["rows"]:
-        lines.append(
-            f"{label(row):{width}s}"
-            + "".join(
-                f"{row['cells'].get(name, '?'):>{column_width}s}"
-                for name in defenses
-            )
-        )
-    lines.append("-" * len(header))
     totals = report["attacks_succeeding"]
-    lines.append(
-        f"{total_label:{width}s}"
-        + "".join(f"{totals.get(name, 0):>{column_width}d}" for name in defenses)
-    )
-    return lines
+    lines = [[corner, *defenses]]
+    lines += [
+        [label(row), *(row["cells"].get(name, "?") for name in defenses)]
+        for row in report["rows"]
+    ]
+    lines.append([total_label, *(str(totals.get(name, 0)) for name in defenses)])
+    widths = [max(map(len, column)) for column in zip(*lines)]
+
+    def render(cells):
+        return f"{cells[0]:{widths[0]}s}" + "".join(
+            f" {cell:>{width}s}" for cell, width in zip(cells[1:], widths[1:])
+        )
+
+    header, *body, total = map(render, lines)
+    rule = "-" * len(header)
+    return [header, rule, *body, rule, total]
 
 
-def render_report(report: dict, column_width: int = 24) -> str:
-    """A fixed-width table of the sweep (rows grouped by kind)."""
+def render_report(report: dict) -> str:
+    """A table of the sweep (rows grouped by kind)."""
     lines = _table(
         report,
         "row",
-        44,
         lambda row: f"{row['kind']}:{row['id']}",
         "rows where the attack wins",
-        column_width,
     )
     if report.get("risks"):
         lines.append(f"risks (matrix-cell evidence): {len(report['risks'])}")
@@ -294,7 +294,7 @@ def render_attack_table(report: dict) -> str:
     """The E14 table of a sweep over :func:`attack_rows`: one line per
     gallery attack, labelled by name."""
     return "\n".join(
-        _table(report, "attack", 40, lambda row: row["id"], "attacks succeeding", 24)
+        _table(report, "attack", lambda row: row["id"], "attacks succeeding")
     )
 
 
@@ -351,18 +351,16 @@ def cell_jobs(
     defense_names: Sequence[str],
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> list:
-    """One :class:`MatrixCellJob` per (row, defense), row-major."""
-    from ..service.jobs import MatrixCellJob
-
+    """One :func:`evaluate_cell` payload per (row, defense), row-major."""
     return [
-        MatrixCellJob(
-            row_kind=row.kind,
-            row_id=row.row_id,
-            source=row.source,
-            stdin=tuple(row.stdin),
-            defense=name,
-            step_budget=step_budget,
-        )
+        {
+            "row_kind": row.kind,
+            "row_id": row.row_id,
+            "source": row.source,
+            "stdin": tuple(row.stdin),
+            "defense": name,
+            "step_budget": step_budget,
+        }
         for row in rows
         for name in defense_names
     ]
@@ -386,6 +384,9 @@ def run_sweep(
         defense_by_name(name)  # reject unknown names up front
     from ..service.workers import run_jobs
 
-    jobs = cell_jobs(rows, defense_names, step_budget)
-    cells = [handle.result() for handle in run_jobs(jobs, pool, CELL_TIMEOUT)]
+    arguments = [(cell,) for cell in cell_jobs(rows, defense_names, step_budget)]
+    cells = [
+        handle.result()
+        for handle in run_jobs(evaluate_cell, arguments, pool, CELL_TIMEOUT)
+    ]
     return build_report(rows, defense_names, cells)

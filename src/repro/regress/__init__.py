@@ -3,8 +3,8 @@
 Turns one-off fuzz findings into durable correctness claims: every
 minimized oracle disagreement (and any deliberately pinned agreement)
 is stored as a content-addressed, version-aware JSON bundle that the
-``repro-regress`` CLI — and the worker pool's ``regress-replay``
-job — can re-judge against the live detector and simulator on every
+``repro-regress`` CLI — and the worker pool's ``replay_chunk``
+calls — can re-judge against the live detector and simulator on every
 PR.  Verdict drift, triage drift, and version bumps without an explicit
 rebaseline all fail the replay.  See docs/REGRESSION.md.
 """

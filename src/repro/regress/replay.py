@@ -237,6 +237,18 @@ def replay_bundle_json(document: str, check_versions: bool = True) -> dict:
     return replay_bundle(bundle, check_versions=check_versions).to_dict()
 
 
+def replay_chunk(documents, check_versions: bool = True) -> list:
+    """One chunk of a pooled replay: a result dict per bundle document.
+
+    The bundles travel as canonical JSON, so this never touches the
+    store directory — pure, and safe on the process backend.
+    """
+    return [
+        replay_bundle_json(document, check_versions=check_versions)
+        for document in documents
+    ]
+
+
 @dataclass
 class DriftReport:
     """Aggregated replay outcome over one store."""
@@ -313,14 +325,13 @@ def replay_store(
     """Replay a store (or a subset of its bundle ids) in bundle-id order.
 
     ``store`` is a :class:`RegressionStore` or a directory path.
-    Bundles travel in chunks of ``chunk_size`` as ``regress-replay``
-    jobs, run inline (``pool=None``) or over ``pool``; results merge
+    Bundles travel in chunks of ``chunk_size`` to :func:`replay_chunk`,
+    run inline (``pool=None``) or over ``pool``; results merge
     in chunk order, so the report is byte-identical for any worker
     count.  A chunk that fails or times out on the pool marks each of
     its bundles ``invalid-run`` rather than dropping them — a replay
     gate must never lose bundles.
     """
-    from ..service.jobs import RegressReplayJob
     from ..service.workers import JobFailed, run_jobs
 
     if not isinstance(store, RegressionStore):
@@ -334,14 +345,12 @@ def replay_store(
         tuple(documents[start : start + chunk_size])
         for start in range(0, len(documents), chunk_size)
     ]
-    jobs = [
-        RegressReplayJob(bundles=chunk, check_versions=check_versions)
-        for chunk in chunks
-    ]
+    arguments = [(chunk, check_versions) for chunk in chunks]
     report = DriftReport()
-    for chunk, handle in zip(chunks, run_jobs(jobs, pool, REPLAY_TIMEOUT)):
+    handles = run_jobs(replay_chunk, arguments, pool, REPLAY_TIMEOUT)
+    for chunk, handle in zip(chunks, handles):
         try:
-            results = handle.result()["results"]
+            results = handle.result()
         except JobFailed as error:
             results = [
                 {

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from ..fileio import atomic_write_text
+from ..fileio import atomic_write_text, canonical_json
 from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET, TRIAGE_LABELS, VULNERABLE_EVENTS
 
 if TYPE_CHECKING:
@@ -39,11 +39,6 @@ BUNDLE_SCHEMA = 1
 
 #: The expected-outcome kinds a bundle may record.
 BUNDLE_KINDS = ("static-only", "dynamic-only", "agree", "invalid")
-
-
-def canonical_json(payload) -> str:
-    """Deterministic encoding shared by bundle ids and bundle files."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def current_versions() -> dict:

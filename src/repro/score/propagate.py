@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .packages import PackageGraph, load_package_dir
-from .threats import registry_version, risks_from_report, scoring_versions
+from .threats import risks_from_report, scoring_versions
 
 #: Depth weight for propagated score; 0.5 is exact in binary floats.
 DEFAULT_ATTENUATION = 0.5
@@ -200,25 +200,21 @@ def score_graph(
 ) -> CorpusScore:
     """Score a package graph (or a package directory path).
 
-    The per-package half runs as one ``score`` job per package, in
-    sorted-name order, inline (``pool=None``) or over ``pool``;
+    The per-package half runs as one :func:`analyze_package_source`
+    call per package, in sorted-name order, inline (``pool=None``) or
+    over ``pool``;
     propagation runs here once every package's risks are back, so the
     report is byte-identical at any worker count.
     """
-    from ..service.jobs import ScoreJob
     from ..service.workers import run_jobs
 
     if not isinstance(graph, PackageGraph):
         graph = load_package_dir(graph)
-    registry = registry_version()
     names = graph.names()
-    jobs = [
-        ScoreJob(source=graph.package(name).source, label=name, registry=registry)
-        for name in names
-    ]
+    arguments = [(graph.package(name).source, name) for name in names]
     risks_by_package = {
-        name: handle.result()["risks"]
-        for name, handle in zip(names, run_jobs(jobs, pool))
+        name: handle.result()
+        for name, handle in zip(names, run_jobs(analyze_package_source, arguments, pool))
     }
     return score_packages(graph, risks_by_package, attenuation)
 

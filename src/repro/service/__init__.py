@@ -7,7 +7,8 @@ result cache (:mod:`cache`) with full metrics accounting
 (:mod:`metrics`); :mod:`server`/:mod:`client` expose everything over a
 stdlib JSON API, and :class:`~repro.service.engine.ServiceEngine` ties
 the lifecycle together.  Batch workloads skip the scheduler and hand
-their jobs straight to a pool (:func:`~repro.service.workers.run_jobs`).
+a function and its argument tuples straight to a pool
+(:func:`~repro.service.workers.run_jobs`).
 See ``docs/SERVICE.md``.
 """
 
@@ -32,7 +33,6 @@ _EXPORTS = {
             "AttackJob",
             "ExecJob",
             "Job",
-            "RegressReplayJob",
         ),
         "jobs",
     ),
@@ -50,8 +50,6 @@ _EXPORTS = {
         (
             "JobFailed",
             "WorkerPool",
-            "execute_job",
-            "register_worker",
             "report_from_payload",
             "report_payload",
             "run_jobs",

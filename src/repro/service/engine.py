@@ -32,6 +32,7 @@ from .jobs import (
     AnalyzeJob,
     AttackJob,
     ExecJob,
+    MatrixCellJob,
 )
 from .metrics import MetricsRegistry, render_prometheus
 from .scheduler import Scheduler
@@ -157,8 +158,8 @@ class ServiceEngine:
             if not defenses or defense.name in defenses
         ]
         handles = [
-            self.scheduler.submit_waiting(job, timeout=CELL_TIMEOUT)
-            for job in cell_jobs(rows, chosen)
+            self.scheduler.submit_waiting(MatrixCellJob(**cell), timeout=CELL_TIMEOUT)
+            for cell in cell_jobs(rows, chosen)
         ]
         cells = [handle.result() for handle in handles]
         wins = dict.fromkeys(chosen, 0)

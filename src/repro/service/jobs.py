@@ -1,22 +1,29 @@
 """Typed job specifications for the service layer.
 
-A job is a frozen, content-addressed description of one unit of work:
-analyzing a source file, running an attack under a defense environment,
-evaluating the attack × defense matrix, or executing a program on the
-simulated machine.  Two jobs with the same payload have the same
-:meth:`Job.key`, which is what the result cache and the scheduler's
-deduplication key on — the hash covers the job kind plus every payload
-field, canonically JSON-encoded, so it is stable across processes and
-interpreter runs.
+A job is a frozen, content-addressed description of one unit of
+service work: analyzing a source file, running an attack under a
+defense environment, evaluating one attack × defense matrix cell, or
+executing a program on the simulated machine.  Each job class names
+the worker function that runs it (``run``, called with
+:meth:`Job.payload`).  Two jobs with the same payload have the same
+:meth:`Job.key`, which is what the result cache, the scheduler's
+deduplication and ``/trace`` key on — the hash covers the job kind plus
+every payload field, canonically JSON-encoded, so it is stable across
+processes and interpreter runs.
+
+Batch workloads build no jobs: they hand their own function straight
+to :func:`~repro.service.workers.run_jobs`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 
+from ..fileio import canonical_json
 from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET
+from ..matrix.sweep import evaluate_cell
+from .workers import run_analyze, run_attack, run_exec
 
 #: Default scheduler priority (lower numbers run first).
 NORMAL_PRIORITY = 10
@@ -26,16 +33,16 @@ HIGH_PRIORITY = 1
 LOW_PRIORITY = 100
 
 
-def canonical_json(payload: dict) -> str:
-    """Deterministic encoding used for job keys and cache files."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class Job:
-    """Base class: a hashable, cacheable unit of service work."""
+    """Base class: a hashable, cacheable unit of service work.
 
-    #: Worker-registry key (see :mod:`repro.service.workers`).
+    A subclass sets ``run = staticmethod(worker)``: the function the
+    scheduler calls with :meth:`payload`.  It must be module-level for
+    the process backend to pickle it.
+    """
+
+    #: Names the job in keys, traces and metrics.
     KIND = "job"
     #: Whether results may be served from the result cache.  Jobs whose
     #: outcome depends on randomized machine state (ASLR, random
@@ -63,22 +70,7 @@ class AnalyzeJob(Job):
     legacy: bool = False
 
     KIND = "analyze"
-
-
-@dataclass(frozen=True)
-class ScoreJob(Job):
-    """Score one package's source through the threat registry.
-
-    ``registry`` carries the threat-registry digest at submit time, so
-    cached results are invalidated when the registry changes even
-    though the source text did not.
-    """
-
-    source: str
-    label: str = ""
-    registry: str = ""
-
-    KIND = "score"
+    run = staticmethod(run_analyze)
 
 
 @dataclass(frozen=True)
@@ -89,6 +81,7 @@ class AttackJob(Job):
     env: str = "unprotected"
 
     KIND = "attack"
+    run = staticmethod(run_attack)
 
 
 @dataclass(frozen=True)
@@ -109,50 +102,7 @@ class MatrixCellJob(Job):
     step_budget: int = DEFAULT_STEP_BUDGET
 
     KIND = "matrix-cell"
-
-
-@dataclass(frozen=True)
-class FuzzCampaignJob(Job):
-    """One batch of a differential fuzzing campaign (see ``repro.fuzz``).
-
-    The payload is a full snapshot — campaign seed, round/batch
-    coordinates, corpus, and coverage baseline — so the worker is pure:
-    same payload, same batch result.  Still not cacheable, because
-    campaigns intentionally re-run batches against evolving snapshots
-    and the result cache would pin a stale corpus.
-    """
-
-    seed: int = 1
-    round: int = 0
-    batch: int = 0
-    iterations: int = 50
-    corpus: tuple = ()  # (source, stdin, family, label) tuples
-    coverage: tuple = ()  # coverage keys already reached
-    protected: int = 0  # leading corpus entries exempt from eviction
-    step_budget: int = DEFAULT_STEP_BUDGET
-    canary: bool = True
-    max_corpus: int = 256
-
-    KIND = "fuzz-campaign"
-    CACHEABLE = False
-
-
-@dataclass(frozen=True)
-class RegressReplayJob(Job):
-    """Replay one chunk of regression bundles (see ``repro.regress``).
-
-    The payload carries the bundles themselves (canonical JSON strings),
-    not a store path, so the worker is pure and process-backend safe:
-    same bundles, same replay verdicts.  Not cacheable — the whole point
-    of a replay is to re-judge the bundle against the *current* detector
-    and simulator, never a remembered verdict.
-    """
-
-    bundles: tuple = ()  # canonical-JSON bundle documents
-    check_versions: bool = True
-
-    KIND = "regress-replay"
-    CACHEABLE = False
+    run = staticmethod(evaluate_cell)
 
 
 @dataclass(frozen=True)
@@ -171,3 +121,4 @@ class ExecJob(Job):
 
     KIND = "exec"
     CACHEABLE = False
+    run = staticmethod(run_exec)

@@ -304,14 +304,13 @@ class Scheduler:
         trace: JobTrace,
     ) -> None:
         key = job.key()
-        payload = job.payload()
         started = time.monotonic()
         busy = self.metrics.gauge("scheduler.workers_busy")
         busy.add(1)
         trace.record("attempt")
         try:
             try:
-                future = self.pool.submit(job.KIND, payload)
+                future = self.pool.submit(job.run, job.payload())
                 finished = self.pool.wait(future, timeout)
                 result = future.result() if finished else None
             except Exception as error:  # worker bug or bad payload

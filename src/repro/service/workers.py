@@ -1,30 +1,30 @@
-"""Worker functions and the executor pool that runs them.
+"""The service's worker functions and the executor pool that runs them.
 
-Each job kind maps to a module-level function taking the job's payload
-dict and returning a JSON-able result dict — module-level so the
-process backend can pickle references into child interpreters.  The
+Each of the service's job kinds names a module-level worker function
+that takes the job's payload dict and returns a JSON-able result dict:
+:func:`run_analyze`, :func:`run_attack` and :func:`run_exec` here, and
+the matrix sweep's own ``evaluate_cell`` for ``MatrixCellJob``.  The
 dict-in/dict-out contract is what makes results cacheable on disk and
 transportable over the HTTP API without a second serialization layer.
 
-``WorkerPool`` wraps a :mod:`concurrent.futures` executor.  The thread
+``WorkerPool`` wraps a :mod:`concurrent.futures` executor and runs any
+function it is handed: ``pool.submit(function, *args)``.  The thread
 backend is the default (cheap startup, shares the warm interpreter);
 the process backend buys real CPU parallelism for big sweeps on
-multi-core hosts.  Custom job kinds registered at runtime via
-:func:`register_worker` are visible to the thread backend only — child
-processes import this module fresh and see just the built-in registry.
+multi-core hosts and pickles the function by reference, so it must be
+a module-level function a child process can import.
 
-A worker runs once per job: whatever it raises fails the job.  A job
+A function runs once per call: whatever it raises fails the job.  A job
 still running at its deadline cannot be stopped, so it keeps its worker
 until it returns; the pool counts it as a *straggler*, and
 :meth:`WorkerPool.wait` starts a job's deadline only once fewer than
 ``pool.size`` stragglers are running.  The scheduler and the batch
-path (:func:`run_jobs`, which runs jobs inline or submits them straight
-to a pool) both read results through it.
+path (:func:`run_jobs`, which calls one function per argument tuple,
+inline or on a pool) both read results through it.
 
-Every inline batch run (``--jobs 0``) loads this module, so workers
-import their subsystem — the attack gallery, the matrix, the fuzzer,
-the score registry — on first call, and the process executor is
-imported only when built.
+Every inline batch run (``--jobs 0``) loads this module, so the service
+workers import their subsystem — the attack gallery, the interpreter —
+on first call, and the process executor is imported only when built.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ DEFAULT_TIMEOUT = 60.0
 
 
 class JobFailed(RuntimeError):
-    """A job's worker raised, or its result did not arrive in time."""
+    """A job's function raised, or its result did not arrive in time."""
 
 
 def _jsonify(value):
@@ -146,13 +146,6 @@ def run_attack(payload: dict) -> dict:
     return attack_payload(scenario.run(env))
 
 
-def run_matrix_cell(payload: dict) -> dict:
-    """Worker for :class:`MatrixCellJob` (one sweep cell)."""
-    from ..matrix.sweep import evaluate_cell
-
-    return evaluate_cell(payload)
-
-
 def run_exec(payload: dict) -> dict:
     """Worker for :class:`ExecJob`.
 
@@ -205,81 +198,6 @@ def run_exec(payload: dict) -> dict:
     }
 
 
-def run_fuzz_campaign(payload: dict) -> dict:
-    """Worker for :class:`FuzzCampaignJob` (one deterministic batch).
-
-    Imported lazily so the service layer does not pull the fuzzing
-    stack in at import time (and ``repro.fuzz`` can import the service
-    layer for its campaign driver without a cycle).
-    """
-    from ..fuzz.campaign import run_batch
-
-    return run_batch(payload)
-
-
-def run_regress_replay(payload: dict) -> dict:
-    """Worker for :class:`RegressReplayJob` (one chunk of bundles).
-
-    The bundles travel *in* the payload as canonical JSON, so the
-    worker never touches the store directory — pure and process-safe.
-    Lazily imported for the same reason as the fuzz worker.
-    """
-    from ..regress.replay import replay_bundle_json
-
-    check_versions = payload.get("check_versions", True)
-    return {
-        "results": [
-            replay_bundle_json(document, check_versions=check_versions)
-            for document in payload.get("bundles", ())
-        ]
-    }
-
-
-def run_score(payload: dict) -> dict:
-    """Worker for :class:`ScoreJob`: one package's risk dicts.
-
-    Propagation needs the whole graph and stays in
-    :func:`repro.score.score_graph`; the worker does only the
-    per-package half (parse + detect + registry mapping), which is the
-    expensive part.  Lazily imported so process
-    workers don't pay for the registry until they score.
-    """
-    from ..score.propagate import analyze_package_source
-
-    return {
-        "label": payload.get("label", ""),
-        "risks": analyze_package_source(
-            payload["source"], payload.get("label", "")
-        ),
-    }
-
-
-#: Kind → worker function.  Extensible at runtime (thread backend only).
-WORKER_REGISTRY: dict = {
-    "analyze": run_analyze,
-    "attack": run_attack,
-    "matrix-cell": run_matrix_cell,
-    "exec": run_exec,
-    "fuzz-campaign": run_fuzz_campaign,
-    "regress-replay": run_regress_replay,
-    "score": run_score,
-}
-
-
-def register_worker(kind: str, fn: Callable[[dict], dict]) -> None:
-    """Register (or replace) the worker for a job kind."""
-    WORKER_REGISTRY[kind] = fn
-
-
-def execute_job(kind: str, payload: dict) -> dict:
-    """Dispatch one job payload to its worker (picklable entry point)."""
-    try:
-        worker = WORKER_REGISTRY[kind]
-    except KeyError:
-        raise KeyError(f"no worker registered for job kind '{kind}'")
-    return worker(payload)
-
-
 class WorkerPool:
     """A sized pool of job executors over threads or processes."""
 
@@ -306,8 +224,9 @@ class WorkerPool:
                 max_workers=max_workers, thread_name_prefix="repro-worker"
             )
 
-    def submit(self, kind: str, payload: dict) -> Future:
-        """Queue one job; its future stays cancellable until it starts.
+    def submit(self, function: Callable, *args) -> Future:
+        """Queue ``function(*args)``; its future stays cancellable until
+        it starts.
 
         The thread executor marks a job running only when a worker takes
         it.  The process executor marks one running as soon as it moves
@@ -316,10 +235,10 @@ class WorkerPool:
         rest here, where a job whose deadline passes can be cancelled.
         """
         if self._waiting is None:
-            return self._executor.submit(execute_job, kind, payload)
+            return self._executor.submit(function, *args)
         future: Future = Future()
         with self._lock:
-            self._waiting.append((future, kind, payload))
+            self._waiting.append((future, function, args))
         self._hand_over()
         return future
 
@@ -329,12 +248,12 @@ class WorkerPool:
             with self._lock:
                 if self._handed >= self.size or not self._waiting:
                     return
-                future, kind, payload = self._waiting.popleft()
+                future, function, args = self._waiting.popleft()
                 if not future.set_running_or_notify_cancel():
                     continue
                 self._handed += 1
             try:
-                handed = self._executor.submit(execute_job, kind, payload)
+                handed = self._executor.submit(function, *args)
             except Exception as error:  # a shut-down or broken executor
                 self._settle(future, error=error)
             else:
@@ -402,13 +321,16 @@ class WorkerPool:
 
 
 class _Handle:
-    """One batch job.  With no future its worker runs in the reading
-    thread and any exception propagates as is; with one, a failure or
-    a blown deadline (:meth:`WorkerPool.wait`) raises :class:`JobFailed`.
+    """One call of a batch.  With no future its function runs in the
+    reading thread and any exception propagates as is; with one, a
+    failure or a blown deadline (:meth:`WorkerPool.wait`) raises
+    :class:`JobFailed`.
     """
 
-    def __init__(self, job, future=None, timeout=0.0, pool=None):
-        self.job = job
+    def __init__(self, function, args, index, future=None, timeout=0.0, pool=None):
+        self._function = function
+        self._args = args
+        self._index = index
         self._future = future
         self._timeout = timeout
         self._pool = pool
@@ -416,37 +338,40 @@ class _Handle:
     def result(self) -> dict:
         future = self._future
         if future is None:
-            return execute_job(self.job.KIND, self.job.payload())
+            return self._function(*self._args)
+        name = f"{self._function.__name__}#{self._index}"
         if not self._pool.wait(future, self._timeout):
             raise JobFailed(
-                f"job {self.job.key()} timed-out: no result within {self._timeout}s"
+                f"job {name} timed-out: no result within {self._timeout}s"
             )
         error = future.exception()
         if error is not None:
-            raise JobFailed(
-                f"job {self.job.key()} failed: {type(error).__name__}: {error}"
-            )
+            raise JobFailed(f"job {name} failed: {type(error).__name__}: {error}")
         return future.result()
 
 
 def run_jobs(
-    jobs: Iterable, pool: Optional[WorkerPool] = None, timeout: float = DEFAULT_TIMEOUT
+    function: Callable,
+    arguments: Iterable[tuple],
+    pool: Optional[WorkerPool] = None,
+    timeout: float = DEFAULT_TIMEOUT,
 ):
-    """One handle per job, in job order, for every batch workload.
+    """One handle per argument tuple, in order, for every batch workload.
 
-    With no pool each handle runs its job's worker inline when read —
-    the same function the pool runs — so ``--jobs 0`` and ``--jobs N``
-    share one code path.  With a pool at most ``2 × pool.size`` jobs are
-    submitted ahead of the reader, so a long batch never holds every
-    payload and result at once.
+    With no pool each handle calls ``function(*args)`` inline when read,
+    so ``--jobs 0`` and ``--jobs N`` run the same function.  With a
+    pool at most ``2 × pool.size`` calls are submitted ahead of the
+    reader, so a long batch never holds every argument and result at
+    once.
     """
     if pool is None:
-        yield from map(_Handle, jobs)
+        for index, args in enumerate(arguments):
+            yield _Handle(function, args, index)
         return
     pending: deque = deque()
-    for job in jobs:
+    for index, args in enumerate(arguments):
         if len(pending) == 2 * pool.size:
             yield pending.popleft()
-        future = pool.submit(job.KIND, job.payload())
-        pending.append(_Handle(job, future, timeout, pool))
+        future = pool.submit(function, *args)
+        pending.append(_Handle(function, args, index, future, timeout, pool))
     yield from pending

@@ -508,12 +508,17 @@ class TestPooledJobFailure:
         self, kind, entry_point, argv, tmp_path, capsys, monkeypatch
     ):
         import repro.cli
-        from repro.service.workers import WORKER_REGISTRY
 
-        def crash(payload):
+        def crash(*args):
             raise RuntimeError("worker crashed")
 
-        monkeypatch.setitem(WORKER_REGISTRY, kind, crash)
+        # the batch paths look their function up when they run, so patching
+        # the module attribute reaches the pool
+        target = {
+            "matrix-cell": "repro.matrix.sweep.evaluate_cell",
+            "score": "repro.score.propagate.analyze_package_source",
+        }[kind]
+        monkeypatch.setattr(target, crash)
         out = tmp_path / "report.json"
         if argv[-1] == "--out":
             argv = argv + [str(out)]
@@ -641,7 +646,8 @@ class TestAnalyzeCli:
         and the report matches ``--jobs 1``."""
         import threading
 
-        from repro.service.workers import WORKER_REGISTRY, run_analyze
+        from repro.service.jobs import AnalyzeJob
+        from repro.service.workers import run_analyze
 
         paths = []
         for index in range(1100):
@@ -657,7 +663,7 @@ class TestAnalyzeCli:
             release.wait(timeout=5)
             return run_analyze(payload)
 
-        monkeypatch.setitem(WORKER_REGISTRY, "analyze", held)
+        monkeypatch.setattr(AnalyzeJob, "run", staticmethod(held))
         timer = threading.Timer(0.5, release.set)
         timer.start()
         try:

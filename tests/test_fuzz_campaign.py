@@ -14,9 +14,8 @@ from repro.fuzz import (
     run_batch,
     run_campaign,
 )
+from repro.fileio import canonical_json
 from repro.service import WorkerPool
-from repro.service.jobs import FuzzCampaignJob
-from repro.service.workers import WORKER_REGISTRY
 
 
 def _crash(payload):
@@ -58,22 +57,18 @@ class TestSequentialCampaign:
 
 
 class TestBatchWorker:
-    def test_fuzz_campaign_job_registered(self):
-        assert FuzzCampaignJob.KIND in WORKER_REGISTRY
-        assert not FuzzCampaignJob.CACHEABLE
-
     def test_job_payload_is_canonical_jsonable(self):
-        job = FuzzCampaignJob(
-            seed=1,
-            round=0,
-            batch=2,
-            iterations=10,
-            corpus=(("void run() { }", (), "corpus", ""),),
-            coverage=("rule:PN-LEAK",),
-        )
-        # key() canonical-JSON-encodes the payload; must not raise and
-        # must be stable.
-        assert job.key() == FuzzCampaignJob(**job.payload()).key()
+        """A batch payload survives canonical JSON: the decoded copy,
+        lists where run_campaign had tuples, runs the same batch."""
+        payload = {
+            "seed": 1,
+            "round": 0,
+            "batch": 2,
+            "iterations": 10,
+            "corpus": (("void run() { }", (), "corpus", ""),),
+            "coverage": ("rule:PN-LEAK",),
+        }
+        assert run_batch(json.loads(canonical_json(payload))) == run_batch(payload)
 
     def test_run_batch_reports_only_deltas(self):
         fuzzer = DifferentialFuzzer(FuzzConfig(seed=2, iterations=0))
@@ -144,7 +139,7 @@ class TestServiceCampaign:
             assert fanned.to_json() == sequential.to_json(), workers
 
     def test_batch_failure_is_counted_not_fatal(self, monkeypatch):
-        monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
+        monkeypatch.setattr("repro.fuzz.campaign.run_batch", _crash)
         with WorkerPool(2) as pool:
             report = run_campaign(
                 FuzzConfig(seed=4, iterations=40, minimize=False), pool=pool
@@ -156,7 +151,7 @@ class TestServiceCampaign:
     def test_failed_batches_account_lost_iterations(self, monkeypatch):
         """Every iteration a crashed batch would have run is reported as
         lost — an "N iterations" claim must stay honest."""
-        monkeypatch.setitem(WORKER_REGISTRY, "fuzz-campaign", _crash)
+        monkeypatch.setattr("repro.fuzz.campaign.run_batch", _crash)
         with WorkerPool(2) as pool:
             report = run_campaign(
                 FuzzConfig(seed=4, iterations=40, minimize=False), pool=pool
@@ -371,6 +366,12 @@ class TestFuzzCli:
         output = capsys.readouterr().out
         assert "static-only" in output
         assert "waste" not in output.split("minimized source:")[1]
+
+    def test_minimize_reads_float_stdin_tokens(self, tmp_path, capsys):
+        source = tmp_path / "gpa.mc"
+        source.write_text("void run() { double gpa; cin >> gpa; }\n")
+        assert fuzz_main(["minimize", str(source), "--stdin", "2.5"]) == 1
+        assert "no divergence" in capsys.readouterr().out
 
     def test_minimize_on_agreeing_input_reports_none(self, tmp_path, capsys):
         source = tmp_path / "agree.mc"

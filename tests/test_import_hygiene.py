@@ -99,6 +99,24 @@ def test_fuzz_run_loads_no_attack_gallery(tmp_path):
     assert _under(modules, "repro.attacks") == []
 
 
+@pytest.mark.parametrize(
+    ("entry", "argv"),
+    [
+        ("score_main", ["rank", "corpus/packages"]),
+        ("fuzz_main", ["run", "--seed", "3", "--iterations", "20", "--jobs", "0"]),
+        ("matrix_main", ["run", "--jobs", "0", "--no-regress", "--defenses", "none"]),
+        ("regress_main", ["replay", "--store", "corpus/regress", "--jobs", "0"]),
+    ],
+    ids=["score-rank", "fuzz-run", "matrix-run", "regress-replay"],
+)
+def test_batch_command_loads_no_job_classes(entry, argv):
+    """A batch command hands its own function to the pool: it builds
+    no service job, so it never imports the job classes."""
+    modules = _modules_loaded_by(entry, *argv)
+    assert "repro.service.workers" in modules
+    assert "repro.service.jobs" not in modules
+
+
 def test_bare_import_loads_no_subpackage():
     done = subprocess.run(
         [sys.executable, "-c", "import json, sys, repro; print(json.dumps(sorted(sys.modules)))"],

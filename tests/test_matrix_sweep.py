@@ -8,6 +8,7 @@ every matrix caller renders from the sweep.
 """
 
 import json
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.matrix import (
     canonical_report_json,
     collect_rows,
     diff_reports,
+    render_attack_table,
     render_report,
     run_sweep,
     seed_rows,
@@ -188,6 +190,30 @@ class TestReportShape:
         assert "rows where the attack wins" in text
         for row in subset_report["rows"]:
             assert f"{row['kind']}:{row['id']}" in text
+
+    @pytest.mark.parametrize("render", [render_report, render_attack_table])
+    def test_table_cells_never_touch_and_align_with_headers(
+        self, subset_report, render
+    ):
+        """``detected(vrt)`` next to ``detected(memory-tagging)`` stays
+        two cells, each right-aligned under its defense's header."""
+        defenses = subset_report["defenses"]
+        header, _, *body = render(subset_report).splitlines()
+        columns = list(re.finditer(r"\S+", header))[1:]
+        assert [column.group() for column in columns] == defenses
+        expected = [
+            [row["cells"][name] for name in defenses] for row in subset_report["rows"]
+        ]
+        totals = subset_report["attacks_succeeding"]
+        expected.append([str(totals[name]) for name in defenses])
+        lines = [line for line in body if not line.startswith(("-", "risks"))]
+        assert len(lines) == len(expected)
+        for line, cells in zip(lines, expected):
+            tokens = list(re.finditer(r"\S+", line))[-len(defenses):]
+            assert [token.group() for token in tokens] == cells, line
+            assert [token.end() for token in tokens] == [
+                column.end() for column in columns
+            ], line
 
     def test_build_report_consumes_cells_in_row_major_order(self):
         rows = _subset_rows()[:2]

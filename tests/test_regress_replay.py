@@ -14,8 +14,6 @@ from repro.regress import (
     replay_store,
 )
 from repro.service import WorkerPool
-from repro.service.jobs import RegressReplayJob
-from repro.service.workers import WORKER_REGISTRY
 
 from .test_regress_store import AGREEING, DIVERGING, make_bundle
 
@@ -143,10 +141,6 @@ class TestReplayStore:
 
 
 class TestServiceFanOut:
-    def test_regress_replay_job_registered(self):
-        assert RegressReplayJob.KIND in WORKER_REGISTRY
-        assert not RegressReplayJob.CACHEABLE
-
     def test_engine_replay_matches_sequential_for_any_worker_count(
         self, tmp_path
     ):
@@ -164,11 +158,11 @@ class TestServiceFanOut:
         assert report.clean
 
     def test_failed_chunk_marks_bundles_not_drops_them(self, tmp_path, monkeypatch):
-        def crash(payload):
+        def crash(documents, check_versions):
             raise RuntimeError("replay worker crashed")
 
         store = seeded_store(tmp_path, count=3)
-        monkeypatch.setitem(WORKER_REGISTRY, "regress-replay", crash)
+        monkeypatch.setattr("repro.regress.replay.replay_chunk", crash)
         with WorkerPool(2) as pool:
             report = replay_store(store, chunk_size=2, pool=pool)
         assert len(report.results) == len(store)
@@ -209,6 +203,23 @@ class TestRegressCli:
         assert regress_main(["list", "--store", store_dir]) == 0
         assert "1 bundle(s)" in capsys.readouterr().out
         assert regress_main(["gc", "--store", store_dir, "--dry-run"]) == 0
+
+    def test_record_reads_stdin_tokens_as_exec_does(self, tmp_path, capsys):
+        """``--stdin 2.5,0x3`` records a float and an int, as
+        ``repro-exec`` reads them, and the bundle replays clean."""
+        store_dir = str(tmp_path / "store")
+        source = tmp_path / "gpa.mc"
+        source.write_text("void run() { double gpa; int n; cin >> gpa >> n; }\n")
+        assert regress_main(
+            ["record", "--store", store_dir, "--source", str(source),
+             "--stdin", "2.5,0x3"]
+        ) == 0
+        store = RegressionStore(store_dir, create=False)
+        (bundle_id,) = store.ids()
+        assert store.load(bundle_id).stdin == (2.5, 3)
+        capsys.readouterr()
+        assert regress_main(["replay", "--store", store_dir]) == 0
+        assert "no drift" in capsys.readouterr().out
 
     def test_replay_exits_one_on_drift_and_diff_explains(
         self, tmp_path, capsys

@@ -1,8 +1,7 @@
-"""Tests for score_graph over a WorkerPool and the score job."""
+"""Tests for score_graph over a WorkerPool."""
 
 from repro.score import demo_graph, score_graph
 from repro.service import WorkerPool
-from repro.service.jobs import ScoreJob
 
 
 class TestScoreCorpus:
@@ -35,15 +34,3 @@ class TestScoreCorpus:
             score = score_graph(demo_graph(), attenuation=0.0, pool=pool)
         assert score.entry("core-pool").blast_radius == 5.0
 
-
-class TestScoreJob:
-    def test_key_tracks_registry_fingerprint(self):
-        base = ScoreJob(source="void f() {}\n", label="a", registry="aaa")
-        same = ScoreJob(source="void f() {}\n", label="a", registry="aaa")
-        bumped = ScoreJob(source="void f() {}\n", label="a", registry="bbb")
-        assert base.key() == same.key()
-        assert base.key() != bumped.key()
-
-    def test_job_is_cacheable(self):
-        assert ScoreJob.CACHEABLE
-        assert ScoreJob.KIND == "score"

@@ -2,8 +2,8 @@
 must resolve terminally.
 
 Each failure is built from a seam the service already has, not injected:
-a crashing or hanging worker is a function registered with
-:func:`register_worker`; an unwritable disk is a cache ``directory`` that
+a crashing or hanging worker is a job class whose ``run`` crashes or
+sleeps; an unwritable disk is a cache ``directory`` that
 is a regular file; a corrupt entry is a pre-written ``{"corrupt`` file;
 a slow disk is a monkeypatched disk write that sleeps.  For each one,
 every submitted job must resolve to a terminal :class:`JobStatus`,
@@ -28,28 +28,10 @@ from repro.service import (
     Scheduler,
     ServiceEngine,
     WorkerPool,
-    register_worker,
     render_prometheus,
 )
 
 TERMINAL = (JobStatus.SUCCEEDED, JobStatus.FAILED, JobStatus.TIMED_OUT)
-
-
-@dataclass(frozen=True)
-class EchoJob(Job):
-    token: str = ""
-
-    KIND = "test-echo"
-
-
-@dataclass(frozen=True)
-class CrashJob(EchoJob):
-    KIND = "test-crash"
-
-
-@dataclass(frozen=True)
-class HangJob(EchoJob):
-    KIND = "test-hang"
 
 
 def _echo(payload):
@@ -65,11 +47,24 @@ def _hang(payload):
     return _echo(payload)
 
 
-@pytest.fixture(autouse=True)
-def _workers():
-    register_worker("test-echo", _echo)
-    register_worker("test-crash", _crash)
-    register_worker("test-hang", _hang)
+@dataclass(frozen=True)
+class EchoJob(Job):
+    token: str = ""
+
+    KIND = "test-echo"
+    run = staticmethod(_echo)
+
+
+@dataclass(frozen=True)
+class CrashJob(EchoJob):
+    KIND = "test-crash"
+    run = staticmethod(_crash)
+
+
+@dataclass(frozen=True)
+class HangJob(EchoJob):
+    KIND = "test-hang"
+    run = staticmethod(_hang)
 
 
 def _corrupt(cache: ResultCache, key: str) -> None:
@@ -150,8 +145,8 @@ def test_job_still_waiting_for_a_worker_is_cancelled_at_its_deadline(backend):
         source="".join(f"void f{token}{i}() {{ int x = {i}; }}\n" for i in range(8000))
     )
     with WorkerPool(1, backend) as pool:
-        first = pool.submit(long_job.KIND, long_job.payload())
-        second = pool.submit("analyze", AnalyzeJob(source="void f() {}").payload())
+        first = pool.submit(long_job.run, long_job.payload())
+        second = pool.submit(long_job.run, AnalyzeJob(source="void f() {}").payload())
         assert pool.wait(second, 0.05) is False
         assert second.cancelled()
         assert pool.stragglers == 0

@@ -201,7 +201,6 @@ class TestCacheWriteFailures:
             MetricsRegistry,
             Scheduler,
             WorkerPool,
-            register_worker,
         )
 
         @dataclass(frozen=True)
@@ -209,10 +208,7 @@ class TestCacheWriteFailures:
             token: str = ""
 
             KIND = "test-poison"
-
-        register_worker(
-            "test-poison", lambda payload: {"handle": object(), "ok": True}
-        )
+            run = staticmethod(lambda payload: {"handle": object(), "ok": True})
         cache = ResultCache(directory=str(tmp_path), version="v1")
         with Scheduler(
             pool=WorkerPool(max_workers=2), cache=cache, metrics=MetricsRegistry()

@@ -1,10 +1,11 @@
 """Scheduler semantics: priorities, timeouts, failures, drain, caching;
 and the batch path, :func:`run_jobs` straight over a :class:`WorkerPool`.
 
-Custom test-only job kinds are registered in the worker registry so the
+Custom test-only job kinds name test-local ``run`` functions so the
 scheduler's control flow can be exercised without real analysis work
-(thread backend only).  The pooled-path tests that also run on the
-process backend use built-in job kinds, which child processes know.
+(thread backend only: a child process cannot import a closure).  The
+pooled-path tests that also run on the process backend call
+:func:`run_analyze`, which child processes import by reference.
 """
 
 import threading
@@ -28,15 +29,15 @@ from repro.service import (
     ResultCache,
     Scheduler,
     WorkerPool,
-    execute_job,
-    register_worker,
     run_jobs,
 )
+from repro.service.workers import run_analyze
 
 
 @dataclass(frozen=True)
 class ProbeJob(Job):
-    """Test-only job; ``token`` differentiates cache keys."""
+    """Test-only job; ``token`` differentiates cache keys.  Its ``run``
+    is set per test by the ``_workers`` fixture."""
 
     token: str = ""
 
@@ -45,6 +46,8 @@ class ProbeJob(Job):
 
 @dataclass(frozen=True)
 class SleepJob(Job):
+    """Test-only job that sleeps, then probes (``_workers`` fixture)."""
+
     duration: float = 0.0
     token: str = ""
 
@@ -53,30 +56,29 @@ class SleepJob(Job):
 
 @dataclass(frozen=True)
 class GatedJob(Job):
-    """Test-only job whose worker blocks until the test opens the gate."""
+    """Test-only job whose worker blocks until the test opens the gate
+    (its ``run`` is set by :func:`_gate`)."""
 
     token: str = ""
 
     KIND = "test-gated"
 
 
-@dataclass(frozen=True)
-class UnknownKindJob(Job):
-    """A job no worker is registered for: it crashes on either backend."""
-
-    KIND = "test-no-such-kind"
-
-
 def _gate() -> threading.Event:
-    """Register the ``test-gated`` worker, held until the event is set."""
+    """Hold ``GatedJob``'s worker until the returned event is set."""
     release = threading.Event()
 
     def gated(payload):
         release.wait(timeout=5)
         return {"token": payload["token"]}
 
-    register_worker("test-gated", gated)
+    GatedJob.run = staticmethod(gated)
     return release
+
+
+def _calls(*jobs) -> list:
+    """``run_jobs`` argument tuples: each job's payload."""
+    return [(job.payload(),) for job in jobs]
 
 
 def _slow_job(functions: int = 4000) -> AnalyzeJob:
@@ -90,8 +92,8 @@ def _slow_job(functions: int = 4000) -> AnalyzeJob:
 
 
 @pytest.fixture(autouse=True)
-def _workers(request):
-    """(Re)register the test worker kinds with fresh per-test state."""
+def _workers(request, monkeypatch):
+    """Give the probe and sleep kinds workers with fresh per-test state."""
     state = {"ran": [], "lock": threading.Lock()}
 
     def probe(payload):
@@ -103,8 +105,8 @@ def _workers(request):
         time.sleep(payload["duration"])
         return probe(payload)
 
-    register_worker("test-probe", probe)
-    register_worker("test-sleep", sleepy)
+    monkeypatch.setattr(ProbeJob, "run", staticmethod(probe), raising=False)
+    monkeypatch.setattr(SleepJob, "run", staticmethod(sleepy), raising=False)
     if request.cls is not None:
         request.cls.state = state
     yield state
@@ -137,11 +139,10 @@ class TestSchedulerBasics:
             release.wait(timeout=5)
             return {}
 
-        register_worker("test-block", blocker)
-
         @dataclass(frozen=True)
         class BlockJob(Job):
             KIND = "test-block"
+            run = staticmethod(blocker)
 
         with Scheduler(pool=WorkerPool(max_workers=1)) as scheduler:
             blocking = scheduler.submit(BlockJob())
@@ -160,13 +161,12 @@ class TestSchedulerBasics:
             release.wait(timeout=5)
             return {}
 
-        register_worker("test-block", blocker)
-
         @dataclass(frozen=True)
         class BlockJob(Job):
             token: str = ""
 
             KIND = "test-block"
+            run = staticmethod(blocker)
 
         monkeypatch.setattr(scheduler_module, "MAX_QUEUE", 2)
         scheduler = Scheduler(pool=WorkerPool(max_workers=1))
@@ -219,11 +219,10 @@ class TestTimeoutsAndRetries:
             calls.append(payload)
             raise ValueError("bad payload")
 
-        register_worker("test-broken", broken)
-
         @dataclass(frozen=True)
         class BrokenJob(Job):
             KIND = "test-broken"
+            run = staticmethod(broken)
 
         with Scheduler(pool=WorkerPool(max_workers=1)) as scheduler:
             outcome = scheduler.submit(BrokenJob()).outcome(timeout=5)
@@ -250,13 +249,12 @@ class TestLifecycleAndCache:
             release.wait(timeout=5)
             return {}
 
-        register_worker("test-block", blocker)
-
         @dataclass(frozen=True)
         class BlockJob(Job):
             token: str = ""
 
             KIND = "test-block"
+            run = staticmethod(blocker)
 
         scheduler = Scheduler(pool=WorkerPool(max_workers=1))
         running = scheduler.submit(BlockJob(token="run"))
@@ -420,13 +418,12 @@ class TestTracing:
         def broken(payload):
             raise RuntimeError("worker lost")
 
-        register_worker("test-broken", broken)
-
         @dataclass(frozen=True)
         class BrokenJob(Job):
             token: str = ""
 
             KIND = "test-broken"
+            run = staticmethod(broken)
 
         with Scheduler(pool=WorkerPool(max_workers=1)) as scheduler:
             outcome = scheduler.submit(BrokenJob(token="sp")).outcome(timeout=5)
@@ -455,27 +452,26 @@ class TestPooledRunJobs:
             AnalyzeJob(source="void f() {}", label=str(index))
             for index in range(1100)
         ]
-        labels = [handle.result()["label"] for handle in run_jobs(jobs, pool)]
+        handles = run_jobs(run_analyze, _calls(*jobs), pool)
+        labels = [handle.result()["label"] for handle in handles]
         assert labels == [job.label for job in jobs]
 
     def test_crashing_job_raises_job_failed(self, pool):
-        job = UnknownKindJob()
         with pytest.raises(KeyError) as crash:
-            execute_job(job.KIND, job.payload())
-        (handle,) = run_jobs([job], pool)
+            run_analyze({})
+        (handle,) = run_jobs(run_analyze, [({},)], pool)
         with pytest.raises(JobFailed) as failure:
             handle.result()
         assert str(failure.value) == (
-            f"job {job.key()} failed: KeyError: {crash.value}"
+            f"job run_analyze#0 failed: KeyError: {crash.value}"
         )
 
     def test_timed_out_job_raises_job_failed(self, pool):
-        job = _slow_job()
-        (handle,) = run_jobs([job], pool, timeout=0.01)
+        (handle,) = run_jobs(run_analyze, _calls(_slow_job()), pool, timeout=0.01)
         with pytest.raises(JobFailed) as failure:
             handle.result()
         assert str(failure.value) == (
-            f"job {job.key()} timed-out: no result within 0.01s"
+            "job run_analyze#0 timed-out: no result within 0.01s"
         )
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -486,7 +482,9 @@ class TestPooledRunJobs:
         straggler = _slow_job(8000)  # runs several times the deadline
         healthy = AnalyzeJob(source="void f() {}", label="healthy")
         with WorkerPool(1, backend) as pool:
-            first, second = run_jobs([straggler, healthy], pool, timeout=0.15)
+            first, second = run_jobs(
+                run_analyze, _calls(straggler, healthy), pool, timeout=0.15
+            )
             with pytest.raises(JobFailed, match="timed-out"):
                 first.result()
             assert second.result()["label"] == "healthy"
@@ -501,10 +499,10 @@ class TestPooledRunJobs:
         straggler = _slow_job(8000)
         healthy = AnalyzeJob(source="void f() {}", label="healthy")
         with WorkerPool(1, backend) as pool:
-            (first,) = run_jobs([straggler], pool, timeout=0.15)
+            (first,) = run_jobs(run_analyze, _calls(straggler), pool, timeout=0.15)
             with pytest.raises(JobFailed, match="timed-out"):
                 first.result()
-            (second,) = run_jobs([healthy], pool, timeout=0.15)
+            (second,) = run_jobs(run_analyze, _calls(healthy), pool, timeout=0.15)
             assert second.result()["label"] == "healthy"
             assert pool.stragglers == 0
 
@@ -516,9 +514,9 @@ class TestPooledRunJobs:
         submitted = []
         real_submit = pool.submit
 
-        def counting_submit(kind, payload):
-            submitted.append(kind)
-            return real_submit(kind, payload)
+        def counting_submit(function, *args):
+            submitted.append(function)
+            return real_submit(function, *args)
 
         pool.submit = counting_submit
         if pool.backend == "thread":
@@ -530,7 +528,7 @@ class TestPooledRunJobs:
                 AnalyzeJob(source="void f() {}", label=str(index))
                 for index in range(20)
             ]
-        handles = run_jobs(jobs, pool)
+        handles = run_jobs(jobs[0].run, _calls(*jobs), pool)
         try:
             first = next(handles)
             time.sleep(0.05)
