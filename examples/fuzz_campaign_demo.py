@@ -1,10 +1,11 @@
 """A tour of repro.fuzz: one differential fuzzing campaign, end to end.
 
-Runs a small fixed-seed campaign through the service worker pool,
-prints the rendered report (family reach, coverage, every divergence
-with its triage label), demonstrates the determinism contract by
-re-running the campaign and comparing report bytes, then minimizes one
-divergence by hand the way `repro-fuzz minimize` does.
+Runs a small fixed-seed campaign in this process, prints the rendered
+report (family reach, coverage, every divergence with its triage
+label), demonstrates the determinism contract by re-running the
+campaign fanned out over two worker processes (what `repro-fuzz run
+--jobs 2 --backend process` does) and comparing report bytes, then
+minimizes one divergence by hand the way `repro-fuzz minimize` does.
 
     PYTHONPATH=src python examples/fuzz_campaign_demo.py
 """
@@ -39,27 +40,21 @@ void run() {
 
 
 def main() -> None:
-    # -- one campaign over the worker pool ---------------------------------
+    # -- one campaign, in this process -------------------------------------
     config = FuzzConfig(seed=SEED, iterations=ITERATIONS)
-    with WorkerPool(4) as pool:
-        report = run_campaign(config, pool=pool, batch_size=50)
+    report = run_campaign(config, batch_size=50)
     print(report.render())
-    print(f"\nexecutions across the pool = {report.execs}")
-
-    # -- the determinism contract ------------------------------------------
-    with WorkerPool(2) as pool:
-        rerun = run_campaign(config, pool=pool, batch_size=50)
-    identical = report.to_json() == rerun.to_json()
-    print(f"re-run with a different worker count: byte-identical = {identical}")
-
-    # -- sequential works too, same bytes ----------------------------------
-    sequential = run_campaign(config)
     print(
-        "sequential run produced "
-        f"{sequential.execs} execs, "
-        f"{len(sequential.divergences)} divergences, "
-        f"{len(sequential.untriaged)} un-triaged"
+        f"\nsequential run produced {report.execs} execs, "
+        f"{len(report.divergences)} divergences, "
+        f"{len(report.untriaged)} un-triaged"
     )
+
+    # -- the determinism contract: fanned out over 2 processes -------------
+    with WorkerPool(2, "process") as pool:
+        fanned = run_campaign(config, pool=pool, batch_size=50)
+    identical = report.to_json() == fanned.to_json()
+    print(f"re-run over 2 worker processes: byte-identical = {identical}")
 
     # -- minimizing one divergence by hand ---------------------------------
     observation = run_oracles(DIVERGING.source, DIVERGING.stdin)

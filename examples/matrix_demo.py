@@ -4,8 +4,10 @@
 Runs a compact sweep (a slice of the attack gallery plus every fuzz
 seed-family program) under the 2011-era columns *and* the modern
 mitigations (shadow call stack, variable record table, memory tagging),
-prints the table, proves byte-identity between the sequential and the
-service-fanned paths, and shows the drift gate catching a flipped cell.
+prints the table, proves byte-identity between the sequential sweep
+and one fanned out over two worker processes (what `repro-matrix run
+--jobs 2 --backend process` does), and shows the drift gate catching a
+flipped cell.
 
 Run:  PYTHONPATH=src python examples/matrix_demo.py
 """
@@ -54,10 +56,10 @@ def main() -> None:
     )
 
     print("— determinism: the fanned sweep is byte-identical —")
-    with WorkerPool(4) as pool:
+    with WorkerPool(2, "process") as pool:
         fanned = run_sweep(rows=rows, defenses=DEFENSES, pool=pool)
     identical = canonical_report_json(fanned) == canonical_report_json(report)
-    print(f" sequential == 4 workers: {identical}\n")
+    print(f" sequential == 2 worker processes: {identical}\n")
 
     print("— the drift gate —")
     mutated = json.loads(canonical_report_json(report))

@@ -1,10 +1,11 @@
 """A tour of repro.regress: the replayable regression corpus.
 
 Records a fuzz campaign's divergences as content-addressed bundles,
-replays them sequentially and over the service worker pool (same
-bytes), then walks the three failure modes the CI gate exists for:
-verdict drift, a version bump without a rebaseline, and the explicit
-rebaseline that re-asserts the corpus afterwards.
+replays them sequentially and over two worker processes (same bytes;
+`repro-regress replay --jobs 2 --backend process`), then walks the
+three failure modes the CI gate exists for: verdict drift, a version
+bump without a rebaseline, and the explicit rebaseline that re-asserts
+the corpus afterwards.
 
     PYTHONPATH=src python examples/regress_demo.py
 """
@@ -57,11 +58,11 @@ def main() -> None:
 
     # -- replay: sequential and fanned-out are byte-identical --------------
     sequential = replay_store(store)
-    with WorkerPool(4) as pool:
+    with WorkerPool(2, "process") as pool:
         fanned = replay_store(store, chunk_size=4, pool=pool)
     print(f"\n{sequential.render()}")
     identical = sequential.to_json() == fanned.to_json()
-    print(f"4-worker fan-out byte-identical to sequential: {identical}")
+    print(f"2-process fan-out byte-identical to sequential: {identical}")
 
     # -- failure mode 1: verdict drift -------------------------------------
     drifted_id = store.ids()[0]

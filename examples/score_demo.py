@@ -3,8 +3,9 @@
 Walks the three layers on the built-in demo graph: the threat registry
 mapping findings onto CWE/CAPEC entries, the package dependency DAG,
 and score propagation — ending on the point of the subsystem: the
-blast-radius ranking disagrees with the flat severity ranking, and the
-service fan-out reproduces the sequential report byte-for-byte.
+blast-radius ranking disagrees with the flat severity ranking, and a
+fan-out over two worker processes (what `repro-score rank --jobs 2
+--backend process` does) reproduces the sequential report byte-for-byte.
 
     PYTHONPATH=src python examples/score_demo.py
 """
@@ -55,11 +56,11 @@ def main() -> None:
         f"{tool.blast_radius:.1f}."
     )
 
-    # -- the same function over the pool: same bytes at any worker count ---
-    with WorkerPool(4) as pool:
+    # -- the same function over 2 worker processes: same bytes -------------
+    with WorkerPool(2, "process") as pool:
         parallel = score_graph(graph, pool=pool)
     assert parallel.to_json() == score.to_json()
-    print("\n4-worker report is byte-identical")
+    print("\n2-process report is byte-identical")
 
     # -- attributability ---------------------------------------------------
     fingerprint = scoring_versions()

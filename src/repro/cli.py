@@ -162,32 +162,35 @@ def _add_stdin_option(parser) -> None:
 
 
 def _add_pool_options(parser, default_jobs: int, noun: str) -> None:
-    """``--jobs``/``--backend``: fan ``noun`` out over the service pool."""
+    """``--jobs``/``--backend``: fan ``noun`` out over a process pool."""
     parser.add_argument(
         "--jobs",
         type=int,
         default=default_jobs,
         metavar="N",
-        help=f"fan {noun} out over N service workers; 0 = in-process "
-        f"sequential (default: {default_jobs})",
+        help=f"with --backend process, fan {noun} out over N worker "
+        f"processes; 0, or the thread backend, runs them in this process "
+        f"(default: {default_jobs})",
     )
     parser.add_argument(
         "--backend",
         choices=("thread", "process"),
         default="thread",
-        help="service worker backend (default: thread)",
+        help="thread runs the batch in this process; process fans it out "
+        "over --jobs worker processes (default: thread)",
     )
 
 
 def _batch_pool(args):
     """The pool a batch command fans out over, as a context manager:
-    ``None`` for ``--jobs 0`` (run inline), else a ``WorkerPool`` of
-    ``--jobs`` workers on ``--backend``, shut down when the block exits."""
-    if args.jobs == 0:
+    a ``WorkerPool`` of ``--jobs`` processes for ``--backend process``,
+    shut down when the block exits, else ``None`` (run inline).  Batch
+    units are GIL-bound, so threads would only take turns at them."""
+    if args.jobs == 0 or args.backend != "process":
         return contextlib.nullcontext()
     from .service.workers import WorkerPool
 
-    return WorkerPool(args.jobs, args.backend)
+    return WorkerPool(args.jobs, "process")
 
 
 def _run_command(args, prog: str, *checks) -> int:

@@ -79,6 +79,10 @@ class MemoryTagging:
     #: colours change only through the tracker feed.
     repeat_safe = True
 
+    #: The raw hook checks stores only (see :meth:`_on_access`), so
+    #: reads are never delivered to it.
+    observes_reads = False
+
     machine: Machine
     faults: list = field(default_factory=list)
 

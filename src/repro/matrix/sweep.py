@@ -374,9 +374,9 @@ def run_sweep(
     step_budget: int = DEFAULT_STEP_BUDGET,
     pool=None,
 ) -> dict:
-    """Evaluate the sweep in-process (``pool=None``, the ``--jobs 0``
-    path) or fanned out over ``pool``; the report is byte-identical
-    either way."""
+    """Evaluate the sweep in-process (``pool=None``, as ``repro-matrix
+    run`` does on the thread backend) or fanned out over ``pool``; the
+    report is byte-identical either way."""
     if rows is None:
         rows = collect_rows(seed=seed, regress_dir=regress_dir)
     defense_names = list(defenses) or [d.name for d in ALL_DEFENSES]

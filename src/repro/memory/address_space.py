@@ -45,6 +45,12 @@ AccessHook = Callable[[int, bytes, bool], None]
 TypedGuard = Callable[[int, int, int, bool], None]
 
 
+def _declares(observer, attribute: str, default: bool) -> bool:
+    """An observer's declared ``attribute``, read from the observer or,
+    for a bound method, from its owner."""
+    return getattr(getattr(observer, "__self__", observer), attribute, default)
+
+
 class AddressSpace:
     """Byte-addressable memory of one simulated process."""
 
@@ -67,6 +73,9 @@ class AddressSpace:
         self.strict_alignment = strict_alignment
         self._segments: list[Segment] = []
         self._hooks: list[AccessHook] = []
+        #: The hooks that observe reads, in registration order (see
+        #: :meth:`add_access_hook`); a live list, like ``_hooks``.
+        self._read_hooks: list[AccessHook] = []
         self._typed_guards: list[TypedGuard] = []
         geometry = dict(DEFAULT_LAYOUT)
         if layout:
@@ -150,12 +159,21 @@ class AddressSpace:
     # -- observers ---------------------------------------------------------
 
     def add_access_hook(self, hook: AccessHook) -> None:
-        """Register an observer called on every read and write."""
+        """Register an observer called on every write, and on every read
+        unless it declares a false ``observes_reads`` attribute on itself
+        or, for a bound method, on its owner: a write-only observer (the
+        event tap, shadow memory, memory tagging) is never called with
+        ``is_write`` false, so hot read paths such as the heap's header
+        walk skip it."""
         self._hooks.append(hook)
+        if _declares(hook, "observes_reads", True):
+            self._read_hooks.append(hook)
 
     def remove_access_hook(self, hook: AccessHook) -> None:
         """Unregister a previously added observer."""
         self._hooks.remove(hook)
+        if hook in self._read_hooks:
+            self._read_hooks.remove(hook)
 
     def _notify(self, address: int, data: bytes, is_write: bool) -> None:
         # Callers guard with ``if self._hooks`` so the zero-observer hot
@@ -195,7 +213,7 @@ class AddressSpace:
         outcome.  An observer declares it with a true ``repeat_safe``
         attribute on itself or, for a bound method, on its owner."""
         return all(
-            getattr(getattr(observer, "__self__", observer), "repeat_safe", False)
+            _declares(observer, "repeat_safe", False)
             for observer in (*self._hooks, *self._typed_guards)
         )
 
@@ -208,19 +226,22 @@ class AddressSpace:
         on exit.  For side-effect-free probes that must not touch any
         observer's state.
         """
-        # In place: typed views hold the guard list itself.
-        hooks, guards = self._hooks[:], self._typed_guards[:]
+        # In place: typed views hold the guard list, and heap walks the
+        # read-hook list, itself.
+        hooks, read_hooks = self._hooks[:], self._read_hooks[:]
+        guards = self._typed_guards[:]
         accesses: list = []
-        self._hooks[:] = [
-            lambda address, data, is_write: accesses.append(
-                (address, len(data), is_write)
-            )
-        ]
+
+        def record(address: int, data: bytes, is_write: bool) -> None:
+            accesses.append((address, len(data), is_write))
+
+        self._hooks[:] = self._read_hooks[:] = [record]
         self._typed_guards.clear()
         try:
             yield accesses
         finally:
             self._hooks[:] = hooks
+            self._read_hooks[:] = read_hooks
             self._typed_guards[:] = guards
 
     # -- raw access ----------------------------------------------------------
@@ -244,7 +265,7 @@ class AddressSpace:
         stop = offset + length
         if stop <= self._sizes[i] and self._readable[i]:
             data = bytes(self._views[i][offset:stop])
-            for hook in self._hooks:
+            for hook in self._read_hooks:
                 hook(address, data, False)
             return data
         # Unreadable segment or a range straddling the segment end: the
@@ -305,12 +326,13 @@ class AddressSpace:
         return self._views[i], offset
 
     def segment_view(self, kind: SegmentKind) -> Optional[tuple]:
-        """``(memoryview, hooks)`` over the whole segment of ``kind``.
+        """``(memoryview, read_hooks)`` over the whole segment of ``kind``.
 
         For walks that read many small fields, like the heap's header
         walk: the caller unpacks from the view and calls every hook in
-        ``hooks`` (the live list, in order) with exactly the
-        ``(address, data, False)`` that :meth:`read` would have passed.
+        ``read_hooks`` (the live list of hooks that observe reads, in
+        order) with exactly the ``(address, data, False)`` that
+        :meth:`read` would have passed.
         Under ``strict_alignment`` the caller must go through
         :meth:`read_int` instead, so misaligned reads fault.  None for
         an unreadable segment, where every read faults.
@@ -318,7 +340,7 @@ class AddressSpace:
         segment = self.segment(kind)
         if not segment.permissions.read:
             return None
-        return segment._view, self._hooks
+        return segment._view, self._read_hooks
 
     def fill(self, address: int, length: int, byte: int = 0) -> None:
         """memset: used by the sanitization defense (Section 5.1).
@@ -385,7 +407,7 @@ class AddressSpace:
         unmapped or unreadable — the same addresses the per-byte loop
         faulted on.  With hooks registered, the whole scanned range
         (string plus terminator, when found) is notified as a single
-        read.
+        read to the hooks that observe reads.
         """
         seg = self.find_segment(address)
         if seg is None:
@@ -418,8 +440,8 @@ class AddressSpace:
             if not seg.permissions.read:
                 raise SegmentationFault(cursor, "read", "segment is not readable")
         scanned = chunks[0] if len(chunks) == 1 else b"".join(chunks)
-        if self._hooks:
-            self._notify(address, scanned, False)
+        for hook in self._read_hooks:
+            hook(address, scanned, False)
         text = scanned if nul < 0 else scanned[:-1]
         return text.decode("latin-1", errors="replace")
 

@@ -36,6 +36,9 @@ class MemoryEventTap:
     #: later iteration; two that store the same ones repeat exactly.
     repeat_safe = True
 
+    #: Every kind is a write kind, so reads are never delivered.
+    observes_reads = False
+
     def __init__(self, space: AddressSpace) -> None:
         self.space = space
         self.kinds: set = set()

@@ -59,7 +59,8 @@ class HeapAllocator:
         segment = space.segment(SegmentKind.HEAP)
         self._base = segment.base
         self._end = segment.end
-        self._view, self._hooks = space.segment_view(SegmentKind.HEAP) or (None, ())
+        heap_view = space.segment_view(SegmentKind.HEAP)
+        self._view, self._read_hooks = heap_view or (None, ())
         self._unpack_header = partial(_HEADER.unpack_from, self._view)
         # One giant free block spanning the whole segment.
         self._write_header(self._base, segment.size - HEADER_SIZE, allocated=False)
@@ -93,8 +94,10 @@ class HeapAllocator:
         into the heap, for one walk.
 
         Both fields come straight from the heap segment's view, and every
-        hook is told about them as ``read_int`` would tell it: the size
-        word, then the status word, each ``(address, 4 bytes, False)``.
+        hook that observes reads is told about them as ``read_int`` would
+        tell it: the size word, then the status word, each
+        ``(address, 4 bytes, False)``.  With none, the walk unpacks
+        without building those bytes.
         Under ``strict_alignment`` they go through ``read_int`` itself,
         so a misaligned header raises the bus error.
         """
@@ -105,15 +108,15 @@ class HeapAllocator:
                 read_int(base + offset, 4, False),
                 read_int(base + offset + 4, 4, False),
             )
-        return self._notify_header if self._hooks else self._unpack_header
+        return self._notify_header if self._read_hooks else self._unpack_header
 
     def _notify_header(self, offset: int) -> tuple:
         view, address = self._view, self._base + offset
         size = bytes(view[offset : offset + 4])
-        for hook in self._hooks:
+        for hook in self._read_hooks:
             hook(address, size, False)
         magic = bytes(view[offset + 4 : offset + 8])
-        for hook in self._hooks:
+        for hook in self._read_hooks:
             hook(address + 4, magic, False)
         return int.from_bytes(size, "little"), int.from_bytes(magic, "little")
 
@@ -216,15 +219,16 @@ class HeapAllocator:
     def _coalesce(self) -> None:
         """Merge adjacent free blocks, stopping at a corrupted header.
 
-        With no hook, or only repeat-safe observers, each run merges in
+        With only repeat-safe observers (or none), each run merges in
         one pass, going on from the merged header that a walk restarted
         from the base would re-read; other hooks see that restart after
-        every merge.
+        every merge.  Every hook counts here, not only those that
+        observe reads, since each of them sees the merge writes.
         Both write the same headers in the same order.  A merge rewrites
         only its run's header and runs only move forward, so a repeated
         (header, size) means wrapped sizes make the merges cycle: stop.
         """
-        one_pass = not self._hooks or self._space.observers_repeat_safe()
+        one_pass = self._space.observers_repeat_safe()
         read, base = self._header_reader(), self._base
         offset, size = 0, self._end - base
         run: Optional[int] = None  # offset of the free block absorbing the run

@@ -55,6 +55,9 @@ class ShadowMemory:
 
     DEFAULT_ZONE = 16
 
+    #: Only writes are checked, so reads are never delivered.
+    observes_reads = False
+
     def __init__(self, space: AddressSpace, zone_size: int = DEFAULT_ZONE) -> None:
         if zone_size <= 0:
             raise ApiMisuseError(f"red zone size must be positive, got {zone_size}")

@@ -6,8 +6,8 @@ The repo's first concurrency, caching, and networking subsystem.  Jobs
 result cache (:mod:`cache`) with full metrics accounting
 (:mod:`metrics`); :mod:`server`/:mod:`client` expose everything over a
 stdlib JSON API, and :class:`~repro.service.engine.ServiceEngine` ties
-the lifecycle together.  Batch workloads skip the scheduler and hand
-a function and its argument tuples straight to a pool
+the lifecycle together.  Batch workloads skip the scheduler: they run
+a function over its argument tuples inline, or on a process pool
 (:func:`~repro.service.workers.run_jobs`).
 See ``docs/SERVICE.md``.
 """

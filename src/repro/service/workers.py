@@ -8,11 +8,11 @@ dict-in/dict-out contract is what makes results cacheable on disk and
 transportable over the HTTP API without a second serialization layer.
 
 ``WorkerPool`` wraps a :mod:`concurrent.futures` executor and runs any
-function it is handed: ``pool.submit(function, *args)``.  The thread
-backend is the default (cheap startup, shares the warm interpreter);
-the process backend buys real CPU parallelism for big sweeps on
-multi-core hosts and pickles the function by reference, so it must be
-a module-level function a child process can import.
+function it is handed: ``pool.submit(function, *args)``.  Threads (the
+scheduler's backend) share the warm interpreter; batch commands run a
+batch in this process on that backend, since GIL-bound units only take
+turns on threads.  ``--backend process`` fans it out for real CPU
+parallelism, pickling the function by reference (so module-level).
 
 A function runs once per call: whatever it raises fails the job.  A job
 still running at its deadline cannot be stopped, so it keeps its worker
@@ -22,9 +22,9 @@ until it returns; the pool counts it as a *straggler*, and
 path (:func:`run_jobs`, which calls one function per argument tuple,
 inline or on a pool) both read results through it.
 
-Every inline batch run (``--jobs 0``) loads this module, so the service
-workers import their subsystem — the attack gallery, the interpreter —
-on first call, and the process executor is imported only when built.
+Every inline batch run loads this module, so the service workers import
+their subsystem — the attack gallery, the interpreter — on first call,
+and the process executor is imported only when built.
 """
 
 from __future__ import annotations
@@ -321,10 +321,9 @@ class WorkerPool:
 
 
 class _Handle:
-    """One call of a batch.  With no future its function runs in the
-    reading thread and any exception propagates as is; with one, a
-    failure or a blown deadline (:meth:`WorkerPool.wait`) raises
-    :class:`JobFailed`.
+    """One call of a batch, run in the reading thread with no future.
+    An ``Exception`` it raises, or a blown deadline on the pool
+    (:meth:`WorkerPool.wait`), raises :class:`JobFailed`.
     """
 
     def __init__(self, function, args, index, future=None, timeout=0.0, pool=None):
@@ -337,17 +336,17 @@ class _Handle:
 
     def result(self) -> dict:
         future = self._future
-        if future is None:
-            return self._function(*self._args)
-        name = f"{self._function.__name__}#{self._index}"
-        if not self._pool.wait(future, self._timeout):
+        if future is not None and not self._pool.wait(future, self._timeout):
+            raise JobFailed(f"job {self._name()} timed-out: no result within {self._timeout}s")
+        try:
+            return self._function(*self._args) if future is None else future.result()
+        except Exception as error:
             raise JobFailed(
-                f"job {name} timed-out: no result within {self._timeout}s"
-            )
-        error = future.exception()
-        if error is not None:
-            raise JobFailed(f"job {name} failed: {type(error).__name__}: {error}")
-        return future.result()
+                f"job {self._name()} failed: {type(error).__name__}: {error}"
+            ) from error
+
+    def _name(self) -> str:
+        return f"{self._function.__name__}#{self._index}"
 
 
 def run_jobs(
@@ -358,8 +357,8 @@ def run_jobs(
 ):
     """One handle per argument tuple, in order, for every batch workload.
 
-    With no pool each handle calls ``function(*args)`` inline when read,
-    so ``--jobs 0`` and ``--jobs N`` run the same function.  With a
+    With no pool each handle calls ``function(*args)`` inline when
+    read, so both paths run the same function and fail alike.  With a
     pool at most ``2 × pool.size`` calls are submitted ahead of the
     reader, so a long batch never holds every argument and result at
     once.

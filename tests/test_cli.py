@@ -7,11 +7,11 @@ import pytest
 from repro.cli import analyze_main, attacks_main
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
 #: The committed sweep baseline: a JSON report of the wrong kind for
 #: every command that loads a campaign or score report.
-MATRIX_BASELINE = str(
-    Path(__file__).resolve().parent.parent / "corpus" / "matrix" / "baseline.json"
-)
+MATRIX_BASELINE = str(REPO_ROOT / "corpus" / "matrix" / "baseline.json")
 
 #: Bytes no UTF-8 decoder accepts.
 UNDECODABLE = b"\xff\xfe\x00bad"
@@ -489,8 +489,8 @@ class TestInterruptedEntryPoints:
 
 
 class TestPooledJobFailure:
-    """A job that fails on the pool exits 1 with one error line, writes
-    no report, and prints no traceback."""
+    """A job that fails, inline or on the thread backend, exits 1 with
+    one error line, writes no report, and prints no traceback."""
 
     @pytest.mark.parametrize(
         ("kind", "entry_point", "argv"),
@@ -502,6 +502,13 @@ class TestPooledJobFailure:
             ),
             ("score", "score_main", ["rank", "--demo", "--out"]),
             ("score", "score_main", ["score", "--demo"]),
+            (
+                "matrix-cell",
+                "matrix_main",
+                ["run", "--jobs", "0", "--no-regress", "--defenses", "none", "--out"],
+            ),
+            ("score", "score_main", ["rank", "--jobs", "0", "--demo", "--out"]),
+            ("score", "score_main", ["score", "--jobs", "0", "--demo"]),
         ],
     )
     def test_failed_job_exits_1_without_a_report(
@@ -522,14 +529,72 @@ class TestPooledJobFailure:
         out = tmp_path / "report.json"
         if argv[-1] == "--out":
             argv = argv + [str(out)]
+        if "--jobs" not in argv:
+            argv = argv + ["--jobs", "2", "--backend", "thread"]
         main = getattr(repro.cli, entry_point)
-        assert main(argv + ["--jobs", "2", "--backend", "thread"]) == 1
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {kind} job failed: ")
         assert "worker crashed" in captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+
+class TestThreadBackendRunsInline:
+    """On the thread backend a batch runs in the calling thread whatever
+    ``--jobs`` says: its units are GIL-bound, so worker threads would
+    only take turns at them."""
+
+    @pytest.mark.parametrize(
+        ("entry_point", "target", "argv"),
+        [
+            (
+                "fuzz_main",
+                "repro.fuzz.campaign.run_batch",
+                ["run", "--seed", "3", "--iterations", "8", "--batch-size", "4",
+                 "--no-minimize"],
+            ),
+            (
+                "matrix_main",
+                "repro.matrix.sweep.evaluate_cell",
+                ["run", "--no-regress", "--defenses", "none"],
+            ),
+            (
+                "regress_main",
+                "repro.regress.replay.replay_chunk",
+                ["replay", "--store", str(REPO_ROOT / "corpus" / "regress")],
+            ),
+            (
+                "score_main",
+                "repro.score.propagate.analyze_package_source",
+                ["rank", "--demo"],
+            ),
+        ],
+    )
+    def test_every_unit_runs_on_the_calling_thread(
+        self, entry_point, target, argv, tmp_path, monkeypatch
+    ):
+        import importlib
+        import threading
+
+        import repro.cli
+
+        module_name, attribute = target.rsplit(".", 1)
+        original = getattr(importlib.import_module(module_name), attribute)
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(target, recording)
+        out = tmp_path / "report.json"
+        main = getattr(repro.cli, entry_point)
+        assert main(argv + ["--jobs", "2", "--out", str(out)]) == 0
+        assert out.exists()
+        assert threads
+        assert set(threads) == {threading.get_ident()}
 
 
 class TestAttacksCli:

@@ -138,30 +138,32 @@ class TestServiceCampaign:
                 fanned = replay_store(store, pool=pool)
             assert fanned.to_json() == sequential.to_json(), workers
 
-    def test_batch_failure_is_counted_not_fatal(self, monkeypatch):
+    @staticmethod
+    def _crashed_campaigns(monkeypatch):
+        """A 40-iteration campaign whose every batch crashes, over a
+        2-thread pool and then inline (``pool=None``)."""
         monkeypatch.setattr("repro.fuzz.campaign.run_batch", _crash)
+        config = FuzzConfig(seed=4, iterations=40, minimize=False)
         with WorkerPool(2) as pool:
-            report = run_campaign(
-                FuzzConfig(seed=4, iterations=40, minimize=False), pool=pool
-            )
-        assert report.batches_failed > 0
-        # Seeds still ran locally; the report stays coherent.
-        assert report.execs >= report.seeds
+            yield run_campaign(config, pool=pool)
+        yield run_campaign(config, pool=None)
+
+    def test_batch_failure_is_counted_not_fatal(self, monkeypatch):
+        for report in self._crashed_campaigns(monkeypatch):
+            assert report.batches_failed > 0
+            # Seeds still ran locally; the report stays coherent.
+            assert report.execs >= report.seeds
 
     def test_failed_batches_account_lost_iterations(self, monkeypatch):
         """Every iteration a crashed batch would have run is reported as
         lost — an "N iterations" claim must stay honest."""
-        monkeypatch.setattr("repro.fuzz.campaign.run_batch", _crash)
-        with WorkerPool(2) as pool:
-            report = run_campaign(
-                FuzzConfig(seed=4, iterations=40, minimize=False), pool=pool
-            )
-        assert report.batches_failed > 0
-        assert report.iterations_lost == 40  # every batch crashed
-        assert "never executed" in report.render()
-        restored = CampaignReport.from_dict(json.loads(report.to_json()))
-        assert restored.iterations_lost == 40
-        assert restored.batches_failed == report.batches_failed
+        for report in self._crashed_campaigns(monkeypatch):
+            assert report.batches_failed > 0
+            assert report.iterations_lost == 40  # every batch crashed
+            assert "never executed" in report.render()
+            restored = CampaignReport.from_dict(json.loads(report.to_json()))
+            assert restored.iterations_lost == 40
+            assert restored.batches_failed == report.batches_failed
 
     def test_healthy_campaign_loses_nothing(self):
         with WorkerPool(2) as pool:

@@ -164,10 +164,13 @@ class TestServiceFanOut:
         store = seeded_store(tmp_path, count=3)
         monkeypatch.setattr("repro.regress.replay.replay_chunk", crash)
         with WorkerPool(2) as pool:
-            report = replay_store(store, chunk_size=2, pool=pool)
-        assert len(report.results) == len(store)
-        assert report.counts() == {"invalid-run": 3}
-        assert all("chunk failed" in r.detail for r in report.results)
+            pooled = replay_store(store, chunk_size=2, pool=pool)
+        inline = replay_store(store, chunk_size=2, pool=None)
+        for report in (pooled, inline):
+            assert len(report.results) == len(store)
+            assert report.counts() == {"invalid-run": 3}
+            assert all("chunk failed" in r.detail for r in report.results)
+        assert inline.to_json() == pooled.to_json()
 
 
 class TestCampaignAutoRecord:

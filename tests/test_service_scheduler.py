@@ -457,14 +457,16 @@ class TestPooledRunJobs:
         assert labels == [job.label for job in jobs]
 
     def test_crashing_job_raises_job_failed(self, pool):
+        """On the pool and inline alike, with the same message."""
         with pytest.raises(KeyError) as crash:
             run_analyze({})
-        (handle,) = run_jobs(run_analyze, [({},)], pool)
-        with pytest.raises(JobFailed) as failure:
-            handle.result()
-        assert str(failure.value) == (
-            f"job run_analyze#0 failed: KeyError: {crash.value}"
-        )
+        for runner in (pool, None):
+            (handle,) = run_jobs(run_analyze, [({},)], runner)
+            with pytest.raises(JobFailed) as failure:
+                handle.result()
+            assert str(failure.value) == (
+                f"job run_analyze#0 failed: KeyError: {crash.value}"
+            )
 
     def test_timed_out_job_raises_job_failed(self, pool):
         (handle,) = run_jobs(run_analyze, _calls(_slow_job()), pool, timeout=0.01)
@@ -544,6 +546,8 @@ class TestPooledRunJobs:
         assert len(submitted) == read == len(jobs)
 
     def test_matrix_run_starts_no_dispatch_thread(self, tmp_path, monkeypatch):
+        """``--jobs 2`` on the thread backend runs the sweep in the
+        calling thread: no worker or dispatch thread starts."""
         from repro.cli import matrix_main
 
         started = []
@@ -559,5 +563,4 @@ class TestPooledRunJobs:
             ["run", "--jobs", "2", "--defenses", "none", "--out", str(out)]
         ) == 0
         assert out.exists()
-        assert any(name.startswith("repro-worker") for name in started)
-        assert not any(name.startswith("repro-dispatch-") for name in started)
+        assert started == []
