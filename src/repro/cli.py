@@ -669,10 +669,9 @@ def _fuzz_minimize(args) -> int:
     from .fuzz import (
         FuzzInput,
         divergence_from,
-        fingerprint_of,
         minimize_input,
-        normalized_events,
         run_oracles,
+        same_divergence,
     )
 
     source = _read_text(args.file)
@@ -684,16 +683,7 @@ def _fuzz_minimize(args) -> int:
         print(f"no divergence to minimize: {verdict}")
         return 1
 
-    def same(candidate):
-        obs = run_oracles(candidate.source, candidate.stdin)
-        return obs.divergence_kind == div.kind and (
-            fingerprint_of(
-                div.kind, obs.static.rules, normalized_events(obs.dynamic.events)
-            )
-            == div.fingerprint
-        )
-
-    smallest = minimize_input(fuzz_input, same)
+    smallest = minimize_input(fuzz_input, same_divergence(div))
     print(f"divergence {div.fingerprint} ({div.kind})")
     print(f"static rules: {', '.join(div.static_rules) or '-'}")
     print(f"dynamic events: {', '.join(div.dynamic_events) or '-'}")
@@ -732,7 +722,8 @@ def fuzz_main(argv: Optional[Sequence[str]] = None) -> int:
         "--batch-timeout",
         type=float,
         default=120.0,
-        help="per-batch job timeout in seconds (default: 120)",
+        help="with --backend process, the deadline of each batch in "
+        "seconds; batches run in this process have none (default: 120)",
     )
     run_parser.add_argument(
         "--step-budget",
@@ -1138,6 +1129,7 @@ def regress_main(argv: Optional[Sequence[str]] = None) -> int:
 def _score_corpus(args):
     """Score the package graph named by ``args.packages`` (or the demo
     graph) inline or over the service pool."""
+    from .errors import ParseError
     from .score import demo_graph, load_package_dir, score_graph
     from .service.workers import JobFailed
 
@@ -1153,6 +1145,8 @@ def _score_corpus(args):
     try:
         with _batch_pool(args) as pool:
             return score_graph(graph, args.attenuation, pool=pool)
+    except ParseError as error:
+        raise _CommandError(str(error))
     except JobFailed as failure:
         raise _CommandError(f"score job failed: {failure}", status=1)
 

@@ -44,6 +44,7 @@ _EXPORTS = {
             "divergence_from",
             "fingerprint_of",
             "normalized_events",
+            "same_divergence",
         ),
         "divergence",
     ),

@@ -28,8 +28,7 @@ from .divergence import (
     Divergence,
     auto_triage,
     divergence_from,
-    fingerprint_of,
-    normalized_events,
+    same_divergence,
 )
 from .minimize import minimize_input
 from .mutator import mutate
@@ -184,27 +183,6 @@ class DifferentialFuzzer:
 
     # -- wrap-up -----------------------------------------------------------
 
-    def _same_divergence(self, div):
-        """Predicate used by the minimizer: same fingerprint survives."""
-
-        def predicate(candidate: FuzzInput) -> bool:
-            observation = run_oracles(
-                candidate.source, candidate.stdin, self._oracle_config
-            )
-            kind = observation.divergence_kind
-            if kind != div.kind:
-                return False
-            return (
-                fingerprint_of(
-                    kind,
-                    observation.static.rules,
-                    normalized_events(observation.dynamic.events),
-                )
-                == div.fingerprint
-            )
-
-        return predicate
-
     def finalize(self) -> CampaignReport:
         """Minimize, auto-triage, and assemble the campaign report."""
         finished = []
@@ -213,7 +191,7 @@ class DifferentialFuzzer:
             if self.config.minimize:
                 smallest = minimize_input(
                     FuzzInput(source=div.source, stdin=div.stdin),
-                    self._same_divergence(div),
+                    same_divergence(div, self._oracle_config),
                 )
                 div = replace(
                     div,

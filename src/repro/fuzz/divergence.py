@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
-from .oracles import Observation
+from .oracles import Observation, OracleConfig, run_oracles, static_verdict
 from .seeds import FuzzInput
 from .vocabulary import VULNERABLE_EVENTS
 
@@ -123,6 +123,32 @@ def divergence_from(observation: Observation, fuzz_input: FuzzInput):
         source=fuzz_input.source,
         stdin=fuzz_input.stdin,
     )
+
+
+def same_divergence(div: Divergence, config: OracleConfig = OracleConfig()):
+    """The minimizer's predicate: does a candidate keep ``div``'s
+    fingerprint under ``config``?
+
+    The detector runs first.  A candidate that does not parse, or whose
+    rule set differs from ``div.static_rules``, is refused without being
+    executed: both are sorted rule tuples, so such a candidate can never
+    hash to ``div.fingerprint``.  Only the rest reach the simulator.
+    """
+    rules = tuple(sorted(div.static_rules))
+
+    def predicate(candidate: FuzzInput) -> bool:
+        static = static_verdict(candidate.source)
+        if static is None or static.rules != rules:
+            return False
+        observation = run_oracles(candidate.source, candidate.stdin, config)
+        kind = observation.divergence_kind
+        return kind == div.kind and div.fingerprint == fingerprint_of(
+            kind,
+            observation.static.rules,
+            normalized_events(observation.dynamic.events),
+        )
+
+    return predicate
 
 
 # -- triage ------------------------------------------------------------------

@@ -17,46 +17,47 @@ from ..analysis import ast_nodes as ast
 from ..analysis import parse_cached
 from ..analysis.unparse import unparse_program
 from ..errors import ParseError
-from .mutator import transform
+from .mutator import FIELD_NAMES
 from .seeds import FuzzInput
 
 
-def _without_statement(program: ast.Program, block_index: int, stmt_index: int):
-    state = {"seen": 0}
-
-    def visit(node):
-        if not (isinstance(node, ast.Block) and node.statements):
-            return None
-        position = state["seen"]
-        state["seen"] += 1
-        if position != block_index:
-            return None
-        statements = node.statements
-        return dataclasses.replace(
-            node,
-            statements=statements[:stmt_index] + statements[stmt_index + 1 :],
-        )
-
-    return transform(program, visit)
+def _busy_blocks(node, path: tuple = ()):
+    """Every non-empty block under ``node`` with the steps (field names
+    and tuple indexes) that lead to it, in the order
+    :func:`~repro.fuzz.mutator.transform` visits them (children before
+    their parent), which fixes the minimizer's candidate order."""
+    if isinstance(node, tuple):
+        for index, item in enumerate(node):
+            yield from _busy_blocks(item, path + (index,))
+        return
+    for name in FIELD_NAMES.get(type(node), ()):
+        yield from _busy_blocks(getattr(node, name), path + (name,))
+    if isinstance(node, ast.Block) and node.statements:
+        yield node, path
 
 
-def _busy_blocks(program: ast.Program) -> list:
-    found = []
-
-    def visit(node):
-        if isinstance(node, ast.Block) and node.statements:
-            found.append(node)
-        return None
-
-    transform(program, visit)
-    return found
+def _replace_at(node, path: tuple, value):
+    """``node`` with the sub-node at ``path`` replaced by ``value``;
+    only the nodes along the path are copied."""
+    if not path:
+        return value
+    step, rest = path[0], path[1:]
+    if isinstance(node, tuple):
+        return (*node[:step], _replace_at(node[step], rest, value), *node[step + 1 :])
+    return dataclasses.replace(
+        node, **{step: _replace_at(getattr(node, step), rest, value)}
+    )
 
 
 def _candidates(program: ast.Program):
     """Every single-deletion candidate, deterministic order."""
-    for block_index, block in enumerate(_busy_blocks(program)):
-        for stmt_index in range(len(block.statements)):
-            yield _without_statement(program, block_index, stmt_index)
+    for block, path in _busy_blocks(program):
+        statements = block.statements
+        for index in range(len(statements)):
+            smaller = statements[:index] + statements[index + 1 :]
+            yield _replace_at(
+                program, path, dataclasses.replace(block, statements=smaller)
+            )
     for class_index, cls in enumerate(program.classes):
         for field_index in range(len(cls.fields)):
             classes = list(program.classes)

@@ -28,28 +28,61 @@ _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "!=", "!=": "=="}
 _MAGIC_INTS = (0, 1, 8, 64, 255, 4096, 9_000_001)
 
 
+#: Values that never hold a node; a rebuild passes over them in place.
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+#: Each AST node class -> its dataclass field names, in declaration order.
+FIELD_NAMES = {
+    cls: tuple(spec.name for spec in dataclasses.fields(cls))
+    for cls in vars(ast).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+}
+
+
 def transform(node, visit: Callable):
     """Depth-first rebuild of an AST; ``visit`` may replace any node.
 
-    Children are rebuilt first; ``visit`` then sees the rebuilt node and
-    may return a replacement (or ``None`` to keep it).  Untouched
-    subtrees keep their identity, so ``result is node`` means "no
-    change".
+    Children are rebuilt first, in field order; ``visit`` then sees the
+    rebuilt node and may return a replacement (or ``None`` to keep it).
+    Untouched subtrees keep their identity, so ``result is node`` means
+    "no change", and a node is copied (``dataclasses.replace``) only
+    when one of its fields changed.  Field names come from the per-class
+    table ``FIELD_NAMES``, read once when this module loads; leaf
+    values (strings, numbers, ``None``) are passed over without a call,
+    and anything else that is not an AST node is returned as it is.
     """
     if isinstance(node, tuple):
-        rebuilt = tuple(transform(item, visit) for item in node)
-        return node if all(a is b for a, b in zip(rebuilt, node)) else rebuilt
-    if not dataclasses.is_dataclass(node) or isinstance(node, type):
+        return _transform_items(node, visit)
+    names = FIELD_NAMES.get(type(node))
+    if names is None:
         return node
-    changes = {}
-    for spec in dataclasses.fields(node):
-        value = getattr(node, spec.name)
+    changes = None
+    for name in names:
+        value = getattr(node, name)
+        if type(value) in _LEAF_TYPES:
+            continue
         rebuilt = transform(value, visit)
         if rebuilt is not value:
-            changes[spec.name] = rebuilt
-    result = dataclasses.replace(node, **changes) if changes else node
+            if changes is None:
+                changes = {}
+            changes[name] = rebuilt
+    result = node if changes is None else dataclasses.replace(node, **changes)
     replacement = visit(result)
     return result if replacement is None else replacement
+
+
+def _transform_items(items: tuple, visit: Callable) -> tuple:
+    """:func:`transform` over a tuple; the same tuple when nothing changed."""
+    rebuilt = None
+    for index, item in enumerate(items):
+        if type(item) in _LEAF_TYPES:
+            continue
+        new = transform(item, visit)
+        if new is not item:
+            if rebuilt is None:
+                rebuilt = list(items)
+            rebuilt[index] = new
+    return items if rebuilt is None else tuple(rebuilt)
 
 
 def _collect(node, want: Callable) -> list:

@@ -204,18 +204,25 @@ def score_graph(
     call per package, in sorted-name order, inline (``pool=None``) or
     over ``pool``;
     propagation runs here once every package's risks are back, so the
-    report is byte-identical at any worker count.
+    report is byte-identical at any worker count.  A package whose
+    source does not parse raises :class:`~repro.errors.ParseError`
+    naming the package, on either path.
     """
-    from ..service.workers import run_jobs
+    from ..errors import ParseError
+    from ..service.workers import JobFailed, run_jobs
 
     if not isinstance(graph, PackageGraph):
         graph = load_package_dir(graph)
     names = graph.names()
     arguments = [(graph.package(name).source, name) for name in names]
-    risks_by_package = {
-        name: handle.result()
-        for name, handle in zip(names, run_jobs(analyze_package_source, arguments, pool))
-    }
+    risks_by_package = {}
+    for name, handle in zip(names, run_jobs(analyze_package_source, arguments, pool)):
+        try:
+            risks_by_package[name] = handle.result()
+        except JobFailed as failure:
+            if isinstance(failure.__cause__, ParseError):
+                raise ParseError(f"package {name}: {failure.__cause__}") from failure
+            raise
     return score_packages(graph, risks_by_package, attenuation)
 
 

@@ -134,3 +134,21 @@ class TestBadInput:
         bad.write_text("not json")
         assert score_main(["diff", str(bad), str(bad)]) == 2
         assert "not a score report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pool",
+        [["--jobs", "0"], ["--jobs", "2"], ["--jobs", "2", "--backend", "process"]],
+        ids=["inline", "thread", "process"],
+    )
+    @pytest.mark.parametrize("command", ["rank", "score"])
+    def test_unparsable_package_exits_2_naming_it(
+        self, package_dir, command, pool, capsys
+    ):
+        with open(f"{package_dir}/broken.cpp", "w") as handle:
+            handle.write("int main( {\n")
+        assert score_main([command, package_dir, *pool]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: package broken: 1:11: expected identifier, got '{'\n"
+        )
