@@ -10,8 +10,12 @@ two expensive products behind a sha256 content hash:
   cached tree can be shared without copying.  Every parse in the package
   goes through it: the analyzers, the executor (``run_source``), the fuzz
   oracles' entry planning, the mutator's parent and validity parses, and
-  the minimizer's candidates.  A fuzz input or matrix program row is thus
-  parsed once per process, however many consumers see it.
+  the minimizer's class deletions and the candidates of a round on
+  hand-written text.  A fuzz input or matrix program row is thus parsed
+  once per process, however many consumers see it.  The minimizer's
+  other candidates are never parsed: it derives each one's tree from
+  its round's by a line shift and stores it with ``cache_parsed``, so
+  every consumer finds it here.
 * **Report cache** — ``cached_report`` maps
   ``(tool_key, version, sha256(source))`` to the finished findings.  The
   ``version`` is supplied by the caller (the detector passes
@@ -115,6 +119,16 @@ def parse_cached(source: str) -> Program:
         program = parse(source)
         _ast_cache.put(key, program)
     return program
+
+
+def cache_parsed(source: str, program: Program) -> None:
+    """Record ``program`` as the parse of ``source`` without parsing.
+
+    The caller vouches that ``program`` is exactly what
+    :func:`~.parser.parse` would return for ``source``, every ``line``
+    included: later lookups cannot tell the two apart.
+    """
+    _ast_cache.put(source_hash(source), program)
 
 
 def cached_report(

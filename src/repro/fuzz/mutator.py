@@ -29,7 +29,7 @@ _MAGIC_INTS = (0, 1, 8, 64, 255, 4096, 9_000_001)
 
 
 #: Values that never hold a node; a rebuild passes over them in place.
-_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
 
 #: Each AST node class -> its dataclass field names, in declaration order.
 FIELD_NAMES = {
@@ -59,7 +59,7 @@ def transform(node, visit: Callable):
     changes = None
     for name in names:
         value = getattr(node, name)
-        if type(value) in _LEAF_TYPES:
+        if type(value) in LEAF_TYPES:
             continue
         rebuilt = transform(value, visit)
         if rebuilt is not value:
@@ -75,7 +75,7 @@ def _transform_items(items: tuple, visit: Callable) -> tuple:
     """:func:`transform` over a tuple; the same tuple when nothing changed."""
     rebuilt = None
     for index, item in enumerate(items):
-        if type(item) in _LEAF_TYPES:
+        if type(item) in LEAF_TYPES:
             continue
         new = transform(item, visit)
         if new is not item:

@@ -222,6 +222,11 @@ def run_program(
         fault = error.with_traceback(None)
     except Exception as error:  # ApiMisuse, missing stdin, bad entry...
         return ProgramRun(entry, error=f"{type(error).__name__}: {error}")
+    finally:
+        # The space holds the tap and the tap holds the space: detached,
+        # the finished machine is freed by reference counting instead of
+        # waiting, segments and all, for the cyclic collector.
+        machine.space.remove_access_hook(tap)
 
     for record in machine.placement_log.records:
         events.add(

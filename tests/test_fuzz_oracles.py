@@ -175,6 +175,37 @@ class TestRunProgram:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda source, stdin: dynamic_verdict(source, stdin),
+            lambda source, stdin: run_program_cell(source, stdin, "none"),
+            lambda source, stdin: run_program_cell(source, stdin, "nx-stack"),
+        ],
+        ids=["dynamic_verdict", "program_cell-none", "program_cell-nx-stack"],
+    )
+    def test_a_finished_run_leaves_nothing_to_the_collector(self, run):
+        # The event tap and the address space refer to each other; a run
+        # that left the tap attached left every machine, segments and
+        # all, for the cyclic collector to find.
+        import gc
+
+        sources = [
+            (LEAK_VULNERABLE, ()),
+            (TYPE_CONFUSION, (7, 7, 7)),
+            (CONSTANT_FILL, ()),
+        ]
+        for source, stdin in sources:  # warm the caches first
+            run(source, stdin)
+        gc.collect()
+        gc.disable()
+        try:
+            for source, stdin in sources:
+                run(source, stdin)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_interpreter_refusal_is_an_error_not_a_fault(self):
         run = run_program("void run() { int x = 0; cin >> x; }", Machine, ())
         assert run.fault is None
