@@ -46,9 +46,10 @@ from .reports import AnalysisReport
 
 #: Entries per tier.  Sized for a fuzz campaign's working set: a mutant
 #: is reused by both oracles right after the mutator parses it, and
-#: corpus parents are picked again and again.  A longer stream of
-#: distinct sources (scoring thousands of packages) cycles through it;
-#: only speed depends on a hit.
+#: corpus parents are picked again and again.  Scoring does not lean on
+#: it: ``score_graph`` analyzes each distinct package source once, so
+#: its stream of sources never comes back round to an evicted entry.
+#: Only speed depends on a hit.
 MAX_CACHE_ENTRIES = 256
 
 

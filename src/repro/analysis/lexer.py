@@ -97,6 +97,9 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
+    # ``tuple.__new__`` builds the same Token without the Python-level
+    # ``NamedTuple.__new__`` frame.
+    new = tuple.__new__
     match = _PATTERN.match
     line = 1
     line_start = pos = 0
@@ -109,9 +112,9 @@ def tokenize(source: str) -> list[Token]:
         if group == "ident":
             text = source[start:pos]
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            append(Token(kind, text, line, start - line_start + 1))
+            append(new(Token, (kind, text, line, start - line_start + 1)))
         elif group == "op":
-            append(Token(TokenKind.OP, source[start:pos], line, start - line_start + 1))
+            append(new(Token, (TokenKind.OP, source[start:pos], line, start - line_start + 1)))
         elif group == "newline" or group == "block_comment":
             newlines = source.count("\n", start, pos)
             if newlines:
@@ -122,10 +125,10 @@ def tokenize(source: str) -> list[Token]:
                 pos = _digits_end(source, start)
             text = source[start:pos]
             kind = TokenKind.FLOAT if "." in text else TokenKind.NUMBER
-            append(Token(kind, text, line, start - line_start + 1))
+            append(new(Token, (kind, text, line, start - line_start + 1)))
         elif group == "string" or group == "charlit":
             kind = TokenKind.STRING if group == "string" else TokenKind.CHARLIT
-            append(Token(kind, source[start + 1 : pos - 1], line, start - line_start + 1))
+            append(new(Token, (kind, source[start + 1 : pos - 1], line, start - line_start + 1)))
         elif group == "line_comment" or (group == "hash" and start == line_start):
             line_start += pos - start
         elif group == "open_comment":
@@ -146,6 +149,6 @@ def tokenize(source: str) -> list[Token]:
                 raise ParseError(f"unterminated {literal} literal", line, column)
             else:
                 raise ParseError(f"unexpected character {ch!r}", line, column)
-            append(Token(kind, text, line, column))
-    append(Token(TokenKind.EOF, "", line, n - line_start + 1))
+            append(new(Token, (kind, text, line, column)))
+    append(new(Token, (TokenKind.EOF, "", line, n - line_start + 1)))
     return tokens

@@ -10,6 +10,8 @@ protected ones populate the attack × defense matrix of experiment E14.
 from __future__ import annotations
 
 import abc
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -75,6 +77,9 @@ class Environment:
             protect_bounds(machine)
         if self.memory_tagging:
             protect_tags(machine)
+        built = _BUILT.get()
+        if built is not None:
+            built.append(machine)
         return machine
 
     # -- placement dispatch (the Section 5.1 hook point) -----------------------
@@ -142,6 +147,41 @@ class Environment:
             shadow.disarm()
             shadow.protect_arena(address, size)
             shadow.arm()
+
+
+#: The machines :meth:`Environment.make_machine` built inside the
+#: innermost open :func:`disarm_on_exit` block, if one is open.
+_BUILT: ContextVar[Optional[list]] = ContextVar("built_machines", default=None)
+
+
+def disarm(machine: Machine) -> None:
+    """Undo :meth:`Environment.make_machine`'s hardening: unhook every
+    defense it armed, drop it from the machine and put back the
+    ``virtual_call`` vtable integrity wrapped.  The machine and its
+    defenses then no longer refer to each other, so they free without
+    the cyclic collector."""
+    attached = vars(machine)
+    for name in ("shadow", "vrt", "memory_tags"):
+        defense = attached.pop(name, None)
+        if defense is not None:
+            defense.disarm()
+    guard = attached.pop("vtable_guard", None)
+    if guard is not None:
+        guard.detach()
+
+
+@contextmanager
+def disarm_on_exit():
+    """Disarm every machine built inside the block when it closes,
+    however it closes (see :func:`disarm`)."""
+    built: list = []
+    token = _BUILT.set(built)
+    try:
+        yield
+    finally:
+        _BUILT.reset(token)
+        for machine in built:
+            disarm(machine)
 
 
 # Canonical environments (the E14 matrix columns).
@@ -304,6 +344,10 @@ class AttackScenario(abc.ABC):
         try:
             return self.execute(active)
         except SimulatedProcessError as exc:
+            # A defense that raised keeps the exception, whose traceback
+            # holds the run's frames: dropped, no cycle keeps the machine
+            # alive until the next full collection.
+            exc.with_traceback(None)
             detected_by, crashed = classify_failure(exc)
             return AttackResult(
                 name=self.name,

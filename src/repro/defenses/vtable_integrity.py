@@ -43,6 +43,9 @@ class VtableIntegrityGuard:
 
     def attach(self) -> None:
         original = self.machine.virtual_call
+        # What :meth:`detach` puts back: the instance's own dispatch, or
+        # None when the machine used its class's method.
+        self._replaced = vars(self.machine).get("virtual_call")
 
         def guarded_virtual_call(instance: Instance, method: str, *args):
             self.checks += 1
@@ -70,6 +73,13 @@ class VtableIntegrityGuard:
             return original(instance, method, *args)
 
         self.machine.virtual_call = guarded_virtual_call  # type: ignore[method-assign]
+
+    def detach(self) -> None:
+        """Put back the dispatch :meth:`attach` wrapped."""
+        if self._replaced is None:
+            del self.machine.virtual_call
+        else:
+            self.machine.virtual_call = self._replaced  # type: ignore[method-assign]
 
 
 def protect_machine(machine: Machine) -> VtableIntegrityGuard:

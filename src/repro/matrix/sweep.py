@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..attacks import all_attacks, attack_by_name
-from ..attacks.base import classify_failure
+from ..attacks.base import classify_failure, disarm_on_exit
 from ..defenses import ALL_DEFENSES, defense_by_name
 from ..fileio import canonical_json
 from ..fuzz.oracles import (
@@ -137,10 +137,12 @@ def _invalid_cell() -> dict:
 
 
 def run_attack_cell(attack_name: str, defense_name: str) -> dict:
-    """One gallery scenario under one defense (fresh environment)."""
+    """One gallery scenario under one defense (fresh environment); the
+    machines it built are disarmed when it ends."""
     scenario = attack_by_name(attack_name)
     defense = defense_by_name(defense_name)
-    result = scenario.run(defense.fresh_environment())
+    with disarm_on_exit():
+        result = scenario.run(defense.fresh_environment())
     return _cell(result.succeeded, result.detected_by, result.crashed)
 
 
@@ -158,13 +160,15 @@ def run_program_cell(
     machine-level mitigations are armed while source-level disciplines
     (checked placement, sanitize-on-reuse) have nothing to hook — the
     interpreter places objects itself, exactly the legacy-code gap §5
-    worries about.  A simulated fault decides the cell on its own.
+    worries about.  A simulated fault decides the cell on its own.  The
+    machine is disarmed when the run ends, as in :func:`run_attack_cell`.
     """
     env = defense_by_name(defense_name).fresh_environment()
     try:
-        run = run_program(
-            source, env.make_machine, tuple(stdin) or DEFAULT_STDIN, step_budget
-        )
+        with disarm_on_exit():
+            run = run_program(
+                source, env.make_machine, tuple(stdin) or DEFAULT_STDIN, step_budget
+            )
     except Exception:
         return _invalid_cell()
     if run is None or run.error:

@@ -19,10 +19,10 @@ blast-radius ranking provably differs from its flat severity ranking.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Header comment keys recognized at the top of a package source file.
 _PACKAGE_KEY = "// package:"
@@ -105,22 +105,30 @@ class PackageGraph:
         self._assert_acyclic()
 
     def _assert_acyclic(self) -> None:
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-
-        def visit(name: str, trail: Tuple[str, ...]) -> None:
-            mark = state.get(name)
-            if mark == 1:
-                return
-            if mark == 0:
-                cycle = " -> ".join(trail[trail.index(name):] + (name,))
-                raise ValueError(f"package import cycle: {cycle}")
-            state[name] = 0
-            for dep in self._packages[name].imports:
-                visit(dep, trail + (name,))
-            state[name] = 1
-
-        for name in sorted(self._packages):
-            visit(name, ())
+        """Depth-first over imports with an explicit stack, so an import
+        chain of any depth is checked without recursion."""
+        state: Dict[str, int] = {}  # 0 = on the current path, 1 = done
+        for root in sorted(self._packages):
+            if root in state:
+                continue
+            state[root] = 0
+            path = [root]
+            stack = [iter(self._packages[root].imports)]
+            while stack:
+                for dep in stack[-1]:
+                    mark = state.get(dep)
+                    if mark == 1:
+                        continue
+                    if mark == 0:
+                        cycle = " -> ".join(path[path.index(dep):] + [dep])
+                        raise ValueError(f"package import cycle: {cycle}")
+                    state[dep] = 0
+                    path.append(dep)
+                    stack.append(iter(self._packages[dep].imports))
+                    break
+                else:
+                    state[path.pop()] = 1
+                    stack.pop()
 
     # -- access --------------------------------------------------------------
 
@@ -143,43 +151,58 @@ class PackageGraph:
         """Packages that directly import ``name``, sorted."""
         return list(self._dependents[name])
 
-    def _closure(self, name: str, edges) -> Dict[str, int]:
-        """BFS minimum-depth closure over ``edges(name) -> neighbors``."""
+    @cached_property
+    def _imports(self) -> Dict[str, Tuple[str, ...]]:
+        return {name: package.imports for name, package in self._packages.items()}
+
+    @staticmethod
+    def _closure(name: str, adjacency: Dict[str, Sequence[str]]) -> Dict[str, int]:
+        """Breadth-first minimum-depth closure over ``adjacency``, one
+        level at a time; members are inserted in BFS order, so the last
+        one is the deepest."""
         depths: Dict[str, int] = {}
-        queue = deque([(name, 0)])
-        while queue:
-            current, depth = queue.popleft()
-            for neighbor in edges(current):
-                if neighbor not in depths:
-                    depths[neighbor] = depth + 1
-                    queue.append((neighbor, depth + 1))
+        level = [name]
+        depth = 0
+        while level:
+            depth += 1
+            reached = []
+            for current in level:
+                for neighbor in adjacency[current]:
+                    if neighbor not in depths:
+                        depths[neighbor] = depth
+                        reached.append(neighbor)
+            level = reached
         return depths
 
     def transitive_dependents(self, name: str) -> Dict[str, int]:
         """Every package that (transitively) embeds ``name``, with the
         minimum import-chain depth — the blast set of a flawed module."""
-        return self._closure(name, lambda n: self._dependents[n])
+        return self._closure(name, self._dependents)
 
     def transitive_dependencies(self, name: str) -> Dict[str, int]:
         """Every package ``name`` (transitively) embeds, with depth —
         the exposure set a dependent inherits risk from."""
-        return self._closure(name, lambda n: self._packages[n].imports)
+        return self._closure(name, self._imports)
 
     def topological(self) -> List[str]:
         """Dependencies-first order (ties broken alphabetically)."""
         order: List[str] = []
         done: set = set()
-
-        def visit(name: str) -> None:
-            if name in done:
-                return
-            done.add(name)
-            for dep in sorted(self._packages[name].imports):
-                visit(dep)
-            order.append(name)
-
-        for name in sorted(self._packages):
-            visit(name)
+        for root in sorted(self._packages):
+            if root in done:
+                continue
+            done.add(root)
+            stack = [(root, iter(sorted(self._packages[root].imports)))]
+            while stack:
+                name, deps = stack[-1]
+                for dep in deps:
+                    if dep not in done:
+                        done.add(dep)
+                        stack.append((dep, iter(sorted(self._packages[dep].imports))))
+                        break
+                else:
+                    stack.pop()
+                    order.append(name)
         return order
 
 

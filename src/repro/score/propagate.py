@@ -171,16 +171,21 @@ def score_packages(
         name: sum(risk["score"] for risk in risks_by_package[name])
         for name in graph.names()
     }
+    # weights[depth] is attenuation ** depth, grown to the deepest level
+    # any closure reaches; a closure's last member is its deepest.
+    weights: List[float] = []
     scores = []
     for name in graph.names():
         dependents = graph.transitive_dependents(name)
-        reach = 1.0 + sum(
-            attenuation ** depth
-            for _, depth in sorted(dependents.items())
-        )
+        dependencies = graph.transitive_dependencies(name)
+        for closure in (dependents, dependencies):
+            if closure:
+                deepest = next(reversed(closure.values()))
+                while len(weights) <= deepest:
+                    weights.append(attenuation ** len(weights))
+        reach = 1.0 + sum([weights[dependents[dep]] for dep in sorted(dependents)])
         exposure = float(intrinsic[name]) + sum(
-            intrinsic[dep] * attenuation ** depth
-            for dep, depth in sorted(graph.transitive_dependencies(name).items())
+            [intrinsic[dep] * weights[dependencies[dep]] for dep in sorted(dependencies)]
         )
         scores.append(
             PackageScore(
@@ -201,29 +206,40 @@ def score_graph(
     """Score a package graph (or a package directory path).
 
     The per-package half runs as one :func:`analyze_package_source`
-    call per package, in sorted-name order, inline (``pool=None``) or
-    over ``pool``;
-    propagation runs here once every package's risks are back, so the
-    report is byte-identical at any worker count.  A package whose
-    source does not parse raises :class:`~repro.errors.ParseError`
-    naming the package, on either path.
+    call per *distinct* source, in sorted-name order of first
+    appearance, inline (``pool=None``) or over ``pool``; the risk dicts
+    carry no package label, so every package sharing a source takes the
+    same result.  Propagation runs here once every result is back, so
+    the report is byte-identical at any worker count.  A source that
+    does not parse raises :class:`~repro.errors.ParseError` naming the
+    first package, in sorted order, that holds it, on either path.
     """
+    if not isinstance(graph, PackageGraph):
+        graph = load_package_dir(graph)
+    return score_packages(graph, _analyze_sources(graph, pool), attenuation)
+
+
+def _analyze_sources(graph: PackageGraph, pool) -> Dict[str, List[dict]]:
+    """Every package's risk dicts, from one job per distinct source."""
     from ..errors import ParseError
     from ..service.workers import JobFailed, run_jobs
 
-    if not isinstance(graph, PackageGraph):
-        graph = load_package_dir(graph)
     names = graph.names()
-    arguments = [(graph.package(name).source, name) for name in names]
-    risks_by_package = {}
-    for name, handle in zip(names, run_jobs(analyze_package_source, arguments, pool)):
+    first_holder: Dict[str, str] = {}
+    for name in names:
+        first_holder.setdefault(graph.package(name).source, name)
+    arguments = list(first_holder.items())
+    risks_by_source = {}
+    for (source, name), handle in zip(
+        arguments, run_jobs(analyze_package_source, arguments, pool)
+    ):
         try:
-            risks_by_package[name] = handle.result()
+            risks_by_source[source] = handle.result()
         except JobFailed as failure:
             if isinstance(failure.__cause__, ParseError):
                 raise ParseError(f"package {name}: {failure.__cause__}") from failure
             raise
-    return score_packages(graph, risks_by_package, attenuation)
+    return {name: risks_by_source[graph.package(name).source] for name in names}
 
 
 def diff_score_reports(before: dict, after: dict) -> List[str]:

@@ -140,10 +140,13 @@ def run_analyze(payload: dict) -> dict:
 def run_attack(payload: dict) -> dict:
     """Worker for :class:`AttackJob`."""
     from ..attacks import attack_by_name, environment_by_label
+    from ..attacks.base import disarm_on_exit
 
     scenario = attack_by_name(payload["attack"])
     env = environment_by_label(payload.get("env", "unprotected"))
-    return attack_payload(scenario.run(env))
+    with disarm_on_exit():
+        result = scenario.run(env)
+    return attack_payload(result)
 
 
 def run_exec(payload: dict) -> dict:

@@ -25,6 +25,7 @@ from repro.matrix import (
     run_sweep,
     seed_rows,
 )
+from repro.matrix.sweep import run_attack_cell, run_program_cell
 from repro.service import WorkerPool
 
 #: Small-but-representative slice: three gallery attacks, two program
@@ -254,6 +255,62 @@ class TestCellOrderIndependence:
             assert env is not defense.environment
             assert env.machine_config is not defense.environment.machine_config
             assert env.label == defense.environment.label
+
+
+class TestCellsFreeTheirMachines:
+    """A finished cell (or service attack job) disarms its defenses, so
+    its machine, segments and all, is freed by reference counting, not
+    left to the collector."""
+
+    @staticmethod
+    def _garbage_after(cells):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            for cell in cells:
+                cell()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("defense", [d.name for d in ALL_DEFENSES])
+    def test_attack_cells_leave_nothing_to_the_collector(self, defense):
+        rows = attack_rows()
+        assert self._garbage_after(
+            lambda row=row: run_attack_cell(row.row_id, defense) for row in rows
+        ) == 0
+
+    @pytest.mark.parametrize("defense", [d.name for d in ALL_DEFENSES])
+    def test_program_cells_leave_nothing_to_the_collector(self, defense):
+        rows = seed_rows()
+        assert self._garbage_after(
+            lambda row=row: run_program_cell(row.source, row.stdin, defense)
+            for row in rows
+        ) == 0
+
+    @pytest.mark.parametrize("defense", [d.name for d in ALL_DEFENSES])
+    def test_service_attack_jobs_leave_nothing_to_the_collector(self, defense):
+        from repro.defenses import defense_by_name
+        from repro.service.workers import run_attack
+
+        env = defense_by_name(defense).environment.label
+        rows = attack_rows()
+        assert self._garbage_after(
+            lambda row=row: run_attack({"attack": row.row_id, "env": env}) for row in rows
+        ) == 0
+
+    def test_disarm_puts_back_the_machine_dispatch(self):
+        from repro.attacks.base import VTABLE_INTEGRITY, disarm
+        from repro.runtime.machine import Machine
+
+        machine = VTABLE_INTEGRITY.make_machine()
+        assert "virtual_call" in vars(machine)
+        disarm(machine)
+        assert "virtual_call" not in vars(machine)
+        assert machine.virtual_call.__func__ is Machine.virtual_call
+        assert not hasattr(machine, "vtable_guard")
 
 
 class TestThreatCoverage:

@@ -42,6 +42,15 @@ class TestRank:
         four_workers = capsys.readouterr().out
         assert sequential == one_worker == four_workers
 
+    def test_rank_scores_a_deep_import_chain(self, tmp_path, capsys):
+        names = [f"p{i:05d}" for i in range(1100)]
+        for index, name in enumerate(names):
+            imports = f"// imports: {names[index + 1]}\n" if index + 1 < len(names) else ""
+            (tmp_path / f"{name}.cpp").write_text(imports + "void f() {}\n")
+        assert score_main(["rank", str(tmp_path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["packages"][-1]["dependents"] == 1099
+
     def test_rank_demo_flag_needs_no_directory(self, capsys):
         assert score_main(["rank", "--demo"]) == 0
         assert "core-pool" in capsys.readouterr().out

@@ -92,6 +92,47 @@ class TestPackageGraph:
         assert order.index("core-pool") < order.index("svc-auth")
         assert order.index("svc-auth") < order.index("app-gateway")
 
+    def test_cycle_message_names_the_cycle_in_order(self):
+        with pytest.raises(ValueError) as raised:
+            PackageGraph(
+                [
+                    Package(name="a", source="", imports=("b",)),
+                    Package(name="b", source="", imports=("c",)),
+                    Package(name="c", source="", imports=("b",)),
+                ]
+            )
+        assert str(raised.value) == "package import cycle: b -> c -> b"
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["imports-next", "imports-previous"])
+    def test_deep_import_chain_builds_and_sorts_without_recursion(self, forward):
+        names = [f"p{i:05d}" for i in range(5000)]
+        step = 1 if forward else -1
+        graph = PackageGraph(
+            Package(
+                name=name,
+                source="",
+                imports=(names[i + step],) if 0 <= i + step < len(names) else (),
+            )
+            for i, name in enumerate(names)
+        )
+        order = graph.topological()
+        assert order == (names[::-1] if forward else names)
+        importer = names[0] if forward else names[1]
+        assert graph.dependents_of(names[1] if forward else names[0]) == [importer]
+        assert len(graph.transitive_dependencies(names[0 if forward else -1])) == 4999
+
+    def test_deep_chain_cycle_is_reported(self):
+        names = [f"p{i:05d}" for i in range(3000)]
+        packages = [
+            Package(name=name, source="", imports=(names[(i + 1) % len(names)],))
+            for i, name in enumerate(names)
+        ]
+        with pytest.raises(ValueError) as raised:
+            PackageGraph(packages)
+        message = str(raised.value)
+        assert message.startswith("package import cycle: p00000 -> p00001 -> ")
+        assert message.endswith(" -> p02999 -> p00000")
+
 
 class TestLoadAndGenerate:
     def test_load_package_dir_roundtrip(self, tmp_path):
