@@ -240,7 +240,7 @@ def environment_by_label(label: str) -> Environment:
         if env.label == label:
             return env
     choices = ", ".join(env.label for env in ALL_ENVIRONMENTS)
-    raise KeyError(f"no environment labelled '{label}' (choose from: {choices})")
+    raise KeyError(f"unknown environment '{label}' (choose from: {choices})")
 
 
 def environment_with(base: Environment, **overrides: Any) -> Environment:
@@ -339,10 +339,12 @@ class AttackScenario(abc.ABC):
 
     def run(self, env: Optional[Environment] = None) -> AttackResult:
         """Run under ``env`` (default: unprotected), classifying defenses
-        and crashes into the result."""
+        and crashes into the result; the machines the run built are
+        disarmed when it ends (:func:`disarm_on_exit`)."""
         active = env or UNPROTECTED
         try:
-            return self.execute(active)
+            with disarm_on_exit():
+                return self.execute(active)
         except SimulatedProcessError as exc:
             # A defense that raised keeps the exception, whose traceback
             # holds the run's frames: dropped, no cycle keeps the machine

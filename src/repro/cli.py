@@ -220,16 +220,6 @@ def _run_command(args, prog: str, *checks) -> int:
         return 130
 
 
-def _environment_by_label(label: str):
-    from .attacks import ALL_ENVIRONMENTS
-
-    for env in ALL_ENVIRONMENTS:
-        if env.label == label:
-            return env
-    choices = ", ".join(env.label for env in ALL_ENVIRONMENTS)
-    raise _CommandError(f"unknown environment '{label}' (choose from: {choices})")
-
-
 def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro-attacks``."""
     parser = argparse.ArgumentParser(
@@ -261,7 +251,7 @@ def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _attacks_run(args) -> int:
-    from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name
+    from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name, environment_by_label
 
     if args.list:
         print("attacks:")
@@ -278,7 +268,7 @@ def _attacks_run(args) -> int:
         print(render_attack_table(run_sweep(rows=attack_rows())))
         return 0
 
-    environment = _environment_by_label(args.env)
+    environment = _lookup(environment_by_label, args.env)
     scenarios = [_lookup(attack_by_name, args.attack)] if args.attack else all_attacks()
     exit_code = 0
     for scenario in scenarios:
@@ -316,26 +306,21 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="analyze with N parallel workers through the job scheduler "
-        "(default: 1, the classic sequential path)",
+        help="accepted for compatibility: every file is analyzed in this "
+        "process, in order, at any N (default: 1)",
     )
     parser.add_argument(
         "--cache-dir",
-        help="persist scheduler results on disk so repeat sweeps are warm "
-        "(needs --jobs > 1)",
+        help="persist results on disk, under the keys repro-serve uses, so "
+        "repeat sweeps are warm",
     )
     parser.set_defaults(func=_analyze_run)
     args = parser.parse_args(argv)
-    return _run_command(
-        args,
-        "analyze",
-        (args.jobs < 1, "--jobs must be >= 1"),
-        (args.cache_dir and args.jobs == 1, "--cache-dir needs --jobs > 1"),
-    )
+    return _run_command(args, "analyze", (args.jobs < 1, "--jobs must be >= 1"))
 
 
 def _analyze_run(args) -> int:
-    from .service.workers import JobFailed, report_from_payload, run_analyze
+    from .service.workers import report_from_payload, run_analyze
 
     if args.files:
         sources = [(path, _read_source(path)[0]) for path in args.files]
@@ -343,22 +328,27 @@ def _analyze_run(args) -> int:
         from .workloads.corpus import FULL_CORPUS
 
         sources = [(prog.key, prog.source) for prog in FULL_CORPUS]
-    if args.jobs == 1:
-        payloads = [
-            run_analyze({"source": source, "label": name, "legacy": args.legacy})
-            for name, source in sources
-        ]
-    else:
-        from .service import ServiceEngine
+    analyze = run_analyze
+    if args.cache_dir:
+        from .service.cache import ResultCache
         from .service.jobs import AnalyzeJob
 
-        jobs = [AnalyzeJob(source, name, args.legacy) for name, source in sources]
-        try:
-            with ServiceEngine(workers=args.jobs, cache_dir=args.cache_dir) as engine:
-                handles = [engine.scheduler.submit_waiting(job) for job in jobs]
-                payloads = [handle.result() for handle in handles]
-        except JobFailed as failure:
-            raise _CommandError(f"analyze job failed: {failure}", status=1)
+        cache = ResultCache(directory=args.cache_dir)
+
+        def analyze(payload: dict) -> dict:
+            """The cached result under ``repro-serve``'s job key, else a
+            fresh one, stored."""
+            key = AnalyzeJob(**payload).key()
+            result = cache.get(key)
+            if result is None:
+                result = run_analyze(payload)
+                cache.put(key, result)
+            return result
+
+    payloads = [
+        analyze({"source": source, "label": name, "legacy": args.legacy})
+        for name, source in sources
+    ]
 
     if args.json:
         import json

@@ -137,12 +137,9 @@ def _invalid_cell() -> dict:
 
 
 def run_attack_cell(attack_name: str, defense_name: str) -> dict:
-    """One gallery scenario under one defense (fresh environment); the
-    machines it built are disarmed when it ends."""
+    """One gallery scenario under one defense (fresh environment)."""
     scenario = attack_by_name(attack_name)
-    defense = defense_by_name(defense_name)
-    with disarm_on_exit():
-        result = scenario.run(defense.fresh_environment())
+    result = scenario.run(defense_by_name(defense_name).fresh_environment())
     return _cell(result.succeeded, result.detected_by, result.crashed)
 
 
@@ -161,7 +158,8 @@ def run_program_cell(
     (checked placement, sanitize-on-reuse) have nothing to hook — the
     interpreter places objects itself, exactly the legacy-code gap §5
     worries about.  A simulated fault decides the cell on its own.  The
-    machine is disarmed when the run ends, as in :func:`run_attack_cell`.
+    machine is disarmed when the run ends, as a scenario's are
+    (:meth:`~repro.attacks.base.AttackScenario.run`).
     """
     env = defense_by_name(defense_name).fresh_environment()
     try:

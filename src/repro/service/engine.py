@@ -1,18 +1,18 @@
 """The service engine: one object wiring cache, pool, scheduler, metrics.
 
 ``ServiceEngine`` is the programmatic front door used by the HTTP
-server and ``repro-analyze --jobs N``.  It owns the component
-lifecycles (use it as a context manager) and exposes the interactive
-operations — single analyses, parallel corpus sweeps, attack runs, the
-E14 matrix — as blocking calls that internally fan out through the
-scheduler.  Its metrics snapshot adds the cache's accounting and the
-pool's shape, stragglers included (jobs past their deadline whose
-workers are still running).  The batch workloads need none of it: they
-are plain functions that take a
-:class:`~repro.service.workers.WorkerPool` as ``pool=``
-(:func:`repro.matrix.run_sweep`,
+server (``repro-serve``).  It owns the component lifecycles (use it
+as a context manager) and exposes the interactive operations — single
+analyses, parallel corpus sweeps, attack runs, the E14 matrix — as
+blocking calls that internally fan out through the scheduler.  Its
+metrics snapshot adds the cache's accounting and the pool's shape,
+stragglers included (jobs past their deadline whose workers are still
+running).  The batch workloads need none of it: they are plain
+functions that take a :class:`~repro.service.workers.WorkerPool` as
+``pool=`` (:func:`repro.matrix.run_sweep`,
 :func:`repro.fuzz.run_campaign`, :func:`repro.regress.replay_store` and
-:func:`repro.score.score_graph`).
+:func:`repro.score.score_graph`), and ``repro-analyze`` calls
+:func:`~repro.service.workers.run_analyze` once per file.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ when the queue is full, ``submit`` raises :class:`QueueFull` instead of
 blocking — the caller (e.g. the HTTP front end) decides whether to shed
 load or wait.
 ``submit_waiting`` instead blocks until a dispatcher makes room; the
-``/matrix`` route and ``repro-analyze --jobs N`` use it, while batch
-workloads bypass the scheduler (:func:`~repro.service.workers.run_jobs`).
+``/matrix`` route uses it.  ``repro-serve`` is the scheduler's only
+user: batch commands, ``repro-analyze`` included, bypass it.
 
 One dispatcher thread per pool worker pops jobs in priority order and
 executes each once on the pool with a per-job timeout.  A worker that

@@ -140,13 +140,10 @@ def run_analyze(payload: dict) -> dict:
 def run_attack(payload: dict) -> dict:
     """Worker for :class:`AttackJob`."""
     from ..attacks import attack_by_name, environment_by_label
-    from ..attacks.base import disarm_on_exit
 
     scenario = attack_by_name(payload["attack"])
     env = environment_by_label(payload.get("env", "unprotected"))
-    with disarm_on_exit():
-        result = scenario.run(env)
-    return attack_payload(result)
+    return attack_payload(scenario.run(env))
 
 
 def run_exec(payload: dict) -> dict:

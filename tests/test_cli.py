@@ -78,8 +78,8 @@ BAD_INPUTS = [
     ),
     (
         "repro.cli:analyze_main",
-        ["{program}", "--cache-dir", "{store}"],
-        "error: --cache-dir needs --jobs > 1\n",
+        ["{program}", "--jobs", "0", "--cache-dir", "{store}"],
+        "error: --jobs must be >= 1\n",
     ),
     (
         "repro.cli:fuzz_main",
@@ -628,6 +628,28 @@ class TestAttacksCli:
         assert attacks_main(["--env", "fortress"]) == 2
         assert "unknown environment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "env", ["vrt", "memory-tagging", "vtable-integrity", "shadow-memory"]
+    )
+    def test_armed_gallery_leaves_the_collector_no_more_than_unprotected(
+        self, env, capsys
+    ):
+        """Every scenario disarms the machines it built, so an armed
+        gallery pass frees them by reference counting."""
+        import gc
+
+        def garbage(label):
+            gc.collect()
+            gc.disable()
+            try:
+                assert attacks_main(["--env", label]) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(env)  # first-use imports and caches
+        assert garbage(env) <= garbage("unprotected")
+
     def test_unknown_attack_rejected(self, capsys):
         assert attacks_main(["--attack", "nope"]) == 2
         assert "no attack named" in capsys.readouterr().err
@@ -705,37 +727,47 @@ class TestAnalyzeCli:
         parallel = capsys.readouterr().out
         assert parallel == sequential
 
-    def test_batch_larger_than_the_job_queue(self, tmp_path, capsys, monkeypatch):
-        """More files than the engine's 1024-slot queue holds, with the
-        workers held until the queue is full: submission waits for room
-        and the report matches ``--jobs 1``."""
-        import threading
+    def test_cache_dir_at_one_job_serves_the_warm_run(self, tmp_path, capsys, monkeypatch):
+        """``--cache-dir`` works at the default ``--jobs 1``: the cold run
+        analyzes every file, the warm run none, and both print the
+        uncached report."""
+        from repro.service import workers
+        from repro.workloads.corpus import FULL_CORPUS
 
-        from repro.service.jobs import AnalyzeJob
-        from repro.service.workers import run_analyze
+        assert analyze_main(["--json"]) == 0
+        uncached = capsys.readouterr().out
+        calls = []
+        run_analyze = workers.run_analyze
+        monkeypatch.setattr(
+            workers, "run_analyze", lambda payload: calls.append(1) or run_analyze(payload)
+        )
+        argv = ["--json", "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
+        assert analyze_main(argv) == 0
+        assert capsys.readouterr().out == uncached
+        assert len(calls) == len(FULL_CORPUS)
+        calls.clear()
+        assert analyze_main(argv) == 0
+        assert capsys.readouterr().out == uncached
+        assert calls == []
 
-        paths = []
-        for index in range(1100):
-            path = tmp_path / f"p{index:04d}.cpp"
-            path.write_text("void f() { int x = 1; }\n")
-            paths.append(str(path))
-        assert analyze_main(["--json"] + paths) == 0
-        inline = capsys.readouterr().out
+    def test_cache_dir_written_by_the_service_is_warm(self, tmp_path, capsys, monkeypatch):
+        """The cache keys are the service's job keys: a directory a
+        ``ServiceEngine`` sweep wrote serves every file, legacy reports
+        included."""
+        from repro.service import ServiceEngine, workers
 
-        release = threading.Event()
+        cache_dir = str(tmp_path / "cache")
+        with ServiceEngine(workers=2, cache_dir=cache_dir) as engine:
+            engine.corpus_sweep(legacy=True)
+        assert analyze_main(["--legacy"]) == 0
+        uncached = capsys.readouterr().out
 
-        def held(payload):
-            release.wait(timeout=5)
-            return run_analyze(payload)
+        def recompute(payload):
+            raise AssertionError(f"recomputed {payload['label']}")
 
-        monkeypatch.setattr(AnalyzeJob, "run", staticmethod(held))
-        timer = threading.Timer(0.5, release.set)
-        timer.start()
-        try:
-            assert analyze_main(["--json", "--jobs", "2"] + paths) == 0
-        finally:
-            timer.join(timeout=5)
-        assert capsys.readouterr().out == inline
+        monkeypatch.setattr(workers, "run_analyze", recompute)
+        assert analyze_main(["--legacy", "--jobs", "2", "--cache-dir", cache_dir]) == 0
+        assert capsys.readouterr().out == uncached
 
     def test_missing_file_exits_2(self, capsys):
         assert analyze_main(["/no/such/file.cpp"]) == 2

@@ -106,15 +106,18 @@ def test_fuzz_run_loads_no_attack_gallery(tmp_path):
         ("fuzz_main", ["run", "--seed", "3", "--iterations", "20", "--jobs", "0"]),
         ("matrix_main", ["run", "--jobs", "0", "--no-regress", "--defenses", "none"]),
         ("regress_main", ["replay", "--store", "corpus/regress", "--jobs", "0"]),
+        ("analyze_main", ["--jobs", "2"]),
     ],
-    ids=["score-rank", "fuzz-run", "matrix-run", "regress-replay"],
+    ids=["score-rank", "fuzz-run", "matrix-run", "regress-replay", "analyze"],
 )
 def test_batch_command_loads_no_job_classes(entry, argv):
-    """A batch command hands its own function to the pool: it builds
-    no service job, so it never imports the job classes."""
+    """A batch command calls its own function, inline or on a pool: it
+    builds no service job and no scheduler, so it never imports them."""
     modules = _modules_loaded_by(entry, *argv)
     assert "repro.service.workers" in modules
-    assert "repro.service.jobs" not in modules
+    assert _under(
+        modules, "repro.service.jobs", "repro.service.scheduler", "repro.service.engine"
+    ) == []
 
 
 def test_bare_import_loads_no_subpackage():
