@@ -9,11 +9,12 @@ and the usual statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from .._record import field, record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Node:
     """Base AST node; ``line`` points back into the source."""
 
@@ -24,42 +25,42 @@ class Node:
 # expressions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Expr(Node):
     """Base expression."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntLit(Expr):
     value: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FloatLit(Expr):
     value: float = 0.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StrLit(Expr):
     value: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit(Expr):
     value: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NullLit(Expr):
     """``NULL`` / ``nullptr``."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Name(Expr):
     ident: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unary(Expr):
     """``&x``, ``*p``, ``-x``, ``!x``, ``++x`` (prefix)."""
 
@@ -67,14 +68,14 @@ class Unary(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Binary(Expr):
     op: str = ""
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Member(Expr):
     """``obj.name`` or ``ptr->name``."""
 
@@ -83,13 +84,13 @@ class Member(Expr):
     arrow: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Index(Expr):
     base: Expr = None  # type: ignore[assignment]
     index: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call(Expr):
     """``f(args)`` or ``recv.f(args)`` / ``recv->f(args)``."""
 
@@ -98,7 +99,7 @@ class Call(Expr):
     receiver: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SizeOf(Expr):
     """``sizeof(TypeName)`` or ``sizeof(expr)``."""
 
@@ -106,7 +107,7 @@ class SizeOf(Expr):
     expr: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NewExpr(Expr):
     """Every flavour of ``new``.
 
@@ -133,12 +134,12 @@ class NewExpr(Expr):
 # statements
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stmt(Node):
     """Base statement."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeRef:
     """A declared type: base name, pointer depth, optional array length."""
 
@@ -159,7 +160,7 @@ class TypeRef:
         return f"{self.name}{suffix}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarDecl(Stmt):
     """``Type name = init;`` / ``Type name[size];`` / ``Type a, b;``
     (multi-declarators are split by the parser into several VarDecls)."""
@@ -169,61 +170,61 @@ class VarDecl(Stmt):
     init: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign(Stmt):
     target: Expr = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CinRead(Stmt):
     """``cin >> target [>> target2 ...]`` — the attacker's entry point."""
 
     targets: tuple = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoutWrite(Stmt):
     """``cout << expr << ...`` — kept for completeness; sink for leaks."""
 
     values: tuple = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExprStmt(Stmt):
     expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeleteStmt(Stmt):
     target: Expr = None  # type: ignore[assignment]
     is_array: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReturnStmt(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Block(Stmt):
     statements: tuple = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then_body: Block = None  # type: ignore[assignment]
     else_body: Optional[Block] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     body: Block = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class For(Stmt):
     init: Optional[Stmt] = None
     cond: Optional[Expr] = None
@@ -235,28 +236,29 @@ class For(Stmt):
 # declarations
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldDecl:
-    """A class data member."""
+    """A class data member; ``line``, as on :class:`Node`, is not compared."""
 
     type: TypeRef
     name: str
-    line: int = 0
+    line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodDecl:
-    """A class method (bodies are parsed but not analyzed inline)."""
+    """A class method (bodies are parsed but not analyzed inline);
+    ``line`` is not compared."""
 
     name: str
     return_type: TypeRef
     params: tuple
     virtual: bool = False
     body: Optional[Block] = None
-    line: int = 0
+    line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassDecl(Node):
     name: str = ""
     bases: tuple = ()
@@ -268,7 +270,7 @@ class ClassDecl(Node):
         return any(method.virtual for method in self.methods)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Param:
     """A function parameter."""
 
@@ -276,7 +278,7 @@ class Param:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctionDecl(Node):
     name: str = ""
     return_type: TypeRef = None  # type: ignore[assignment]
@@ -284,7 +286,7 @@ class FunctionDecl(Node):
     body: Block = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program(Node):
     """A translation unit: classes, globals, functions, in order."""
 

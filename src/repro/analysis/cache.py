@@ -6,7 +6,7 @@ the full lex + parse + walk cost every time.  This module memoizes the
 two expensive products behind a sha256 content hash:
 
 * **AST cache** — ``parse_cached`` maps ``sha256(source)`` to the parsed
-  :class:`~.ast_nodes.Program`.  AST nodes are frozen dataclasses, so a
+  :class:`~.ast_nodes.Program`.  AST nodes are frozen records, so a
   cached tree can be shared without copying.  Every parse in the package
   goes through it: the analyzers, the executor (``run_source``), the fuzz
   oracles' entry planning, the mutator's parent and validity parses, and

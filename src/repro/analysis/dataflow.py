@@ -16,16 +16,16 @@ and constants collapse to ⊤ on disagreement, so loop fixpoints terminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
+from .._record import record, replace
 from . import ast_nodes as ast
 
 #: Sentinel for "some unknown constant".
 TOP = object()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointerTarget:
     """One thing a pointer may point at."""
 
@@ -47,7 +47,7 @@ class PointerTarget:
         return "?"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbstractValue:
     """The lattice element for one variable."""
 

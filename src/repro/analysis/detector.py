@@ -35,9 +35,9 @@ idiom (``if (sizeof(B) <= sizeof(A)) ...``) analyzes clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from . import ast_nodes as ast
 from .cache import cached_report
 from .dataflow import TOP, AbstractValue, Env, PointerTarget, root_name
@@ -61,7 +61,7 @@ TAINT_SOURCE_CALLS = {"getNames", "getStudent", "receive", "recv", "getenv", "at
 _LOOP_FIXPOINT_LIMIT = 6
 
 
-@dataclass
+@record
 class _ArenaState:
     """Flow state attached to a reusable arena (keyed by root variable)."""
 

@@ -13,10 +13,10 @@ corpus shows the scanner itself is not a straw man.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
+from .._record import record, replace
 from . import ast_nodes as ast
 from .cache import cached_report
 from .reports import AnalysisReport, Finding, Severity
@@ -27,7 +27,7 @@ from .reports import AnalysisReport, Finding, Severity
 LEGACY_RULE_VERSION = "1"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LegacyRule:
     """One pattern rule in the ITS4/Flawfinder tradition."""
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from .._record import field, record
 
 
 class Severity(enum.IntEnum):
@@ -17,7 +18,7 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Finding:
     """One diagnosed issue at a source location."""
 
@@ -34,7 +35,7 @@ class Finding:
         return f"{self.line}: {self.severity.label()}: [{self.rule}] {self.message}{where}"
 
 
-@dataclass
+@record
 class AnalysisReport:
     """All findings for one program."""
 
@@ -44,7 +45,7 @@ class AnalysisReport:
     def __post_init__(self) -> None:
         # Dedup index maintained alongside the list: rebuilding the key
         # set on every add is quadratic over a report's lifetime.  Not a
-        # dataclass field, so eq/repr still compare tool + findings only.
+        # record field, so eq/repr still compare tool + findings only.
         self._seen = {(f.rule, f.line, f.function) for f in self.findings}
 
     def add(self, finding: Finding) -> None:

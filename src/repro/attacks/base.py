@@ -12,9 +12,9 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from .._record import field, record, replace
 from ..core.checked import checked_placement_new, checked_placement_new_array
 from ..core.placement import placement_new, placement_new_array
 from ..core.sanitize import sanitize
@@ -45,7 +45,7 @@ from ..runtime.canary import CanaryPolicy
 from ..runtime.machine import Machine, MachineConfig
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Environment:
     """One hardening configuration a scenario runs under."""
 
@@ -244,11 +244,11 @@ def environment_by_label(label: str) -> Environment:
 
 
 def environment_with(base: Environment, **overrides: Any) -> Environment:
-    """Derive a variant environment (dataclasses.replace wrapper)."""
+    """Derive a variant environment (a ``replace`` wrapper)."""
     return replace(base, **overrides)
 
 
-@dataclass
+@record
 class AttackResult:
     """The outcome of one scenario under one environment."""
 

@@ -631,7 +631,7 @@ def _fuzz_report(args) -> int:
 
 
 def _fuzz_triage(args) -> int:
-    import dataclasses
+    from ._record import replace
 
     report = _load_campaign(args.report)
     if not args.fingerprint:  # list mode
@@ -644,7 +644,7 @@ def _fuzz_triage(args) -> int:
     matched = False
     for index, div in enumerate(report.divergences):
         if div.fingerprint == args.fingerprint:
-            report.divergences[index] = dataclasses.replace(
+            report.divergences[index] = replace(
                 div, triage=f"manual: {args.note}"
             )
             matched = True

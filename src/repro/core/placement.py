@@ -24,9 +24,9 @@ The checked counterpart recommended by Section 5.1 lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Union
 
+from .._record import record
 from ..cxx.classdef import ClassDef
 from ..cxx.object_model import CArrayView, Instance
 from ..cxx.types import CType
@@ -40,7 +40,7 @@ from .new_expr import NewContext, construct
 PlacementTarget = Union[int, Instance, CArrayView, MemoryPool]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlacementRecord:
     """Audit record of one placement (consumed by defenses and tests)."""
 

@@ -11,8 +11,7 @@ E10 experiment — can measure what a partial scheme misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..errors import ApiMisuseError
 from ..memory.address_space import AddressSpace
 
@@ -21,7 +20,7 @@ PATTERN_ZERO = 0x00
 PATTERN_ONES = 0xFF
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SanitizationReport:
     """What a sanitization call actually cleared."""
 

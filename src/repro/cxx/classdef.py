@@ -9,14 +9,14 @@ maintains between the AST and the record-layout pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .._record import record
 from ..errors import ApiMisuseError
 from .types import CType
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Field:
     """One non-static data member."""
 
@@ -24,7 +24,7 @@ class Field:
     ctype: CType
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VirtualMethod:
     """Declaration of a virtual method (implementation bound per class).
 
@@ -40,7 +40,7 @@ class VirtualMethod:
 Constructor = Callable[..., None]
 
 
-@dataclass
+@record
 class ClassDef:
     """A simulated C++ class declaration."""
 

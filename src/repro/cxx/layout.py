@@ -26,9 +26,9 @@ does not affect any reproduced result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..errors import LayoutError
 from ..memory.alignment import align_up
 from ..memory.encoding import POINTER_SIZE
@@ -36,7 +36,7 @@ from .classdef import ClassDef
 from .types import CType
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldSlot:
     """A field resolved to an absolute offset within the object."""
 
@@ -51,7 +51,7 @@ class FieldSlot:
         return self.offset + self.ctype.size
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RecordLayout:
     """The computed memory layout of one class."""
 
@@ -122,7 +122,7 @@ class RecordLayout:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassType(CType):
     """A class used as a *member type* (e.g. Listing 10's
     ``Student stud1, stud2;`` inside ``MobilePlayer``).

@@ -13,9 +13,9 @@ fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .._record import record
 from ..errors import ApiMisuseError
 from ..memory.address_space import AddressSpace
 from ..memory.alignment import align_up
@@ -28,7 +28,7 @@ NATIVE_STUB_MAGIC = b"NATV"
 FUNCTION_STUB_SIZE = 16
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctionEntry:
     """A simulated function living at a text-segment address."""
 
@@ -39,7 +39,7 @@ class FunctionEntry:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmittedVTable:
     """A vtable emitted into the text image."""
 

@@ -9,14 +9,14 @@ below them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from .._record import record
 from ..errors import ApiMisuseError
 from ..memory import encoding
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CType:
     """Base class for value types in the simulated language."""
 
@@ -36,7 +36,7 @@ class CType:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntType(CType):
     """A fixed-width two's-complement integer."""
 
@@ -49,7 +49,7 @@ class IntType(CType):
         return encoding.decode_int(data, signed=self.signed)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CharType(CType):
     """One byte; accepts single-character strings or small ints."""
 
@@ -64,7 +64,7 @@ class CharType(CType):
         return bytes(data[:1]).decode("latin-1")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolType(CType):
     """C++ bool: one byte, nonzero is true."""
 
@@ -75,7 +75,7 @@ class BoolType(CType):
         return data[0] != 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DoubleType(CType):
     """IEEE-754 binary64."""
 
@@ -86,7 +86,7 @@ class DoubleType(CType):
         return encoding.decode_double(data)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FloatType(CType):
     """IEEE-754 binary32."""
 
@@ -97,7 +97,7 @@ class FloatType(CType):
         return encoding.decode_float(data)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointerType(CType):
     """A 32-bit pointer; ``pointee_name`` is informational only."""
 
@@ -110,7 +110,7 @@ class PointerType(CType):
         return encoding.decode_pointer(data)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArrayType(CType):
     """A fixed-length array of a scalar element type.
 

@@ -16,8 +16,8 @@ probability.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from .._record import record
 from ..attacks.base import AttackResult, AttackScenario, Environment
 from ..core.placement import placement_new
 from ..errors import SimulatedProcessError
@@ -90,7 +90,7 @@ def aslr_machine(seed: int, config: MachineConfig | None = None) -> Machine:
     return machine
 
 
-@dataclass
+@record
 class AslrTrialOutcome:
     """One stale-address attempt against one randomized victim."""
 

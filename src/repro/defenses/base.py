@@ -9,8 +9,7 @@ renders the E14 matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from .._record import record, replace
 from ..attacks.base import (
     CHECKED_PLACEMENT,
     MEMORY_TAGGING,
@@ -26,7 +25,7 @@ from ..attacks.base import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Defense:
     """One protection technique under evaluation."""
 

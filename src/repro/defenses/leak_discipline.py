@@ -15,8 +15,7 @@ discipline and reports leaked bytes, the E12 ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..core.new_expr import new_object
 from ..core.placement import placement_new
 from ..core.placement_delete import ArenaOwner
@@ -24,7 +23,7 @@ from ..runtime.machine import Machine
 from ..workloads.classes import make_student_classes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LeakOutcome:
     """Leak accounting for one discipline."""
 

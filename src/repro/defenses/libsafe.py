@@ -15,9 +15,9 @@ unchecked, which :func:`coverage_report` quantifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .._record import field, record
 from ..cxx.classdef import ClassDef
 from ..cxx.object_model import Instance
 from ..core.placement import placement_new, resolve_target
@@ -25,7 +25,7 @@ from ..errors import BoundsCheckViolation
 from ..runtime.machine import Machine
 
 
-@dataclass
+@record
 class InterceptionRecord:
     """One intercepted placement and what the guard knew about it."""
 
@@ -36,7 +36,7 @@ class InterceptionRecord:
     blocked: bool
 
 
-@dataclass
+@record
 class LibSafePlacementGuard:
     """Intercepts placement new, enforcing bounds where bounds are known."""
 

@@ -28,8 +28,7 @@ frame, discarding abandoned inner entries, and only then verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import field, record
 from ..errors import SimulatedProcessError
 from ..runtime.frames import CallFrame
 from ..runtime.machine import Machine
@@ -48,7 +47,7 @@ class ReturnAddressTampering(SimulatedProcessError):
         )
 
 
-@dataclass
+@record
 class _ShadowEntry:
     """One protected record: which activation, what it must return to."""
 
@@ -57,7 +56,7 @@ class _ShadowEntry:
     expected_return: int
 
 
-@dataclass
+@record
 class ShadowCallStack:
     """Protected copies of every live frame's return address.
 

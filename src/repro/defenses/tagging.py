@@ -29,9 +29,9 @@ detection.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..errors import SimulatedProcessError
 from ..memory.tracker import ArenaRecord
 from ..runtime.machine import Machine
@@ -57,7 +57,7 @@ class TagMismatchFault(SimulatedProcessError):
         )
 
 
-@dataclass
+@record
 class _TaggedRange:
     """One coloured allocation: [base, base+size) painted ``tag``."""
 
@@ -70,7 +70,7 @@ class _TaggedRange:
         return self.base + self.size
 
 
-@dataclass
+@record
 class MemoryTagging:
     """Allocation-granular tag map plus its enforcement hooks."""
 

@@ -31,9 +31,9 @@ Because the feed is the allocator/tracker substrate rather than
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..core.placement import PlacementRecord
 from ..errors import SimulatedProcessError
 from ..memory.tracker import ArenaRecord
@@ -57,7 +57,7 @@ class VrtBoundsViolation(SimulatedProcessError):
         )
 
 
-@dataclass
+@record
 class _VrtEntry:
     """One table row: the variable's true extent and what the program
     currently believes lives there (shrunk/grown by placements)."""
@@ -67,7 +67,7 @@ class _VrtEntry:
     believed_size: int
 
 
-@dataclass
+@record
 class VariableRecordTable:
     """The runtime bounds table plus its enforcement hooks."""
 

@@ -11,8 +11,7 @@ memory, as a loader-protected section would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..cxx.object_model import Instance
 from ..errors import SimulatedProcessError
 from ..runtime.machine import Machine
@@ -30,7 +29,7 @@ class VtableIntegrityViolation(SimulatedProcessError):
         )
 
 
-@dataclass
+@record
 class VtableIntegrityGuard:
     """Wraps ``machine.virtual_call`` with a legitimacy check."""
 

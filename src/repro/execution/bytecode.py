@@ -29,9 +29,9 @@ per iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .._record import field, record
 from ..analysis import ast_nodes as ast
 from ..analysis.symbols import SymbolTable
 from ..cxx.types import VOID_PTR, CType
@@ -153,7 +153,7 @@ _BINOPS = {
 # compiled units
 
 
-@dataclass
+@record
 class CompiledFunction:
     """One lowered body: a free function or a class method."""
 
@@ -170,7 +170,7 @@ class CompiledFunction:
     field_slots: Optional[tuple] = None
 
 
-@dataclass
+@record
 class CompiledProgram:
     """A program lowered to bytecode, plus the symbol table it was
     compiled against.
@@ -210,7 +210,7 @@ def disassemble(code: list) -> list:
 # compiler
 
 
-@dataclass
+@record
 class _Body:
     code: list = field(default_factory=list)
     pending: int = 0

@@ -18,10 +18,10 @@ run), ``delete``, and a small builtin library (``strncpy``, ``strcpy``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Optional
 
+from .._record import record
 from ..analysis import ast_nodes as ast
 from ..analysis.cache import parse_cached
 from ..analysis.symbols import SymbolTable
@@ -74,7 +74,7 @@ _UNIT_STEPS = {"++": 1, "post++": 1, "--": -1, "post--": -1}
 _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LoopShape:
     """A loop the interpreter can fast-forward (see :func:`loop_shape`).
 
@@ -242,7 +242,7 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-@dataclass
+@record
 class FunctionOutcome:
     """Everything observable from one interpreted function call."""
 
@@ -253,7 +253,7 @@ class FunctionOutcome:
     steps: int
 
 
-@dataclass
+@record
 class ExecutionError:
     """A simulated-process failure during interpretation."""
 

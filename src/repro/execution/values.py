@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from .._record import record
 from ..analysis.ast_nodes import TypeRef
 from ..cxx.classdef import ClassDef
 from ..cxx.types import CType
 from ..errors import ApiMisuseError
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LValue:
     """A resolved storage location: address + how to read/write it."""
 
@@ -28,7 +28,7 @@ class LValue:
         return self.ctype
 
 
-@dataclass
+@record
 class Variable:
     """One declared variable bound to simulated storage."""
 

@@ -9,15 +9,15 @@ report reads like a debugger session rather than a hex soup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import field, record
 from .memory.segments import SegmentKind
 from .runtime.frames import CallFrame
 from .runtime.machine import Machine
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChangedRange:
     """One contiguous run of bytes that differ between snapshots."""
 
@@ -134,7 +134,7 @@ def _global_names(machine: Machine) -> tuple:
     return tuple(machine._globals)  # noqa: SLF001 - forensics is privileged
 
 
-@dataclass
+@record
 class AttackForensics:
     """Snapshot-diff harness around an attack run."""
 

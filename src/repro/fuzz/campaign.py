@@ -15,8 +15,8 @@ across kill/resume cycles through :mod:`repro.fuzz.checkpoint`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 
+from .._record import record, replace
 from .checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -37,7 +37,7 @@ from .report import CampaignReport
 from .seeds import FuzzInput, seed_inputs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuzzConfig:
     """Deterministic knobs for one campaign."""
 

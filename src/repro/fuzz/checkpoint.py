@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .._record import field, record
 from ..fileio import atomic_write_text, canonical_json
 
 #: Checkpoint document schema revision.  2: the config and counters
@@ -54,7 +54,7 @@ def _digest_of(body: dict) -> str:
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()[:16]
 
 
-@dataclass
+@record
 class CampaignCheckpoint:
     """One resumable snapshot of a campaign at a round boundary."""
 

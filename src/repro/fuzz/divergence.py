@@ -15,8 +15,8 @@ disagreements while still surfacing anything new.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
 
+from .._record import record, replace
 from .oracles import Observation, OracleConfig, run_oracles, static_verdict
 from .seeds import FuzzInput
 from .vocabulary import VULNERABLE_EVENTS
@@ -54,7 +54,7 @@ def fingerprint_of(kind: str, rules: tuple, events: tuple) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
+@record
 class Divergence:
     """One deduplicated oracle disagreement."""
 

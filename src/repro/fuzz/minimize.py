@@ -21,9 +21,9 @@ as is every candidate of a round on hand-written text.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
+from .._record import replace
 from ..analysis import ast_nodes as ast
 from ..analysis import parse_cached
 from ..analysis.cache import cache_parsed
@@ -56,7 +56,7 @@ def _replace_at(node, path: tuple, value):
     step, rest = path[0], path[1:]
     if isinstance(node, tuple):
         return (*node[:step], _replace_at(node[step], rest, value), *node[step + 1 :])
-    return dataclasses.replace(
+    return replace(
         node, **{step: _replace_at(getattr(node, step), rest, value)}
     )
 
@@ -70,25 +70,25 @@ def _deletions(program: ast.Program):
         for index in range(len(statements)):
             smaller = statements[:index] + statements[index + 1 :]
             candidate = _replace_at(
-                program, path, dataclasses.replace(block, statements=smaller)
+                program, path, replace(block, statements=smaller)
             )
             yield candidate, statements[index]
     for class_index, cls in enumerate(program.classes):
         for field_index in range(len(cls.fields)):
             classes = list(program.classes)
-            classes[class_index] = dataclasses.replace(
+            classes[class_index] = replace(
                 cls,
                 fields=cls.fields[:field_index] + cls.fields[field_index + 1 :],
             )
-            candidate = dataclasses.replace(program, classes=tuple(classes))
+            candidate = replace(program, classes=tuple(classes))
             yield candidate, cls.fields[field_index]
         classes = list(program.classes)
         del classes[class_index]
-        yield dataclasses.replace(program, classes=tuple(classes)), None
+        yield replace(program, classes=tuple(classes)), None
     for global_index in range(len(program.globals)):
         globals_ = list(program.globals)
         del globals_[global_index]
-        candidate = dataclasses.replace(program, globals=tuple(globals_))
+        candidate = replace(program, globals=tuple(globals_))
         yield candidate, program.globals[global_index]
 
 
@@ -187,7 +187,7 @@ def minimize_input(
         current = shrunk
     # Trailing stdin tokens the divergence does not need.
     while current.stdin:
-        candidate = dataclasses.replace(current, stdin=current.stdin[:-1])
+        candidate = replace(current, stdin=current.stdin[:-1])
         if not predicate(candidate):
             break
         current = candidate
@@ -227,7 +227,7 @@ def _shrink_once(current: FuzzInput, predicate) -> FuzzInput | None:
                 parse_cached(source)
             except (ParseError, ValueError):
                 continue
-        candidate = dataclasses.replace(current, source=source)
+        candidate = replace(current, source=source)
         if predicate(candidate):
             return candidate
     return None

@@ -11,10 +11,10 @@ stdin script.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Callable, Optional
 
+from .._record import FIELDS, replace
 from ..analysis import ast_nodes as ast
 from ..analysis import parse_cached
 from ..analysis.unparse import unparse_program
@@ -31,11 +31,11 @@ _MAGIC_INTS = (0, 1, 8, 64, 255, 4096, 9_000_001)
 #: Values that never hold a node; a rebuild passes over them in place.
 LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
 
-#: Each AST node class -> its dataclass field names, in declaration order.
+#: Each AST node class -> its field names, in declaration order.
 FIELD_NAMES = {
-    cls: tuple(spec.name for spec in dataclasses.fields(cls))
+    cls: tuple(vars(cls)[FIELDS])
     for cls in vars(ast).values()
-    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    if isinstance(cls, type) and FIELDS in vars(cls)
 }
 
 
@@ -45,7 +45,7 @@ def transform(node, visit: Callable):
     Children are rebuilt first, in field order; ``visit`` then sees the
     rebuilt node and may return a replacement (or ``None`` to keep it).
     Untouched subtrees keep their identity, so ``result is node`` means
-    "no change", and a node is copied (``dataclasses.replace``) only
+    "no change", and a node is copied (``replace``) only
     when one of its fields changed.  Field names come from the per-class
     table ``FIELD_NAMES``, read once when this module loads; leaf
     values (strings, numbers, ``None``) are passed over without a call,
@@ -66,7 +66,7 @@ def transform(node, visit: Callable):
             if changes is None:
                 changes = {}
             changes[name] = rebuilt
-    result = node if changes is None else dataclasses.replace(node, **changes)
+    result = node if changes is None else replace(node, **changes)
     replacement = visit(result)
     return result if replacement is None else replacement
 
@@ -128,7 +128,7 @@ def _tweak_int(rng: random.Random, program: ast.Program):
         program,
         lambda n: isinstance(n, ast.IntLit),
         index,
-        lambda lit: dataclasses.replace(lit, value=value),
+        lambda lit: replace(lit, value=value),
     )
 
 
@@ -144,7 +144,7 @@ def _flip_comparison(rng: random.Random, program: ast.Program):
         program,
         is_cmp,
         index,
-        lambda node: dataclasses.replace(node, op=_FLIP[node.op]),
+        lambda node: replace(node, op=_FLIP[node.op]),
     )
 
 
@@ -170,7 +170,7 @@ def _swap_placed_type(rng: random.Random, program: ast.Program):
         program,
         is_placement,
         index,
-        lambda node: dataclasses.replace(node, type_name=other),
+        lambda node: replace(node, type_name=other),
     )
 
 
@@ -192,7 +192,7 @@ def _edit_block(program, rng, edit: Callable):
         program,
         is_busy_block,
         target,
-        lambda block: dataclasses.replace(
+        lambda block: replace(
             block, statements=edit(block.statements, rng)
         ),
     )
@@ -228,10 +228,10 @@ def _add_field(rng: random.Random, program: ast.Program):
         name=f"mf{len(target.fields)}",
     )
     classes = list(program.classes)
-    classes[index] = dataclasses.replace(
+    classes[index] = replace(
         target, fields=target.fields + (extra,)
     )
-    return dataclasses.replace(program, classes=tuple(classes))
+    return replace(program, classes=tuple(classes))
 
 
 _PROGRAM_OPERATORS = (
@@ -262,7 +262,7 @@ def mutate(rng: random.Random, parent: FuzzInput) -> Optional[FuzzInput]:
         stdin = _mutate_stdin(rng, parent.stdin)
         if stdin == parent.stdin:
             return None
-        return dataclasses.replace(parent, stdin=stdin, label="")
+        return replace(parent, stdin=stdin, label="")
     try:
         program = parse_cached(parent.source)
     except ParseError:

@@ -16,9 +16,9 @@ stdin exhaustion) are *invalid*, never divergent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..analysis import analyze_source, parse_cached
 from ..analysis.reports import Severity
 from ..errors import (
@@ -38,7 +38,7 @@ from .vocabulary import DEFAULT_STEP_BUDGET, VULNERABLE_EVENTS
 DEFAULT_STDIN = (9_000_001, 4096, 257, 65, 7, 3) * 2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StaticVerdict:
     """What the detector said about one source."""
 
@@ -51,7 +51,7 @@ class StaticVerdict:
         return self.flagged
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DynamicVerdict:
     """What one simulated execution observed."""
 
@@ -65,7 +65,7 @@ class DynamicVerdict:
         return any(event in VULNERABLE_EVENTS for event in self.events)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Observation:
     """One input, both verdicts."""
 
@@ -90,7 +90,7 @@ class Observation:
         return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleConfig:
     """Knobs shared by every execution in one campaign."""
 
@@ -170,7 +170,7 @@ def _secret_leaked(stored) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProgramRun:
     """What :func:`run_program` observed on one machine."""
 

@@ -10,14 +10,14 @@ property is load-bearing: CI diffs reports, and the triage workflow
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from .._record import field, record
 from .divergence import Divergence
 
 SCHEMA = 2
 
 
-@dataclass
+@record
 class CampaignReport:
     """Aggregated outcome of one fuzzing campaign."""
 

@@ -14,13 +14,13 @@ Two sources, both deterministic under the campaign seed:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from .._record import record
 from ..workloads.corpus import PLACEMENT_CORPUS
 from ..workloads.generators import ALL_SHAPES, generate_program
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuzzInput:
     """One fuzzable unit: a source file plus its scripted stdin."""
 

@@ -20,9 +20,9 @@ committed baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .._record import record
 from ..attacks import all_attacks, attack_by_name
 from ..attacks.base import classify_failure, disarm_on_exit
 from ..defenses import ALL_DEFENSES, defense_by_name
@@ -41,7 +41,7 @@ SCHEMA = 1
 DEFAULT_SEED = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatrixRow:
     """One sweep row: an attack scenario or a runnable program."""
 

@@ -11,10 +11,10 @@ neighbours on free.  Keeping the metadata in-band matters: heap overflows
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional
 
+from .._record import record
 from ..errors import ApiMisuseError, DoubleFree, InvalidFree, OutOfMemory
 from .address_space import AddressSpace
 from .alignment import align_up
@@ -35,7 +35,7 @@ _HEADER = struct.Struct("<II")
 _SIZE_MASK = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BlockInfo:
     """Descriptor of one heap block, as read back from simulated memory."""
 

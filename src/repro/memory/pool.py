@@ -14,14 +14,13 @@ vulnerability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..errors import ApiMisuseError, BoundsCheckViolation
 from .address_space import AddressSpace
 from .alignment import align_up
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PoolStats:
     """Counters describing a pool's usage."""
 

@@ -11,8 +11,8 @@ defenses (Section 5.2) can be modelled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
+from .._record import field, record
 from ..errors import ApiMisuseError, SegmentationFault
 
 
@@ -29,7 +29,7 @@ class SegmentKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Permissions:
     """Read/write/execute permission bits for a segment."""
 
@@ -58,7 +58,7 @@ DEFAULT_PERMISSIONS = {
 }
 
 
-@dataclass
+@record
 class Segment:
     """A contiguous, byte-addressable region of the simulated image."""
 

@@ -15,9 +15,9 @@ sees attacks no matter which code path performed the store.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..errors import ApiMisuseError, RedZoneViolation
 from .address_space import AddressSpace
 
@@ -30,7 +30,7 @@ class ShadowState(enum.IntEnum):
     RED_ZONE = 2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RedZonePair:
     """The two guard ranges bracketing one protected arena."""
 

@@ -15,15 +15,14 @@ reordering).  That convention is what makes the paper's Listing 15 work:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..errors import ApiMisuseError, StackOverflowError_
 from .address_space import AddressSpace
 from .alignment import align_down
 from .segments import SegmentKind
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StackAllocation:
     """One variable's reservation inside a frame's local area."""
 

@@ -12,8 +12,9 @@ are measurable per iteration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+from .._record import field, record
 
 
 class ArenaOrigin(enum.Enum):
@@ -26,7 +27,7 @@ class ArenaOrigin(enum.Enum):
     STATIC = "static"
 
 
-@dataclass
+@record
 class ArenaRecord:
     """One tracked arena: where it is, how big it really is, and how big
     the program currently thinks it is."""

@@ -8,14 +8,14 @@ researcher would use to validate the attacks on real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..errors import ApiMisuseError
 from .address_space import AddressSpace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WatchHit:
     """One observed access overlapping a watched range."""
 
@@ -34,7 +34,7 @@ class WatchHit:
         )
 
 
-@dataclass
+@record
 class _Watch:
     label: str
     start: int

@@ -32,9 +32,9 @@ fanned out over any number of service workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..fuzz.divergence import (
     Divergence,
     auto_triage,
@@ -53,7 +53,7 @@ from .store import (
 REPLAY_SCHEMA = 1
 
 
-@dataclass
+@record
 class ReplayResult:
     """The judgment on one replayed bundle."""
 
@@ -249,7 +249,7 @@ def replay_chunk(documents, check_versions: bool = True) -> list:
     ]
 
 
-@dataclass
+@record
 class DriftReport:
     """Aggregated replay outcome over one store."""
 

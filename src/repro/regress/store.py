@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from .._record import field, record
 from ..fileio import atomic_write_text, canonical_json
 from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET, TRIAGE_LABELS, VULNERABLE_EVENTS
 
@@ -74,7 +74,7 @@ def triage_label(triage: str) -> str:
     return triage.split(":", 1)[0].strip() if triage else ""
 
 
-@dataclass
+@record
 class RegressionBundle:
     """One recorded input with its expected oracle outcome."""
 

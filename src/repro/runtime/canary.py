@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 
+from .._record import record
 from ..errors import ApiMisuseError
 
 #: The classic terminator canary: NUL, CR, LF, 0xFF — bytes that string
@@ -35,7 +35,7 @@ class CanaryPolicy(enum.Enum):
         return self is not CanaryPolicy.NONE
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CanaryCheck:
     """Result of one epilogue verification."""
 

@@ -16,9 +16,9 @@ happens, captured by :class:`ExecutionResult`:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from .._record import record
 from .shellcode import ShellcodeResult
 
 
@@ -29,7 +29,7 @@ class ExecutionKind(enum.Enum):
     SHELLCODE = "shellcode"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExecutionResult:
     """The consequence of one indirect control transfer."""
 
@@ -48,7 +48,7 @@ class ExecutionResult:
         return self.function_name == "system"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FrameExit:
     """How a function invocation ended (the epilogue's observations)."""
 

@@ -25,9 +25,9 @@ ssn[1] → ret with FP; ssn[2] → ret with canary and FP).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from .._record import record
 from ..cxx.classdef import ClassDef
 from ..cxx.object_model import CArrayView, Instance
 from ..cxx.types import CType
@@ -39,7 +39,7 @@ from ..memory.stack import StackAllocation
 INITIAL_FRAME_POINTER = 0xBFFFFFF0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FrameSlots:
     """Addresses of the frame's fixed (non-local) words."""
 

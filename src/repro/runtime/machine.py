@@ -11,9 +11,9 @@ and inspect the outcome.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
+from .._record import record
 from ..core.placement import PlacementAuditLog
 from ..cxx.classdef import ClassDef
 from ..cxx.layout import LayoutEngine
@@ -37,7 +37,7 @@ from .functions import CALLER_SYMBOL, install_standard_library
 from .io import FileSystem, SimulatedStdin
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MachineConfig:
     """Compile-time/runtime hardening knobs of the victim process."""
 
@@ -51,7 +51,7 @@ class MachineConfig:
     strict_alignment: bool = False
 
 
-@dataclass
+@record
 class GlobalVar:
     """One data/bss global: where it lives and how to read it."""
 

@@ -25,8 +25,7 @@ sloppy payload earns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import field, record
 from ..errors import IllegalInstruction, NonExecutableMemory, SegmentationFault
 from ..memory.address_space import AddressSpace
 
@@ -51,7 +50,7 @@ SYSCALL_NAMES = {
 MAX_STEPS = 10_000
 
 
-@dataclass
+@record
 class ShellcodeResult:
     """What an interpreted payload did."""
 

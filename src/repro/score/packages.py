@@ -19,17 +19,18 @@ blast-radius ranking provably differs from its flat severity ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from .._record import record
 
 #: Header comment keys recognized at the top of a package source file.
 _PACKAGE_KEY = "// package:"
 _IMPORTS_KEY = "// imports:"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Package:
     """One module with its declared imports."""
 

@@ -20,10 +20,10 @@ relies on to fan scoring over the worker pool.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
+from .._record import field, record
 from .packages import PackageGraph, load_package_dir
 from .threats import risks_from_report, scoring_versions
 
@@ -44,7 +44,7 @@ def analyze_package_source(source: str, label: str = "") -> List[dict]:
     return dicts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PackageScore:
     """One package's intrinsic and propagated scores."""
 
@@ -66,7 +66,7 @@ class PackageScore:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CorpusScore:
     """The scored corpus: per-package entries plus both rankings."""
 

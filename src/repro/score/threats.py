@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import inspect
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .._record import record
 
 
 class Likelihood(enum.IntEnum):
@@ -52,7 +52,7 @@ class Impact(enum.IntEnum):
 TARGET_KINDS = ("finding", "triage", "matrix-cell")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScoreTarget:
     """One unit of evidence a threat may claim.
 
@@ -70,7 +70,7 @@ class ScoreTarget:
     outcome: str = ""  # matrix-cell summary ("ATTACK-WINS", ...)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Risk:
     """A threat applied to a concrete target, with the effective grade."""
 
@@ -528,6 +528,8 @@ def detector_rule_ids() -> frozenset:
     """Every rule id the placement-new detector can emit, extracted
     from the detector's own source so a new ``_emit("PN-…")`` call is
     seen here without anyone maintaining a mirror list."""
+    import inspect
+
     from ..analysis import detector
 
     return frozenset(

@@ -13,9 +13,9 @@ it writes however many fields the wire object claims.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .._record import record
 from ..cxx.classdef import ClassDef
 from ..cxx.object_model import Instance
 from ..cxx.layout import ClassType
@@ -23,7 +23,7 @@ from ..errors import ApiMisuseError
 from ..taint.engine import TaintLabel
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RemoteObject:
     """A serialized object as received off the wire."""
 

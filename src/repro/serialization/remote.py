@@ -7,14 +7,14 @@ to ``addStudent`` in Listings 6–8 both come from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..taint.engine import TaintLabel, TaintedValue
 from .json_codec import RemoteObject
 
 
-@dataclass
+@record
 class RemoteService:
     """A (possibly malicious) remote peer producing objects and lists."""
 

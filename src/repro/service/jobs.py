@@ -18,8 +18,8 @@ to :func:`~repro.service.workers.run_jobs`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
 
+from .._record import asdict, record
 from ..fileio import canonical_json
 from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET
 from ..matrix.sweep import evaluate_cell
@@ -33,7 +33,7 @@ HIGH_PRIORITY = 1
 LOW_PRIORITY = 100
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Job:
     """Base class: a hashable, cacheable unit of service work.
 
@@ -61,7 +61,7 @@ class Job:
         return f"{self.KIND}-{digest[:20]}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnalyzeJob(Job):
     """Run the placement-new detector over one MiniC++ source."""
 
@@ -73,7 +73,7 @@ class AnalyzeJob(Job):
     run = staticmethod(run_analyze)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttackJob(Job):
     """Run one gallery attack under one defense environment."""
 
@@ -84,7 +84,7 @@ class AttackJob(Job):
     run = staticmethod(run_attack)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatrixCellJob(Job):
     """Evaluate one sweep cell: a row (gallery attack or runnable
     program) under one defense.
@@ -105,7 +105,7 @@ class MatrixCellJob(Job):
     run = staticmethod(evaluate_cell)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExecJob(Job):
     """Execute MiniC++ source on a fresh simulated machine.
 

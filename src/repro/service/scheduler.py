@@ -44,9 +44,9 @@ import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
+from .._record import record
 from .cache import ResultCache
 from .jobs import NORMAL_PRIORITY, Job
 from .metrics import MetricsRegistry
@@ -70,7 +70,7 @@ class JobStatus(enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
+@record
 class JobOutcome:
     """Everything the scheduler learned about one finished job."""
 

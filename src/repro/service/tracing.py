@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from .._record import field, record
 
-@dataclass
+
+@record
 class TraceSpan:
     """One lifecycle stage: name, seconds since submit, free-form detail."""
 

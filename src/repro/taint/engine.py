@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, FrozenSet
+
+from .._record import record
 
 
 class TaintLabel(enum.Enum):
@@ -17,7 +18,7 @@ class TaintLabel(enum.Enum):
     DERIVED = "derived"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TaintedValue:
     """A Python-level value paired with its taint labels.
 

@@ -8,10 +8,10 @@ coverage) and the analyzer's test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .._record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CorpusProgram:
     """One analyzable program and its ground-truth labels."""
 

@@ -11,8 +11,8 @@ programs, and the benchmarks measure its throughput.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from .._record import record
 from ..cxx import make_class
 from ..cxx.layout import LayoutEngine
 from ..cxx.types import CHAR, DOUBLE, FLOAT, INT, SHORT
@@ -47,7 +47,7 @@ PACKAGE_SHAPES = CLASSIC_SHAPES + ("leak", "dos-loop")
 _ENGINE = LayoutEngine()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratedProgram:
     """One generated program with its ground truth."""
 
@@ -438,7 +438,7 @@ def generate_package_corpus(seed: int, count: int) -> list:
     return packages
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DetectorScore:
     """Precision/recall of one analyzer over a generated batch."""
 

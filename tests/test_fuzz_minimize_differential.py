@@ -7,18 +7,17 @@ dropped node's lines cut out, and moves every later ``line`` up by the
 number of lines cut (:func:`repro.fuzz.minimize._deletion_ast`).  That
 tree is cached as the parse of the candidate's text, so it must be the
 parser's tree field for field, every ``line`` included; ``==`` ignores
-most ``line`` fields, so trees are compared by ``repr``.  Inputs are
+``line`` fields, so trees are compared by ``repr``.  Inputs are
 Hypothesis mutant chains over the seed panel and the divergences that
 seed-panel campaigns minimize.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import assume, given, settings
 
+from repro._record import replace
 from repro.analysis import cache
 from repro.analysis.parser import parse
 from repro.analysis.unparse import unparse_program
@@ -111,7 +110,7 @@ def test_finalize_parses_only_class_deletions_and_hand_written_rounds(
         canonical = unparse_program(program) == text
         for index in range(len(program.classes)):
             classes = program.classes[:index] + program.classes[index + 1 :]
-            allowed.add(unparse_program(dataclasses.replace(program, classes=classes)))
+            allowed.add(unparse_program(replace(program, classes=classes)))
         for candidate, removed in minimize._deletions(program):
             if not canonical:
                 allowed.add(unparse_program(candidate))

@@ -3,25 +3,26 @@
 :func:`repro.fuzz.mutator.transform` reads each node class's field
 names once, from a per-class table, and passes over leaf values
 without a call.  The reference below is the rewrite it replaced: for
-every node it asks ``dataclasses`` whether the value is a node and
-which fields it has, and recurses into every field value, leaves
-included.  Over the seed-panel programs and random chains of mutants
-the two must visit the same nodes in the same order, rebuild equal
-trees (sharing exactly the same untouched subtrees) when random nodes
-are replaced, and return the very input when nothing changes.  The
-minimizer's path-only statement deletions must equal one whole-tree
-rewrite per deletion, candidate for candidate and in the same order.
+every value it asks the record helper (``repro._record.fields``)
+whether the value is a node and which fields it has, and recurses into
+every field value, leaves included.  Over the seed-panel programs and
+random chains of mutants the two must visit the same nodes in the same
+order, rebuild equal trees (sharing exactly the same untouched
+subtrees) when random nodes are replaced, and return the very input
+when nothing changes.  The minimizer's path-only statement deletions
+must equal one whole-tree rewrite per deletion, candidate for
+candidate and in the same order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._record import FIELDS, fields, replace
 from repro.analysis import ast_nodes as ast
 from repro.analysis import parse_cached
 from repro.analysis.unparse import unparse_program
@@ -31,19 +32,23 @@ from repro.fuzz.mutator import transform
 
 
 def reference_transform(node, visit):
-    """The reflective rewrite: ``dataclasses`` asked at every value."""
+    """The reflective rewrite: the record helper asked at every value."""
     if isinstance(node, tuple):
         rebuilt = tuple(reference_transform(item, visit) for item in node)
         return node if all(a is b for a, b in zip(rebuilt, node)) else rebuilt
-    if not dataclasses.is_dataclass(node) or isinstance(node, type):
+    if isinstance(node, type):
+        return node
+    try:
+        specs = fields(node)
+    except TypeError:  # not a record: a leaf
         return node
     changes = {}
-    for spec in dataclasses.fields(node):
+    for spec in specs:
         value = getattr(node, spec.name)
         rebuilt = reference_transform(value, visit)
         if rebuilt is not value:
             changes[spec.name] = rebuilt
-    result = dataclasses.replace(node, **changes) if changes else node
+    result = replace(node, **changes) if changes else node
     replacement = visit(result)
     return result if replacement is None else replacement
 
@@ -117,7 +122,7 @@ def reference_candidates(program):
                 if position != block_index:
                     return None
                 statements = node.statements
-                return dataclasses.replace(
+                return replace(
                     node,
                     statements=statements[:stmt_index] + statements[stmt_index + 1 :],
                 )
@@ -126,18 +131,18 @@ def reference_candidates(program):
     for class_index, cls in enumerate(program.classes):
         for field_index in range(len(cls.fields)):
             classes = list(program.classes)
-            classes[class_index] = dataclasses.replace(
+            classes[class_index] = replace(
                 cls,
                 fields=cls.fields[:field_index] + cls.fields[field_index + 1 :],
             )
-            yield dataclasses.replace(program, classes=tuple(classes))
+            yield replace(program, classes=tuple(classes))
         classes = list(program.classes)
         del classes[class_index]
-        yield dataclasses.replace(program, classes=tuple(classes))
+        yield replace(program, classes=tuple(classes))
     for global_index in range(len(program.globals)):
         globals_ = list(program.globals)
         del globals_[global_index]
-        yield dataclasses.replace(program, globals=tuple(globals_))
+        yield replace(program, globals=tuple(globals_))
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,7 +205,7 @@ def test_panel_reaches_every_node_class():
         cls
         for cls in vars(ast).values()
         if isinstance(cls, type)
-        and dataclasses.is_dataclass(cls)
+        and FIELDS in vars(cls)
         and cls not in (ast.Node, ast.Expr, ast.Stmt)
     }
     visited = {type(node) for node in _nodes(parse_cached(EVERY_NODE_CLASS.source))}

@@ -47,16 +47,17 @@ _RUN = """
 import contextlib, io, json, sys
 from repro import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = getattr(cli, sys.argv[1])(sys.argv[2:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "repro")]))
+    code = getattr(cli, sys.argv[1])(sys.argv[2:-1])
+roots = json.loads(sys.argv[-1])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in roots)]))
 """
 
 
-def _modules_loaded_by(entry: str, *argv: str) -> list:
+def _modules_loaded_by(entry: str, *argv: str, roots: tuple = ("repro",)) -> list:
     """Run ``repro.cli.<entry>(argv)`` in a fresh interpreter; the
-    ``repro`` modules it loaded."""
+    modules it loaded whose top-level package is in ``roots``."""
     done = subprocess.run(
-        [sys.executable, "-c", _RUN, entry, *argv],
+        [sys.executable, "-c", _RUN, entry, *argv, json.dumps(roots)],
         cwd=ROOT,
         env=_ENV,
         capture_output=True,
@@ -118,6 +119,23 @@ def test_batch_command_loads_no_job_classes(entry, argv):
     assert _under(
         modules, "repro.service.jobs", "repro.service.scheduler", "repro.service.engine"
     ) == []
+
+
+@pytest.mark.parametrize(
+    ("entry", "argv"),
+    [
+        ("fuzz_main", ["run", "--seed", "3", "--iterations", "20", "--jobs", "0"]),
+        ("matrix_main", ["run", "--jobs", "0"]),
+    ],
+    ids=["fuzz-run", "matrix-run"],
+)
+def test_batch_command_loads_no_generated_code_machinery(entry, argv):
+    """Records are built without ``dataclasses`` (DESIGN.md, "Import
+    policy"), so the simulator's commands never load it, nor the
+    ``inspect`` module it imports."""
+    modules = _modules_loaded_by(entry, *argv, roots=("repro", "dataclasses", "inspect"))
+    assert "repro._record" in modules
+    assert _under(modules, "dataclasses", "inspect") == []
 
 
 def test_bare_import_loads_no_subpackage():

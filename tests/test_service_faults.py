@@ -15,10 +15,10 @@ import json
 import threading
 import time
 import uuid
-from dataclasses import dataclass
 
 import pytest
 
+from repro._record import record
 from repro.service import (
     AnalyzeJob,
     Job,
@@ -47,7 +47,7 @@ def _hang(payload):
     return _echo(payload)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EchoJob(Job):
     token: str = ""
 
@@ -55,13 +55,13 @@ class EchoJob(Job):
     run = staticmethod(_echo)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CrashJob(EchoJob):
     KIND = "test-crash"
     run = staticmethod(_crash)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HangJob(EchoJob):
     KIND = "test-hang"
     run = staticmethod(_hang)

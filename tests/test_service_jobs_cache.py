@@ -193,8 +193,7 @@ class TestCacheWriteFailures:
         """End to end through the scheduler: a cacheable job whose worker
         returns a non-JSON-able dict completes SUCCEEDED with the cache
         counting the write error."""
-        from dataclasses import dataclass
-
+        from repro._record import record
         from repro.service import (
             Job,
             JobStatus,
@@ -203,7 +202,7 @@ class TestCacheWriteFailures:
             WorkerPool,
         )
 
-        @dataclass(frozen=True)
+        @record(frozen=True)
         class PoisonJob(Job):
             token: str = ""
 

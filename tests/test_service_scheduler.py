@@ -12,10 +12,10 @@ import threading
 import time
 import uuid
 from concurrent.futures import Future
-from dataclasses import dataclass
 
 import pytest
 
+from repro._record import record
 from repro.service import scheduler as scheduler_module
 from repro.service import (
     AnalyzeJob,
@@ -34,7 +34,7 @@ from repro.service import (
 from repro.service.workers import run_analyze
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProbeJob(Job):
     """Test-only job; ``token`` differentiates cache keys.  Its ``run``
     is set per test by the ``_workers`` fixture."""
@@ -44,7 +44,7 @@ class ProbeJob(Job):
     KIND = "test-probe"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SleepJob(Job):
     """Test-only job that sleeps, then probes (``_workers`` fixture)."""
 
@@ -54,7 +54,7 @@ class SleepJob(Job):
     KIND = "test-sleep"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GatedJob(Job):
     """Test-only job whose worker blocks until the test opens the gate
     (its ``run`` is set by :func:`_gate`)."""
@@ -139,7 +139,7 @@ class TestSchedulerBasics:
             release.wait(timeout=5)
             return {}
 
-        @dataclass(frozen=True)
+        @record(frozen=True)
         class BlockJob(Job):
             KIND = "test-block"
             run = staticmethod(blocker)
@@ -161,7 +161,7 @@ class TestSchedulerBasics:
             release.wait(timeout=5)
             return {}
 
-        @dataclass(frozen=True)
+        @record(frozen=True)
         class BlockJob(Job):
             token: str = ""
 
@@ -219,7 +219,7 @@ class TestTimeoutsAndRetries:
             calls.append(payload)
             raise ValueError("bad payload")
 
-        @dataclass(frozen=True)
+        @record(frozen=True)
         class BrokenJob(Job):
             KIND = "test-broken"
             run = staticmethod(broken)
@@ -249,7 +249,7 @@ class TestLifecycleAndCache:
             release.wait(timeout=5)
             return {}
 
-        @dataclass(frozen=True)
+        @record(frozen=True)
         class BlockJob(Job):
             token: str = ""
 
@@ -418,7 +418,7 @@ class TestTracing:
         def broken(payload):
             raise RuntimeError("worker lost")
 
-        @dataclass(frozen=True)
+        @record(frozen=True)
         class BrokenJob(Job):
             token: str = ""
 
