@@ -1,13 +1,12 @@
 """The service layer: concurrent, cached analysis/attack job execution.
 
 The repo's first concurrency, caching, and networking subsystem.  Jobs
-(:mod:`jobs`) are content-addressed work specs; the scheduler
-(:mod:`scheduler`) runs them on a worker pool (:mod:`workers`) behind a
-result cache (:mod:`cache`) with full metrics accounting
-(:mod:`metrics`); :mod:`server`/:mod:`client` expose everything over a
-stdlib JSON API, and :class:`~repro.service.engine.ServiceEngine` ties
-the lifecycle together.  Batch workloads skip the scheduler: they run
-a function over its argument tuples inline, or on a process pool
+(:mod:`jobs`) are content-addressed work specs;
+:class:`~repro.service.engine.ServiceEngine` runs them on a worker pool
+(:mod:`workers`) behind a result cache (:mod:`cache`) with full metrics
+accounting (:mod:`metrics`), and :mod:`server`/:mod:`client` expose
+everything over a stdlib JSON API.  Batch workloads build no jobs: they
+run a function over its argument tuples inline, or on a process pool
 (:func:`~repro.service.workers.run_jobs`).
 See ``docs/SERVICE.md``.
 """
@@ -23,29 +22,14 @@ _EXPORTS = {
         ("ServiceClient", "ServiceError", "ServiceUnavailable", "backoff_delay"),
         "client",
     ),
-    "ServiceEngine": "engine",
-    **dict.fromkeys(
-        (
-            "HIGH_PRIORITY",
-            "LOW_PRIORITY",
-            "NORMAL_PRIORITY",
-            "AnalyzeJob",
-            "AttackJob",
-            "ExecJob",
-            "Job",
-        ),
-        "jobs",
-    ),
+    **dict.fromkeys(("QueueFull", "ServiceEngine"), "engine"),
+    **dict.fromkeys(("AnalyzeJob", "AttackJob", "ExecJob", "Job"), "jobs"),
     **dict.fromkeys(
         ("Counter", "Gauge", "Histogram", "MetricsRegistry", "render_prometheus"),
         "metrics",
     ),
-    **dict.fromkeys(
-        ("JobHandle", "JobOutcome", "JobStatus", "QueueFull", "Scheduler"),
-        "scheduler",
-    ),
     **dict.fromkeys(("ServiceHTTPServer", "create_server"), "server"),
-    **dict.fromkeys(("JobTrace", "TraceBuffer", "TraceSpan"), "tracing"),
+    **dict.fromkeys(("JobTrace", "TraceBuffer"), "tracing"),
     **dict.fromkeys(
         (
             "JobFailed",

@@ -129,18 +129,6 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    # -- maintenance -------------------------------------------------------
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the in-memory store; optionally the disk files too."""
-        with self._lock:
-            self._entries.clear()
-            if disk and self.directory is not None:
-                version_dir = self._path("x")
-                if version_dir is not None:
-                    for file in version_dir.parent.glob("*.json"):
-                        file.unlink(missing_ok=True)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

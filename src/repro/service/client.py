@@ -5,9 +5,10 @@ and read phases get *separate* timeouts: a server that accepts the TCP
 handshake but then stalls mid-response trips the read timeout instead
 of hanging a CLI user forever.  Transient socket failures (connection
 refused during server startup, resets, timeouts) are retried a bounded
-number of times with the scheduler's deterministic decorrelated-jitter
-backoff; a server that *responds* with a non-2xx status is never
-retried — that is a :class:`ServiceError` for the caller to interpret.
+number of times with deterministic, key-seeded exponential backoff
+(:func:`backoff_delay`); a server that *responds* with a non-2xx status
+is never retried — that is a :class:`ServiceError` for the caller to
+interpret.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class ServiceUnavailable(ServiceError):
 def backoff_delay(key: str, attempt: int, base: float, cap: float) -> float:
     """Exponential backoff with deterministic, key-seeded jitter.
 
-    The same idiom as the scheduler's retry path: hashing
-    ``key:attempt`` gives every (request, attempt) pair its own stable
+    Hashing ``key:attempt`` gives every (request, attempt) pair its own stable
     fraction in ``[0, 1)``, spreading retry herds across clients while
     staying byte-for-byte reproducible across runs and processes.
     """
@@ -92,49 +92,23 @@ class ServiceClient:
         self._host = parsed.hostname or "127.0.0.1"
         self._port = parsed.port or 80
 
-    def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict] = None,
-        headers: Optional[dict] = None,
-    ) -> dict:
-        return json.loads(self._request_raw(method, path, body, headers))
+    def _request(self, method: str, path: str, body: Optional[dict] = None) -> dict:
+        return json.loads(self._request_raw(method, path, body))
 
-    def _request_raw(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict] = None,
-        headers: Optional[dict] = None,
-    ) -> bytes:
+    def _request_raw(self, method: str, path: str, body: Optional[dict] = None) -> bytes:
         data = json.dumps(body).encode() if body is not None else None
         attempts = 0
         while True:
             attempts += 1
             try:
-                return self._attempt(method, path, data, headers)
+                return self._attempt(method, path, data)
             except (OSError, http.client.HTTPException) as error:
                 if attempts > self.retries:
-                    raise ServiceUnavailable(
-                        self.base_url + path, attempts, error
-                    ) from error
-                self._sleep(
-                    backoff_delay(
-                        f"{method} {path}",
-                        attempts,
-                        self.backoff_base,
-                        self.backoff_cap,
-                    )
-                )
+                    raise ServiceUnavailable(self.base_url + path, attempts, error) from error
+                key = f"{method} {path}"
+                self._sleep(backoff_delay(key, attempts, self.backoff_base, self.backoff_cap))
 
-    def _attempt(
-        self,
-        method: str,
-        path: str,
-        data: Optional[bytes],
-        headers: Optional[dict],
-    ) -> bytes:
+    def _attempt(self, method: str, path: str, data: Optional[bytes]) -> bytes:
         connection = http.client.HTTPConnection(
             self._host, self._port, timeout=self.connect_timeout
         )
@@ -144,10 +118,9 @@ class ServiceClient:
                 # the connect deadline has been met; everything after
                 # this point is governed by the read timeout
                 connection.sock.settimeout(self.read_timeout)
-            request_headers = {"Content-Type": "application/json"}
-            if headers:
-                request_headers.update(headers)
-            connection.request(method, path, body=data, headers=request_headers)
+            connection.request(
+                method, path, body=data, headers={"Content-Type": "application/json"}
+            )
             response = connection.getresponse()
             payload = response.read()
         finally:

@@ -6,10 +6,10 @@ defense environment, evaluating one attack × defense matrix cell, or
 executing a program on the simulated machine.  Each job class names
 the worker function that runs it (``run``, called with
 :meth:`Job.payload`).  Two jobs with the same payload have the same
-:meth:`Job.key`, which is what the result cache, the scheduler's
-deduplication and ``/trace`` key on — the hash covers the job kind plus
-every payload field, canonically JSON-encoded, so it is stable across
-processes and interpreter runs.
+:meth:`Job.key`, which is what the result cache and ``/trace`` key
+on — the hash covers the job kind plus every payload field,
+canonically JSON-encoded, so it is stable across processes and
+interpreter runs.
 
 Batch workloads build no jobs: they hand their own function straight
 to :func:`~repro.service.workers.run_jobs`.
@@ -25,21 +25,13 @@ from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET
 from ..matrix.sweep import evaluate_cell
 from .workers import run_analyze, run_attack, run_exec
 
-#: Default scheduler priority (lower numbers run first).
-NORMAL_PRIORITY = 10
-#: Priority for latency-sensitive work (interactive API requests).
-HIGH_PRIORITY = 1
-#: Priority for bulk background sweeps.
-LOW_PRIORITY = 100
-
-
 @record(frozen=True)
 class Job:
     """Base class: a hashable, cacheable unit of service work.
 
     A subclass sets ``run = staticmethod(worker)``: the function the
-    scheduler calls with :meth:`payload`.  It must be module-level for
-    the process backend to pickle it.
+    engine runs on its pool with :meth:`payload`.  It must be
+    module-level for the process backend to pickle it.
     """
 
     #: Names the job in keys, traces and metrics.

@@ -3,7 +3,7 @@
 A deliberately small, stdlib-only metrics surface in the shape of the
 usual exporters: monotonically increasing counters, last-value gauges,
 and summary histograms (count/total/min/max/mean).  Everything is
-thread-safe and renders to a deterministic, sorted JSON document served
+thread-safe and snapshots to a deterministic, sorted dict served
 by the ``/metrics`` endpoint — or, via :func:`render_prometheus`, to
 the Prometheus text exposition format for scrapers
 (``GET /metrics?format=prom``).
@@ -11,7 +11,6 @@ the Prometheus text exposition format for scrapers
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Optional
 
@@ -30,7 +29,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can move both ways (queue depth, workers busy)."""
+    """A last-set value (queue depth)."""
 
     def __init__(self, name: str):
         self.name = name
@@ -40,10 +39,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self.value += delta
 
 
 class Histogram:
@@ -115,9 +110,6 @@ class MetricsRegistry:
                 name: histograms[name].summary() for name in sorted(histograms)
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=2)
 
 
 # -- Prometheus text exposition --------------------------------------------

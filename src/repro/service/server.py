@@ -5,7 +5,7 @@ Endpoints (all responses are ``application/json``):
 ``GET /healthz``
     Liveness: engine version, worker count, cache state.
 ``GET /metrics``
-    The full metrics snapshot (scheduler counters/histograms, cache
+    The full metrics snapshot (job counters/histograms, cache
     accounting, analysis-cache accounting, pool shape).  JSON by default;
     ``?format=prom`` — or an ``Accept`` header asking for ``text/plain``
     / OpenMetrics, as Prometheus scrapers send — switches to the
@@ -26,10 +26,11 @@ Endpoints (all responses are ``application/json``):
     ``{"source": "...", "entry": "main", "args": [], "stdin": [],
     "canary": false}`` — run on the simulated machine.
 
-Requests are executed through the engine's scheduler, so repeated
-identical requests are served from the result cache, and the server
-stays responsive under load: ``ThreadingHTTPServer`` handles sockets
-while the bounded work queue sheds excess load as HTTP 503.
+Each request runs its jobs through the engine in its own thread, so
+repeated identical requests are served from the result cache, and the
+server stays responsive under load: ``ThreadingHTTPServer`` handles
+sockets while the engine's bound on held jobs sheds excess load as
+HTTP 503.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from .engine import ServiceEngine
-from .scheduler import JobFailed, QueueFull
+from .engine import QueueFull, ServiceEngine
+from .workers import JobFailed
 
 
 def _list_field(body: dict, name: str, types: tuple, noun: str) -> tuple:
@@ -54,6 +55,17 @@ def _list_field(body: dict, name: str, types: tuple, noun: str) -> tuple:
     ):
         raise ValueError(f"'{name}' must be a list of {noun}")
     return tuple(value)
+
+
+def _str_field(body: dict, name: str) -> str:
+    """``body[name]`` as a string (absent or null: empty); any other
+    value is bad input naming the field."""
+    value = body.get(name)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise ValueError(f"'{name}' must be a string")
+    return value
 
 
 def _bool_field(body: dict, name: str) -> bool:
@@ -222,7 +234,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(source, str):
             raise ValueError("'source' must be a string (or pass corpus=true)")
         return self.engine.analyze(
-            source=source, label=body.get("label", ""), legacy=legacy
+            source=source, label=_str_field(body, "label"), legacy=legacy
         )
 
     def _attacks(self, body: dict) -> dict:

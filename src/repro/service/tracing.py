@@ -1,13 +1,13 @@
 """End-to-end job tracing: per-stage spans in a bounded ring buffer.
 
-Every job submitted to the scheduler gets a trace id and a
-:class:`JobTrace` that records one :class:`TraceSpan` per lifecycle
-stage — ``submitted``, ``queued`` (or ``cache-hit``), ``dispatched``,
-``attempt``, and a terminal ``resolved`` — each stamped with the
-elapsed seconds since submission.  The finished span list rides on
-:attr:`~repro.service.scheduler.JobOutcome.trace` and stays queryable
-after the fact through the scheduler's :class:`TraceBuffer`, which the
-HTTP server exposes as ``GET /trace/<key>``.
+Every job a :class:`~repro.service.engine.ServiceEngine` request
+submits gets a trace id and a :class:`JobTrace` that records one span
+per lifecycle stage — ``submitted``, then
+``cache-hit`` or ``attempt``, then ``failed``, ``timed-out``,
+``cached`` or ``cache-write-error`` as they happen, and a terminal
+``resolved`` — each stamped with the elapsed seconds since submission.
+The engine's :class:`TraceBuffer` keeps the span list queryable after
+the fact; the HTTP server exposes it as ``GET /trace/<key>``.
 
 The buffer is a fixed-capacity ring keyed by job key (a re-submitted
 job replaces its older trace), so tracing is always on without growing
@@ -19,70 +19,40 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Callable, List, Optional
-
-from .._record import field, record
-
-
-@record
-class TraceSpan:
-    """One lifecycle stage: name, seconds since submit, free-form detail."""
-
-    stage: str
-    at: float
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        span = {"stage": self.stage, "at": self.at}
-        if self.detail:
-            span["detail"] = self.detail
-        return span
+from typing import List, Optional
 
 
 class JobTrace:
-    """The ordered span record for one submitted job."""
+    """The ordered span record for one submitted job: each span is
+    ``{stage, at}`` (seconds since submission) plus its ``detail``, if
+    any."""
 
-    def __init__(
-        self,
-        trace_id: str,
-        key: str,
-        kind: str,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, trace_id: str, key: str, kind: str):
         self.trace_id = trace_id
         self.key = key
         self.kind = kind
-        self._clock = clock
-        self._started = clock()
-        self._spans: List[TraceSpan] = []
+        self._started = time.monotonic()
+        self._spans: List[dict] = []
         self._lock = threading.Lock()
 
     def record(self, stage: str, **detail) -> None:
         """Append one span stamped with the elapsed time since submit."""
-        span = TraceSpan(
-            stage=stage,
-            at=round(self._clock() - self._started, 6),
-            detail={k: v for k, v in detail.items() if v is not None},
-        )
+        span = {"stage": stage, "at": round(time.monotonic() - self._started, 6)}
+        detail = {name: value for name, value in detail.items() if value is not None}
+        if detail:
+            span["detail"] = detail
         with self._lock:
             self._spans.append(span)
 
-    @property
-    def spans(self) -> List[TraceSpan]:
-        with self._lock:
-            return list(self._spans)
-
-    def stages(self) -> List[str]:
-        """Just the stage names, in order (handy for assertions)."""
-        return [span.stage for span in self.spans]
-
     def to_dict(self) -> dict:
         """JSON-able shape served by ``GET /trace/<key>``."""
+        with self._lock:
+            spans = list(self._spans)
         return {
             "trace_id": self.trace_id,
             "key": self.key,
             "kind": self.kind,
-            "spans": [span.to_dict() for span in self.spans],
+            "spans": spans,
         }
 
 
@@ -90,13 +60,10 @@ class TraceBuffer:
     """Fixed-capacity ring of the most recent trace per job key."""
 
     def __init__(self, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._traces: dict = {}  # key -> JobTrace, insertion-ordered
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self.evicted = 0
 
     def start(self, key: str, kind: str) -> JobTrace:
         """Open (and retain) a fresh trace for one submission of ``key``."""
@@ -105,9 +72,7 @@ class TraceBuffer:
             self._traces.pop(key, None)  # re-submit replaces the old trace
             self._traces[key] = trace
             while len(self._traces) > self.capacity:
-                oldest = next(iter(self._traces))
-                del self._traces[oldest]
-                self.evicted += 1
+                del self._traces[next(iter(self._traces))]
         return trace
 
     def get(self, key: str) -> Optional[JobTrace]:
@@ -118,7 +83,3 @@ class TraceBuffer:
         """Traced job keys, oldest first."""
         with self._lock:
             return list(self._traces)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)

@@ -8,19 +8,24 @@ dict-in/dict-out contract is what makes results cacheable on disk and
 transportable over the HTTP API without a second serialization layer.
 
 ``WorkerPool`` wraps a :mod:`concurrent.futures` executor and runs any
-function it is handed: ``pool.submit(function, *args)``.  Threads (the
-scheduler's backend) share the warm interpreter; batch commands run a
-batch in this process on that backend, since GIL-bound units only take
-turns on threads.  ``--backend process`` fans it out for real CPU
-parallelism, pickling the function by reference (so module-level).
+function it is handed: ``pool.submit(function, *args, priority=0)``.
+It hands the executor at most ``size`` jobs at a time and holds the
+rest in priority order, so ``repro-serve`` runs a one-job request ahead
+of the queued cells of a matrix.  Threads (``repro-serve``'s default
+backend) share the warm interpreter; batch commands run a batch in this
+process on that backend, since GIL-bound units only take turns on
+threads.  ``--backend process`` fans it out for real CPU parallelism,
+pickling the function by reference (so module-level).
 
 A function runs once per call: whatever it raises fails the job.  A job
 still running at its deadline cannot be stopped, so it keeps its worker
 until it returns; the pool counts it as a *straggler*, and
 :meth:`WorkerPool.wait` starts a job's deadline only once fewer than
-``pool.size`` stragglers are running.  The scheduler and the batch
-path (:func:`run_jobs`, which calls one function per argument tuple,
-inline or on a pool) both read results through it.
+``pool.size`` stragglers are running.  The service engine and the
+batch path (:func:`run_jobs`, which calls one function per argument
+tuple, inline or on a pool) both read results through it; the engine
+first waits (:meth:`WorkerPool.wait_started`) until a worker takes the
+job, so time spent in the heap behind other requests never counts.
 
 Every inline batch run loads this module, so the service workers import
 their subsystem — the attack gallery, the interpreter — on first call,
@@ -29,7 +34,10 @@ and the process executor is imported only when built.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
+import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
@@ -44,6 +52,9 @@ if TYPE_CHECKING:
 
 #: Seconds a job's result is waited for when its caller names no deadline.
 DEFAULT_TIMEOUT = 60.0
+#: Seconds a thread worker sleeps after each job, so that threads
+#: waiting for the GIL get a turn (:meth:`WorkerPool._settle`).
+_YIELD_SECONDS = 1e-4
 
 
 class JobFailed(RuntimeError):
@@ -209,46 +220,49 @@ class WorkerPool:
         self.size = max_workers
         self.backend = backend
         self._lock = threading.Lock()
+        #: Notified each time a job leaves the heap (:meth:`wait_started`).
+        self._moved = threading.Condition(self._lock)
         self._stragglers: list = []
-        #: Process backend only: jobs not yet handed to the executor,
-        #: and how many it holds (see :meth:`submit`).
-        self._waiting: Optional[deque] = None
+        #: Jobs not yet handed to the executor, a heap by (priority,
+        #: submission order), and how many the executor holds.
+        self._held: list = []
+        self._order = itertools.count()
         self._handed = 0
         if backend == "process":
             from concurrent.futures import ProcessPoolExecutor
 
             self._executor = ProcessPoolExecutor(max_workers=max_workers)
-            self._waiting = deque()
         else:
             self._executor = ThreadPoolExecutor(
                 max_workers=max_workers, thread_name_prefix="repro-worker"
             )
 
-    def submit(self, function: Callable, *args) -> Future:
-        """Queue ``function(*args)``; its future stays cancellable until
-        it starts.
+    def submit(self, function: Callable, *args, priority: int = 0) -> Future:
+        """Queue ``function(*args)``; lower ``priority`` runs first, then
+        the earlier submission.  Its future stays cancellable until it
+        starts.
 
-        The thread executor marks a job running only when a worker takes
-        it.  The process executor marks one running as soon as it moves
-        it into its call queue, before a worker is free, so the process
-        backend hands it at most ``size`` jobs at a time and holds the
-        rest here, where a job whose deadline passes can be cancelled.
+        The pool hands the executor at most ``size`` jobs at a time and
+        holds the rest, in order: the process executor marks a job
+        running as soon as it enters its call queue, before a worker is
+        free, and an executor's queue is first in, first out.
         """
-        if self._waiting is None:
-            return self._executor.submit(function, *args)
         future: Future = Future()
         with self._lock:
-            self._waiting.append((future, function, args))
+            heapq.heappush(
+                self._held, (priority, next(self._order), future, function, args)
+            )
         self._hand_over()
         return future
 
     def _hand_over(self) -> None:
-        """Give waiting jobs to the process executor while it has room."""
+        """Give held jobs to the executor while it has a free worker."""
         while True:
             with self._lock:
-                if self._handed >= self.size or not self._waiting:
+                if self._handed >= self.size or not self._held:
                     return
-                future, function, args = self._waiting.popleft()
+                _, _, future, function, args = heapq.heappop(self._held)
+                self._moved.notify_all()
                 if not future.set_running_or_notify_cancel():
                     continue
                 self._handed += 1
@@ -271,6 +285,11 @@ class WorkerPool:
             future.set_result(done.result())
         else:
             future.set_exception(error)
+        if self.backend == "thread":
+            # A thread worker would go straight on to its next job and
+            # keep every other thread (an HTTP request's included)
+            # waiting out the GIL's switch interval: yield it first.
+            time.sleep(_YIELD_SECONDS)
         self._hand_over()
 
     def _running_stragglers(self) -> list:
@@ -282,6 +301,12 @@ class WorkerPool:
     def stragglers(self) -> int:
         """Jobs past their deadline whose workers are still running."""
         return len(self._running_stragglers())
+
+    def wait_started(self, future: Future) -> None:
+        """Block until a submitted job has left the heap: a worker has
+        taken it, or it is done or cancelled."""
+        with self._moved:
+            self._moved.wait_for(lambda: future.running() or future.done())
 
     def wait(self, future: Future, timeout: float) -> bool:
         """Wait for a submitted job; ``False`` when it blew its deadline.
@@ -306,10 +331,10 @@ class WorkerPool:
         return True
 
     def shutdown(self, wait: bool = True) -> None:
-        if wait and self._waiting is not None:
+        if wait:
             # Jobs still held here run first, as an executor's queue does.
             with self._lock:
-                held = [future for future, _, _ in self._waiting]
+                held = [entry[2] for entry in self._held]
             wait_futures(held)
         self._executor.shutdown(wait=wait)
 

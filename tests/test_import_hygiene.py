@@ -113,12 +113,10 @@ def test_fuzz_run_loads_no_attack_gallery(tmp_path):
 )
 def test_batch_command_loads_no_job_classes(entry, argv):
     """A batch command calls its own function, inline or on a pool: it
-    builds no service job and no scheduler, so it never imports them."""
+    builds no service job and no engine, so it never imports them."""
     modules = _modules_loaded_by(entry, *argv)
     assert "repro.service.workers" in modules
-    assert _under(
-        modules, "repro.service.jobs", "repro.service.scheduler", "repro.service.engine"
-    ) == []
+    assert _under(modules, "repro.service.jobs", "repro.service.engine") == []
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,13 @@
 must resolve terminally.
 
 Each failure is built from a seam the service already has, not injected:
-a crashing or hanging worker is a job class whose ``run`` crashes or
+a crashing or hanging worker is an ``AnalyzeJob.run`` that crashes or
 sleeps; an unwritable disk is a cache ``directory`` that
 is a regular file; a corrupt entry is a pre-written ``{"corrupt`` file;
 a slow disk is a monkeypatched disk write that sleeps.  For each one,
-every submitted job must resolve to a terminal :class:`JobStatus`,
-``drain()`` must return, and no cache write error may flip a SUCCEEDED
-outcome.
+every request must end with its job's trace ``resolved`` in a terminal
+status, the engine must close, and no cache write error may flip a
+success.
 """
 
 import json
@@ -18,24 +18,19 @@ import uuid
 
 import pytest
 
-from repro._record import record
 from repro.service import (
     AnalyzeJob,
-    Job,
-    JobStatus,
-    MetricsRegistry,
+    JobFailed,
     ResultCache,
-    Scheduler,
     ServiceEngine,
     WorkerPool,
     render_prometheus,
 )
-
-TERMINAL = (JobStatus.SUCCEEDED, JobStatus.FAILED, JobStatus.TIMED_OUT)
+from repro.service import engine as engine_module
 
 
 def _echo(payload):
-    return {"token": payload.get("token", "")}
+    return {"source": payload["source"]}
 
 
 def _crash(payload):
@@ -45,26 +40,6 @@ def _crash(payload):
 def _hang(payload):
     time.sleep(0.5)  # well past the 0.1 s deadline, then finish
     return _echo(payload)
-
-
-@record(frozen=True)
-class EchoJob(Job):
-    token: str = ""
-
-    KIND = "test-echo"
-    run = staticmethod(_echo)
-
-
-@record(frozen=True)
-class CrashJob(EchoJob):
-    KIND = "test-crash"
-    run = staticmethod(_crash)
-
-
-@record(frozen=True)
-class HangJob(EchoJob):
-    KIND = "test-hang"
-    run = staticmethod(_hang)
 
 
 def _corrupt(cache: ResultCache, key: str) -> None:
@@ -89,41 +64,71 @@ def _slow_writes(monkeypatch, cache: ResultCache, delay: float) -> list:
     return written
 
 
+def _status(engine: ServiceEngine, job: AnalyzeJob) -> str:
+    """The status the job's trace resolved with."""
+    last = engine.trace(job.key())["spans"][-1]
+    assert last["stage"] == "resolved"
+    return last["detail"]["status"]
+
+
 #: Each real failure and the terminal status every job must reach.
 EXPECTED = {
-    "crash": JobStatus.FAILED,
-    "hang": JobStatus.TIMED_OUT,
-    "unwritable-disk": JobStatus.SUCCEEDED,
-    "slow-disk": JobStatus.SUCCEEDED,
-    "corrupt-cache": JobStatus.SUCCEEDED,
+    "crash": "failed",
+    "hang": "timed-out",
+    "unwritable-disk": "succeeded",
+    "slow-disk": "succeeded",
+    "corrupt-cache": "succeeded",
 }
 
 
 @pytest.mark.parametrize("failure", list(EXPECTED))
-def test_every_fault_kind_resolves_terminally_and_drain_returns(
+def test_every_fault_kind_resolves_terminally_and_close_returns(
     failure, tmp_path, monkeypatch
 ):
-    """The headline guarantee: real failures never hang a job."""
+    """The headline guarantee: real failures never hang a request."""
     directory = tmp_path / "cache"
     if failure == "unwritable-disk":
         directory.write_text("a regular file where the cache directory goes")
-    cache = ResultCache(directory=str(directory), version="f1")
-    job_class = {"crash": CrashJob, "hang": HangJob}.get(failure, EchoJob)
-    jobs = [job_class(token=f"{failure}-{i}") for i in range(6)]
-    if failure == "corrupt-cache":
-        for job in jobs:
-            _corrupt(cache, job.key())
-    slow = _slow_writes(monkeypatch, cache, 0.01) if failure == "slow-disk" else []
-    with Scheduler(pool=WorkerPool(max_workers=2), cache=cache) as scheduler:
-        handles = scheduler.map(jobs, timeout=0.1)
-        scheduler.drain()  # must return, never wedge
-        outcomes = [handle.outcome(timeout=10) for handle in handles]
-    assert all(outcome.status in TERMINAL for outcome in outcomes)
-    assert all(outcome.status is EXPECTED[failure] for outcome in outcomes), outcomes
+    worker = {"crash": _crash, "hang": _hang}.get(failure, _echo)
+    monkeypatch.setattr(AnalyzeJob, "run", staticmethod(worker))
+    monkeypatch.setattr(engine_module, "DEFAULT_TIMEOUT", 0.1)
+    jobs = [AnalyzeJob(source=f"void f{i}() {{}}") for i in range(6)]
+    answers = [None] * len(jobs)
+
+    def request(index):
+        try:
+            answers[index] = engine.analyze(jobs[index].source)
+        except JobFailed as error:
+            answers[index] = str(error)
+
+    with ServiceEngine(workers=2, cache_dir=str(directory)) as engine:
+        cache = engine.cache
+        if failure == "corrupt-cache":
+            for job in jobs:
+                _corrupt(cache, job.key())
+        slow = _slow_writes(monkeypatch, cache, 0.01) if failure == "slow-disk" else []
+        # six concurrent requests, as six HTTP request threads send them
+        threads = [
+            threading.Thread(target=request, args=(index,))
+            for index in range(len(jobs))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        statuses = [_status(engine, job) for job in jobs]
+    # close() returned: every held job finished or was cancelled
+    assert engine.metrics.snapshot()["gauges"]["scheduler.queue_depth"] == 0
+    assert statuses == [EXPECTED[failure]] * len(jobs)
     # and the failure really happened
     if failure == "crash":
-        assert all("worker crashed" in outcome.error for outcome in outcomes)
-    elif failure == "unwritable-disk":
+        assert all("failed: RuntimeError: worker crashed" in a for a in answers)
+    elif failure == "hang":
+        assert all("timed-out: no result within 0.1s" in a for a in answers)
+    else:
+        assert answers == [{"source": job.source} for job in jobs]
+    if failure == "unwritable-disk":
         assert cache.write_errors == 6
     elif failure == "slow-disk":
         assert len(slow) == 6
@@ -131,7 +136,7 @@ def test_every_fault_kind_resolves_terminally_and_drain_returns(
         assert (cache.misses, cache.disk_hits) == (6, 0)
         # the fresh result overwrote each corrupt entry
         for job in jobs:
-            assert json.loads(cache._path(job.key()).read_text())["token"]
+            assert json.loads(cache._path(job.key()).read_text())["source"]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -154,24 +159,24 @@ def test_job_still_waiting_for_a_worker_is_cancelled_at_its_deadline(backend):
 
 
 class TestCacheFaultSemantics:
-    def test_unwritable_disk_never_flips_a_success(self, tmp_path):
+    def test_unwritable_disk_never_flips_a_success(self, tmp_path, monkeypatch):
         not_a_directory = tmp_path / "cache"
         not_a_directory.write_text("")
-        cache = ResultCache(directory=str(not_a_directory), version="v")
-        metrics = MetricsRegistry()
-        with Scheduler(
-            pool=WorkerPool(max_workers=2), cache=cache, metrics=metrics
-        ) as scheduler:
-            outcome = scheduler.submit(EchoJob(token="w")).outcome(timeout=5)
-            assert outcome.status is JobStatus.SUCCEEDED
-            assert cache.write_errors == 1
+        monkeypatch.setattr(AnalyzeJob, "run", staticmethod(_echo))
+        job = AnalyzeJob(source="void w() {}")
+        with ServiceEngine(workers=2, cache_dir=str(not_a_directory)) as engine:
+            assert engine.analyze(job.source) == {"source": job.source}
+            assert engine.cache.write_errors == 1
+            stages = [span["stage"] for span in engine.trace(job.key())["spans"]]
+            assert "cache-write-error" in stages
+            assert _status(engine, job) == "succeeded"
             # the in-memory tier still serves the result
-            warm = scheduler.submit(EchoJob(token="w")).outcome(timeout=5)
-            assert warm.from_cache
-        counters = metrics.snapshot()["counters"]
+            assert engine.analyze(job.source) == {"source": job.source}
+            assert "cache-hit" in [
+                span["stage"] for span in engine.trace(job.key())["spans"]
+            ]
+        counters = engine.metrics.snapshot()["counters"]
         assert counters["scheduler.cache_write_errors"] == 1
-        stages = [span["stage"] for span in outcome.trace["spans"]]
-        assert "cache-write-error" in stages
 
     def test_corrupt_entry_reads_as_a_miss(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path), version="v")

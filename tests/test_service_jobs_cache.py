@@ -189,33 +189,20 @@ class TestCacheWriteFailures:
         # nothing half-written reached the disk tier
         assert not list((tmp_path / "v1").glob("*"))
 
-    def test_unserializable_result_keeps_job_succeeded(self, tmp_path):
-        """End to end through the scheduler: a cacheable job whose worker
-        returns a non-JSON-able dict completes SUCCEEDED with the cache
-        counting the write error."""
-        from repro._record import record
-        from repro.service import (
-            Job,
-            JobStatus,
-            MetricsRegistry,
-            Scheduler,
-            WorkerPool,
+    def test_unserializable_result_keeps_job_succeeded(self, tmp_path, monkeypatch):
+        """End to end through the engine: a cacheable job whose worker
+        returns a non-JSON-able dict succeeds, with the cache counting
+        the write error."""
+        from repro.service import AnalyzeJob, ServiceEngine
+
+        monkeypatch.setattr(
+            AnalyzeJob,
+            "run",
+            staticmethod(lambda payload: {"handle": object(), "ok": True}),
         )
-
-        @record(frozen=True)
-        class PoisonJob(Job):
-            token: str = ""
-
-            KIND = "test-poison"
-            run = staticmethod(lambda payload: {"handle": object(), "ok": True})
-        cache = ResultCache(directory=str(tmp_path), version="v1")
-        with Scheduler(
-            pool=WorkerPool(max_workers=2), cache=cache, metrics=MetricsRegistry()
-        ) as scheduler:
-            outcome = scheduler.submit(PoisonJob(token="x")).outcome(timeout=10)
-            assert outcome.status is JobStatus.SUCCEEDED
-            assert outcome.result["ok"] is True
-            assert cache.write_errors == 1
+        with ServiceEngine(workers=2, cache_dir=str(tmp_path)) as engine:
+            assert engine.analyze("void poison() {}")["ok"] is True
+            assert engine.cache.write_errors == 1
 
     def test_failed_rename_leaves_no_tmp_file(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path), version="v1")

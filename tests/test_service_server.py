@@ -1,20 +1,25 @@
 """End-to-end repro-serve round trips on an ephemeral port."""
 
+import contextlib
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.matrix.sweep import MatrixRow, cell_jobs, evaluate_cell
 from repro.service import (
     AnalyzeJob,
+    AttackJob,
     ServiceClient,
     ServiceEngine,
     ServiceError,
     create_server,
 )
+from repro.service.jobs import MatrixCellJob
 
 VULN_SOURCE = """
 class A { public: double d; };
@@ -23,9 +28,11 @@ void f() { A a; B *b = new (&a) B(); }
 """
 
 
-@pytest.fixture(scope="module")
-def service():
-    with ServiceEngine(workers=2) as engine:
+@contextlib.contextmanager
+def _serving(**engine_options):
+    """A server on an ephemeral port over a fresh engine; yields
+    ``(client, engine, base_url)`` and closes both on exit."""
+    with ServiceEngine(**engine_options) as engine:
         server = create_server(engine, host="127.0.0.1", port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -35,6 +42,12 @@ def service():
         finally:
             server.shutdown()
             server.server_close()
+
+
+@pytest.fixture(scope="module")
+def service():
+    with _serving(workers=2) as serving:
+        yield serving
 
 
 class TestEndpoints:
@@ -391,6 +404,28 @@ class TestErrorHandling:
         after = engine.metrics.snapshot()["counters"]["http.bad_request"]
         assert after == before + 1
 
+    @pytest.mark.parametrize(
+        "label", [5, ["x"], True, {"a": 1}], ids=["int", "list", "bool", "object"]
+    )
+    def test_non_string_label_400(self, service, label):
+        client, engine, _ = service
+        before = engine.metrics.snapshot()["counters"].get("http.bad_request", 0)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST", "/analyze", {"source": "void f() {}", "label": label}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == "'label' must be a string"
+        after = engine.metrics.snapshot()["counters"]["http.bad_request"]
+        assert after == before + 1
+
+    def test_null_label_is_empty(self, service):
+        client, _, _ = service
+        body = {"source": "void f() {}"}
+        unlabelled = client._request("POST", "/analyze", body)
+        assert unlabelled["label"] == ""
+        assert client._request("POST", "/analyze", {**body, "label": None}) == unlabelled
+
     def test_null_flag_is_false(self, service):
         from repro.workloads.corpus import FULL_CORPUS
 
@@ -437,3 +472,96 @@ class TestErrorHandling:
         )
         assert response["return_value"] == 9
         assert "engine" not in response
+
+
+def _gate(monkeypatch, job_class, then=None) -> threading.Event:
+    """Hold every ``job_class`` worker until the returned event is set;
+    ``then(payload)`` gives the result (default: an empty dict)."""
+    release = threading.Event()
+
+    def gated(payload):
+        release.wait(timeout=10)
+        return then(payload) if then is not None else {}
+
+    monkeypatch.setattr(job_class, "run", staticmethod(gated))
+    return release
+
+
+class TestJobFailureResponses:
+    """What a failed, timed-out or shed job sends back, byte for byte."""
+
+    def test_crashing_job_is_a_500_naming_the_job(self, monkeypatch):
+        def crash(payload):
+            raise RuntimeError("worker crashed")
+
+        monkeypatch.setattr(AnalyzeJob, "run", staticmethod(crash))
+        source = "void crashes() {}"
+        with _serving(workers=1, use_cache=False) as (client, engine, _):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/analyze", {"source": source})
+            failed = engine.metrics.snapshot()["counters"]["http.job_failed"]
+        key = AnalyzeJob(source=source).key()
+        assert excinfo.value.status == 500
+        assert excinfo.value.message == (
+            f"job {key} failed: RuntimeError: worker crashed"
+        )
+        assert failed == 1
+
+    def test_timed_out_job_is_a_500_naming_the_deadline(self, monkeypatch):
+        def hang(payload):
+            time.sleep(0.3)
+            return {}
+
+        monkeypatch.setattr(MatrixCellJob, "run", staticmethod(hang))
+        monkeypatch.setattr("repro.service.engine.CELL_TIMEOUT", 0.05)
+        (cell,) = cell_jobs(
+            [MatrixRow(kind="attack", row_id="data-bss-overflow")], ["none"]
+        )
+        with _serving(workers=1, use_cache=False) as (client, _, _):
+            with pytest.raises(ServiceError) as excinfo:
+                client.matrix(attacks=["data-bss-overflow"], defenses=["none"])
+        assert excinfo.value.status == 500
+        assert excinfo.value.message == (
+            f"job {MatrixCellJob(**cell).key()} timed-out: no result within 0.05s"
+        )
+
+    def test_full_work_queue_is_a_503(self, monkeypatch):
+        """One worker held by the gallery's first attack and a bound of
+        one job: the gallery cannot queue all of its attacks."""
+        monkeypatch.setattr("repro.service.engine.MAX_QUEUE", 1)
+        release = _gate(monkeypatch, AttackJob)
+        with _serving(workers=1, use_cache=False) as (client, engine, base_url):
+            try:
+                request = urllib.request.Request(
+                    base_url + "/attacks", data=b"{}", method="POST"
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10)
+            finally:
+                release.set()
+            overloaded = engine.metrics.snapshot()["counters"]["http.overloaded"]
+        assert excinfo.value.code == 503
+        assert excinfo.value.read() == b'{"error": "work queue at capacity (1 jobs)"}'
+        assert overloaded == 1
+
+    def test_matrix_waits_for_room_instead_of_a_503(self, monkeypatch):
+        """Four cells, a bound of two jobs and one held worker: the
+        request waits for room and answers as an unbounded engine does."""
+        attacks = ["data-bss-overflow", "overflow-via-construction"]
+        defenses = ["none", "vrt"]
+        with ServiceEngine(workers=1, use_cache=False) as engine:
+            expected = engine.matrix(attacks=attacks, defenses=defenses)
+        monkeypatch.setattr("repro.service.engine.MAX_QUEUE", 2)
+        release = _gate(monkeypatch, MatrixCellJob, then=evaluate_cell)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            with _serving(workers=1, use_cache=False) as (client, engine, _):
+                response = client.matrix(attacks=attacks, defenses=defenses)
+                overloaded = engine.metrics.snapshot()["counters"].get(
+                    "http.overloaded", 0
+                )
+        finally:
+            timer.join(timeout=5)
+        assert response == expected
+        assert overloaded == 0
