@@ -3,7 +3,7 @@
 Analyzing the same source twice — warm service sweeps, the legacy suite
 running three scanners over one program, benchmark reruns — used to pay
 the full lex + parse + walk cost every time.  This module memoizes the
-two expensive products behind a sha256 content hash:
+expensive products in three tiers:
 
 * **AST cache** — ``parse_cached`` maps ``sha256(source)`` to the parsed
   :class:`~.ast_nodes.Program`.  AST nodes are frozen records, so a
@@ -16,6 +16,14 @@ two expensive products behind a sha256 content hash:
   other candidates are never parsed: it derives each one's tree from
   its round's by a line shift and stores it with ``cache_parsed``, so
   every consumer finds it here.
+* **Declaration cache** — a miss in the AST cache parses through a memo
+  of top-level declarations (classes, functions, global declaration
+  statements), so text shared between sources is parsed once: the
+  classes and helpers that a package corpus repeats, and every
+  declaration of a fuzz mutant before the mutated one.  The key is the
+  declaration's source text, its first token's line and column, and the
+  type names known before it (``Parser._parse_declaration_memoized``
+  says why that is exact).  Each source is still lexed in full.
 * **Report cache** — ``cached_report`` maps
   ``(tool_key, version, sha256(source))`` to the finished findings.  The
   ``version`` is supplied by the caller (the detector passes
@@ -28,7 +36,7 @@ Hits rebuild a fresh :class:`~.reports.AnalysisReport` around the cached
 but the report object itself is mutable (``add``), so callers must never
 alias one another's report.
 
-Both tiers are process-local, thread-safe LRUs — the service layer's
+All tiers are process-local, thread-safe LRUs — the service layer's
 :class:`~repro.service.cache.ResultCache` remains the cross-process
 persistent tier.
 """
@@ -46,9 +54,10 @@ from .reports import AnalysisReport
 
 #: Entries per tier.  Sized for a fuzz campaign's working set: a mutant
 #: is reused by both oracles right after the mutator parses it, and
-#: corpus parents are picked again and again.  Scoring does not lean on
-#: it: ``score_graph`` analyzes each distinct package source once, so
-#: its stream of sources never comes back round to an evicted entry.
+#: corpus parents are picked again and again.  Scoring leans on the
+#: declaration tier only: ``score_graph`` analyzes each distinct package
+#: source once, so its AST and report lookups all miss, but 256
+#: declarations hold most of the classes and helpers its sources repeat.
 #: Only speed depends on a hit.
 MAX_CACHE_ENTRIES = 256
 
@@ -99,6 +108,7 @@ class _LruCache:
 
 
 _ast_cache = _LruCache()
+_declaration_cache = _LruCache()
 _report_cache = _LruCache()
 
 
@@ -110,14 +120,15 @@ def source_hash(source: str) -> str:
 def parse_cached(source: str) -> Program:
     """Parse ``source``, memoized on content.
 
-    Parse errors propagate and are not cached — a failing source re-parses
-    (and re-fails) on every call, which keeps error behavior identical to
+    A miss parses through the declaration tier.  Parse errors propagate
+    and are not cached in either tier — a failing source re-parses (and
+    re-fails) on every call, which keeps error behavior identical to
     :func:`~.parser.parse`.
     """
     key = source_hash(source)
     program = _ast_cache.get(key)
     if program is None:
-        program = parse(source)
+        program = parse(source, _declaration_cache)
         _ast_cache.put(key, program)
     return program
 
@@ -157,11 +168,16 @@ def cached_report(
 
 
 def clear_analysis_caches() -> None:
-    """Drop both tiers (tests, and benchmark cold-path measurement)."""
+    """Drop every tier (tests, and benchmark cold-path measurement)."""
     _ast_cache.clear()
+    _declaration_cache.clear()
     _report_cache.clear()
 
 
 def analysis_cache_stats() -> dict:
-    """Hit/miss accounting for both tiers."""
-    return {"ast": _ast_cache.stats(), "reports": _report_cache.stats()}
+    """Hit/miss accounting for every tier."""
+    return {
+        "ast": _ast_cache.stats(),
+        "declarations": _declaration_cache.stats(),
+        "reports": _report_cache.stats(),
+    }

@@ -85,7 +85,7 @@ def _digits_end(source: str, i: int) -> int:
     return j
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str, offsets: list[int] | None = None) -> list[Token]:
     """Turn source text into a token list ending with an EOF token.
 
     A token's column is its offset from ``line_start``, the character
@@ -94,9 +94,14 @@ def tokenize(source: str) -> list[Token]:
     and a ``//`` comment, which moves ``line_start`` along by its own
     length, does not advance the column.  ``#`` starts a skipped line
     only at column 1.
+
+    With ``offsets``, each token's start offset in ``source`` is appended
+    to it, in step with the tokens (the EOF token's is ``len(source)``).
     """
     tokens: list[Token] = []
     append = tokens.append
+    track = offsets is not None
+    mark = offsets.append if track else None
     # ``tuple.__new__`` builds the same Token without the Python-level
     # ``NamedTuple.__new__`` frame.
     new = tuple.__new__
@@ -113,8 +118,12 @@ def tokenize(source: str) -> list[Token]:
             text = source[start:pos]
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
             append(new(Token, (kind, text, line, start - line_start + 1)))
+            if track:
+                mark(start)
         elif group == "op":
             append(new(Token, (TokenKind.OP, source[start:pos], line, start - line_start + 1)))
+            if track:
+                mark(start)
         elif group == "newline" or group == "block_comment":
             newlines = source.count("\n", start, pos)
             if newlines:
@@ -126,9 +135,13 @@ def tokenize(source: str) -> list[Token]:
             text = source[start:pos]
             kind = TokenKind.FLOAT if "." in text else TokenKind.NUMBER
             append(new(Token, (kind, text, line, start - line_start + 1)))
+            if track:
+                mark(start)
         elif group == "string" or group == "charlit":
             kind = TokenKind.STRING if group == "string" else TokenKind.CHARLIT
             append(new(Token, (kind, source[start + 1 : pos - 1], line, start - line_start + 1)))
+            if track:
+                mark(start)
         elif group == "line_comment" or (group == "hash" and start == line_start):
             line_start += pos - start
         elif group == "open_comment":
@@ -150,5 +163,9 @@ def tokenize(source: str) -> list[Token]:
             else:
                 raise ParseError(f"unexpected character {ch!r}", line, column)
             append(new(Token, (kind, text, line, column)))
+            if track:
+                mark(start)
     append(new(Token, (TokenKind.EOF, "", line, n - line_start + 1)))
+    if track:
+        mark(n)
     return tokens

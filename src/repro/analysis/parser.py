@@ -10,6 +10,7 @@ and expression forms the attacks use — most importantly every flavour of
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from ..errors import ParseError
@@ -22,16 +23,31 @@ BUILTIN_TYPES = {
     "int", "double", "char", "bool", "float", "void", "long", "short",
     "unsigned", "string", "size_t",
 }
+#: The known type names before any class: the last part of the first
+#: declaration memo key (see :meth:`Parser._parse_declaration_memoized`).
+_BUILTIN_KEY = frozenset(BUILTIN_TYPES)
 
 
 class Parser:
     """One-pass parser; class names are registered as encountered so the
     declaration-vs-expression ambiguity resolves the way C++ does."""
 
-    def __init__(self, source: str) -> None:
-        self._tokens = tokenize(source)
+    def __init__(self, source: str, declarations=None) -> None:
+        # Every instance sets the same attributes, in the same order, so
+        # attribute reads on the hot path stay specialized.
+        self._declarations = declarations
+        offsets: Optional[list[int]] = None if declarations is None else []
+        self._tokens = tokenize(source, offsets)
         self._pos = 0
         self._known_types: set[str] = set(BUILTIN_TYPES)
+        self._known_key = _BUILTIN_KEY
+        self._source = source
+        self._offsets = offsets
+        # Each token's first character (a blank for EOF): ``{``, ``}`` or
+        # ``;`` marks that operator, as no other token starts with one.
+        self._marks = (
+            "" if offsets is None else "".join(itemgetter(*offsets)(source + " "))
+        )
 
     # -- token plumbing -------------------------------------------------------
 
@@ -79,34 +95,106 @@ class Parser:
 
     def parse_program(self) -> ast.Program:
         """Parse a translation unit."""
-        classes: list[ast.ClassDecl] = []
-        globals_: list[ast.VarDecl] = []
-        functions: list[ast.FunctionDecl] = []
+        parts: tuple[list, list, list] = ([], [], [])  # classes, globals, functions
+        parse_declaration = (
+            self._parse_declaration
+            if self._declarations is None
+            else self._parse_declaration_memoized
+        )
         while self._peek().kind is not TokenKind.EOF:
-            token = self._peek()
-            if token.is_keyword("class", "struct"):
-                classes.append(self._parse_class())
-                continue
-            # Either a global variable or a function definition; both
-            # start with a type.
-            if self._starts_type():
-                snapshot = self._pos
-                type_ref, name_token = self._parse_type_and_name()
-                if self._peek().is_op("("):
-                    self._pos = snapshot
-                    functions.append(self._parse_function())
-                else:
-                    self._pos = snapshot
-                    globals_.extend(self._parse_var_decl_statement())
-                continue
-            raise ParseError(
-                f"unexpected top-level token '{token.text}'", token.line, token.column
-            )
+            kind, nodes = parse_declaration()
+            parts[kind].extend(nodes)
+        classes, globals_, functions = parts
         return ast.Program(
             classes=tuple(classes),
             globals=tuple(globals_),
             functions=tuple(functions),
         )
+
+    def _parse_declaration(self) -> tuple[int, tuple]:
+        """One top-level declaration: its ``parse_program`` part index
+        (0 classes, 1 globals, 2 functions) and its nodes."""
+        token = self._peek()
+        if token.is_keyword("class", "struct"):
+            return 0, (self._parse_class(),)
+        # Either a global variable or a function definition; both start
+        # with a type.
+        if self._starts_type():
+            snapshot = self._pos
+            self._parse_type_and_name()
+            is_function = self._peek().is_op("(")
+            self._pos = snapshot
+            if is_function:
+                return 2, (self._parse_function(),)
+            return 1, tuple(self._parse_var_decl_statement())
+        raise ParseError(
+            f"unexpected top-level token '{token.text}'", token.line, token.column
+        )
+
+    def _parse_declaration_memoized(self) -> tuple[int, tuple]:
+        """:meth:`_parse_declaration` through the ``declarations`` memo.
+
+        The key is the declaration's source text up to the next token,
+        its first token's line and column, and the type names known
+        before it: together they fix every token the declaration spans,
+        with its line and column, and how the parser reads them.  The
+        parser reads no token past the span but the one after a class's
+        ``}``, which the span takes when it is a ``;``.  A parse is
+        stored only if it consumed exactly that span, with the type
+        names it added; a ``ParseError`` is never stored.
+        """
+        start = self._pos
+        end = self._span_end(start)
+        if end is None:
+            return self._parse_declaration()
+        known = self._known_types
+        if len(known) != len(self._known_key):
+            self._known_key = frozenset(known)
+        first = self._tokens[start]
+        offsets = self._offsets
+        key = (
+            self._source[offsets[start] : offsets[end]],
+            first.line,
+            first.column,
+            self._known_key,
+        )
+        cached = self._declarations.get(key)
+        if cached is not None:
+            kind, nodes, added = cached
+            known.update(added)
+            self._pos = end
+            return kind, nodes
+        kind, nodes = self._parse_declaration()
+        if self._pos == end:
+            added = frozenset(known.difference(self._known_key))
+            self._declarations.put(key, (kind, nodes, added))
+        return kind, nodes
+
+    def _span_end(self, start: int) -> Optional[int]:
+        """The index after the top-level declaration at ``start``: after
+        its first ``;`` if no ``{`` comes before it, else after the ``}``
+        that closes that ``{`` and, for a class, after the ``;`` that
+        :meth:`_parse_class` accepts next.  None if the tokens run out
+        first.
+        """
+        marks = self._marks
+        # The last mark is EOF's blank, so an end of -1 still finds all.
+        semicolon = marks.find(";", start)
+        brace = marks.find("{", start, semicolon)
+        if brace < 0:
+            return semicolon + 1 if semicolon >= 0 else None
+        depth = 1
+        close = brace
+        while depth:
+            after = close + 1
+            close = marks.find("}", after)
+            if close < 0:
+                return None
+            depth += marks.count("{", after, close) - 1
+        end = close + 1
+        if marks[end] == ";" and self._tokens[start].is_keyword("class", "struct"):
+            end += 1
+        return end
 
     # -- types --------------------------------------------------------------
 
@@ -668,6 +756,13 @@ class Parser:
         return expr
 
 
-def parse(source: str) -> ast.Program:
-    """Parse MiniC++ source into a Program."""
-    return Parser(source).parse_program()
+def parse(source: str, declarations=None) -> ast.Program:
+    """Parse MiniC++ source into a Program.
+
+    ``declarations`` is an optional memo of parsed top-level
+    declarations (any object with ``get(key)``, None on a miss, and
+    ``put(key, value)``), shared across calls; see
+    :func:`~.cache.parse_cached`.  The Program is the same with or
+    without it.
+    """
+    return Parser(source, declarations).parse_program()

@@ -479,6 +479,8 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _serve_run(args) -> int:
+    import signal
+
     from .service import ServiceEngine, create_server
 
     engine = ServiceEngine(
@@ -499,14 +501,26 @@ def _serve_run(args) -> int:
         f"{'off' if args.no_cache else args.cache_dir})",
         flush=True,
     )
+    # SIGTERM stops the server the way Ctrl-C does, so the pool is shut
+    # down: a process pool's workers would otherwise outlive the server.
+    def _terminate(signum, frame):
+        raise KeyboardInterrupt
+
+    previous_handler = None
+    try:
+        previous_handler = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # pragma: no cover - non-main thread
+        pass
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        print("draining...")
+    except KeyboardInterrupt:
+        print("draining...", flush=True)
     finally:
         server.shutdown()
         server.server_close()
         engine.close()
+        if previous_handler is not None:
+            signal.signal(signal.SIGTERM, previous_handler)
     return 0
 
 

@@ -301,8 +301,9 @@ class ServiceEngine:
     def metrics_snapshot(self) -> dict:
         """Job + cache + pool state for the ``/metrics`` endpoint.
 
-        ``analysis_cache`` is this process's AST and report LRUs; workers
-        of the process backend keep their own, which it does not count.
+        ``analysis_cache`` is this process's AST, declaration and report
+        LRUs; workers of the process backend keep their own, which it
+        does not count.
         """
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.stats() if self.cache else {"enabled": False}

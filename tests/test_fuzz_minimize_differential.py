@@ -82,10 +82,10 @@ def test_finalize_parses_only_class_deletions_and_hand_written_rounds(
     real_parse, real_shrink = cache.parse, minimize._shrink_once
     real_finalize = campaign.DifferentialFuzzer.finalize
 
-    def counting_parse(source):
+    def counting_parse(source, *declarations):
         if finalizing[0]:
             parsed.append(source)
-        return real_parse(source)
+        return real_parse(source, *declarations)
 
     def recording_shrink(current, predicate):
         rounds.append(current.source)

@@ -162,18 +162,25 @@ class TestExecAndIntrospection:
     def test_metrics_snapshot_reports_the_analysis_cache(self):
         from repro.analysis import analysis_cache_stats
 
-        source = "int main() { int x; x = 41; return x + 1; }"
+        source = "int main() { int x; x = 41; return x + 1; }\n"
         with ServiceEngine(workers=1, use_cache=False) as engine:
             before = engine.metrics_snapshot()["analysis_cache"]
             engine.execute(source)
             engine.execute(source)  # same source: the AST comes from the LRU
+            # A new source that starts with the same function: its
+            # declaration comes from the declaration LRU.
+            engine.execute(source + "int unused() { return 0; }")
             after = engine.metrics_snapshot()["analysis_cache"]
             assert after == analysis_cache_stats()
             text = engine.metrics_prometheus()
-        assert set(after) == {"ast", "reports"}
-        assert set(after["ast"]) == {"entries", "hits", "misses"}
+        assert set(after) == {"ast", "declarations", "reports"}
+        for tier in after.values():
+            assert set(tier) == {"entries", "hits", "misses"}
         assert after["ast"]["hits"] > before["ast"]["hits"]
+        assert after["declarations"]["hits"] > before["declarations"]["hits"]
         assert f"repro_analysis_cache_ast_hits {after['ast']['hits']}" in text
+        hits = after["declarations"]["hits"]
+        assert f"repro_analysis_cache_declarations_hits {hits}" in text
         assert "# TYPE repro_analysis_cache_reports_misses gauge" in text
 
     def test_analysis_cache_state_never_reaches_a_report(self):

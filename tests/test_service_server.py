@@ -2,7 +2,11 @@
 
 import contextlib
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -10,6 +14,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.matrix.sweep import MatrixRow, cell_jobs, evaluate_cell
 from repro.service import (
     AnalyzeJob,
@@ -173,8 +178,9 @@ class TestEndpoints:
         metrics = client.metrics()
         assert metrics["counters"]["http.requests"] >= 1
         assert "hit_rate" in metrics["cache"]
-        assert set(metrics["analysis_cache"]) == {"ast", "reports"}
-        assert set(metrics["analysis_cache"]["ast"]) == {"entries", "hits", "misses"}
+        assert set(metrics["analysis_cache"]) == {"ast", "declarations", "reports"}
+        for tier in metrics["analysis_cache"].values():
+            assert set(tier) == {"entries", "hits", "misses"}
 
     def test_repeat_request_hits_cache(self, service):
         client, engine, _ = service
@@ -191,6 +197,7 @@ class TestEndpoints:
         assert "repro_scheduler_queue_depth" in text
         assert "repro_cache_write_errors" in text
         assert "repro_analysis_cache_ast_hits" in text
+        assert "repro_analysis_cache_declarations_misses" in text
         assert "repro_analysis_cache_reports_entries" in text
         # scraper-style Accept negotiation reaches the same renderer
         request = urllib.request.Request(
@@ -565,3 +572,78 @@ class TestJobFailureResponses:
             timer.join(timeout=5)
         assert response == expected
         assert overloaded == 0
+
+
+def _children(pid: int) -> list:
+    """The pids whose parent is ``pid``, from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def _proc_stat(pid: int):
+    """``pid``'s state and parent pid, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()[:2]
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestServeSigterm:
+    def test_sigterm_stops_the_server_and_its_process_workers(self):
+        """``repro-serve --backend process``: after one request and a
+        SIGTERM the server exits 0, and its pool's worker processes are
+        gone too."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        server = subprocess.Popen(
+            [
+                sys.executable, "-c",
+                "import sys; from repro.cli import serve_main; sys.exit(serve_main("
+                "['--backend', 'process', '--workers', '2', '--port', '0', '--no-cache']))",
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        workers: list = []
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("repro-serve listening on http://"), banner
+            url = banner.split()[3]
+            request = urllib.request.Request(
+                url + "/analyze",
+                data=json.dumps({"source": "int main() { return 0; }"}).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 200
+            workers = _children(server.pid)
+            assert workers
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30) == 0
+            assert "draining..." in server.stdout.read()
+            give_up = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < give_up:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=10)
+            server.stdout.close()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
