@@ -134,14 +134,16 @@ class Parser:
     def _parse_declaration_memoized(self) -> tuple[int, tuple]:
         """:meth:`_parse_declaration` through the ``declarations`` memo.
 
-        The key is the declaration's source text up to the next token,
-        its first token's line and column, and the type names known
-        before it: together they fix every token the declaration spans,
-        with its line and column, and how the parser reads them.  The
-        parser reads no token past the span but the one after a class's
-        ``}``, which the span takes when it is a ``;``.  A parse is
-        stored only if it consumed exactly that span, with the type
-        names it added; a ``ParseError`` is never stored.
+        The key is the declaration's source text from its first token
+        through its last (always a one-character ``;`` or ``}``), its
+        first token's line and column, and the type names known before
+        it: together they fix every token the declaration spans, with
+        its line and column, and how the parser reads them.  What
+        follows the span, comments and blanks included, is not part of
+        the key.  The parser reads no token past the span but the one
+        after a class's ``}``, which the span takes when it is a ``;``.
+        A parse is stored only if it consumed exactly that span, with
+        the type names it added; a ``ParseError`` is never stored.
         """
         start = self._pos
         end = self._span_end(start)
@@ -153,7 +155,7 @@ class Parser:
         first = self._tokens[start]
         offsets = self._offsets
         key = (
-            self._source[offsets[start] : offsets[end]],
+            self._source[offsets[start] : offsets[end - 1] + 1],
             first.line,
             first.column,
             self._known_key,

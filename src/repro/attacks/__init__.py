@@ -28,7 +28,6 @@ _EXPORTS = {
             "VTABLE_INTEGRITY",
             "classify_failure",
             "environment_by_label",
-            "environment_with",
         ),
         "base",
     ),

@@ -1,226 +1,52 @@
 """Attack-scenario scaffolding: environments, results, classification.
 
 Every attack from Sections 3–4 is an :class:`AttackScenario` that runs
-against an :class:`Environment` — a bundle of hardening choices (canary
-policy, NX, checked placement, shadow memory, sanitize-on-reuse).  The
-unprotected environment reproduces the paper's Ubuntu 10.04 results; the
-protected ones populate the attack × defense matrix of experiment E14.
+against an :class:`~repro.defenses.base.Environment` — one defense's
+hardening (canary policy, NX, a placement discipline, an armed runtime
+check).  The unprotected environment reproduces the paper's Ubuntu
+10.04 results; the protected ones populate the attack × defense matrix
+of experiment E14.  Environments and :func:`classify_failure` come from
+the defense roster (:mod:`repro.defenses.base`); this module names its
+environments for scenarios and examples.
 """
 
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Any, Optional
 
-from .._record import field, record, replace
-from ..core.checked import checked_placement_new, checked_placement_new_array
-from ..core.placement import placement_new, placement_new_array
-from ..core.sanitize import sanitize
-from ..cxx.classdef import ClassDef
-from ..cxx.object_model import CArrayView, Instance
-from ..cxx.types import CType
-from ..defenses.shadow_stack import ReturnAddressTampering
-from ..defenses.shadow_stack import protect_machine as protect_returns
-from ..defenses.tagging import TagMismatchFault
-from ..defenses.tagging import protect_machine as protect_tags
-from ..defenses.vrt import VrtBoundsViolation
-from ..defenses.vrt import protect_machine as protect_bounds
-from ..defenses.vtable_integrity import VtableIntegrityViolation
-from ..defenses.vtable_integrity import protect_machine as protect_vtables
-from ..errors import (
-    BoundsCheckViolation,
-    NonExecutableMemory,
-    OutOfMemory,
-    RedZoneViolation,
-    SegmentationFault,
-    SimulatedProcessError,
-    SimulatedTimeout,
-    StackSmashingDetected,
+from .._record import field, record
+from ..defenses.base import (
+    ALL_ENVIRONMENTS,
+    Environment,
+    classify_failure,
+    disarm_on_exit,
+    environment_by_label,
 )
-from ..memory.pool import CheckedMemoryPool, MemoryPool
-from ..memory.shadow import ShadowMemory
-from ..runtime.canary import CanaryPolicy
-from ..runtime.machine import Machine, MachineConfig
+from ..errors import SimulatedProcessError
+from ..runtime.machine import Machine
 
+__all__ = [
+    "ALL_ENVIRONMENTS",
+    "CHECKED_PLACEMENT",
+    "MEMORY_TAGGING",
+    "NX_STACK",
+    "SANITIZE",
+    "SHADOW_MEMORY",
+    "SHADOW_RETURN_STACK",
+    "STACKGUARD",
+    "UNPROTECTED",
+    "VRT_BOUNDS",
+    "VTABLE_INTEGRITY",
+    "AttackResult",
+    "AttackScenario",
+    "Environment",
+    "classify_failure",
+    "environment_by_label",
+]
 
-@record(frozen=True)
-class Environment:
-    """One hardening configuration a scenario runs under."""
-
-    label: str = "unprotected"
-    machine_config: MachineConfig = field(default_factory=MachineConfig)
-    checked_placement: bool = False
-    shadow_redzones: bool = False
-    sanitize_on_reuse: bool = False
-    checked_pools: bool = False
-    shadow_return_stack: bool = False
-    vtable_integrity: bool = False
-    vrt: bool = False
-    memory_tagging: bool = False
-
-    # -- machine construction ---------------------------------------------
-
-    def make_machine(self) -> Machine:
-        """Build the victim process for this environment."""
-        machine = Machine(self.machine_config)
-        if self.shadow_redzones:
-            shadow = ShadowMemory(machine.space)
-            machine.shadow = shadow  # type: ignore[attr-defined]
-            shadow.arm()
-        if self.shadow_return_stack:
-            machine.return_shadow = protect_returns(machine)  # type: ignore[attr-defined]
-        if self.vtable_integrity:
-            machine.vtable_guard = protect_vtables(machine)  # type: ignore[attr-defined]
-        if self.vrt:
-            protect_bounds(machine)
-        if self.memory_tagging:
-            protect_tags(machine)
-        built = _BUILT.get()
-        if built is not None:
-            built.append(machine)
-        return machine
-
-    # -- placement dispatch (the Section 5.1 hook point) -----------------------
-
-    def place(
-        self,
-        machine: Machine,
-        target: Any,
-        class_def: ClassDef,
-        *args: Any,
-        arena_size: Optional[int] = None,
-    ) -> Instance:
-        """Placement new through this environment's discipline."""
-        if self.sanitize_on_reuse:
-            self._sanitize_target(machine, target, arena_size)
-        if self.checked_placement:
-            return checked_placement_new(
-                machine, target, class_def, *args, arena_size=arena_size
-            )
-        return placement_new(machine, target, class_def, *args)
-
-    def place_array(
-        self,
-        machine: Machine,
-        target: Any,
-        element: CType,
-        count: int,
-        arena_size: Optional[int] = None,
-    ) -> CArrayView:
-        """Array placement through this environment's discipline."""
-        if self.sanitize_on_reuse:
-            self._sanitize_target(machine, target, arena_size)
-        if self.checked_placement:
-            return checked_placement_new_array(
-                machine, target, element, count, arena_size=arena_size
-            )
-        return placement_new_array(machine, target, element, count)
-
-    def _sanitize_target(
-        self, machine: Machine, target: Any, arena_size: Optional[int]
-    ) -> None:
-        from ..core.placement import resolve_target
-
-        address, inferred = resolve_target(target)
-        size = arena_size if arena_size is not None else inferred
-        if size:
-            sanitize(machine.space, address, size)
-
-    # -- pools ---------------------------------------------------------------
-
-    def make_pool(
-        self, machine: Machine, base: int, capacity: int, name: str = "pool"
-    ) -> MemoryPool:
-        """A pool under this environment's discipline."""
-        cls = CheckedMemoryPool if self.checked_pools else MemoryPool
-        return cls(machine.space, base, capacity, name=name)
-
-    # -- shadow --------------------------------------------------------------
-
-    def protect(self, machine: Machine, address: int, size: int) -> None:
-        """Register a victim arena with the shadow sanitizer (no-op when
-        red zones are disabled)."""
-        shadow = getattr(machine, "shadow", None)
-        if shadow is not None:
-            shadow.disarm()
-            shadow.protect_arena(address, size)
-            shadow.arm()
-
-
-#: The machines :meth:`Environment.make_machine` built inside the
-#: innermost open :func:`disarm_on_exit` block, if one is open.
-_BUILT: ContextVar[Optional[list]] = ContextVar("built_machines", default=None)
-
-
-def disarm(machine: Machine) -> None:
-    """Undo :meth:`Environment.make_machine`'s hardening: unhook every
-    defense it armed, drop it from the machine and put back the
-    ``virtual_call`` vtable integrity wrapped.  The machine and its
-    defenses then no longer refer to each other, so they free without
-    the cyclic collector."""
-    attached = vars(machine)
-    for name in ("shadow", "vrt", "memory_tags"):
-        defense = attached.pop(name, None)
-        if defense is not None:
-            defense.disarm()
-    guard = attached.pop("vtable_guard", None)
-    if guard is not None:
-        guard.detach()
-
-
-@contextmanager
-def disarm_on_exit():
-    """Disarm every machine built inside the block when it closes,
-    however it closes (see :func:`disarm`)."""
-    built: list = []
-    token = _BUILT.set(built)
-    try:
-        yield
-    finally:
-        _BUILT.reset(token)
-        for machine in built:
-            disarm(machine)
-
-
-# Canonical environments (the E14 matrix columns).
-
-UNPROTECTED = Environment(label="unprotected")
-
-STACKGUARD = Environment(
-    label="stackguard",
-    machine_config=MachineConfig(
-        canary_policy=CanaryPolicy.RANDOM, save_frame_pointer=True
-    ),
-)
-
-CHECKED_PLACEMENT = Environment(
-    label="checked-placement",
-    checked_placement=True,
-    checked_pools=True,
-)
-
-SHADOW_MEMORY = Environment(label="shadow-memory", shadow_redzones=True)
-
-NX_STACK = Environment(
-    label="nx",
-    machine_config=MachineConfig(nx_stack=True, nx_heap=True),
-)
-
-SANITIZE = Environment(label="sanitize-on-reuse", sanitize_on_reuse=True)
-
-SHADOW_RETURN_STACK = Environment(
-    label="shadow-return-stack", shadow_return_stack=True
-)
-
-VTABLE_INTEGRITY = Environment(label="vtable-integrity", vtable_integrity=True)
-
-VRT_BOUNDS = Environment(label="vrt", vrt=True)
-
-MEMORY_TAGGING = Environment(label="memory-tagging", memory_tagging=True)
-
-ALL_ENVIRONMENTS = (
+#: The roster's environments (the E14 matrix columns), in roster order.
+(
     UNPROTECTED,
     STACKGUARD,
     CHECKED_PLACEMENT,
@@ -231,21 +57,7 @@ ALL_ENVIRONMENTS = (
     VTABLE_INTEGRITY,
     VRT_BOUNDS,
     MEMORY_TAGGING,
-)
-
-
-def environment_by_label(label: str) -> Environment:
-    """Look an environment up by its ``label`` attribute."""
-    for env in ALL_ENVIRONMENTS:
-        if env.label == label:
-            return env
-    choices = ", ".join(env.label for env in ALL_ENVIRONMENTS)
-    raise KeyError(f"unknown environment '{label}' (choose from: {choices})")
-
-
-def environment_with(base: Environment, **overrides: Any) -> Environment:
-    """Derive a variant environment (a ``replace`` wrapper)."""
-    return replace(base, **overrides)
+) = ALL_ENVIRONMENTS
 
 
 @record
@@ -278,48 +90,6 @@ class AttackResult:
         else:
             status = "PREVENTED"
         return f"{self.name} [{self.environment}]: {status}"
-
-
-#: Every ``detected_by`` label :func:`classify_failure` can produce.
-#: The threat registry's coverage check reads this, so adding a defense
-#: exception here without mapping its label there fails the
-#: completeness test instead of shipping an unscoreable outcome.
-ALL_DETECTION_LABELS = (
-    "shadow-return-stack",
-    "vtable-integrity",
-    "vrt",
-    "memory-tagging",
-    "stackguard",
-    "bounds-check",
-    "shadow-memory",
-    "nx",
-)
-
-#: Mapping from defense-raised exceptions to the defense's name.
-_DETECTION_NAMES = (
-    (StackSmashingDetected, "stackguard"),
-    (BoundsCheckViolation, "bounds-check"),
-    (RedZoneViolation, "shadow-memory"),
-    (NonExecutableMemory, "nx"),
-)
-
-
-def classify_failure(exc: SimulatedProcessError) -> tuple[Optional[str], bool]:
-    """(detected_by, crashed) for an exception that stopped an attack."""
-    if isinstance(exc, ReturnAddressTampering):
-        return "shadow-return-stack", False
-    if isinstance(exc, VtableIntegrityViolation):
-        return "vtable-integrity", False
-    if isinstance(exc, VrtBoundsViolation):
-        return "vrt", False
-    if isinstance(exc, TagMismatchFault):
-        return "memory-tagging", False
-    for exc_type, name in _DETECTION_NAMES:
-        if isinstance(exc, exc_type):
-            return name, False
-    if isinstance(exc, (SegmentationFault, OutOfMemory, SimulatedTimeout)):
-        return None, True
-    return None, True
 
 
 class AttackScenario(abc.ABC):

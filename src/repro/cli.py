@@ -232,7 +232,6 @@ def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--env",
-        default="unprotected",
         help="defense environment label (default: unprotected)",
     )
     parser.add_argument(
@@ -251,7 +250,13 @@ def attacks_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _attacks_run(args) -> int:
-    from .attacks import ALL_ENVIRONMENTS, all_attacks, attack_by_name, environment_by_label
+    from .attacks import (
+        ALL_ENVIRONMENTS,
+        UNPROTECTED,
+        all_attacks,
+        attack_by_name,
+        environment_by_label,
+    )
 
     if args.list:
         print("attacks:")
@@ -268,7 +273,7 @@ def _attacks_run(args) -> int:
         print(render_attack_table(run_sweep(rows=attack_rows())))
         return 0
 
-    environment = _lookup(environment_by_label, args.env)
+    environment = UNPROTECTED if args.env is None else _lookup(environment_by_label, args.env)
     scenarios = [_lookup(attack_by_name, args.attack)] if args.attack else all_attacks()
     exit_code = 0
     for scenario in scenarios:

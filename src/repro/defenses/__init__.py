@@ -6,30 +6,10 @@ from .._exports import exports_getattr
 #: access (see :mod:`repro._exports`).
 _EXPORTS = {
     **dict.fromkeys(("StaleAddressAttack", "aslr_machine", "run_aslr_comparison"), "aslr"),
-    **dict.fromkeys(
-        (
-            "ALL_DEFENSES",
-            "BASELINE",
-            "CORRECT_CODING",
-            "Defense",
-            "NX_DEFENSE",
-            "SANITIZE_DEFENSE",
-            "SHADOW_DEFENSE",
-            "SHADOW_STACK_DEFENSE",
-            "STACKGUARD_DEFENSE",
-            "TAGGING_DEFENSE",
-            "VRT_DEFENSE",
-            "VTABLE_INTEGRITY_DEFENSE",
-            "defense_by_name",
-        ),
-        "base",
-    ),
+    **dict.fromkeys(("ALL_DEFENSES", "Defense", "defense_by_name"), "base"),
     **dict.fromkeys(("LeakOutcome", "run_leak_comparison"), "leak_discipline"),
     **dict.fromkeys(("InterceptionRecord", "LibSafePlacementGuard"), "libsafe"),
-    **dict.fromkeys(
-        ("ReturnAddressTampering", "ShadowCallStack", "ShadowReturnStack"),
-        "shadow_stack",
-    ),
+    **dict.fromkeys(("ReturnAddressTampering", "ShadowCallStack"), "shadow_stack"),
     **dict.fromkeys(("MemoryTagging", "TagMismatchFault"), "tagging"),
     **dict.fromkeys(("VariableRecordTable", "VrtBoundsViolation"), "vrt"),
     **dict.fromkeys(("VtableIntegrityGuard", "VtableIntegrityViolation"), "vtable_integrity"),

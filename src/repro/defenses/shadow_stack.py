@@ -112,15 +112,19 @@ class ShadowCallStack:
         """Live protected frames."""
         return len(self._stack)
 
+    def arm(self, machine: Machine) -> None:
+        """Install on ``machine``: its frame pushes and pops consult this
+        stack from now on."""
+        self._machine = machine
+        machine.call_shadow = self
 
-#: Backwards-compatible name — the pre-upgrade class was a machine
-#: wrapper called ``ShadowReturnStack``; the integrated successor keeps
-#: the old name importable for existing callers.
-ShadowReturnStack = ShadowCallStack
+    def disarm(self) -> None:
+        """Take this stack off the machine :meth:`arm` installed it on."""
+        self._machine.call_shadow = None
 
 
 def protect_machine(machine: Machine) -> ShadowCallStack:
     """Attach a shadow call stack to ``machine`` and return it."""
     shadow = ShadowCallStack()
-    machine.call_shadow = shadow
+    shadow.arm(machine)
     return shadow

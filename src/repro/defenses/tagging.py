@@ -214,5 +214,4 @@ def protect_machine(machine: Machine) -> MemoryTagging:
     """Attach an armed tag map to ``machine`` and return it."""
     tagging = MemoryTagging(machine)
     tagging.arm()
-    machine.memory_tags = tagging  # type: ignore[attr-defined]
     return tagging

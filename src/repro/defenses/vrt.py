@@ -226,5 +226,4 @@ def protect_machine(machine: Machine) -> VariableRecordTable:
     """Attach an armed VRT to ``machine`` and return it."""
     vrt = VariableRecordTable(machine)
     vrt.arm()
-    machine.vrt = vrt  # type: ignore[attr-defined]
     return vrt

@@ -40,9 +40,10 @@ class VtableIntegrityGuard:
     #: the static type (full CFI), not merely *some* class.
     require_compatible_class: bool = True
 
-    def attach(self) -> None:
+    def arm(self) -> None:
+        """Wrap the machine's dispatch with the check."""
         original = self.machine.virtual_call
-        # What :meth:`detach` puts back: the instance's own dispatch, or
+        # What :meth:`disarm` puts back: the instance's own dispatch, or
         # None when the machine used its class's method.
         self._replaced = vars(self.machine).get("virtual_call")
 
@@ -73,8 +74,8 @@ class VtableIntegrityGuard:
 
         self.machine.virtual_call = guarded_virtual_call  # type: ignore[method-assign]
 
-    def detach(self) -> None:
-        """Put back the dispatch :meth:`attach` wrapped."""
+    def disarm(self) -> None:
+        """Put back the dispatch :meth:`arm` wrapped."""
         if self._replaced is None:
             del self.machine.virtual_call
         else:
@@ -84,5 +85,5 @@ class VtableIntegrityGuard:
 def protect_machine(machine: Machine) -> VtableIntegrityGuard:
     """Attach vtable-integrity checking to ``machine``."""
     guard = VtableIntegrityGuard(machine)
-    guard.attach()
+    guard.arm()
     return guard

@@ -24,8 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .._record import record
 from ..attacks import all_attacks, attack_by_name
-from ..attacks.base import classify_failure, disarm_on_exit
-from ..defenses import ALL_DEFENSES, defense_by_name
+from ..defenses.base import ALL_DEFENSES, classify_failure, defense_by_name, disarm_on_exit
 from ..fileio import canonical_json
 from ..fuzz.oracles import (
     DEFAULT_STDIN,
@@ -180,7 +179,7 @@ def run_program_cell(
 def evaluate_cell(payload: dict) -> dict:
     """Worker-shaped cell evaluation (dict in, dict out)."""
     row_kind = payload.get("row_kind", "attack")
-    defense = payload.get("defense", "none")
+    defense = payload["defense"]
     if row_kind == "attack":
         cell = run_attack_cell(payload["row_id"], defense)
     else:

@@ -450,38 +450,7 @@ for _threat_class in (
     DEFAULT_THREATLIB.register(_threat_class())
 
 
-# -- defense and outcome coverage -------------------------------------------
-
-#: Defense name → CWE ids the defense mitigates.  Must stay total over
-#: ``repro.defenses.ALL_DEFENSES``: a new defense without an entry here
-#: shows up in :func:`coverage_gaps` and fails the completeness test.
-DEFENSE_MITIGATIONS = {
-    "none": (),
-    "stackguard": (121,),
-    "checked-placement": (119, 787),
-    "shadow-memory": (119, 787),
-    "nx-stack": (94, 95),
-    "sanitize-on-reuse": (200, 226, 244),
-    "shadow-ret-stack": (121, 788),
-    "vtable-integrity": (822, 843),
-    "vrt": (119, 125, 787, 788),
-    "memory-tagging": (119, 125, 787, 788),
-}
-
-#: ``classify_failure`` detection label → the defense name credited.
-#: Must stay total over ``repro.attacks.base.ALL_DETECTION_LABELS`` so a
-#: new defense exception cannot produce a ``detected(...)`` outcome the
-#: scorer cannot attribute.
-DETECTION_DEFENSES = {
-    "stackguard": "stackguard",
-    "bounds-check": "checked-placement",
-    "shadow-memory": "shadow-memory",
-    "nx": "nx-stack",
-    "shadow-return-stack": "shadow-ret-stack",
-    "vtable-integrity": "vtable-integrity",
-    "vrt": "vrt",
-    "memory-tagging": "memory-tagging",
-}
+# -- matrix outcome coverage ------------------------------------------------
 
 #: Matrix-cell outcome head → how scoring treats the cell.
 OUTCOME_CLASSES = {
@@ -499,25 +468,14 @@ def outcome_class(summary: str) -> Optional[str]:
     return OUTCOME_CLASSES.get(summary.split("(", 1)[0])
 
 
-def defense_names() -> frozenset:
-    """Every defense name in the evaluation roster."""
-    from ..defenses import ALL_DEFENSES
-
-    return frozenset(defense.name for defense in ALL_DEFENSES)
-
-
-def detection_labels() -> frozenset:
-    """Every ``detected_by`` label classification can produce."""
-    from ..attacks.base import ALL_DETECTION_LABELS
-
-    return frozenset(ALL_DETECTION_LABELS)
-
-
 def matrix_outcome_ids() -> frozenset:
-    """Every cell summary the matrix can render."""
+    """Every cell summary the matrix can render: one ``detected(...)``
+    per label the defense roster can earn."""
+    from ..defenses.base import DETECTED_BY
+
     return frozenset(
         {"ATTACK-WINS", "crashed", "prevented", "invalid"}
-        | {f"detected({label})" for label in detection_labels()}
+        | {f"detected({label})" for label in DETECTED_BY.values()}
     )
 
 
@@ -571,19 +529,8 @@ def coverage_gaps(threatlib: Optional[Threatlib] = None) -> dict:
         "legacy_rules": sorted(legacy_rule_ids() - known),
         "triage_classes": sorted(triage_class_ids() - known),
         "attacks": sorted(attack_names() - known),
-        # Defense-side totality: every defense must declare its CWE
-        # mitigations, every detection label must credit a real defense,
-        # and every renderable cell outcome must classify — otherwise a
-        # new mitigation ships outcomes scoring cannot attribute.
-        "defenses": sorted(defense_names() - set(DEFENSE_MITIGATIONS)),
-        "detections": sorted(
-            (detection_labels() - set(DETECTION_DEFENSES))
-            | {
-                label
-                for label, credited in DETECTION_DEFENSES.items()
-                if credited not in defense_names()
-            }
-        ),
+        # Every renderable cell outcome must classify, or a new
+        # mitigation ships outcomes scoring cannot attribute.
         "matrix_outcomes": sorted(
             outcome
             for outcome in matrix_outcome_ids()

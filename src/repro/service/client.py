@@ -1,9 +1,9 @@
 """A small stdlib client for the ``repro-serve`` JSON API.
 
-The transport is :mod:`http.client` rather than urllib so the connect
-and read phases get *separate* timeouts: a server that accepts the TCP
-handshake but then stalls mid-response trips the read timeout instead
-of hanging a CLI user forever.  Transient socket failures (connection
+The transport is :mod:`http.client`, whose one ``timeout`` bounds the
+connect and every read: a server that accepts the TCP handshake but
+then stalls mid-response trips it instead of hanging a CLI user
+forever.  Transient socket failures (connection
 refused during server startup, resets, timeouts) are retried a bounded
 number of times with deterministic, key-seeded exponential backoff
 (:func:`backoff_delay`); a server that *responds* with a non-2xx status
@@ -19,6 +19,11 @@ import json
 import time
 from typing import Callable, Optional, Sequence
 from urllib.parse import urlsplit
+
+#: The first retry's backoff ceiling, in seconds; it doubles per attempt.
+BACKOFF_BASE = 0.05
+#: No retry waits longer than this, in seconds.
+BACKOFF_CAP = 2.0
 
 
 class ServiceError(RuntimeError):
@@ -60,31 +65,22 @@ def backoff_delay(key: str, attempt: int, base: float, cap: float) -> float:
 class ServiceClient:
     """Typed wrappers over the service endpoints.
 
-    ``timeout`` is the legacy single knob and remains the default for
-    both phases; ``connect_timeout``/``read_timeout`` override it
-    individually.  ``retries`` bounds re-attempts after transient
-    socket errors (0 disables); ``sleep`` is injectable so tests can
-    count backoff delays without waiting them out.
+    ``timeout`` bounds the connect and each read, in seconds.
+    ``retries`` bounds re-attempts after transient socket errors (0
+    disables); ``sleep`` is injectable so tests can count backoff delays
+    without waiting them out.
     """
 
     def __init__(
         self,
         base_url: str,
         timeout: float = 30.0,
-        connect_timeout: Optional[float] = None,
-        read_timeout: Optional[float] = None,
         retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.connect_timeout = connect_timeout if connect_timeout is not None else timeout
-        self.read_timeout = read_timeout if read_timeout is not None else timeout
         self.retries = max(0, retries)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self._sleep = sleep
         parsed = urlsplit(self.base_url)
         if parsed.scheme not in ("http", ""):
@@ -106,18 +102,11 @@ class ServiceClient:
                 if attempts > self.retries:
                     raise ServiceUnavailable(self.base_url + path, attempts, error) from error
                 key = f"{method} {path}"
-                self._sleep(backoff_delay(key, attempts, self.backoff_base, self.backoff_cap))
+                self._sleep(backoff_delay(key, attempts, BACKOFF_BASE, BACKOFF_CAP))
 
     def _attempt(self, method: str, path: str, data: Optional[bytes]) -> bytes:
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.connect_timeout
-        )
+        connection = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
         try:
-            connection.connect()
-            if connection.sock is not None:
-                # the connect deadline has been met; everything after
-                # this point is governed by the read timeout
-                connection.sock.settimeout(self.read_timeout)
             connection.request(
                 method, path, body=data, headers={"Content-Type": "application/json"}
             )
@@ -168,8 +157,8 @@ class ServiceClient:
             body["label"] = label
         return self._request("POST", "/analyze", body)
 
-    def attacks(self, attack: Optional[str] = None, env: str = "unprotected") -> dict:
-        body: dict = {"env": env}
+    def attacks(self, attack: Optional[str] = None, env: Optional[str] = None) -> dict:
+        body: dict = {} if env is None else {"env": env}
         if attack:
             body["attack"] = attack
         return self._request("POST", "/attacks", body)

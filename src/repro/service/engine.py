@@ -28,7 +28,7 @@ import time
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis import analysis_cache_stats, parse_cached
-from ..attacks import all_attacks, attack_by_name
+from ..attacks import UNPROTECTED, all_attacks, attack_by_name
 from ..defenses import ALL_DEFENSES, defense_by_name
 from ..errors import ParseError
 from ..matrix.sweep import CELL_TIMEOUT, MatrixRow, attack_rows, cell_jobs
@@ -214,11 +214,11 @@ class ServiceEngine:
 
     # -- attacks -----------------------------------------------------------
 
-    def attack(self, name: str, env: str = "unprotected") -> dict:
+    def attack(self, name: str, env: str = UNPROTECTED.label) -> dict:
         """Run one attack under one environment."""
         return self._run([AttackJob(attack=name, env=env)], DEFAULT_TIMEOUT)[0]
 
-    def gallery(self, env: str = "unprotected") -> List[dict]:
+    def gallery(self, env: str = UNPROTECTED.label) -> List[dict]:
         """Run the whole attack gallery in parallel under one environment."""
         jobs = [AttackJob(attack=scenario.name, env=env) for scenario in all_attacks()]
         return self._run(jobs, DEFAULT_TIMEOUT)

@@ -21,6 +21,8 @@ import hashlib
 
 from .._record import asdict, record
 from ..fileio import canonical_json
+from ..attacks.base import UNPROTECTED
+from ..defenses.base import ALL_DEFENSES
 from ..fuzz.vocabulary import DEFAULT_STEP_BUDGET
 from ..matrix.sweep import evaluate_cell
 from .workers import run_analyze, run_attack, run_exec
@@ -70,7 +72,7 @@ class AttackJob(Job):
     """Run one gallery attack under one defense environment."""
 
     attack: str
-    env: str = "unprotected"
+    env: str = UNPROTECTED.label
 
     KIND = "attack"
     run = staticmethod(run_attack)
@@ -90,7 +92,7 @@ class MatrixCellJob(Job):
     row_id: str = ""
     source: str = ""
     stdin: tuple = ()
-    defense: str = "none"
+    defense: str = ALL_DEFENSES[0].name  # the unprotected baseline
     step_budget: int = DEFAULT_STEP_BUDGET
 
     KIND = "matrix-cell"

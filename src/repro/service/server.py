@@ -238,9 +238,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         )
 
     def _attacks(self, body: dict) -> dict:
-        from ..attacks import attack_by_name, environment_by_label
+        from ..attacks import UNPROTECTED, attack_by_name, environment_by_label
 
-        env = body.get("env", "unprotected")
+        env = body.get("env", UNPROTECTED.label)
         environment_by_label(env)  # validate before queueing (KeyError → 400)
         if body.get("attack"):
             attack_by_name(body["attack"])

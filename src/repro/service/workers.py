@@ -153,7 +153,7 @@ def run_attack(payload: dict) -> dict:
     from ..attacks import attack_by_name, environment_by_label
 
     scenario = attack_by_name(payload["attack"])
-    env = environment_by_label(payload.get("env", "unprotected"))
+    env = environment_by_label(payload["env"])
     return attack_payload(scenario.run(env))
 
 

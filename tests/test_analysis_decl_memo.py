@@ -1,14 +1,15 @@
 """Differential test: the declaration memo behind ``parse_cached``.
 
 A miss in the AST cache parses through a memo of top-level declarations
-keyed by their source text, their first token's line and column, and
-the type names known before them.  Whatever the memo holds, the tree
+keyed by their source text (first token through last), their first
+token's line and column, and the type names known before them.
+Whatever the memo holds, the tree
 must be the parser's own for the text: equal by ``==`` and by ``repr``
 (``==`` ignores ``line``), and a source that does not parse must fail
 with the same message at the same place.  Inputs are sequences of
-programs that share declarations, at the same and at shifted lines, and
-fuzz mutant chains, whose mutants keep every declaration before the
-mutated one.
+programs that share declarations, at the same and at shifted lines and
+followed by other text, and fuzz mutant chains, whose mutants keep every
+declaration before the mutated one.
 """
 
 from __future__ import annotations
@@ -125,6 +126,21 @@ class TestSpans:
         assert second.functions[0] is first.functions[0]
         assert second.functions[1] is first.functions[1]
         assert second.functions[0] is not second.functions[1]
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("", "\nint main() { return f(1); }"),  # ends one source, not the other
+            (" // one\n", " /* two */ int z;"),  # different trailing comments
+            ("\n\n", "\n"),
+        ],
+    )
+    def test_what_follows_a_declaration_is_not_in_its_key(self, first, second):
+        declaration = "int f(int x) {\n  return x + 1;\n}"
+        _check(declaration + first)
+        before = _declaration_hits()
+        _check(declaration + second)
+        assert _declaration_hits() == before + 1
 
     def test_a_shifted_declaration_is_parsed_again(self):
         source = "int f() {\n  return 1;\n}"
@@ -251,8 +267,16 @@ def _sequences(draw) -> list:
     sources = []
     for _ in range(draw(st.integers(2, 6))):
         parts = list(base)
-        edit = draw(st.sampled_from(("none", "replace", "drop", "append", "splice")))
-        if edit == "replace":  # another declaration with as many lines
+        edit = draw(
+            st.sampled_from(("none", "replace", "drop", "append", "splice", "follow"))
+        )
+        if edit == "follow":  # the same declarations, other text after one
+            index = draw(st.integers(0, len(parts) - 1))
+            same_lines = [
+                s for s in _SEPARATORS if s.count("\n") == parts[index][1].count("\n")
+            ]
+            parts[index] = (parts[index][0], draw(st.sampled_from(same_lines)))
+        elif edit == "replace":  # another declaration with as many lines
             index = draw(st.integers(0, len(parts) - 1))
             old, separator = parts[index]
             same_lines = [d for d in _DECLARATIONS if d.count("\n") == old.count("\n")]

@@ -4,11 +4,8 @@ import pytest
 
 from repro.attacks import all_attacks
 from repro.core import new_object
-from repro.defenses import (
-    BASELINE,
-    CORRECT_CODING,
-    LibSafePlacementGuard,
-)
+from repro.attacks import CHECKED_PLACEMENT, UNPROTECTED
+from repro.defenses import LibSafePlacementGuard
 from repro.errors import BoundsCheckViolation
 from repro.memory import SegmentKind
 from repro.runtime import Machine
@@ -118,8 +115,8 @@ class TestShadowReturnStack:
         frame = machine.push_frame("f")
         exit_ = machine.pop_frame(frame)
         assert exit_.normal
-        assert machine.return_shadow.checks == 1
-        assert machine.return_shadow.tamper_events == 0
+        assert machine.defense.checks == 1
+        assert machine.defense.tamper_events == 0
 
     def test_nested_frames_tracked(self):
         from repro.attacks import SHADOW_RETURN_STACK
@@ -127,10 +124,10 @@ class TestShadowReturnStack:
         machine = SHADOW_RETURN_STACK.make_machine()
         outer = machine.push_frame("outer")
         inner = machine.push_frame("inner")
-        assert machine.return_shadow.depth == 2
+        assert machine.defense.depth == 2
         machine.pop_frame(inner)
         machine.pop_frame(outer)
-        assert machine.return_shadow.depth == 0
+        assert machine.defense.depth == 0
 
     def test_data_only_attacks_unaffected(self):
         from repro.attacks import SHADOW_RETURN_STACK, DataBssOverflowAttack
@@ -158,8 +155,8 @@ class TestVtableIntegrity:
         construct(machine, grad, inst.address)
         result = machine.virtual_call(inst.as_type(student), "getInfo")
         assert result.function_name == "GradStudent::getInfo"
-        assert machine.vtable_guard.checks == 1
-        assert machine.vtable_guard.violations == 0
+        assert machine.defense.checks == 1
+        assert machine.defense.violations == 0
 
 
 class TestFullGalleryUnprotected:
@@ -167,7 +164,7 @@ class TestFullGalleryUnprotected:
         """The paper's central result: all attacks demonstrated on the
         unprotected Ubuntu/gcc configuration."""
         for scenario in all_attacks():
-            result = scenario.run(BASELINE.environment)
+            result = scenario.run(UNPROTECTED)
             assert result.succeeded, f"{scenario.name} failed: {result.detail}"
 
     def test_correct_coding_blocks_all_overflow_attacks(self):
@@ -197,5 +194,5 @@ class TestFullGalleryUnprotected:
         for scenario in all_attacks():
             if scenario.name not in overflow_names:
                 continue
-            result = scenario.run(CORRECT_CODING.environment)
+            result = scenario.run(CHECKED_PLACEMENT)
             assert not result.succeeded, f"{scenario.name} won under checked placement"

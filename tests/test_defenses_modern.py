@@ -10,18 +10,14 @@ internal-overflow is a simulation bug, not an improvement.
 import pytest
 
 from repro.attacks import all_attacks, attack_by_name
-from repro.attacks.base import (
-    ALL_DETECTION_LABELS,
-    MEMORY_TAGGING,
-    VRT_BOUNDS,
-    classify_failure,
-)
+from repro.attacks.base import MEMORY_TAGGING, VRT_BOUNDS, classify_failure
 from repro.core.placement import placement_new
 from repro.defenses import (
     ShadowCallStack,
     TagMismatchFault,
     VrtBoundsViolation,
 )
+from repro.defenses.base import DETECTED_BY
 from repro.workloads import make_student_classes
 
 
@@ -70,7 +66,7 @@ class TestVariableRecordTable:
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.vrt.lookup(arena.address)
+        entry = machine.defense.lookup(arena.address)
         assert entry is not None
         assert entry.base == arena.address
         assert entry.true_size == entry.believed_size
@@ -82,21 +78,21 @@ class TestVariableRecordTable:
         with pytest.raises(VrtBoundsViolation) as excinfo:
             placement_new(machine, arena.address, grad)
         assert excinfo.value.operation == "placement"
-        assert machine.vrt.violations
+        assert machine.defense.violations
 
     def test_fitting_placement_shrinks_believed_size(self):
         machine = VRT_BOUNDS.make_machine()
         student, grad = make_student_classes()
         arena = machine.static_object(grad, "arena")
         placement_new(machine, arena.address, student)
-        entry = machine.vrt.lookup(arena.address)
+        entry = machine.defense.lookup(arena.address)
         assert entry.believed_size < entry.true_size
 
     def test_raw_write_past_believed_bounds_faults(self):
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.vrt.lookup(arena.address)
+        entry = machine.defense.lookup(arena.address)
         with pytest.raises(VrtBoundsViolation):
             machine.space.write(arena.address + entry.believed_size - 2, b"ABCD")
 
@@ -106,25 +102,25 @@ class TestVariableRecordTable:
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.vrt.lookup(arena.address + 4)
+        entry = machine.defense.lookup(arena.address + 4)
         assert entry is not None and entry.base == arena.address
 
     def test_disarm_stops_enforcement(self):
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.vrt.lookup(arena.address)
-        machine.vrt.disarm()
+        entry = machine.defense.lookup(arena.address)
+        machine.defense.disarm()
         machine.space.write(arena.address + entry.believed_size - 2, b"ABCD")
 
     def test_freed_arenas_leave_the_table(self):
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         machine.static_object(student, "arena")
-        before = machine.vrt.live_entries
+        before = machine.defense.live_entries
         for record in list(machine.tracker.live_records):
             machine.tracker.forget(record.address)
-        assert machine.vrt.live_entries < before
+        assert machine.defense.live_entries < before
 
 
 class TestMemoryTagging:
@@ -132,7 +128,7 @@ class TestMemoryTagging:
         machine = MEMORY_TAGGING.make_machine()
         student, _ = make_student_classes()
         objs = [machine.static_object(student, f"o{i}") for i in range(16)]
-        tags = [machine.memory_tags.tag_at(obj.address) for obj in objs]
+        tags = [machine.defense.tag_at(obj.address) for obj in objs]
         assert tags[:15] == list(range(1, 16))
         # The honest MTE limit: the 16th live allocation recycles the
         # first colour, so an overflow between them is invisible.
@@ -155,20 +151,20 @@ class TestMemoryTagging:
         machine = MEMORY_TAGGING.make_machine()
         student, grad = make_student_classes()
         arena = machine.static_object(grad, "arena")
-        before = machine.memory_tags.tag_at(arena.address)
+        before = machine.defense.tag_at(arena.address)
         placement_new(machine, arena.address, student)
-        assert machine.memory_tags.tag_at(arena.address) == before
+        assert machine.defense.tag_at(arena.address) == before
 
     def test_untagged_memory_reads_as_zero(self):
         machine = MEMORY_TAGGING.make_machine()
-        assert machine.memory_tags.tag_at(0x1000) == 0
+        assert machine.defense.tag_at(0x1000) == 0
 
     def test_disarm_stops_enforcement(self):
         machine = MEMORY_TAGGING.make_machine()
         student, _ = make_student_classes()
         a = machine.static_object(student, "a")
         b = machine.static_object(student, "b")
-        machine.memory_tags.disarm()
+        machine.defense.disarm()
         machine.space.write(a.address + (b.address - a.address) - 2, b"XXXX")
 
 
@@ -181,7 +177,7 @@ class TestClassification:
 
     def test_all_detection_labels_include_the_modern_defenses(self):
         assert {"vrt", "memory-tagging", "shadow-return-stack"} <= set(
-            ALL_DETECTION_LABELS
+            DETECTED_BY.values()
         )
 
 

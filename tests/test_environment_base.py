@@ -9,13 +9,14 @@ from repro.attacks import (
     UNPROTECTED,
     AttackResult,
     classify_failure,
-    environment_with,
 )
+from repro.defenses import ALL_DEFENSES
 from repro.errors import (
     BoundsCheckViolation,
     OutOfMemory,
     RedZoneViolation,
     SegmentationFault,
+    SimulatedProcessError,
     SimulatedTimeout,
     StackSmashingDetected,
 )
@@ -27,12 +28,6 @@ class TestEnvironment:
     def test_labels_unique(self):
         labels = [env.label for env in ALL_ENVIRONMENTS]
         assert len(labels) == len(set(labels))
-
-    def test_environment_with_derivation(self):
-        derived = environment_with(UNPROTECTED, label="custom", checked_placement=True)
-        assert derived.label == "custom"
-        assert derived.checked_placement
-        assert not UNPROTECTED.checked_placement  # original untouched
 
     def test_unprotected_place_is_unchecked(self):
         machine = UNPROTECTED.make_machine()
@@ -61,18 +56,6 @@ class TestEnvironment:
         base = arena.address
         assert machine.space.read(base, 16) != b"SECRET!!" * 2
 
-    def test_make_pool_checked_variant(self):
-        from repro.memory import CheckedMemoryPool, MemoryPool, SegmentKind
-
-        machine = UNPROTECTED.make_machine()
-        base = machine.space.segment(SegmentKind.BSS).base
-        assert isinstance(UNPROTECTED.make_pool(machine, base, 64), MemoryPool)
-        machine2 = CHECKED_PLACEMENT.make_machine()
-        base2 = machine2.space.segment(SegmentKind.BSS).base
-        assert isinstance(
-            CHECKED_PLACEMENT.make_pool(machine2, base2, 64), CheckedMemoryPool
-        )
-
 
 class TestClassifyFailure:
     @pytest.mark.parametrize(
@@ -96,6 +79,57 @@ class TestClassifyFailure:
             ReturnAddressTampering("f", expected=1, found=2)
         )
         assert detected == "shadow-return-stack" and not crashed
+
+    @pytest.mark.parametrize(
+        "raised,label",
+        [(raised, d.detected_by) for d in ALL_DEFENSES for raised in d.raises],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_every_roster_exception_classifies_to_its_label(self, raised, label):
+        assert classify_failure(raised.__new__(raised)) == (label, False)
+        # A refinement of the exception is still that defense's detection.
+        refined = type("Refined", (raised,), {})
+        assert classify_failure(refined.__new__(refined)) == (label, False)
+
+    def test_unknown_process_error_reads_crashed(self):
+        class Unlisted(SimulatedProcessError):
+            pass
+
+        assert classify_failure(SimulatedProcessError("x")) == (None, True)
+        assert classify_failure(Unlisted("y")) == (None, True)
+
+
+class TestRoster:
+    def test_names_labels_and_detections(self):
+        # The matrix column, --env label and detected_by label of every
+        # defense, byte for byte.
+        assert [
+            (d.name, d.environment.label, d.detected_by if d.raises else None)
+            for d in ALL_DEFENSES
+        ] == [
+            ("none", "unprotected", None),
+            ("stackguard", "stackguard", "stackguard"),
+            ("checked-placement", "checked-placement", "bounds-check"),
+            ("shadow-memory", "shadow-memory", "shadow-memory"),
+            ("nx-stack", "nx", "nx"),
+            ("sanitize-on-reuse", "sanitize-on-reuse", None),
+            ("shadow-ret-stack", "shadow-return-stack", "shadow-return-stack"),
+            ("vtable-integrity", "vtable-integrity", "vtable-integrity"),
+            ("vrt", "vrt", "vrt"),
+            ("memory-tagging", "memory-tagging", "memory-tagging"),
+        ]
+
+    def test_environments_are_the_roster_in_order(self):
+        assert ALL_ENVIRONMENTS == tuple(d.environment for d in ALL_DEFENSES)
+
+    def test_every_protection_declares_what_it_mitigates(self):
+        for defense in ALL_DEFENSES[1:]:
+            assert defense.mitigates, defense.name
+        assert ALL_DEFENSES[0].mitigates == ()
+
+    def test_each_exception_belongs_to_one_defense(self):
+        raised = [exc for d in ALL_DEFENSES for exc in d.raises]
+        assert len(raised) == len(set(raised))
 
 
 class TestAttackResult:

@@ -302,7 +302,8 @@ class TestCellsFreeTheirMachines:
         ) == 0
 
     def test_disarm_puts_back_the_machine_dispatch(self):
-        from repro.attacks.base import VTABLE_INTEGRITY, disarm
+        from repro.attacks.base import VTABLE_INTEGRITY
+        from repro.defenses.base import disarm
         from repro.runtime.machine import Machine
 
         machine = VTABLE_INTEGRITY.make_machine()
@@ -310,7 +311,28 @@ class TestCellsFreeTheirMachines:
         disarm(machine)
         assert "virtual_call" not in vars(machine)
         assert machine.virtual_call.__func__ is Machine.virtual_call
-        assert not hasattr(machine, "vtable_guard")
+        assert not hasattr(machine, "defense")
+
+    @pytest.mark.parametrize("defense", [d.name for d in ALL_DEFENSES])
+    def test_disarm_leaves_the_machine_unhooked(self, defense):
+        from repro.defenses import defense_by_name
+        from repro.defenses.base import disarm
+
+        def hooks(machine):
+            return (
+                "defense" in vars(machine),
+                "virtual_call" in vars(machine),
+                machine.call_shadow is not None,
+                len(machine.space._hooks),
+                len(machine.space._typed_guards),
+                len(machine.tracker._observers),
+                len(machine.placement_log._observers),
+            )
+
+        bare = defense_by_name("none").environment.make_machine()
+        machine = defense_by_name(defense).environment.make_machine()
+        disarm(machine)
+        assert hooks(machine) == hooks(bare)
 
 
 class TestThreatCoverage:
@@ -320,20 +342,6 @@ class TestThreatCoverage:
         from repro.score.threats import coverage_gaps
 
         assert coverage_gaps() == {}
-
-    def test_every_defense_has_a_mitigation_mapping(self):
-        from repro.score.threats import DEFENSE_MITIGATIONS
-
-        assert set(DEFENSE_MITIGATIONS) == {d.name for d in ALL_DEFENSES}
-
-    def test_every_detection_label_credits_a_real_defense(self):
-        from repro.attacks.base import ALL_DETECTION_LABELS
-        from repro.score.threats import DETECTION_DEFENSES
-
-        assert set(DETECTION_DEFENSES) == set(ALL_DETECTION_LABELS)
-        roster = {d.name for d in ALL_DEFENSES}
-        for label, defense_name in DETECTION_DEFENSES.items():
-            assert defense_name in roster, f"{label} credits unknown {defense_name}"
 
     def test_every_matrix_outcome_classifies(self):
         from repro.score.threats import outcome_class

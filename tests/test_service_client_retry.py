@@ -13,6 +13,7 @@ from repro.service import (
     backoff_delay,
     create_server,
 )
+from repro.service.client import BACKOFF_BASE, BACKOFF_CAP
 
 
 def free_port() -> int:
@@ -52,7 +53,7 @@ class TestTransientRetry:
         assert len(sleeps) == 3
         # the recorded delays are exactly the deterministic schedule
         assert sleeps == [
-            backoff_delay("GET /healthz", n, client.backoff_base, client.backoff_cap)
+            backoff_delay("GET /healthz", n, BACKOFF_BASE, BACKOFF_CAP)
             for n in (1, 2, 3)
         ]
 
@@ -130,11 +131,3 @@ class TestStatusErrorsAreNotRetried:
             client._request("POST", "/analyze", {})
         assert excinfo.value.status == 400
         assert "source" in excinfo.value.message
-
-    def test_separate_connect_and_read_timeouts(self, service):
-        client = ServiceClient(
-            service, connect_timeout=0.5, read_timeout=30.0, retries=0
-        )
-        assert client.connect_timeout == 0.5
-        assert client.read_timeout == 30.0
-        assert client.healthz()["status"] == "ok"
