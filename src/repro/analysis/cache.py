@@ -22,8 +22,9 @@ expensive products in three tiers:
   classes and helpers that a package corpus repeats, and every
   declaration of a fuzz mutant before the mutated one.  The key is the
   declaration's source text, its first token's line and column, and the
-  type names known before it (``Parser._parse_declaration_memoized``
-  says why that is exact).  Each source is still lexed in full.
+  type names known before it (``Parser._parse_declarations_memoized``
+  says why that is exact).  A hit skips lexing as well as parsing: the
+  parser lexes a declaration only when the memo misses it.
 * **Report cache** — ``cached_report`` maps
   ``(tool_key, version, sha256(source))`` to the finished findings.  The
   ``version`` is supplied by the caller (the detector passes

@@ -85,7 +85,7 @@ def _digits_end(source: str, i: int) -> int:
     return j
 
 
-def tokenize(source: str, offsets: list[int] | None = None) -> list[Token]:
+def tokenize(source: str) -> list[Token]:
     """Turn source text into a token list ending with an EOF token.
 
     A token's column is its offset from ``line_start``, the character
@@ -94,22 +94,33 @@ def tokenize(source: str, offsets: list[int] | None = None) -> list[Token]:
     and a ``//`` comment, which moves ``line_start`` along by its own
     length, does not advance the column.  ``#`` starts a skipped line
     only at column 1.
-
-    With ``offsets``, each token's start offset in ``source`` is appended
-    to it, in step with the tokens (the EOF token's is ``len(source)``).
     """
     tokens: list[Token] = []
+    n = len(source)
+    _, line, line_start = lex(source, tokens, 0, 1, 0, n)
+    tokens.append(Token(TokenKind.EOF, "", line, n - line_start + 1))
+    return tokens
+
+
+def lex(
+    source: str, tokens: list[Token], pos: int, line: int, line_start: int, end: int
+) -> tuple[int, int, int]:
+    """Append to ``tokens`` the tokens of ``source`` from ``pos`` on,
+    until a match (blanks, a comment or a token) ends at or past ``end``.
+
+    ``line`` and ``line_start`` are the lexer's state at ``pos`` (see
+    :func:`tokenize`); the return value is its state after the last
+    match, from which a later call resumes.  Matches run on the whole
+    source, so a literal or comment that crosses ``end`` is lexed whole,
+    and the tokens are those :func:`tokenize` gives for the same text.
+    """
     append = tokens.append
-    track = offsets is not None
-    mark = offsets.append if track else None
     # ``tuple.__new__`` builds the same Token without the Python-level
     # ``NamedTuple.__new__`` frame.
     new = tuple.__new__
     match = _PATTERN.match
-    line = 1
-    line_start = pos = 0
     n = len(source)
-    while pos < n:
+    while pos < end:
         m = match(source, pos)
         group = m.lastgroup
         start = m.start(group) if group else n
@@ -118,12 +129,8 @@ def tokenize(source: str, offsets: list[int] | None = None) -> list[Token]:
             text = source[start:pos]
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
             append(new(Token, (kind, text, line, start - line_start + 1)))
-            if track:
-                mark(start)
         elif group == "op":
             append(new(Token, (TokenKind.OP, source[start:pos], line, start - line_start + 1)))
-            if track:
-                mark(start)
         elif group == "newline" or group == "block_comment":
             newlines = source.count("\n", start, pos)
             if newlines:
@@ -135,13 +142,9 @@ def tokenize(source: str, offsets: list[int] | None = None) -> list[Token]:
             text = source[start:pos]
             kind = TokenKind.FLOAT if "." in text else TokenKind.NUMBER
             append(new(Token, (kind, text, line, start - line_start + 1)))
-            if track:
-                mark(start)
         elif group == "string" or group == "charlit":
             kind = TokenKind.STRING if group == "string" else TokenKind.CHARLIT
             append(new(Token, (kind, source[start + 1 : pos - 1], line, start - line_start + 1)))
-            if track:
-                mark(start)
         elif group == "line_comment" or (group == "hash" and start == line_start):
             line_start += pos - start
         elif group == "open_comment":
@@ -163,9 +166,4 @@ def tokenize(source: str, offsets: list[int] | None = None) -> list[Token]:
             else:
                 raise ParseError(f"unexpected character {ch!r}", line, column)
             append(new(Token, (kind, text, line, column)))
-            if track:
-                mark(start)
-    append(new(Token, (TokenKind.EOF, "", line, n - line_start + 1)))
-    if track:
-        mark(n)
-    return tokens
+    return pos, line, line_start

@@ -10,12 +10,12 @@ and expression forms the attacks use — most importantly every flavour of
 
 from __future__ import annotations
 
-from operator import itemgetter
+import re
 from typing import Optional
 
 from ..errors import ParseError
 from . import ast_nodes as ast
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, lex, tokenize
 
 #: Built-in type names (an optional leading ``unsigned``/``const`` is
 #: folded into the base name during parsing).
@@ -24,8 +24,70 @@ BUILTIN_TYPES = {
     "unsigned", "string", "size_t",
 }
 #: The known type names before any class: the last part of the first
-#: declaration memo key (see :meth:`Parser._parse_declaration_memoized`).
+#: declaration memo key (see :meth:`Parser._parse_declarations_memoized`).
 _BUILTIN_KEY = frozenset(BUILTIN_TYPES)
+_CLASS_KEYWORDS = ("class", "struct")
+#: What a span's parse finds after its last token.
+_SPAN_END = Token(TokenKind.EOF, "", 0, 0)
+_STRUCTURE = re.compile(r"[;{}]")
+#: The characters that open a literal, a comment or a ``#`` line.  In
+#: text without them every ``;``, ``{`` and ``}`` is a token of its own.
+_UNTRUSTED = re.compile(r"[\"'/#]")
+_BLANKS = re.compile(r"[ \t\r\n]*")
+
+
+class _NoSpan(Exception):
+    """The memoized walk cannot take a declaration span by span."""
+
+
+def _next_token(
+    source: str, tokens: list[Token], pos: int, line: int, line_start: int
+) -> tuple[int, int, int]:
+    """Lex up to the next token (none at the end of input); return the
+    lexer state after it.  Each :func:`lex` call stops within a match
+    of the first character past the blanks, so it lexes one token at
+    most."""
+    count = len(tokens)
+    n = len(source)
+    while pos < n and len(tokens) == count:
+        stop = min(_BLANKS.match(source, pos).end() + 1, n)
+        pos, line, line_start = lex(source, tokens, pos, line, line_start, stop)
+    return pos, line, line_start
+
+
+def _raw_span_end(source: str, start: int, is_class: bool) -> Optional[int]:
+    """The end of the declaration starting at ``start``, by the span rule
+    of :meth:`Parser._lex_span` applied to characters, or None where the
+    text cannot be trusted for it: when the span, or the gap between a
+    class's ``}`` and what follows, holds a literal, a comment or a
+    ``#`` line, and when the input ends first.
+    """
+    semicolon = source.find(";", start)
+    brace = source.find("{", start) if semicolon < 0 else source.find("{", start, semicolon)
+    if brace < 0:
+        if semicolon < 0:
+            return None
+        end = semicolon + 1
+    else:
+        depth = 1
+        close = brace
+        while depth:
+            after = close + 1
+            close = source.find("}", after)
+            if close < 0:
+                return None
+            depth += source.count("{", after, close) - 1
+        end = close + 1
+        if is_class:
+            after = _BLANKS.match(source, end).end()
+            following = source[after : after + 1]
+            if following == ";":
+                end = after + 1
+            elif following == "/" or following == "#":
+                return None
+    if _UNTRUSTED.search(source, start, end):
+        return None
+    return end
 
 
 class Parser:
@@ -34,20 +96,14 @@ class Parser:
 
     def __init__(self, source: str, declarations=None) -> None:
         # Every instance sets the same attributes, in the same order, so
-        # attribute reads on the hot path stay specialized.
+        # attribute reads on the hot path stay specialized.  With a
+        # memo, the tokens are lexed one declaration at a time.
         self._declarations = declarations
-        offsets: Optional[list[int]] = None if declarations is None else []
-        self._tokens = tokenize(source, offsets)
+        self._tokens = tokenize(source) if declarations is None else []
         self._pos = 0
         self._known_types: set[str] = set(BUILTIN_TYPES)
         self._known_key = _BUILTIN_KEY
         self._source = source
-        self._offsets = offsets
-        # Each token's first character (a blank for EOF): ``{``, ``}`` or
-        # ``;`` marks that operator, as no other token starts with one.
-        self._marks = (
-            "" if offsets is None else "".join(itemgetter(*offsets)(source + " "))
-        )
 
     # -- token plumbing -------------------------------------------------------
 
@@ -95,15 +151,19 @@ class Parser:
 
     def parse_program(self) -> ast.Program:
         """Parse a translation unit."""
-        parts: tuple[list, list, list] = ([], [], [])  # classes, globals, functions
-        parse_declaration = (
-            self._parse_declaration
-            if self._declarations is None
-            else self._parse_declaration_memoized
-        )
-        while self._peek().kind is not TokenKind.EOF:
-            kind, nodes = parse_declaration()
-            parts[kind].extend(nodes)
+        if self._declarations is None:
+            parts: tuple[list, list, list] = ([], [], [])  # classes, globals, functions
+            while self._peek().kind is not TokenKind.EOF:
+                kind, nodes = self._parse_declaration()
+                parts[kind].extend(nodes)
+        else:
+            try:
+                parts = self._parse_declarations_memoized()
+            except (ParseError, _NoSpan):
+                # The bare parser lexes the whole source first, so it
+                # raises the error it always has: a lex error anywhere
+                # before a parse error, each at its own place.
+                return type(self)(self._source).parse_program()
         classes, globals_, functions = parts
         return ast.Program(
             classes=tuple(classes),
@@ -131,8 +191,9 @@ class Parser:
             f"unexpected top-level token '{token.text}'", token.line, token.column
         )
 
-    def _parse_declaration_memoized(self) -> tuple[int, tuple]:
-        """:meth:`_parse_declaration` through the ``declarations`` memo.
+    def _parse_declarations_memoized(self) -> tuple[list, list, list]:
+        """:meth:`parse_program`'s parts through the ``declarations`` memo,
+        lexing only the declarations it misses.
 
         The key is the declaration's source text from its first token
         through its last (always a one-character ``;`` or ``}``), its
@@ -142,61 +203,114 @@ class Parser:
         follows the span, comments and blanks included, is not part of
         the key.  The parser reads no token past the span but the one
         after a class's ``}``, which the span takes when it is a ``;``.
-        A parse is stored only if it consumed exactly that span, with
-        the type names it added; a ``ParseError`` is never stored.
-        """
-        start = self._pos
-        end = self._span_end(start)
-        if end is None:
-            return self._parse_declaration()
-        known = self._known_types
-        if len(known) != len(self._known_key):
-            self._known_key = frozenset(known)
-        first = self._tokens[start]
-        offsets = self._offsets
-        key = (
-            self._source[offsets[start] : offsets[end - 1] + 1],
-            first.line,
-            first.column,
-            self._known_key,
-        )
-        cached = self._declarations.get(key)
-        if cached is not None:
-            kind, nodes, added = cached
-            known.update(added)
-            self._pos = end
-            return kind, nodes
-        kind, nodes = self._parse_declaration()
-        if self._pos == end:
-            added = frozenset(known.difference(self._known_key))
-            self._declarations.put(key, (kind, nodes, added))
-        return kind, nodes
 
-    def _span_end(self, start: int) -> Optional[int]:
-        """The index after the top-level declaration at ``start``: after
-        its first ``;`` if no ``{`` comes before it, else after the ``}``
-        that closes that ``{`` and, for a class, after the ``;`` that
-        :meth:`_parse_class` accepts next.  None if the tokens run out
-        first.
+        The walk lexes each declaration's first token, then finds the
+        span's end in the text itself (:func:`_raw_span_end`).  A hit
+        there moves the lexer state past the span without lexing it;
+        a miss lexes the span and parses its tokens.  Where the text
+        holds a literal or a comment, the span is lexed first and its
+        end found among the tokens (:meth:`_lex_span`).  A parse is
+        stored only if it consumed exactly the span, with the type names
+        it added; a ``ParseError`` is never stored.  A span that the
+        input ends inside, or that a parse does not consume exactly,
+        raises :class:`_NoSpan`.
         """
-        marks = self._marks
-        # The last mark is EOF's blank, so an end of -1 still finds all.
-        semicolon = marks.find(";", start)
-        brace = marks.find("{", start, semicolon)
-        if brace < 0:
-            return semicolon + 1 if semicolon >= 0 else None
-        depth = 1
-        close = brace
-        while depth:
-            after = close + 1
-            close = marks.find("}", after)
-            if close < 0:
-                return None
-            depth += marks.count("{", after, close) - 1
-        end = close + 1
-        if marks[end] == ";" and self._tokens[start].is_keyword("class", "struct"):
-            end += 1
-        return end
+        parts: tuple[list, list, list] = ([], [], [])
+        source = self._source
+        memo = self._declarations
+        known = self._known_types
+        state = (0, 1, 0)
+        while True:
+            tokens: list[Token] = []
+            state = _next_token(source, tokens, *state)
+            if not tokens:
+                return parts
+            first = tokens[0]
+            pos, line, line_start = state
+            start = line_start + first.column - 1
+            is_class = first.kind is TokenKind.KEYWORD and first.text in _CLASS_KEYWORDS
+            if len(known) != len(self._known_key):
+                self._known_key = frozenset(known)
+            end = _raw_span_end(source, start, is_class)
+            if end is None:
+                state = self._lex_span(tokens, state, is_class)
+                text = source[start : state[0]]
+            else:
+                text = source[start:end]
+            key = (text, first.line, first.column, self._known_key)
+            cached = memo.get(key)
+            if cached is not None:
+                kind, nodes, added = cached
+                known.update(added)
+                if end is not None:
+                    newlines = text.count("\n")
+                    if newlines:
+                        line += newlines
+                        line_start = start + text.rfind("\n") + 1
+                    state = (end, line, line_start)
+            else:
+                if end is not None:
+                    state = lex(source, tokens, pos, line, line_start, end)
+                kind, nodes = self._parse_span(tokens)
+                added = frozenset(known.difference(self._known_key))
+                memo.put(key, (kind, nodes, added))
+            parts[kind].extend(nodes)
+
+    def _lex_span(
+        self, tokens: list[Token], state: tuple[int, int, int], is_class: bool
+    ) -> tuple[int, int, int]:
+        """Lex the rest of the declaration whose first token is in
+        ``tokens``, ``state`` being the lexer's state after it; return
+        the state after its last token.
+
+        The span ends after its first ``;`` if no ``{`` comes before it,
+        else after the ``}`` that closes that ``{`` and, for a class,
+        after the ``;`` that :meth:`_parse_class` accepts next.  Each
+        :func:`lex` call stops after the next ``;``, ``{`` or ``}`` in
+        the text, so a structural token is always the last one lexed
+        and the walk can resume right after it.
+        """
+        source = self._source
+        index = depth = 0
+        closed = ""
+        while not closed:
+            if index == len(tokens):
+                if state[0] >= len(source):
+                    raise _NoSpan("the input ends inside a declaration")
+                mark = _STRUCTURE.search(source, state[0])
+                stop = len(source) if mark is None else mark.end()
+                state = lex(source, tokens, *state, stop)
+                continue
+            token = tokens[index]
+            index += 1
+            if token.kind is TokenKind.OP:
+                text = token.text
+                if text == "{":
+                    depth += 1
+                elif text == "}" and depth:
+                    depth -= 1
+                    if not depth:
+                        closed = text
+                elif text == ";" and not depth:
+                    closed = text
+        if is_class and closed == "}":
+            probe = _next_token(source, tokens, *state)
+            if len(tokens) > index and tokens[index].is_op(";"):
+                return probe
+            del tokens[index:]
+        return state
+
+    def _parse_span(self, tokens: list[Token]) -> tuple[int, tuple]:
+        """:meth:`_parse_declaration` over one span's tokens, which it
+        must consume exactly."""
+        count = len(tokens)
+        tokens.append(_SPAN_END)
+        self._tokens = tokens
+        self._pos = 0
+        result = self._parse_declaration()
+        if self._pos != count:
+            raise _NoSpan("a declaration's parse does not end at its span's end")
+        return result
 
     # -- types --------------------------------------------------------------
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Dict, List, Sequence, Tuple
 
 from .._record import field, record
@@ -121,8 +123,43 @@ class CorpusScore:
         }
 
     def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, fixed indentation)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """Byte-stable JSON: ``json.dumps(self.to_dict(), indent=2,
+        sort_keys=True)``, written field by field.
+
+        Each risk tuple is encoded once, however many packages hold it
+        (:func:`score_packages` shares one per distinct content), and
+        the other fields and both rankings go through the C string
+        encoder and ``repr``.
+        """
+        rendered: Dict[int, str] = {}
+        entries = []
+        for package in self.packages:
+            risks = rendered.get(id(package.risks))
+            if risks is None:
+                risks = _encode([dict(risk) for risk in package.risks], "      ")
+                rendered[id(package.risks)] = risks
+            entries.append(
+                '{\n      "blast_radius": ' + _encode(package.blast_radius, "      ")
+                + ',\n      "dependents": ' + _encode(package.dependents, "      ")
+                + ',\n      "exposure": ' + _encode(package.exposure, "      ")
+                + ',\n      "intrinsic": ' + _encode(package.intrinsic, "      ")
+                + ',\n      "name": ' + _encode(package.name, "      ")
+                + ',\n      "risks": ' + risks
+                + "\n    }"
+            )
+        return (
+            '{\n  "attenuation": ' + _encode(self.attenuation, "  ")
+            + ',\n  "fingerprint": ' + _encode(dict(self.fingerprint), "  ")
+            + ',\n  "flat_ranking": ' + _encode_list(
+                [_encode(name, "    ") for name in self.flat_ranking]
+            )
+            + ',\n  "packages": ' + _encode_list(entries)
+            + ',\n  "ranking": ' + _encode_list(
+                [_encode(name, "    ") for name in self.ranking]
+            )
+            + ',\n  "totals": ' + _encode(self.totals, "  ")
+            + "\n}"
+        )
 
     def render(self, top: int = 0) -> str:
         """Human-readable ranking table (``top`` = 0 shows all)."""
@@ -150,6 +187,27 @@ class CorpusScore:
         return "\n".join(lines)
 
 
+def _encode(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+    it inside a document, its lines after the first indented by
+    ``indent``."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _encode_list(items: List[str]) -> str:
+    """A top-level key's list value, from its encoded items."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
 def score_packages(
     graph: PackageGraph,
     risks_by_package: Dict[str, Sequence[dict]],
@@ -167,9 +225,22 @@ def score_packages(
     missing = [name for name in graph.names() if name not in risks_by_package]
     if missing:
         raise ValueError(f"no risks computed for packages: {missing}")
+    # One risk tuple per distinct content, its key built once per
+    # distinct ``risks_by_package`` value: packages that share a source
+    # share its result, and ``to_json`` encodes each tuple once.
+    # ``by_value`` holds each value it keys, so no id is reused.
+    by_value: Dict[int, tuple] = {}
+    by_content: Dict[str, tuple] = {}
+    risks_of: Dict[str, tuple] = {}
+    for name in graph.names():
+        given = risks_by_package[name]
+        seen = by_value.get(id(given))
+        if seen is None:
+            copied = tuple(dict(risk) for risk in given)
+            seen = by_value[id(given)] = (given, by_content.setdefault(repr(copied), copied))
+        risks_of[name] = seen[1]
     intrinsic = {
-        name: sum(risk["score"] for risk in risks_by_package[name])
-        for name in graph.names()
+        name: sum(risk["score"] for risk in risks) for name, risks in risks_of.items()
     }
     # weights[depth] is attenuation ** depth, grown to the deepest level
     # any closure reaches; a closure's last member is its deepest.
@@ -194,7 +265,7 @@ def score_packages(
                 blast_radius=round(intrinsic[name] * reach, 6),
                 exposure=round(exposure, 6),
                 dependents=len(dependents),
-                risks=tuple(dict(r) for r in risks_by_package[name]),
+                risks=risks_of[name],
             )
         )
     return CorpusScore(attenuation=attenuation, packages=tuple(scores))

@@ -463,9 +463,18 @@ OUTCOME_CLASSES = {
 
 
 def outcome_class(summary: str) -> Optional[str]:
-    """Classify one matrix-cell summary (``detected(x)`` → "stopped");
-    ``None`` for vocabulary the scorer does not know."""
-    return OUTCOME_CLASSES.get(summary.split("(", 1)[0])
+    """Classify one matrix-cell summary (``detected(x)`` → "stopped" when
+    ``x`` is a label the defense roster can earn); ``None`` for
+    vocabulary the scorer does not know."""
+    head, paren, rest = summary.partition("(")
+    if head == "detected":
+        from ..defenses.base import DETECTED_BY
+
+        if not (paren and rest.endswith(")") and rest[:-1] in DETECTED_BY.values()):
+            return None
+    elif paren:
+        return None
+    return OUTCOME_CLASSES.get(head)
 
 
 def matrix_outcome_ids() -> frozenset:

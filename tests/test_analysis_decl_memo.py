@@ -2,14 +2,19 @@
 
 A miss in the AST cache parses through a memo of top-level declarations
 keyed by their source text (first token through last), their first
-token's line and column, and the type names known before them.
-Whatever the memo holds, the tree
+token's line and column, and the type names known before them.  The
+walk finds each span's end in the text and lexes only the spans the
+memo misses; it trusts the text only where no literal, comment or ``#``
+line can hide a ``;``, ``{`` or ``}``, and lexes the span first
+elsewhere.  Whatever the memo holds, the tree
 must be the parser's own for the text: equal by ``==`` and by ``repr``
 (``==`` ignores ``line``), and a source that does not parse must fail
 with the same message at the same place.  Inputs are sequences of
 programs that share declarations, at the same and at shifted lines and
-followed by other text, and fuzz mutant chains, whose mutants keep every
-declaration before the mutated one.
+followed by other text (braces and semicolons in literals and comments,
+comments after a class's ``}``, ``#`` lines, ``\r\n`` line ends, tabs,
+and literals and comments left open), and fuzz mutant chains, whose
+mutants keep every declaration before the mutated one.
 """
 
 from __future__ import annotations
@@ -170,6 +175,118 @@ class TestSpans:
         assert _declaration_hits() == before + (entries == 1)
 
 
+class TestRawSpans:
+    """The walk finds a span's end in the text, and trusts it only where
+    no literal, comment or ``#`` line can hide a ``;``, ``{`` or ``}``."""
+
+    @pytest.mark.parametrize(
+        "gap", [" /* c */ ", " // c\n", "\n#pragma x\n", " /* } ; { */\n"]
+    )
+    def test_a_comment_between_a_class_and_its_semicolon(self, gap):
+        source = f"class A {{ int x; }}{gap};\nint main() {{ return 0; }}\n"
+        program = _check(source)
+        assert [cls.name for cls in program.classes] == ["A"]
+        before = _declaration_hits()
+        _check(source + "int z;")
+        assert _declaration_hits() == before + 2
+
+    def test_structure_in_literals_and_comments_with_crlf_and_tabs(self):
+        source = (
+            "class P {\tint x; };\r\n"
+            "void s() {\r\n"
+            "\tcout << \";{}\" << ';' << '{';\r\n"
+            "\t/* }\r\n\t; { */ int k = 0; // } ;\r\n"
+            "}\r\n"
+            "#define X {\r\n"
+            "int\tmain() {\treturn 0;\t}\r\n"
+        )
+        _check(source)
+        before = _declaration_hits()
+        _check(source + "int z;")
+        assert _declaration_hits() == before + 3
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            'char *s = "open;',
+            "char c = 'x;",
+            "void f() { /* never closed }",
+            "int y; /* never closed",
+            'void g() { cout << "}; }',
+        ],
+    )
+    def test_an_unterminated_literal_or_comment_in_a_later_declaration(self, later):
+        prefix = "class A { int x; };\nint main() { return 0; }\n"
+        _check(prefix)
+        outcome = _check(prefix + later + "\nint z;\n")
+        assert outcome == "ParseError"
+        # The walk may store the declarations before the failing one, but
+        # the bare parser's error is the one raised.
+        _check("\n" + prefix + later)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "/* } */ return 2;",
+            "// }\n  return 2;",
+            "/* { */ return 2;",
+            "return 2; // ;",
+            "return '}';",
+            'cout << "{"; return 2;',
+            "return 2;\n#pragma }",
+        ],
+    )
+    def test_structure_in_literals_comments_and_hash_lines(self, body):
+        source = f"int t() {{\n  {body}\n}}\nint main() {{ return t(); }}\n"
+        _check(source)
+        before = _declaration_hits()
+        _check(source + "int z;")
+        assert _declaration_hits() == before + 2
+
+    def test_keys_carry_each_declaration_s_place_after_a_hit(self):
+        """A hit moves the lexer past the span without lexing it: the
+        declarations after it, on the span's last line, keep their
+        columns."""
+
+        class Recorder(dict):
+            """A memo that records the line and column of each lookup."""
+
+            lookups: list = []
+
+            def get(self, key):
+                self.lookups.append(key[1:3])
+                return dict.get(self, key)
+
+            def put(self, key, value):
+                self[key] = value
+
+        memo = Recorder()
+        shared = "int f() {\n  return 1;\n}"
+        parse(shared + "\n", memo)
+        memo.lookups.clear()
+        source = shared + " int g; int h() { return 2; }\n"
+        assert repr(parse(source, memo)) == repr(parse(source))
+        assert memo.lookups == [(1, 1), (3, 3), (3, 10)]
+
+    def test_a_hit_lexes_only_each_declaration_s_first_token(self, monkeypatch):
+        from repro.analysis import parser as parser_module
+
+        source = "class A { int x; };\nint g;\nint main() {\n  return g;\n}\n"
+        _check(source)
+        lexed = []
+        real_lex = parser_module.lex
+
+        def counting_lex(source, tokens, *state):
+            count = len(tokens)
+            result = real_lex(source, tokens, *state)
+            lexed.extend(tokens[count:])
+            return result
+
+        monkeypatch.setattr(parser_module, "lex", counting_lex)
+        _check(source + "\n")
+        assert [token.text for token in lexed] == ["class", "int", "int"]
+
+
 class TestTierAccounting:
     def test_stats_count_declaration_hits_and_misses(self):
         before = analysis_cache_stats()["declarations"]
@@ -252,10 +369,30 @@ _DECLARATIONS = (
     "int broken() { return 1 }",
     "int x = 1 int y;",
     "void f() {};",
+    # ``;``, ``{`` and ``}`` in literals and comments
+    "void q() { cout << \"a;b{\" << ';' << '}'; }",
+    "int t() {\n  /* } ;\n  { */ return 2;\n}",
+    "void u() { // ; {\n  int k = 1;\n}",
+    "char *z = \"}\";",
+    # a comment or ``#`` line between a class's ``}`` and its ``;``
+    "class D { int y; } /* } */ ;",
+    "class D { int y; } // ;\n;",
+    "struct E { int z; }\n#pragma pack\n;",
+    # tabs
+    "int\tw()\t{\treturn 3;\t}",
+    # unterminated literals and comments
+    "char *open = \"never;",
+    "char c = 'x;",
+    "void v() { /* never closed }",
 )
-_SEPARATORS = ("\n", " ", "", "\n\n", "  // x {\n", " /* } ; */ ", "\n#include <x>\n")
-_LEADS = ("", "\n", "\n\n\n", " ", "// lead }\n")
-_SPLICES = ("{", "}", ";", "class A {};", "*", "\n", " ", "A", "\"")
+_SEPARATORS = (
+    "\n", " ", "", "\n\n", "  // x {\n", " /* } ; */ ", "\n#include <x>\n",
+    "\r\n", "\t", "\n\t", "\r\n#define X {\r\n", " /* a\n ; b */\n", "\n  # x ;\n",
+)
+_LEADS = ("", "\n", "\n\n\n", " ", "// lead }\n", "#x {\n", "\r\n", "\t", "/* ;\n{ */")
+_SPLICES = (
+    "{", "}", ";", "class A {};", "*", "\n", " ", "A", "\"", "'", "/*", "*/", "//", "#", "\r\n",
+)
 _PIECES = st.tuples(st.sampled_from(_DECLARATIONS), st.sampled_from(_SEPARATORS))
 
 
@@ -290,6 +427,8 @@ def _sequences(draw) -> list:
             at = draw(st.integers(0, len(text)))
             cut = draw(st.integers(0, 3))
             text = text[:at] + draw(st.sampled_from(_SPLICES)) + text[at + cut :]
+        if draw(st.integers(0, 5)) == 0:  # every line end as ``\r\n``
+            text = text.replace("\n", "\r\n")
         sources.append(text)
     return sources
 

@@ -354,6 +354,33 @@ class TestThreatCoverage:
         assert outcome_class("invalid") == "unjudged"
         assert outcome_class("gibberish") is None
 
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            "detected(no-such-defense)",
+            "detected",
+            "detected()",
+            "detected(vrt",
+            "detected(vrt)x",
+            "ATTACK-WINS(vrt)",
+        ],
+    )
+    def test_an_unknown_detection_label_does_not_classify(self, summary):
+        from repro.score.threats import outcome_class
+
+        assert outcome_class(summary) is None
+
+    def test_every_baseline_cell_classifies(self):
+        from repro.score.threats import outcome_class
+
+        with open("corpus/matrix/baseline.json", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        summaries = {
+            summary for row in baseline["rows"] for summary in row["cells"].values()
+        }
+        assert summaries
+        assert [s for s in sorted(summaries) if outcome_class(s) is None] == []
+
 
 class TestMatrixCli:
     def test_run_json_round_trips(self, tmp_path, capsys):
