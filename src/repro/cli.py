@@ -366,13 +366,14 @@ def _analyze_run(args) -> int:
     for payload in payloads:
         report = report_from_payload(payload)
         any_flagged = any_flagged or report.flagged
+        reports = [report, *map(report_from_payload, payload.get("legacy", ()))]
         if args.json:
-            print(report.to_json())
+            for each in reports:
+                print(each.to_json())
             continue
         print(f"── {payload['label']} ──")
-        print(report.render())
-        for legacy_payload in payload.get("legacy", ()):
-            print(report_from_payload(legacy_payload).render())
+        for each in reports:
+            print(each.render())
         print()
     return 1 if any_flagged and args.files else 0
 

@@ -187,11 +187,10 @@ class AddressSpace:
         Typed views (:class:`~repro.cxx.object_model.Instance`,
         :class:`~repro.cxx.object_model.CArrayView`) call every guard
         before each field/element access with the view's base address as
-        the referent.  Guards raise to fault the access.  Note that
-        ``locate()`` keeps returning fast-path ranges while only typed
-        guards are registered — typed access never goes through
-        ``locate`` — so guards that also need to see *raw* bulk accesses
-        must register an :data:`AccessHook` as well.
+        the referent.  Guards raise to fault the access.  Raw
+        :meth:`read`/:meth:`write` calls never consult typed guards, so
+        guards that also need to see *raw* bulk accesses must register an
+        :data:`AccessHook` as well.
         """
         self._typed_guards.append(guard)
 
@@ -294,36 +293,6 @@ class AddressSpace:
             return
         # Unwritable segment or a straddling range: precise fault.
         self._ordered[i].write(address, data)
-
-    def locate(
-        self, address: int, length: int, writable: bool = False
-    ) -> Optional[tuple]:
-        """Resolve an unobserved in-bounds range to ``(memoryview, offset)``.
-
-        The bytecode VM's raw access path: when no observer is
-        registered, alignment is not enforced and the whole range sits
-        inside one segment with the required permission, the caller may
-        (un)pack values straight from the backing store.  Any other
-        case — hooks attached, ``strict_alignment`` on, unmapped
-        address, a range straddling the segment end, missing permission
-        — returns None, and the caller must go through
-        :meth:`read`/:meth:`write` (or the typed accessors) so the
-        precise fault or notification happens exactly as it always has.
-        """
-        if self._hooks or self.strict_alignment:
-            return None
-        i = self._last_index
-        if not self._bases[i] <= address < self._ends[i]:
-            i = bisect_right(self._bases, address) - 1
-            if i < 0 or address >= self._ends[i]:
-                return None
-            self._last_index = i
-        if not (self._writable[i] if writable else self._readable[i]):
-            return None
-        offset = address - self._bases[i]
-        if offset + length > self._sizes[i]:
-            return None
-        return self._views[i], offset
 
     def segment_view(self, kind: SegmentKind) -> Optional[tuple]:
         """``(memoryview, read_hooks)`` over the whole segment of ``kind``.

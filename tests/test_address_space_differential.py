@@ -96,7 +96,6 @@ def _ops(layout: dict) -> st.SearchStrategy:
             address,
             st.one_of(st.integers(-1, 64), st.just(4096)),
         ),
-        st.tuples(st.just("locate"), address, _LENGTH, st.booleans()),
         st.tuples(st.just("find_segment"), address),
     )
     return st.lists(op, max_size=40)
@@ -207,19 +206,6 @@ class _Reference:
         text = scanned[:-1] if terminated else scanned
         return text.decode("latin-1", errors="replace")
 
-    def locate(self, address: int, length: int, writable: bool):
-        if self.hooked or self.strict:
-            return None
-        segment = self._segment(address)
-        if segment is None:
-            return None
-        if not (segment.permissions.write if writable else segment.permissions.read):
-            return None
-        offset = address - segment.base
-        if offset + length > segment.size:
-            return None
-        return segment.kind, offset
-
     def find_segment(self, address: int):
         segment = self._segment(address)
         return None if segment is None else segment.kind
@@ -229,8 +215,8 @@ class _Reference:
 
 
 class _Fast:
-    """The same operations on a real ``AddressSpace``, with ``locate``
-    and ``find_segment`` results reduced to comparable values."""
+    """The same operations on a real ``AddressSpace``, with
+    ``find_segment`` results reduced to comparable values."""
 
     def __init__(self, layout: dict, strict: bool, hooked: bool) -> None:
         self.space = AddressSpace(layout=layout, strict_alignment=strict)
@@ -244,14 +230,6 @@ class _Fast:
 
     def write(self, address: int, data: bytes, as_bytearray: bool = False) -> None:
         self.space.write(address, bytearray(data) if as_bytearray else data)
-
-    def locate(self, address: int, length: int, writable: bool):
-        located = self.space.locate(address, length, writable)
-        if located is None:
-            return None
-        view, offset = located
-        owner = next(s for s in self.space.segments if s._view.obj is view.obj)
-        return owner.kind, offset
 
     def find_segment(self, address: int):
         segment = self.space.find_segment(address)
@@ -317,21 +295,20 @@ def _compare(layout_name: str, ops: list, strict: bool, hooked: bool) -> None:
             ("read", 0x1140, 0),
             ("write", 0x10A0, b"", False),
             ("fill", 0x1100 - 1, 0, 0),
-            ("locate", 0x1140, 0, False),
             ("read", 0x1040, -1),
         ],
         True,
         False,
     )
 )
-@example(  # raw views that end exactly at a segment's end
+@example(  # accesses that end exactly at a segment's end
     (
         "compact",
         [
-            ("locate", 0x10FC, 4, True),
-            ("locate", 0x103C, 4, True),
-            ("locate", 0x103C, 4, False),
-            ("locate", 0x109F, 2, False),
+            ("write", 0x10FC, b"ABCD", False),
+            ("write", 0x103C, b"ABCD", True),
+            ("read", 0x103C, 4),
+            ("read", 0x109E, 2),
         ],
         False,
         False,

@@ -713,6 +713,36 @@ class TestAnalyzeCli:
         document = json.loads(first[: first.index("}\n{") + 1])
         assert list(document) == sorted(document)  # sorted keys
 
+    def test_json_legacy_prints_the_legacy_reports(self, capsys):
+        """``--json --legacy`` prints each file's legacy reports after its
+        detector report, in the order the text path renders them, and
+        leaves the detector reports as ``--json`` alone prints them."""
+        import json
+        import re
+
+        def documents(out):
+            decoder, index, found = json.JSONDecoder(), 0, []
+            while index < len(out):
+                document, index = decoder.raw_decode(out, index)
+                found.append(document)
+                index += 1  # the newline after each document
+            return found
+
+        assert analyze_main(["--json"]) == 0
+        plain = documents(capsys.readouterr().out)
+        assert analyze_main(["--json", "--legacy"]) == 0
+        legacy = documents(capsys.readouterr().out)
+        assert analyze_main(["--legacy"]) == 0
+        text_tools = re.findall(
+            r"^(\S+): (?:no findings|\d+ finding\(s\))$", capsys.readouterr().out, re.MULTILINE
+        )
+
+        plain_tools = {document["tool"] for document in plain}
+        legacy_only = {document["tool"] for document in legacy} - plain_tools
+        assert legacy_only == {"legacy-strict", "legacy-audit", "legacy-grep"}
+        assert [document["tool"] for document in legacy[1:]] == text_tools
+        assert [d for d in legacy if d["tool"] not in legacy_only] == plain
+
     def test_parallel_jobs_output_matches_sequential(self, capsys):
         assert analyze_main([]) == 0
         sequential = capsys.readouterr().out

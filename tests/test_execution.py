@@ -7,7 +7,7 @@ dynamic validation of every static finding.
 
 import pytest
 
-from repro.errors import SimulatedTimeout, StackSmashingDetected
+from repro.errors import ArithmeticFault, SimulatedTimeout, StackSmashingDetected
 from repro.execution import run_source
 from repro.memory.encoding import encode_pointer
 from repro.runtime import CanaryPolicy, Machine, MachineConfig, password_file
@@ -20,6 +20,19 @@ from repro.workloads.corpus import (
     LISTING_21,
     LISTING_22,
     LISTING_23,
+)
+
+
+#: A placement whose size arrives through ``getenv``/``atoi``: the
+#: CAPEC-10 taint source the seed generator's taint-source family uses.
+ENV_SIZED = (
+    "char pool[16];\n"
+    "int main(int argc, int argv) {\n"
+    '  char *raw = getenv("PAYLOAD_LIMIT");\n'
+    "  int n = atoi(raw);\n"
+    "  char *buf = new (pool) char[n];\n"
+    "  return n;\n"
+    "}\n"
 )
 
 
@@ -130,14 +143,37 @@ class TestBasics:
         )
         assert outcome.return_value == 16
 
-    def test_step_budget_stops_runaway_loop(self):
-        with pytest.raises(SimulatedTimeout):
+    @pytest.mark.parametrize("budget", [100, 101, 257, 1_000])
+    def test_step_budget_stops_runaway_loop(self, budget):
+        with pytest.raises(SimulatedTimeout) as caught:
             run_source(
                 "void f() { while (1) { int x = 0; } }",
                 entry="f",
                 args=(),
-                step_budget=1_000,
+                step_budget=budget,
             )
+        assert str(caught.value) == (
+            f"simulated execution exceeded budget of {budget} steps"
+        )
+
+    @pytest.mark.parametrize(
+        "expr, operation",
+        [
+            ("a / b", "integer division"),
+            ("a % b", "integer modulo"),
+            ("1.5 / 0.0", "float division"),
+            ("1.5 % 0.0", "float modulo"),
+        ],
+    )
+    def test_zero_divisor_is_an_arithmetic_fault(self, expr, operation):
+        source = f"int f(int a, int b) {{ double q = {expr}; return 1; }}"
+        with pytest.raises(ArithmeticFault) as caught:
+            run_source(source, entry="f", args=(7, 0))
+        assert str(caught.value) == f"arithmetic fault (SIGFPE): {operation} by zero"
+
+    def test_unknown_entry_raises_keyerror(self):
+        with pytest.raises(KeyError, match="no function 'nosuch'"):
+            run_source("int f() { return 1; }", entry="nosuch", args=())
 
     def test_string_argument_materialized(self):
         _, outcome = run_source(
@@ -146,6 +182,25 @@ class TestBasics:
             args=("hi",),
         )
         assert outcome.return_value == 1
+
+
+class TestTaintSource:
+    """``getenv`` and ``atoi`` read the scripted stdin: the first token
+    is the environment value, and a value past the arena overflows it
+    without a fault."""
+
+    @pytest.mark.parametrize(
+        "stdin, overflows", [((9, 5), False), ((16,), False), ((40,), True)]
+    )
+    def test_env_token_sizes_the_placement(self, stdin, overflows):
+        machine = Machine()
+        _, outcome = run_source(ENV_SIZED, machine=machine, stdin=stdin)
+        assert outcome.return_value == stdin[0]
+        assert machine.events == ["getenv()"]
+        overflowing = machine.placement_log.overflowing()
+        assert [p.type_name for p in overflowing] == (
+            [f"char[{stdin[0]}]"] if overflows else []
+        )
 
 
 class TestListingsFromSource:

@@ -13,8 +13,14 @@ Each program runs twice: once with the event tap attached (every heap
 header read observed, the exact per-read path) and once with no access
 hook (the heap walks its headers straight from the backing store).
 Both must match the same pin.
+
+The committed corpora (every package under ``corpus/packages`` and
+every regression bundle under ``corpus/regress``, with its stdin) and a
+second draw of the generator families run the same way against pins of
+their own.
 """
 
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -26,6 +32,7 @@ from repro.execution.interpreter import Interpreter
 from repro.fuzz.oracles import DEFAULT_STDIN, DEFAULT_STEP_BUDGET, _entry_plan
 from repro.fuzz.seeds import generator_seeds
 from repro.memory import MemoryEventTap
+from repro.regress import RegressionStore
 from repro.runtime import (
     CallFrame,
     CanaryPolicy,
@@ -145,6 +152,111 @@ def test_unobserved_run_matches_pin(name):
     source, stdin = PROGRAMS[name]
     outcome, steps, value, _ = PINS[name]
     assert observe(source, stdin, hooked=False) == (outcome, steps, value, ())
+
+
+# -- committed corpora ----------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Seed of a second draw of the generator families; most of its sizes and
+#: constants differ from seed 7's.
+SECOND_SEED = 20260808
+
+
+def _corpus_programs() -> dict:
+    """name -> (source, stdin) for every committed package and regression
+    bundle and every generator family at ``SECOND_SEED``."""
+    programs = {
+        path.stem: (path.read_text(), ())
+        for path in sorted((REPO / "corpus" / "packages").glob("*.cpp"))
+    }
+    store = RegressionStore(REPO / "corpus" / "regress", create=False)
+    for bundle_id in store.ids():
+        bundle = store.load(bundle_id)
+        programs[bundle_id[:12]] = (bundle.source, tuple(bundle.stdin))
+    for fuzz_input in generator_seeds(SECOND_SEED):
+        key = f"{fuzz_input.family}-{fuzz_input.label}-{SECOND_SEED}"
+        programs[key] = (fuzz_input.source, fuzz_input.stdin)
+    return programs
+
+
+CORPUS_PROGRAMS = _corpus_programs()
+
+#: name -> (outcome, steps, return value, tap kinds), recorded with the
+#: tap attached.
+CORPUS_PINS = {
+    'pkg-00-leak': ('ok', 12, None, ('write:bss', 'write:stack')),
+    'pkg-01-leak': ('ok', 17, None, ('write:bss', 'write:stack')),
+    'pkg-02-leak': ('ok', 17, None, ('write:bss', 'write:stack')),
+    'pkg-03-direct': ('ok', 4, None, ('write:stack',)),
+    'pkg-04-leak': ('ok', 17, None, ('write:bss', 'write:stack')),
+    'pkg-05-direct': ('ok', 4, None, ('write:stack',)),
+    'pkg-06-leak': ('ok', 17, None, ('write:bss', 'write:stack')),
+    'pkg-07-leak': ('ok', 17, None, ('write:bss', 'write:stack')),
+    'pkg-08-tainted-array': ('ok', 4, None, ('write:stack',)),
+    'pkg-09-leak': ('ok', 17, None, ('write:bss', 'write:stack')),
+    'pkg-10-tainted-array': ('ok', 4, None, ('write:stack',)),
+    'pkg-11-dos-loop': ('ok', 121, None, ('write:stack',)),
+    'pkg-12-guarded': ('ok', 8, None, ('write:stack',)),
+    'pkg-13-guarded': ('ok', 8, None, ('write:stack',)),
+    'pkg-14-dos-loop': ('ok', 121, None, ('write:stack',)),
+    'pkg-15-dos-loop': ('ok', 121, None, ('write:stack',)),
+    'pkg-16-tainted-array': ('ok', 4, None, ('write:stack',)),
+    'pkg-17-direct': ('ok', 4, None, ('write:stack',)),
+    'pkg-18-direct': ('ok', 4, None, ('write:stack',)),
+    'pkg-19-leak': ('ok', 12, None, ('write:bss', 'write:stack')),
+    'pkg-20-helper': ('ok', 9, None, ('write:stack',)),
+    'pkg-21-direct': ('ok', 4, None, ('write:stack',)),
+    'pkg-22-tainted-array': ('ok', 4, None, ('write:stack',)),
+    'pkg-23-tainted-array': ('ok', 4, None, ('write:stack',)),
+    'rb-0344977f1': ('DoubleFree', 16, None, ('write:heap', 'write:stack')),
+    'rb-0a4c02011': ('ok', 6, None, ('write:stack',)),
+    'rb-0eadeb847': ('ok', 8, None, ('write:stack',)),
+    'rb-43becdd10': ('ok', 11, 0, ('write:heap', 'write:stack')),
+    'rb-49a4e62cd': ('ok', 12, 0, ('write:heap', 'write:stack')),
+    'rb-73b26597c': ('ok', 58, None, ('write:heap', 'write:stack')),
+    'rb-897cde94f': ('SegmentationFault', 6, None, ('write:stack',)),
+    'rb-b09a53967': ('ok', 12, 0, ('write:heap', 'write:stack')),
+    'rb-be0479c70': ('SimulatedTimeout', 50001, None, ('write:stack',)),
+    'rb-cfe209758': ('ok', 12, 0, ('write:heap', 'write:stack')),
+    'rb-d03571027': ('ok', 4, None, ('write:stack',)),
+    'rb-dcf566780': ('ok', 7, None, ('write:stack',)),
+    'rb-ed58da43a': ('ok', 7, None, ('write:stack',)),
+    'direct-vulnerable-20260808': ('ok', 4, None, ('write:stack',)),
+    'direct-safe-20260808': ('ok', 4, None, ('write:stack',)),
+    'helper-vulnerable-20260808': ('ok', 9, None, ('write:stack',)),
+    'helper-safe-20260808': ('ok', 9, None, ('write:stack',)),
+    'guarded-vulnerable-20260808': ('ok', 8, None, ('write:stack',)),
+    'guarded-safe-20260808': ('ok', 8, None, ('write:stack',)),
+    'tainted-array-vulnerable-20260808': ('ok', 7, None, ('write:stack',)),
+    'tainted-array-safe-20260808': ('ok', 4, None, ('write:stack',)),
+    'leak-vulnerable-20260808': ('ok', 12, None, ('write:bss', 'write:stack')),
+    'leak-safe-20260808': ('ok', 17, None, ('write:bss', 'write:stack')),
+    'dos-loop-vulnerable-20260808': ('SimulatedTimeout', 50001, None, ('write:stack',)),
+    'dos-loop-safe-20260808': ('ok', 121, None, ('write:stack',)),
+    'taint-source-vulnerable-20260808': ('ok', 4, None, ('write:stack',)),
+    'taint-source-safe-20260808': ('ok', 12, None, ('write:stack',)),
+}
+
+
+class TestCommittedCorpora:
+    """Every committed program runs to its pinned outcome, step count
+    and tap kinds, with and without the tap attached."""
+
+    def test_every_program_is_pinned(self):
+        # Also fails if a corpus directory moves or empties.
+        assert sorted(CORPUS_PINS) == sorted(CORPUS_PROGRAMS)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_PROGRAMS))
+    def test_observed_run_matches_pin(self, name):
+        source, stdin = CORPUS_PROGRAMS[name]
+        assert observe(source, stdin, hooked=True) == CORPUS_PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_PROGRAMS))
+    def test_unobserved_run_matches_pin(self, name):
+        source, stdin = CORPUS_PROGRAMS[name]
+        outcome, steps, value, _ = CORPUS_PINS[name]
+        assert observe(source, stdin, hooked=False) == (outcome, steps, value, ())
 
 
 # -- spinning loops -------------------------------------------------------
