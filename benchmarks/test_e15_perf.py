@@ -25,9 +25,7 @@ def pool_machine():
     machine = Machine()
     student_cls, grad_cls = make_student_classes()
     base = machine.space.segment(SegmentKind.HEAP).base + 0x8000
-    pool = MemoryPool(
-        machine.space, base, OBJECTS_PER_ROUND * 16 + 64, name="bench-pool"
-    )
+    pool = MemoryPool(machine.space, base, OBJECTS_PER_ROUND * 16 + 64)
     return machine, student_cls, pool
 
 
@@ -83,7 +81,7 @@ def test_e15_shape():
     machine = Machine()
     student_cls, _ = make_student_classes()
     base = machine.space.segment(SegmentKind.HEAP).base + 0x8000
-    pool = MemoryPool(machine.space, base, 4096, name="shape-pool")
+    pool = MemoryPool(machine.space, base, 4096)
     allocations_before = machine.heap.allocation_count
     for _ in range(32):
         placement_new(machine, pool.reserve(16, alignment=8), student_cls)

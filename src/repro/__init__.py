@@ -25,14 +25,11 @@ _EXPORTS = {
         (
             "checked_placement_new",
             "checked_placement_new_array",
-            "delete_array",
-            "delete_object",
             "new_array",
             "new_object",
             "placement_delete",
             "placement_new",
             "placement_new_array",
-            "placement_new_in_pool",
         ),
         "core",
     ),

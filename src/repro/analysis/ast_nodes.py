@@ -155,10 +155,6 @@ class TypeRef:
     def is_array(self) -> bool:
         return self.array_size is not None
 
-    def describe(self) -> str:
-        suffix = "*" * self.pointer_depth + ("[]" if self.is_array else "")
-        return f"{self.name}{suffix}"
-
 
 @record(frozen=True)
 class VarDecl(Stmt):
@@ -265,10 +261,6 @@ class ClassDecl(Node):
     fields: tuple = ()
     methods: tuple = ()
 
-    @property
-    def has_virtual(self) -> bool:
-        return any(method.virtual for method in self.methods)
-
 
 @record(frozen=True)
 class Param:
@@ -314,13 +306,6 @@ class Program(Node):
             return self._index("_function_index", self.functions)[name]
         except KeyError:
             raise KeyError(f"no function '{name}'") from None
-
-    def class_decl(self, name: str) -> ClassDecl:
-        """Look a class up by name."""
-        try:
-            return self._index("_class_index", self.classes)[name]
-        except KeyError:
-            raise KeyError(f"no class '{name}'") from None
 
 
 def walk_expressions(node: Union[Expr, Stmt, None]):

@@ -95,10 +95,6 @@ class _LruCache:
         with self._lock:
             self._entries.clear()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .._record import record, replace
+from .._record import record
 from . import ast_nodes as ast
 
 #: Sentinel for "some unknown constant".
@@ -59,9 +59,6 @@ class AbstractValue:
     @property
     def tainted(self) -> bool:
         return bool(self.taint)
-
-    def with_taint(self, *sources: str) -> "AbstractValue":
-        return replace(self, taint=self.taint | frozenset(sources))
 
     def join(self, other: "AbstractValue") -> "AbstractValue":
         if self is other:
@@ -114,9 +111,6 @@ class Env:
     def equivalent(self, other: "Env") -> bool:
         names = set(self._values) | set(other._values)
         return all(self.get(name) == other.get(name) for name in names)
-
-    def names(self):
-        return tuple(self._values)
 
 
 def root_name(expr: ast.Expr) -> Optional[str]:

@@ -568,7 +568,7 @@ class Parser:
             while self._accept_op("<<"):
                 if self._accept_keyword("endl"):
                     continue
-                values.append(self._parse_expression_no_shift())
+                values.append(self._parse_binary(2))  # stop at <<, above the shifts
             self._expect_op(";")
             return ast.CoutWrite(line=token.line, values=tuple(values))
         if self._starts_declaration():
@@ -730,10 +730,6 @@ class Parser:
 
     def _parse_expression(self) -> ast.Expr:
         return self._parse_binary(0)
-
-    def _parse_expression_no_shift(self) -> ast.Expr:
-        """For cout chains: stop at << (precedence level above shifts)."""
-        return self._parse_binary(2)
 
     #: Binary operator → precedence level; higher binds tighter.
     _LEVELS = {

@@ -73,12 +73,6 @@ class AttackResult:
     detail: dict = field(default_factory=dict)
     events: tuple = ()
 
-    @property
-    def prevented(self) -> bool:
-        """True when a defense stopped the attack (detected or crashed
-        before reaching its goal)."""
-        return not self.succeeded
-
     def describe(self) -> str:
         """One line for harness tables."""
         if self.succeeded:

@@ -855,6 +855,17 @@ def _open_store(directory: str, create: bool = False):
     return RegressionStore(directory, create=create)
 
 
+@contextlib.contextmanager
+def _reading_bundles():
+    """A store file that does not decode as a bundle is bad input."""
+    from .regress import UnreadableBundle
+
+    try:
+        yield
+    except UnreadableBundle as error:
+        raise _CommandError(f"{error}; run repro-regress gc") from None
+
+
 def _regress_record(args) -> int:
     from .fuzz import OracleConfig
 
@@ -907,7 +918,7 @@ def _regress_replay(args) -> int:
     store = _open_store(args.store)
     from .regress import replay_store
 
-    with _batch_pool(args) as pool:
+    with _reading_bundles(), _batch_pool(args) as pool:
         drift = replay_store(
             store,
             check_versions=not args.skip_version_check,
@@ -936,9 +947,9 @@ def _regress_list(args) -> int:
 
     store = _open_store(args.store)
     live = current_versions()
-    count = 0
-    for bundle in store.bundles():
-        count += 1
+    with _reading_bundles():
+        bundles = list(store.bundles())
+    for bundle in bundles:
         stale = "" if bundle.versions == live else " STALE-VERSION"
         rules = ",".join(bundle.expected_rules) or "-"
         events = ",".join(bundle.expected_events) or "-"
@@ -947,7 +958,7 @@ def _regress_list(args) -> int:
             f"{stale}  rules={rules} events={events}"
             + (f"  (family {bundle.family})" if bundle.family else "")
         )
-    print(f"{count} bundle(s) in {store.directory}")
+    print(f"{len(bundles)} bundle(s) in {store.directory}")
     return 0
 
 
@@ -957,11 +968,12 @@ def _regress_diff(args) -> int:
     from .regress import replay_store
 
     store = _open_store(args.store)
-    drift = replay_store(
-        store,
-        check_versions=not args.skip_version_check,
-        bundle_ids=args.ids or None,
-    )
+    with _reading_bundles():
+        drift = replay_store(
+            store,
+            check_versions=not args.skip_version_check,
+            bundle_ids=args.ids or None,
+        )
     for result in drift.sorted_results():
         if result.ok:
             continue
@@ -979,7 +991,8 @@ def _regress_rebaseline(args) -> int:
     from .regress import rebaseline_store
 
     store = _open_store(args.store)
-    outcome = rebaseline_store(store, bundle_ids=args.ids or None)
+    with _reading_bundles():
+        outcome = rebaseline_store(store, bundle_ids=args.ids or None)
     for bundle_id in outcome["updated"]:
         print(f"rebaselined {bundle_id}")
     print(
@@ -1238,7 +1251,7 @@ def _matrix_run(args) -> int:
     for name in defenses:
         _lookup(defense_by_name, name)
     try:
-        with _batch_pool(args) as pool:
+        with _reading_bundles(), _batch_pool(args) as pool:
             report = run_sweep(
                 defenses=defenses,
                 seed=args.seed,

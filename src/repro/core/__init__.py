@@ -4,7 +4,7 @@
 vulnerability); :mod:`checked` and :mod:`placement_delete` implement the
 Section 5.1 corrected discipline; :mod:`sanitize` covers the
 information-leak countermeasures; :mod:`new_expr` supplies the ordinary
-heap-backed ``new``/``delete`` the placements are contrasted with.
+heap-backed ``new`` the placements are contrasted with.
 """
 
 from .._exports import exports_getattr
@@ -18,14 +18,8 @@ from .sanitize import sanitize
 #: Public name -> the submodule that defines it, imported on first
 #: access (see :mod:`repro._exports`).
 _EXPORTS = {
-    **dict.fromkeys(
-        ("checked_placement_new", "checked_placement_new_array", "place_or_heap_allocate"),
-        "checked",
-    ),
-    **dict.fromkeys(
-        ("NewContext", "construct", "delete_array", "delete_object", "new_array", "new_object"),
-        "new_expr",
-    ),
+    **dict.fromkeys(("checked_placement_new", "checked_placement_new_array"), "checked"),
+    **dict.fromkeys(("NewContext", "construct", "new_array", "new_object"), "new_expr"),
     **dict.fromkeys(
         (
             "PlacementAuditLog",
@@ -33,7 +27,6 @@ _EXPORTS = {
             "PlacementTarget",
             "placement_new",
             "placement_new_array",
-            "placement_new_in_pool",
             "resolve_target",
         ),
         "placement",

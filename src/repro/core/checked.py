@@ -7,11 +7,10 @@ A should never be larger than the object or array A.  If the size
 checking fails, then the memory allocated to A should be freed, and the
 non-placement new expression should be used to create B."*
 
-Both behaviours are implemented here: the hard check
-(:func:`checked_placement_new`) and the free-and-fall-back variant
-(:func:`place_or_heap_allocate`).  ``sizeof()`` is always taken from the
-layout engine, never estimated by hand — the paper warns that compilers
-add hidden members (the vptr) that manual estimates miss.
+The check is implemented here (:func:`checked_placement_new`); freeing
+A and falling back to ``new`` is the caller's.  ``sizeof()`` is always
+taken from the layout engine, never estimated by hand — the paper warns
+that compilers add hidden members (the vptr) that manual estimates miss.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from ..cxx.object_model import CArrayView, Instance
 from ..cxx.types import CType
 from ..errors import ApiMisuseError, BoundsCheckViolation
 from ..memory.alignment import is_aligned
-from .new_expr import NewContext, new_object
+from .new_expr import NewContext
 from .placement import PlacementTarget, placement_new, placement_new_array, resolve_target
 
 
@@ -99,25 +98,3 @@ def checked_placement_new_array(
         )
     return placement_new_array(ctx, address, element, count)
 
-
-def place_or_heap_allocate(
-    ctx: NewContext,
-    target: PlacementTarget,
-    class_def: ClassDef,
-    *args: Any,
-    arena_size: Optional[int] = None,
-    release_arena: bool = False,
-) -> Instance:
-    """The paper's full fallback protocol: place if it fits, otherwise
-    free the arena (when it was heap-allocated and ``release_arena``) and
-    construct with ordinary ``new``."""
-    try:
-        return checked_placement_new(
-            ctx, target, class_def, *args, arena_size=arena_size
-        )
-    except BoundsCheckViolation:
-        address, _ = resolve_target(target)
-        if release_arena and ctx.tracker.lookup(address) is not None:
-            ctx.tracker.mark_freed(address)
-            ctx.heap.free(address)
-        return new_object(ctx, class_def, *args)

@@ -1,4 +1,4 @@
-"""The non-placement ``new`` / ``new[]`` / ``delete`` expressions.
+"""The non-placement ``new`` / ``new[]`` expressions.
 
 These allocate from the simulated heap and then run *construction* —
 writing vptrs and invoking the class's constructor body.  Construction is
@@ -12,41 +12,18 @@ from __future__ import annotations
 from typing import Any, Protocol
 
 from ..cxx.classdef import ClassDef
-from ..cxx.layout import LayoutEngine
 from ..cxx.object_model import CArrayView, Instance
 from ..cxx.types import CType
-from ..cxx.vtable import VTableBuilder
 from ..errors import ApiMisuseError
-from ..memory.address_space import AddressSpace
-from ..memory.heap import HeapAllocator
-from ..memory.tracker import AllocationTracker, ArenaOrigin
+from ..memory.tracker import ArenaOrigin
 
 
 class NewContext(Protocol):
-    """Environment required by the allocation expressions.
+    """Environment required by the allocation expressions: an object with
+    ``space``, ``layouts``, ``heap``, ``tracker`` and ``vtables``.
 
     :class:`repro.runtime.machine.Machine` satisfies this protocol.
     """
-
-    @property
-    def space(self) -> AddressSpace:
-        """The simulated address space."""
-
-    @property
-    def layouts(self) -> LayoutEngine:
-        """The layout engine."""
-
-    @property
-    def heap(self) -> HeapAllocator:
-        """The process heap."""
-
-    @property
-    def tracker(self) -> AllocationTracker:
-        """Allocation/leak tracker."""
-
-    @property
-    def vtables(self) -> VTableBuilder:
-        """VTable builder over the text image."""
 
 
 def construct(ctx: NewContext, class_def: ClassDef, address: int, *args: Any) -> Instance:
@@ -66,36 +43,11 @@ def construct(ctx: NewContext, class_def: ClassDef, address: int, *args: Any) ->
     body = class_def.constructor
     if body is not None:
         body(ctx, instance, *args)
-    elif len(args) == 1 and isinstance(args[0], Instance):
-        copy_body = class_def.copy_constructor
-        if copy_body is not None:
-            copy_body(ctx, instance, args[0])
-        else:
-            _default_shallow_copy(ctx, instance, args[0])
     elif args:
         raise ApiMisuseError(
             f"class {class_def.name} has no constructor taking {len(args)} args"
         )
     return instance
-
-
-def _default_shallow_copy(ctx: NewContext, target: Instance, source: Instance) -> None:
-    """The compiler-provided copy constructor: a member-wise (here:
-    byte-wise) shallow copy of the *source's static type* extent.
-
-    When the source is an instance of a larger subclass viewed through
-    its own type, copying ``source.size`` bytes into a smaller arena is
-    the Listing 7 overflow.
-    """
-    data = ctx.space.read(source.address, source.size)
-    ctx.space.write(target.address, data)
-    # Re-install the target class's vtable pointer (C++ copy construction
-    # never copies the vptr across types).
-    layout = target.layout
-    if layout.has_vptr:
-        table = ctx.vtables.ensure(target.class_def)
-        for vptr_offset in layout.vptr_offsets:
-            ctx.space.write_pointer(target.address + vptr_offset, table.address)
 
 
 def new_object(ctx: NewContext, class_def: ClassDef, *args: Any) -> Instance:
@@ -117,15 +69,3 @@ def new_array(ctx: NewContext, element: CType, count: int) -> CArrayView:
     )
     return CArrayView(ctx, element, count, address)
 
-
-def delete_object(ctx: NewContext, instance: Instance) -> None:
-    """``delete ptr`` — destructor semantics are the caller's business
-    (the simulated classes keep destructors trivial, as the paper's do)."""
-    ctx.tracker.mark_freed(instance.address)
-    ctx.heap.free(instance.address)
-
-
-def delete_array(ctx: NewContext, view: CArrayView) -> None:
-    """``delete[] ptr``."""
-    ctx.tracker.mark_freed(view.address)
-    ctx.heap.free(view.address)

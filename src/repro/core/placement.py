@@ -32,12 +32,10 @@ from ..cxx.object_model import CArrayView, Instance
 from ..cxx.types import CType
 from ..errors import ApiMisuseError
 from ..memory.alignment import is_aligned
-from ..memory.pool import MemoryPool
-from ..memory.tracker import ArenaOrigin
 from .new_expr import NewContext, construct
 
 #: Things that can serve as the placement address argument.
-PlacementTarget = Union[int, Instance, CArrayView, MemoryPool]
+PlacementTarget = Union[int, Instance, CArrayView]
 
 
 @record(frozen=True)
@@ -68,16 +66,14 @@ def resolve_target(target: PlacementTarget) -> tuple[int, Optional[int]]:
     """Normalize a placement target to (address, known-arena-size).
 
     A raw ``int`` address has *unknown* extent; an Instance/array view
-    contributes its static size; a pool reserves nothing here — callers
-    wanting pool suballocation should call :meth:`MemoryPool.reserve`
-    themselves (that is a separate expression in the source program).
+    contributes its static size.  Pool suballocation is a separate
+    expression in the source program: callers reserve from a
+    :class:`~repro.memory.pool.MemoryPool` and place at the address.
     """
     if isinstance(target, Instance):
         return target.address, target.size
     if isinstance(target, CArrayView):
         return target.address, target.size
-    if isinstance(target, MemoryPool):
-        return target.base, target.capacity
     if isinstance(target, int):
         if target == 0:
             raise ApiMisuseError("placement address must be non-null")
@@ -191,21 +187,3 @@ def placement_new_array(
     ctx.tracker.relabel(address, size, label=f"{element.name}[{count}]")
     return CArrayView(ctx, element, count, address)
 
-
-def placement_new_in_pool(
-    ctx: NewContext,
-    pool: MemoryPool,
-    class_def: ClassDef,
-    *args: Any,
-) -> Instance:
-    """Suballocate from a pool, then construct there.
-
-    The pool's ``reserve`` is a bump pointer with no overflow enforcement
-    (unless the pool is a :class:`~repro.memory.pool.CheckedMemoryPool`),
-    so this composes the two unchecked steps the paper's Section 4
-    two-step attack relies on.
-    """
-    layout = ctx.layouts.layout_of(class_def)
-    address = pool.reserve(layout.size, alignment=layout.alignment)
-    ctx.tracker.record(address, layout.size, ArenaOrigin.POOL, label=class_def.name)
-    return placement_new(ctx, address, class_def, *args)

@@ -100,11 +100,9 @@ def leaked_bytes(
     occupant, how much of the previous secret content remains?
     """
     count = 0
-    cursor = 0
     for base, length in residual_ranges(arena_base, arena_size, occupied):
         data = space.read(base, length)
         offset = base - arena_base
         expected = secret[offset : offset + length]
         count += sum(1 for got, want in zip(data, expected) if got == want and want)
-        cursor += length
     return count

@@ -49,7 +49,6 @@ class ClassDef:
     fields: tuple[Field, ...] = ()
     virtual_methods: tuple[VirtualMethod, ...] = ()
     constructor: Optional[Constructor] = None
-    copy_constructor: Optional[Constructor] = None
 
     def __post_init__(self) -> None:
         seen = set()
@@ -67,10 +66,6 @@ class ClassDef:
         if self.virtual_methods:
             return True
         return any(base.is_polymorphic() for base in self.bases)
-
-    def own_virtual_names(self) -> tuple[str, ...]:
-        """Virtual method names declared directly on this class."""
-        return tuple(method.name for method in self.virtual_methods)
 
     def virtual_slot_order(self) -> tuple[str, ...]:
         """The vtable slot order: inherited slots first, then new ones.
@@ -100,16 +95,6 @@ class ClassDef:
                 return found
         return None
 
-    def describe(self) -> str:
-        """Short human-readable declaration summary."""
-        base_part = (
-            " : " + ", ".join(base.name for base in self.bases) if self.bases else ""
-        )
-        members = "; ".join(f"{m.ctype} {m.name}" for m in self.fields)
-        virtuals = "; ".join(f"virtual {v.name}()" for v in self.virtual_methods)
-        body = "; ".join(part for part in (virtuals, members) if part)
-        return f"class {self.name}{base_part} {{ {body} }}"
-
 
 def make_class(
     name: str,
@@ -117,7 +102,6 @@ def make_class(
     bases: Sequence[ClassDef] = (),
     virtuals: Sequence[VirtualMethod] = (),
     constructor: Optional[Constructor] = None,
-    copy_constructor: Optional[Constructor] = None,
 ) -> ClassDef:
     """Convenience factory used throughout tests and workloads."""
     return ClassDef(
@@ -126,5 +110,4 @@ def make_class(
         fields=tuple(Field(fname, ftype) for fname, ftype in fields),
         virtual_methods=tuple(virtuals),
         constructor=constructor,
-        copy_constructor=copy_constructor,
     )

@@ -45,11 +45,6 @@ class FieldSlot:
     ctype: CType
     declaring_class: str
 
-    @property
-    def end(self) -> int:
-        """One past the field's last byte."""
-        return self.offset + self.ctype.size
-
 
 @record(frozen=True)
 class RecordLayout:
@@ -59,13 +54,7 @@ class RecordLayout:
     size: int
     alignment: int
     field_slots: tuple[FieldSlot, ...]
-    base_offsets: tuple[tuple[str, int], ...]
     vptr_offsets: tuple[int, ...]
-
-    @property
-    def name(self) -> str:
-        """The class name."""
-        return self.class_def.name
 
     @property
     def has_vptr(self) -> bool:
@@ -76,7 +65,7 @@ class RecordLayout:
     def primary_vptr_offset(self) -> int:
         """Offset of the main vptr (0 for polymorphic classes)."""
         if not self.vptr_offsets:
-            raise LayoutError(f"class {self.name} is not polymorphic")
+            raise LayoutError(f"class {self.class_def.name} is not polymorphic")
         return self.vptr_offsets[0]
 
     def slot(self, field_name: str) -> FieldSlot:
@@ -88,38 +77,7 @@ class RecordLayout:
         for field_slot in reversed(self.field_slots):
             if field_slot.name == field_name:
                 return field_slot
-        raise LayoutError(f"class {self.name} has no field '{field_name}'")
-
-    def base_offset(self, base_name: str) -> int:
-        """Offset of a (transitive) base subobject."""
-        for name, offset in self.base_offsets:
-            if name == base_name:
-                return offset
-        raise LayoutError(f"class {self.name} has no base '{base_name}'")
-
-    def tail_padding(self) -> int:
-        """Bytes between the last field's end and ``size``.
-
-        Listing 15's alignment discussion is about exactly these bytes:
-        the first overflowing member can land in tail padding before the
-        next variable is reached.
-        """
-        if not self.field_slots:
-            return self.size - (POINTER_SIZE if self.has_vptr else 0)
-        last_end = max(slot.end for slot in self.field_slots)
-        return self.size - last_end
-
-    def describe(self) -> str:
-        """Render the layout like ``clang -fdump-record-layouts``."""
-        lines = [f"*** layout of {self.name} (size={self.size}, align={self.alignment})"]
-        for offset in self.vptr_offsets:
-            lines.append(f"  {offset:4d} | vptr")
-        for field_slot in self.field_slots:
-            lines.append(
-                f"  {field_slot.offset:4d} | {field_slot.ctype} "
-                f"{field_slot.declaring_class}::{field_slot.name}"
-            )
-        return "\n".join(lines)
+        raise LayoutError(f"class {self.class_def.name} has no field '{field_name}'")
 
 
 @record(frozen=True)
@@ -181,7 +139,6 @@ class LayoutEngine:
         cursor = 0
         alignment = 1
         field_slots: list[FieldSlot] = []
-        base_offsets: list[tuple[str, int]] = []
         vptr_offsets: list[int] = []
 
         polymorphic = class_def.is_polymorphic()
@@ -198,10 +155,6 @@ class LayoutEngine:
         for base in class_def.bases:
             base_layout = self.layout_of(base)
             offset = align_up(cursor, base_layout.alignment)
-            base_offsets.append((base.name, offset))
-            # Transitive bases become visible at shifted offsets.
-            for inner_name, inner_offset in base_layout.base_offsets:
-                base_offsets.append((inner_name, offset + inner_offset))
             for slot in base_layout.field_slots:
                 field_slots.append(
                     FieldSlot(
@@ -235,14 +188,9 @@ class LayoutEngine:
             size=size,
             alignment=alignment,
             field_slots=tuple(field_slots),
-            base_offsets=tuple(base_offsets),
             vptr_offsets=tuple(sorted(set(vptr_offsets))),
         )
 
     def sizeof(self, class_def: ClassDef) -> int:
         """C++ ``sizeof`` for a class type."""
         return self.layout_of(class_def).size
-
-    def alignof(self, class_def: ClassDef) -> int:
-        """C++ ``alignof`` for a class type."""
-        return self.layout_of(class_def).alignment

@@ -20,24 +20,17 @@ from typing import Any, Protocol
 
 from ..errors import ApiMisuseError, LayoutError
 from .classdef import ClassDef
-from .layout import FieldSlot, LayoutEngine, RecordLayout
+from .layout import FieldSlot, RecordLayout
 from .types import ArrayType, CType
 
 
 class ObjectContext(Protocol):
-    """What an :class:`Instance` needs from its environment.
+    """What an :class:`Instance` needs from its environment: ``space``
+    (the address space) and ``layouts`` (the layout engine).
 
     The runtime :class:`~repro.runtime.machine.Machine` satisfies this;
     tests may supply any object with the two attributes.
     """
-
-    @property
-    def space(self) -> Any:  # AddressSpace
-        """The simulated address space."""
-
-    @property
-    def layouts(self) -> LayoutEngine:
-        """The layout engine."""
 
 
 class Instance:
@@ -86,10 +79,6 @@ class Instance:
 
     def _slot(self, name: str) -> FieldSlot:
         return self.layout.slot(name)
-
-    def field_address(self, name: str) -> int:
-        """Absolute address of a field (own or inherited)."""
-        return self._address + self._slot(name).offset
 
     def _check_strict_alignment(self, address: int, ctype: CType) -> None:
         """On strict-alignment targets (§2.5 item 4), a scalar access at
@@ -193,10 +182,6 @@ class Instance:
 
     # -- whole-object helpers ------------------------------------------------
 
-    def raw_bytes(self) -> bytes:
-        """The object's current representation."""
-        return self._ctx.space.read(self._address, self.size)
-
     def as_type(self, other: ClassDef) -> "Instance":
         """Reinterpret the same memory as another class (a C++ cast —
         no conversion, no check: the weak typing the paper leans on)."""
@@ -215,11 +200,9 @@ class CArrayView:
     ) -> None:
         if count <= 0:
             raise ApiMisuseError(f"array length must be positive, got {count}")
-        self._ctx = ctx
         self._element = element
         self._count = count
         self._address = address
-        self._guards = getattr(ctx.space, "_typed_guards", None)
 
     @property
     def address(self) -> int:
@@ -227,43 +210,6 @@ class CArrayView:
         return self._address
 
     @property
-    def element(self) -> CType:
-        """The element type."""
-        return self._element
-
-    @property
-    def declared_count(self) -> int:
-        """The length this view was created with (advisory only)."""
-        return self._count
-
-    @property
     def size(self) -> int:
         """Declared extent in bytes."""
         return self._count * self._element.size
-
-    def element_address(self, index: int) -> int:
-        """``&arr[index]``, unchecked."""
-        return self._address + index * self._element.size
-
-    def get(self, index: int) -> Any:
-        """Read ``arr[index]``, unchecked."""
-        address = self.element_address(index)
-        if self._guards:
-            self._ctx.space.check_typed_access(
-                self._address, address, self._element.size, False
-            )
-        data = self._ctx.space.read(address, self._element.size)
-        return self._element.decode(data)
-
-    def set(self, index: int, value: Any) -> None:
-        """Write ``arr[index]``, unchecked."""
-        address = self.element_address(index)
-        if self._guards:
-            self._ctx.space.check_typed_access(
-                self._address, address, self._element.size, True
-            )
-        self._ctx.space.write(address, self._element.encode(value))
-
-    def read_all(self) -> list:
-        """Decode the declared extent."""
-        return [self.get(i) for i in range(self._count)]

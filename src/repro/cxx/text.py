@@ -47,10 +47,6 @@ class EmittedVTable:
     address: int
     slots: tuple[tuple[str, int], ...]  # (method name, entry address)
 
-    def slot_address(self, index: int) -> int:
-        """Address of the ``index``-th slot (the word holding the fn ptr)."""
-        return self.address + index * POINTER_SIZE
-
 class TextImage:
     """Allocates text-segment space for functions and vtables."""
 
@@ -112,11 +108,6 @@ class TextImage:
         would decode garbage)."""
         return self._functions_by_address.get(address)
 
-    @property
-    def functions(self) -> tuple[FunctionEntry, ...]:
-        """All registered functions."""
-        return tuple(self._functions_by_name.values())
-
     # -- vtables ---------------------------------------------------------------
 
     def emit_vtable(
@@ -140,10 +131,6 @@ class TextImage:
         self._vtables_by_class[class_name] = table
         self._vtables_by_address[address] = table
         return table
-
-    def vtable_for(self, class_name: str) -> Optional[EmittedVTable]:
-        """The emitted vtable of ``class_name``, if any."""
-        return self._vtables_by_class.get(class_name)
 
     def vtable_at(self, address: int) -> Optional[EmittedVTable]:
         """Reverse lookup by vtable base address."""

@@ -10,8 +10,6 @@ overwrites.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import ApiMisuseError
 from .classdef import ClassDef
 from .text import EmittedVTable, TextImage
@@ -49,10 +47,6 @@ class VTableBuilder:
         table = self._text.emit_vtable(class_def.name, slots)
         self._by_class[class_def.name] = table
         return table
-
-    def lookup(self, class_name: str) -> Optional[EmittedVTable]:
-        """The built vtable for ``class_name``, if any."""
-        return self._by_class.get(class_name)
 
     def slot_index(self, class_def: ClassDef, method_name: str) -> int:
         """The vtable slot index the compiler would use for a call

@@ -34,11 +34,5 @@ class CoverageMap:
         self._keys.update(fresh)
         return tuple(fresh)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
     def sorted_keys(self) -> tuple:
         return tuple(sorted(self._keys))

@@ -14,7 +14,7 @@ from .._exports import exports_getattr
 _EXPORTS = {
     **dict.fromkeys(("AddressSpace", "DEFAULT_LAYOUT"), "address_space"),
     **dict.fromkeys(
-        ("align_down", "align_up", "is_aligned", "is_power_of_two", "padding_for"),
+        ("align_down", "align_up", "is_aligned", "is_power_of_two"),
         "alignment",
     ),
     **dict.fromkeys(
@@ -28,7 +28,6 @@ _EXPORTS = {
             "LONG_LONG_SIZE",
             "POINTER_SIZE",
             "SHORT_SIZE",
-            "decode_c_string",
             "decode_double",
             "decode_float",
             "decode_int",
@@ -43,7 +42,7 @@ _EXPORTS = {
     ),
     "MemoryEventTap": "events",
     **dict.fromkeys(("BlockInfo", "HEADER_SIZE", "HeapAllocator"), "heap"),
-    **dict.fromkeys(("CheckedMemoryPool", "MemoryPool", "PoolStats"), "pool"),
+    **dict.fromkeys(("MemoryPool", "PoolStats"), "pool"),
     **dict.fromkeys(("DEFAULT_PERMISSIONS", "Permissions", "Segment", "SegmentKind"), "segments"),
     **dict.fromkeys(("RedZonePair", "ShadowMemory", "ShadowState"), "shadow"),
     **dict.fromkeys(("StackAllocation", "StackRegion"), "stack"),

@@ -349,11 +349,6 @@ class AddressSpace:
         self._check_aligned(address, encoding.DOUBLE_ALIGN, "read")
         return encoding.decode_double(self.read(address, encoding.DOUBLE_SIZE))
 
-    def write_double(self, address: int, value: float) -> None:
-        """Write an IEEE-754 binary64."""
-        self._check_aligned(address, encoding.DOUBLE_ALIGN, "write")
-        self.write(address, encoding.encode_double(value))
-
     def read_pointer(self, address: int) -> int:
         """Read a 32-bit pointer."""
         self._check_aligned(address, encoding.POINTER_SIZE, "read")

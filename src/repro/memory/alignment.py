@@ -41,11 +41,6 @@ def align_down(value: int, alignment: int) -> int:
     return value & ~(alignment - 1)
 
 
-def padding_for(offset: int, alignment: int) -> int:
-    """Bytes of padding needed so that ``offset`` becomes aligned."""
-    return align_up(offset, alignment) - offset
-
-
 def is_aligned(value: int, alignment: int) -> bool:
     """Return True if ``value`` is a multiple of ``alignment``."""
     check_alignment(alignment)

@@ -108,12 +108,3 @@ def encode_c_string(text: str, buffer_size: int | None = None) -> bytes:
     if len(raw) >= buffer_size:
         return raw[:buffer_size]
     return raw.ljust(buffer_size, b"\x00")
-
-
-def decode_c_string(data: bytes) -> str:
-    """Decode bytes up to (not including) the first NUL."""
-    raw = bytes(data)
-    nul = raw.find(0)
-    if nul >= 0:
-        raw = raw[:nul]
-    return raw.decode("latin-1", errors="replace")

@@ -59,16 +59,6 @@ class StackRegion:
         """The current simulated %esp."""
         return self._sp
 
-    @property
-    def bytes_used(self) -> int:
-        """Distance between the top of the segment and %esp."""
-        return self._top_of_stack - self._sp
-
-    @property
-    def bytes_free(self) -> int:
-        """Remaining stack space before overflow."""
-        return self._sp - self._lowest
-
     def push_region(self, size: int, alignment: int = 4) -> int:
         """Reserve ``size`` bytes below the current stack pointer.
 
@@ -81,7 +71,7 @@ class StackRegion:
         if new_sp < self._lowest:
             raise StackOverflowError_(
                 f"stack exhausted reserving {size} bytes "
-                f"({self.bytes_free} free)"
+                f"({self._sp - self._lowest} free)"
             )
         self._sp = new_sp
         return new_sp

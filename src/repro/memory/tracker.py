@@ -22,7 +22,6 @@ class ArenaOrigin(enum.Enum):
 
     HEAP_NEW = "heap-new"
     PLACEMENT = "placement"
-    POOL = "pool"
     STACK = "stack"
     STATIC = "static"
 
@@ -150,39 +149,10 @@ class AllocationTracker:
         return tuple(self._records.values())
 
     @property
-    def freed_records(self) -> tuple[ArenaRecord, ...]:
-        """Arenas that have been freed (with leak info)."""
-        return tuple(self._freed_records)
-
-    @property
-    def live_bytes(self) -> int:
-        """True bytes held by live arenas."""
-        return sum(record.true_size for record in self._records.values())
-
-    @property
     def leaked_bytes(self) -> int:
         """Bytes stranded by free-at-smaller-size (Listing 23)."""
         return sum(record.leaked_bytes for record in self._freed_records)
 
-    @property
-    def outstanding_arenas(self) -> int:
-        """Count of live arenas (never-freed allocations leak too)."""
-        return len(self._records)
-
     def lookup(self, address: int) -> Optional[ArenaRecord]:
         """The live record at ``address``, if any."""
         return self._records.get(address)
-
-    def report(self) -> str:
-        """Human-readable leak report."""
-        lines = [
-            f"live arenas: {self.outstanding_arenas} ({self.live_bytes}B)",
-            f"leaked via undersized free: {self.leaked_bytes}B",
-        ]
-        for record in self._freed_records:
-            if record.leaked_bytes:
-                lines.append(
-                    f"  {record.address:#010x} leaked {record.leaked_bytes}B "
-                    f"({record.label or record.origin.value})"
-                )
-        return "\n".join(lines)

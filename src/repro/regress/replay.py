@@ -223,7 +223,7 @@ def replay_bundle_json(document: str, check_versions: bool = True) -> dict:
     """Worker-friendly wrapper: canonical bundle JSON in, result dict out."""
     try:
         bundle = RegressionBundle.from_json(document)
-    except (ValueError, KeyError) as error:
+    except ValueError as error:
         data = {}
         try:
             data = json.loads(document)

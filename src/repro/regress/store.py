@@ -68,6 +68,33 @@ def current_versions() -> dict:
     }
 
 
+#: Marks a bundle member that has no default.
+_REQUIRED = object()
+
+#: The JSON name of each type a bundle member may hold.
+_JSON_NAMES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean"
+}
+
+
+def _member(document: dict, key: str, kind: type, default=_REQUIRED):
+    """``document[key]``, which must hold a JSON value of ``kind``;
+    ``default`` when the key is absent (a required key must be there)."""
+    if key not in document:
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    value = document[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be {_JSON_NAMES[kind]}")
+    return value
+
+
+class UnreadableBundle(ValueError):
+    """A store file that does not decode as a bundle; the message names
+    the file and the reason."""
+
+
 def triage_label(triage: str) -> str:
     """The comparable head of a triage note (``"taint-quantifier"``,
     ``"manual"``, or ``""`` for an open divergence)."""
@@ -148,35 +175,49 @@ class RegressionBundle:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RegressionBundle":
+    def from_dict(cls, data) -> "RegressionBundle":
+        """The bundle a decoded document describes; a document that is
+        not one (not an object, the wrong schema, a missing key or a
+        member of the wrong JSON type) raises :class:`ValueError`."""
+        if not isinstance(data, dict):
+            raise ValueError("a bundle must be a JSON object")
         if data.get("schema") != BUNDLE_SCHEMA:
             raise ValueError(
                 f"unsupported bundle schema {data.get('schema')!r} "
                 f"(this build reads schema {BUNDLE_SCHEMA})"
             )
-        config = data.get("config", {})
-        expected = data.get("expected", {})
-        kind = expected.get("kind", "agree")
+        config = _member(data, "config", dict, {})
+        expected = _member(data, "expected", dict, {})
+        kind = _member(expected, "kind", str, "agree")
         if kind not in BUNDLE_KINDS:
             raise ValueError(f"unknown expected kind {kind!r}")
+        stdin = _member(data, "stdin", list, [])
+        if not all(isinstance(token, (int, float, str)) for token in stdin):
+            raise ValueError("'stdin' tokens must be numbers or strings")
+        rules = _member(expected, "static_rules", list, [])
+        events = _member(expected, "dynamic_events", list, [])
+        if not all(isinstance(name, str) for name in rules + events):
+            raise ValueError("'static_rules' and 'dynamic_events' must hold strings")
         return cls(
-            source=data["source"],
-            stdin=tuple(data.get("stdin", ())),
-            step_budget=config.get("step_budget", DEFAULT_STEP_BUDGET),
-            canary=config.get("canary", True),
+            source=_member(data, "source", str),
+            stdin=tuple(stdin),
+            step_budget=_member(config, "step_budget", int, DEFAULT_STEP_BUDGET),
+            canary=_member(config, "canary", bool, True),
             expected_kind=kind,
-            expected_fingerprint=expected.get("fingerprint", ""),
-            expected_rules=tuple(expected.get("static_rules", ())),
-            expected_events=tuple(expected.get("dynamic_events", ())),
-            triage=expected.get("triage", ""),
-            versions=dict(data.get("versions", {})),
-            family=data.get("family", ""),
-            entry=data.get("entry", ""),
-            meta=dict(data.get("meta", {})),
+            expected_fingerprint=_member(expected, "fingerprint", str, ""),
+            expected_rules=tuple(rules),
+            expected_events=tuple(events),
+            triage=_member(expected, "triage", str, ""),
+            versions=dict(_member(data, "versions", dict, {})),
+            family=_member(data, "family", str, ""),
+            entry=_member(data, "entry", str, ""),
+            meta=dict(_member(data, "meta", dict, {})),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "RegressionBundle":
+        """Decode a bundle document; any malformed text raises
+        :class:`ValueError`."""
         return cls.from_dict(json.loads(text))
 
 
@@ -322,20 +363,19 @@ class RegressionStore:
             tally[disposition] = tally.get(disposition, 0) + 1
         return tally
 
-    def remove(self, bundle_id: str) -> bool:
-        path = self.path_for(bundle_id)
-        if not path.is_file():
-            return False
-        path.unlink()
-        return True
-
     # -- reading -----------------------------------------------------------
 
     def ids(self) -> list:
         return sorted(path.stem for path in self.directory.glob("rb-*.json"))
 
     def load(self, bundle_id: str) -> RegressionBundle:
-        return RegressionBundle.from_json(self.path_for(bundle_id).read_text())
+        """The bundle stored under ``bundle_id``; a file that does not
+        decode raises :class:`UnreadableBundle`."""
+        path = self.path_for(bundle_id)
+        try:
+            return RegressionBundle.from_json(path.read_text())
+        except ValueError as error:
+            raise UnreadableBundle(f"{path}: unreadable regression bundle ({error})") from error
 
     def bundles(self) -> Iterator[RegressionBundle]:
         for bundle_id in self.ids():
@@ -372,7 +412,7 @@ class RegressionStore:
             scanned += 1
             try:
                 bundle = RegressionBundle.from_json(path.read_text())
-            except (ValueError, KeyError) as error:
+            except ValueError as error:
                 removed[path.name] = f"unreadable: {error}"
             else:
                 if path.stem != bundle.bundle_id:

@@ -12,7 +12,7 @@ from .._exports import exports_getattr
 #: Public name -> the submodule that defines it, imported on first
 #: access (see :mod:`repro._exports`).
 _EXPORTS = {
-    **dict.fromkeys(("CanaryCheck", "CanaryPolicy", "CanarySource", "TERMINATOR_CANARY"), "canary"),
+    **dict.fromkeys(("CanaryPolicy", "CanarySource", "TERMINATOR_CANARY"), "canary"),
     **dict.fromkeys(("ExecutionKind", "ExecutionResult", "FrameExit"), "control_flow"),
     **dict.fromkeys(("CallFrame", "FrameSlots", "INITIAL_FRAME_POINTER"), "frames"),
     **dict.fromkeys(("CALLER_SYMBOL", "install_standard_library"), "functions"),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import random
 
-from .._record import record
 from ..errors import ApiMisuseError
 
 #: The classic terminator canary: NUL, CR, LF, 0xFF — bytes that string
@@ -33,19 +32,6 @@ class CanaryPolicy(enum.Enum):
     def enabled(self) -> bool:
         """True if frames carry a canary word."""
         return self is not CanaryPolicy.NONE
-
-
-@record(frozen=True)
-class CanaryCheck:
-    """Result of one epilogue verification."""
-
-    expected: int
-    found: int
-
-    @property
-    def intact(self) -> bool:
-        """True when the canary survived the function body."""
-        return self.expected == self.found
 
 
 class CanarySource:
@@ -79,7 +65,3 @@ class CanarySource:
         if not self._policy.enabled:
             raise ApiMisuseError("no canary under policy 'none'")
         return self._value
-
-    def check(self, found: int) -> CanaryCheck:
-        """Compare a frame's canary slot against the expected value."""
-        return CanaryCheck(expected=self.value, found=found)

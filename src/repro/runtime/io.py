@@ -21,7 +21,6 @@ class SimulatedStdin:
 
     def __init__(self, tokens: Iterable[Token] = ()) -> None:
         self._tokens: deque[Token] = deque(tokens)
-        self._consumed: list[Token] = []
 
     def feed(self, *tokens: Token) -> None:
         """Append attacker-chosen tokens to the stream."""
@@ -30,9 +29,7 @@ class SimulatedStdin:
     def _next(self) -> Token:
         if not self._tokens:
             raise ApiMisuseError("simulated stdin exhausted")
-        token = self._tokens.popleft()
-        self._consumed.append(token)
-        return token
+        return self._tokens.popleft()
 
     def read_int(self) -> int:
         """``cin >> some_int``."""
@@ -50,19 +47,6 @@ class SimulatedStdin:
         except (TypeError, ValueError):
             raise ApiMisuseError(f"stdin token {token!r} is not a double") from None
 
-    def read_string(self) -> str:
-        """``cin >> some_string`` (whitespace-free token)."""
-        return str(self._next())
-
-    @property
-    def remaining(self) -> int:
-        """Tokens not yet consumed."""
-        return len(self._tokens)
-
-    @property
-    def consumed(self) -> tuple[Token, ...]:
-        """Tokens the program has read so far."""
-        return tuple(self._consumed)
 
 
 class SimulatedFile:
@@ -82,9 +66,6 @@ class SimulatedFile:
         if count is None:
             return self._content
         return self._content[:count]
-
-    def __len__(self) -> int:
-        return len(self._content)
 
 
 def password_file(entries: int = 8) -> SimulatedFile:
@@ -114,7 +95,3 @@ class FileSystem:
             return self._files[name]
         except KeyError:
             raise ApiMisuseError(f"no such simulated file: {name}") from None
-
-    def exists(self, name: str) -> bool:
-        """True if ``name`` is registered."""
-        return name in self._files

@@ -10,8 +10,7 @@ and inspect the outcome.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from .._record import record
 from ..core.placement import PlacementAuditLog
@@ -206,10 +205,6 @@ class Machine:
 
     # -- typed views ---------------------------------------------------------
 
-    def instance(self, class_def: ClassDef, address: int) -> Instance:
-        """A typed window at an arbitrary address (C++ pointer cast)."""
-        return Instance(self, class_def, address)
-
     def sizeof(self, class_def: ClassDef) -> int:
         """``sizeof`` through the layout engine."""
         return self.layouts.sizeof(class_def)
@@ -325,20 +320,6 @@ class Machine:
             fp_clobbered=fp_clobbered,
             execution=execution,
         )
-
-    @contextmanager
-    def frame(self, name: str) -> Iterator[CallFrame]:
-        """Run a function body in a frame; the epilogue runs on exit.
-
-        The :class:`FrameExit` is stored on the frame as ``frame.exit``.
-        :class:`StackSmashingDetected` propagates, as an abort would.
-        """
-        call_frame = self.push_frame(name)
-        try:
-            yield call_frame
-        finally:
-            if not call_frame.closed:
-                call_frame.exit = self.pop_frame(call_frame)  # type: ignore[attr-defined]
 
     # -- control transfers ------------------------------------------------------
 

@@ -143,14 +143,7 @@ class PackageGraph:
     def __len__(self) -> int:
         return len(self._packages)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._packages
-
     # -- reachability --------------------------------------------------------
-
-    def dependents_of(self, name: str) -> List[str]:
-        """Packages that directly import ``name``, sorted."""
-        return list(self._dependents[name])
 
     @cached_property
     def _imports(self) -> Dict[str, Tuple[str, ...]]:

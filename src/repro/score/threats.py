@@ -176,9 +176,6 @@ class Threatlib:
     def threats(self) -> tuple:
         return tuple(self._threats)
 
-    def threat_for(self, trigger: str) -> Optional[Threat]:
-        return self._by_trigger.get(trigger)
-
     def triggers(self) -> frozenset:
         return frozenset(self._by_trigger)
 

@@ -1,11 +1,6 @@
 """Serialized/remote objects — the untrusted inputs of Section 3.2."""
 
-from .json_codec import (
-    RemoteObject,
-    construct_from_remote,
-    serialize,
-    wire_size_estimate,
-)
+from .json_codec import RemoteObject, construct_from_remote
 from .remote import RemoteService, honest_service, malicious_service
 
 __all__ = [
@@ -14,6 +9,4 @@ __all__ = [
     "construct_from_remote",
     "honest_service",
     "malicious_service",
-    "serialize",
-    "wire_size_estimate",
 ]

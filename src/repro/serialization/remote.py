@@ -1,8 +1,7 @@
 """Untrusted object producers: the third-party services of Section 3.2.
 
-``service.getNames()`` in Listing 5 — *"returns tainted list"* whose
-length ``n`` is *"maliciously changed"* — and the ``remoteobj`` passed
-to ``addStudent`` in Listings 6–8 both come from here.
+The ``remoteobj`` passed to ``addStudent`` in Listings 6–8 comes from
+here.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .._record import record
-from ..taint.engine import TaintLabel, TaintedValue
+from ..taint.engine import TaintLabel
 from .json_codec import RemoteObject
 
 
@@ -20,22 +19,6 @@ class RemoteService:
 
     name: str = "thirdparty"
     malicious: bool = False
-
-    def get_names(
-        self, honest_count: int, inflated_count: Optional[int] = None
-    ) -> TaintedValue:
-        """Listing 5's ``service.getNames()``.
-
-        An honest service returns ``honest_count`` names; a malicious one
-        returns ``inflated_count`` (defaults to 4× as many), and — the
-        paper's point — the receiving program reads the length *from the
-        data*, not from its own expectations.
-        """
-        count = honest_count
-        if self.malicious:
-            count = inflated_count if inflated_count is not None else honest_count * 4
-        names = [f"student{i:03d}" for i in range(count)]
-        return TaintedValue.from_source(names, TaintLabel.NETWORK)
 
     def get_student(
         self,

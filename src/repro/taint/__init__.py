@@ -8,6 +8,6 @@ so scenarios — and the dynamic half of the detector — can prove that a
 corrupted return address or size variable is in fact attacker-derived.
 """
 
-from .engine import TaintEngine, TaintLabel, TaintedValue
+from .engine import TaintEngine, TaintLabel
 
-__all__ = ["TaintEngine", "TaintLabel", "TaintedValue"]
+__all__ = ["TaintEngine", "TaintLabel"]

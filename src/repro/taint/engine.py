@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, FrozenSet
-
-from .._record import record
+from typing import FrozenSet
 
 
 class TaintLabel(enum.Enum):
@@ -15,33 +13,6 @@ class TaintLabel(enum.Enum):
     NETWORK = "network"
     FILE = "file"
     REMOTE_OBJECT = "remote-object"
-    DERIVED = "derived"
-
-
-@record(frozen=True)
-class TaintedValue:
-    """A Python-level value paired with its taint labels.
-
-    Used when data has not yet been written into simulated memory (e.g.
-    a remote object's field before deserialization places it).
-    """
-
-    value: Any
-    labels: FrozenSet[TaintLabel]
-
-    @classmethod
-    def from_source(cls, value: Any, label: TaintLabel) -> "TaintedValue":
-        """Wrap a fresh external input."""
-        return cls(value=value, labels=frozenset({label}))
-
-    def derive(self, value: Any) -> "TaintedValue":
-        """A computation result influenced by this value."""
-        return TaintedValue(value=value, labels=self.labels | {TaintLabel.DERIVED})
-
-    @property
-    def tainted(self) -> bool:
-        """Always true for instances; exists for symmetry with plain values."""
-        return bool(self.labels)
 
 
 class TaintEngine:
@@ -56,11 +27,6 @@ class TaintEngine:
         for offset in range(length):
             existing = self._map.get(address + offset, frozenset())
             self._map[address + offset] = existing | label_set
-
-    def clear(self, address: int, length: int) -> None:
-        """Remove labels (e.g. after sanitization overwrites the bytes)."""
-        for offset in range(length):
-            self._map.pop(address + offset, None)
 
     def labels_at(self, address: int, length: int = 1) -> FrozenSet[TaintLabel]:
         """Union of labels over a byte range."""

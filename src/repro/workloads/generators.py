@@ -58,10 +58,6 @@ class GeneratedProgram:
     shape: str  # one of ALL_SHAPES
     stdin: tuple = ()  # suggested attacker input that exercises the bug
 
-    @property
-    def oversize(self) -> int:
-        return max(self.placed_size - self.arena_size, 0)
-
 
 def _make_classes(base_fields: list, extra_fields: list):
     """The (base, derived) ClassDefs for a generated Small/Big pair."""

@@ -71,7 +71,7 @@ class TestParserClasses:
             "class A { public: int x; };"
             "class B : public A { public: int y[3]; };"
         )
-        b = program.class_decl("B")
+        b = program.classes[1]
         assert b.bases == ("A",)
         assert b.fields[0].type.is_array
 
@@ -79,20 +79,20 @@ class TestParserClasses:
         program = parse(
             "class A { public: virtual char* info(); double d; };"
         )
-        a = program.class_decl("A")
-        assert a.has_virtual
+        a = program.classes[0]
+        assert a.methods[0].virtual
         assert a.methods[0].name == "info"
 
     def test_constructor_with_initializer_list(self):
         program = parse(
             "class S { public: S():gpa(0.0), year(0) { } double gpa; int year; };"
         )
-        s = program.class_decl("S")
+        s = program.classes[0]
         assert s.methods[0].name == "S"
 
     def test_multi_declarator_fields(self):
         program = parse("class S { public: int year, semester; };")
-        assert [f.name for f in program.class_decl("S").fields] == [
+        assert [f.name for f in program.classes[0].fields] == [
             "year",
             "semester",
         ]
@@ -101,7 +101,7 @@ class TestParserClasses:
         program = parse(
             "class M { public: int s; void f(int *p) { s = 1; } };"
         )
-        method = program.class_decl("M").methods[0]
+        method = program.classes[0].methods[0]
         assert method.body is not None
         assert isinstance(method.body.statements[0], ast.Assign)
 

@@ -8,17 +8,15 @@ from repro.core import (
     checked_placement_new_array,
     leaked_bytes,
     new_object,
-    place_or_heap_allocate,
     placement_delete,
     placement_new,
     placement_new_array,
-    placement_new_in_pool,
     residual_ranges,
     sanitize,
 )
-from repro.cxx import CHAR, INT
+from repro.cxx import CHAR
 from repro.errors import ApiMisuseError, BoundsCheckViolation
-from repro.memory import CheckedMemoryPool, MemoryPool, SegmentKind
+from repro.memory import SegmentKind
 
 
 class TestPlacementNew:
@@ -100,7 +98,7 @@ class TestPlacementNewArray:
         buf = machine.static_array(CHAR, 32, "uname_buf")
         view = placement_new_array(machine, buf, CHAR, 16)
         assert view.address == buf.address
-        assert view.declared_count == 16
+        assert view.size == 16
 
     def test_no_zeroing_previous_contents_visible(self, machine):
         # Section 2.5 item on leaks: new[] placement does not sanitize.
@@ -119,32 +117,6 @@ class TestPlacementNewArray:
         buf = machine.static_array(CHAR, 8, "b")
         with pytest.raises(ApiMisuseError):
             placement_new_array(machine, buf, CHAR, 0)
-
-    def test_int_array_placement(self, machine):
-        buf = machine.static_array(INT, 8, "ints")
-        view = placement_new_array(machine, buf, INT, 4)
-        view.set(0, 42)
-        assert machine.space.read_int(buf.address) == 42
-
-
-class TestPlacementInPool:
-    def test_pool_suballocation(self, machine, student_classes):
-        student, _ = student_classes
-        base = machine.space.segment(SegmentKind.HEAP).base + 64
-        machine.space  # pool over raw heap bytes
-        pool = MemoryPool(machine.space, base, 256, name="app-pool")
-        first = placement_new_in_pool(machine, pool, student)
-        second = placement_new_in_pool(machine, pool, student)
-        assert second.address >= first.address + 16
-
-    def test_checked_pool_blocks_exhaustion(self, machine, student_classes):
-        student, _ = student_classes
-        base = machine.space.segment(SegmentKind.HEAP).base + 64
-        pool = CheckedMemoryPool(machine.space, base, 24, name="tight")
-        placement_new_in_pool(machine, pool, student)
-        with pytest.raises(BoundsCheckViolation):
-            placement_new_in_pool(machine, pool, student)
-
 
 class TestCheckedPlacement:
     def test_fits_passes_through(self, machine, student_classes):
@@ -187,23 +159,6 @@ class TestCheckedPlacement:
         assert view.size == 16
         with pytest.raises(BoundsCheckViolation):
             checked_placement_new_array(machine, buf, CHAR, 17)
-
-    def test_fallback_allocates_on_heap(self, machine, student_classes):
-        student, grad = student_classes
-        arena = machine.static_object(student, "arena")
-        placed = place_or_heap_allocate(machine, arena, grad)
-        assert placed.address != arena.address
-        assert machine.space.segment(SegmentKind.HEAP).contains(placed.address)
-
-    def test_fallback_releases_heap_arena_when_asked(
-        self, machine, student_classes
-    ):
-        student, grad = student_classes
-        small = new_object(machine, student)
-        freed_before = machine.heap.free_count
-        place_or_heap_allocate(machine, small, grad, release_arena=True)
-        assert machine.heap.free_count == freed_before + 1
-
 
 class TestPlacementDelete:
     def test_scrubs_extent(self, machine, student_classes):

@@ -145,11 +145,6 @@ class TestAttackResult:
         stopped = AttackResult("a", "§1", "x", succeeded=False)
         assert "PREVENTED" in stopped.describe()
 
-    def test_prevented_property(self):
-        assert AttackResult("a", "", "e", succeeded=False).prevented
-        assert not AttackResult("a", "", "e", succeeded=True).prevented
-
-
 class TestExecutionValues:
     def test_scope_chain(self):
         from repro.analysis.ast_nodes import TypeRef

@@ -6,6 +6,7 @@ from repro.analysis.parser import parse
 from repro.core import construct
 from repro.errors import ApiMisuseError, SegmentationFault
 from repro.execution import Interpreter
+from repro.memory.encoding import encode_double
 from repro.workloads.corpus import VTABLE_VARIANT, _CLASSES
 
 
@@ -72,7 +73,7 @@ void driver() {
             )
         )
         player = interp.globals.lookup("player")
-        interp.machine.space.write_double(player.address + 16, 3.25)
+        interp.machine.space.write(player.address + 16, encode_double(3.25))
         interp.run("driver")
         assert interp.machine.space.read_double(player.address + 16) != 3.25
         assert interp.machine.space.read_int(player.address + 32) == 1  # ++n

@@ -52,7 +52,7 @@ class TestWatchpoints:
         stud1 = machine.static_object(student, "stud1")
         stud2 = machine.static_object(student, "stud2")
         watches = WatchpointManager(machine.space)
-        watches.watch("stud2.gpa", stud2.field_address("gpa"), 8)
+        watches.watch("stud2.gpa", stud2.address + stud2.layout.slot("gpa").offset, 8)
         gs = placement_new(machine, stud1, grad)
         set_ssn(gs, 1, 2, 3)
         first = watches.first_writer("stud2.gpa")

@@ -1,24 +1,17 @@
-"""Serialization round-trips over fuzz-generated programs.
+"""Deserialization over fuzz-generated programs.
 
 The fuzzer's seed families produce MiniC++ classes nobody hand-wrote;
 lowering them through :class:`~repro.analysis.symbols.SymbolTable` and
-pushing instances through the json_codec / remote wire path checks that
-the serialization layer holds for arbitrary generated layouts, not just
-the paper's Student classes.
+pushing wire objects through the deserializing placement constructor
+checks that it holds for arbitrary generated layouts, not just the
+paper's Student classes.
 """
-
-import random
 
 from repro.analysis import SymbolTable, parse
 from repro.core import new_object
 from repro.fuzz import seed_inputs
 from repro.runtime import Machine
-from repro.serialization import (
-    RemoteObject,
-    construct_from_remote,
-    serialize,
-    wire_size_estimate,
-)
+from repro.serialization import RemoteObject, construct_from_remote
 from repro.taint import TaintEngine, TaintLabel
 
 
@@ -64,39 +57,26 @@ class TestJsonCodecOverGeneratedClasses:
     def test_seed_programs_produce_classes(self):
         assert len(_generated_classes()) >= 4
 
-    def test_serialize_to_json_from_json_reconstruct(self):
-        """instance → wire → JSON text → wire → fresh instance: the
-        final serialize must reproduce the original field map exactly."""
+    def test_field_map_survives_deserialization(self):
+        """instance → wire → fresh instance: the rebuilt object must
+        hold the original field map exactly."""
         for salt, class_def in enumerate(_generated_classes(), start=3):
-            machine = Machine()
-            original = new_object(machine, class_def)
+            original = new_object(Machine(), class_def)
             _fill(original, salt)
-            wire = serialize(original)
-
-            parsed = RemoteObject.from_json(wire.to_json())
-            assert parsed.class_name == class_def.name
+            wire = RemoteObject(class_def.name, original.field_values())
 
             target = Machine()
             arena = target.static_object(class_def, "arena")
             rebuilt = construct_from_remote(
-                target, class_def, arena.address, parsed
+                target, class_def, arena.address, wire
             )
-            assert dict(serialize(rebuilt).fields) == dict(wire.fields), (
-                class_def.name
-            )
-
-    def test_wire_object_is_tainted_after_json_parse(self):
-        for class_def in _generated_classes()[:2]:
-            machine = Machine()
-            wire = serialize(new_object(machine, class_def))
-            assert not wire.tainted  # locally read memory is clean
-            assert RemoteObject.from_json(wire.to_json()).tainted
+            assert rebuilt.field_values() == wire.fields, class_def.name
 
     def test_deserializer_marks_taint_on_generated_layouts(self):
         class_def = _generated_classes()[0]
         machine = Machine()
-        wire = serialize(new_object(machine, class_def))
-        remote = RemoteObject.from_json(wire.to_json())
+        remote = RemoteObject(class_def.name, new_object(machine, class_def).field_values())
+        assert remote.tainted  # wire objects are untrusted by default
 
         target = Machine()
         taint = TaintEngine()
@@ -116,33 +96,18 @@ class TestJsonCodecOverGeneratedClasses:
         machine = Machine()
         original = new_object(machine, class_def)
         _fill(original, 11)
-        wire = serialize(original)
+        fields = original.field_values()
 
         hostile = RemoteObject(
-            class_name=wire.class_name,
-            fields={**dict(wire.fields), "evil_extra": list(range(64))},
+            class_name=class_def.name,
+            fields={**fields, "evil_extra": list(range(64))},
         )
         target = Machine()
         arena = target.static_object(class_def, "arena")
         rebuilt = construct_from_remote(
             target, class_def, arena.address, hostile
         )
-        assert dict(serialize(rebuilt).fields) == dict(wire.fields)
-
-    def test_wire_size_uncorrelated_with_memory_size(self):
-        """The paper's misjudgment mechanism: JSON byte counts say
-        nothing about sizeof — check both orderings occur across the
-        generated layouts."""
-        rng = random.Random(2)
-        sizes = []
-        for class_def in _generated_classes():
-            machine = Machine()
-            instance = new_object(machine, class_def)
-            _fill(instance, rng.randrange(50))
-            sizes.append(
-                (wire_size_estimate(serialize(instance)), instance.size)
-            )
-        assert any(wire > mem for wire, mem in sizes)
+        assert rebuilt.field_values() == fields
 
 
 class TestRemoteServiceRoundTrip:
@@ -163,12 +128,5 @@ class TestRemoteServiceRoundTrip:
             for name in remote.fields:
                 if name not in declared:
                     continue  # silently dropped, never written
-            assert set(serialize(rebuilt).fields) == declared
+            assert set(rebuilt.field_values()) == declared
 
-    def test_honest_json_roundtrip_via_codec(self):
-        from repro.serialization import honest_service
-
-        remote = honest_service().get_student()
-        parsed = RemoteObject.from_json(remote.to_json(), trusted=True)
-        assert parsed.fields == dict(remote.fields)
-        assert not parsed.tainted

@@ -12,6 +12,7 @@ from repro.memory import (
     Segment,
     SegmentKind,
     ShadowMemory,
+    encode_double,
 )
 from repro.memory.watchpoints import WatchpointManager
 
@@ -107,7 +108,7 @@ class TestAddressSpace:
 
     def test_typed_double_roundtrip(self, space):
         base = space.segment(SegmentKind.BSS).base
-        space.write_double(base, 3.9)
+        space.write(base, encode_double(3.9))
         assert space.read_double(base) == 3.9
 
     def test_typed_pointer_roundtrip(self, space):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ApiMisuseError
-from repro.memory import align_down, align_up, is_aligned, is_power_of_two, padding_for
+from repro.memory import align_down, align_up, is_aligned, is_power_of_two
 
 ALIGNMENTS = st.sampled_from([1, 2, 4, 8, 16, 32, 64, 4096])
 VALUES = st.integers(min_value=0, max_value=2**32)
@@ -63,18 +63,6 @@ class TestAlignDown:
     @given(VALUES, ALIGNMENTS)
     def test_down_up_bracket(self, value, alignment):
         assert align_down(value, alignment) <= value <= align_up(value, alignment)
-
-
-class TestPadding:
-    def test_padding_reaches_alignment(self):
-        assert padding_for(13, 8) == 3
-        assert padding_for(16, 8) == 0
-
-    @given(VALUES, ALIGNMENTS)
-    def test_padding_is_complement(self, value, alignment):
-        pad = padding_for(value, alignment)
-        assert 0 <= pad < alignment
-        assert (value + pad) % alignment == 0
 
 
 class TestIsAligned:

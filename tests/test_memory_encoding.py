@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ApiMisuseError
 from repro.memory import (
-    decode_c_string,
     decode_double,
     decode_float,
     decode_int,
@@ -172,16 +171,10 @@ class TestCStringCodec:
     def test_strncpy_zero_padding(self):
         assert encode_c_string("ab", buffer_size=6) == b"ab\x00\x00\x00\x00"
 
-    def test_decode_stops_at_nul(self):
-        assert decode_c_string(b"hi\x00there") == "hi"
-
-    def test_decode_without_nul_reads_all(self):
-        assert decode_c_string(b"abc") == "abc"
-
     def test_negative_buffer_rejected(self):
         with pytest.raises(ApiMisuseError):
             encode_c_string("x", buffer_size=-1)
 
     @given(st.text(alphabet=st.characters(min_codepoint=1, max_codepoint=255), max_size=64))
     def test_roundtrip(self, text):
-        assert decode_c_string(encode_c_string(text)) == text
+        assert encode_c_string(text) == text.encode("latin-1") + b"\x00"

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.errors import ApiMisuseError, BoundsCheckViolation, StackOverflowError_
-from repro.memory import (
-    AddressSpace,
-    CheckedMemoryPool,
-    MemoryPool,
-    SegmentKind,
-    StackRegion,
-)
+from repro.errors import ApiMisuseError, StackOverflowError_
+from repro.memory import AddressSpace, MemoryPool, SegmentKind, StackRegion
 
 
 @pytest.fixture
@@ -58,13 +52,6 @@ class TestStackRegion:
         with pytest.raises(ApiMisuseError):
             stack.reserve_to(stack.stack_pointer + 8)
 
-    def test_usage_accounting(self, stack):
-        free_before = stack.bytes_free
-        stack.push_region(32, alignment=4)
-        assert stack.bytes_used >= 32
-        assert stack.bytes_free <= free_before - 32
-
-
 class TestMemoryPool:
     def test_reserve_bumps(self, space):
         base = space.segment(SegmentKind.BSS).base
@@ -98,25 +85,6 @@ class TestMemoryPool:
         pool.reset()
         again = pool.reserve(16)
         assert space.read(again, 10) == b"secretdata"
-
-    def test_sanitize_clears(self, space):
-        base = space.segment(SegmentKind.BSS).base
-        pool = MemoryPool(space, base, 32)
-        space.write(base, b"secret")
-        pool.sanitize()
-        assert space.read(base, 6) == b"\x00" * 6
-
-    def test_checked_pool_rejects_oversize(self, space):
-        base = space.segment(SegmentKind.BSS).base
-        pool = CheckedMemoryPool(space, base, 32)
-        pool.reserve(16)
-        with pytest.raises(BoundsCheckViolation):
-            pool.reserve(17)
-
-    def test_checked_pool_allows_exact_fit(self, space):
-        base = space.segment(SegmentKind.BSS).base
-        pool = CheckedMemoryPool(space, base, 32)
-        assert pool.reserve(32) == base
 
     def test_invalid_geometry(self, space):
         with pytest.raises(ApiMisuseError):

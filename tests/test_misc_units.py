@@ -99,7 +99,7 @@ class TestTextImage:
         text = TextImage(space)
         f = text.register_function("C::m", lambda m: None)
         table = text.emit_vtable("C", [("m", f.address)])
-        assert space.read_pointer(table.slot_address(0)) == f.address
+        assert space.read_pointer(table.address) == f.address  # slot 0
         assert text.vtable_at(table.address) is table
 
 

@@ -3,9 +3,12 @@ the repro-regress CLI (repro.regress.replay + repro.cli)."""
 
 import json
 
-from repro.cli import regress_main
+import pytest
+
+from repro.cli import matrix_main, regress_main
 from repro.fuzz import FuzzConfig, run_campaign
 from repro.regress import (
+    BUNDLE_SCHEMA,
     RegressionBundle,
     RegressionStore,
     rebaseline_store,
@@ -284,3 +287,62 @@ class TestRegressCli:
         assert regress_main(["replay", "--store", missing]) == 2
         assert regress_main(["record", "--store", missing]) == 2
         capsys.readouterr()
+
+
+#: Store files that do not decode as bundles.
+UNREADABLE = {
+    "bad-json": "{",
+    "array": "[]",
+    "wrong-schema": json.dumps({"schema": BUNDLE_SCHEMA + 1, "source": ""}),
+    "missing-key": json.dumps({"schema": BUNDLE_SCHEMA}),
+}
+
+
+class TestUnreadableBundles:
+    """Every command that reads the store refuses a bundle file that
+    does not decode as bad input naming the file; gc sweeps it."""
+
+    @pytest.fixture
+    def store_with(self, tmp_path):
+        def build(text):
+            store = seeded_store(tmp_path, count=1)
+            bad = store.path_for("rb-00000000000000000bad")
+            bad.write_text(text)
+            return store, bad
+
+        return build
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay"],
+            ["replay", "--json"],
+            ["list"],
+            ["diff"],
+            ["rebaseline"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_store_readers_exit_2(self, store_with, capsys, kind, argv):
+        store, bad = store_with(UNREADABLE[kind])
+        assert regress_main([*argv, "--store", str(store.directory)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: unreadable regression bundle (")
+        assert captured.err.endswith("); run repro-regress gc\n")
+        assert captured.err.count("\n") == 1
+
+    def test_matrix_regress_dir_exits_2(self, store_with, capsys):
+        store, bad = store_with("[]")
+        argv = ["run", "--jobs", "0", "--regress-dir", str(store.directory)]
+        assert matrix_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: unreadable")
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_gc_sweeps_it_and_replay_passes_again(self, store_with, capsys, kind):
+        store, bad = store_with(UNREADABLE[kind])
+        store_dir = str(store.directory)
+        assert regress_main(["gc", "--store", store_dir]) == 0
+        assert f"removed {bad.name}: unreadable: " in capsys.readouterr().out
+        assert not bad.exists() and len(store) == 1
+        assert regress_main(["replay", "--store", store_dir]) == 0

@@ -39,7 +39,11 @@ def _reference_closure(name, edges):
 
 
 def _reference_dependents(graph, name):
-    return _reference_closure(name, graph.dependents_of)
+    importers = {}
+    for importer in graph.names():  # sorted, so each list is too
+        for dep in graph.package(importer).imports:
+            importers.setdefault(dep, []).append(importer)
+    return _reference_closure(name, lambda current: importers.get(current, ()))
 
 
 def _reference_dependencies(graph, name):

@@ -68,7 +68,7 @@ class TestMobilePlayer:
         student, _ = make_student_classes()
         player_cls = make_mobile_player(student)
         inst = machine.static_object(player_cls, "p")
-        machine.space.write_int(inst.field_address("n"), 99)
+        machine.space.write_int(inst.address + inst.layout.slot("n").offset, 99)
         construct(machine, player_cls, inst.address)
         assert inst.get("n") == 0
 
