@@ -857,13 +857,16 @@ def _open_store(directory: str, create: bool = False):
 
 @contextlib.contextmanager
 def _reading_bundles():
-    """A store file that does not decode as a bundle is bad input."""
-    from .regress import UnreadableBundle
+    """A store file that does not decode as a bundle, or a bundle id
+    with no file, is bad input."""
+    from .regress import UnknownBundle, UnreadableBundle
 
     try:
         yield
     except UnreadableBundle as error:
         raise _CommandError(f"{error}; run repro-regress gc") from None
+    except UnknownBundle as error:
+        raise _CommandError(str(error)) from None
 
 
 def _regress_record(args) -> int:

@@ -32,6 +32,7 @@ _EXPORTS = {
             "BUNDLE_SCHEMA",
             "RegressionBundle",
             "RegressionStore",
+            "UnknownBundle",
             "UnreadableBundle",
             "bundle_from_divergence",
             "bundle_from_observation",

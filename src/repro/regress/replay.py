@@ -372,14 +372,19 @@ def rebaseline_store(
     Returns ``{"updated": [...], "unchanged": [...], "failed": {id:
     reason}}``.  A bundle whose run the harness can no longer judge is
     *failed*, never silently rewritten — delete it or fix the harness.
+    Every bundle is loaded first, so an unknown id or an unreadable file
+    raises before anything is rewritten.
     """
     from .store import bundle_from_observation
 
     updated: list = []
     unchanged: list = []
     failed: dict = {}
-    for bundle_id in bundle_ids if bundle_ids is not None else store.ids():
-        bundle = store.load(bundle_id)
+    named = [
+        (bundle_id, store.load(bundle_id))
+        for bundle_id in (bundle_ids if bundle_ids is not None else store.ids())
+    ]
+    for bundle_id, bundle in named:
         observation = run_oracles(
             bundle.source, bundle.stdin, bundle.oracle_config()
         )

@@ -95,6 +95,11 @@ class UnreadableBundle(ValueError):
     the file and the reason."""
 
 
+class UnknownBundle(LookupError):
+    """A bundle id with no file in the store; the message names the id
+    and the store."""
+
+
 def triage_label(triage: str) -> str:
     """The comparable head of a triage note (``"taint-quantifier"``,
     ``"manual"``, or ``""`` for an open divergence)."""
@@ -369,9 +374,12 @@ class RegressionStore:
         return sorted(path.stem for path in self.directory.glob("rb-*.json"))
 
     def load(self, bundle_id: str) -> RegressionBundle:
-        """The bundle stored under ``bundle_id``; a file that does not
-        decode raises :class:`UnreadableBundle`."""
+        """The bundle stored under ``bundle_id``; an id with no file
+        raises :class:`UnknownBundle`, a file that does not decode
+        :class:`UnreadableBundle`."""
         path = self.path_for(bundle_id)
+        if not path.is_file():
+            raise UnknownBundle(f"no bundle {bundle_id} in {self.directory}")
         try:
             return RegressionBundle.from_json(path.read_text())
         except ValueError as error:

@@ -101,6 +101,16 @@ class TestAllocationTracker:
         tracker.mark_freed(0x1000)
         assert tracker.leaked_bytes == 0
 
+    def test_live_accounting(self):
+        tracker = AllocationTracker()
+        tracker.record(0x1000, 32, ArenaOrigin.HEAP_NEW)
+        tracker.record(0x2000, 16, ArenaOrigin.STATIC)
+        assert sorted(r.address for r in tracker.live_records) == [0x1000, 0x2000]
+        tracker.mark_freed(0x1000)
+        assert [r.address for r in tracker.live_records] == [0x2000]
+        assert tracker.lookup(0x1000) is None
+        assert tracker.lookup(0x2000).true_size == 16
+
     def test_relabel_unknown_address_is_noop(self):
         tracker = AllocationTracker()
         assert tracker.relabel(0x9999, 8) is None

@@ -52,6 +52,15 @@ class TestStackRegion:
         with pytest.raises(ApiMisuseError):
             stack.reserve_to(stack.stack_pointer + 8)
 
+    def test_usage_accounting(self, space, stack):
+        lowest = space.segment(SegmentKind.STACK).base
+        sp_before = stack.stack_pointer
+        base = stack.push_region(32, alignment=4)
+        assert base == stack.stack_pointer <= sp_before - 32
+        free_after = stack.stack_pointer - lowest
+        with pytest.raises(StackOverflowError_, match=rf"\({free_after} free\)"):
+            stack.push_region(free_after + 1)
+
 class TestMemoryPool:
     def test_reserve_bumps(self, space):
         base = space.segment(SegmentKind.BSS).base

@@ -338,6 +338,23 @@ class TestUnreadableBundles:
         assert matrix_main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: unreadable")
 
+    @pytest.mark.parametrize("command", ["diff", "rebaseline"])
+    def test_unknown_bundle_id_exits_2(self, tmp_path, capsys, command):
+        # The named bundle is stale, so a rebaseline that ran it before
+        # reaching the unknown id would rewrite it.
+        store = seeded_store(tmp_path, count=1)
+        stale = store.path_for(store.ids()[0])
+        document = json.loads(stale.read_text())
+        document["versions"] = {}
+        stale.write_text(json.dumps(document))
+        before = {path.name: path.read_text() for path in store.directory.iterdir()}
+        argv = [command, "--store", str(store.directory), store.ids()[0], "rb-nosuch"]
+        assert regress_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no bundle rb-nosuch in {store.directory}\n"
+        assert captured.out == ""
+        assert {path.name: path.read_text() for path in store.directory.iterdir()} == before
+
     @pytest.mark.parametrize("kind", sorted(UNREADABLE))
     def test_gc_sweeps_it_and_replay_passes_again(self, store_with, capsys, kind):
         store, bad = store_with(UNREADABLE[kind])

@@ -13,6 +13,7 @@ from repro.regress import (
     BUNDLE_SCHEMA,
     RegressionBundle,
     RegressionStore,
+    UnknownBundle,
     UnreadableBundle,
     bundle_from_divergence,
     bundle_from_observation,
@@ -181,6 +182,11 @@ class TestStore:
         assert len(store) == 2
         assert store.ids() == sorted(store.ids())
         assert [b.bundle_id for b in store.bundles()] == store.ids()
+
+    def test_load_of_an_unknown_id_names_it(self, tmp_path):
+        store = RegressionStore(tmp_path / "store")
+        with pytest.raises(UnknownBundle, match=r"^no bundle rb-nosuch in .*store$"):
+            store.load("rb-nosuch")
 
     def test_record_is_atomic_and_leaves_no_tmp(self, tmp_path):
         store = RegressionStore(tmp_path / "store")

@@ -9,6 +9,16 @@ from repro.serialization import (
 from repro.taint import TaintEngine, TaintLabel
 
 
+class TestRemoteObject:
+    def test_untrusted_by_default(self):
+        remote = RemoteObject("Student", {"gpa": 1.0})
+        assert remote.tainted
+        assert TaintLabel.REMOTE_OBJECT in remote.labels
+
+    def test_trusted_flag(self):
+        assert not RemoteObject("Student", {}, labels=frozenset()).tainted
+
+
 class TestServices:
     def test_malicious_student_lies_about_courses(self):
         remote = malicious_service().get_student()
@@ -20,6 +30,14 @@ class TestServices:
         remote = honest_service().get_student()
         assert not remote.tainted
         assert remote.get("n") == 2
+
+    def test_aggregate_payload_taint_follows_the_peer(self):
+        # Listing 8: the remote end picks the aggregate's size.
+        honest = honest_service().get_aggregate(4)
+        evil = malicious_service().get_aggregate(16)
+        assert honest.get("payload") == [0, 1, 2, 3] and not honest.tainted
+        assert len(evil.get("payload")) == 16 and evil.tainted
+        assert evil.class_name == "Someclass16"
 
 
 class TestDeserialization:
