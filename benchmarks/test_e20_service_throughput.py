@@ -134,7 +134,9 @@ def test_e20_cache_hit_latency(benchmark):
     with ServiceEngine(workers=2) as engine:
         engine.analyze(source, label=label)  # prime
         benchmark(engine.analyze, source, label)
-        assert engine.cache.hit_rate > 0.90
+        # every benchmarked request hit, at any round count
+        assert engine.cache.misses == 1
+        assert engine.cache.hits >= 1
 
 
 #: Seconds of single requests per backend, one every ``PACE`` seconds.

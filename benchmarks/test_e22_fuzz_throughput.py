@@ -28,9 +28,10 @@ def test_e22_sequential_exec_rate(benchmark):
     """Throughput of the in-process mutate→oracles→merge loop."""
     config = FuzzConfig(seed=7, iterations=ITERATIONS, minimize=False)
 
+    started = time.perf_counter()
     report = benchmark.pedantic(run_campaign, args=(config,), rounds=1)
+    elapsed = time.perf_counter() - started
 
-    elapsed = benchmark.stats.stats.mean
     execs_per_s = report.execs / elapsed if elapsed else 0.0
     benchmark.extra_info["execs"] = report.execs
     benchmark.extra_info["execs_per_s"] = round(execs_per_s, 2)

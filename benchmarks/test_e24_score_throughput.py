@@ -11,6 +11,8 @@ perfbench's ``score`` workload (``python3 perfbench/run.py --workload
 score``).
 """
 
+import time
+
 from conftest import print_table
 
 from repro.score import generated_package_graph, score_graph
@@ -25,9 +27,10 @@ def test_e24_sequential_scoring_rate(benchmark):
     """Throughput of the in-process analyze→map→propagate pipeline."""
     graph = generated_package_graph(SEED, PACKAGES)
 
+    started = time.perf_counter()
     score = benchmark.pedantic(score_graph, args=(graph,), rounds=1)
+    elapsed = time.perf_counter() - started
 
-    elapsed = benchmark.stats.stats.mean
     packages_per_s = PACKAGES / elapsed if elapsed else 0.0
     totals = score.totals
     benchmark.extra_info["packages"] = totals["packages"]
@@ -58,9 +61,10 @@ def test_e24_service_scoring_matches_sequential(benchmark):
         with WorkerPool(WORKERS) as pool:
             return score_graph(graph, pool=pool)
 
+    started = time.perf_counter()
     score = benchmark.pedantic(scored_over_pool, rounds=1)
+    elapsed = time.perf_counter() - started
 
-    elapsed = benchmark.stats.stats.mean
     packages_per_s = PACKAGES / elapsed if elapsed else 0.0
     benchmark.extra_info["workers"] = WORKERS
     benchmark.extra_info["packages_scored_per_s"] = round(packages_per_s, 2)

@@ -36,11 +36,12 @@ def test_e27_sequential_cell_rate(benchmark):
     rows = _rows()
     cells = len(rows) * len(DEFENSES)
 
+    started = time.perf_counter()
     report = benchmark.pedantic(
         run_sweep, kwargs={"rows": rows, "defenses": DEFENSES}, rounds=1
     )
+    elapsed = time.perf_counter() - started
 
-    elapsed = benchmark.stats.stats.mean
     cells_per_s = cells / elapsed if elapsed else 0.0
     benchmark.extra_info["cells"] = cells
     benchmark.extra_info["cells_per_s"] = round(cells_per_s, 2)

@@ -107,11 +107,6 @@ class ShadowCallStack:
                 frame.name, expected=expected, found=observed_return
             )
 
-    @property
-    def depth(self) -> int:
-        """Live protected frames."""
-        return len(self._stack)
-
     def arm(self, machine: Machine) -> None:
         """Install on ``machine``: its frame pushes and pops consult this
         stack from now on."""

@@ -74,11 +74,6 @@ class _TaggedRange:
 class MemoryTagging:
     """Allocation-granular tag map plus its enforcement hooks."""
 
-    #: A repeated access passes or faults exactly as it did the first
-    #: time: the verdict depends on the address and length only, and the
-    #: colours change only through the tracker feed.
-    repeat_safe = True
-
     #: The raw hook checks stores only (see :meth:`_on_access`), so
     #: reads are never delivered to it.
     observes_reads = False
@@ -136,11 +131,6 @@ class MemoryTagging:
         """The colour of one byte (0 = untagged)."""
         rng = self._range_containing(address)
         return rng.tag if rng is not None else 0
-
-    @property
-    def live_ranges(self) -> int:
-        """Number of coloured allocations."""
-        return len(self._ranges)
 
     # -- enforcement --------------------------------------------------------
 

@@ -71,11 +71,6 @@ class _VrtEntry:
 class VariableRecordTable:
     """The runtime bounds table plus its enforcement hooks."""
 
-    #: A repeated access passes or faults exactly as it did the first
-    #: time: the verdict depends on the address and length only, and the
-    #: table changes only through the tracker and placement feeds.
-    repeat_safe = True
-
     machine: Machine
     violations: list = field(default_factory=list)
 
@@ -149,15 +144,6 @@ class VariableRecordTable:
         if address < entry.base + entry.true_size:
             return entry
         return None
-
-    def lookup(self, address: int) -> Optional[_VrtEntry]:
-        """Public containment lookup (diagnostics and tests)."""
-        return self._entry_containing(address)
-
-    @property
-    def live_entries(self) -> int:
-        """Number of variables currently in the table."""
-        return len(self._entries)
 
     # -- enforcement --------------------------------------------------------
 

@@ -539,10 +539,13 @@ class Interpreter:
 
         ``marks`` are ``(steps, counter)`` at the head of the first three
         iterations.  Both probe iterations must have cost the same steps
-        and moved the counter by the shape's net increment, and every
-        observer must be repeat-safe.  Each ``i``-free expression is then
-        evaluated once, unobserved and with the step count restored; none
-        may read the counter's bytes, and the bounds must be integers.
+        and moved the counter by the shape's net increment.  Every
+        memory observer is repeat-safe (see
+        :meth:`~repro.memory.address_space.AddressSpace.add_access_hook`),
+        so the skipped iterations would tell none of them anything new.
+        Each ``i``-free expression is then evaluated once, unobserved and
+        with the step count restored; none may read the counter's bytes,
+        and the bounds must be integers.
         The jump stops one iteration short of both the exit and the step
         budget, so the normal path runs the last iteration and raises
         the timeout or leaves the loop on the very step it always did.
@@ -560,7 +563,7 @@ class Interpreter:
         ):
             return
         room = (self.step_budget - now) // per_pass
-        if room < 2 or not self.machine.space.observers_repeat_safe():
+        if room < 2:
             return
         defined = {function.name for function in self.program.functions}
         if not defined.isdisjoint(shape.calls):

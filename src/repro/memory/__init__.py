@@ -44,10 +44,9 @@ _EXPORTS = {
     **dict.fromkeys(("BlockInfo", "HEADER_SIZE", "HeapAllocator"), "heap"),
     **dict.fromkeys(("MemoryPool", "PoolStats"), "pool"),
     **dict.fromkeys(("DEFAULT_PERMISSIONS", "Permissions", "Segment", "SegmentKind"), "segments"),
-    **dict.fromkeys(("RedZonePair", "ShadowMemory", "ShadowState"), "shadow"),
+    "ShadowMemory": "shadow",
     **dict.fromkeys(("StackAllocation", "StackRegion"), "stack"),
     **dict.fromkeys(("AllocationTracker", "ArenaOrigin", "ArenaRecord"), "tracker"),
-    **dict.fromkeys(("WatchHit", "WatchpointManager"), "watchpoints"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -10,8 +10,8 @@ objects laid out like a classic 32-bit Linux/ELF process image::
     0xbfff0000  stack  (grows downward from 0xc0000000)
 
 All reads and writes in the library flow through this class, so it is the
-single choke point where watchpoints, taint propagation and the shadow
-memory sanitizer hook in.
+single choke point where the event tap and the runtime defenses (shadow
+memory, the VRT, memory tagging) hook in.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ AccessHook = Callable[[int, bytes, bool], None]
 #: tagging) can reject a dereference that a raw address trace cannot
 #: distinguish from a legitimate neighbour access.
 TypedGuard = Callable[[int, int, int, bool], None]
-
-
-def _declares(observer, attribute: str, default: bool) -> bool:
-    """An observer's declared ``attribute``, read from the observer or,
-    for a bound method, from its owner."""
-    return getattr(getattr(observer, "__self__", observer), attribute, default)
 
 
 class AddressSpace:
@@ -163,10 +157,24 @@ class AddressSpace:
         unless it declares a false ``observes_reads`` attribute on itself
         or, for a bound method, on its owner: a write-only observer (the
         event tap, shadow memory, memory tagging) is never called with
-        ``is_write`` false, so hot read paths such as the heap's header
-        walk skip it."""
+        ``is_write`` false.
+
+        Every observer, hook or :meth:`typed guard <add_typed_guard>`,
+        keeps one contract:
+
+        * it is *repeat-safe*: an access it has already seen at the same
+          (address, length, is_write) changes neither its state nor its
+          outcome, so the interpreter's loop fast-forward may skip
+          iterations that repeat them;
+        * it *halts* at its first violation, by raising, rather than
+          logging it and letting the run go on.
+
+        Observers see the program's memory traffic, not the heap
+        allocator's reads of its own block headers (see
+        :class:`~repro.memory.heap.HeapAllocator`).
+        """
         self._hooks.append(hook)
-        if _declares(hook, "observes_reads", True):
+        if getattr(getattr(hook, "__self__", hook), "observes_reads", True):
             self._read_hooks.append(hook)
 
     def remove_access_hook(self, hook: AccessHook) -> None:
@@ -190,7 +198,8 @@ class AddressSpace:
         the referent.  Guards raise to fault the access.  Raw
         :meth:`read`/:meth:`write` calls never consult typed guards, so
         guards that also need to see *raw* bulk accesses must register an
-        :data:`AccessHook` as well.
+        :data:`AccessHook` as well.  A guard keeps the observer contract
+        of :meth:`add_access_hook`.
         """
         self._typed_guards.append(guard)
 
@@ -205,17 +214,6 @@ class AddressSpace:
         for guard in self._typed_guards:
             guard(base, address, length, is_write)
 
-    def observers_repeat_safe(self) -> bool:
-        """True when every hook and typed guard declares itself
-        repeat-safe: repeating an access it has already seen at the same
-        (address, length, is_write) changes neither its state nor its
-        outcome.  An observer declares it with a true ``repeat_safe``
-        attribute on itself or, for a bound method, on its owner."""
-        return all(
-            _declares(observer, "repeat_safe", False)
-            for observer in (*self._hooks, *self._typed_guards)
-        )
-
     @contextmanager
     def unobserved(self) -> Iterator[list]:
         """Run a block that no hook or typed guard sees.
@@ -225,8 +223,7 @@ class AddressSpace:
         on exit.  For side-effect-free probes that must not touch any
         observer's state.
         """
-        # In place: typed views hold the guard list, and heap walks the
-        # read-hook list, itself.
+        # In place: typed views hold the guard list itself.
         hooks, read_hooks = self._hooks[:], self._read_hooks[:]
         guards = self._typed_guards[:]
         accesses: list = []
@@ -294,22 +291,18 @@ class AddressSpace:
         # Unwritable segment or a straddling range: precise fault.
         self._ordered[i].write(address, data)
 
-    def segment_view(self, kind: SegmentKind) -> Optional[tuple]:
-        """``(memoryview, read_hooks)`` over the whole segment of ``kind``.
-
-        For walks that read many small fields, like the heap's header
-        walk: the caller unpacks from the view and calls every hook in
-        ``read_hooks`` (the live list of hooks that observe reads, in
-        order) with exactly the ``(address, data, False)`` that
-        :meth:`read` would have passed.
-        Under ``strict_alignment`` the caller must go through
-        :meth:`read_int` instead, so misaligned reads fault.  None for
+    def segment_view(self, kind: SegmentKind) -> Optional[memoryview]:
+        """A memoryview over the whole segment of ``kind``, or None for
         an unreadable segment, where every read faults.
+
+        Reads through it are unchecked and reach no hook: for the heap
+        allocator's reads of its own block headers, which are no program
+        loads.
         """
         segment = self.segment(kind)
         if not segment.permissions.read:
             return None
-        return segment._view, self._read_hooks
+        return segment._view
 
     def fill(self, address: int, length: int, byte: int = 0) -> None:
         """memset: used by the sanitization defense (Section 5.1).

@@ -26,15 +26,15 @@ class MemoryEventTap:
     Attach with ``space.add_access_hook(tap)`` (and detach with
     ``remove_access_hook``).  Observed kinds accumulate in
     :attr:`kinds`; they are deterministic for a deterministic run.
-    """
 
-    #: :attr:`kinds` is a set, so a repeated access adds nothing new.  A
-    #: write to an announced vptr slot is also judged by its bytes (is it
-    #: the install?), so a repeat that stores a different value counts
-    #: only if no non-install write has landed there before.  Two loop
-    #: iterations that store different values settle that for every
-    #: later iteration; two that store the same ones repeat exactly.
-    repeat_safe = True
+    The tap is repeat-safe: :attr:`kinds` is a set, so a repeated access
+    adds nothing new.  A write to an announced vptr slot is also judged
+    by its bytes (is it the install?), so a repeat that stores a
+    different value counts only if no non-install write has landed there
+    before.  Two loop iterations that store different values settle that
+    for every later iteration; two that store the same ones repeat
+    exactly.
+    """
 
     #: Every kind is a write kind, so reads are never delivered.
     observes_reads = False
@@ -73,7 +73,3 @@ class MemoryEventTap:
             )
             if not is_install:
                 self.kinds.add("vtable-slot-overwritten")
-
-    def sorted_kinds(self) -> tuple:
-        """The observed kinds as a deterministic tuple."""
-        return tuple(sorted(self.kinds))

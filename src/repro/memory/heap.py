@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .._record import record
 from ..errors import ApiMisuseError, DoubleFree, InvalidFree, OutOfMemory
@@ -45,29 +45,35 @@ class BlockInfo:
     allocated: bool
     corrupted: bool = False
 
-    @property
-    def total_size(self) -> int:
-        """Header plus payload."""
-        return HEADER_SIZE + self.payload_size
-
 
 class HeapAllocator:
-    """First-fit free-list allocator with boundary tags and coalescing."""
+    """First-fit free-list allocator with boundary tags and coalescing.
+
+    The allocator's reads of its own headers are not program loads: they
+    unpack straight from the heap segment and reach no access hook, as a
+    real malloc's reads of its chunk headers are no variable access.  Its
+    header *writes* go through :meth:`AddressSpace.write_int`, so every
+    hook sees them.
+    """
 
     def __init__(self, space: AddressSpace) -> None:
         self._space = space
-        segment = space.segment(SegmentKind.HEAP)
+        self._segment = segment = space.segment(SegmentKind.HEAP)
         self._base = segment.base
         self._end = segment.end
-        heap_view = space.segment_view(SegmentKind.HEAP)
-        self._view, self._read_hooks = heap_view or (None, ())
-        self._unpack_header = partial(_HEADER.unpack_from, self._view)
+        self._view = space.segment_view(SegmentKind.HEAP)
+        #: ``offset -> (payload_size, magic)`` of the header that far
+        #: into the heap.
+        self._header = (
+            self._checked_header
+            if self._view is None or space.strict_alignment
+            else partial(_HEADER.unpack_from, self._view)
+        )
         # One giant free block spanning the whole segment.
         self._write_header(self._base, segment.size - HEADER_SIZE, allocated=False)
         self._allocated_payloads: set[int] = set()
         self._bytes_in_use = 0
         self._allocation_count = 0
-        self._free_count = 0
 
     # -- header helpers ------------------------------------------------------
 
@@ -76,49 +82,15 @@ class HeapAllocator:
         self._space.write_int(header_addr, payload_size, width=4, signed=False)
         self._space.write_int(header_addr + 4, magic, width=4, signed=False)
 
-    def _read_header(self, header_addr: int) -> BlockInfo:
-        payload_size = self._space.read_int(header_addr, width=4, signed=False)
-        magic = self._space.read_int(header_addr + 4, width=4, signed=False)
-        allocated = magic == _MAGIC_ALLOCATED
-        corrupted = magic not in (_MAGIC_ALLOCATED, _MAGIC_FREE)
-        return BlockInfo(
-            header_address=header_addr,
-            payload_address=header_addr + HEADER_SIZE,
-            payload_size=payload_size,
-            allocated=allocated,
-            corrupted=corrupted,
-        )
-
-    def _header_reader(self) -> Callable[[int], tuple]:
-        """``offset -> (payload_size, magic)`` of the header that far
-        into the heap, for one walk.
-
-        Both fields come straight from the heap segment's view, and every
-        hook that observes reads is told about them as ``read_int`` would
-        tell it: the size word, then the status word, each
-        ``(address, 4 bytes, False)``.  With none, the walk unpacks
-        without building those bytes.
-        Under ``strict_alignment`` they go through ``read_int`` itself,
-        so a misaligned header raises the bus error.
-        """
-        space = self._space
-        if space.strict_alignment or self._view is None:
-            read_int, base = space.read_int, self._base
-            return lambda offset: (
-                read_int(base + offset, 4, False),
-                read_int(base + offset + 4, 4, False),
-            )
-        return self._notify_header if self._read_hooks else self._unpack_header
-
-    def _notify_header(self, offset: int) -> tuple:
-        view, address = self._view, self._base + offset
-        size = bytes(view[offset : offset + 4])
-        for hook in self._read_hooks:
-            hook(address, size, False)
-        magic = bytes(view[offset + 4 : offset + 8])
-        for hook in self._read_hooks:
-            hook(address + 4, magic, False)
-        return int.from_bytes(size, "little"), int.from_bytes(magic, "little")
+    def _checked_header(self, offset: int) -> tuple:
+        """The header at ``offset``, faulting as ``read_int`` would: a
+        misaligned header is a bus error on a strict-alignment target,
+        and any header of an unreadable heap a segfault."""
+        address = self._base + offset
+        self._space._check_aligned(address, 4, "read")
+        if self._view is None:
+            self._segment.read(address, HEADER_SIZE)  # raises the fault
+        return _HEADER.unpack_from(self._view, offset)
 
     def blocks(self) -> Iterator[BlockInfo]:
         """Walk the heap from the first block; stops at corruption.
@@ -126,17 +98,21 @@ class HeapAllocator:
         A heap overflow that tramples a header truncates this walk — the
         same way ``malloc_consolidate`` crashes a real process.
         """
-        cursor = self._base
-        while cursor + HEADER_SIZE <= self._end:
-            info = self._read_header(cursor)
-            if info.corrupted:
-                yield info
+        header, base = self._header, self._base
+        offset, size = 0, self._end - base
+        while offset + HEADER_SIZE <= size:
+            payload_size, magic = header(offset)
+            corrupted = magic != _MAGIC_ALLOCATED and magic != _MAGIC_FREE
+            yield BlockInfo(
+                header_address=base + offset,
+                payload_address=base + offset + HEADER_SIZE,
+                payload_size=payload_size,
+                allocated=magic == _MAGIC_ALLOCATED,
+                corrupted=corrupted,
+            )
+            if corrupted:
                 return
-            yield info
-            step = info.total_size
-            if step <= 0 or cursor + step > self._end:
-                return
-            cursor += step
+            offset += HEADER_SIZE + payload_size
 
     # -- allocation api --------------------------------------------------------
 
@@ -162,10 +138,10 @@ class HeapAllocator:
     def _first_fit(self, needed: int) -> Optional[BlockInfo]:
         """The first free block with at least ``needed`` payload bytes,
         walking from the base and stopping at a corrupted header."""
-        read, base = self._header_reader(), self._base
+        header, base = self._header, self._base
         offset, size = 0, self._end - base
         while offset + HEADER_SIZE <= size:
-            payload_size, magic = read(offset)
+            payload_size, magic = header(offset)
             if magic == _MAGIC_FREE:
                 if payload_size >= needed:
                     return BlockInfo(
@@ -198,53 +174,49 @@ class HeapAllocator:
         """Free a block previously returned by :meth:`allocate`.
 
         Detects double frees and wild frees by consulting both the
-        in-band header and the allocator's own bookkeeping.
+        in-band header and the allocator's own bookkeeping; a header
+        outside the heap is a wild free.
         """
         header_addr = payload_address - HEADER_SIZE
-        if not self._space.is_mapped(header_addr, HEADER_SIZE):
+        offset = header_addr - self._base
+        if not 0 <= offset <= self._end - self._base - HEADER_SIZE:
             raise InvalidFree(payload_address)
-        info = self._read_header(header_addr)
-        if info.corrupted:
+        payload_size, magic = self._header(offset)
+        if magic != _MAGIC_ALLOCATED and magic != _MAGIC_FREE:
             raise InvalidFree(payload_address)
-        if not info.allocated:
+        if magic == _MAGIC_FREE:
             raise DoubleFree(payload_address)
         if payload_address not in self._allocated_payloads:
             raise InvalidFree(payload_address)
         self._allocated_payloads.discard(payload_address)
-        self._bytes_in_use -= info.payload_size
-        self._free_count += 1
-        self._write_header(header_addr, info.payload_size, allocated=False)
+        self._bytes_in_use -= payload_size
+        self._write_header(header_addr, payload_size, allocated=False)
         self._coalesce()
 
     def _coalesce(self) -> None:
-        """Merge adjacent free blocks, stopping at a corrupted header.
+        """Merge adjacent free blocks in one pass, stopping at a
+        corrupted header.
 
-        With only repeat-safe observers (or none), each run merges in
-        one pass, going on from the merged header that a walk restarted
-        from the base would re-read; other hooks see that restart after
-        every merge.  Every hook counts here, not only those that
-        observe reads, since each of them sees the merge writes.
-        Both write the same headers in the same order.  A merge rewrites
-        only its run's header and runs only move forward, so a repeated
-        (header, size) means wrapped sizes make the merges cycle: stop.
+        After a merge the walk goes on from the merged header, which is
+        what a walk restarted from the base would read there: it writes
+        the same headers in the same order as that restart.  A merge
+        rewrites only its run's header and runs only move forward, so a
+        repeated (header, size) means wrapped sizes make the merges
+        cycle: stop.
         """
-        one_pass = self._space.observers_repeat_safe()
-        read, base = self._header_reader(), self._base
+        header, base = self._header, self._base
         offset, size = 0, self._end - base
         run: Optional[int] = None  # offset of the free block absorbing the run
         run_size = 0
         merges: set = set()
         while offset + HEADER_SIZE <= size:
-            payload_size, magic = read(offset)
+            payload_size, magic = header(offset)
             if magic == _MAGIC_FREE and run is not None:
                 run_size = (run_size + HEADER_SIZE + payload_size) & _SIZE_MASK
                 self._write_header(base + run, run_size, allocated=False)
                 if (run, run_size) in merges:
                     return
                 merges.add((run, run_size))
-                if not one_pass:
-                    offset, run = 0, None
-                    continue
                 offset, payload_size = run, run_size
             elif magic == _MAGIC_FREE:
                 run, run_size = offset, payload_size
@@ -265,15 +237,6 @@ class HeapAllocator:
     def allocation_count(self) -> int:
         """Number of successful :meth:`allocate` calls."""
         return self._allocation_count
-
-    @property
-    def free_count(self) -> int:
-        """Number of successful :meth:`free` calls."""
-        return self._free_count
-
-    def live_blocks(self) -> list[BlockInfo]:
-        """Blocks currently allocated (per in-band headers)."""
-        return [b for b in self.blocks() if b.allocated and not b.corrupted]
 
     def largest_free_block(self) -> int:
         """Payload size of the largest free block (0 if none)."""

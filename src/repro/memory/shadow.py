@@ -14,40 +14,8 @@ sees attacks no matter which code path performed the store.
 
 from __future__ import annotations
 
-import enum
-from typing import Optional
-
-from .._record import record
 from ..errors import ApiMisuseError, RedZoneViolation
 from .address_space import AddressSpace
-
-
-class ShadowState(enum.IntEnum):
-    """Per-byte classification."""
-
-    UNTRACKED = 0
-    ADDRESSABLE = 1
-    RED_ZONE = 2
-
-
-@record(frozen=True)
-class RedZonePair:
-    """The two guard ranges bracketing one protected arena."""
-
-    arena_base: int
-    arena_size: int
-    zone_size: int
-
-    @property
-    def left(self) -> range:
-        """Guard range below the arena."""
-        return range(self.arena_base - self.zone_size, self.arena_base)
-
-    @property
-    def right(self) -> range:
-        """Guard range above the arena."""
-        end = self.arena_base + self.arena_size
-        return range(end, end + self.zone_size)
 
 
 class ShadowMemory:
@@ -63,15 +31,14 @@ class ShadowMemory:
             raise ApiMisuseError(f"red zone size must be positive, got {zone_size}")
         self._space = space
         self._zone_size = zone_size
-        self._states: dict[int, ShadowState] = {}
-        self._pairs: list[RedZonePair] = []
-        self._violations: list[RedZoneViolation] = []
+        #: Bytes of some protected arena, and the red bytes around them.
+        self._addressable: set[int] = set()
+        self._red: set[int] = set()
         self._armed = False
-        self._halt_on_violation = True
 
     # -- registration -------------------------------------------------------
 
-    def protect_arena(self, base: int, size: int) -> RedZonePair:
+    def protect_arena(self, base: int, size: int) -> None:
         """Mark ``[base, base+size)`` addressable and bracket it in red.
 
         The left zone is only laid down where the space is mapped, so
@@ -79,29 +46,22 @@ class ShadowMemory:
         """
         if size <= 0:
             raise ApiMisuseError(f"arena size must be positive, got {size}")
-        pair = RedZonePair(arena_base=base, arena_size=size, zone_size=self._zone_size)
-        for addr in range(base, base + size):
-            self._states[addr] = ShadowState.ADDRESSABLE
-        for zone in (pair.left, pair.right):
-            for addr in zone:
-                if self._space.is_mapped(addr):
-                    # Never demote an addressable byte of another arena.
-                    if self._states.get(addr) != ShadowState.ADDRESSABLE:
-                        self._states[addr] = ShadowState.RED_ZONE
-        self._pairs.append(pair)
-        return pair
-
-    def state_at(self, address: int) -> ShadowState:
-        """Shadow classification of one byte."""
-        return self._states.get(address, ShadowState.UNTRACKED)
+        arena = range(base, base + size)
+        self._addressable.update(arena)
+        self._red.difference_update(arena)
+        zone = self._zone_size
+        for addr in (*range(base - zone, base), *range(arena.stop, arena.stop + zone)):
+            # Never redden an addressable byte of another arena.
+            if addr not in self._addressable and self._space.is_mapped(addr):
+                self._red.add(addr)
 
     # -- enforcement -----------------------------------------------------
 
-    def arm(self, halt_on_violation: bool = True) -> None:
-        """Start checking every write through the address space."""
+    def arm(self) -> None:
+        """Start checking every write through the address space; the
+        first write touching a red byte raises :class:`RedZoneViolation`."""
         if self._armed:
             return
-        self._halt_on_violation = halt_on_violation
         self._space.add_access_hook(self._on_access)
         self._armed = True
 
@@ -113,33 +73,7 @@ class ShadowMemory:
         self._armed = False
 
     def _on_access(self, address: int, data: bytes, is_write: bool) -> None:
-        if not is_write:
-            return
-        for offset in range(len(data)):
-            if self._states.get(address + offset) == ShadowState.RED_ZONE:
-                violation = RedZoneViolation(address + offset, len(data))
-                self._violations.append(violation)
-                if self._halt_on_violation:
-                    raise violation
-                return
-
-    @property
-    def repeat_safe(self) -> bool:
-        """Repeating a write already seen changes nothing while every
-        violation halts the process; without halting, each repeat of a
-        red-zone write records the violation again."""
-        return self._halt_on_violation
-
-    @property
-    def violations(self) -> tuple[RedZoneViolation, ...]:
-        """All red-zone hits observed so far."""
-        return tuple(self._violations)
-
-    @property
-    def protected_arenas(self) -> tuple[RedZonePair, ...]:
-        """Currently protected arenas."""
-        return tuple(self._pairs)
-
-    def first_violation(self) -> Optional[RedZoneViolation]:
-        """The earliest recorded violation, if any."""
-        return self._violations[0] if self._violations else None
+        span, red = range(address, address + len(data)), self._red
+        if is_write and not red.isdisjoint(span):
+            first = next(addr for addr in span if addr in red)
+            raise RedZoneViolation(first, len(data))

@@ -1,10 +1,10 @@
 """Differential test: write-only observers skipped on reads.
 
 An access hook that declares ``observes_reads = False`` is never called
-for a read: ``read``, ``read_c_string`` and the heap's header walk
-(through ``segment_view``) notify only the hooks that observe reads.
-The reference here is an address space that hands every access to
-every hook, as all hooks were once called.  Random access and heap
+for a read: ``read`` and ``read_c_string`` notify only the hooks that
+observe reads (the heap's header walk notifies none).  The reference
+here is an address space that hands every access to every hook, as all
+hooks were once called.  Random access and heap
 sequences, run with a random mix of read-observing and write-only
 observers, must give every observer exactly the reference's calls, in
 order and with the same bytes, minus the reads a write-only observer
@@ -25,7 +25,6 @@ from repro.defenses.vrt import VariableRecordTable
 from repro.memory import AddressSpace, HeapAllocator, SegmentKind
 from repro.memory.events import MemoryEventTap
 from repro.memory.shadow import ShadowMemory
-from repro.memory.watchpoints import WatchpointManager
 
 _HEAP = AddressSpace().segment(SegmentKind.HEAP)
 _STACK = AddressSpace().segment(SegmentKind.STACK)
@@ -51,7 +50,7 @@ class _EveryHookSeesReads(AddressSpace):
         self._hooks.append(hook)
 
 
-def _recorder_class(observes_reads: bool, repeat_safe: bool) -> type:
+def _recorder_class(observes_reads: bool) -> type:
     class Recorder:
         def __init__(self) -> None:
             self.log: list = []
@@ -60,11 +59,10 @@ def _recorder_class(observes_reads: bool, repeat_safe: bool) -> type:
             self.log.append((address, bytes(data), is_write))
 
     Recorder.observes_reads = observes_reads
-    Recorder.repeat_safe = repeat_safe
     return Recorder
 
 
-_OBSERVERS = st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=4)
+_OBSERVERS = st.lists(st.booleans(), min_size=1, max_size=4)
 
 _ADDRESS = st.one_of(
     st.builds(lambda offset: _HEAP.base + offset, st.integers(-8, 0x200)),
@@ -106,7 +104,7 @@ def _unseen(observers):
 def _session(space_cls, flags, ops, strict):
     """Replay ``ops``; returns ``(transcript, heap bytes, logs)``."""
     space = space_cls(strict_alignment=strict)
-    observers = [_recorder_class(*flag)() for flag in flags]
+    observers = [_recorder_class(flag)() for flag in flags]
     attached = [True] * len(observers)
     for observer in observers:
         space.add_access_hook(observer)
@@ -130,7 +128,7 @@ def _session(space_cls, flags, ops, strict):
                 result = heap.allocate(*args)
                 issued.append(result)
             elif name == "probe_alloc":
-                # the heap walks the live read-hook list it was built with
+                # the allocation's header writes are recorded, not seen
                 with _unseen(observers), space.unobserved() as accesses:
                     issued.append(heap.allocate(*args))
                 result = (issued[-1], accesses)
@@ -163,18 +161,18 @@ def _session(space_cls, flags, ops, strict):
 
 @settings(deadline=None)
 @given(_OBSERVERS, _OPS, st.booleans())
-@example(  # a write-only observer alone: the header walk unpacks raw
-    [(False, True)],
+@example(  # a write-only observer alone
+    [False],
     [("alloc", 16), ("alloc", 16), ("free", 0), ("free", 1), ("read", _HEAP.base, 8)],
     False,
 )
-@example(  # mixed, not repeat-safe: coalescing restarts for every hook
-    [(True, False), (False, False)],
+@example(  # mixed: coalescing writes reach both
+    [True, False],
     [("alloc", 8), ("alloc", 8), ("alloc", 8), ("free", 0), ("free", 2), ("free", 1)],
     False,
 )
 @example(  # the read observer leaves and comes back around unobserved probes
-    [(True, True), (False, True)],
+    [True, False],
     [
         ("alloc", 8),
         ("detach", 0),
@@ -196,7 +194,7 @@ def test_observers_see_every_access_but_ignored_reads(flags, ops, strict):
     )
     assert transcript == expected_transcript
     assert heap_bytes == expected_bytes
-    for (observes_reads, _), log, expected in zip(flags, logs, expected_logs):
+    for observes_reads, log, expected in zip(flags, logs, expected_logs):
         if not observes_reads:
             expected = [call for call in expected if call[2]]
         assert log == expected
@@ -204,8 +202,7 @@ def test_observers_see_every_access_but_ignored_reads(flags, ops, strict):
 
 def test_only_read_checking_observers_observe_reads():
     """The event tap, shadow memory and memory tagging check writes
-    only; the VRT and watchpoints check reads too."""
+    only; the VRT checks reads too."""
     for owner in (MemoryEventTap, ShadowMemory, MemoryTagging):
         assert owner.observes_reads is False, owner
-    for owner in (VariableRecordTable, WatchpointManager):
-        assert getattr(owner, "observes_reads", True), owner
+    assert getattr(VariableRecordTable, "observes_reads", True)

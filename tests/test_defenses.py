@@ -124,10 +124,11 @@ class TestShadowReturnStack:
         machine = SHADOW_RETURN_STACK.make_machine()
         outer = machine.push_frame("outer")
         inner = machine.push_frame("inner")
-        assert machine.defense.depth == 2
         machine.pop_frame(inner)
         machine.pop_frame(outer)
-        assert machine.defense.depth == 0
+        assert machine.defense.checks == 2
+        assert machine.defense.unwound_frames == 0
+        assert machine.defense.tamper_events == 0
 
     def test_data_only_attacks_unaffected(self):
         from repro.attacks import SHADOW_RETURN_STACK, DataBssOverflowAttack

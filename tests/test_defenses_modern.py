@@ -33,12 +33,13 @@ class TestShadowCallStackUnwind:
         shadow = ShadowCallStack()
         for frame in (outer, in1, in2):
             shadow.record_call(frame)
-        assert shadow.depth == 3
         # longjmp back to `outer`: the inner epilogues never run.
         shadow.check_return(outer, outer.original_return)
         assert shadow.unwound_frames == 2
         assert shadow.tamper_events == 0
-        assert shadow.depth == 0
+        # Nothing is left to unwind: a stray epilogue finds no entry.
+        shadow.check_return(in1, in1.original_return)
+        assert shadow.unwound_frames == 2
 
     def test_tamper_after_unwind_still_caught(self):
         machine, (outer, inner) = self._frames(["outer", "inner"])
@@ -62,14 +63,21 @@ class TestShadowCallStackUnwind:
 
 
 class TestVariableRecordTable:
+    @staticmethod
+    def _overrun(machine, address, end):
+        """Write from ``address`` to one byte past ``end``; the VRT's
+        violation."""
+        with pytest.raises(VrtBoundsViolation) as excinfo:
+            machine.space.write(address, b"A" * (end + 1 - address))
+        return excinfo.value
+
     def test_static_objects_enter_the_table(self):
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.defense.lookup(arena.address)
-        assert entry is not None
-        assert entry.base == arena.address
-        assert entry.true_size == entry.believed_size
+        machine.space.write(arena.address, b"A" * arena.size)
+        violation = self._overrun(machine, arena.address, arena.address + arena.size)
+        assert (violation.base, violation.bounds) == (arena.address, arena.size)
 
     def test_oversized_placement_faults_before_construction(self):
         machine = VRT_BOUNDS.make_machine()
@@ -84,17 +92,17 @@ class TestVariableRecordTable:
         machine = VRT_BOUNDS.make_machine()
         student, grad = make_student_classes()
         arena = machine.static_object(grad, "arena")
-        placement_new(machine, arena.address, student)
-        entry = machine.defense.lookup(arena.address)
-        assert entry.believed_size < entry.true_size
+        placed = placement_new(machine, arena.address, student)
+        assert placed.size < arena.size
+        violation = self._overrun(machine, arena.address, arena.address + placed.size)
+        assert (violation.base, violation.bounds) == (arena.address, placed.size)
 
     def test_raw_write_past_believed_bounds_faults(self):
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.defense.lookup(arena.address)
         with pytest.raises(VrtBoundsViolation):
-            machine.space.write(arena.address + entry.believed_size - 2, b"ABCD")
+            machine.space.write(arena.address + arena.size - 2, b"ABCD")
 
     def test_interior_lookup_resolves_to_containing_variable(self):
         # The arXiv 1909.07821 point: an *interior* address resolves
@@ -102,25 +110,23 @@ class TestVariableRecordTable:
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.defense.lookup(arena.address + 4)
-        assert entry is not None and entry.base == arena.address
+        violation = self._overrun(machine, arena.address + 4, arena.address + arena.size)
+        assert violation.base == arena.address
 
     def test_disarm_stops_enforcement(self):
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
         arena = machine.static_object(student, "arena")
-        entry = machine.defense.lookup(arena.address)
         machine.defense.disarm()
-        machine.space.write(arena.address + entry.believed_size - 2, b"ABCD")
+        machine.space.write(arena.address + arena.size - 2, b"ABCD")
 
     def test_freed_arenas_leave_the_table(self):
         machine = VRT_BOUNDS.make_machine()
         student, _ = make_student_classes()
-        machine.static_object(student, "arena")
-        before = machine.defense.live_entries
+        arena = machine.static_object(student, "arena")
         for record in list(machine.tracker.live_records):
             machine.tracker.forget(record.address)
-        assert machine.defense.live_entries < before
+        machine.space.write(arena.address + arena.size - 2, b"ABCD")
 
 
 class TestMemoryTagging:

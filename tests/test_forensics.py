@@ -1,78 +1,15 @@
-"""Tests for watchpoints and the forensics toolkit."""
+"""Tests for the forensics toolkit."""
 
 import pytest
 
 from repro.core import construct, new_object, placement_new
-from repro.errors import ApiMisuseError
 from repro.forensics import (
     AttackForensics,
     MemorySnapshot,
     annotate_address,
 )
-from repro.memory import SegmentKind, WatchpointManager
+from repro.memory import SegmentKind
 from repro.workloads import set_ssn
-
-
-class TestWatchpoints:
-    def test_write_hit_recorded(self, machine):
-        base = machine.space.segment(SegmentKind.BSS).base
-        watches = WatchpointManager(machine.space)
-        watches.watch("victim", base + 8, 4)
-        machine.space.write(base + 8, b"\xde\xad\xbe\xef")
-        assert len(watches.hits) == 1
-        assert watches.hits[0].is_write
-
-    def test_overlap_detection(self, machine):
-        base = machine.space.segment(SegmentKind.BSS).base
-        watches = WatchpointManager(machine.space)
-        watches.watch("victim", base + 8, 4)
-        machine.space.write(base + 6, b"\x00" * 4)  # straddles the start
-        assert watches.hits_for("victim")
-
-    def test_non_overlapping_writes_ignored(self, machine):
-        base = machine.space.segment(SegmentKind.BSS).base
-        watches = WatchpointManager(machine.space)
-        watches.watch("victim", base + 8, 4)
-        machine.space.write(base, b"\x01" * 8)
-        machine.space.write(base + 12, b"\x01")
-        assert not watches.hits
-
-    def test_reads_opt_in(self, machine):
-        base = machine.space.segment(SegmentKind.BSS).base
-        watches = WatchpointManager(machine.space)
-        watches.watch("w", base, 4, on_read=True)
-        machine.space.read(base, 4)
-        kinds = [hit.is_write for hit in watches.hits]
-        assert False in kinds
-
-    def test_first_writer_identifies_overflow(self, machine, student_classes):
-        # Which write clobbered stud2? The placement-new overflow's
-        # set_ssn — observable via the watchpoint.
-        student, grad = student_classes
-        stud1 = machine.static_object(student, "stud1")
-        stud2 = machine.static_object(student, "stud2")
-        watches = WatchpointManager(machine.space)
-        watches.watch("stud2.gpa", stud2.address + stud2.layout.slot("gpa").offset, 8)
-        gs = placement_new(machine, stud1, grad)
-        set_ssn(gs, 1, 2, 3)
-        first = watches.first_writer("stud2.gpa")
-        assert first is not None
-        assert first.address == stud2.address
-
-    def test_unwatch_and_clear(self, machine):
-        base = machine.space.segment(SegmentKind.BSS).base
-        watches = WatchpointManager(machine.space)
-        watches.watch("w", base, 4)
-        machine.space.write(base, b"\x01")
-        watches.clear()
-        watches.unwatch("w")
-        machine.space.write(base, b"\x02")
-        assert not watches.hits
-
-    def test_bad_length_rejected(self, machine):
-        watches = WatchpointManager(machine.space)
-        with pytest.raises(ApiMisuseError):
-            watches.watch("w", 0x1000, 0)
 
 
 class TestSnapshots:

@@ -7,14 +7,17 @@ program here runs twice on identically built machines: once as shipped,
 once with ``loop_shape`` patched to find no shape, so every iteration is
 interpreted.  Steps, outcome, every segment's bytes, the machine's event
 log, the tap's kinds and every defense's recorded faults must agree.
+Every memory observer is repeat-safe and halts at its first violation,
+so the jump never waits for the observers; a loop jumps under each of
+the ten roster environments.
 
 Generated loops are ``while`` and ``for`` counters, empty bodies and
 no-op-call bodies, with random bounds, strides of either sign, start
 values near the counter type's limits, small step budgets (so the
 budget runs out in the condition, the body or the step) and random hook
 sets.  Some inputs must make the fast path decline: a bound that reads
-the counter through a pointer, a call to a function the program
-defines, and an attached :class:`WatchpointManager`.
+the counter through a pointer, and a call to a function the program
+defines.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import parse_cached
 from repro.defenses import tagging, vrt
+from repro.defenses.base import ALL_ENVIRONMENTS
 from repro.execution import interpreter as interpreter_module
 from repro.execution.interpreter import Interpreter
 from repro.memory import MemoryEventTap, ShadowMemory
 from repro.memory.segments import SegmentKind
-from repro.memory.watchpoints import WatchpointManager
 from repro.runtime import CanaryPolicy, Machine, MachineConfig
 
 #: Counter type -> (smallest, largest) value.
@@ -42,8 +45,8 @@ LIMITS = {
     "short": (-(1 << 15), (1 << 15) - 1),
 }
 
-#: Hooks a machine may carry; the last two are not repeat-safe.
-HOOKS = ("tap", "vrt", "tagging", "shadow", "shadow-nonhalting", "watchpoints")
+#: Hooks a machine may carry.
+HOOKS = ("tap", "vrt", "tagging", "shadow")
 
 #: A loop statement that moves the counter (``{}`` is the amount); the
 #: ``c + i`` form is outside the fast-forwarded shape.
@@ -86,7 +89,7 @@ def loops(draw, fallback: bool = False):
     """``(source, hooks, budget, declines)`` for one generated loop.
 
     ``declines`` is true when the input carries something the fast path
-    must refuse (aliased bound, the program's own call, watchpoints).
+    must refuse (aliased bound, the program's own call).
     """
     ctype = draw(st.sampled_from(sorted(LIMITS)))
     smallest, largest = LIMITS[ctype]
@@ -149,7 +152,7 @@ def loops(draw, fallback: bool = False):
     declines = False
     defines = ""
     if fallback:
-        trap = draw(st.sampled_from(("alias", "own-call", "own-noop", "watchpoints")))
+        trap = draw(st.sampled_from(("alias", "own-call", "own-noop")))
         declines = True
         if trap == "alias":
             comparisons.append(f"i {draw(st.sampled_from(('<', '<=')))} *q + 1")
@@ -173,52 +176,42 @@ def loops(draw, fallback: bool = False):
         local=values.get("n", value(">")),
         defines=defines,
     )
-    hooks = set(draw(st.lists(st.sampled_from(HOOKS[:5]), max_size=3)))
-    if trap == "watchpoints":
-        hooks.add("watchpoints")
+    hooks = set(draw(st.lists(st.sampled_from(HOOKS), max_size=3)))
     budget = 100 + draw(st.integers(0, 2400))
     return source, tuple(sorted(hooks)), budget, declines
 
 
-def _machine(hooks: tuple) -> tuple:
-    """A machine with ``hooks`` attached, plus the observers to compare."""
-    machine = Machine(MachineConfig(canary_policy=CanaryPolicy.RANDOM, canary_seed=5))
+def _machine(hooks: tuple, environment=None) -> tuple:
+    """A machine with ``hooks`` attached, plus the observers to compare;
+    ``environment``'s armed machine when one is given.  A halting
+    observer's violation is the run's outcome."""
+    if environment is None:
+        machine = Machine(MachineConfig(canary_policy=CanaryPolicy.RANDOM, canary_seed=5))
+    else:
+        machine = environment.make_machine()
     observers = {}
     if "tap" in hooks:
         tap = MemoryEventTap(machine.space)
         machine.event_tap = tap
         machine.space.add_access_hook(tap)
-        observers["tap"] = lambda: tap.sorted_kinds()
+        observers["tap"] = lambda: sorted(tap.kinds)
     if "vrt" in hooks:
         table = vrt.protect_machine(machine)
         observers["vrt"] = lambda: list(map(str, table.violations))
     if "tagging" in hooks:
         tags = tagging.protect_machine(machine)
         observers["tagging"] = lambda: list(map(str, tags.faults))
-    stack = machine.space.segment(SegmentKind.STACK)
     if "shadow" in hooks:
-        # Red zones far from the loop: halting, it never fires.
+        # Red zones far from the loop: it never fires.
         shadow = ShadowMemory(machine.space)
         shadow.protect_arena(machine.space.segment(SegmentKind.HEAP).end - 64, 16)
         shadow.arm()
-        observers["shadow"] = lambda: list(map(str, shadow.violations))
-    if "shadow-nonhalting" in hooks:
-        # A red zone over the top of the stack, where run()'s locals
-        # live: every counter write is recorded as a violation.
-        logger = ShadowMemory(machine.space, zone_size=0x400)
-        logger.protect_arena(stack.end - 0x500, 16)
-        logger.arm(halt_on_violation=False)
-        observers["shadow-nonhalting"] = lambda: list(map(str, logger.violations))
-    if "watchpoints" in hooks:
-        watches = WatchpointManager(machine.space)
-        watches.watch("stack", stack.base, stack.size, on_read=True)
-        observers["watchpoints"] = lambda: watches.hits
     return machine, observers
 
 
-def observe(source: str, hooks: tuple, budget: int) -> tuple:
+def observe(source: str, hooks: tuple, budget: int, environment=None) -> tuple:
     """Everything observable about one run of ``run()``."""
-    machine, observers = _machine(hooks)
+    machine, observers = _machine(hooks, environment)
     interpreter = Interpreter(parse_cached(source), machine=machine, step_budget=budget)
     try:
         interpreter.run("run")
@@ -237,7 +230,7 @@ def observe(source: str, hooks: tuple, budget: int) -> tuple:
     )
 
 
-def differential(source: str, hooks: tuple, budget: int) -> bool:
+def differential(source: str, hooks: tuple, budget: int, environment=None) -> bool:
     """Assert both paths agree; True when the fast path jumped."""
     jumps = []
     fast_forward = Interpreter._fast_forward
@@ -249,9 +242,9 @@ def differential(source: str, hooks: tuple, budget: int) -> bool:
             jumps.append(self.steps - before)
 
     with mock.patch.object(Interpreter, "_fast_forward", spy):
-        fast = observe(source, hooks, budget)
+        fast = observe(source, hooks, budget, environment)
     with mock.patch.object(interpreter_module, "loop_shape", lambda stmt: None):
-        slow = observe(source, hooks, budget)
+        slow = observe(source, hooks, budget, environment)
     assert fast == slow
     return bool(jumps)
 
@@ -317,8 +310,18 @@ def test_boundary_loop_matches_plain_interpretation(name):
     differential(*BOUNDARIES[name])
 
 
-def test_jump_is_exact_at_scale_under_every_repeat_safe_hook():
-    """Ten million iterations under the tap, VRT, tagging and a halting
+@pytest.mark.parametrize("environment", ALL_ENVIRONMENTS, ids=lambda env: env.label)
+def test_jump_engages_under_every_roster_environment(environment):
+    """Under each roster defense, with the event tap attached as the
+    fuzzer attaches it, a shaped loop jumps and matches the plain path."""
+    source = program(
+        "int", 0, "while (i < p->f0)", ["i = i + 1;", "log(p->f1);"], field=3000
+    )
+    assert differential(source, ("tap",), 50_000, environment)
+
+
+def test_jump_is_exact_at_scale_under_every_hook():
+    """Ten million iterations under the tap, VRT, tagging and a
     shadow memory take the plain path's steps, extrapolated from two
     short plain runs, and leave every defense quiet."""
     hooks = ("shadow", "tagging", "tap", "vrt")
@@ -333,9 +336,4 @@ def test_jump_is_exact_at_scale_under_every_repeat_safe_hook():
     per_iteration = (longer - short) // 10
     assert outcome == ("ok", "")
     assert steps == short + (10**7 - 10) * per_iteration
-    assert observers == {
-        "shadow": [],
-        "tagging": [],
-        "tap": ("write:stack",),
-        "vrt": [],
-    }
+    assert observers == {"tagging": [], "tap": ["write:stack"], "vrt": []}

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from repro.errors import ApiMisuseError, SegmentationFault
 from repro.memory import (
     AddressSpace,
-    MemoryEventTap,
     Permissions,
     Segment,
     SegmentKind,
-    ShadowMemory,
     encode_double,
 )
-from repro.memory.watchpoints import WatchpointManager
 
 
 @pytest.fixture
@@ -162,27 +159,19 @@ class TestAddressSpace:
         space.check_typed_access(bss, bss, 1, False)
         assert seen == [bss] and guarded == [bss]
 
-    def test_repeat_safe_declarations(self, space):
-        assert space.observers_repeat_safe()
-        space.add_access_hook(MemoryEventTap(space))
-        shadow = ShadowMemory(space)
-        shadow.arm()
-        assert space.observers_repeat_safe()
-        shadow.disarm()
-        shadow.arm(halt_on_violation=False)
-        assert not space.observers_repeat_safe()
-        shadow.disarm()
-        WatchpointManager(space).watch("bss", space.segment(SegmentKind.BSS).base, 4)
-        assert not space.observers_repeat_safe()
-
-    def test_segment_view_hands_out_the_live_hook_list(self, space):
+    def test_segment_view_is_the_backing_store_and_reaches_no_hook(self, space):
         heap = space.segment(SegmentKind.HEAP)
-        view, hooks = space.segment_view(SegmentKind.HEAP)
+        seen = []
+        space.add_access_hook(lambda addr, data, w: seen.append((addr, w)))
+        view = space.segment_view(SegmentKind.HEAP)
         space.write(heap.base + 4, b"\x2a")
-        assert len(view) == heap.size and view[4] == 0x2A and hooks == []
-        hook = lambda addr, data, w: None  # noqa: E731
-        space.add_access_hook(hook)
-        assert hooks == [hook]
+        assert len(view) == heap.size and view[4] == 0x2A
+        assert seen == [(heap.base + 4, True)]
+
+    def test_segment_view_of_an_unreadable_segment_is_none(self, space):
+        heap = space.segment(SegmentKind.HEAP)
+        heap.permissions = Permissions(read=False, write=True, execute=False)
+        assert space.segment_view(SegmentKind.HEAP) is None
 
     def test_is_mapped(self, space):
         bss = space.segment(SegmentKind.BSS)

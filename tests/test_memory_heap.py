@@ -6,8 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ApiMisuseError, DoubleFree, InvalidFree, OutOfMemory
-from repro.memory import HEADER_SIZE, AddressSpace, BlockInfo, HeapAllocator, SegmentKind
+from repro.errors import (
+    ApiMisuseError,
+    DoubleFree,
+    InvalidFree,
+    OutOfMemory,
+    SegmentationFault,
+    SimulatedProcessError,
+)
+from repro.defenses.vrt import VariableRecordTable
+from repro.memory import (
+    HEADER_SIZE,
+    AddressSpace,
+    BlockInfo,
+    HeapAllocator,
+    Permissions,
+    SegmentKind,
+)
+from repro.memory.tracker import ArenaOrigin
+from repro.runtime import Machine, MachineConfig
 
 
 @pytest.fixture
@@ -80,6 +97,15 @@ class TestFree:
         with pytest.raises(InvalidFree):
             heap.free(0x1000)
 
+    def test_free_outside_the_heap_is_wild_whatever_precedes_it(self, space, heap):
+        # A forged free header in front of a global does not make its
+        # delete a double free: the allocator reads headers in its heap
+        # only.
+        bss = space.segment(SegmentKind.BSS).base
+        space.write(bss, struct.pack("<II", 16, 0xF4EEF4EE))
+        with pytest.raises(InvalidFree):
+            heap.free(bss + HEADER_SIZE)
+
     def test_coalescing_restores_large_block(self, heap):
         before = heap.largest_free_block()
         blocks = [heap.allocate(1000) for _ in range(8)]
@@ -122,14 +148,14 @@ class TestCorruption:
 
 
 class TestCounters:
-    def test_allocation_and_free_counts(self, heap):
+    def test_allocation_count_and_live_blocks(self, heap):
         a = heap.allocate(8)
         b = heap.allocate(8)
         heap.free(a)
         assert heap.allocation_count == 2
-        assert heap.free_count == 1
-        assert len(heap.live_blocks()) == 1
-        assert heap.live_blocks()[0].payload_address == b
+        live = [block for block in heap.blocks() if block.allocated]
+        assert [block.payload_address for block in live] == [b]
+        assert heap.bytes_in_use == live[0].payload_size
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,7 +197,7 @@ def test_property_interleaved_blocks_never_overlap(sizes, rng):
             assert e1 <= s2
 
 
-# -- raw header walk vs observed walk -------------------------------------
+# -- generated heap sessions ----------------------------------------------
 
 _MAGICS = (0xA110C8ED, 0xF4EEF4EE, 0x0, 0x41414141)
 
@@ -184,38 +210,36 @@ _MAGICS = (0xA110C8ED, 0xF4EEF4EE, 0x0, 0x41414141)
 #: tramples, and a few common sizes make exact first fits likely.
 _SMALL_ALLOC = st.tuples(st.just("alloc"), st.sampled_from([1, 8, 16, 24, 40, 100]))
 _FREE = st.tuples(st.just("free"), st.integers(min_value=0, max_value=63))
-_HEAP_OPS = st.lists(
-    st.one_of(
-        _SMALL_ALLOC,
-        _SMALL_ALLOC,
-        _FREE,
-        _FREE,
-        st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=600)),
-        st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=0x48000)),
-        st.tuples(st.just("wild"), st.integers(min_value=0, max_value=0x3FFF8)),
-        st.tuples(
-            st.just("trample"),
-            st.integers(min_value=0, max_value=63),
-            st.integers(min_value=-8, max_value=8),
-            st.binary(min_size=1, max_size=12),
-        ),
-        st.tuples(
-            st.just("magic"),
-            st.integers(min_value=0, max_value=63),
-            st.sampled_from(_MAGICS),
-        ),
-        st.tuples(
-            st.just("header"),
-            st.integers(min_value=0, max_value=63),
-            st.one_of(
-                st.integers(min_value=0, max_value=2048),
-                st.sampled_from([0x3FFF8, 0x40000, 0xFFFFFFF0, 0xFFFFFFF8]),
-            ),
-            st.sampled_from(_MAGICS),
-        ),
+_HEAP_OP = st.one_of(
+    _SMALL_ALLOC,
+    _SMALL_ALLOC,
+    _FREE,
+    _FREE,
+    st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=600)),
+    st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=0x48000)),
+    st.tuples(st.just("wild"), st.integers(min_value=0, max_value=0x3FFF8)),
+    st.tuples(
+        st.just("trample"),
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=-8, max_value=8),
+        st.binary(min_size=1, max_size=12),
     ),
-    max_size=40,
+    st.tuples(
+        st.just("magic"),
+        st.integers(min_value=0, max_value=63),
+        st.sampled_from(_MAGICS),
+    ),
+    st.tuples(
+        st.just("header"),
+        st.integers(min_value=0, max_value=63),
+        st.one_of(
+            st.integers(min_value=0, max_value=2048),
+            st.sampled_from([0x3FFF8, 0x40000, 0xFFFFFFF0, 0xFFFFFFF8]),
+        ),
+        st.sampled_from(_MAGICS),
+    ),
 )
+_HEAP_OPS = st.lists(_HEAP_OP, max_size=40)
 
 
 def _run_heap_session(
@@ -225,9 +249,11 @@ def _run_heap_session(
     recorder=None,
     heap_cls=HeapAllocator,
 ) -> tuple:
-    """Replay ``ops`` on a fresh ``heap_cls``; returns everything
-    observable.  ``recorder``, when given, is attached as an access hook
-    before the heap is built, so it sees every header read and write."""
+    """Replay ``ops`` on a fresh ``heap_cls``; returns ``(transcript,
+    state, reads)``, where ``reads`` are the addresses a read-observing
+    hook attached when ``hooked`` saw.  ``recorder``, when given, is
+    attached as an access hook before the heap is built, so it sees
+    every header write."""
     space = AddressSpace(strict_alignment=strict)
     reads = []
     if hooked:
@@ -242,77 +268,52 @@ def _run_heap_session(
     transcript = []
     for op in ops:
         try:
-            if op[0] == "alloc":
-                address = heap.allocate(op[1])
-                issued.append(address)
-                result = address
-            elif op[0] == "free":
-                if not issued:
-                    continue
-                heap.free(issued[op[1] % len(issued)])
-                result = None
-            elif op[0] == "wild":
-                heap.free(segment.base + op[1])
-                result = None
-            elif op[0] == "trample":
-                if not issued:
-                    continue
-                _, index, delta, data = op
-                header = issued[index % len(issued)] - HEADER_SIZE
-                target = max(segment.base, header + delta)
-                space.write(min(target, segment.end - len(data)), data)
-                result = None
-            elif op[0] == "magic":
-                if not issued:
-                    continue
-                _, index, magic = op
-                status = issued[index % len(issued)] - 4
-                space.write(status, struct.pack("<I", magic))
-                result = None
-            else:
-                if not issued:
-                    continue
-                _, index, size, magic = op
-                header = issued[index % len(issued)] - HEADER_SIZE
-                space.write(header, struct.pack("<II", size, magic))
-                result = None
-            transcript.append(("ok", result))
+            transcript.append(("ok", _apply(op, heap, space, segment, issued)))
         except Exception as error:  # compared by type and message
             transcript.append((type(error).__name__, str(error)))
     try:
-        live = heap.live_blocks()
+        walk = list(heap.blocks())
     except Exception as error:
-        live = (type(error).__name__, str(error))
+        walk = (type(error).__name__, str(error))
     state = (
         heap.bytes_in_use,
         heap.allocation_count,
-        heap.free_count,
-        live,
+        walk,
         bytes(segment.read(segment.base, segment.size)),
     )
-    return transcript, state, bool(reads)
+    return transcript, state, reads
 
 
-@settings(max_examples=300, deadline=None)
-@given(_HEAP_OPS)
-@example([("alloc", 16), ("alloc", 16), ("free", 0), ("alloc", 16)])  # exact fit
-@example([("alloc", 16), ("alloc", 16), ("magic", 0, 0x41414141), ("free", 1)])
-def test_raw_walk_matches_observed_walk(ops):
-    """The hook-free heap reads its headers straight from the backing
-    store; with a read hook attached every header goes through
-    ``read_int``.  Any allocate/free/trample sequence must give the same
-    payload addresses, the same exceptions and the same heap bytes."""
-    raw_transcript, raw_state, _ = _run_heap_session(ops, hooked=False)
-    observed_transcript, observed_state, observed = _run_heap_session(
-        ops, hooked=True
-    )
-    assert raw_transcript == observed_transcript
-    assert raw_state == observed_state
-    if any(op[0] == "alloc" for op in ops):
-        assert observed  # the hooked session really took the per-read path
+def _apply(op, heap, space, segment, issued):
+    """Run one session step; the payload address of an allocation, else
+    None."""
+    if op[0] == "alloc":
+        address = heap.allocate(op[1])
+        issued.append(address)
+        return address
+    if not issued and op[0] != "wild":
+        return None
+    if op[0] == "free":
+        heap.free(issued[op[1] % len(issued)])
+    elif op[0] == "wild":
+        heap.free(segment.base + op[1])
+    elif op[0] == "trample":
+        _, index, delta, data = op
+        header = issued[index % len(issued)] - HEADER_SIZE
+        target = max(segment.base, header + delta)
+        space.write(min(target, segment.end - len(data)), data)
+    elif op[0] == "magic":
+        _, index, magic = op
+        status = issued[index % len(issued)] - 4
+        space.write(status, struct.pack("<I", magic))
+    else:
+        _, index, size, magic = op
+        header = issued[index % len(issued)] - HEADER_SIZE
+        space.write(header, struct.pack("<II", size, magic))
+    return None
 
 
-# -- hook log vs a reference model of the observed walk -------------------
+# -- the unpacked walk vs its read_int reference model --------------------
 
 
 class _Recorder:
@@ -325,23 +326,41 @@ class _Recorder:
         self.log.append((address, bytes(data), is_write))
 
 
-class _RepeatSafeRecorder(_Recorder):
-    """The same log, from a hook that declares itself repeat-safe."""
-
-    repeat_safe = True
-
-
 class _RestartWalk(HeapAllocator):
-    """Reference model: every header through ``read_int``/``write_int``.
+    """Reference model: every header read through ``read_int``.
 
     First fit walks :meth:`blocks`; coalescing merges the first pair of
     adjacent free blocks and restarts from the base, until a walk finds
     no pair or a merge stores a (header, size) an earlier merge stored.
-    ``one_pass`` instead continues from the merged block, as the
-    restarted walk would find it when it reached that header again.
+    Its header reads reach every hook, as all of them once did.
     """
 
-    one_pass = False
+    def __init__(self, space):
+        super().__init__(space)
+        self._header = self._read_int_header  # free's header check too
+
+    def _read_int_header(self, offset):
+        read_int, address = self._space.read_int, self._base + offset
+        return read_int(address, 4, False), read_int(address + 4, 4, False)
+
+    def _read_header(self, header_addr):
+        payload_size, magic = self._read_int_header(header_addr - self._base)
+        return BlockInfo(
+            header_address=header_addr,
+            payload_address=header_addr + HEADER_SIZE,
+            payload_size=payload_size,
+            allocated=magic == 0xA110C8ED,
+            corrupted=magic not in (0xA110C8ED, 0xF4EEF4EE),
+        )
+
+    def blocks(self):
+        cursor = self._base
+        while cursor + HEADER_SIZE <= self._end:
+            info = self._read_header(cursor)
+            yield info
+            cursor += HEADER_SIZE + info.payload_size
+            if info.corrupted or cursor > self._end:
+                return
 
     def _first_fit(self, needed):
         for block in self.blocks():
@@ -364,25 +383,20 @@ class _RestartWalk(HeapAllocator):
                 if merge in stored:
                     return
                 stored.append(merge)
-                if not self.one_pass:
-                    cursor, previous = self._base, None
-                    continue
-                block = BlockInfo(
-                    header_address=previous.header_address,
-                    payload_address=previous.payload_address,
-                    payload_size=combined % 2**32,
-                    allocated=False,
-                )
+                cursor, previous = self._base, None
+                continue
             previous = block
-            cursor = block.header_address + block.total_size
+            cursor = block.header_address + HEADER_SIZE + block.payload_size
 
 
-class _OnePassWalk(_RestartWalk):
-    one_pass = True
+def _writes(log):
+    return [call for call in log if call[2]]
 
 
 @settings(deadline=None)
 @given(_HEAP_OPS, st.booleans())
+@example([("alloc", 16), ("alloc", 16), ("free", 0), ("alloc", 16)], False)  # exact fit
+@example([("alloc", 16), ("alloc", 16), ("magic", 0, 0x41414141), ("free", 1)], False)
 @example(
     [("alloc", 16), ("alloc", 16), ("alloc", 16), ("free", 0), ("free", 2), ("free", 1)],
     False,
@@ -407,23 +421,99 @@ class _OnePassWalk(_RestartWalk):
     False,
 )
 def test_hook_log_matches_the_reference_walk(ops, strict):
-    """Every access a hook sees, in order and with its bytes, equals the
-    reference model's: the restarting walk for a plain hook, the
-    one-pass walk for a hook declaring itself repeat-safe."""
-    for recorder_cls, model in (
-        (_Recorder, _RestartWalk),
-        (_RepeatSafeRecorder, _OnePassWalk),
-    ):
-        recorder, reference = recorder_cls(), recorder_cls()
-        transcript, state, _ = _run_heap_session(
-            ops, hooked=False, strict=strict, recorder=recorder
-        )
-        expected_transcript, expected_state, _ = _run_heap_session(
-            ops, hooked=False, strict=strict, recorder=reference, heap_cls=model
-        )
-        assert transcript == expected_transcript
-        assert state == expected_state
-        assert recorder.log == reference.log
+    """The one-pass walk that unpacks its headers gives the restarting
+    ``read_int`` model's payload addresses, exceptions, block walk and
+    heap bytes, and every hook sees the model's header writes, in order
+    and with their bytes, and no read at all."""
+    recorder, reference = _Recorder(), _Recorder()
+    transcript, state, _ = _run_heap_session(
+        ops, hooked=False, strict=strict, recorder=recorder
+    )
+    expected_transcript, expected_state, _ = _run_heap_session(
+        ops, hooked=False, strict=strict, recorder=reference, heap_cls=_RestartWalk
+    )
+    assert transcript == expected_transcript
+    assert state == expected_state
+    assert recorder.log == _writes(reference.log)
+    assert recorder.log != reference.log  # the model's reads reached the hook
+
+
+class _ReadLoggingVrt(VariableRecordTable):
+    """A VRT that also logs every read notification it is given."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.reads: list = []
+
+    def _on_access(self, address: int, data: bytes, is_write: bool) -> None:
+        if not is_write:
+            self.reads.append((address, len(data)))
+        super()._on_access(address, data, is_write)
+
+
+#: A session step that reads an issued payload, as the program would.
+_READ = st.tuples(st.just("read"), st.integers(min_value=0, max_value=63))
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_HEAP_OP, _READ, _READ), max_size=40))
+def test_vrt_sees_no_header_read(steps):
+    """Under an armed VRT, allocate/free/trample sequences whose program
+    reads payloads: every read notification the VRT is given is one of
+    the program's own reads, and none falls on a header the allocator
+    read during the step."""
+    machine = Machine(MachineConfig())
+    heap, space = machine.heap, machine.space
+    segment = space.segment(SegmentKind.HEAP)
+    table = _ReadLoggingVrt(machine)
+    table.arm()
+    headers: list = []
+    walked = []
+    unpack = heap._header
+    heap._header = lambda offset: headers.append(segment.base + offset) or unpack(offset)
+    issued: list = []
+    sizes: dict = {}
+    program_reads: list = []
+    for step in steps:
+        headers.clear()
+        before = len(table.reads)
+        try:
+            if step[0] == "read":
+                if not issued:
+                    continue
+                address = issued[step[1] % len(issued)]
+                program_reads.append((address, sizes[address]))
+                space.read(address, sizes[address])
+            elif step[0] == "alloc":
+                address = heap.allocate(step[1])
+                machine.tracker.record(address, step[1], ArenaOrigin.HEAP_NEW)
+                sizes[address] = step[1]
+                issued.append(address)
+            elif step[0] == "free" and issued:
+                address = issued[step[1] % len(issued)]
+                machine.tracker.mark_freed(address)
+                heap.free(address)
+            else:
+                _apply(step, heap, space, segment, issued)
+        except SimulatedProcessError:  # the heap's and the VRT's own faults
+            pass
+        for address, length in table.reads[before:]:
+            for header in headers:
+                assert not (address < header + HEADER_SIZE and header < address + length)
+        walked.append(bool(headers))
+    assert table.reads == program_reads
+    if any(step[0] == "alloc" for step in steps):
+        assert any(walked)  # the allocator really read its headers
+
+
+def test_allocator_reads_reach_no_hook():
+    """Allocating, freeing and coalescing read many headers; a hook that
+    observes reads is told of none of them."""
+    ops = [("alloc", 16), ("alloc", 24), ("alloc", 40), ("free", 1), ("free", 0)]
+    ops += [("alloc", 8), ("free", 2), ("wild", 0x100)]
+    transcript, _, reads = _run_heap_session(ops, hooked=True)
+    assert [outcome for outcome, _ in transcript] == ["ok"] * 7 + ["InvalidFree"]
+    assert reads == []
 
 
 @pytest.mark.parametrize("hooked", [False, True])
@@ -447,6 +537,23 @@ def test_strict_alignment_walk_faults_on_a_trampled_size(hooked):
     assert transcript[4][0] == "BusError"
     lenient, _, _ = _run_heap_session(ops, hooked=hooked, strict=False)
     assert lenient[3][0] != "BusError"
+
+
+def test_unreadable_heap_faults_at_the_first_header():
+    """The allocator's header reads bypass the hooks, not the segment's
+    permissions: on an unreadable heap the first walk segfaults at the
+    base, as ``read_int`` would."""
+    space = AddressSpace()
+    segment = space.segment(SegmentKind.HEAP)
+    segment.permissions = Permissions(read=False, write=True, execute=False)
+    segment._readable = False
+    space._rebuild_index()
+    heap = HeapAllocator(space)
+    with pytest.raises(SegmentationFault, match="not readable") as excinfo:
+        heap.allocate(16)
+    assert excinfo.value.address == segment.base
+    with pytest.raises(SegmentationFault):
+        list(heap.blocks())
 
 
 @pytest.mark.parametrize("hooked", [False, True])

@@ -9,7 +9,6 @@ from repro.memory import (
     ArenaOrigin,
     SegmentKind,
     ShadowMemory,
-    ShadowState,
 )
 
 
@@ -19,56 +18,73 @@ def space():
 
 
 class TestShadowMemory:
-    def test_states_after_protect(self, space):
+    @staticmethod
+    def _armed(space, *arenas):
         shadow = ShadowMemory(space, zone_size=8)
+        for base, size in arenas:
+            shadow.protect_arena(base, size)
+        shadow.arm()
+        return shadow
+
+    def test_red_zones_bracket_the_arena(self, space):
         base = space.segment(SegmentKind.BSS).base + 64
-        shadow.protect_arena(base, 16)
-        assert shadow.state_at(base) is ShadowState.ADDRESSABLE
-        assert shadow.state_at(base + 15) is ShadowState.ADDRESSABLE
-        assert shadow.state_at(base + 16) is ShadowState.RED_ZONE
-        assert shadow.state_at(base - 1) is ShadowState.RED_ZONE
-        assert shadow.state_at(base + 16 + 8) is ShadowState.UNTRACKED
+        self._armed(space, (base, 16))
+        space.write(base, b"x")
+        space.write(base + 15, b"x")
+        space.write(base + 16 + 8, b"x")  # past the right zone: untracked
+        space.write(base - 9, b"x")  # below the left zone
+        for red in (base + 16, base + 23, base - 1, base - 8):
+            with pytest.raises(RedZoneViolation):
+                space.write(red, b"\x00")
 
     def test_armed_write_into_red_zone_raises(self, space):
-        shadow = ShadowMemory(space, zone_size=8)
         base = space.segment(SegmentKind.BSS).base + 64
-        shadow.protect_arena(base, 16)
-        shadow.arm()
+        self._armed(space, (base, 16))
         with pytest.raises(RedZoneViolation):
             space.write(base + 16, b"\x00")
 
-    def test_write_inside_arena_allowed(self, space):
-        shadow = ShadowMemory(space, zone_size=8)
+    def test_violation_names_the_first_red_byte(self, space):
         base = space.segment(SegmentKind.BSS).base + 64
-        shadow.protect_arena(base, 16)
-        shadow.arm()
-        space.write(base, b"x" * 16)
-        assert not shadow.violations
+        self._armed(space, (base, 16))
+        with pytest.raises(RedZoneViolation) as excinfo:
+            space.write(base + 12, b"A" * 8)
+        assert excinfo.value.address == base + 16
+        with pytest.raises(RedZoneViolation) as excinfo:
+            space.write(base - 20, b"A" * 40)
+        assert excinfo.value.address == base - 8
 
-    def test_record_only_mode(self, space):
-        shadow = ShadowMemory(space, zone_size=8)
+    def test_write_inside_arena_allowed(self, space):
         base = space.segment(SegmentKind.BSS).base + 64
-        shadow.protect_arena(base, 16)
-        shadow.arm(halt_on_violation=False)
-        space.write(base + 16, b"\x00")
-        assert len(shadow.violations) == 1
-        assert shadow.first_violation().address == base + 16
+        self._armed(space, (base, 16))
+        space.write(base, b"x" * 16)
+
+    def test_reads_are_never_checked(self, space):
+        base = space.segment(SegmentKind.BSS).base + 64
+        self._armed(space, (base, 16))
+        assert space.read(base - 8, 32) == bytes(32)
 
     def test_disarm_stops_checking(self, space):
-        shadow = ShadowMemory(space, zone_size=8)
         base = space.segment(SegmentKind.BSS).base + 64
-        shadow.protect_arena(base, 16)
-        shadow.arm()
+        shadow = self._armed(space, (base, 16))
         shadow.disarm()
         space.write(base + 16, b"\x00")  # no raise
-        assert not shadow.violations
 
     def test_adjacent_arenas_do_not_poison_each_other(self, space):
-        shadow = ShadowMemory(space, zone_size=8)
         base = space.segment(SegmentKind.BSS).base + 64
-        shadow.protect_arena(base, 16)
-        shadow.protect_arena(base + 16, 16)  # red zone overlaps arena 2
-        assert shadow.state_at(base + 16) is ShadowState.ADDRESSABLE
+        # arena 1's right red zone overlaps arena 2, and arena 2's left
+        # zone overlaps arena 1: neither reddens the other's bytes
+        self._armed(space, (base, 16), (base + 16, 16))
+        space.write(base, b"x" * 32)
+        with pytest.raises(RedZoneViolation):
+            space.write(base + 32, b"\x00")
+
+    def test_a_later_arena_clears_red_bytes_it_covers(self, space):
+        base = space.segment(SegmentKind.BSS).base + 64
+        self._armed(space, (base, 16), (base + 20, 8))
+        space.write(base + 20, b"x" * 8)
+        for red in (base + 16, base + 19, base + 28):
+            with pytest.raises(RedZoneViolation):
+                space.write(red, b"\x00")
 
 
 class TestAllocationTracker:

@@ -96,8 +96,8 @@ def observe(source: str, stdin: tuple, hooked: bool) -> tuple:
     try:
         outcome = interpreter.run(entry, *args)
     except Exception as error:
-        return type(error).__name__, interpreter.steps, None, tap.sorted_kinds()
-    return "ok", outcome.steps, outcome.return_value, tap.sorted_kinds()
+        return type(error).__name__, interpreter.steps, None, tuple(sorted(tap.kinds))
+    return "ok", outcome.steps, outcome.return_value, tuple(sorted(tap.kinds))
 
 
 #: name -> (outcome, steps, return value, tap kinds), recorded with the
@@ -380,7 +380,7 @@ def spin(source: str, stdin: tuple, machine_name: str, budget: int = SPIN_BUDGET
         interpreter.steps,
         i_bytes.hex(),
         len(machine.events),
-        tap.sorted_kinds(),
+        tuple(sorted(tap.kinds)),
     )
 
 

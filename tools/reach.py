@@ -5,7 +5,8 @@ Runs, in one traced process:
 - every console command and subcommand (the fuzz checkpoint resume, the
   regression store's record/rebaseline/gc and the error exits included);
 - ``repro-serve`` itself, with one request on every route;
-- the E-series (``pytest benchmarks/``, ten timed rounds per benchmark);
+- the E-series (``pytest benchmarks/ --benchmark-disable``, one call per
+  benchmark);
 - every script under ``examples/``.
 
 It then prints, file by file, each function body that never started,
@@ -16,8 +17,8 @@ counted with its parent, not again.
 
 Calls are recorded with ``sys.settrace`` and ``threading.settrace``
 (``call`` events only; no line tracing).  pytest-benchmark's fixture
-pauses both that hook and ``sys.setprofile`` while it times a round, so
-the script turns the pause off for the E-series.  Work done in
+pauses both hooks only while it times a round, and a disabled fixture
+times none, so the E-series is traced like every other step.  Work done in
 child processes (``--backend process`` pools, tests that spawn an
 interpreter) is not traced, so each command runs on the in-process
 backend.  Uses the standard library only; the E-series step needs
@@ -276,12 +277,10 @@ def run_server(work: Path) -> None:
 def run_benchmarks() -> None:
     try:
         import pytest
-        from pytest_benchmark import fixture
+        import pytest_benchmark  # noqa: F401 (the benchmark fixture's plugin)
     except ImportError:
         _FAILURES.append("benchmarks: skipped (pytest and pytest-benchmark are needed)")
         return
-    # the fixture pauses sys.settrace and sys.setprofile around timed rounds
-    fixture.PauseInstrumentation = contextlib.nullcontext
     _install()
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -291,9 +290,7 @@ def run_benchmarks() -> None:
                 "-q",
                 "-p",
                 "no:cacheprovider",
-                "--benchmark-min-rounds=10",
-                "--benchmark-max-time=0.000001",
-                "--benchmark-warmup=off",
+                "--benchmark-disable",
             ]
         )
     if status != 0:
